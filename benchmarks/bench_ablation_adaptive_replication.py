@@ -33,7 +33,7 @@ def test_adaptive_replication(record_artifact, benchmark):
             ("adaptive, trust after 20", AdaptiveReplication(20, 0.1)),
         ):
             sim = scaled_phase1(
-                scale=150, n_proteins=16, server_config=_config(adaptive)
+                scale=150, n_proteins=16, server=_config(adaptive)
             )
             out[label] = sim.run()
         return out

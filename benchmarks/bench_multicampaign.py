@@ -16,10 +16,11 @@ Three phases, one JSON verdict (``BENCH_multicampaign.json``):
   long-run issued share lands within **10% (absolute)** of its weight
   share, and the shares exhaust the grid (work conservation).
 * **single-campaign parity** — a grid registering exactly one
-  cross-docking campaign must be **bit-identical** to the monolithic
-  ``scaled_phase1`` engine under full tracing: equal ``ValidationStats``,
-  equal completion time, equal telemetry series, and an equal event
-  trace, event for event.
+  cross-docking campaign (N=1 on the router) must reproduce the
+  monolithic ``scaled_phase1`` engine under full tracing: equal
+  ``ValidationStats``, equal completion time, equal telemetry series,
+  and an event trace equal event for event once the router's ``grid.*``
+  events and the ``campaign=`` stamp are dropped.
 
 Smoke mode: set ``REPRO_BENCH_SMOKE=1`` to shrink the scenario fleet and
 databases; every guard still runs.
@@ -125,10 +126,20 @@ def test_multicampaign_benchmark(record_bench_json, record_artifact):
     assert abs(sum(shares.values()) - 1.0) < 1e-9  # work conservation
 
     # -- phase 3: single registered campaign == monolithic engine -----------
+    # N=1 on the router: the trace is the monolithic one plus the router's
+    # own ``grid.*`` events and the ``campaign=`` stamp, so compare modulo
+    # those.
     def run_traced(run):
         ring = RingSink(capacity=2_000_000)
         result = run(Tracer(sink=ring))
-        return result, [(e.etype, e.t_sim, e.fields) for e in ring.events]
+        return result, [
+            (
+                e.etype, e.t_sim,
+                {k: v for k, v in e.fields.items() if k != "campaign"},
+            )
+            for e in ring.events
+            if not e.etype.startswith("grid.")
+        ]
 
     mono, mono_trace = run_traced(
         lambda tr: scaled_phase1(seed=PARITY_SEED, tracer=tr, **PARITY).run()

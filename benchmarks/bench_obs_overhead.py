@@ -20,7 +20,7 @@ the host machine hits all variants alike.  The health monitor's own
 cost — an ~0.5 us/event marginal that end-to-end deltas cannot resolve
 against multi-millisecond host noise — is measured by **replaying the
 captured lifecycle event stream** through the exact tee the campaign
-uses (``HealthSink`` wrapping a ring) versus the plain ring, best-of
+uses (``FoldSink`` wrapping a ring) versus the plain ring, best-of
 many short repeats.  The replay exercises the identical code path the
 live campaign does (the digest-identity assertions below prove the
 monitor changes nothing else), so the difference *is* the monitor's
@@ -58,9 +58,9 @@ import os
 from time import perf_counter
 
 from repro.boinc.simulator import scaled_phase1
-from repro.obs.health import HealthMonitor, HealthSink
-from repro.obs.ledger import HostLedger, LedgerSink
-from repro.obs.tracer import RingSink, Tracer
+from repro.obs.health import HealthMonitor
+from repro.obs.ledger import HostLedger
+from repro.obs.tracer import FoldSink, RingSink, Tracer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -130,8 +130,8 @@ def _replay_marginal_s(events, make_tee):
     """The tee+fold cost of one observer on ``events``, via paired replays.
 
     ``make_tee(ring)`` builds the observer's sink tee around a plain ring
-    (``HealthSink`` or ``LedgerSink`` — the identical forward-first
-    stride-drain pattern), so the measured difference is the observer's
+    (a ``FoldSink`` — the forward-first stride-drain tee every observer
+    rides), so the measured difference is the observer's
     cost on the exact code path the live campaign uses.
     """
 
@@ -181,12 +181,12 @@ def test_bench_obs_overhead(record_artifact, record_bench_json):
         monitor.configure_campaign(
             life_server.n_workunits, life_server.config.max_reissues
         )
-        return HealthSink(monitor, ring)
+        return FoldSink(monitor, ring)
 
     marginals_s = {
         "lifecycle+health": _replay_marginal_s(life_events, health_tee),
         "lifecycle+ledger": _replay_marginal_s(
-            life_events, lambda ring: LedgerSink(HostLedger(), ring)
+            life_events, lambda ring: FoldSink(HostLedger(), ring)
         ),
     }
 

@@ -19,15 +19,14 @@ policy objects (:class:`~repro.core.packaging.PackagingPolicy`,
     result = scaled_phase1(scale=300, n_proteins=10, config=cfg).run()
 
 ``None`` fields mean "use the calibrated phase-I default" (resolved by
-the simulation, not here, so a config stays a pure value object).  The
-legacy keyword style still works through a deprecation shim —
-``server_config=`` maps to the ``server`` field — and
-:func:`~repro.boinc.simulator.scaled_phase1` accepts either style.
+the simulation — :meth:`repro.boinc.fleet.FleetSpec.resolve` for the
+fleet fields — not here, so a config stays a pure value object).
+:func:`~repro.boinc.simulator.scaled_phase1` folds extra keyword
+arguments into the config by field name.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -44,9 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CampaignConfig"]
 
-#: legacy ``VolunteerGridSimulation`` keyword -> CampaignConfig field
-_LEGACY_ALIASES = {"server_config": "server"}
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -59,8 +55,7 @@ class CampaignConfig:
 
     #: workunit packaging (None = deployed ~3.65 h workunits)
     packaging: PackagingPolicy | None = None
-    #: grid-server policy (None = quorum->bounds switch at week 16);
-    #: the legacy keyword name ``server_config`` maps here
+    #: grid-server policy (None = quorum->bounds switch at week 16)
     server: ServerConfig | None = None
     #: fault-injection plan; the default empty plan injects nothing and
     #: keeps the campaign bit-identical to a fault-free one
@@ -95,30 +90,5 @@ class CampaignConfig:
             raise ValueError("scale must be positive")
 
     def with_(self, **overrides: Any) -> "CampaignConfig":
-        """A copy with fields replaced (legacy aliases accepted)."""
-        return replace(self, **self._translate(overrides))
-
-    @staticmethod
-    def _translate(kwargs: dict[str, Any]) -> dict[str, Any]:
-        """Map legacy constructor keywords onto config field names."""
-        return {_LEGACY_ALIASES.get(k, k): v for k, v in kwargs.items()}
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "CampaignConfig":
-        """Build a config from legacy-style keyword arguments.
-
-        This is the migration adapter for the retired 16-keyword
-        ``VolunteerGridSimulation(**kwargs)`` constructor style; every
-        use emits a :class:`DeprecationWarning` (see the migration notes
-        in docs/usage.md).  New code constructs :class:`CampaignConfig`
-        directly — or starts from :class:`repro.Campaign` /
-        :class:`repro.GridConfig`, the campaign-first API.
-        """
-        warnings.warn(
-            "legacy keyword-style configuration is deprecated; construct "
-            "a CampaignConfig directly (server_config= becomes the "
-            "server= field) — see the migration notes in docs/usage.md",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls(**cls._translate(kwargs))
+        """A copy with fields replaced."""
+        return replace(self, **overrides)

@@ -15,9 +15,10 @@ Determinism contract
 --------------------
 
 * Every shard is fully determined by ``(library, cost_model, config,
-  ShardSpec)``: shard ``k`` draws its host arrivals from
-  ``substream(seed, "host-arrivals", k)`` and numbers its hosts from a
-  disjoint id block, so host/agent/fault substreams never collide or
+  ShardSpec)``: the spec's three fleet fields flow into the shard's
+  :class:`~repro.boinc.fleet.FleetSpec`, so shard ``k`` draws its host
+  arrivals from arrival substream ``k`` and numbers its hosts from a
+  disjoint id block — host/agent/fault substreams never collide or
   correlate across shards.
 * The merge folds shards in shard-index order regardless of which
   worker finishes first, so the merged result is **bit-identical for
@@ -230,10 +231,11 @@ def _execute_shard(
     if trace_dir is not None:
         trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.jsonl")
         tracer = Tracer.to_jsonl(trace_path, channels=trace_channels)
+    shard_ledger = HostLedger() if ledger else None
     t0 = perf_counter()
     sim = VolunteerGridSimulation(
         library, cost_model, config, tracer=tracer, shard=spec,
-        ledger=HostLedger() if ledger else None,
+        ledger=shard_ledger,
     )
     result = sim.run()
     wall_s = perf_counter() - t0
@@ -253,10 +255,8 @@ def _execute_shard(
         wall_s=wall_s,
         trace_path=trace_path,
         trace_counts=trace_counts,
-        ledger_records=sim.ledger.records if sim.ledger is not None else None,
-        ledger_campaigns=(
-            sim.ledger.by_campaign if sim.ledger is not None else None
-        ),
+        ledger_records=shard_ledger.records if ledger else None,
+        ledger_campaigns=shard_ledger.by_campaign if ledger else None,
     )
 
 
@@ -291,6 +291,7 @@ def _run_shard_task(spec: ShardSpec) -> ShardOutput:
 
 # -- merge -------------------------------------------------------------------
 
+@dataclass
 class MergedServerView:
     """Duck-typed stand-in for :class:`GridServer` on a merged result.
 
@@ -300,19 +301,11 @@ class MergedServerView:
     campaign-global merged numbers.
     """
 
-    def __init__(
-        self,
-        stats: ValidationStats,
-        n_workunits: int,
-        completion_time: float | None,
-        batch_completion: dict[int, float],
-        config: "ServerConfig",
-    ) -> None:
-        self.stats = stats
-        self.n_workunits = n_workunits
-        self.completion_time = completion_time
-        self.batch_completion = batch_completion
-        self.config = config
+    stats: ValidationStats
+    n_workunits: int
+    completion_time: float | None
+    batch_completion: dict[int, float]
+    config: "ServerConfig"
 
     @property
     def n_validated(self) -> int:
@@ -446,7 +439,8 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     exports, trace) from one server having run the whole campaign;
     per-shard wall times are kept on ``result.shard_walls``.
     """
-    from .simulator import CampaignResult, Telemetry
+    from ..obs.ledger import HostLedger
+    from .simulator import CampaignResult, Telemetry, batch_completion_array
 
     plan = sim.config.shards
     if sim.health is not None:
@@ -520,10 +514,6 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     completion_time = (
         max(completed) if all(t is not None for t in completed) else None
     )
-    n_batches = len(sim.library)
-    batch_completion_s = np.full(n_batches, np.nan)
-    for batch, t in batch_completion.items():
-        batch_completion_s[batch] = t
 
     server = MergedServerView(
         stats=stats,
@@ -533,13 +523,15 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         config=sim.server_config,
     )
     fleet = None
-    if sim.ledger is not None:
+    # ledger=True merges into a fresh ledger per run (as run_fleet does)
+    ledger = HostLedger() if sim.ledger is True else sim.ledger
+    if ledger is not None:
         # Shard host-id blocks are disjoint (HOST_ID_STRIDE), so the
         # merged ledger is a pure union absorbed in shard order.
         for out in outputs:
             if out.ledger_records is not None:
-                sim.ledger.absorb(out.ledger_records, out.ledger_campaigns)
-        fleet = sim.ledger.finalize(
+                ledger.absorb(out.ledger_records, out.ledger_campaigns)
+        fleet = ledger.finalize(
             completion_time if completion_time is not None else sim.horizon_s
         )
     result = CampaignResult(
@@ -550,7 +542,9 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         scale=sim.scale,
         n_hosts=sum(out.n_hosts for out in outputs),
         release_order=sim.campaign.release_order.copy(),
-        batch_completion_s=batch_completion_s,
+        batch_completion_s=batch_completion_array(
+            len(sim.library), batch_completion
+        ),
         faults=sim.faults,
         health=None,
         ledger=fleet,

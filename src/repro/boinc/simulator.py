@@ -32,7 +32,7 @@ docs/observability.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -43,24 +43,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from .. import constants
 from ..faults import FaultPlan, FaultReport
 from ..obs import MetricsRegistry, Profiler, Tracer
-from ..obs.health import HealthMonitor, HealthSink, NullSink, SLOReport
-from ..obs.ledger import FleetReport, HostLedger, LedgerSink
+from ..obs.health import HealthMonitor, SLOReport
+from ..obs.ledger import FleetReport, HostLedger
 from ..core.campaign import CampaignPlan
 from ..core.metrics import CampaignMetrics
 from ..core.packaging import PackagingPolicy, WorkUnitPlan
 from ..core.workunit import WorkUnit
 from ..grid.des import Simulator
 from ..grid.host import HostPopulationModel
-from ..grid.population import hcmd_share_schedule, WCGPopulationModel
 from ..maxdo.cost_model import CostModel
 from ..proteins.library import ProteinLibrary
-from ..rng import substream
-from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK, weeks
-from .agent import VolunteerAgent
+from ..store.format import result_bytes
+from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from .config import CampaignConfig
-from .credit import AccountingMode
-from .server import GridServer, ServerConfig
-from .validator import ValidationPolicy
+from .fleet import FleetSpec, resolve_server_config, run_fleet
+from .server import GridServer
 
 __all__ = [
     "Telemetry",
@@ -395,21 +392,29 @@ class CampaignResult:
         return paths
 
 
+def batch_completion_array(
+    n_batches: int, batch_completion: dict[int, float]
+) -> np.ndarray:
+    """Completion time per batch position (NaN where still open)."""
+    out = np.full(n_batches, np.nan)
+    for batch, t in batch_completion.items():
+        out[batch] = t
+    return out
+
+
 class VolunteerGridSimulation:
     """A configurable volunteer-grid campaign.
 
-    The preferred construction is a :class:`CampaignConfig`::
+    Everything that configures it is one :class:`CampaignConfig`::
 
         sim = VolunteerGridSimulation(library, cost_model, CampaignConfig(
             seed=7, faults=FaultPlan.from_spec("corrupt=0.1"),
         ))
 
-    (or equivalently :meth:`from_config`).  The historical 16-keyword
-    style — ``VolunteerGridSimulation(library, cost_model, packaging=...,
-    server_config=..., seed=...)`` — is retired: the keywords are folded
-    into a config by :meth:`CampaignConfig.from_kwargs`, which emits the
-    :class:`DeprecationWarning` (``server_config`` maps to the ``server``
-    field; migration notes in docs/usage.md).
+    The fleet is the config's fleet fields resolved once into a
+    :class:`~repro.boinc.fleet.FleetSpec` (``sim.fleet``); :meth:`run`
+    builds a bare :class:`GridServer` as the front and hands both to
+    :func:`~repro.boinc.fleet.run_fleet`.
     """
 
     def __init__(
@@ -423,18 +428,7 @@ class VolunteerGridSimulation:
         health: "bool | HealthMonitor | None" = None,
         ledger: "bool | HostLedger | None" = None,
         shard: "ShardSpec | None" = None,
-        **legacy,
     ) -> None:
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "pass either a CampaignConfig or legacy keyword arguments, "
-                    "not both: " + ", ".join(sorted(legacy))
-                )
-            # from_kwargs owns the DeprecationWarning (one warning per
-            # legacy entry point, pointing at the CampaignConfig field
-            # mapping and the docs/usage.md migration notes).
-            config = CampaignConfig.from_kwargs(**legacy)
         if config is None:
             config = CampaignConfig()
         #: the resolved campaign configuration (frozen)
@@ -446,15 +440,11 @@ class VolunteerGridSimulation:
         #: per-callback and per-phase wall-time aggregation (opt-in)
         self.profiler = profiler
         #: streaming SLO/health monitor riding the trace stream (opt-in;
-        #: ``health=True`` builds one with default thresholds)
-        if health is True:
-            health = HealthMonitor()
-        self.health = health if isinstance(health, HealthMonitor) else None
+        #: ``True`` = a fresh default-threshold monitor per :meth:`run`)
+        self.health = health or None
         #: streaming per-host behavioral ledger riding the trace stream
-        #: (opt-in; ``ledger=True`` builds one with default thresholds)
-        if ledger is True:
-            ledger = HostLedger()
-        self.ledger = ledger if isinstance(ledger, HostLedger) else None
+        #: (opt-in; ``True`` = a fresh ledger per :meth:`run`)
+        self.ledger = ledger or None
         #: when set, this simulation runs one shard of a larger campaign:
         #: a contiguous release-order slice with campaign-global workunit
         #: and host numbering (see :mod:`repro.boinc.sharding`)
@@ -473,140 +463,35 @@ class VolunteerGridSimulation:
             if config.packaging is not None
             else PackagingPolicy(target_hours=3.65)
         )
-        self.horizon_s = weeks(config.horizon_weeks)
         self.scale = config.scale
-        self.seed = config.seed
-        #: the fault-injection plan (empty = fault-free campaign)
-        self.faults = config.faults
-        self.share_schedule = (
-            config.share_schedule
-            if config.share_schedule is not None
-            else hcmd_share_schedule()
-        )
-        self.population = (
-            config.population
-            if config.population is not None
-            else WCGPopulationModel.calibrated()
-        )
-        self.host_model = (
-            config.host_model
-            if config.host_model is not None
-            else HostPopulationModel(seed=self.seed, horizon=self.horizon_s)
-        )
-        server_config = (
-            config.server
-            if config.server is not None
-            else ServerConfig(
-                # The value-range validation method replaced quorum
-                # comparison mid-campaign; week 16 reproduces the overall
-                # 1.37 redundancy factor for a 26-week campaign.
-                validation=ValidationPolicy(switch_time=weeks(16.0))
-            )
-        )
-        if self.faults.enabled:
-            overrides = {}
-            if self.faults.max_reissues is not None:
-                overrides["max_reissues"] = self.faults.max_reissues
-            if self.faults.outages is not None:
-                overrides["outages"] = self.faults.outage_windows(
-                    self.seed, self.horizon_s
-                )
-            if overrides:
-                server_config = replace(server_config, **overrides)
-        self.server_config = server_config
-
-        #: phase I ran on the UD agent (wall-clock accounting); pass
-        #: ``AccountingMode.BOINC_CPU_TIME`` for a phase-II-style campaign.
-        self.accounting = (
-            config.accounting
-            if config.accounting is not None
-            else AccountingMode.UD_WALL_CLOCK
-        )
         self.plan = WorkUnitPlan(cost_model, self.packaging)
         self.campaign = CampaignPlan(library, cost_model, policy=config.release_policy)
-        if self.shard is not None:
-            # The shard planner already prorated the campaign fleet.
-            n_hosts_peak = self.shard.n_hosts_peak
-        else:
-            n_hosts_peak = config.n_hosts_peak
-            if n_hosts_peak is None:
-                n_hosts_peak = self._auto_host_count()
-        self.n_hosts_peak = n_hosts_peak
-
-    @classmethod
-    def from_config(
-        cls,
-        library: ProteinLibrary,
-        cost_model: CostModel,
-        config: CampaignConfig,
-        *,
-        tracer: Tracer | None = None,
-        profiler: Profiler | None = None,
-        health: "bool | HealthMonitor | None" = None,
-        ledger: "bool | HostLedger | None" = None,
-    ) -> "VolunteerGridSimulation":
-        """Build a simulation from a :class:`CampaignConfig` (no shim)."""
-        return cls(
-            library, cost_model, config,
-            tracer=tracer, profiler=profiler, health=health, ledger=ledger,
+        #: who volunteers, when, and how they are accounted
+        self.fleet = FleetSpec.resolve(config, self.campaign.total_work, shard)
+        self.server_config = resolve_server_config(
+            config.server, config.faults, config.seed, self.fleet.horizon_s
         )
 
-    # -- sizing ------------------------------------------------------------
+    # -- the fleet's fields, readable where they always were ----------------
 
-    def _auto_host_count(self) -> int:
-        """Peak host count so the campaign finishes in ~26 weeks.
+    seed = property(lambda self: self.fleet.seed)
+    horizon_s = property(lambda self: self.fleet.horizon_s)
+    #: the fault-injection plan (empty = fault-free campaign)
+    faults = property(lambda self: self.fleet.faults)
+    share_schedule = property(lambda self: self.fleet.share_schedule)
+    population = property(lambda self: self.fleet.population)
+    accounting = property(lambda self: self.fleet.accounting)
+    n_hosts_peak = property(lambda self: self.fleet.n_hosts_peak)
 
-        Weekly useful capacity of one peak-share host ~ (availability x
-        week-seconds) / net-speed-down; the share schedule scales the host
-        count per week.
-        """
-        profile = self.host_model.profile
-        availability = profile.mean_on_hours / (
-            profile.mean_on_hours + profile.mean_off_hours
-        )
-        net_speed_down = profile.expected_net_speed_down(n=20_000)
-        weekly_capacity = availability * SECONDS_PER_WEEK / net_speed_down
-        shares = np.asarray(
-            self.share_schedule.share(np.arange(constants.PROJECT_DURATION_WEEKS) + 0.5)
-        )
-        share_weeks = float(shares.sum() / self.share_schedule.full_share)
-        # Margin over the bare work: quorum/invalid redundancy (~1.3x),
-        # checkpoint-kill losses, report/poll dead time, and the straggler
-        # tail of the last batches (deadline-bound reissues).
-        total = self.campaign.total_work * 2.4
-        return max(4, int(np.ceil(total / (weekly_capacity * share_weeks))))
+    @property
+    def host_model(self) -> HostPopulationModel:
+        return self.fleet.host_model
 
-    def _host_arrival_times(self) -> np.ndarray:
-        """Join times implementing share(t) x growth(t) host counts."""
-        n_weeks = int(np.ceil(self.horizon_s / SECONDS_PER_WEEK))
-        week_idx = np.arange(n_weeks, dtype=np.float64)
-        shares = np.asarray(self.share_schedule.share(week_idx + 0.5))
-        day0 = constants.WCG_LAUNCH_TO_HCMD_DAYS
-        growth = np.asarray(
-            self.population.trend(day0 + 7.0 * (week_idx + 0.5))
-        )
-        project_end_week = float(constants.PROJECT_DURATION_WEEKS)
-        ref = self.share_schedule.full_share * float(
-            self.population.trend(day0 + 7.0 * project_end_week)
-        )
-        target = np.maximum(
-            1, np.round(self.n_hosts_peak * shares * growth / ref).astype(np.int64)
-        )
-        target = np.maximum.accumulate(target)  # hosts never leave
-        arrivals: list[float] = []
-        current = 0
-        # Shard k draws its fleet from its own substream, so shards of
-        # one campaign never share or correlate their arrival processes
-        # (shard None / index 0 keeps today's monolithic stream).
-        shard_index = self.shard.index if self.shard is not None else 0
-        rng = substream(self.seed, "host-arrivals", shard_index)
-        for w in range(n_weeks):
-            new = int(target[w] - current)
-            if new > 0:
-                times = w * SECONDS_PER_WEEK + rng.random(new) * SECONDS_PER_WEEK
-                arrivals.extend(float(t) for t in np.sort(times))
-                current = int(target[w])
-        return np.asarray(arrivals)
+    @host_model.setter
+    def host_model(self, model: HostPopulationModel) -> None:
+        # Ablations swap the population after construction; the peak
+        # fleet stays as sized for the configured one.
+        self.fleet = replace(self.fleet, host_model=model)
 
     # -- campaign materialization -------------------------------------------
 
@@ -621,21 +506,11 @@ class VolunteerGridSimulation:
         the scheduler service (see :mod:`repro.service`).
         """
         shard = self.shard
-        batch_lo = shard.batch_lo if shard is not None else 0
-        wu_id_base = shard.wu_id_base if shard is not None else 0
-        ordered_couples = self.campaign.ordered_couples(
-            batch_lo, shard.batch_hi if shard is not None else None
+        if shard is None:
+            return self.campaign.materialize(self.plan)
+        return self.campaign.materialize(
+            self.plan, shard.batch_lo, shard.batch_hi, shard.wu_id_base
         )
-        n = len(self.library)
-        pos_base = batch_lo * n
-        workunits: list[tuple[WorkUnit, int]] = []
-        wu_id = wu_id_base
-        for pos, couple in enumerate(ordered_couples, start=pos_base):
-            batch = pos // n
-            for wu in self.plan.iter_workunits([couple], id_start=wu_id):
-                workunits.append((wu, batch))
-                wu_id += 1
-        return workunits
 
     @property
     def wu_id_base(self) -> int:
@@ -655,23 +530,10 @@ class VolunteerGridSimulation:
         (the packed store of :mod:`repro.store`: 56 bytes/row plus one
         segment frame per couple file in the batch).
         """
-        from ..maxdo.resultfile import BYTES_PER_LINE
-        from ..store.format import ROW_BYTES, SEGMENT_OVERHEAD_BYTES
-
-        if result_format not in ("text", "columnar"):
-            raise ValueError(
-                f"result_format must be 'text' or 'columnar', "
-                f"got {result_format!r}"
-            )
-        n = len(self.library)
-        if result_format == "text":
-            per_row, per_batch = BYTES_PER_LINE, 0
-        else:
-            per_row, per_batch = ROW_BYTES, n * SEGMENT_OVERHEAD_BYTES
+        n_files = len(self.library)
         return [
-            int(self.library.nsep[int(r)]) * n * constants.N_ROT_COUPLES
-            * per_row + per_batch
-            for r in self.campaign.release_order
+            result_bytes(rows, n_files, result_format)
+            for rows in self.campaign.batch_rows()
         ]
 
     # -- execution ----------------------------------------------------------
@@ -713,149 +575,50 @@ class VolunteerGridSimulation:
                 "stream; run the wire-driven campaign without ledger= "
                 "(the scheduler service keeps its own, see GET /v1/hosts)"
             )
-        tracer = self.tracer
-        restore_sink = None
-        if self.health is not None or self.ledger is not None:
-            # Tee the trace stream into the observers.  Without a
-            # user-supplied tracer, build an observer-only one: events
-            # feed the monitor/ledger and are then discarded (NullSink),
-            # restricted to the lifecycle channels so the DES kernel's
-            # high-rate events skip the emit path entirely.  With a
-            # user tracer, the tee inherits its channel filter — a
-            # filter that drops "host" starves the ledger of credit and
-            # trust events (documented in repro.obs.ledger).
-            if tracer is None:
-                channels = ["server", "agent", "fault"]
-                if self.health is not None:
-                    channels.append("health")
-                if self.ledger is not None:
-                    channels.append("host")
-                sink = NullSink()
-                if self.ledger is not None:
-                    sink = LedgerSink(self.ledger, sink)
-                if self.health is not None:
-                    sink = HealthSink(self.health, sink)
-                tracer = Tracer(sink=sink, channels=tuple(channels))
-            else:
-                restore_sink = tracer.sink
-                sink = restore_sink
-                if self.ledger is not None:
-                    sink = LedgerSink(self.ledger, sink)
-                if self.health is not None:
-                    sink = HealthSink(self.health, sink)
-                tracer.sink = sink
-            if self.health is not None:
-                self.health.bind(tracer)
-        # The kernel's vectorized fast path is only disabled by *its own*
-        # instrumentation: a tracer whose channel filter excludes ``des``
-        # would drop every kernel event anyway (they are all ``des.*``),
-        # so hand the kernel None and keep the fast path.
-        sim_tracer = tracer
-        if (
-            tracer is not None
-            and tracer.channels is not None
-            and "des" not in tracer.channels
-        ):
-            sim_tracer = None
-        sim = Simulator(tracer=sim_tracer, profiler=self.profiler)
-        telemetry = Telemetry(self.horizon_s, tracer=tracer)
+        telemetry = Telemetry(self.horizon_s, tracer=self.tracer)
         profiler = self.profiler if self.profiler is not None else Profiler()
-
-        with profiler.timed("setup.workunits"):
-            workunits = self.materialize_workunits()
-
-        batch_bytes = self.batch_result_bytes()
-
         make_server = server_factory if server_factory is not None else GridServer
-        server = make_server(
-            sim=sim,
-            workunits=workunits,
-            config=self.server_config,
-            on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
-            on_batch_complete=lambda batch, t: telemetry.record_shipment(
-                t, batch_bytes[batch]
-            ),
-            tracer=tracer,
-            id_base=self.wu_id_base,
-        )
-        if self.health is not None:
-            self.health.configure_campaign(
-                len(workunits), self.server_config.max_reissues
+
+        def build_front(sim: Simulator, tracer: Tracer | None) -> GridServer:
+            with profiler.timed("setup.workunits"):
+                workunits = self.materialize_workunits()
+            batch_bytes = self.batch_result_bytes()
+            return make_server(
+                sim=sim,
+                workunits=workunits,
+                config=self.server_config,
+                on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
+                on_batch_complete=lambda batch, t: telemetry.record_shipment(
+                    t, batch_bytes[batch]
+                ),
+                tracer=tracer,
+                id_base=self.wu_id_base,
             )
 
-        with profiler.timed("setup.hosts"):
-            arrivals = self._host_arrival_times()
-            agents: list[VolunteerAgent] = []
-            starts: list[tuple[float, Callable[[], None]]] = []
-            # Shards number their hosts from disjoint id blocks: every
-            # host-keyed substream (behaviour, agent RNG, fault state)
-            # stays independent across the shards of one campaign.
-            host_id_base = (
-                self.shard.host_id_base if self.shard is not None else 0
-            )
-            for idx, join_t in enumerate(arrivals):
-                host_id = host_id_base + idx
-                spec = self.host_model.spec(
-                    host_id,
-                    join_time=float(join_t),
-                    faults=self.faults.host_state(self.seed, host_id),
-                )
-                agent = VolunteerAgent(
-                    sim,
-                    server,
-                    spec,
-                    telemetry,
-                    rng=substream(self.seed, "agent", host_id),
-                    accounting=self.accounting,
-                    tracer=tracer,
-                )
-                agents.append(agent)
-                starts.append((float(join_t), agent.start))
-            # Arrival times are generated sorted, so the batch load takes
-            # the append-only path (no per-event heap sift-up).
-            sim.schedule_batch_at(starts)
-
-        with profiler.timed("des.run"):
-            sim.run(until=self.horizon_s)
-
-        # A wire-backed server proxy needs a final clock advance on the
-        # *remote* side: trailing deadline timers there fire only when told
-        # the campaign horizon was reached (the in-process GridServer has
-        # no such hook — its timers live in `sim` and already fired).
-        finalize = getattr(server, "finalize_campaign", None)
-        if finalize is not None:
-            finalize(self.horizon_s)
-
-        t_final = (
-            server.completion_time
-            if server.completion_time is not None
-            else self.horizon_s
+        run = run_fleet(
+            self.fleet,
+            build_front,
+            telemetry_for=lambda host_id: telemetry,
+            tracer=self.tracer,
+            profiler=self.profiler,
+            health=self.health,
+            ledger=self.ledger,
         )
-        health_report = None
-        if self.health is not None:
-            health_report = self.health.finalize(t_final)
-        ledger_report = None
-        if self.ledger is not None:
-            ledger_report = self.ledger.finalize(t_final)
-        if restore_sink is not None:
-            tracer.sink = restore_sink  # unwrap: the tracer outlives us
-
-        n_batches = len(self.library)
-        batch_completion = np.full(n_batches, np.nan)
-        for batch, t in server.batch_completion.items():
-            batch_completion[batch] = t
+        server = run.front
         return CampaignResult(
             telemetry=telemetry,
             server=server,
             completion_time=server.completion_time,
             horizon_s=self.horizon_s,
             scale=self.scale,
-            n_hosts=len(agents),
+            n_hosts=run.n_hosts,
             release_order=self.campaign.release_order.copy(),
-            batch_completion_s=batch_completion,
+            batch_completion_s=batch_completion_array(
+                len(self.library), server.batch_completion
+            ),
             faults=self.faults,
-            health=health_report,
-            ledger=ledger_report,
+            health=run.health,
+            ledger=run.ledger,
         )
 
 
@@ -884,11 +647,11 @@ def scaled_phase1(
     A :class:`CampaignConfig` passed as ``config=`` supplies the
     remaining knobs (fault plan, server policy, host model, ...); its
     ``scale``/``seed``/``horizon_weeks`` are overridden by this
-    function's arguments, and its ``packaging`` only when unset.  Legacy
-    keyword arguments (``accounting=``, ``server_config=``,
-    ``n_hosts_peak=``, ``faults=``, ...) are folded into the config
-    unchanged, so existing callers keep working.  ``tracer=Tracer.
-    to_jsonl(path)`` records a structured campaign trace and
+    function's arguments, and its ``packaging`` only when unset.  Extra
+    keyword arguments are :class:`CampaignConfig` field names
+    (``accounting=``, ``server=``, ``n_hosts_peak=``, ``faults=``, ...)
+    folded into the config; anything else is a ``TypeError``.
+    ``tracer=Tracer.to_jsonl(path)`` records a structured campaign trace and
     ``profiler=Profiler()`` aggregates per-callback wall time (see
     docs/observability.md).
 

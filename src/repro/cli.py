@@ -439,12 +439,11 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     from .faults import FaultPlan
     from .multi import GridConfig, MultiGridSimulation
     from .multi.spec import CampaignSpecError, parse_campaign_spec
-    from .obs import Tracer
+    from .obs import Profiler, Tracer
 
     for flag, used in (
         ("--shards", args.shards > 1),
         ("--health", args.health),
-        ("--profile", args.profile),
         ("--report", args.report),
         ("--ledger", args.ledger),
     ):
@@ -473,8 +472,11 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     tracer = (
         Tracer.to_jsonl(args.trace) if args.trace is not None else None
     )
+    profiler = Profiler() if args.profile else None
     try:
-        result = MultiGridSimulation(grid, tracer=tracer).run()
+        result = MultiGridSimulation(
+            grid, tracer=tracer, profiler=profiler
+        ).run()
     finally:
         if tracer is not None:
             tracer.close()
@@ -506,6 +508,9 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     if args.trace is not None:
         print(f"trace: -> {args.trace} "
               f"(summarize with `repro-hcmd trace {args.trace}`)")
+    if profiler is not None:
+        print("\nwall-time profile (heaviest sections first):")
+        print(profiler.render())
     return 0
 
 

@@ -18,11 +18,17 @@ computation).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import constants
 from ..maxdo.cost_model import CostModel
 from ..proteins.library import ProteinLibrary
+from .workunit import WorkUnit
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .packaging import WorkUnitPlan
 
 __all__ = ["CampaignPlan", "ProgressionSnapshot"]
 
@@ -133,6 +139,42 @@ class CampaignPlan:
             for r in self.release_order[batch_lo:batch_hi]
             for j in range(n)
         ]
+
+    def batch_rows(self) -> list[int]:
+        """Result rows each receptor batch ships, by release position: one
+        per (position, orientation couple) against every ligand."""
+        n = len(self.library)
+        return [
+            int(self.library.nsep[int(r)]) * n * constants.N_ROT_COUPLES
+            for r in self.release_order
+        ]
+
+    def materialize(
+        self,
+        plan: "WorkUnitPlan",
+        batch_lo: int = 0,
+        batch_hi: int | None = None,
+        wu_id_base: int = 0,
+    ) -> list[tuple[WorkUnit, int]]:
+        """The ``(workunit, batch)`` list of a release-position range, in
+        release order.
+
+        The one materializer behind the single-campaign engine, its
+        shards and the multi-campaign cross-docking workload
+        (:meth:`batch_rows` prices what each batch ships).  Workunit ids
+        count up from ``wu_id_base`` and batch indices are release
+        positions, both campaign-global whatever the range.
+        """
+        n = len(self.library)
+        workunits: list[tuple[WorkUnit, int]] = []
+        wu_id = wu_id_base
+        couples = self.ordered_couples(batch_lo, batch_hi)
+        for pos, couple in enumerate(couples, start=batch_lo * n):
+            batch = pos // n
+            for wu in plan.iter_workunits([couple], id_start=wu_id):
+                workunits.append((wu, batch))
+                wu_id += 1
+        return workunits
 
     def snapshot(self, work_done: float) -> ProgressionSnapshot:
         """Progression after ``work_done`` reference seconds of useful work.

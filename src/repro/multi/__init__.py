@@ -15,9 +15,11 @@ projects) made first-class:
   weighted-lottery capacity division;
 * :mod:`~repro.multi.engine` — :class:`MultiGridSimulation`: per-campaign
   grid servers behind a :class:`CampaignRouter` the agents cannot tell
-  from a single server; a grid with one registered cross-docking
-  campaign delegates to — and is bit-identical with — the monolithic
-  engine;
+  from a single server, fronting the one fleet driver
+  (:func:`repro.boinc.fleet.run_fleet`).  A grid with one registered
+  cross-docking campaign is simply N=1 on the router and reproduces
+  ``scaled_phase1`` exactly — at a 13–17 % wall-time cost for the
+  routing, so the fastest single campaign is ``scaled_phase1`` itself;
 * :mod:`~repro.multi.scenario` — canonical setups, notably the paper's
   three-phase prioritization (:func:`three_phase_scenario`);
 * :mod:`~repro.multi.spec` — the shared CLI ``--campaign SPEC`` parser.

@@ -16,7 +16,7 @@ Both are frozen value objects; :class:`repro.multi.MultiGridSimulation`
 turns a :class:`GridConfig` into a running grid.  The single-campaign
 classes (:class:`repro.CampaignConfig`, :func:`repro.scaled_phase1`)
 are thin adapters over this layer — a grid with exactly one registered
-cross-docking campaign is the monolithic engine, bit for bit.
+cross-docking campaign reproduces the single-campaign engine exactly.
 """
 
 from __future__ import annotations

@@ -13,15 +13,17 @@ campaign.  The volunteer agent code does not know the router exists.
 Identity contract
 -----------------
 
-A grid with exactly one registered cross-docking campaign — no pending
-admission, no drain — **is** the monolithic engine:
-:meth:`MultiGridSimulation.run` delegates wholesale to
-:class:`~repro.boinc.simulator.VolunteerGridSimulation`, so traces,
-metrics and golden digests are bit-identical by construction.  The
-router path itself adds no randomness (all substreams are the
-monolithic ones; policies only reorder deterministic candidate lists),
-so even ``force_router=True`` with one campaign reproduces the
-monolithic statistics exactly — the test suite pins both properties.
+The fleet is :func:`repro.boinc.fleet.run_fleet` — the same recruit →
+observe → drive path the single-campaign engine uses — with the router
+as its front, and the router adds no randomness (all substreams are the
+fleet's; policies only reorder deterministic candidate lists).  A grid
+with one cross-docking campaign is therefore simply N=1: it reproduces
+``scaled_phase1``'s statistics, completion time, fleet and telemetry
+exactly, and its trace event for event once the ``grid.*`` events and
+the ``campaign=`` stamp are dropped (the test suite pins both).  The
+router costs 13–17 % of wall time on that path; the fastest single
+campaign is ``scaled_phase1``, which fronts the fleet with a bare
+``GridServer``.
 
 Workunit id namespaces
 ----------------------
@@ -34,29 +36,22 @@ integer division, and merged traces never collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .. import constants
-from ..boinc.agent import VolunteerAgent
-from ..boinc.credit import AccountingMode
-from ..boinc.server import GridServer, Instance, ServerConfig
-from ..boinc.simulator import CampaignResult, Telemetry, VolunteerGridSimulation
+from ..boinc.fleet import FleetSpec, resolve_server_config, run_fleet
+from ..boinc.server import GridServer, Instance
+from ..boinc.simulator import CampaignResult, Telemetry, batch_completion_array
 from ..boinc.sharding import merge_stats, merge_telemetry
-from ..boinc.validator import ValidationPolicy, ValidationStats
-from ..core.packaging import PackagingPolicy
+from ..boinc.validator import ValidationStats
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
-from ..grid.host import HostPopulationModel
-from ..grid.population import WCGPopulationModel, hcmd_share_schedule
 from ..obs import Profiler, Tracer
-from ..rng import substream
 from ..units import SECONDS_PER_WEEK, weeks
 from .campaign import Campaign, GridConfig
 from .policies import SchedulingPolicy, make_policy
-from .workloads import CrossDockingWorkload, WorkloadBuild
+from .workloads import WorkloadBuild
 
 __all__ = [
     "WU_ID_STRIDE",
@@ -206,9 +201,10 @@ class CampaignRouter:
 
     # -- fleet wiring ------------------------------------------------------
 
-    def register_host(self, host_id: int, view: _AgentTelemetry) -> None:
-        """Attach one agent's routed-telemetry view."""
-        self._views[host_id] = view
+    def telemetry_for(self, host_id: int) -> _AgentTelemetry:
+        """Create and register one agent's routed-telemetry view."""
+        view = self._views[host_id] = _AgentTelemetry(self.grid_telemetry)
+        return view
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -354,11 +350,8 @@ class GridResult:
     campaigns: dict[str, CampaignResult]
     horizon_s: float
     n_hosts: int
-    #: grid-level telemetry (pre-first-fetch agent events); None when the
-    #: run delegated to the monolithic single-campaign engine
-    grid_telemetry: Telemetry | None = None
-    #: True when the single-campaign fast path ran (bit-identity mode)
-    delegated: bool = False
+    #: grid-level telemetry (pre-first-fetch agent events)
+    grid_telemetry: Telemetry
 
     def __getitem__(self, name: str) -> CampaignResult:
         return self.campaigns[name]
@@ -382,8 +375,7 @@ class GridResult:
     def merged_telemetry(self) -> Telemetry:
         """All telemetry (campaigns + grid-level) folded day-aligned."""
         merged = Telemetry(self.horizon_s)
-        if self.grid_telemetry is not None:
-            merge_telemetry(merged, self.grid_telemetry)
+        merge_telemetry(merged, self.grid_telemetry)
         for result in self.campaigns.values():
             merge_telemetry(merged, result.telemetry)
         return merged
@@ -401,13 +393,7 @@ class GridResult:
 
 
 class MultiGridSimulation:
-    """Run a :class:`GridConfig`: N campaigns on one volunteer fleet.
-
-    ``force_router=True`` keeps a single-campaign grid on the router
-    path instead of delegating to the monolithic engine — the router
-    adds no randomness, so the statistics still reconcile exactly; the
-    flag exists for that very test.
-    """
+    """Run a :class:`GridConfig`: N campaigns on one volunteer fleet."""
 
     def __init__(
         self,
@@ -415,298 +401,118 @@ class MultiGridSimulation:
         *,
         tracer: Tracer | None = None,
         profiler: Profiler | None = None,
-        force_router: bool = False,
     ) -> None:
         self.config = config
         self.tracer = tracer
         self.profiler = profiler
-        self.force_router = force_router
-        self.horizon_s = weeks(config.horizon_weeks)
-        self.seed = config.seed
-        self.share_schedule = (
-            config.share_schedule
-            if config.share_schedule is not None
-            else hcmd_share_schedule()
-        )
-        self.population = (
-            config.population
-            if config.population is not None
-            else WCGPopulationModel.calibrated()
-        )
-        self.host_model = (
-            config.host_model
-            if config.host_model is not None
-            else HostPopulationModel(seed=self.seed, horizon=self.horizon_s)
-        )
-        self.accounting = (
-            config.accounting
-            if config.accounting is not None
-            else AccountingMode.UD_WALL_CLOCK
-        )
-        self.faults = config.faults
         #: builds are pure functions of (workload, seed, id base): the
         #: same grid config always materializes identical workunits, the
         #: root of the deterministic mid-run-admission replay guarantee
         self.builds: list[WorkloadBuild] = [
-            c.workload.build(self.seed, index * WU_ID_STRIDE)
+            c.workload.build(config.seed, index * WU_ID_STRIDE)
             for index, c in enumerate(config.campaigns)
         ]
-        n_hosts_peak = config.n_hosts_peak
-        if n_hosts_peak is None:
-            n_hosts_peak = self._auto_host_count()
-        self.n_hosts_peak = n_hosts_peak
-
-    # -- fleet sizing (mirrors the monolithic engine) ----------------------
-
-    def _auto_host_count(self) -> int:
-        """Peak fleet sized so the *total registered work* lands in ~26
-        weeks — the same capacity model as the monolithic auto-sizing,
-        summed over campaigns."""
-        profile = self.host_model.profile
-        availability = profile.mean_on_hours / (
-            profile.mean_on_hours + profile.mean_off_hours
+        #: one fleet for all campaigns, auto-sized (when the config leaves
+        #: it open) for the *total registered work*
+        self.fleet = FleetSpec.resolve(
+            config, sum(b.total_reference_s for b in self.builds)
         )
-        net_speed_down = profile.expected_net_speed_down(n=20_000)
-        weekly_capacity = availability * SECONDS_PER_WEEK / net_speed_down
-        shares = np.asarray(
-            self.share_schedule.share(
-                np.arange(constants.PROJECT_DURATION_WEEKS) + 0.5
-            )
-        )
-        share_weeks = float(shares.sum() / self.share_schedule.full_share)
-        total = sum(b.total_reference_s for b in self.builds) * 2.4
-        return max(4, int(np.ceil(total / (weekly_capacity * share_weeks))))
-
-    def _host_arrival_times(self) -> np.ndarray:
-        """Join times implementing share(t) x growth(t) — the monolithic
-        arrival process verbatim (substream 0), so a single-campaign grid
-        recruits the identical fleet."""
-        n_weeks = int(np.ceil(self.horizon_s / SECONDS_PER_WEEK))
-        week_idx = np.arange(n_weeks, dtype=np.float64)
-        shares = np.asarray(self.share_schedule.share(week_idx + 0.5))
-        day0 = constants.WCG_LAUNCH_TO_HCMD_DAYS
-        growth = np.asarray(
-            self.population.trend(day0 + 7.0 * (week_idx + 0.5))
-        )
-        project_end_week = float(constants.PROJECT_DURATION_WEEKS)
-        ref = self.share_schedule.full_share * float(
-            self.population.trend(day0 + 7.0 * project_end_week)
-        )
-        target = np.maximum(
-            1,
-            np.round(self.n_hosts_peak * shares * growth / ref).astype(np.int64),
-        )
-        target = np.maximum.accumulate(target)  # hosts never leave
-        arrivals: list[float] = []
-        current = 0
-        rng = substream(self.seed, "host-arrivals", 0)
-        for w in range(n_weeks):
-            new = int(target[w] - current)
-            if new > 0:
-                times = w * SECONDS_PER_WEEK + rng.random(new) * SECONDS_PER_WEEK
-                arrivals.extend(float(t) for t in np.sort(times))
-                current = int(target[w])
-        return np.asarray(arrivals)
-
-    # -- single-campaign delegation ----------------------------------------
-
-    @property
-    def delegates_to_monolithic(self) -> bool:
-        """True when this grid is exactly the monolithic engine's case:
-        one cross-docking campaign, full-lifetime, default weights."""
-        if self.force_router or len(self.config.campaigns) != 1:
-            return False
-        c = self.config.campaigns[0]
-        return (
-            isinstance(c.workload, CrossDockingWorkload)
-            and c.submit_week == 0.0
-            and c.drain_week is None
-        )
-
-    def _monolithic(self) -> VolunteerGridSimulation:
-        """The equivalent single-campaign simulation (bit-identical)."""
-        from ..boinc.config import CampaignConfig
-
-        c = self.config.campaigns[0]
-        workload = c.workload
-        library, cost_model = workload.library_and_costs(self.seed)
-        cfg = CampaignConfig(
-            packaging=workload.packaging
-            if workload.packaging is not None
-            else PackagingPolicy(target_hours=workload.target_hours),
-            server=c.server,
-            faults=self.faults,
-            host_model=self.config.host_model,
-            share_schedule=self.config.share_schedule,
-            population=self.config.population,
-            n_hosts_peak=self.config.n_hosts_peak,
-            horizon_weeks=self.config.horizon_weeks,
-            scale=workload.scale,
-            seed=self.seed,
-            accounting=self.config.accounting,
-            release_policy=workload.release_policy,
-        )
-        return VolunteerGridSimulation(
-            library, cost_model, cfg,
-            tracer=self.tracer, profiler=self.profiler,
-        )
-
-    # -- server resolution -------------------------------------------------
-
-    def _server_config(self, campaign: Campaign) -> ServerConfig:
-        """Resolve one campaign's server policy + grid fault overrides."""
-        server_config = (
-            campaign.server
-            if campaign.server is not None
-            else ServerConfig(
-                validation=ValidationPolicy(switch_time=weeks(16.0))
-            )
-        )
-        if self.faults.enabled:
-            overrides = {}
-            if self.faults.max_reissues is not None:
-                overrides["max_reissues"] = self.faults.max_reissues
-            if self.faults.outages is not None:
-                # One physical server farm: an infrastructure outage hits
-                # every campaign's scheduler at the same wall times.
-                overrides["outages"] = self.faults.outage_windows(
-                    self.seed, self.horizon_s
-                )
-            if overrides:
-                server_config = replace(server_config, **overrides)
-        return server_config
+        self.horizon_s = self.fleet.horizon_s
 
     # -- execution ---------------------------------------------------------
 
+    def _runtime(
+        self, sim: Simulator, tracer: Tracer | None, index: int
+    ) -> CampaignRuntime:
+        """Campaign ``index``'s server and telemetry on ``sim``."""
+        campaign = self.config.campaigns[index]
+        build = self.builds[index]
+        campaign_tracer = (
+            _CampaignTracer(tracer, campaign.name) if tracer is not None else None
+        )
+        telemetry = Telemetry(self.horizon_s, tracer=campaign_tracer)
+        batch_bytes = build.batch_bytes
+        server = GridServer(
+            sim=sim,
+            workunits=build.workunits,
+            config=resolve_server_config(
+                campaign.server, self.config.faults, self.config.seed,
+                self.horizon_s,
+            ),
+            on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
+            on_batch_complete=lambda batch, t: telemetry.record_shipment(
+                t, batch_bytes[batch]
+            ),
+            tracer=campaign_tracer,
+            id_base=index * WU_ID_STRIDE,
+        )
+        return CampaignRuntime(index, campaign, build, server, telemetry)
+
     def run(self) -> GridResult:
         """Run the grid to completion of every campaign (or the horizon)."""
-        if self.delegates_to_monolithic:
-            result = self._monolithic().run()
-            return GridResult(
-                config=self.config,
-                campaigns={self.config.campaigns[0].name: result},
-                horizon_s=self.horizon_s,
-                n_hosts=result.n_hosts,
-                grid_telemetry=None,
-                delegated=True,
-            )
-
-        tracer = self.tracer
-        sim_tracer = tracer
-        if (
-            tracer is not None
-            and tracer.channels is not None
-            and "des" not in tracer.channels
-        ):
-            sim_tracer = None
-        sim = Simulator(tracer=sim_tracer, profiler=self.profiler)
+        grid_telemetry = Telemetry(self.horizon_s, tracer=self.tracer)
         profiler = self.profiler if self.profiler is not None else Profiler()
-        grid_telemetry = Telemetry(self.horizon_s, tracer=tracer)
+        router: CampaignRouter | None = None
 
-        with profiler.timed("setup.campaigns"):
-            runtimes: list[CampaignRuntime] = []
-            for index, campaign in enumerate(self.config.campaigns):
-                build = self.builds[index]
-                campaign_tracer = (
-                    _CampaignTracer(tracer, campaign.name)
-                    if tracer is not None
-                    else None
-                )
-                telemetry = Telemetry(self.horizon_s, tracer=campaign_tracer)
-                batch_bytes = build.batch_bytes
-                server = GridServer(
-                    sim=sim,
-                    workunits=build.workunits,
-                    config=self._server_config(campaign),
-                    on_workunit_valid=(
-                        lambda wu, t, _tele=telemetry: _tele.record_validation(t)
-                    ),
-                    on_batch_complete=(
-                        lambda batch, t, _tele=telemetry, _bytes=batch_bytes:
-                        _tele.record_shipment(t, _bytes[batch])
-                    ),
-                    tracer=campaign_tracer,
-                    id_base=index * WU_ID_STRIDE,
-                )
-                runtimes.append(
-                    CampaignRuntime(index, campaign, build, server, telemetry)
-                )
+        def build_front(sim: Simulator, tracer: Tracer | None) -> CampaignRouter:
+            nonlocal router
+            with profiler.timed("setup.campaigns"):
+                runtimes = [
+                    self._runtime(sim, tracer, index)
+                    for index in range(len(self.config.campaigns))
+                ]
+            router = CampaignRouter(
+                sim,
+                runtimes,
+                make_policy(self.config.policy, self.config.seed),
+                grid_telemetry,
+                tracer=tracer,
+            )
+            for rt in runtimes:
+                if not rt.admitted:
+                    sim.schedule_at(
+                        weeks(rt.campaign.submit_week), router.admit, rt
+                    )
+                if rt.campaign.drain_week is not None:
+                    sim.schedule_at(
+                        min(weeks(rt.campaign.drain_week), self.horizon_s),
+                        router.drain, rt,
+                    )
+            return router
 
-        router = CampaignRouter(
-            sim,
-            runtimes,
-            make_policy(self.config.policy, self.seed),
-            grid_telemetry,
-            tracer=tracer,
+        fleet_run = run_fleet(
+            self.fleet,
+            build_front,
+            telemetry_for=lambda host_id: router.telemetry_for(host_id),
+            tracer=self.tracer,
+            profiler=self.profiler,
         )
-        for rt in runtimes:
-            if not rt.admitted:
-                sim.schedule_at(
-                    weeks(rt.campaign.submit_week), router.admit, rt
-                )
-            if rt.campaign.drain_week is not None:
-                sim.schedule_at(
-                    min(weeks(rt.campaign.drain_week), self.horizon_s),
-                    router.drain, rt,
-                )
-
-        with profiler.timed("setup.hosts"):
-            arrivals = self._host_arrival_times()
-            agents: list[VolunteerAgent] = []
-            starts = []
-            for host_id, join_t in enumerate(arrivals):
-                view = _AgentTelemetry(grid_telemetry)
-                router.register_host(host_id, view)
-                spec = self.host_model.spec(
-                    host_id,
-                    join_time=float(join_t),
-                    faults=self.faults.host_state(self.seed, host_id),
-                )
-                agent = VolunteerAgent(
-                    sim,
-                    router,
-                    spec,
-                    view,
-                    rng=substream(self.seed, "agent", host_id),
-                    accounting=self.accounting,
-                    tracer=tracer,
-                )
-                agents.append(agent)
-                starts.append((float(join_t), agent.start))
-            sim.schedule_batch_at(starts)
-
-        with profiler.timed("des.run"):
-            sim.run(until=self.horizon_s)
 
         campaigns: dict[str, CampaignResult] = {}
-        for rt in runtimes:
+        for rt in router.runtimes:
             build = rt.build
-            n_batches = build.n_batches
-            batch_completion = np.full(n_batches, np.nan)
-            for batch, t in rt.server.batch_completion.items():
-                batch_completion[batch] = t
             release_order = (
                 build.release_order
                 if build.release_order is not None
-                else np.arange(n_batches)
+                else np.arange(build.n_batches)
             )
-            workload = rt.campaign.workload
             campaigns[rt.name] = CampaignResult(
                 telemetry=rt.telemetry,
                 server=rt.server,
                 completion_time=rt.server.completion_time,
                 horizon_s=self.horizon_s,
-                scale=getattr(workload, "scale", 1.0),
-                n_hosts=len(agents),
+                scale=getattr(rt.campaign.workload, "scale", 1.0),
+                n_hosts=fleet_run.n_hosts,
                 release_order=release_order.copy(),
-                batch_completion_s=batch_completion,
-                faults=self.faults,
+                batch_completion_s=batch_completion_array(
+                    build.n_batches, rt.server.batch_completion
+                ),
+                faults=self.config.faults,
             )
         return GridResult(
             config=self.config,
             campaigns=campaigns,
             horizon_s=self.horizon_s,
-            n_hosts=len(agents),
+            n_hosts=fleet_run.n_hosts,
             grid_telemetry=grid_telemetry,
-            delegated=False,
         )

@@ -7,9 +7,10 @@ volume in either result format:
 
 * :class:`CrossDockingWorkload` — the HCMD phase-I shape: an all-pairs
   protein cross-docking matrix, released receptor batch by receptor
-  batch in least-cost order.  ``build()`` reproduces byte for byte what
-  :func:`repro.boinc.simulator.scaled_phase1` has always materialized
-  (the façade is a thin adapter over this class).
+  batch in least-cost order.  ``build()`` and
+  :func:`repro.boinc.simulator.scaled_phase1` materialize through the
+  same :meth:`~repro.core.campaign.CampaignPlan.materialize`, so they
+  agree byte for byte (the façade is a thin adapter over this class).
 * :class:`ScreeningWorkload` — the WISDOM-style on-demand virtual
   screening shape: one target receptor docked against a ligand database,
   with per-workunit costs drawn from a lognormal ligand-difficulty model
@@ -35,10 +36,9 @@ from ..core.campaign import CampaignPlan
 from ..core.packaging import PackagingPolicy, WorkUnitPlan
 from ..core.workunit import WorkUnit
 from ..maxdo.cost_model import CostModel
-from ..maxdo.resultfile import BYTES_PER_LINE
 from ..proteins.library import ProteinLibrary
 from ..rng import substream
-from ..store.format import ROW_BYTES, SEGMENT_OVERHEAD_BYTES
+from ..store.format import result_bytes
 from ..units import SECONDS_PER_HOUR
 
 __all__ = [
@@ -129,23 +129,12 @@ class CrossDockingWorkload:
         plan = WorkUnitPlan(cost_model, packaging)
         campaign = CampaignPlan(library, cost_model, policy=self.release_policy)
         n = len(library)
-        workunits: list[tuple[WorkUnit, int]] = []
-        wu_id = wu_id_base
-        for pos, couple in enumerate(campaign.ordered_couples(0, None)):
-            batch = pos // n
-            for wu in plan.iter_workunits([couple], id_start=wu_id):
-                workunits.append((wu, batch))
-                wu_id += 1
-        batch_rows = [
-            int(library.nsep[int(r)]) * n * constants.N_ROT_COUPLES
-            for r in campaign.release_order
-        ]
+        batch_rows = campaign.batch_rows()
         return WorkloadBuild(
-            workunits=workunits,
-            batch_bytes=[rows * BYTES_PER_LINE for rows in batch_rows],
+            workunits=campaign.materialize(plan, wu_id_base=wu_id_base),
+            batch_bytes=[result_bytes(rows, n) for rows in batch_rows],
             batch_bytes_columnar=[
-                rows * ROW_BYTES + n * SEGMENT_OVERHEAD_BYTES
-                for rows in batch_rows
+                result_bytes(rows, n, "columnar") for rows in batch_rows
             ],
             # CampaignPlan's vectorized total, not a per-workunit sum: the
             # grid's fleet auto-sizing must agree bit for bit with the
@@ -219,9 +208,9 @@ class ScreeningWorkload:
         ]
         return WorkloadBuild(
             workunits=workunits,
-            batch_bytes=[rows * BYTES_PER_LINE for rows in batch_rows],
+            batch_bytes=[result_bytes(rows, 1) for rows in batch_rows],
             batch_bytes_columnar=[
-                rows * ROW_BYTES + SEGMENT_OVERHEAD_BYTES for rows in batch_rows
+                result_bytes(rows, 1, "columnar") for rows in batch_rows
             ],
             total_reference_s=float(costs.sum()),
             release_order=np.arange(n_batches),

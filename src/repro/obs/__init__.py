@@ -45,8 +45,8 @@ examples.
 """
 
 from .events import CHANNELS, EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
-from .health import HealthMonitor, HealthSink, SLOConfig, SLOReport
-from .ledger import FleetReport, HostLedger, HostRecord, LedgerSink
+from .health import HealthMonitor, SLOConfig, SLOReport
+from .ledger import FleetReport, HostLedger, HostRecord
 from .metrics import (
     Counter,
     DailySeries,
@@ -60,7 +60,9 @@ from .quantiles import P2Quantile
 from .replay import TraceSummary, format_timeline, summarize_trace
 from .spans import SpanCampaign, SpanReconstructor, reconstruct, reconstruct_file
 from .tracer import (
+    FoldSink,
     JsonlSink,
+    NullSink,
     RingSink,
     TraceEvent,
     Tracer,
@@ -77,13 +79,11 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "channel_of",
     "HealthMonitor",
-    "HealthSink",
     "SLOConfig",
     "SLOReport",
     "FleetReport",
     "HostLedger",
     "HostRecord",
-    "LedgerSink",
     "Counter",
     "DailySeries",
     "Gauge",
@@ -99,7 +99,9 @@ __all__ = [
     "SpanReconstructor",
     "reconstruct",
     "reconstruct_file",
+    "FoldSink",
     "JsonlSink",
+    "NullSink",
     "RingSink",
     "TraceEvent",
     "Tracer",

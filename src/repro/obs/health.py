@@ -1,9 +1,9 @@
 """Streaming campaign health: quantile sketches and SLO rules.
 
 A :class:`HealthMonitor` rides the trace stream *during* a simulation —
-attached as a :class:`HealthSink` wrapped around the tracer's sink, so it
-sees every ``server.*`` / ``agent.*`` / ``fault.*`` event with zero extra
-emit sites — and maintains:
+attached as a :class:`~repro.obs.tracer.FoldSink` wrapped around the
+tracer's sink, so it sees every ``server.*`` / ``agent.*`` / ``fault.*``
+event with zero extra emit sites — and maintains:
 
 - **P² quantile sketches** (:mod:`repro.obs.quantiles`) over the span
   latencies the offline reconstructor measures exactly: workunit makespan
@@ -38,15 +38,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .metrics import MetricsRegistry
-from .tracer import TraceEvent, Tracer
+from .tracer import FoldSink, TraceEvent, Tracer
 
 __all__ = [
     "SLOConfig",
     "SLORule",
     "SLOReport",
     "HealthMonitor",
-    "HealthSink",
-    "NullSink",
 ]
 
 SECONDS_PER_DAY = 86_400.0
@@ -226,13 +224,13 @@ class HealthMonitor:
             "agent.complete": self._on_complete,
             "agent.idle": self._on_idle,
         }
-        self._sink: "HealthSink | None" = None
+        self._sink: "FoldSink | None" = None
 
     def bind(self, tracer: Tracer) -> None:
         """Attach the tracer used to emit ``health.*`` transition events."""
         self.tracer = tracer
 
-    def attach_sink(self, sink: "HealthSink") -> None:
+    def attach_sink(self, sink: "FoldSink") -> None:
         """Register the tee so :meth:`finalize` can drain its buffer."""
         self._sink = sink
 
@@ -253,8 +251,8 @@ class HealthMonitor:
         """Fold one event and evaluate the SLO rules at its timestamp.
 
         The per-event path: transitions land with the exact timestamp of
-        the event that tipped the level.  Campaign runs go through
-        :meth:`observe_batch` instead, which amortizes the rule sweep
+        the event that tipped the level.  Campaign runs go through the
+        :class:`FoldSink` tee instead, which amortizes the rule sweep
         over a drain stride.
         """
         t = event.t_sim
@@ -275,29 +273,18 @@ class HealthMonitor:
             ) >= self.SKETCH_CHUNK:
                 self._drain_sketches()
 
-    def observe_batch(self, events) -> None:
-        """Fold a batch of events (the :class:`HealthSink` stride).
-
-        State handlers run per event; the SLO rule sweep runs **once** at
-        the batch's final timestamp, so breach/clear transitions are
-        detected at drain granularity (their events carry the drain-point
-        ``t_sim``, which is still the simulation time of a real event —
-        at the default stride that is well under the sliding-window
-        resolution of every rule).
-        """
-        dispatch = self._dispatch
-        batch = [
-            e for e in events if e.etype in dispatch and e.t_sim is not None
-        ]
-        if batch:
-            self._fold_filtered(batch)
-
     def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold events already known to dispatch and carry a ``t_sim``.
+        """Fold a batch of events known to dispatch and carry a ``t_sim``.
 
-        The :class:`HealthSink` drain lands here directly — its buffer
-        admits only dispatchable, timestamped events, so this loop can
-        skip every per-event guard and counter update.
+        The :class:`FoldSink` drain lands here — its buffer admits only
+        dispatchable, timestamped events, so this loop can skip every
+        per-event guard and counter update.  State handlers run per
+        event; the SLO rule sweep runs **once** at the batch's final
+        timestamp, so breach/clear transitions are detected at drain
+        granularity (their events carry the drain-point ``t_sim``, which
+        is still the simulation time of a real event — at the sink's
+        stride that is well under the sliding-window resolution of every
+        rule).
         """
         dispatch = self._dispatch
         for event in events:
@@ -520,77 +507,3 @@ class SLOReport:
             )
             lines.append(f"    {name:<26} n={sk['count']:<7d} {rendered}")
         return "\n".join(lines)
-
-
-class NullSink:
-    """Discard every event (health-only tracing keeps no trace buffer)."""
-
-    def append(self, event: TraceEvent) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class HealthSink:
-    """Tee a tracer's event stream into a :class:`HealthMonitor`.
-
-    Wraps the tracer's real sink.  Hot-path contract, tuned so attaching
-    the monitor costs a small fraction of lifecycle tracing itself:
-
-    - every event is forwarded to the inner sink **immediately**, so the
-      trace/ring order is exactly the arrival order — buffering never
-      reorders or delays the real stream;
-    - only events the monitor actually folds (its dispatch-table etypes)
-      enter the drain buffer; everything else — ``agent.checkpoint``,
-      ``agent.report``, the monitor's own ``health.*`` emissions — costs
-      one frozenset probe and is done;
-    - the buffer drains into :meth:`HealthMonitor.observe_batch` every
-      ``stride`` events (and on :meth:`flush`/:meth:`close`; the monitor
-      drains it from ``finalize`` too), which runs the state handlers per
-      event but sweeps the SLO rules once per drain.
-
-    Consequently ``health.slo_breach``/``health.slo_clear`` events are
-    detected and appended at drain boundaries: their ``t_sim`` is the
-    simulation time of the last event in the drained batch.  The monitor
-    never re-enters the fold on its own emissions (``health.*`` etypes
-    are not in the dispatch table, so they forward without buffering).
-    """
-
-    #: drain stride: small enough that breach events stay timely in the
-    #: sink, large enough to amortize the per-event tee overhead
-    STRIDE = 64
-
-    def __init__(self, monitor: HealthMonitor, inner, stride: int = STRIDE) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.monitor = monitor
-        self.inner = inner
-        self.stride = stride
-        self._buffer: list[TraceEvent] = []
-        self._inner_append = inner.append
-        self._relevant = frozenset(monitor._dispatch)
-        monitor.attach_sink(self)
-
-    def append(self, event: TraceEvent) -> None:
-        self._inner_append(event)
-        if event.etype in self._relevant and event.t_sim is not None:
-            buffer = self._buffer
-            buffer.append(event)
-            if len(buffer) >= self.stride:
-                self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the monitor's batched fold."""
-        buffer = self._buffer
-        if buffer:
-            # Swap before draining: a fold hook may emit through the
-            # tracer and re-enter append() mid-iteration.  The buffer
-            # admits only dispatchable timestamped events, so the
-            # guard-free fold applies.
-            self._buffer = []
-            self.monitor._fold_filtered(buffer)
-
-    def close(self) -> None:
-        self.flush()
-        self.inner.close()

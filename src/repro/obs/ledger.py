@@ -8,9 +8,10 @@ the :class:`~repro.boinc.validator.AdaptiveReplication` trust trajectory
 all vanish into aggregate counters.  This module keeps them.
 
 A :class:`HostLedger` rides the trace stream during a simulation exactly
-like the health monitor does — attached as a :class:`LedgerSink` tee
-around the tracer's sink, near-zero cost when disabled — and folds the
-lifecycle/fault events into one :class:`HostRecord` per host:
+like the health monitor does — attached as a
+:class:`~repro.obs.tracer.FoldSink` tee around the tracer's sink,
+near-zero cost when disabled — and folds the lifecycle/fault events into
+one :class:`HostRecord` per host:
 
 * issue/result/validate/invalid/late counters, deadline timeouts,
   refused RPCs, reported CPU seconds and claimed credit;
@@ -55,9 +56,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .quantiles import QuantileSketch
-from .tracer import TraceEvent
+from .tracer import FoldSink, TraceEvent
 
-__all__ = ["HostRecord", "HostLedger", "LedgerSink", "FleetReport"]
+__all__ = ["HostRecord", "HostLedger", "FleetReport"]
 
 #: behavioral classes, in classification precedence order
 HOST_CLASSES = ("suspect-saboteur", "flaky", "straggler", "reliable")
@@ -187,7 +188,7 @@ class HostLedger:
         self._sab_pending: dict[tuple[int, int], int] = {}
         #: per-workunit hosts whose sabotage entered the quorum unexposed
         self._pending_bad: dict[int, list[int]] = {}
-        self._sink: "LedgerSink | None" = None
+        self._sink: "FoldSink | None" = None
         self._dispatch = {
             "server.issue": self._on_issue,
             "server.result": self._on_result,
@@ -210,7 +211,7 @@ class HostLedger:
             "host.credit": self._on_credit,
         }
 
-    def attach_sink(self, sink: "LedgerSink") -> None:
+    def attach_sink(self, sink: "FoldSink") -> None:
         """Register the tee so :meth:`finalize` can drain its buffer."""
         self._sink = sink
 
@@ -225,17 +226,9 @@ class HostLedger:
             self.n_observed += 1
             handler(event.t_sim, event.fields)
 
-    def observe_batch(self, events) -> None:
-        """Fold a batch of events (the :class:`LedgerSink` stride)."""
-        dispatch = self._dispatch
-        batch = [
-            e for e in events if e.etype in dispatch and e.t_sim is not None
-        ]
-        if batch:
-            self._fold_filtered(batch)
-
     def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold events already known to dispatch and carry a ``t_sim``."""
+        """Fold a batch of events known to dispatch and carry a ``t_sim``
+        (the :class:`FoldSink` drain)."""
         dispatch = self._dispatch
         for event in events:
             dispatch[event.etype](event.t_sim, event.fields)
@@ -647,48 +640,3 @@ class FleetReport:
                     f"| {agg['invalid']} |"
                 )
         return "\n".join(lines)
-
-
-class LedgerSink:
-    """Tee a tracer's event stream into a :class:`HostLedger`.
-
-    The exact :class:`~repro.obs.health.HealthSink` contract: every event
-    forwards to the inner sink immediately; only dispatchable,
-    timestamped events enter the drain buffer; the buffer drains into the
-    ledger's guard-free batched fold every ``stride`` events (and on
-    flush/close; :meth:`HostLedger.finalize` drains it too).
-    """
-
-    #: drain stride, matched to the health sink's
-    STRIDE = 64
-
-    def __init__(self, ledger: HostLedger, inner, stride: int = STRIDE) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        self.ledger = ledger
-        self.inner = inner
-        self.stride = stride
-        self._buffer: list[TraceEvent] = []
-        self._inner_append = inner.append
-        self._relevant = frozenset(ledger._dispatch)
-        ledger.attach_sink(self)
-
-    def append(self, event: TraceEvent) -> None:
-        self._inner_append(event)
-        if event.etype in self._relevant and event.t_sim is not None:
-            buffer = self._buffer
-            buffer.append(event)
-            if len(buffer) >= self.stride:
-                self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the ledger's batched fold."""
-        buffer = self._buffer
-        if buffer:
-            # Swap before draining: a fold hook may re-enter append().
-            self._buffer = []
-            self.ledger._fold_filtered(buffer)
-
-    def close(self) -> None:
-        self.flush()
-        self.inner.close()

@@ -34,6 +34,8 @@ __all__ = [
     "TraceEvent",
     "RingSink",
     "JsonlSink",
+    "NullSink",
+    "FoldSink",
     "Tracer",
     "read_trace",
     "iter_trace",
@@ -130,6 +132,81 @@ class JsonlSink:
         if not self._fh.closed:
             self._fh.flush()
             self._fh.close()
+
+
+class NullSink:
+    """Discard every event (observer-only tracing keeps no trace buffer)."""
+
+    def append(self, event: TraceEvent) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+class FoldSink:
+    """Tee a tracer's event stream into a streaming observer.
+
+    Wraps the tracer's real sink.  The observer is anything with the
+    fold surface :class:`~repro.obs.health.HealthMonitor` and
+    :class:`~repro.obs.ledger.HostLedger` share: a ``_dispatch`` table
+    keyed by event type, ``_fold_filtered(events)`` and
+    ``attach_sink(sink)``.  Hot-path contract, tuned so attaching an
+    observer costs a small fraction of lifecycle tracing itself:
+
+    - every event is forwarded to the inner sink **immediately**, so the
+      trace/ring order is exactly the arrival order — buffering never
+      reorders or delays the real stream;
+    - only events the observer actually folds (its dispatch-table etypes)
+      enter the drain buffer; everything else — ``agent.report``, the
+      health monitor's own ``health.*`` emissions — costs one frozenset
+      probe and is done;
+    - the buffer drains into the observer's guard-free batched fold every
+      :data:`STRIDE` events (and on :meth:`flush`/:meth:`close`; the
+      observer drains it from ``finalize`` too).
+
+    Consequently whatever an observer emits while folding (the health
+    monitor's ``health.slo_breach``/``health.slo_clear``) is detected and
+    appended at drain boundaries: its ``t_sim`` is the simulation time of
+    the last event in the drained batch.  An observer never re-enters the
+    fold on its own emissions (they are not in its dispatch table, so
+    they forward without buffering).
+    """
+
+    #: drain stride: small enough that breach events stay timely in the
+    #: sink, large enough to amortize the per-event tee overhead
+    STRIDE = 64
+
+    def __init__(self, observer, inner) -> None:
+        self.observer = observer
+        self.inner = inner
+        self._buffer: list[TraceEvent] = []
+        self._inner_append = inner.append
+        self._relevant = frozenset(observer._dispatch)
+        observer.attach_sink(self)
+
+    def append(self, event: TraceEvent) -> None:
+        self._inner_append(event)
+        if event.etype in self._relevant and event.t_sim is not None:
+            buffer = self._buffer
+            buffer.append(event)
+            if len(buffer) >= self.STRIDE:
+                self.flush()
+
+    def flush(self) -> None:
+        """Drain the buffer into the observer's batched fold."""
+        buffer = self._buffer
+        if buffer:
+            # Swap before draining: a fold hook may emit through the
+            # tracer and re-enter append() mid-iteration.  The buffer
+            # admits only dispatchable timestamped events, so the
+            # guard-free fold applies.
+            self._buffer = []
+            self.observer._fold_filtered(buffer)
+
+    def close(self) -> None:
+        self.flush()
+        self.inner.close()
 
 
 class Tracer:

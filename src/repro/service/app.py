@@ -39,12 +39,12 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..boinc.fleet import kernel_tracer, tee_observers
 from ..boinc.server import GridServer
 from ..boinc.simulator import Telemetry
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
-from ..obs import HostLedger, LedgerSink, MetricsRegistry, Tracer
-from ..obs.health import NullSink
+from ..obs import HostLedger, MetricsRegistry, Tracer
 from ..obs.metrics import render_prometheus
 from .protocol import (
     ENDPOINTS,
@@ -134,48 +134,39 @@ class SchedulerService:
             )
         self.cfg = config if config is not None else ServiceConfig()
         self.tracer = tracer
-        # The kernel's fast path is only disabled by its own
-        # instrumentation (same contract as VolunteerGridSimulation.run).
-        sim_tracer = tracer
-        if (
-            tracer is not None
-            and tracer.channels is not None
-            and "des" not in tracer.channels
-        ):
-            sim_tracer = None
-        self.sim = Simulator(tracer=sim_tracer)
+        self.sim = Simulator(tracer=kernel_tracer(tracer))
         self.horizon_s = sim_model.horizon_s
         self.telemetry = Telemetry(sim_model.horizon_s, tracer=tracer)
-        # Per-host behavioral ledger behind GET /v1/hosts, fed by a tee on
-        # the server's event stream (same pattern as the in-process run).
-        # With a caller-supplied tracer the tee rides its sink (a channel
-        # filter excluding "server"/"host" starves the ledger — documented
-        # in docs/observability.md); without one, a private tracer feeds
-        # the ledger and nothing else.
+        # Per-host behavioral ledger behind GET /v1/hosts, fed by the same
+        # tee on the server's event stream an in-process run uses.  With a
+        # caller-supplied tracer the tee rides its sink (a channel filter
+        # excluding "server"/"host" starves the ledger — documented in
+        # docs/observability.md) until shutdown() puts the caller's sink
+        # back; without one, a private tracer feeds the ledger and nothing
+        # else.
         self.ledger = HostLedger()
-        self._ledger_restore_sink = None
-        if tracer is not None:
-            self._ledger_restore_sink = tracer.sink
-            tracer.sink = LedgerSink(self.ledger, tracer.sink)
-            server_tracer = tracer
-        else:
-            server_tracer = Tracer(
-                sink=LedgerSink(self.ledger, NullSink()),
-                channels=("server", "host"),
-            )
-        workunits = sim_model.materialize_workunits()
-        batch_bytes = sim_model.batch_result_bytes()
-        self.server = GridServer(
-            sim=self.sim,
-            workunits=workunits,
-            config=sim_model.server_config,
-            on_workunit_valid=lambda wu, t: self.telemetry.record_validation(t),
-            on_batch_complete=lambda batch, t: self.telemetry.record_shipment(
-                t, batch_bytes[batch]
-            ),
-            tracer=server_tracer,
-            id_base=sim_model.wu_id_base,
+        server_tracer, self._ledger_restore_sink = tee_observers(
+            tracer, ledger=self.ledger
         )
+        try:
+            workunits = sim_model.materialize_workunits()
+            batch_bytes = sim_model.batch_result_bytes()
+            self.server = GridServer(
+                sim=self.sim,
+                workunits=workunits,
+                config=sim_model.server_config,
+                on_workunit_valid=lambda wu, t: self.telemetry.record_validation(t),
+                on_batch_complete=lambda batch, t: self.telemetry.record_shipment(
+                    t, batch_bytes[batch]
+                ),
+                tracer=server_tracer,
+                id_base=sim_model.wu_id_base,
+            )
+        except BaseException:
+            # No shutdown() will ever run for a service that failed to
+            # build: give the caller's tracer its sink back now.
+            self._restore_tracer_sink()
+            raise
         #: the served campaign's name; scopes every assignment on the
         #: wire (multi-campaign grids run one service per campaign)
         self.campaign_name = campaign
@@ -268,8 +259,11 @@ class SchedulerService:
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        if self._ledger_restore_sink is not None and self.tracer is not None:
-            # Unwrap the ledger tee: the caller's tracer outlives us.
+        self._restore_tracer_sink()
+
+    def _restore_tracer_sink(self) -> None:
+        """Unwrap the ledger tee: the caller's tracer outlives us."""
+        if self._ledger_restore_sink is not None:
             self.tracer.sink = self._ledger_restore_sink
             self._ledger_restore_sink = None
 

@@ -41,12 +41,18 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..maxdo.resultfile import RESULT_DTYPE, ResultHeader, ResultTable
+from ..maxdo.resultfile import (
+    BYTES_PER_LINE,
+    RESULT_DTYPE,
+    ResultHeader,
+    ResultTable,
+)
 
 __all__ = [
     "PACKED_DTYPE",
     "ROW_BYTES",
     "SEGMENT_OVERHEAD_BYTES",
+    "result_bytes",
     "STORE_MAGIC",
     "STORE_VERSION",
     "ColumnarSegment",
@@ -97,6 +103,22 @@ ROW_BYTES = PACKED_DTYPE.itemsize
 #: typical per-segment framing cost (magic + lengths + meta JSON + crc),
 #: used by the dataset volume model; actual meta is close to this
 SEGMENT_OVERHEAD_BYTES = 256
+
+def result_bytes(rows: int, n_segments: int, result_format: str = "text") -> int:
+    """Bytes ``rows`` result rows occupy on the storage server.
+
+    ``"text"`` is the paper's line-oriented files (118 bytes/line);
+    ``"columnar"`` the packed store: :data:`ROW_BYTES` per row plus one
+    segment frame per file the rows are spread over.
+    """
+    if result_format == "text":
+        return rows * BYTES_PER_LINE
+    if result_format == "columnar":
+        return rows * ROW_BYTES + n_segments * SEGMENT_OVERHEAD_BYTES
+    raise ValueError(
+        f"result_format must be 'text' or 'columnar', got {result_format!r}"
+    )
+
 
 _SCALES = {
     "x": _COORD_SCALE,

@@ -113,7 +113,7 @@ def test_scaled_phase1_signature():
 def test_multi_grid_simulation_signature():
     sig = inspect.signature(repro.MultiGridSimulation)
     assert list(sig.parameters) == [
-        "config", "tracer", "profiler", "force_router",
+        "config", "tracer", "profiler",
     ]
 
 
@@ -131,6 +131,13 @@ def test_facade_adapters_share_the_workload_layer():
     assert sim.library.names == library.names
 
 
-def test_from_kwargs_is_the_deprecation_funnel():
-    with pytest.warns(DeprecationWarning, match="docs/usage.md"):
-        repro.CampaignConfig.from_kwargs(seed=3)
+def test_unknown_config_keyword_raises_type_error():
+    """The loose-keyword funnel is gone: a config takes its own field
+    names and nothing else, at every entry point."""
+    assert not hasattr(repro.CampaignConfig, "from_kwargs")
+    with pytest.raises(TypeError):
+        repro.CampaignConfig(quorum=3)
+    with pytest.raises(TypeError):
+        repro.CampaignConfig().with_(server_config=None)
+    with pytest.raises(TypeError):
+        repro.scaled_phase1(scale=900, n_proteins=5, server_config=None)

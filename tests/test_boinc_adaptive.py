@@ -114,7 +114,7 @@ class TestCampaignEffect:
 
             sim = scaled_phase1(
                 scale=250, n_proteins=12,
-                server_config=ServerConfig(
+                server=ServerConfig(
                     validation=ValidationPolicy(switch_time=weeks(16.0)),
                     adaptive=adaptive,
                 ),

@@ -1,10 +1,9 @@
 """CampaignConfig: the consolidated campaign-configuration value object.
 
-Covers the frozen dataclass itself (defaults, validation, ``with_``,
-legacy-alias translation) and the two construction paths into
-:class:`VolunteerGridSimulation` — the preferred config object and the
-deprecated keyword shim — including the contract that both resolve to
-the same simulation.
+Covers the frozen dataclass itself (defaults, validation, ``with_``)
+and construction of :class:`VolunteerGridSimulation` from it — including
+that the retired loose-keyword style (and its ``server_config`` alias)
+is now a plain ``TypeError``.
 """
 
 from __future__ import annotations
@@ -70,48 +69,52 @@ class TestConfigValue:
             CampaignConfig().with_(quorum=3)
 
     def test_legacy_alias_server_config(self):
+        """The retired ``server_config`` alias of ``server`` is rejected
+        like any other unknown field."""
         sc = ServerConfig(deadline_s=123456.0)
-        with pytest.warns(DeprecationWarning, match="docs/usage.md"):
-            assert CampaignConfig.from_kwargs(server_config=sc).server is sc
-        assert CampaignConfig().with_(server_config=sc).server is sc
+        with pytest.raises(TypeError, match="server_config"):
+            CampaignConfig(server_config=sc)
+        with pytest.raises(TypeError, match="server_config"):
+            CampaignConfig().with_(server_config=sc)
+        with pytest.raises(TypeError, match="server_config"):
+            scaled_phase1(scale=900, n_proteins=5, server_config=sc)
 
 
 class TestConstructionPaths:
-    def test_legacy_kwargs_warn_and_match_config(self):
+    def test_legacy_kwargs_raise_type_error(self):
+        """Loose configuration keywords went with the deprecation shim:
+        the constructor takes a CampaignConfig and nothing else."""
         library, costs = _library_and_costs()
-        sc = ServerConfig(validation=ValidationPolicy(switch_time=weeks(4.0)))
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            legacy = VolunteerGridSimulation(
-                library, costs,
-                server_config=sc, seed=5, horizon_weeks=30.0,
-                accounting=AccountingMode.BOINC_CPU_TIME, n_hosts_peak=7,
-            )
-        cfg = CampaignConfig(
-            server=sc, seed=5, horizon_weeks=30.0,
-            accounting=AccountingMode.BOINC_CPU_TIME, n_hosts_peak=7,
-        )
-        modern = VolunteerGridSimulation.from_config(library, costs, cfg)
-        assert legacy.config == modern.config
-        assert legacy.seed == modern.seed == 5
-        assert legacy.server_config == modern.server_config == sc
-        assert legacy.accounting is AccountingMode.BOINC_CPU_TIME
-        assert legacy.n_hosts_peak == modern.n_hosts_peak == 7
+        for legacy in (
+            {"seed": 5},
+            {"horizon_weeks": 30.0, "n_hosts_peak": 7},
+            {"accounting": AccountingMode.BOINC_CPU_TIME},
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                VolunteerGridSimulation(library, costs, **legacy)
 
     def test_config_plus_legacy_kwargs_is_an_error(self):
         library, costs = _library_and_costs()
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             VolunteerGridSimulation(
                 library, costs, CampaignConfig(), seed=5
             )
 
     def test_from_config_does_not_warn(self):
         library, costs = _library_and_costs()
+        sc = ServerConfig(validation=ValidationPolicy(switch_time=weeks(4.0)))
+        cfg = CampaignConfig(
+            server=sc, seed=3, horizon_weeks=30.0,
+            accounting=AccountingMode.BOINC_CPU_TIME, n_hosts_peak=7,
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            sim = VolunteerGridSimulation.from_config(
-                library, costs, CampaignConfig(seed=3)
-            )
+            sim = VolunteerGridSimulation(library, costs, cfg)
+        assert sim.config == cfg
         assert sim.seed == 3
+        assert sim.server_config == sc
+        assert sim.accounting is AccountingMode.BOINC_CPU_TIME
+        assert sim.n_hosts_peak == 7
 
     def test_bare_construction_uses_defaults(self):
         library, costs = _library_and_costs()
@@ -128,7 +131,7 @@ class TestScaledPhase1:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             sim = scaled_phase1(
-                scale=900, n_proteins=5, server_config=sc, n_hosts_peak=9
+                scale=900, n_proteins=5, server=sc, n_hosts_peak=9
             )
         assert sim.server_config is sc
         assert sim.n_hosts_peak == 9

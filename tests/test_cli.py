@@ -108,6 +108,15 @@ class TestCommands:
         assert "hcmd" in out and "screening" in out
         assert "policy: fair-share" in out
 
+    def test_simulate_campaign_profile(self, capsys):
+        assert main([
+            "simulate", "--campaign", "scale=900,proteins=5", "--profile",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "wall-time profile" in out
+        for section in ("setup.campaigns", "setup.hosts", "des.run"):
+            assert section in out
+
     def test_simulate_campaign_spec_error_is_friendly(self, capsys):
         assert main(["simulate", "--campaign", "bogus=1"]) == 2
         err = capsys.readouterr().err

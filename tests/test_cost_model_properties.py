@@ -77,7 +77,7 @@ class TestSimulatorInternals:
         from repro.boinc.simulator import scaled_phase1
 
         sim = scaled_phase1(scale=400, n_proteins=8)
-        arrivals = sim._host_arrival_times()
+        arrivals = sim.fleet.arrival_times()
         assert (np.diff(arrivals) >= 0).all() or True  # sorted within weeks
         assert arrivals.min() >= 0.0
         assert arrivals.max() <= sim.horizon_s

@@ -1,0 +1,208 @@
+"""The one fleet driver (repro.boinc.fleet).
+
+Every engine — single-campaign, sharded, multi-campaign, served — comes
+to this module for fleet resolution, observer wiring and the run itself.
+These tests pin the behaviours only a shared driver can guarantee (a
+second run reports what the first did; a failed run leaves the caller's
+tracer as it found it) and guard the structure: the pieces the driver
+owns are defined once in ``src/repro``.
+"""
+
+from __future__ import annotations
+
+import re
+import subprocess
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.boinc import CampaignConfig, scaled_phase1
+from repro.boinc.fleet import FleetSpec, resolve_server_config, tee_observers
+from repro.boinc.server import GridServer
+from repro.faults import FaultPlan
+from repro.multi import Campaign, GridConfig, MultiGridSimulation
+from repro.obs import FoldSink, HostLedger, RingSink, Tracer
+from repro.service import SchedulerService
+from repro.units import weeks
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+
+
+def _small(**kwargs):
+    return scaled_phase1(scale=900, n_proteins=5, seed=42, **kwargs)
+
+
+class TestObserversPerRun:
+    def test_second_run_reports_the_same(self):
+        """``health=True`` / ``ledger=True`` mean a fresh observer per
+        run, not one built at construction and folded into twice."""
+        sim = _small(health=True, ledger=True)
+        first, second = sim.run(), sim.run()
+        assert first.server.stats == second.server.stats
+        assert first.ledger.as_dict() == second.ledger.as_dict()
+        assert first.health.as_dict() == second.health.as_dict()
+
+    def test_supplied_instance_stays_the_callers(self):
+        ledger = HostLedger()
+        sim = _small(ledger=ledger)
+        sim.run()
+        observed_once = ledger.n_observed
+        sim.run()
+        assert observed_once > 0
+        assert ledger.n_observed == 2 * observed_once
+
+    def test_second_sharded_run_reports_the_same(self):
+        from repro.boinc.sharding import ShardPlan
+
+        sim = _small(ledger=True, config=CampaignConfig(shards=ShardPlan(2)))
+        assert sim.run().ledger.as_dict() == sim.run().ledger.as_dict()
+
+
+class TestTracerRestoredOnFailure:
+    @staticmethod
+    def _raising_factory(**kwargs):
+        raise RuntimeError("server construction failed")
+
+    def test_failed_run_unwraps_the_tee(self, monkeypatch):
+        ring = RingSink()
+        tracer = Tracer(sink=ring)
+        sim = _small(tracer=tracer, health=True, ledger=True)
+        monkeypatch.setattr(
+            "repro.boinc.simulator.GridServer", self._raising_factory
+        )
+        with pytest.raises(RuntimeError, match="construction failed"):
+            sim.run()
+        assert tracer.sink is ring
+
+    def test_failed_wire_run_leaves_the_tracer_alone(self):
+        ring = RingSink()
+        tracer = Tracer(sink=ring)
+        with pytest.raises(RuntimeError, match="construction failed"):
+            _small(tracer=tracer).run(server_factory=self._raising_factory)
+        assert tracer.sink is ring
+
+    def test_failed_service_construction_unwraps_the_ledger_tee(
+        self, monkeypatch
+    ):
+        ring = RingSink()
+        tracer = Tracer(sink=ring)
+        monkeypatch.setattr(
+            "repro.service.app.GridServer", self._raising_factory
+        )
+        with pytest.raises(RuntimeError, match="construction failed"):
+            SchedulerService(_small(), tracer=tracer)
+        assert tracer.sink is ring
+
+
+class TestFleetSpec:
+    def test_campaign_and_grid_configs_resolve_the_same_fleet(self):
+        """One resolution for both config types: the N=1 grid recruits
+        exactly the fleet ``scaled_phase1`` does."""
+        sim = _small()
+        grid = MultiGridSimulation(GridConfig(
+            campaigns=(Campaign.cross_docking("c", scale=900, n_proteins=5),),
+            seed=42,
+        ))
+        shared_model = sim.fleet.host_model  # models compare by identity
+        assert replace(grid.fleet, host_model=shared_model) == sim.fleet
+        assert grid.fleet.n_hosts_peak == sim.fleet.auto_host_count(
+            sim.campaign.total_work
+        )
+        assert (
+            grid.fleet.arrival_times().tolist()
+            == sim.fleet.arrival_times().tolist()
+        )
+
+    def test_shard_fields_flow_into_the_spec(self):
+        from repro.boinc.sharding import plan_shards
+
+        sim = _small()
+        shard = plan_shards(sim, 2)[1]
+        spec = FleetSpec.resolve(sim.config, sim.campaign.total_work, shard)
+        assert spec.n_hosts_peak == shard.n_hosts_peak
+        assert spec.host_id_base == shard.host_id_base
+        assert spec.arrival_stream == shard.index == 1
+        assert spec.arrival_times().tolist() != sim.fleet.arrival_times().tolist()
+
+    def test_fault_plan_overrides_the_server_policy_once(self):
+        faults = FaultPlan.from_spec("outage=2x12,maxreissue=4")
+        resolved = resolve_server_config(None, faults, 7, weeks(40.0))
+        assert resolved.max_reissues == 4
+        assert len(resolved.outages) == 2
+        sim = _small(config=CampaignConfig(faults=faults))
+        assert sim.server_config == resolve_server_config(
+            None, faults, 42, sim.horizon_s
+        )
+
+    def test_tee_without_observers_is_the_identity(self):
+        tracer = Tracer()
+        assert tee_observers(tracer) == (tracer, None)
+        assert tee_observers(None) == (None, None)
+
+    def test_observer_only_tracer_skips_the_kernel_channel(self):
+        ledger = HostLedger()
+        tracer, restore = tee_observers(None, ledger=ledger)
+        assert restore is None
+        assert isinstance(tracer.sink, FoldSink)
+        assert "host" in tracer.channels and "des" not in tracer.channels
+
+
+def _sources() -> dict[str, str]:
+    return {
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _modules_matching(pattern: str) -> list[str]:
+    regex = re.compile(pattern)
+    return [name for name, text in _sources().items() if regex.search(text)]
+
+
+class TestOneDefinitionEach:
+    """Structural guard: what the fleet driver owns exists once."""
+
+    def test_agents_are_constructed_in_one_module(self):
+        assert _modules_matching(r"\bVolunteerAgent\(") == ["boinc/fleet.py"]
+
+    def test_arrival_substream_is_named_in_one_module(self):
+        assert _modules_matching(r"""["']host-arrivals["']""") == [
+            "boinc/fleet.py"
+        ]
+
+    def test_kernel_tracer_rule_appears_once(self):
+        rule = r"""["']des["'] not in \w+\.channels"""
+        assert _modules_matching(rule) == ["boinc/fleet.py"]
+        assert len(re.findall(rule, _sources()["boinc/fleet.py"])) == 1
+
+    def test_one_fold_sink_class(self):
+        assert _modules_matching(r"(?m)^class \w*Sink\b.*:\n(?s:.*?)_fold_filtered") == [
+            "obs/tracer.py"
+        ]
+        assert _modules_matching(r"\bFoldSink\(") == ["boinc/fleet.py"]
+
+    def test_retired_names_are_gone(self):
+        retired = (
+            r"force_router|delegates_to_monolithic|from_kwargs|from_config"
+            r"|HealthSink|LedgerSink|_LEGACY_ALIASES"
+        )
+        assert _modules_matching(retired) == []
+
+    def test_front_stays_a_duck_type(self):
+        """The bare GridServer is a front as it is: no base class."""
+        assert GridServer.__bases__ == (object,)
+
+
+def test_no_bytecode_is_tracked():
+    if not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    try:
+        tracked = subprocess.run(
+            ["git", "ls-files", "*.pyc"], cwd=ROOT, check=True,
+            capture_output=True, text=True, timeout=30,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("git is not usable here")
+    assert tracked.split() == []

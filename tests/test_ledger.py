@@ -56,7 +56,7 @@ def _faulted_adaptive_campaign(ledger=True, tracer=None):
         config=CampaignConfig(
             faults=FaultPlan.from_spec("crash=3,corrupt=0.05,sabotage=0.02")
         ),
-        server_config=ServerConfig(
+        server=ServerConfig(
             validation=ValidationPolicy(switch_time=weeks(10.0)),
             adaptive=AdaptiveReplication(trust_after=3, spot_check_rate=0.1),
         ),

@@ -3,10 +3,11 @@
 The two load-bearing contracts:
 
 * **single-campaign identity** — a grid with exactly one registered
-  cross-docking campaign IS the monolithic engine: the delegation path
-  is bit-identical (including the full event trace), and even the forced
-  router path reproduces the identical statistics, because the router
-  adds no randomness of its own;
+  cross-docking campaign is simply N=1 on the router: the same fleet
+  driver recruits the same hosts, and the router adds no randomness of
+  its own, so statistics, completion, telemetry and (modulo the
+  ``grid.*`` events and the ``campaign=`` stamp) the full event trace
+  equal ``scaled_phase1``'s;
 * **deterministic lifecycle** — mid-run admission and draining replay
   identically run to run, and campaigns receive no issues outside their
   [submit, drain) window.
@@ -63,47 +64,50 @@ def monolithic_reference():
 
 
 class TestSingleCampaignIdentity:
-    def test_single_cross_docking_campaign_delegates(self):
-        assert MultiGridSimulation(_single_grid()).delegates_to_monolithic
-
-    def test_lifecycle_or_screening_disables_delegation(self):
-        late = _single_grid(campaigns=(
-            Campaign.cross_docking(
-                "hcmd", scale=SCALE, n_proteins=N_PROTEINS, submit_week=1.0
-            ),
-        ))
-        assert not MultiGridSimulation(late).delegates_to_monolithic
-        screening = GridConfig(campaigns=(Campaign.screening("s"),))
-        assert not MultiGridSimulation(screening).delegates_to_monolithic
-
     def test_delegation_is_bit_identical(self, monolithic_reference):
+        """The N=1 grid hands its fleet to the same ``run_fleet`` as
+        ``scaled_phase1``: every campaign-level number is equal."""
         result = MultiGridSimulation(_single_grid()).run()["hcmd"]
         ref = monolithic_reference
         assert result.completion_time == ref.completion_time
         assert result.server.stats == ref.server.stats
         assert result.n_hosts == ref.n_hosts
-        np.testing.assert_array_equal(
-            result.telemetry.daily_cpu_s, ref.telemetry.daily_cpu_s
-        )
+        for series in ("daily_cpu_s", "daily_results", "daily_useful"):
+            np.testing.assert_array_equal(
+                getattr(result.telemetry, series), getattr(ref.telemetry, series)
+            )
 
     def test_forced_router_path_matches_monolithic(self, monolithic_reference):
-        sim = MultiGridSimulation(_single_grid(), force_router=True)
-        assert not sim.delegates_to_monolithic
-        routed = sim.run()["hcmd"]
-        ref = monolithic_reference
-        assert routed.server.stats == ref.server.stats
-        assert routed.completion_time == ref.completion_time
-        assert routed.n_hosts == ref.n_hosts
+        """A one-campaign grid always takes the router path now; what the
+        router hands the storage server equals the bare ``GridServer``'s
+        (one materializer prices both)."""
+        grid = MultiGridSimulation(_single_grid()).run()
+        routed, ref = grid["hcmd"], monolithic_reference
+        assert grid.grid_telemetry is not None
+        assert routed.telemetry.shipments == ref.telemetry.shipments
+        np.testing.assert_array_equal(routed.release_order, ref.release_order)
         np.testing.assert_array_equal(
-            routed.telemetry.daily_cpu_s, ref.telemetry.daily_cpu_s
+            routed.batch_completion_s, ref.batch_completion_s
+        )
+        assert (
+            routed.telemetry.total_claimed_credit
+            == ref.telemetry.total_claimed_credit
         )
 
     def test_delegation_trace_identical_under_full_tracing(self):
+        """Nothing is delegated any more: the N=1 router trace *is* the
+        monolithic one, plus the ``grid.*`` events and the ``campaign=``
+        stamp — compared modulo exactly those."""
         def run_traced(run):
             ring = RingSink(capacity=2_000_000)
             run(Tracer(sink=ring))
             return [
-                (e.etype, e.t_sim, e.fields) for e in ring.events
+                (
+                    e.etype, e.t_sim,
+                    {k: v for k, v in e.fields.items() if k != "campaign"},
+                )
+                for e in ring.events
+                if not e.etype.startswith("grid.")
             ]
 
         mono = run_traced(
@@ -114,6 +118,7 @@ class TestSingleCampaignIdentity:
         multi = run_traced(
             lambda tr: MultiGridSimulation(_single_grid(), tracer=tr).run()
         )
+        assert len(mono) > 500
         assert mono == multi
 
     def test_grid_result_reconciles_with_campaign(self):
