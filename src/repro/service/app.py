@@ -11,7 +11,8 @@ Design (see docs/service.md for the wire reference):
   :class:`asyncio.Queue` drained by one writer task, so RPCs apply in a
   total order and the determinism contract survives the network: a
   deterministic replay driven over the wire reconciles exactly with the
-  in-process run.
+  in-process run.  The writer answers each mutation itself, through the
+  ``respond`` callback queued with it.
 * **Clock carried on the wire.**  A mutating RPC may carry a campaign
   timestamp ``t``; the writer advances the service's discrete-event clock
   with ``sim.run(until=t)`` first, firing any due deadline timers and
@@ -26,8 +27,11 @@ Design (see docs/service.md for the wire reference):
   ``draining``) while the queue drains.  Every refusal is counted and,
   with a tracer, emitted as a ``service.refuse`` event.
 
-The HTTP layer is a deliberately small hand-rolled HTTP/1.1 on asyncio
-streams (keep-alive, JSON bodies) — no third-party server dependency.
+The HTTP layer is a deliberately small HTTP/1.1 (keep-alive, JSON
+bodies, no third-party server dependency): an :class:`asyncio.Protocol`
+per connection parses requests straight out of its receive buffer with
+the shared :mod:`repro.service.http` codec and writes each response with
+one ``transport.write``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
 from ..obs import HostLedger, MetricsRegistry, Tracer
 from ..obs.metrics import render_prometheus
+from .http import JSON_TYPE, Framer, FramingError, build_response, request_line
 from .protocol import (
     ENDPOINTS,
     WIRE_PROTOCOL_VERSION,
+    encode_json,
     error_payload,
     refusal_payload,
     stats_as_dict,
@@ -82,7 +88,17 @@ ROUTES: dict[tuple[str, str], str] = {
 #: single-writer queue; the rest are answered inline (read-only).
 _WRITER_OPS = frozenset({"request_work", "report_result", "finalize"})
 
-_MAX_HEADER_LINES = 64
+_METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Pipelined bytes a connection buffers behind an unanswered request
+#: before it stops reading the socket.
+_READ_AHEAD_BYTES = 64 * 1024
+
+#: ``(status, payload, extra headers)`` — what an op answers with; a
+#: ``str`` payload is sent as text (the metrics page), a dict as JSON.
+Reply = tuple[int, "dict[str, Any] | str", dict[str, str]]
+#: ``respond(status, payload, headers)`` — how a request is answered.
+Respond = Callable[[int, "dict[str, Any] | str", dict[str, str]], None]
 
 
 @dataclass(frozen=True)
@@ -202,8 +218,7 @@ class SchedulerService:
         self._writer_task: asyncio.Task | None = None
         self._http: asyncio.AbstractServer | None = None
         self._t0_wall: float | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_writers: set[asyncio.StreamWriter] = set()
+        self._conns: set[_Connection] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -211,8 +226,8 @@ class SchedulerService:
         """Bind the socket and start the writer loop; returns (host, port)."""
         self._queue = asyncio.Queue(maxsize=self.cfg.max_pending)
         self._writer_task = asyncio.create_task(self._writer_loop())
-        self._http = await asyncio.start_server(
-            self._handle_conn, self.cfg.host, self.cfg.port
+        self._http = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.cfg.host, self.cfg.port
         )
         self.address = self._http.sockets[0].getsockname()[:2]
         self._t0_wall = time.monotonic()
@@ -246,13 +261,16 @@ class SchedulerService:
         if self._http is not None:
             self._http.close()
             await self._http.wait_closed()
-        # Nudge idle keep-alive connections off their readline and wait
-        # for the handlers to unwind, so nothing is left mid-await when
-        # the event loop goes away.
-        for conn in list(self._conn_writers):
-            conn.close()
-        if self._conn_tasks:
-            await asyncio.wait(list(self._conn_tasks), timeout=5.0)
+        # Close the keep-alive connections (each flushes what it still has
+        # to write) and wait for them to go, so no transport is left open
+        # when the event loop goes away.
+        conns = list(self._conns)
+        for conn in conns:
+            conn.transport.close()
+        if conns:
+            await asyncio.wait([conn.closed for conn in conns], timeout=5.0)
+        for conn in self._conns:  # a peer that never read its responses
+            conn.transport.abort()
         if self._writer_task is not None:
             self._writer_task.cancel()
             try:
@@ -299,28 +317,19 @@ class SchedulerService:
     async def _writer_loop(self) -> None:
         assert self._queue is not None
         while True:
-            op, body, fut = await self._queue.get()
+            op, body, respond, t0 = await self._queue.get()
             try:
                 if self.cfg.writer_delay_s > 0.0:
                     await asyncio.sleep(self.cfg.writer_delay_s)
-                result = self._apply(op, body)
-            except KeyError as exc:
-                result = (400, error_payload("bad-request", f"missing field {exc}"), {})
-            except (TypeError, ValueError) as exc:
-                result = (400, error_payload("bad-request", str(exc)), {})
+                # Answered *before* task_done(): drain() must never return
+                # with a mutation applied but its response unwritten.
+                self._answer(respond, op, t0, *self._execute(op, body))
             except Exception as exc:  # defensive: a bug must not kill the loop
-                result = (500, error_payload("internal", f"{type(exc).__name__}: {exc}"), {})
+                # (respond() itself never raises, so it has not run yet)
+                detail = f"{type(exc).__name__}: {exc}"
+                respond(500, error_payload("internal", detail), {})
             finally:
                 self._queue.task_done()
-            if not fut.done():
-                fut.set_result(result)
-
-    def _apply(self, op: str, body: dict[str, Any]):
-        if op == "request_work":
-            return self._apply_request_work(body)
-        if op == "report_result":
-            return self._apply_report_result(body)
-        return self._apply_finalize(body)
 
     def _outage(self, exc: ServerUnavailable):
         self.refused["outage"] += 1
@@ -453,159 +462,223 @@ class SchedulerService:
             "draining": self.draining,
         }
 
-    # -- HTTP ---------------------------------------------------------------
+    # -- requests -----------------------------------------------------------
 
-    async def _dispatch(self, op: str, body: dict[str, Any]):
-        """Route one parsed request; returns (status, payload, headers)."""
-        if op in _WRITER_OPS:
-            if self.draining:
-                self._refuse_wire(op, "draining")
-                return (
-                    503,
-                    refusal_payload("draining", self.cfg.drain_retry_s),
-                    {"Retry-After": f"{self.cfg.drain_retry_s:.0f}"},
-                )
+    def _handle(
+        self, method: str, path: str, raw_body: bytes, respond: Respond
+    ) -> None:
+        """Serve one parsed request; ``respond`` is called exactly once.
+
+        Read-only ops and refusals are answered before this returns;
+        a mutation is queued and answered by the writer loop.
+        """
+        t0 = time.perf_counter()
+        op = ROUTES.get((method, path))
+        if op is None:
+            respond(404, error_payload("unknown-endpoint", f"{method} {path}"), {})
+            return
+        self.requests_total += 1
+        try:
+            body = json.loads(raw_body) if raw_body else {}
+            if not isinstance(body, dict):
+                raise ValueError("request body must be a JSON object")
+        except (ValueError, RecursionError) as exc:  # (absurdly nested JSON)
+            bad = error_payload("bad-request", str(exc))
+            self._answer(respond, op, t0, 400, bad, {})
+            return
+        if op not in _WRITER_OPS:
+            self._answer(respond, op, t0, *self._execute(op, body))
+        elif self.draining:
+            refusal = self._refuse(op, "draining", self.cfg.drain_retry_s)
+            self._answer(respond, op, t0, *refusal)
+        else:
             assert self._queue is not None
-            fut: asyncio.Future = asyncio.get_running_loop().create_future()
             try:
-                self._queue.put_nowait((op, body, fut))
+                self._queue.put_nowait((op, body, respond, t0))
             except asyncio.QueueFull:
-                self._refuse_wire(op, "overload")
-                return (
-                    503,
-                    refusal_payload("overload", self.cfg.overload_retry_s),
-                    {"Retry-After": f"{self.cfg.overload_retry_s:.0f}"},
-                )
+                refusal = self._refuse(op, "overload", self.cfg.overload_retry_s)
+                self._answer(respond, op, t0, *refusal)
+                return
             self.max_queue_depth = max(self.max_queue_depth, self._queue.qsize())
-            return await fut
-        if op == "discover":
-            return 200, self._discover_payload(), {}
-        if op == "status":
-            return 200, self._status_payload(), {}
-        if op == "hosts":
-            return 200, self._hosts_payload(), {}
-        if op == "metrics":
-            return 200, self._metrics_text(), {}
-        return 200, self._heartbeat_payload(body), {}
 
-    def _refuse_wire(self, op: str, reason: str) -> None:
+    def _execute(self, op: str, body: dict[str, Any]) -> Reply:
+        """Run one op against the campaign; a bad body is a 400, not a crash."""
+        try:
+            if op == "request_work":
+                return self._apply_request_work(body)
+            if op == "report_result":
+                return self._apply_report_result(body)
+            if op == "finalize":
+                return self._apply_finalize(body)
+            if op == "heartbeat":
+                return 200, self._heartbeat_payload(body), {}
+            if op == "status":
+                return 200, self._status_payload(), {}
+            if op == "hosts":
+                return 200, self._hosts_payload(), {}
+            if op == "metrics":
+                return 200, self._metrics_text(), {}
+            return 200, self._discover_payload(), {}
+        except KeyError as exc:
+            return 400, error_payload("bad-request", f"missing field {exc}"), {}
+        except (TypeError, ValueError) as exc:
+            return 400, error_payload("bad-request", str(exc)), {}
+        except Exception as exc:  # defensive: a bug must not kill the loop
+            return 500, error_payload("internal", f"{type(exc).__name__}: {exc}"), {}
+
+    def _answer(
+        self, respond: Respond, op: str, t0: float,
+        status: int, payload: "dict[str, Any] | str", headers: dict[str, str],
+    ) -> None:
+        """Close the RPC's wall-time span (parsed -> payload ready), then reply."""
+        wall = time.perf_counter() - t0
+        self._latency[op].observe(wall)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "service.request", t_sim=self.sim.now,
+                op=op, status=status, wall_ms=wall * 1e3,
+            )
+        respond(status, payload, headers)
+
+    def _refuse(self, op: str, reason: str, retry_s: float) -> Reply:
         self.refused[reason] += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "service.refuse", t_sim=self.sim.now, op=op, reason=reason,
             )
+        return 503, refusal_payload(reason, retry_s), {"Retry-After": f"{retry_s:.0f}"}
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
+
+class _Connection(asyncio.Protocol):
+    """One client connection: requests parsed out of the receive buffer,
+    answered one at a time and in order (so pipelining is safe).
+
+    ``respond`` is the callback :meth:`SchedulerService._handle` answers
+    through — inline for read-only ops, from the writer loop for queued
+    mutations.  Until it is called the connection is *busy*: later bytes
+    wait in the framer, and past ``_READ_AHEAD_BYTES`` of them (or while
+    the peer is not reading its responses) the socket stops being read.
+    """
+
+    __slots__ = (
+        "service", "transport", "closed", "_framer",
+        "_busy", "_keep_alive", "_eof", "_pumping", "_write_paused",
+    )
+
+    def __init__(self, service: SchedulerService) -> None:
+        self.service = service
+        self.transport: asyncio.Transport | None = None
+        #: resolved by ``connection_lost``; shutdown waits on it
+        self.closed: asyncio.Future | None = None
+        self._framer = Framer(request_line, service.cfg.max_body_bytes)
+        self._busy = False
+        self._keep_alive = True
+        self._eof = False
+        self._pumping = False
+        self._write_paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.closed = asyncio.get_running_loop().create_future()
+        self.service._conns.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.service._conns.discard(self)
+        assert self.closed is not None
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._framer.feed(data)
+        self._pump()
+
+    def eof_received(self) -> bool:
+        # A half-closed peer still gets the answers it is waiting for:
+        # keep the transport open until _pump() has nothing left to serve.
+        self._eof = True
+        return self._busy or self._write_paused
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._pump()
+
+    def _pump(self) -> None:
+        """Serve buffered requests until one is waiting for its answer."""
+        if self._pumping:
+            return  # respond() was called inline: the loop below carries on
+        self._pumping = True
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
+            while not (self._busy or self._write_paused):
+                try:
+                    message = self._framer.next_message()
+                except FramingError as exc:
+                    # The stream cannot be trusted any further: say why, close.
+                    message = None
+                    self._busy, self._keep_alive = True, False
+                    self.respond(400, error_payload("bad-request", str(exc)), {})
+                if message is None:
                     break
-                method, path, headers, raw_body = request
-                t0 = time.perf_counter()
-                op = ROUTES.get((method, path))
-                if op is None:
-                    status, payload, extra = (
-                        404, error_payload("unknown-endpoint", f"{method} {path}"), {}
-                    )
-                else:
-                    self.requests_total += 1
-                    try:
-                        body = json.loads(raw_body) if raw_body else {}
-                        if not isinstance(body, dict):
-                            raise ValueError("request body must be a JSON object")
-                    except ValueError as exc:
-                        body = None
-                        status, payload, extra = (
-                            400, error_payload("bad-request", str(exc)), {}
-                        )
-                    if body is not None:
-                        try:
-                            status, payload, extra = await self._dispatch(op, body)
-                        except KeyError as exc:
-                            status, payload, extra = (
-                                400,
-                                error_payload("bad-request", f"missing field {exc}"),
-                                {},
-                            )
-                wall = time.perf_counter() - t0
-                if op is not None:
-                    self._latency[op].observe(wall)
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            "service.request", t_sim=self.sim.now,
-                            op=op, status=status, wall_ms=wall * 1e3,
-                        )
-                keep_alive = headers.get("connection", "keep-alive") != "close"
-                await self._write_response(writer, status, payload, extra, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
+                self._busy = True
+                self._keep_alive = message.keep_alive
+                method, path, _version = message.start
+                self.service._handle(method, path, message.body, self.respond)
+        except Exception as exc:
+            self._fail(exc)
+            return
         finally:
-            self._conn_writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            return None
-        headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            hline = await reader.readline()
-            if hline in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = hline.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0"))
-        if length > self.cfg.max_body_bytes:
-            return None
-        body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
-
-    @staticmethod
-    async def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: "dict[str, Any] | str",
-        extra_headers: dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   410: "Gone", 500: "Internal Server Error",
-                   503: "Service Unavailable"}
-        if isinstance(payload, str):
-            # Text exposition (GET /v1/metrics); everything else is JSON.
-            body = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
+            self._pumping = False
+        blocked = self._busy or self._write_paused
+        if self._eof and not blocked:
+            self.transport.close()
+            return
+        # (both calls are no-ops when the transport is already in that state)
+        if blocked and self._framer.buffered > _READ_AHEAD_BYTES:
+            self.transport.pause_reading()
         else:
-            body = json.dumps(payload, separators=(",", ":")).encode()
-            content_type = "application/json"
-        head = [
-            f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head += [f"{k}: {v}" for k, v in extra_headers.items()]
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
-        await writer.drain()
+            self.transport.resume_reading()
+
+    def respond(
+        self, status: int, payload: "dict[str, Any] | str", headers: dict[str, str]
+    ) -> None:
+        """Write one whole response; the connection then serves the next
+        request, or closes if either side asked for ``Connection: close``.
+
+        Never raises: the writer loop answers through this, and whatever
+        goes wrong serving one connection must cost that connection only.
+        """
+        transport = self.transport
+        if transport is None or transport.is_closing():
+            return  # the client went away; nothing to answer
+        try:
+            if isinstance(payload, str):
+                # Text exposition (GET /v1/metrics); everything else is JSON.
+                body, content_type = payload.encode(), _METRICS_TYPE
+            else:
+                body, content_type = encode_json(payload).encode(), JSON_TYPE
+            transport.write(
+                build_response(status, body, content_type, self._keep_alive, headers)
+            )
+        except Exception as exc:
+            self._fail(exc)
+            return
+        if not self._keep_alive:
+            transport.close()
+            return
+        self._busy = False
+        self._pump()
+
+    def _fail(self, exc: Exception) -> None:
+        """A bug surfaced while serving this connection: report it the way
+        asyncio reports a failed protocol callback, and drop the connection."""
+        asyncio.get_running_loop().call_exception_handler({
+            "message": "scheduler connection failed",
+            "exception": exc,
+            "transport": self.transport,
+            "protocol": self,
+        })
+        self.transport.abort()
 
 
 class ServiceHandle:

@@ -1,8 +1,9 @@
 """Blocking wire client and the agent-facing GridServer proxy.
 
-:class:`SchedulerClient` speaks the docs/service.md protocol over a
-keep-alive ``http.client`` connection (one request in flight at a time —
-which is exactly what deterministic replay needs).
+:class:`SchedulerClient` speaks the docs/service.md protocol over one
+keep-alive TCP socket, framed by the shared :mod:`repro.service.http`
+codec: each request leaves in a single ``sendall`` and one request is in
+flight at a time — which is exactly what deterministic replay needs.
 
 :class:`RemoteGridServer` adapts that client to the surface
 :class:`~repro.boinc.agent.VolunteerAgent` expects from a server
@@ -15,14 +16,15 @@ machinery works unchanged over the wire.
 
 from __future__ import annotations
 
-import http.client
 import json
+import socket
 from typing import TYPE_CHECKING, Any
 from urllib.parse import urlsplit
 
 from ..boinc.validator import ValidationStats
 from ..faults import ResultQuality, ServerUnavailable
-from .protocol import WIRE_PROTOCOL_VERSION, stats_from_dict
+from .http import Framer, FramingError, build_request, status_line
+from .protocol import WIRE_PROTOCOL_VERSION, encode_json, stats_from_dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..boinc.server import ServerConfig
@@ -68,7 +70,8 @@ class SchedulerClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self._conn: http.client.HTTPConnection | None = None
+        self._sock: socket.socket | None = None
+        self._framer = Framer(status_line)
 
     @classmethod
     def from_url(cls, url: str, timeout: float = 30.0) -> "SchedulerClient":
@@ -83,24 +86,39 @@ class SchedulerClient:
     def _call_raw(
         self, method: str, path: str, body: dict[str, Any] | None = None
     ) -> tuple[int, bytes]:
-        payload = json.dumps(body).encode() if body is not None else None
-        headers = {"Content-Type": "application/json"} if payload else {}
-        for attempt in (0, 1):
-            if self._conn is None:
-                self._conn = http.client.HTTPConnection(
-                    self.host, self.port, timeout=self.timeout
+        payload = encode_json(body).encode() if body is not None else b""
+        request = build_request(method, path, payload, f"{self.host}:{self.port}")
+        try:
+            return self._exchange(request)
+        except ConnectionError:
+            # Stale keep-alive connection: reconnect once.
+            return self._exchange(request)
+
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
+        """One ``sendall``, then ``recv`` until the framer has the response."""
+        try:
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout
                 )
-            try:
-                self._conn.request(method, path, body=payload, headers=headers)
-                response = self._conn.getresponse()
-                raw = response.read()
-                break
-            except (http.client.HTTPException, ConnectionError, BrokenPipeError):
-                # Stale keep-alive connection: reconnect once.
-                self.close()
-                if attempt:
-                    raise
-        return response.status, raw
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._framer = Framer(status_line)
+            self._sock.sendall(request)
+            while (message := self._framer.next_message()) is None:
+                chunk = self._sock.recv(65536)
+                if not chunk:
+                    raise ConnectionResetError("service closed the connection")
+                self._framer.feed(chunk)
+        except FramingError as exc:
+            self.close()
+            raise ConnectionError(f"not a scheduler service: {exc}") from exc
+        except OSError:
+            self.close()  # a broken or timed-out exchange leaves it out of step
+            raise
+        if not message.keep_alive:
+            self.close()
+        _version, status, _reason = message.start
+        return status, message.body
 
     def _call(
         self, method: str, path: str, body: dict[str, Any] | None = None
@@ -119,9 +137,9 @@ class SchedulerClient:
         return payload
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     # -- RPCs ---------------------------------------------------------------
 

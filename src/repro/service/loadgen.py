@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from .client import RemoteGridServer, SchedulerClient
+from .http import Framer, FramingError, build_request, status_line
+from .protocol import encode_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..boinc.simulator import CampaignResult, VolunteerGridSimulation
@@ -131,35 +133,52 @@ class StormReport:
         }
 
 
-async def _raw_call(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    method: str,
-    path: str,
-    body: dict[str, Any] | None,
-) -> tuple[int, dict[str, Any]]:
-    """One keep-alive HTTP/1.1 exchange on an open connection."""
-    payload = json.dumps(body, separators=(",", ":")).encode() if body else b""
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: storm\r\nContent-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n\r\n"
-    )
-    writer.write(head.encode() + payload)
-    await writer.drain()
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("service closed the connection")
-    status = int(status_line.split()[1])
-    length = 0
-    while True:
-        hline = await reader.readline()
-        if hline in (b"\r\n", b"\n", b""):
-            break
-        if hline.lower().startswith(b"content-length:"):
-            length = int(hline.split(b":", 1)[1])
-    raw = await reader.readexactly(length) if length else b""
-    return status, json.loads(raw) if raw else {}
+class _StormConnection(asyncio.Protocol):
+    """One keep-alive storm connection: each request leaves in one write
+    and its response is awaited before the next (closed loop per connection)."""
+
+    def __init__(self) -> None:
+        self._framer = Framer(status_line)
+        self._transport: asyncio.Transport | None = None
+        self._waiter: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        self._framer.feed(data)
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            return
+        try:
+            message = self._framer.next_message()
+        except FramingError as exc:
+            waiter.set_exception(exc)
+            return
+        if message is not None:
+            waiter.set_result(message)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_exception(
+                ConnectionResetError("service closed the connection")
+            )
+
+    async def exchange(
+        self, path: str, body: dict[str, Any]
+    ) -> tuple[int, dict[str, Any]]:
+        if self._transport.is_closing():
+            raise ConnectionResetError("service closed the connection")
+        self._waiter = asyncio.get_running_loop().create_future()
+        self._transport.write(
+            build_request("POST", path, encode_json(body).encode(), "storm")
+        )
+        message = await self._waiter
+        _version, status, _reason = message.start
+        return status, json.loads(message.body) if message.body else {}
+
+    def close(self) -> None:
+        self._transport.close()
 
 
 async def _storm_worker(
@@ -170,68 +189,51 @@ async def _storm_worker(
     report_results: bool,
     out: StormReport,
 ) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
+    _, conn = await asyncio.get_running_loop().create_connection(
+        _StormConnection, host, port
+    )
+
+    async def call(path: str, body: dict[str, Any]) -> tuple[int, dict[str, Any]]:
+        """One accounted exchange: sent, then answered as ok/refused/error."""
+        out.sent += 1
+        t0 = time.perf_counter()
+        status, payload = await conn.exchange(path, body)
+        out.latencies_s.append(time.perf_counter() - t0)
+        out.answered += 1
+        if status == 200:
+            out.ok += 1
+        elif status == 503:
+            reason = payload.get("reason", "overload")
+            out.refused[reason] = out.refused.get(reason, 0) + 1
+        else:
+            out.errors += 1
+        return status, payload
+
     try:
         for i, host_id in enumerate(host_ids):
             t = i * t_step_s
-            calls: list[tuple[str, str, dict[str, Any] | None]] = [
-                ("POST", "/v1/heartbeat", {"host": host_id}),
-                ("POST", "/v1/request-work", {"host": host_id, "t": t}),
-            ]
-            assignment = None
-            for method, path, body in calls:
-                out.sent += 1
-                t0 = time.perf_counter()
-                try:
-                    status, payload = await _raw_call(reader, writer, method, path, body)
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return  # remaining requests on this conn count as dropped
-                out.latencies_s.append(time.perf_counter() - t0)
-                out.answered += 1
+            await call("/v1/heartbeat", {"host": host_id})
+            status, payload = await call("/v1/request-work", {"host": host_id, "t": t})
+            assignment = payload.get("assignment") if status == 200 else None
+            if assignment is None:
+                continue
+            out.assignments += 1
+            if report_results:
+                status, _ = await call(
+                    "/v1/report-result",
+                    {
+                        "token": assignment["token"],
+                        "valid": True,
+                        "accounted_cpu_s": assignment["cost_reference_s"],
+                        "t": t,
+                    },
+                )
                 if status == 200:
-                    out.ok += 1
-                    if path.endswith("request-work"):
-                        assignment = payload.get("assignment")
-                        if assignment is not None:
-                            out.assignments += 1
-                elif status == 503:
-                    out.refused[payload.get("reason", "overload")] = (
-                        out.refused.get(payload.get("reason", "overload"), 0) + 1
-                    )
-                else:
-                    out.errors += 1
-            if report_results and assignment is not None:
-                out.sent += 1
-                t0 = time.perf_counter()
-                try:
-                    status, payload = await _raw_call(
-                        reader, writer, "POST", "/v1/report-result",
-                        {
-                            "token": assignment["token"],
-                            "valid": True,
-                            "accounted_cpu_s": assignment["cost_reference_s"],
-                            "t": t,
-                        },
-                    )
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    return
-                out.latencies_s.append(time.perf_counter() - t0)
-                out.answered += 1
-                if status == 200:
-                    out.ok += 1
                     out.reports += 1
-                elif status == 503:
-                    out.refused[payload.get("reason", "overload")] = (
-                        out.refused.get(payload.get("reason", "overload"), 0) + 1
-                    )
-                else:
-                    out.errors += 1
+    except (ConnectionError, FramingError):
+        pass  # the request in flight on this connection counts as dropped
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+        conn.close()
 
 
 async def _storm(

@@ -16,6 +16,7 @@ in-process run (see docs/service.md).
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping
 
 from ..boinc.validator import ValidationStats
@@ -24,6 +25,7 @@ __all__ = [
     "WIRE_PROTOCOL_VERSION",
     "ENDPOINTS",
     "REFUSAL_REASONS",
+    "encode_json",
     "stats_as_dict",
     "stats_from_dict",
     "refusal_payload",
@@ -55,6 +57,10 @@ ENDPOINTS: tuple[tuple[str, str, str], ...] = (
     ("POST", "/v1/finalize", "advance the campaign clock to a final time and "
                              "return the campaign summary"),
 )
+
+#: Compact JSON text of one wire body.  One encoder for the process:
+#: ``json.dumps(..., separators=...)`` would build a new one per call.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Why a 503 happened.  ``outage`` mirrors the in-process
 #: :class:`~repro.faults.ServerUnavailable` (a scheduled fault window,
