@@ -25,7 +25,7 @@ CAMPAIGN = (900, 5) if SMOKE else (400, 8)
 CORRUPTION_PROBS = (0.0, 0.1, 0.3)
 
 
-def test_corruption_rate_sweep(record_artifact, record_bench_json, benchmark):
+def test_corruption_rate_sweep(record_artifact, record_data, benchmark):
     scale, n_proteins = CAMPAIGN
 
     def sweep():
@@ -81,7 +81,7 @@ def test_corruption_rate_sweep(record_artifact, record_bench_json, benchmark):
             rows,
         ),
     )
-    record_bench_json(
+    record_data(
         "ablation_faults_corruption",
         {str(p): r for p, r in results.items()},
     )

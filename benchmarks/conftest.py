@@ -56,31 +56,6 @@ def record_data():
 
 
 @pytest.fixture(scope="session")
-def record_bench_json():
-    """Writer for engine performance benchmarks.
-
-    Emits the machine-readable payload twice: under ``benchmarks/artifacts/``
-    with the other artifacts, and as ``BENCH_<name>.json`` at the repo root
-    where CI and the next session can find the headline numbers without
-    digging.
-    """
-    from repro.analysis.export import export_json
-
-    ARTIFACT_DIR.mkdir(exist_ok=True)
-    repo_root = Path(__file__).parent.parent
-
-    def write(name: str, payload: dict, experiment: str | None = None) -> None:
-        export_json(
-            ARTIFACT_DIR / f"bench_{name}.json", payload, experiment=experiment
-        )
-        export_json(
-            repo_root / f"BENCH_{name}.json", payload, experiment=experiment
-        )
-
-    return write
-
-
-@pytest.fixture(scope="session")
 def library() -> ProteinLibrary:
     return ProteinLibrary.phase1()
 

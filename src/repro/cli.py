@@ -434,12 +434,44 @@ def _cmd_package(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fault_plan(args: argparse.Namespace):
+    """The ``--faults SPEC`` of ``simulate`` / ``serve`` / ``loadgen`` as a
+    ``FaultPlan``."""
+    from .faults import FaultPlan
+
+    if args.faults is None:
+        return FaultPlan.none()
+    return FaultPlan.from_spec(args.faults)
+
+
+def _simulate_prologue(args: argparse.Namespace, channels=None):
+    """What both ``simulate`` engines build from ``--trace`` / ``--profile``:
+    ``(tracer, profiler)``.  Opening the trace truncates the file, so call
+    this once the run's configuration has been accepted."""
+    from .obs import Profiler, Tracer
+
+    tracer = (
+        Tracer.to_jsonl(args.trace, channels=channels)
+        if args.trace is not None
+        else None
+    )
+    return tracer, Profiler() if args.profile else None
+
+
+def _simulate_epilogue(args: argparse.Namespace, profiler, trace_line: str) -> None:
+    """The trace / profile trailer both ``simulate`` engines end with."""
+    if args.trace is not None:
+        print(f"{trace_line} -> {args.trace} "
+              f"(summarize with `repro-hcmd trace {args.trace}`)")
+    if profiler is not None:
+        print("\nwall-time profile (heaviest sections first):")
+        print(profiler.render())
+
+
 def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     """``simulate --campaign SPEC [--campaign SPEC ...]``: a shared grid."""
-    from .faults import FaultPlan
     from .multi import GridConfig, MultiGridSimulation
     from .multi.spec import CampaignSpecError, parse_campaign_spec
-    from .obs import Profiler, Tracer
 
     for flag, used in (
         ("--shards", args.shards > 1),
@@ -451,11 +483,7 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
             print(f"error: {flag} needs the single-campaign engine; "
                   f"drop {flag} or --campaign", file=sys.stderr)
             return 2
-    faults = (
-        FaultPlan.from_spec(args.faults)
-        if args.faults is not None
-        else FaultPlan.none()
-    )
+    faults = _fault_plan(args)
     try:
         grid = GridConfig(
             campaigns=tuple(parse_campaign_spec(s) for s in args.campaign),
@@ -469,10 +497,7 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     except (CampaignSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    tracer = (
-        Tracer.to_jsonl(args.trace) if args.trace is not None else None
-    )
-    profiler = Profiler() if args.profile else None
+    tracer, profiler = _simulate_prologue(args)
     try:
         result = MultiGridSimulation(
             grid, tracer=tracer, profiler=profiler
@@ -505,20 +530,13 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
           + (f"{grid_weeks / (7 * 86400):.1f} weeks"
              if grid_weeks is not None else "incomplete")
           + f"; validated results: {merged.effective:,}")
-    if args.trace is not None:
-        print(f"trace: -> {args.trace} "
-              f"(summarize with `repro-hcmd trace {args.trace}`)")
-    if profiler is not None:
-        print("\nwall-time profile (heaviest sections first):")
-        print(profiler.render())
+    _simulate_epilogue(args, profiler, "trace:")
     return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .boinc.config import CampaignConfig
     from .boinc.simulator import scaled_phase1
-    from .faults import FaultPlan
-    from .obs import Profiler, Tracer
 
     if args.campaign:
         return _cmd_simulate_multi(args)
@@ -537,30 +555,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   "add --trace PATH", file=sys.stderr)
             return 2
 
-    tracer = None
+    channels = (
+        [c.strip() for c in args.trace_channels.split(",") if c.strip()]
+        if args.trace_channels is not None
+        else None
+    )
+    faults = _fault_plan(args)
+    tracer, profiler = _simulate_prologue(args, channels)
     ring = None
-    if args.trace is not None:
-        channels = (
-            [c.strip() for c in args.trace_channels.split(",") if c.strip()]
-            if args.trace_channels is not None
-            else None
-        )
-        tracer = Tracer.to_jsonl(args.trace, channels=channels)
-    elif args.report:
+    if tracer is None and args.report:
         # The post-mortem reconstructs workunit lifecycles from the event
         # stream; without --trace, buffer the lifecycle channels in memory.
-        from .obs import RingSink
+        from .obs import RingSink, Tracer
 
         ring = RingSink(capacity=4_000_000)
         tracer = Tracer(
             sink=ring, channels=("server", "agent", "fault", "health")
         )
-    profiler = Profiler() if args.profile else None
-    faults = (
-        FaultPlan.from_spec(args.faults)
-        if args.faults is not None
-        else FaultPlan.none()
-    )
     shards = None
     if sharded:
         from .boinc.sharding import ShardPlan
@@ -642,12 +653,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report.volume = volume
         print()
         print(report.render())
-    if args.trace is not None:
-        print(f"\ntrace: {tracer.n_events:,} events -> {args.trace} "
-              f"(summarize with `repro-hcmd trace {args.trace}`)")
-    if profiler is not None:
-        print("\nwall-time profile (heaviest sections first):")
-        print(profiler.render())
+    _simulate_epilogue(
+        args, profiler,
+        f"\ntrace: {tracer.n_events:,} events" if tracer is not None else "",
+    )
     return 0
 
 
@@ -1003,7 +1012,6 @@ def _service_campaign(args: argparse.Namespace):
     """
     from .boinc.config import CampaignConfig
     from .boinc.simulator import scaled_phase1
-    from .faults import FaultPlan
 
     name = "hcmd"
     scale, n_proteins = args.scale, args.proteins
@@ -1032,11 +1040,7 @@ def _service_campaign(args: argparse.Namespace):
         n_proteins = campaign.workload.n_proteins
         target_hours = campaign.workload.target_hours
         release_policy = campaign.workload.release_policy
-    faults = (
-        FaultPlan.from_spec(args.faults)
-        if args.faults is not None
-        else FaultPlan.none()
-    )
+    faults = _fault_plan(args)
     sim = scaled_phase1(
         scale=scale,
         n_proteins=n_proteins,

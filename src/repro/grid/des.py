@@ -9,8 +9,8 @@ Entities (servers, agents, clusters) hold their own state and schedule
 callbacks; the kernel only owns the clock and the queue.
 
 Internals (the public ``schedule`` / ``schedule_at`` / ``cancel`` /
-``peek`` / ``step`` / ``run`` API is unchanged from the reference kernel,
-``repro.grid._reference_des``):
+``peek`` / ``step`` / ``run`` API is unchanged from the original kernel,
+kept as the test oracle ``tests/oracles/des.py``):
 
 * The queue is a heap of plain ``(time, seq, callback, args, handle)``
   tuples.  Ties on ``time`` break on ``seq`` (allocation order), so tuple
@@ -34,9 +34,9 @@ Internals (the public ``schedule`` / ``schedule_at`` / ``cancel`` /
 
 Determinism contract: a seeded campaign driven by this kernel is
 bit-identical — same ``CampaignResult``, same event trace — to one driven
-by the reference kernel.  ``tests/test_grid_des.py`` (property-based
+by that oracle.  ``tests/test_grid_des.py`` (property-based
 interleavings) and ``tests/test_des_determinism.py`` (full campaign)
-enforce this; ``benchmarks/bench_des_kernel.py`` tracks the speedup.
+enforce this.
 
 Observability: pass ``tracer=`` to record ``des.schedule`` / ``des.fire``
 / ``des.cancel`` events, and ``profiler=`` to attribute wall time to each

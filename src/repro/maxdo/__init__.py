@@ -12,14 +12,14 @@ This subpackage reimplements that pipeline on the synthetic substrate of
 * :mod:`repro.maxdo.orientations` — the 21 (alpha, beta) starting-orientation
   couples x 10 gamma values of the paper (footnote 1);
 * :mod:`repro.maxdo.energy` — vectorized interaction energy and bead forces,
-  both the scalar reference kernels and their pose-batched counterparts;
+  both the scalar kernels and their pose-batched counterparts;
 * :mod:`repro.maxdo.pairtable` — cached pose-invariant per-couple arrays
   feeding the batched kernels;
 * :mod:`repro.maxdo.minimize` — rigid-body 6-DOF minimization, scalar and
   lockstep-batched;
-* :mod:`repro.maxdo.docking` — the isep x irot energy-map driver with
-  engine selection (``"batched"``/``"reference"``), optional process-pool
-  fan-out over starting positions, checkpointing
+* :mod:`repro.maxdo.docking` — the isep x irot energy-map driver (one
+  engine: all orientations of a position in lockstep), optional
+  process-pool fan-out over starting positions, checkpointing
   (:mod:`repro.maxdo.checkpoint`) and the text result format
   (:mod:`repro.maxdo.resultfile`);
 * :mod:`repro.maxdo.cost_model` — the computing-time model of Section 4.1:

@@ -7,7 +7,7 @@ machinery: incremental result files, checkpoint-restart between starting
 positions, and interruption (the agent can stop the run at any position
 boundary, or kill it mid-position and lose the uncommitted tail).
 
-Observability: engine selection, lockstep-batch convergence rounds,
+Observability: the engine announcement, lockstep-batch convergence rounds,
 process-pool fan-out and per-position completion emit ``docking.*``
 events through the process-global tracer
 (``repro.obs.tracing(...)`` / ``repro.obs.set_global_tracer``);
@@ -27,41 +27,25 @@ from ..obs import global_tracer
 from ..proteins.model import ReducedProtein
 from ..proteins.surface import starting_positions
 from .checkpoint import Checkpoint, rollback_partial_results
-from .energy import (
-    EnergyParams,
-    batch_interaction_energy,
-    interaction_energy,
-)
-from .minimize import minimize_rigid, minimize_rigid_batch
+from .energy import EnergyParams, batch_interaction_energy
+from .minimize import minimize_rigid_batch
 from .orientations import (
     N_COUPLES,
     N_GAMMA,
     gamma_values,
     orientation_couples,
-    rotation_matrix,
 )
 from .pairtable import pair_table
 from .resultfile import (
+    RESULT_DTYPE,
     ResultHeader,
     append_records,
-    format_record,
     read_results,
+    render_lines,
     write_results,
 )
 
 __all__ = ["DockingResult", "dock_position", "dock_couple", "MaxDoRun"]
-
-#: Execution engines: "batched" drives all orientations of a starting
-#: position through the pose-vectorized kernels at once; "reference" is
-#: the original one-scipy-call-per-orientation path.  Both produce
-#: bit-identical results; "batched" is simply faster.
-_ENGINES = ("batched", "reference")
-
-
-def _check_engine(engine: str) -> str:
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    return engine
 
 
 def ligand_start_positions(
@@ -81,6 +65,33 @@ def ligand_start_positions(
             "no outward radial direction to offset the ligand along"
         )
     return positions * (1.0 + ligand.bounding_radius / norms)
+
+
+def _best_of_gamma_records(
+    isep_start: int,
+    e_lj: np.ndarray,
+    e_elec: np.ndarray,
+    positions: np.ndarray,
+    eulers: np.ndarray,
+) -> np.ndarray:
+    """Reduce an energy map indexed ``[position, couple, gamma]`` to result
+    records: one row per (position, orientation couple), keeping the
+    best-of-gamma optimum (``igamma`` marks the winning spin)."""
+    n_pos, n_cpl, _ = e_lj.shape
+    best = (e_lj + e_elec).argmin(axis=2)
+    p, c = np.indices((n_pos, n_cpl))
+    records = np.zeros(n_pos * n_cpl, dtype=RESULT_DTYPE)
+    records["isep"] = (isep_start + p).ravel()
+    records["irot"] = (c + 1).ravel()
+    records["igamma"] = (best + 1).ravel()
+    records["x"], records["y"], records["z"] = positions[p, c, best].reshape(-1, 3).T
+    records["alpha"], records["beta"], records["gamma"] = (
+        eulers[p, c, best].reshape(-1, 3).T
+    )
+    records["e_lj"] = e_lj[p, c, best].ravel()
+    records["e_elec"] = e_elec[p, c, best].ravel()
+    records["e_tot"] = records["e_lj"] + records["e_elec"]
+    return records
 
 
 @dataclass
@@ -115,24 +126,12 @@ class DockingResult:
         """Render as result-file data lines: one per (position, orientation
         couple), keeping the best-of-gamma optimum (igamma marks the winning
         spin)."""
-        lines = []
-        n_pos, n_cpl, _ = self.e_lj.shape
-        e_total = self.e_total
-        for p in range(n_pos):
-            for c in range(n_cpl):
-                g = int(np.argmin(e_total[p, c]))
-                lines.append(
-                    format_record(
-                        self.isep_start + p,
-                        c + 1,
-                        g + 1,
-                        self.positions[p, c, g],
-                        self.eulers[p, c, g],
-                        float(self.e_lj[p, c, g]),
-                        float(self.e_elec[p, c, g]),
-                    )
-                )
-        return lines
+        return render_lines(
+            _best_of_gamma_records(
+                self.isep_start, self.e_lj, self.e_elec,
+                self.positions, self.eulers,
+            )
+        )
 
 
 def dock_position(
@@ -144,94 +143,64 @@ def dock_position(
     minimize: bool = True,
     max_iterations: int = 60,
     energy_params: EnergyParams | None = None,
-    engine: str = "batched",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Dock one starting position over all orientations.
 
     Returns ``(e_lj, e_elec, final_positions, final_eulers)`` with leading
     shape ``(n_couples, n_gamma)``.  With ``minimize=False`` the energies
     are evaluated at the starting pose only (cheap mode used by tests and
-    large sweeps).  ``engine="batched"`` (the default) runs all
-    ``n_couples * n_gamma`` orientations through the pose-vectorized
-    kernels in one lockstep minimization; ``engine="reference"`` is the
-    scalar per-orientation path.  The two produce bit-identical results.
+    large sweeps).  All ``n_couples * n_gamma`` orientations run through
+    the pose-vectorized kernels in one lockstep minimization; the results
+    are bit-identical to one scalar ``minimize_rigid`` call per orientation
+    (``tests/oracles/docking.py``).
     """
-    _check_engine(engine)
     n_cpl, n_gam = len(couples), len(gammas)
     position = np.asarray(position, dtype=np.float64)
 
-    if engine == "batched":
-        # (couple, gamma) row-major, matching the reference loop order.
-        eulers = np.empty((n_cpl * n_gam, 3))
-        eulers[:, :2] = np.repeat(np.asarray(couples, dtype=np.float64), n_gam, axis=0)
-        eulers[:, 2] = np.tile(np.asarray(gammas, dtype=np.float64), n_cpl)
-        translations = np.tile(position, (n_cpl * n_gam, 1))
-        if minimize:
-            batch = minimize_rigid_batch(
-                receptor, ligand, translations, eulers,
-                max_iterations=max_iterations, energy_params=energy_params,
-            )
-            tracer = global_tracer()
-            if tracer is not None:
-                tracer.emit(
-                    "docking.batch",
-                    n_poses=len(batch), rounds=batch.n_iterations,
-                    evaluations=batch.n_evaluations,
-                    converged=int(np.count_nonzero(batch.converged)),
-                )
-            return (
-                batch.energy_lj.reshape(n_cpl, n_gam),
-                batch.energy_elec.reshape(n_cpl, n_gam),
-                batch.translations.reshape(n_cpl, n_gam, 3),
-                batch.eulers.reshape(n_cpl, n_gam, 3),
-            )
-        table = pair_table(receptor, ligand, energy_params)
-        poses = np.concatenate([translations, eulers], axis=1)
-        lj, el = batch_interaction_energy(table, poses)
-        return (
-            lj.reshape(n_cpl, n_gam),
-            el.reshape(n_cpl, n_gam),
-            translations.reshape(n_cpl, n_gam, 3),
-            eulers.reshape(n_cpl, n_gam, 3).copy(),
+    # (couple, gamma) row-major, the order the result lines are written in.
+    eulers = np.empty((n_cpl * n_gam, 3))
+    eulers[:, :2] = np.repeat(np.asarray(couples, dtype=np.float64), n_gam, axis=0)
+    eulers[:, 2] = np.tile(np.asarray(gammas, dtype=np.float64), n_cpl)
+    translations = np.tile(position, (n_cpl * n_gam, 1))
+    if minimize:
+        batch = minimize_rigid_batch(
+            receptor, ligand, translations, eulers,
+            max_iterations=max_iterations, energy_params=energy_params,
         )
-
-    e_lj = np.empty((n_cpl, n_gam))
-    e_elec = np.empty((n_cpl, n_gam))
-    out_pos = np.empty((n_cpl, n_gam, 3))
-    out_euler = np.empty((n_cpl, n_gam, 3))
-    for c, (alpha, beta) in enumerate(couples):
-        for g, gamma in enumerate(gammas):
-            euler = np.array([alpha, beta, gamma])
-            if minimize:
-                res = minimize_rigid(
-                    receptor, ligand, position, euler,
-                    max_iterations=max_iterations, energy_params=energy_params,
-                )
-                e_lj[c, g] = res.energy_lj
-                e_elec[c, g] = res.energy_elec
-                out_pos[c, g] = res.translation
-                out_euler[c, g] = res.euler
-            else:
-                lj, el = interaction_energy(
-                    receptor, ligand, rotation_matrix(*euler), position,
-                    params=energy_params,
-                )
-                e_lj[c, g] = lj
-                e_elec[c, g] = el
-                out_pos[c, g] = position
-                out_euler[c, g] = euler
-    return e_lj, e_elec, out_pos, out_euler
+        tracer = global_tracer()
+        if tracer is not None:
+            tracer.emit(
+                "docking.batch",
+                n_poses=len(batch), rounds=batch.n_iterations,
+                evaluations=batch.n_evaluations,
+                converged=int(np.count_nonzero(batch.converged)),
+            )
+        return (
+            batch.energy_lj.reshape(n_cpl, n_gam),
+            batch.energy_elec.reshape(n_cpl, n_gam),
+            batch.translations.reshape(n_cpl, n_gam, 3),
+            batch.eulers.reshape(n_cpl, n_gam, 3),
+        )
+    table = pair_table(receptor, ligand, energy_params)
+    poses = np.concatenate([translations, eulers], axis=1)
+    lj, el = batch_interaction_energy(table, poses)
+    return (
+        lj.reshape(n_cpl, n_gam),
+        el.reshape(n_cpl, n_gam),
+        translations.reshape(n_cpl, n_gam, 3),
+        eulers.reshape(n_cpl, n_gam, 3).copy(),
+    )
 
 
 def _dock_position_task(args: tuple) -> tuple[np.ndarray, ...]:
     """Module-level worker for the process-pool fan-out (must pickle)."""
     (
         receptor, ligand, position, couples, gammas,
-        minimize, max_iterations, energy_params, engine,
+        minimize, max_iterations, energy_params,
     ) = args
     return dock_position(
         receptor, ligand, position, couples, gammas, minimize,
-        max_iterations, energy_params=energy_params, engine=engine,
+        max_iterations, energy_params=energy_params,
     )
 
 
@@ -246,7 +215,6 @@ def dock_couple(
     minimize: bool = True,
     max_iterations: int = 60,
     energy_params: EnergyParams | None = None,
-    engine: str = "batched",
     n_workers: int | None = None,
 ) -> DockingResult:
     """Compute the energy map of one couple over an isep slice.
@@ -262,7 +230,6 @@ def dock_couple(
     for every worker count (each position's computation is deterministic
     and self-contained).
     """
-    _check_engine(engine)
     if isep_start < 1:
         raise ValueError(f"isep_start is 1-based, got {isep_start}")
     if n_workers is not None and n_workers < 1:
@@ -286,7 +253,7 @@ def dock_couple(
     if tracer is not None:
         tracer.emit(
             "docking.engine",
-            engine=engine, receptor=receptor.name, ligand=ligand.name,
+            engine="batched", receptor=receptor.name, ligand=ligand.name,
             isep_start=isep_start, nsep=nsep, minimize=minimize,
             n_workers=n_workers if n_workers is not None else 1,
         )
@@ -306,7 +273,6 @@ def dock_couple(
             (
                 receptor, ligand, all_positions[isep_start - 1 + p],
                 couples, gammas, minimize, max_iterations, energy_params,
-                engine,
             )
             for p in range(nsep)
         ]
@@ -332,7 +298,7 @@ def dock_couple(
         pos = all_positions[isep_start - 1 + p]
         lj, el, fpos, feul = dock_position(
             receptor, ligand, pos, couples, gammas, minimize, max_iterations,
-            energy_params=energy_params, engine=engine,
+            energy_params=energy_params,
         )
         result.e_lj[p], result.e_elec[p] = lj, el
         result.positions[p], result.eulers[p] = fpos, feul
@@ -363,12 +329,6 @@ class MaxDoRun:
         Directory for the partial result file and checkpoint.
     minimize:
         Full minimization (True) or starting-pose evaluation only.
-    engine:
-        Execution engine, ``"batched"`` (default) or ``"reference"``;
-        both write bit-identical result lines, and checkpoints taken
-        under one engine resume cleanly under the other since the
-        checkpoint granularity (a whole starting position) sits above
-        the batching.
     result_format:
         ``"text"`` (default) streams the paper's line-oriented partial
         file; ``"columnar"`` streams a packed store
@@ -393,7 +353,6 @@ class MaxDoRun:
         n_gamma: int = N_GAMMA,
         minimize: bool = True,
         max_iterations: int = 60,
-        engine: str = "batched",
         result_format: str = "text",
         tracer=None,
     ) -> None:
@@ -411,7 +370,6 @@ class MaxDoRun:
         self.n_gamma = n_gamma
         self.minimize = minimize
         self.max_iterations = max_iterations
-        self.engine = _check_engine(engine)
         self.result_format = result_format
         self.tracer = tracer
         self.workdir = Path(workdir)
@@ -469,26 +427,6 @@ class MaxDoRun:
         ckpt.save(self.checkpoint_path)
         return ckpt
 
-    def _position_records(self, isep, lj, el, fpos, feul) -> np.ndarray:
-        """One committed position as result records (best-of-gamma rows)."""
-        from .resultfile import RESULT_DTYPE
-
-        e_total = lj + el
-        best = e_total.argmin(axis=1)
-        couples = np.arange(self.n_couples)
-        records = np.zeros(self.n_couples, dtype=RESULT_DTYPE)
-        records["isep"] = isep
-        records["irot"] = couples + 1
-        records["igamma"] = best + 1
-        records["x"], records["y"], records["z"] = fpos[couples, best].T
-        records["alpha"], records["beta"], records["gamma"] = (
-            feul[couples, best].T
-        )
-        records["e_lj"] = lj[couples, best]
-        records["e_elec"] = el[couples, best]
-        records["e_tot"] = records["e_lj"] + records["e_elec"]
-        return records
-
     def run(self, max_positions: int | None = None) -> Checkpoint:
         """(Re)start the workunit; stop after ``max_positions`` positions.
 
@@ -506,7 +444,7 @@ class MaxDoRun:
         if tracer is not None:
             tracer.emit(
                 "docking.engine",
-                engine=self.engine, receptor=self.receptor.name,
+                engine="batched", receptor=self.receptor.name,
                 ligand=self.ligand.name, isep_start=self.isep_start,
                 nsep=self.nsep, resume_from=ckpt.positions_done,
                 minimize=self.minimize, n_workers=1,
@@ -528,7 +466,6 @@ class MaxDoRun:
                     gammas,
                     self.minimize,
                     self.max_iterations,
-                    engine=self.engine,
                 )
                 self._commit_position(sink, isep, lj, el, fpos, feul)
                 ckpt = ckpt.advanced()
@@ -553,12 +490,14 @@ class MaxDoRun:
         return self.partial_path.open("a", encoding="ascii")
 
     def _commit_position(self, sink, isep, lj, el, fpos, feul) -> None:
-        records = self._position_records(isep, lj, el, fpos, feul)
+        # one committed position: a [1, couple, gamma] energy map
+        records = _best_of_gamma_records(
+            isep, lj[None], el[None], fpos[None], feul[None]
+        )
         if self.columnar:
             from ..store.format import ColumnarSegment, pack_records
-            from .resultfile import ResultHeader as RH
 
-            header = RH(
+            header = ResultHeader(
                 receptor=self.receptor.name,
                 ligand=self.ligand.name,
                 isep_start=isep,
@@ -570,8 +509,6 @@ class MaxDoRun:
                 ColumnarSegment(header=header, packed=pack_records(records))
             )
         else:
-            from ..store.convert import render_lines
-
             append_records(sink, render_lines(records))
         sink.flush()
 

@@ -18,7 +18,6 @@ ligands x 21 couples x ~118 bytes/line = 122 GB ~ the paper's 123 GB.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -28,11 +27,11 @@ import numpy as np
 __all__ = [
     "ResultHeader",
     "ResultTable",
-    "format_record",
+    "LINE_FORMAT",
+    "render_lines",
     "write_results",
     "append_records",
     "read_results",
-    "read_results_reference",
     "expected_line_count",
     "BYTES_PER_LINE",
     "RESULT_DTYPE",
@@ -106,24 +105,29 @@ def expected_line_count(nsep: int, n_couples: int) -> int:
     return nsep * n_couples
 
 
-def format_record(
-    isep: int,
-    irot: int,
-    igamma: int,
-    position: np.ndarray,
-    euler: np.ndarray,
-    e_lj: float,
-    e_elec: float,
-) -> str:
-    """Format one evaluation as a result-file data line (no newline)."""
-    x, y, z = position
-    a, b, g = euler
-    return (
-        f"{isep:7d} {irot:3d} {igamma:3d} "
-        f"{x:10.3f} {y:10.3f} {z:10.3f} "
-        f"{a:8.4f} {b:8.4f} {g:8.4f} "
-        f"{e_lj:13.4f} {e_elec:13.4f} {e_lj + e_elec:13.4f}"
-    )
+#: printf formats of one data line
+LINE_FORMAT = (
+    "%7d %3d %3d %10.3f %10.3f %10.3f "
+    "%8.4f %8.4f %8.4f %13.4f %13.4f %13.4f"
+)
+
+
+def render_lines(records: np.ndarray) -> list[str]:
+    """Format records as result-file data lines (no newlines).
+
+    One pass over a plain float matrix; byte-identical to an f-string per
+    row with the same field formats (``tests/oracles/resultfile.py``).
+    """
+    records = np.asarray(records)
+    n = len(records)
+    if n == 0:
+        return []
+    rows = np.empty((n, len(_DTYPE.names)), dtype=np.float64)
+    for k, name in enumerate(_DTYPE.names):
+        rows[:, k] = records[name]
+    # ``%d`` truncates floats toward zero; the index columns hold exact
+    # integers, so they print as the integers they are.
+    return [LINE_FORMAT % tuple(r) for r in rows]
 
 
 def write_results(
@@ -183,9 +187,8 @@ def read_results(path: Path | str) -> ResultTable:
     The data block is parsed in one vectorized pass (a single whitespace
     split of the whole block feeding one ``np.array(..., float)`` call)
     instead of per-line float parsing — an order of magnitude faster on
-    workunit-sized files, and the text baseline of the columnar-store
-    benchmark.  Equivalent to the reference parser
-    (:func:`read_results_reference`) on every well-formed file, pinned by
+    workunit-sized files.  Equivalent to the per-line ``np.loadtxt`` parser
+    (``tests/oracles/resultfile.py``) on every well-formed file, pinned by
     ``tests/test_maxdo_resultfile.py``.
 
     Raises ``ValueError`` on malformed headers or data lines; the validator
@@ -212,34 +215,6 @@ def read_results(path: Path | str) -> ResultTable:
                 f"{len(data_lines)} lines (expected {n_cols} columns)"
             )
         records = _records_from_columns(flat.reshape(-1, n_cols))
-    else:
-        records = np.zeros(0, dtype=_DTYPE)
-    return ResultTable(header=header, records=records)
-
-
-def read_results_reference(path: Path | str) -> ResultTable:
-    """The original per-line ``np.loadtxt`` parser, kept as the equivalence
-    oracle for :func:`read_results` (and for honesty in parser benchmarks)."""
-    path = Path(path)
-    header_lines: list[str] = []
-    data = io.StringIO()
-    n_data = 0
-    with path.open("r", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                header_lines.append(line.rstrip("\n"))
-            elif line.strip():
-                data.write(line)
-                n_data += 1
-    header = _parse_header(header_lines)
-    if n_data:
-        data.seek(0)
-        raw = np.loadtxt(data, ndmin=2)
-        if raw.shape[1] != len(_DTYPE.names):
-            raise ValueError(
-                f"expected {len(_DTYPE.names)} columns, got {raw.shape[1]}"
-            )
-        records = _records_from_columns(raw)
     else:
         records = np.zeros(0, dtype=_DTYPE)
     return ResultTable(header=header, records=records)

@@ -10,7 +10,7 @@ steps through exactly those shares while a background screening
 campaign holds the complement — the grid's fleet is **fixed**, and all
 throughput movement comes from the scheduler, which is what makes the
 phase-II throughput inflection attributable to prioritization alone
-(the claim ``BENCH_multicampaign.json`` checks).
+(the claim ``tests/test_multicampaign.py`` checks).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def three_phase_scenario(
 
     The fleet is fixed (constant share schedule over a flat population),
     so any HCMD throughput inflection at the prioritization boundary is
-    the scheduler's doing — the property ``BENCH_multicampaign.json``
+    the scheduler's doing — the property ``tests/test_multicampaign.py``
     verifies against the paper's phase-II observation.
 
     The default sizes put HCMD's work just under its 26-week capacity

@@ -4,12 +4,13 @@ The canonical result format of the reproduction: fixed-point packed numpy
 record columns (:data:`PACKED_DTYPE`, 56 bytes/row vs the text format's
 118), per-couple segments behind a versioned header, an append-friendly
 writer for the checkpointed producer, lossless text converters, and the
-vectorized check -> merge -> matrix pipeline that replaces the
-line-oriented post-processing of Section 5.2.
+vectorized check -> merge -> matrix pipeline over Section 5.2's rules —
+the same rule set the text path applies (:mod:`repro.validation`), entered
+with columns instead of lines.
 
 See ``docs/resultstore.md`` for the on-disk layout and conversion
-guarantees, and ``benchmarks/bench_resultstore.py`` for the measured
-pipeline speedup (``BENCH_resultstore.json``).
+guarantees; the ``results_ingest`` / ``results_reduce`` workloads of
+``benchmarks/e2e`` measure the pipeline.
 """
 
 from .convert import (

@@ -6,8 +6,8 @@ property suite):
 * **text -> columnar -> text is byte-identical** for every file written by
   :func:`repro.maxdo.resultfile.write_results` — the text format is
   fixed-point, the packed columns store those fixed-point values exactly,
-  and :func:`segment_to_text` re-renders with the very same formats
-  ``format_record`` uses.
+  and :func:`segment_to_text` re-renders with the text format's own
+  :func:`~repro.maxdo.resultfile.render_lines`.
 * **columnar -> text -> columnar is byte-identical** for every segment
   whose values are text-representable (which everything converted *from*
   text is by construction).
@@ -29,11 +29,11 @@ from ..maxdo.resultfile import (
     RESULT_DTYPE,
     ResultHeader,
     read_results,
+    render_lines,
 )
 from .format import ColumnarSegment, StoreWriter, iter_segments, pack_records
 
 __all__ = [
-    "LINE_FORMAT",
     "segment_from_text",
     "segment_to_text",
     "render_lines",
@@ -41,12 +41,6 @@ __all__ = [
     "store_to_text",
     "header_only_segment",
 ]
-
-#: printf twin of ``format_record``'s field formats (one data line)
-LINE_FORMAT = (
-    "%7d %3d %3d %10.3f %10.3f %10.3f "
-    "%8.4f %8.4f %8.4f %13.4f %13.4f %13.4f"
-)
 
 
 def segment_from_text(path: Path | str) -> ColumnarSegment:
@@ -64,29 +58,10 @@ def segment_from_text(path: Path | str) -> ColumnarSegment:
     )
 
 
-def render_lines(records: np.ndarray) -> list[str]:
-    """Format decoded records as result-file data lines (no newlines).
-
-    Byte-identical to mapping ``format_record`` over the rows — the
-    ``%``-operator applies the same fixed formats — but in one pass over a
-    plain float matrix instead of a Python f-string per row.
-    """
-    records = np.asarray(records)
-    n = len(records)
-    if n == 0:
-        return []
-    rows = np.empty((n, len(RESULT_DTYPE.names)), dtype=np.float64)
-    for k, name in enumerate(RESULT_DTYPE.names):
-        rows[:, k] = records[name]
-    # ``%d`` truncates floats toward zero; the index columns hold exact
-    # integers, so the rendering matches ``format_record`` bit for bit.
-    return [LINE_FORMAT % tuple(r) for r in rows]
-
-
 def segment_to_text(segment: ColumnarSegment, out_path: Path | str) -> int:
     """Write one segment as a text result file; returns the line count.
 
-    Produces exactly the bytes ``write_results`` + ``format_record`` would
+    Produces exactly the bytes ``write_results`` + ``render_lines`` would
     for the same header and records.
     """
     out_path = Path(out_path)

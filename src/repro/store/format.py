@@ -152,7 +152,7 @@ def pack_records(records: np.ndarray) -> np.ndarray:
 
     Exact for every text-representable value; values that came from
     anywhere else are quantized to the text format's precision (the same
-    rounding ``format_record`` would apply).  Raises ``ValueError`` when a
+    rounding ``render_lines`` would apply).  Raises ``ValueError`` when a
     finite value does not fit the packed column's range — such a value
     could not appear on a well-formed text line either.
     """

@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..maxdo.resultfile import ResultHeader, expected_line_count
-from ..validation.checks import CheckReport, ValueRanges
+from ..validation.checks import CheckReport, ValueRanges, check_table
+from ..validation.merge import merged_header, sorted_rows
 from .format import (
     ColumnarSegment,
     ResultStore,
@@ -61,21 +61,12 @@ def check_segment(
 
     Same verdicts as :func:`repro.validation.checks.check_result_file` on
     the equivalent text file: the decoded columns are bit-identical to what
-    the text parser would produce, and the same
-    :meth:`ValueRanges.violations` rules run over them.
+    the text parser would produce, and the same rule
+    (:func:`repro.validation.checks.check_table`) runs over them.
     """
-    ranges = ranges if ranges is not None else ValueRanges()
-    name = name or _segment_label(segment, 0)
-    report = CheckReport(files_expected=1, files_found=1)
-    expected = expected_line_count(
-        segment.header.nsep, segment.header.n_couples
+    return check_table(
+        name or _segment_label(segment, 0), segment.table(), ranges
     )
-    if len(segment) != expected:
-        report.files_with_bad_line_count.append(name)
-    problems = ranges.violations(segment.table())
-    if problems:
-        report.files_with_bad_values[name] = problems
-    return report
 
 
 def check_store(
@@ -99,51 +90,20 @@ def check_store(
 def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     """Merge one couple's workunit segments into a single segment.
 
-    The columnar twin of
-    :func:`repro.validation.merge.merge_couple_results`: segments must
-    belong to one couple and tile ``[1..Nsep]`` exactly; gap/overlap/
-    duplicate-slice errors name the offending chunk.  The merged rows are
-    the packed-column concatenation lexsorted by ``(isep, irot, igamma)``
-    — integer keys, exact, so the merged energies are bit-identical to
-    the text path's.
+    The columnar entry to the rule
+    :func:`repro.validation.merge.merge_couple_results` applies to text
+    files: segments must belong to one couple, agree on the orientation
+    grid and tile ``[1..Nsep]`` exactly; every error names the offending
+    chunk.  The merged rows are the packed-column concatenation lexsorted
+    by ``(isep, irot, igamma)`` — integer keys, exact, so the merged
+    energies are bit-identical to the text path's.
     """
-    if not segments:
-        raise ValueError("nothing to merge")
-    first = segments[0].header
-    for i, s in enumerate(segments):
-        h = s.header
-        if (h.receptor, h.ligand) != (first.receptor, first.ligand):
-            raise ValueError(
-                f"cannot merge couples {h.receptor}-{h.ligand} "
-                f"({_segment_label(s, i)}) and {first.receptor}-{first.ligand} "
-                f"({_segment_label(segments[0], 0)})"
-            )
-    slices = sorted(
-        (s.header.isep_start, s.header.nsep, _segment_label(s, i))
-        for i, s in enumerate(segments)
+    header = merged_header(
+        [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
     )
-    cursor = 1
-    for start, nsep, label in slices:
-        if start != cursor:
-            kind = "overlap" if start < cursor else "gap"
-            raise ValueError(
-                f"isep {kind} at {start} (expected {cursor}) in {label}"
-            )
-        cursor = start + nsep
-    total_nsep = cursor - 1
-
-    packed = np.concatenate([s.packed for s in segments])
-    order = np.lexsort((packed["igamma"], packed["irot"], packed["isep"]))
-    packed = packed[order]
-    header = ResultHeader(
-        receptor=first.receptor,
-        ligand=first.ligand,
-        isep_start=1,
-        nsep=total_nsep,
-        n_couples=first.n_couples,
-        n_gamma=first.n_gamma,
+    return ColumnarSegment(
+        header=header, packed=sorted_rows([s.packed for s in segments])
     )
-    return ColumnarSegment(header=header, packed=packed)
 
 
 def merge_couple_store(
@@ -214,27 +174,21 @@ def position_energy_maps(
     if not isinstance(store, ResultStore):
         store = read_store(store)
     names, index = _couple_index(store, names)
-    groups = store.by_couple()
     if n_positions is None:
-        n_positions = 0
-        for segments in groups.values():
-            for s in segments:
-                n_positions = max(
-                    n_positions, s.header.isep_start + s.header.nsep - 1
-                )
+        n_positions = max(
+            (s.header.isep_start + s.header.nsep - 1 for s in store.segments),
+            default=0,
+        )
     n = len(names)
     maps = np.full((n, n, n_positions), np.inf)
-    for (receptor, ligand), segments in groups.items():
-        i, j = index[receptor], index[ligand]
-        target = maps[i, j]
-        for s in segments:
-            if not len(s):
-                continue
-            isep = s.column("isep")
-            if isep.min() < 1 or isep.max() > n_positions:
-                raise ValueError(
-                    f"isep outside [1, {n_positions}] in "
-                    f"{_segment_label(s, 0)}"
-                )
-            np.minimum.at(target, isep - 1, s.column("e_tot"))
+    for k, s in enumerate(store.segments):
+        if not len(s):
+            continue
+        isep = s.column("isep")
+        if isep.min() < 1 or isep.max() > n_positions:
+            raise ValueError(
+                f"isep outside [1, {n_positions}] in {_segment_label(s, k)}"
+            )
+        target = maps[index[s.header.receptor], index[s.header.ligand]]
+        np.minimum.at(target, isep - 1, s.column("e_tot"))
     return maps, names

@@ -79,25 +79,35 @@ class CheckReport:
         )
 
 
+def check_table(
+    name: str, table: ResultTable, ranges: ValueRanges | None = None
+) -> CheckReport:
+    """Checks 2 and 3 (line count, value ranges) on one parsed result slice,
+    reported under ``name`` — the rule behind both the text files and the
+    columnar segments."""
+    ranges = ranges if ranges is not None else ValueRanges()
+    report = CheckReport(files_expected=1, files_found=1)
+    expected = expected_line_count(table.header.nsep, table.header.n_couples)
+    if len(table) != expected:
+        report.files_with_bad_line_count.append(name)
+    problems = ranges.violations(table)
+    if problems:
+        report.files_with_bad_values[name] = problems
+    return report
+
+
 def check_result_file(
     path: Path | str, ranges: ValueRanges | None = None
 ) -> CheckReport:
     """Run checks 2 and 3 (line count, value ranges) on one result file."""
-    ranges = ranges if ranges is not None else ValueRanges()
-    report = CheckReport(files_expected=1, files_found=1)
     path = Path(path)
     try:
         table = read_results(path)
     except (ValueError, OSError) as exc:
+        report = CheckReport(files_expected=1, files_found=1)
         report.files_unreadable[path.name] = str(exc)
         return report
-    expected = expected_line_count(table.header.nsep, table.header.n_couples)
-    if len(table) != expected:
-        report.files_with_bad_line_count.append(path.name)
-    problems = ranges.violations(table)
-    if problems:
-        report.files_with_bad_values[path.name] = problems
-    return report
+    return check_table(path.name, table, ranges)
 
 
 def check_batch(

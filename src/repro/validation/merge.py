@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from ..maxdo.resultfile import (
     BYTES_PER_LINE,
     ResultHeader,
     read_results,
+    render_lines,
     write_results,
 )
 from ..proteins.library import ProteinLibrary
@@ -31,53 +33,76 @@ from ..proteins.library import ProteinLibrary
 __all__ = ["merge_couple_results", "DatasetVolume", "dataset_volume"]
 
 
-def merge_couple_results(chunk_paths: list[Path | str], out_path: Path | str) -> int:
-    """Merge one couple's workunit result files into a single file.
+def merged_header(chunks: Sequence[tuple[ResultHeader, str]]) -> ResultHeader:
+    """Validate one couple's chunks and build the merged file's header.
 
-    Chunks must belong to the same couple, tile ``[1..Nsep]`` exactly
-    (no gap, no overlap, no duplicate slice) and pass individual parsing;
-    the merged file is sorted by ``(isep, irot, igamma)``.  Tiling errors
-    name the offending chunk file.  Returns the merged line count.
+    ``chunks`` pairs each chunk's header with the name errors should call
+    it by.  The chunks must belong to one couple, agree on ``n_couples`` /
+    ``n_gamma`` (the merged header promises ``nsep * n_couples`` rows) and
+    tile ``[1..Nsep]`` exactly — no gap, no overlap, no duplicate slice.
+    Every ``ValueError`` names the offending chunk.
     """
-    if not chunk_paths:
+    if not chunks:
         raise ValueError("nothing to merge")
-    chunk_paths = [Path(p) for p in chunk_paths]
-    tables = [read_results(p) for p in chunk_paths]
-    first = tables[0].header
-    for t, p in zip(tables, chunk_paths):
-        if (t.header.receptor, t.header.ligand) != (first.receptor, first.ligand):
+    first, first_name = chunks[0]
+    for h, name in chunks:
+        if (h.receptor, h.ligand) != (first.receptor, first.ligand):
             raise ValueError(
-                f"cannot merge couples {t.header.receptor}-{t.header.ligand} "
-                f"({p.name}) and {first.receptor}-{first.ligand} "
-                f"({chunk_paths[0].name})"
+                f"cannot merge couples {h.receptor}-{h.ligand} ({name}) "
+                f"and {first.receptor}-{first.ligand} ({first_name})"
             )
-    slices = sorted(
-        (t.header.isep_start, t.header.nsep, p.name)
-        for t, p in zip(tables, chunk_paths)
-    )
+        if (h.n_couples, h.n_gamma) != (first.n_couples, first.n_gamma):
+            raise ValueError(
+                f"n_couples/n_gamma {h.n_couples}/{h.n_gamma} in {name} "
+                f"disagree with {first.n_couples}/{first.n_gamma} in "
+                f"{first_name}"
+            )
     cursor = 1
-    for start, nsep, name in slices:
+    for start, nsep, name in sorted(
+        (h.isep_start, h.nsep, name) for h, name in chunks
+    ):
         if start != cursor:
             kind = "overlap" if start < cursor else "gap"
             raise ValueError(
                 f"isep {kind} at {start} (expected {cursor}) in {name}"
             )
         cursor = start + nsep
-    total_nsep = cursor - 1
-
-    records = np.concatenate([t.records for t in tables])
-    order = np.lexsort((records["igamma"], records["irot"], records["isep"]))
-    records = records[order]
-    header = ResultHeader(
+    return ResultHeader(
         receptor=first.receptor,
         ligand=first.ligand,
         isep_start=1,
-        nsep=total_nsep,
+        nsep=cursor - 1,
         n_couples=first.n_couples,
         n_gamma=first.n_gamma,
     )
-    from ..store.convert import render_lines
 
+
+def sorted_rows(chunks: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate chunk rows in merged-file order, ``(isep, irot, igamma)``.
+
+    Works on either record dtype (float64 or packed): both name the three
+    integer key columns the same, and the sort never touches the rest.
+    """
+    rows = np.concatenate(chunks)
+    return rows[np.lexsort((rows["igamma"], rows["irot"], rows["isep"]))]
+
+
+def merge_couple_results(chunk_paths: list[Path | str], out_path: Path | str) -> int:
+    """Merge one couple's workunit result files into a single file.
+
+    Chunks must pass individual parsing and :func:`merged_header`'s rules
+    (one couple, one orientation grid, exact ``[1..Nsep]`` tiling; errors
+    name the offending chunk file); the merged file is sorted by
+    ``(isep, irot, igamma)``.  Returns the merged line count.
+    """
+    chunk_paths = [Path(p) for p in chunk_paths]
+    tables = [read_results(p) for p in chunk_paths]
+    header = merged_header(
+        [(t.header, p.name) for t, p in zip(tables, chunk_paths)]
+    )
+    # Rendered from the parsed float64 rows, not via the packed codec: the
+    # fixed-point columns would drop the sign of a ``-0.000`` coordinate.
+    records = sorted_rows([t.records for t in tables])
     return write_results(out_path, header, render_lines(records))
 
 

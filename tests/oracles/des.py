@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import Profiler, Tracer
+    from repro.obs import Profiler, Tracer
 
 __all__ = ["Event", "Simulator"]
 

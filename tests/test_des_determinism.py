@@ -3,7 +3,7 @@
 The ISSUE acceptance criterion for the fast path: a seeded scaled
 campaign must produce a bit-identical ``CampaignResult`` and an
 identical event-trace sequence whether it runs on the new kernel
-(``repro.grid.des``) or the original one (``repro.grid._reference_des``).
+(``repro.grid.des``) or the original one (``tests.oracles.des``).
 These tests monkeypatch the kernel class used by the campaign simulator
 and compare full trajectories.
 """
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro.boinc.simulator as simulator_mod
-from repro.grid import _reference_des
+from tests.oracles import des as _reference_des
 from repro.grid.des import Simulator as FastSimulator
 from repro.obs import Tracer
 

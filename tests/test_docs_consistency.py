@@ -166,3 +166,23 @@ def test_instrumented_modules_cross_reference_the_doc():
         assert "docs/observability.md" in module.read_text(encoding="utf-8"), (
             f"{module.relative_to(REPO)} lost its observability cross-reference"
         )
+
+
+#: a benchmark script or root benchmark-result file named in prose
+_BENCH_PATH_RE = re.compile(r"\b(?:benchmarks/)?bench_\w+\.py\b|\bBENCH_\w+\.json\b")
+
+
+def test_every_benchmark_file_the_docs_name_exists():
+    """A doc may cite a benchmark script or result file only while it is in
+    the tree (a historical number names the PR that measured it instead)."""
+    docs = [REPO / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs += sorted((REPO / "docs").glob("*.md"))
+    dangling = []
+    for doc in docs:
+        for name in _BENCH_PATH_RE.findall(doc.read_text(encoding="utf-8")):
+            path = REPO / name
+            if name.startswith("bench_"):
+                path = REPO / "benchmarks" / name
+            if not path.exists():
+                dangling.append(f"{doc.relative_to(REPO)}: {name}")
+    assert not dangling, f"docs name benchmark files that do not exist: {dangling}"

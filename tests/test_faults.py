@@ -473,11 +473,8 @@ class TestResultFileCorruption:
     N_COUPLES = 4
 
     def _write(self, path, drop_lines=0):
-        from repro.maxdo.resultfile import (
-            ResultHeader,
-            format_record,
-            write_results,
-        )
+        from repro.maxdo.resultfile import ResultHeader, write_results
+        from tests.oracles.resultfile import format_record
 
         header = ResultHeader("P1", "P2", 1, self.NSEP, self.N_COUPLES, 10)
         lines = []

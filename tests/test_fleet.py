@@ -10,6 +10,8 @@ owns are defined once in ``src/repro``.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import re
 import subprocess
 from dataclasses import replace
@@ -195,14 +197,56 @@ class TestOneDefinitionEach:
         assert GridServer.__bases__ == (object,)
 
 
-def test_no_bytecode_is_tracked():
+class TestOneOfEach:
+    """Structural guard: one DES kernel, one docking engine, one §5.2 rule
+    set in the product; the oracles live with the tests."""
+
+    def test_only_tests_import_the_oracles(self):
+        importers = [
+            str(path.relative_to(ROOT))
+            for top in ("src", "examples", "benchmarks")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if re.search(
+                r"(?m)^\s*(from|import)\s+tests\b",
+                path.read_text(encoding="utf-8"),
+            )
+        ]
+        assert importers == []
+
+    def test_docking_apis_have_no_engine_parameter(self):
+        from repro.maxdo.docking import MaxDoRun, dock_couple, dock_position
+
+        for api in (dock_position, dock_couple, MaxDoRun.__init__):
+            assert "engine" not in inspect.signature(api).parameters
+
+    def test_chunk_tiling_rule_is_written_once(self):
+        functions = [
+            f"{name}:{node.name}"
+            for name, text in _sources().items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "isep {kind} at" in ast.get_source_segment(text, node)
+        ]
+        assert functions == ["validation/merge.py:merged_header"]
+
+
+def _tracked(pattern: str) -> list[str]:
     if not (ROOT / ".git").exists():
         pytest.skip("not a git checkout")
     try:
-        tracked = subprocess.run(
-            ["git", "ls-files", "*.pyc"], cwd=ROOT, check=True,
+        return subprocess.run(
+            ["git", "ls-files", pattern], cwd=ROOT, check=True,
             capture_output=True, text=True, timeout=30,
-        ).stdout
+        ).stdout.split()
     except (OSError, subprocess.SubprocessError):
         pytest.skip("git is not usable here")
-    assert tracked.split() == []
+
+
+def test_no_bytecode_is_tracked():
+    assert _tracked("*.pyc") == []
+
+
+def test_no_bench_json_is_tracked_at_the_root():
+    """Benchmark numbers live in ``benchmarks/e2e/baseline.json`` (with
+    provenance) or under ``benchmarks/artifacts/``, never at the root."""
+    assert _tracked(":(glob)BENCH_*.json") == []

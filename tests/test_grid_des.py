@@ -1,6 +1,6 @@
 """Tests for repro.grid.des: the discrete-event kernel.
 
-``repro.grid._reference_des`` holds the original (slow) kernel verbatim;
+``tests.oracles.des`` holds the original (slow) kernel verbatim;
 the property tests at the bottom drive both kernels through identical
 random op interleavings and require identical trajectories — that is the
 fast path's correctness oracle.
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grid import _reference_des
+from tests.oracles import des as _reference_des
 from repro.grid.des import Simulator
 
 

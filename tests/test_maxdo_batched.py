@@ -1,8 +1,9 @@
 """Equivalence suite for the batched docking engine.
 
-The batched engine (pose-vectorized kernels, lockstep L-BFGS-B, optional
-fused C kernels) is contractually *bit-identical* to the scalar reference
-path — not merely close.  On the rugged LJ landscape a 1e-15 kernel
+The docking engine (pose-vectorized kernels, lockstep L-BFGS-B, optional
+fused C kernels) is contractually *bit-identical* to the scalar
+one-scipy-call-per-orientation oracle (``tests/oracles/docking.py``) —
+not merely close.  On the rugged LJ landscape a 1e-15 kernel
 discrepancy amplifies chaotically through the minimizer into O(1) kcal/mol
 final-energy differences, so these tests assert exact equality wherever
 the contract promises it, and the looser paper-level tolerances (1e-9
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from repro.maxdo import energy as energy_mod
 from repro.maxdo import pairtable
 from repro.maxdo.docking import (
+    DockingResult,
     MaxDoRun,
     dock_couple,
-    dock_position,
     ligand_start_positions,
 )
 from repro.maxdo.energy import (
@@ -38,6 +39,25 @@ from repro.maxdo.orientations import (
 )
 from repro.maxdo.pairtable import pair_table
 from repro.proteins.surface import starting_positions
+from tests.oracles.docking import dock_position_reference
+from tests.oracles.resultfile import format_record
+
+
+def _oracle_dock_couple(receptor, ligand, nsep, minimize=True, max_iterations=60):
+    """``dock_couple`` over ``[1, nsep]`` with the scalar oracle per position."""
+    positions = ligand_start_positions(starting_positions(receptor, nsep), ligand)
+    maps = [
+        dock_position_reference(
+            receptor, ligand, pos, orientation_couples(), gamma_values(),
+            minimize, max_iterations,
+        )
+        for pos in positions
+    ]
+    e_lj, e_elec, fpos, feul = (np.stack(parts) for parts in zip(*maps))
+    return DockingResult(
+        receptor=receptor.name, ligand=ligand.name, isep_start=1,
+        e_lj=e_lj, e_elec=e_elec, positions=fpos, eulers=feul,
+    )
 
 
 def _orientation_poses(receptor, ligand, n_positions=1):
@@ -53,6 +73,23 @@ def _orientation_poses(receptor, ligand, n_positions=1):
             for gamma in gammas:
                 poses.append([*pos, alpha, beta, gamma])
     return np.asarray(poses)
+
+
+def _oracle_lines(result):
+    """``DockingResult.to_lines`` as a per-row loop over ``format_record``."""
+    lines = []
+    n_pos, n_cpl, _ = result.e_lj.shape
+    for p in range(n_pos):
+        for c in range(n_cpl):
+            g = int(np.argmin(result.e_total[p, c]))
+            lines.append(
+                format_record(
+                    result.isep_start + p, c + 1, g + 1,
+                    result.positions[p, c, g], result.eulers[p, c, g],
+                    float(result.e_lj[p, c, g]), float(result.e_elec[p, c, g]),
+                )
+            )
+    return lines
 
 
 # --- kernel equivalence -------------------------------------------------
@@ -213,10 +250,8 @@ class TestPairTableCache:
 class TestEngineEquivalence:
     def test_dock_couple_engines_bit_identical(self, tiny_receptor, tiny_ligand):
         kw = dict(nsep=2, max_iterations=30)
-        batched = dock_couple(tiny_receptor, tiny_ligand, engine="batched", **kw)
-        reference = dock_couple(
-            tiny_receptor, tiny_ligand, engine="reference", **kw
-        )
+        batched = dock_couple(tiny_receptor, tiny_ligand, **kw)
+        reference = _oracle_dock_couple(tiny_receptor, tiny_ligand, **kw)
         assert (batched.e_lj == reference.e_lj).all()
         assert (batched.e_elec == reference.e_elec).all()
         assert (batched.positions == reference.positions).all()
@@ -228,45 +263,27 @@ class TestEngineEquivalence:
     def test_dock_couple_engines_agree_without_minimization(
         self, tiny_receptor, tiny_ligand
     ):
-        batched = dock_couple(
-            tiny_receptor, tiny_ligand, nsep=2, minimize=False, engine="batched"
-        )
-        reference = dock_couple(
-            tiny_receptor, tiny_ligand, nsep=2, minimize=False, engine="reference"
+        batched = dock_couple(tiny_receptor, tiny_ligand, nsep=2, minimize=False)
+        reference = _oracle_dock_couple(
+            tiny_receptor, tiny_ligand, nsep=2, minimize=False
         )
         assert (batched.e_lj == reference.e_lj).all()
         assert (batched.e_elec == reference.e_elec).all()
         assert (batched.positions == reference.positions).all()
         assert (batched.eulers == reference.eulers).all()
 
-    def test_unknown_engine_rejected(self, tiny_receptor, tiny_ligand):
-        with pytest.raises(ValueError, match="engine"):
-            dock_couple(tiny_receptor, tiny_ligand, nsep=1, engine="gpu")
-        with pytest.raises(ValueError, match="engine"):
-            dock_position(
-                tiny_receptor,
-                tiny_ligand,
-                np.array([30.0, 0.0, 0.0]),
-                orientation_couples(),
-                gamma_values(),
-                engine="quantum",
-            )
-        with pytest.raises(ValueError, match="engine"):
-            MaxDoRun(
-                tiny_receptor, tiny_ligand, 1, 1, 1, "/tmp/unused", engine=""
-            )
-
     def test_batched_is_faster_smoke(self, tiny_receptor, tiny_ligand):
-        """Cheap sanity check that the batched engine actually pays off;
-        the quantitative >=5x claim lives in bench_docking_engine.py."""
+        """Cheap sanity check that batching actually pays off against the
+        scalar oracle loop (the absolute figure is ``docking_workunit`` in
+        ``benchmarks/e2e``)."""
         import time
 
         kw = dict(nsep=1, max_iterations=20)
         t0 = time.perf_counter()
-        dock_couple(tiny_receptor, tiny_ligand, engine="batched", **kw)
+        dock_couple(tiny_receptor, tiny_ligand, **kw)
         t_batched = time.perf_counter() - t0
         t0 = time.perf_counter()
-        dock_couple(tiny_receptor, tiny_ligand, engine="reference", **kw)
+        _oracle_dock_couple(tiny_receptor, tiny_ligand, **kw)
         t_reference = time.perf_counter() - t0
         assert t_batched < t_reference
 
@@ -299,24 +316,21 @@ class TestMaxDoRunBatched:
         run = MaxDoRun(
             tiny_receptor, tiny_ligand, workdir=tmp_path / "batched", **kw
         )
-        assert run.engine == "batched"
         ckpt = run.run(max_positions=1)
         assert not ckpt.complete and ckpt.positions_done == 1
         resumed = MaxDoRun(
             tiny_receptor, tiny_ligand, workdir=tmp_path / "batched", **kw
         )
         assert resumed.run().complete
-        batched_text = resumed.finalize().read_text(encoding="ascii")
+        text = resumed.finalize().read_text(encoding="ascii")
+        data_lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
 
-        ref = MaxDoRun(
-            tiny_receptor,
-            tiny_ligand,
-            workdir=tmp_path / "reference",
-            engine="reference",
-            **kw,
+        # the finalized file is the best-of-gamma rows of the scalar
+        # oracle's energies, formatted row by row
+        oracle = _oracle_dock_couple(
+            tiny_receptor, tiny_ligand, nsep=2, max_iterations=20
         )
-        ref.run()
-        assert batched_text == ref.finalize().read_text(encoding="ascii")
+        assert data_lines == _oracle_lines(oracle) == oracle.to_lines()
 
 
 # --- starting-position regressions -------------------------------------

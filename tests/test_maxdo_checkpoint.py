@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.maxdo.checkpoint import Checkpoint, rollback_partial_results
-from repro.maxdo.resultfile import ResultHeader, format_record, write_results
+from repro.maxdo.resultfile import ResultHeader, write_results
+from tests.oracles.resultfile import format_record
 import numpy as np
 
 

@@ -11,11 +11,10 @@ from repro.maxdo.resultfile import (
     BYTES_PER_LINE,
     ResultHeader,
     expected_line_count,
-    format_record,
     read_results,
-    read_results_reference,
     write_results,
 )
+from tests.oracles.resultfile import format_record, read_results_reference
 
 
 def _header(nsep=3, n_couples=4):

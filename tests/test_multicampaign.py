@@ -24,6 +24,7 @@ from repro.multi import (
     GridConfig,
     MultiGridSimulation,
     WU_ID_STRIDE,
+    three_phase_scenario,
 )
 from repro.obs import RingSink, Tracer
 from repro.units import weeks
@@ -64,7 +65,7 @@ def monolithic_reference():
 
 
 class TestSingleCampaignIdentity:
-    def test_delegation_is_bit_identical(self, monolithic_reference):
+    def test_n1_grid_is_bit_identical(self, monolithic_reference):
         """The N=1 grid hands its fleet to the same ``run_fleet`` as
         ``scaled_phase1``: every campaign-level number is equal."""
         result = MultiGridSimulation(_single_grid()).run()["hcmd"]
@@ -94,10 +95,10 @@ class TestSingleCampaignIdentity:
             == ref.telemetry.total_claimed_credit
         )
 
-    def test_delegation_trace_identical_under_full_tracing(self):
-        """Nothing is delegated any more: the N=1 router trace *is* the
-        monolithic one, plus the ``grid.*`` events and the ``campaign=``
-        stamp — compared modulo exactly those."""
+    def test_n1_trace_identical_under_full_tracing(self):
+        """The N=1 router trace *is* the monolithic one, plus the
+        ``grid.*`` events and the ``campaign=`` stamp — compared modulo
+        exactly those."""
         def run_traced(run):
             ring = RingSink(capacity=2_000_000)
             run(Tracer(sink=ring))
@@ -217,6 +218,24 @@ class TestLifecycle:
             assert e.fields["validated"] == (
                 result[e.fields["campaign"]].server.n_validated
             )
+
+
+class TestThreePhasePrioritization:
+    def test_full_power_doubles_the_control_phase_throughput(self):
+        """Section 5.1's phase-II inflection on a fixed fleet: the weight
+        step 7 % -> 45 % alone at least doubles HCMD's mean daily CPU
+        (control ends week 9, full power spans weeks 13..26)."""
+        grid = three_phase_scenario(
+            scale=25.0, n_proteins=8, n_ligands=4_000, n_hosts_peak=12
+        )
+        hcmd = MultiGridSimulation(grid).run()["hcmd"]
+        daily = hcmd.telemetry.daily_cpu_s
+        control = daily[: 9 * 7].mean()
+        full_power = daily[13 * 7 : 26 * 7].mean()
+        assert control > 0.0
+        assert full_power >= 2.0 * control
+        # the inflection is the scheduler's: the fleet never changes
+        assert hcmd.n_hosts == grid.n_hosts_peak
 
 
 class TestQuota:

@@ -351,7 +351,7 @@ class TestTextConversion:
             assert back.read_bytes() == orig.read_bytes()
 
     def test_render_lines_matches_format_record(self):
-        from repro.maxdo.resultfile import format_record
+        from tests.oracles.resultfile import format_record
 
         rec = synth_records(None)
         lines = render_lines(rec)
@@ -572,6 +572,16 @@ class TestExtraction:
             for isep in np.unique(rec["isep"]):
                 expected = rec["e_tot"][rec["isep"] == isep].min()
                 assert maps[i, j, int(isep) - 1] == expected
+        # an out-of-range row is reported against the segment's own index
+        path = tmp_path / "late.rcs"
+        first = synth_records(None, nsep=2, n_rot=2)
+        second = synth_records(None, nsep=1, n_rot=2, isep_start=3)
+        write_store(path, [
+            ColumnarSegment.from_records(header_for(first, "A", "B"), first),
+            ColumnarSegment.from_records(header_for(second, "A", "B"), second),
+        ])
+        with pytest.raises(ValueError, match=r"in segment\[1\] A-B@3"):
+            position_energy_maps(path, n_positions=2)
 
     def test_cross_docking_matrix_from_store(self, tmp_path):
         from repro.science import CrossDockingMatrix

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.maxdo.resultfile import ResultHeader, format_record, write_results
+from repro.maxdo.resultfile import ResultHeader, write_results
 from repro.validation.checks import ValueRanges, check_batch, check_result_file
 from repro.validation.merge import dataset_volume, merge_couple_results
+from tests.oracles.resultfile import format_record
 
 
 def _write(path, isep_start=1, nsep=2, n_couples=3, bad_energy=None, drop_lines=0):

@@ -19,7 +19,13 @@ from repro.maxdo.resultfile import (
     write_results,
 )
 from repro.rng import stream
-from repro.store import render_lines, segment_from_text, merge_segments
+from repro.cli import main as cli_main
+from repro.store import (
+    merge_segments,
+    render_lines,
+    segment_from_text,
+    text_to_store,
+)
 from repro.validation.merge import merge_couple_results
 
 N_ROT = 4
@@ -42,12 +48,14 @@ def _chunk_records(rng, isep_start, nsep):
     return rec
 
 
-def _write_chunk(path, rec, receptor="P001", ligand="P002"):
+def _write_chunk(
+    path, rec, receptor="P001", ligand="P002", n_couples=N_ROT, n_gamma=N_GAMMA
+):
     header = ResultHeader(
         receptor=receptor, ligand=ligand,
         isep_start=int(rec["isep"].min()),
         nsep=int(rec["isep"].max() - rec["isep"].min() + 1),
-        n_couples=N_ROT, n_gamma=N_GAMMA,
+        n_couples=n_couples, n_gamma=n_gamma,
     )
     write_results(path, header, render_lines(rec))
     return path
@@ -141,6 +149,41 @@ class TestMergeErrorsNameTheChunk:
         msg = str(err.value)
         assert "P001-P099" in msg and "foreign.result" in msg
         assert "chunk_000.result" in msg
+
+    @pytest.mark.parametrize("entry", ["text", "columnar", "cli"])
+    @pytest.mark.parametrize("field", ["n_couples", "n_gamma"])
+    def test_orientation_grid_mismatch_names_the_chunk(
+        self, tmp_path, capsys, entry, field
+    ):
+        """Chunks that tile [1..2] but disagree on n_couples / n_gamma would
+        merge into a file whose header promises the wrong row count."""
+        rng = stream(24, "merge-grid")
+        first = _write_chunk(
+            tmp_path / "first.result", _chunk_records(rng, 1, 1)
+        )
+        odd = _write_chunk(
+            tmp_path / "odd.result", _chunk_records(rng, 2, 1),
+            **{field: 9},
+        )
+        expected = f"9/{N_GAMMA}" if field == "n_couples" else f"{N_ROT}/9"
+        if entry == "cli":
+            store = tmp_path / "chunks.rcs"
+            text_to_store([first, odd], store)
+            out = tmp_path / "merged.rcs"
+            assert cli_main(["results", "merge", str(store), str(out)]) == 2
+            msg = capsys.readouterr().err
+            assert not out.exists()
+        else:
+            with pytest.raises(ValueError) as err:
+                if entry == "text":
+                    merge_couple_results([first, odd], tmp_path / "out.result")
+                else:
+                    merge_segments(
+                        [segment_from_text(first), segment_from_text(odd)]
+                    )
+            msg = str(err.value)
+        assert f"n_couples/n_gamma {expected} in odd.result" in msg
+        assert f"{N_ROT}/{N_GAMMA} in first.result" in msg
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to merge"):
