@@ -22,12 +22,25 @@ come here for
 * **the run itself** — :func:`run_fleet`.
 
 What varies between engines is only the *front*: the object agents talk
-to.  It is the duck type :class:`~repro.boinc.agent.VolunteerAgent`
-already consumes — ``all_done``, ``request_work``, ``on_result``,
-``config.deadline_s`` and an optional ``finalize_campaign`` — served by
-a :class:`~repro.boinc.server.GridServer`, by the wire proxy a
-``server_factory=`` injects, or by a
-:class:`~repro.multi.engine.CampaignRouter`.
+to, built by the one engine body
+(:func:`repro.boinc.simulator.run_campaigns`).  The front protocol is a
+duck type, with no base class:
+
+* what :class:`~repro.boinc.agent.VolunteerAgent` consumes —
+  ``all_done``, ``request_work(host_id)``, ``on_result(instance, valid,
+  accounted_cpu_s, quality=)``, ``config.deadline_s`` and an optional
+  ``finalize_campaign(horizon_s)`` (a wire proxy's final clock advance);
+* what :func:`run_fleet` reads for the observers — ``n_workunits`` and
+  ``config.max_reissues`` (they size the health monitor's reissue
+  budget) and ``completion_time`` (``None`` while anything is open; the
+  observers finalize there, else at the horizon).
+
+It is served by a bare :class:`~repro.boinc.server.GridServer` (a
+campaign alone: no scheduling policy to apply), by the wire proxy a
+``server_factory=`` injects in its place, or by a
+:class:`~repro.multi.engine.CampaignRouter` (a roster: all the
+workunits, the loosest deadline and reissue budget on the grid, the
+last completion).
 """
 
 from __future__ import annotations

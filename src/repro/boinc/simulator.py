@@ -21,6 +21,13 @@ factor, speed-down, useful-result fraction, completion shape) are the
 reproduction targets; the fluid model (:mod:`repro.fluid`) provides the
 full-scale absolute numbers.
 
+One engine body: :func:`run_campaigns` starts a :class:`CampaignRuntime`
+per campaign (the one place telemetry, server and callbacks are wired),
+picks the front, drives :func:`repro.boinc.fleet.run_fleet` and
+assembles a :class:`CampaignResult` each — for a campaign alone or one
+shard (:class:`VolunteerGridSimulation`) and for a roster
+(:class:`repro.multi.MultiGridSimulation`) alike.
+
 Observability: :class:`Telemetry` is built on a
 :class:`repro.obs.MetricsRegistry` (every daily series/counter/histogram
 it keeps is uniformly exportable), and passing ``tracer=`` /
@@ -33,7 +40,7 @@ docs/observability.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -56,12 +63,15 @@ from ..proteins.library import ProteinLibrary
 from ..store.format import result_bytes
 from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from .config import CampaignConfig
-from .fleet import FleetSpec, resolve_server_config, run_fleet
-from .server import GridServer
+from .fleet import FleetRun, FleetSpec, resolve_server_config, run_fleet
+from .server import GridServer, ServerConfig
 
 __all__ = [
     "Telemetry",
     "CampaignResult",
+    "RuntimeSpec",
+    "CampaignRuntime",
+    "run_campaigns",
     "CampaignConfig",
     "VolunteerGridSimulation",
     "scaled_phase1",
@@ -402,6 +412,189 @@ def batch_completion_array(
     return out
 
 
+class _CampaignTracer:
+    """Tracer proxy stamping ``campaign=<name>`` into every event.
+
+    Handed to each campaign's server and telemetry in place of the grid
+    tracer, so the server-channel lifecycle (``server.issue`` /
+    ``result`` / ``validate`` / ``batch_complete`` ...) is attributable
+    per campaign in a merged trace.  Agent-channel events stay
+    host-level (one agent serves many campaigns over its life); the
+    workunit-id namespace maps them back to campaigns.
+    """
+
+    __slots__ = ("_tracer", "_campaign")
+
+    def __init__(self, tracer: Tracer, campaign: str) -> None:
+        self._tracer = tracer
+        self._campaign = campaign
+
+    def emit(self, etype: str, t_sim: float | None = None, **fields) -> None:
+        self._tracer.emit(etype, t_sim=t_sim, campaign=self._campaign, **fields)
+
+
+@dataclass(frozen=True)
+class RuntimeSpec:
+    """What one campaign brings to a DES kernel: everything a
+    :class:`CampaignRuntime` needs except the kernel, the tracer and the
+    fleet's horizon."""
+
+    #: the ``(workunit, batch)`` list in release order
+    workunits: list[tuple[WorkUnit, int]]
+    #: result bytes shipped when each batch completes, by release position
+    batch_bytes: Sequence[int]
+    server_config: ServerConfig
+    #: receptor / batch indices in release order
+    release_order: np.ndarray
+    scale: float = 1.0
+    #: first workunit id (a shard's or a roster campaign's id namespace)
+    id_base: int = 0
+    #: the roster entry (a :class:`repro.multi.Campaign`) the campaign runs
+    #: under on a shared grid — its name stamps every server event; None
+    #: for a campaign alone, whose events carry no stamp
+    campaign: Any = None
+
+
+class CampaignRuntime:
+    """One campaign live on a DES kernel.
+
+    The only place a campaign's :class:`Telemetry`, :class:`GridServer`
+    and the server's two callbacks are wired together, and
+    (:meth:`result`) the only place a live server turns back into a
+    :class:`CampaignResult` — for a campaign alone, a shard, a roster
+    entry behind a :class:`~repro.multi.CampaignRouter` and the campaign
+    a :class:`~repro.service.SchedulerService` serves.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        spec: RuntimeSpec,
+        horizon_s: float,
+        tracer: Tracer | None = None,
+        server_factory: Callable[..., GridServer] | None = None,
+        index: int = 0,
+    ) -> None:
+        self.spec = spec
+        #: position on the roster (the id namespace and the policy tie-break)
+        self.index = index
+        self.campaign = spec.campaign
+        self.name = spec.campaign.name if spec.campaign is not None else None
+        if tracer is not None and self.name is not None:
+            tracer = _CampaignTracer(tracer, self.name)
+        self.telemetry = telemetry = Telemetry(horizon_s, tracer=tracer)
+        batch_bytes = spec.batch_bytes
+        make_server = server_factory if server_factory is not None else GridServer
+        self.server = make_server(
+            sim=sim,
+            workunits=spec.workunits,
+            config=spec.server_config,
+            on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
+            on_batch_complete=lambda batch, t: telemetry.record_shipment(
+                t, batch_bytes[batch]
+            ),
+            tracer=tracer,
+            id_base=spec.id_base,
+        )
+        # -- scheduling state, the router's to change; a campaign alone
+        # -- keeps these values for life
+        #: admitted to scheduling (a roster entry waits for ``submit_week``)
+        self.admitted = True
+        #: drained: no new issues, outstanding results still accepted
+        self.drained = False
+        #: cumulative reference seconds issued — the fair-share measure
+        self.issued_reference_s = 0.0
+        self._complete_emitted = False
+
+    @property
+    def is_candidate(self) -> bool:
+        """Eligible to serve the next work request."""
+        return self.admitted and not self.drained and not self.server.all_done
+
+    @property
+    def settled(self) -> bool:
+        """Nothing left to schedule here (done, or drained for good)."""
+        return self.drained or self.server.all_done
+
+    def result(self, fleet: FleetSpec, n_hosts: int) -> CampaignResult:
+        """What the campaign produced under ``fleet`` (``n_hosts`` joined)."""
+        spec, server = self.spec, self.server
+        return CampaignResult(
+            telemetry=self.telemetry,
+            server=server,
+            completion_time=server.completion_time,
+            horizon_s=fleet.horizon_s,
+            scale=spec.scale,
+            n_hosts=n_hosts,
+            release_order=spec.release_order.copy(),
+            batch_completion_s=batch_completion_array(
+                len(spec.batch_bytes), server.batch_completion
+            ),
+            faults=fleet.faults,
+        )
+
+
+def run_campaigns(
+    fleet: FleetSpec,
+    specs: Sequence[RuntimeSpec],
+    *,
+    router: Callable[..., Any] | None = None,
+    server_factory: Callable[..., GridServer] | None = None,
+    tracer: Tracer | None = None,
+    profiler: Profiler | None = None,
+    health: "bool | HealthMonitor | None" = None,
+    ledger: "bool | HostLedger | None" = None,
+) -> tuple[FleetRun, list[CampaignResult]]:
+    """The engine body: campaigns on one kernel, one fleet, one result each.
+
+    Starts a :class:`CampaignRuntime` per spec on the kernel
+    :func:`~repro.boinc.fleet.run_fleet` creates, picks the front, drives
+    the fleet against it and turns every runtime back into a
+    :class:`CampaignResult`.  Without ``router`` there is no scheduling
+    policy to apply: exactly one spec, fronted by its bare server
+    (``server_factory`` swaps the server class).  With one,
+    ``router(sim, runtimes, tracer=tracer)`` builds the front over the whole
+    roster — :class:`repro.multi.MultiGridSimulation` injects the
+    :class:`~repro.multi.CampaignRouter` constructor, so this package
+    does not import :mod:`repro.multi`.  Observers are forwarded here and
+    nowhere else; the fleet-level reports come back on the
+    :class:`~repro.boinc.fleet.FleetRun`.
+    """
+    timed = (profiler if profiler is not None else Profiler()).timed
+    runtimes: list[CampaignRuntime] = []
+    telemetry_for: Callable[[int], Any]
+
+    def build_front(sim: Simulator, tracer: Tracer | None) -> Any:
+        nonlocal telemetry_for
+        if router is None:
+            (spec,) = specs
+            alone = CampaignRuntime(
+                sim, spec, fleet.horizon_s, tracer, server_factory
+            )
+            runtimes.append(alone)
+            telemetry_for = lambda host_id: alone.telemetry
+            return alone.server
+        with timed("setup.campaigns"):
+            runtimes.extend(
+                CampaignRuntime(sim, spec, fleet.horizon_s, tracer, index=index)
+                for index, spec in enumerate(specs)
+            )
+        front = router(sim, runtimes, tracer=tracer)
+        telemetry_for = front.telemetry_for
+        return front
+
+    run = run_fleet(
+        fleet,
+        build_front,
+        telemetry_for=lambda host_id: telemetry_for(host_id),
+        tracer=tracer,
+        profiler=profiler,
+        health=health,
+        ledger=ledger,
+    )
+    return run, [rt.result(fleet, run.n_hosts) for rt in runtimes]
+
+
 class VolunteerGridSimulation:
     """A configurable volunteer-grid campaign.
 
@@ -413,8 +606,9 @@ class VolunteerGridSimulation:
 
     The fleet is the config's fleet fields resolved once into a
     :class:`~repro.boinc.fleet.FleetSpec` (``sim.fleet``); :meth:`run`
-    builds a bare :class:`GridServer` as the front and hands both to
-    :func:`~repro.boinc.fleet.run_fleet`.
+    hands it and the campaign's one :class:`RuntimeSpec` to
+    :func:`run_campaigns`, with no router: the front is the bare
+    :class:`GridServer`.
     """
 
     def __init__(
@@ -517,24 +711,32 @@ class VolunteerGridSimulation:
         """First workunit id of this (shard of the) campaign."""
         return self.shard.wu_id_base if self.shard is not None else 0
 
-    def batch_result_bytes(self, result_format: str = "text") -> list[int]:
+    def batch_result_bytes(self) -> list[int]:
         """Result bytes shipped per receptor batch, by release position.
 
         Result volume ships when a receptor batch completes ("when one
         protein has been docked with the 168 others", Section 5.2): one
-        line per (position, orientation couple) against every ligand.
-
-        ``result_format`` prices the shipment in either representation:
-        ``"text"`` (the paper's line-oriented files, 118 bytes/line — the
-        default, and what the shipment telemetry models) or ``"columnar"``
-        (the packed store of :mod:`repro.store`: 56 bytes/row plus one
-        segment frame per couple file in the batch).
+        line per (position, orientation couple) against every ligand, at
+        the paper's 118 bytes per line — what the shipment telemetry
+        models (:func:`repro.validation.merge.dataset_volume` prices the
+        packed columnar store).
         """
         n_files = len(self.library)
         return [
-            result_bytes(rows, n_files, result_format)
-            for rows in self.campaign.batch_rows()
+            result_bytes(rows, n_files) for rows in self.campaign.batch_rows()
         ]
+
+    def runtime_spec(self) -> RuntimeSpec:
+        """This (shard of the) campaign as a :class:`CampaignRuntime` can
+        start it; materializes the workunits."""
+        return RuntimeSpec(
+            workunits=self.materialize_workunits(),
+            batch_bytes=self.batch_result_bytes(),
+            server_config=self.server_config,
+            release_order=self.campaign.release_order,
+            scale=self.scale,
+            id_base=self.wu_id_base,
+        )
 
     # -- execution ----------------------------------------------------------
 
@@ -575,51 +777,20 @@ class VolunteerGridSimulation:
                 "stream; run the wire-driven campaign without ledger= "
                 "(the scheduler service keeps its own, see GET /v1/hosts)"
             )
-        telemetry = Telemetry(self.horizon_s, tracer=self.tracer)
         profiler = self.profiler if self.profiler is not None else Profiler()
-        make_server = server_factory if server_factory is not None else GridServer
-
-        def build_front(sim: Simulator, tracer: Tracer | None) -> GridServer:
-            with profiler.timed("setup.workunits"):
-                workunits = self.materialize_workunits()
-            batch_bytes = self.batch_result_bytes()
-            return make_server(
-                sim=sim,
-                workunits=workunits,
-                config=self.server_config,
-                on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
-                on_batch_complete=lambda batch, t: telemetry.record_shipment(
-                    t, batch_bytes[batch]
-                ),
-                tracer=tracer,
-                id_base=self.wu_id_base,
-            )
-
-        run = run_fleet(
+        with profiler.timed("setup.workunits"):
+            spec = self.runtime_spec()
+        run, (result,) = run_campaigns(
             self.fleet,
-            build_front,
-            telemetry_for=lambda host_id: telemetry,
+            [spec],
+            server_factory=server_factory,
             tracer=self.tracer,
             profiler=self.profiler,
             health=self.health,
             ledger=self.ledger,
         )
-        server = run.front
-        return CampaignResult(
-            telemetry=telemetry,
-            server=server,
-            completion_time=server.completion_time,
-            horizon_s=self.horizon_s,
-            scale=self.scale,
-            n_hosts=run.n_hosts,
-            release_order=self.campaign.release_order.copy(),
-            batch_completion_s=batch_completion_array(
-                len(self.library), server.batch_completion
-            ),
-            faults=self.faults,
-            health=run.health,
-            ledger=run.ledger,
-        )
+        result.health, result.ledger = run.health, run.ledger
+        return result
 
 
 def scaled_phase1(

@@ -108,12 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simu.add_argument(
         "--horizon-weeks", type=float, default=40.0,
-        help="grid horizon in simulated weeks (multi-campaign mode)",
+        help="campaign / grid horizon in simulated weeks",
     )
     simu.add_argument(
         "--hosts-peak", type=int, default=None,
-        help="fix the peak host count (multi-campaign mode; "
-             "default: auto-sized from the registered work)",
+        help="fix the peak host count "
+             "(default: auto-sized from the registered work)",
     )
     simu.add_argument(
         "--accounting", default="ud", choices=[m.value for m in AccountingMode]
@@ -468,17 +468,20 @@ def _simulate_epilogue(args: argparse.Namespace, profiler, trace_line: str) -> N
         print(profiler.render())
 
 
+def _print_fleet_reports(result) -> None:
+    """The ``--health`` / ``--ledger`` reports of either ``simulate`` engine."""
+    for report in (result.health, result.ledger):
+        if report is not None:
+            print()
+            print(report.render())
+
+
 def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     """``simulate --campaign SPEC [--campaign SPEC ...]``: a shared grid."""
     from .multi import GridConfig, MultiGridSimulation
     from .multi.spec import CampaignSpecError, parse_campaign_spec
 
-    for flag, used in (
-        ("--shards", args.shards > 1),
-        ("--health", args.health),
-        ("--report", args.report),
-        ("--ledger", args.ledger),
-    ):
+    for flag, used in (("--shards", args.shards > 1), ("--report", args.report)):
         if used:
             print(f"error: {flag} needs the single-campaign engine; "
                   f"drop {flag} or --campaign", file=sys.stderr)
@@ -500,7 +503,8 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
     tracer, profiler = _simulate_prologue(args)
     try:
         result = MultiGridSimulation(
-            grid, tracer=tracer, profiler=profiler
+            grid, tracer=tracer, profiler=profiler,
+            health=args.health, ledger=args.ledger,
         ).run()
     finally:
         if tracer is not None:
@@ -530,6 +534,7 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
           + (f"{grid_weeks / (7 * 86400):.1f} weeks"
              if grid_weeks is not None else "incomplete")
           + f"; validated results: {merged.effective:,}")
+    _print_fleet_reports(result)
     _simulate_epilogue(args, profiler, "trace:")
     return 0
 
@@ -591,6 +596,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scale=args.scale,
         n_proteins=args.proteins,
         seed=args.seed,
+        horizon_weeks=args.horizon_weeks,
+        n_hosts_peak=args.hosts_peak,
         config=config,
         tracer=tracer,
         profiler=profiler,
@@ -630,12 +637,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if faults.enabled:
         print("\nerror budget (fault injection):")
         print(render_table(["quantity", "value"], result.fault_report().rows()))
-    if args.health and result.health is not None:
-        print()
-        print(result.health.render())
-    if args.ledger and result.ledger is not None:
-        print()
-        print(result.ledger.render())
+    _print_fleet_reports(result)
     if args.report:
         from .obs.postmortem import CampaignReport
 

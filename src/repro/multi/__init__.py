@@ -15,10 +15,11 @@ projects) made first-class:
   weighted-lottery capacity division;
 * :mod:`~repro.multi.engine` — :class:`MultiGridSimulation`: per-campaign
   grid servers behind a :class:`CampaignRouter` the agents cannot tell
-  from a single server, fronting the one fleet driver
-  (:func:`repro.boinc.fleet.run_fleet`).  A grid with one registered
+  from a single server, run by the engine body a single campaign runs
+  through (:func:`repro.boinc.simulator.run_campaigns`), ``health=`` /
+  ``ledger=`` included.  A grid with one registered
   cross-docking campaign is simply N=1 on the router and reproduces
-  ``scaled_phase1`` exactly — at a 13–17 % wall-time cost for the
+  ``scaled_phase1`` exactly — at a 13–18 % wall-time cost for the
   routing, so the fastest single campaign is ``scaled_phase1`` itself;
 * :mod:`~repro.multi.scenario` — canonical setups, notably the paper's
   three-phase prioritization (:func:`three_phase_scenario`);

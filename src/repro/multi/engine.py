@@ -13,17 +13,22 @@ campaign.  The volunteer agent code does not know the router exists.
 Identity contract
 -----------------
 
-The fleet is :func:`repro.boinc.fleet.run_fleet` — the same recruit →
-observe → drive path the single-campaign engine uses — with the router
-as its front, and the router adds no randomness (all substreams are the
-fleet's; policies only reorder deterministic candidate lists).  A grid
-with one cross-docking campaign is therefore simply N=1: it reproduces
-``scaled_phase1``'s statistics, completion time, fleet and telemetry
-exactly, and its trace event for event once the ``grid.*`` events and
-the ``campaign=`` stamp are dropped (the test suite pins both).  The
-router costs 13–17 % of wall time on that path; the fastest single
-campaign is ``scaled_phase1``, which fronts the fleet with a bare
-``GridServer``.
+The grid runs through the engine body every campaign runs through
+(:func:`repro.boinc.simulator.run_campaigns`): this module hands it one
+:class:`~repro.boinc.simulator.RuntimeSpec` per roster entry and the
+router constructor; the body starts a
+:class:`~repro.boinc.simulator.CampaignRuntime` for each, drives the one
+fleet (:func:`repro.boinc.fleet.run_fleet`), forwards ``health=`` /
+``ledger=`` and assembles each :class:`CampaignResult`.  The router adds
+no randomness (all substreams are the fleet's; policies only reorder
+deterministic candidate lists).  A grid with one cross-docking campaign
+is therefore simply N=1: it reproduces ``scaled_phase1``'s statistics,
+completion time, fleet, telemetry and SLO / fleet reports exactly, and
+its trace event for event once the ``grid.*`` events and the
+``campaign=`` stamp are dropped (the test suite pins all of it).  The
+router costs 13–18 % of wall time on that path (≈ 7–11 µs per validated
+workunit), which is why a campaign alone keeps a bare ``GridServer`` as
+its front.
 
 Workunit id namespaces
 ----------------------
@@ -37,19 +42,28 @@ integer division, and merged traces never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..boinc.fleet import FleetSpec, resolve_server_config, run_fleet
-from ..boinc.server import GridServer, Instance
-from ..boinc.simulator import CampaignResult, Telemetry, batch_completion_array
+from ..boinc.fleet import FleetSpec, resolve_server_config
+from ..boinc.server import Instance
+from ..boinc.simulator import (
+    CampaignResult,
+    CampaignRuntime,
+    RuntimeSpec,
+    Telemetry,
+    run_campaigns,
+)
 from ..boinc.sharding import merge_stats, merge_telemetry
 from ..boinc.validator import ValidationStats
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
-from ..obs import Profiler, Tracer
+from ..obs import HealthMonitor, HostLedger, Profiler, Tracer
+from ..obs.health import SLOReport
+from ..obs.ledger import FleetReport
 from ..units import SECONDS_PER_WEEK, weeks
-from .campaign import Campaign, GridConfig
+from .campaign import GridConfig
 from .policies import SchedulingPolicy, make_policy
 from .workloads import WorkloadBuild
 
@@ -65,27 +79,6 @@ __all__ = [
 #: workunits from ``k * WU_ID_STRIDE`` (far above any realistic campaign
 #: size), so the owning campaign of a result is ``wu_id // WU_ID_STRIDE``.
 WU_ID_STRIDE = 2**40
-
-
-class _CampaignTracer:
-    """Tracer proxy stamping ``campaign=<name>`` into every event.
-
-    Handed to each campaign's server and telemetry in place of the grid
-    tracer, so the server-channel lifecycle (``server.issue`` /
-    ``result`` / ``validate`` / ``batch_complete`` ...) is attributable
-    per campaign in a merged trace.  Agent-channel events stay
-    host-level (one agent serves many campaigns over its life); the
-    workunit-id namespace maps them back to campaigns.
-    """
-
-    __slots__ = ("_tracer", "_campaign")
-
-    def __init__(self, tracer: Tracer, campaign: str) -> None:
-        self._tracer = tracer
-        self._campaign = campaign
-
-    def emit(self, etype: str, t_sim: float | None = None, **fields) -> None:
-        self._tracer.emit(etype, t_sim=t_sim, campaign=self._campaign, **fields)
 
 
 class _AgentTelemetry:
@@ -120,45 +113,13 @@ class _AgentTelemetry:
 
 @dataclass(frozen=True)
 class _RouterConfig:
-    """The slice of ``ServerConfig`` agents read through the router."""
+    """The slice of ``ServerConfig`` read through the router: the loosest
+    value on the grid of each field."""
 
+    #: agents consult it only for the post-abandon revisit delay
     deadline_s: float
-
-
-class CampaignRuntime:
-    """One campaign's live state on the grid."""
-
-    def __init__(
-        self,
-        index: int,
-        campaign: Campaign,
-        build: WorkloadBuild,
-        server: GridServer,
-        telemetry: Telemetry,
-    ) -> None:
-        self.index = index
-        self.campaign = campaign
-        self.build = build
-        self.server = server
-        self.telemetry = telemetry
-        self.name = campaign.name
-        #: admitted to scheduling (False until ``submit_week``)
-        self.admitted = campaign.submit_week == 0.0
-        #: drained: no new issues, outstanding results still accepted
-        self.drained = False
-        #: cumulative reference seconds issued — the fair-share measure
-        self.issued_reference_s = 0.0
-        self._complete_emitted = False
-
-    @property
-    def is_candidate(self) -> bool:
-        """Eligible to serve the next work request."""
-        return self.admitted and not self.drained and not self.server.all_done
-
-    @property
-    def settled(self) -> bool:
-        """Nothing left to schedule here (done, or drained for good)."""
-        return self.drained or self.server.all_done
+    #: sizes the health monitor's reissue budget (None = unbounded)
+    max_reissues: int | None
 
 
 class CampaignRouter:
@@ -168,6 +129,8 @@ class CampaignRouter:
     work request walks the policy's preference ordering (quota-capped
     campaigns demoted behind everyone under quota) until a campaign hands
     out an instance.  Results route back by workunit-id namespace.
+    Constructing it arms the roster's lifecycle on ``sim``: a timer per
+    mid-run admission (``submit_week``) and drain (``drain_week``).
     """
 
     def __init__(
@@ -183,12 +146,14 @@ class CampaignRouter:
         self.policy = policy
         self.grid_telemetry = grid_telemetry
         self.tracer = tracer
-        #: the agent-visible config: the loosest deadline on the grid
-        #: (only consulted for the post-abandon revisit delay)
+        budgets = [rt.server.config.max_reissues for rt in runtimes]
         self.config = _RouterConfig(
-            deadline_s=max(rt.server.config.deadline_s for rt in runtimes)
+            deadline_s=max(rt.server.config.deadline_s for rt in runtimes),
+            max_reissues=None if None in budgets else max(budgets),
         )
         self._views: dict[int, _AgentTelemetry] = {}
+        for rt in runtimes:
+            rt.admitted = rt.campaign.submit_week == 0.0
         self._pending_admissions = sum(
             1 for rt in runtimes if not rt.admitted
         )
@@ -197,6 +162,14 @@ class CampaignRouter:
                 tracer.emit(
                     "grid.admit", t_sim=0.0, campaign=rt.name,
                     n_workunits=rt.server.n_workunits,
+                )
+        for rt in runtimes:
+            if not rt.admitted:
+                sim.schedule_at(weeks(rt.campaign.submit_week), self.admit, rt)
+            if rt.campaign.drain_week is not None:
+                sim.schedule_at(
+                    min(weeks(rt.campaign.drain_week), grid_telemetry.horizon_s),
+                    self.drain, rt,
                 )
 
     # -- fleet wiring ------------------------------------------------------
@@ -227,6 +200,18 @@ class CampaignRouter:
                 validated=runtime.server.n_validated,
                 n_workunits=runtime.server.n_workunits,
             )
+
+    # -- what run_fleet reads from a front ---------------------------------
+
+    @property
+    def n_workunits(self) -> int:
+        return sum(rt.server.n_workunits for rt in self.runtimes)
+
+    @property
+    def completion_time(self) -> float | None:
+        """When the *last* campaign closed (None while any is open)."""
+        times = [rt.server.completion_time for rt in self.runtimes]
+        return None if None in times else max(times)
 
     # -- the GridServer surface agents consume -----------------------------
 
@@ -352,6 +337,12 @@ class GridResult:
     n_hosts: int
     #: grid-level telemetry (pre-first-fetch agent events)
     grid_telemetry: Telemetry
+    #: the fleet's final SLO report when a health monitor rode the grid
+    #: (``health=True``), else None
+    health: SLOReport | None = None
+    #: the fleet's final per-host report, with a per-campaign breakdown,
+    #: when a host ledger rode the grid (``ledger=True``), else None
+    ledger: FleetReport | None = None
 
     def __getitem__(self, name: str) -> CampaignResult:
         return self.campaigns[name]
@@ -393,7 +384,12 @@ class GridResult:
 
 
 class MultiGridSimulation:
-    """Run a :class:`GridConfig`: N campaigns on one volunteer fleet."""
+    """Run a :class:`GridConfig`: N campaigns on one volunteer fleet.
+
+    ``tracer=`` / ``profiler=`` / ``health=`` / ``ledger=`` mean what they
+    mean on :func:`~repro.boinc.simulator.scaled_phase1` — the same engine
+    body forwards them to the same fleet driver.
+    """
 
     def __init__(
         self,
@@ -401,10 +397,14 @@ class MultiGridSimulation:
         *,
         tracer: Tracer | None = None,
         profiler: Profiler | None = None,
+        health: "bool | HealthMonitor | None" = None,
+        ledger: "bool | HostLedger | None" = None,
     ) -> None:
         self.config = config
         self.tracer = tracer
         self.profiler = profiler
+        self.health = health
+        self.ledger = ledger
         #: builds are pure functions of (workload, seed, id base): the
         #: same grid config always materializes identical workunits, the
         #: root of the deterministic mid-run-admission replay guarantee
@@ -421,98 +421,51 @@ class MultiGridSimulation:
 
     # -- execution ---------------------------------------------------------
 
-    def _runtime(
-        self, sim: Simulator, tracer: Tracer | None, index: int
-    ) -> CampaignRuntime:
-        """Campaign ``index``'s server and telemetry on ``sim``."""
-        campaign = self.config.campaigns[index]
-        build = self.builds[index]
-        campaign_tracer = (
-            _CampaignTracer(tracer, campaign.name) if tracer is not None else None
-        )
-        telemetry = Telemetry(self.horizon_s, tracer=campaign_tracer)
-        batch_bytes = build.batch_bytes
-        server = GridServer(
-            sim=sim,
+    def _runtime_spec(self, index: int) -> RuntimeSpec:
+        """Campaign ``index`` as a :class:`CampaignRuntime` can start it."""
+        campaign, build = self.config.campaigns[index], self.builds[index]
+        return RuntimeSpec(
             workunits=build.workunits,
-            config=resolve_server_config(
+            batch_bytes=build.batch_bytes,
+            server_config=resolve_server_config(
                 campaign.server, self.config.faults, self.config.seed,
                 self.horizon_s,
             ),
-            on_workunit_valid=lambda wu, t: telemetry.record_validation(t),
-            on_batch_complete=lambda batch, t: telemetry.record_shipment(
-                t, batch_bytes[batch]
+            release_order=(
+                build.release_order
+                if build.release_order is not None
+                else np.arange(build.n_batches)
             ),
-            tracer=campaign_tracer,
+            scale=getattr(campaign.workload, "scale", 1.0),
             id_base=index * WU_ID_STRIDE,
+            campaign=campaign,
         )
-        return CampaignRuntime(index, campaign, build, server, telemetry)
 
     def run(self) -> GridResult:
         """Run the grid to completion of every campaign (or the horizon)."""
         grid_telemetry = Telemetry(self.horizon_s, tracer=self.tracer)
-        profiler = self.profiler if self.profiler is not None else Profiler()
-        router: CampaignRouter | None = None
-
-        def build_front(sim: Simulator, tracer: Tracer | None) -> CampaignRouter:
-            nonlocal router
-            with profiler.timed("setup.campaigns"):
-                runtimes = [
-                    self._runtime(sim, tracer, index)
-                    for index in range(len(self.config.campaigns))
-                ]
-            router = CampaignRouter(
-                sim,
-                runtimes,
-                make_policy(self.config.policy, self.config.seed),
-                grid_telemetry,
-                tracer=tracer,
-            )
-            for rt in runtimes:
-                if not rt.admitted:
-                    sim.schedule_at(
-                        weeks(rt.campaign.submit_week), router.admit, rt
-                    )
-                if rt.campaign.drain_week is not None:
-                    sim.schedule_at(
-                        min(weeks(rt.campaign.drain_week), self.horizon_s),
-                        router.drain, rt,
-                    )
-            return router
-
-        fleet_run = run_fleet(
+        fleet_run, results = run_campaigns(
             self.fleet,
-            build_front,
-            telemetry_for=lambda host_id: router.telemetry_for(host_id),
+            [self._runtime_spec(i) for i in range(len(self.config.campaigns))],
+            router=partial(
+                CampaignRouter,
+                policy=make_policy(self.config.policy, self.config.seed),
+                grid_telemetry=grid_telemetry,
+            ),
             tracer=self.tracer,
             profiler=self.profiler,
+            health=self.health,
+            ledger=self.ledger,
         )
-
-        campaigns: dict[str, CampaignResult] = {}
-        for rt in router.runtimes:
-            build = rt.build
-            release_order = (
-                build.release_order
-                if build.release_order is not None
-                else np.arange(build.n_batches)
-            )
-            campaigns[rt.name] = CampaignResult(
-                telemetry=rt.telemetry,
-                server=rt.server,
-                completion_time=rt.server.completion_time,
-                horizon_s=self.horizon_s,
-                scale=getattr(rt.campaign.workload, "scale", 1.0),
-                n_hosts=fleet_run.n_hosts,
-                release_order=release_order.copy(),
-                batch_completion_s=batch_completion_array(
-                    build.n_batches, rt.server.batch_completion
-                ),
-                faults=self.config.faults,
-            )
         return GridResult(
             config=self.config,
-            campaigns=campaigns,
+            campaigns={
+                c.name: result
+                for c, result in zip(self.config.campaigns, results)
+            },
             horizon_s=self.horizon_s,
             n_hosts=fleet_run.n_hosts,
             grid_telemetry=grid_telemetry,
+            health=fleet_run.health,
+            ledger=fleet_run.ledger,
         )

@@ -57,8 +57,6 @@ class WorkloadBuild:
     workunits: list[tuple[WorkUnit, int]]
     #: result bytes shipped when each batch completes (text format)
     batch_bytes: list[int]
-    #: result bytes per batch in the packed columnar format
-    batch_bytes_columnar: list[int]
     #: total reference CPU seconds across all workunits
     total_reference_s: float
     #: receptor/batch indices in release order (length = number of batches)
@@ -129,13 +127,9 @@ class CrossDockingWorkload:
         plan = WorkUnitPlan(cost_model, packaging)
         campaign = CampaignPlan(library, cost_model, policy=self.release_policy)
         n = len(library)
-        batch_rows = campaign.batch_rows()
         return WorkloadBuild(
             workunits=campaign.materialize(plan, wu_id_base=wu_id_base),
-            batch_bytes=[result_bytes(rows, n) for rows in batch_rows],
-            batch_bytes_columnar=[
-                result_bytes(rows, n, "columnar") for rows in batch_rows
-            ],
+            batch_bytes=[result_bytes(rows, n) for rows in campaign.batch_rows()],
             # CampaignPlan's vectorized total, not a per-workunit sum: the
             # grid's fleet auto-sizing must agree bit for bit with the
             # monolithic engine, which sizes from CampaignPlan.total_work.
@@ -209,9 +203,6 @@ class ScreeningWorkload:
         return WorkloadBuild(
             workunits=workunits,
             batch_bytes=[result_bytes(rows, 1) for rows in batch_rows],
-            batch_bytes_columnar=[
-                result_bytes(rows, 1, "columnar") for rows in batch_rows
-            ],
             total_reference_s=float(costs.sum()),
             release_order=np.arange(n_batches),
         )

@@ -5,6 +5,10 @@ from ~100k volunteer hosts; here the same :class:`~repro.boinc.server.
 GridServer` that the DES drives in-process answers ``request-work`` /
 ``report-result`` / ``heartbeat`` over real sockets.
 
+The served campaign is one :class:`~repro.boinc.simulator.CampaignRuntime`
+— the same telemetry / server / callback wiring an in-process run gets —
+started on the service's own DES kernel behind the ledger tee.
+
 Design (see docs/service.md for the wire reference):
 
 * **Single-writer loop.**  All server mutations go through one bounded
@@ -44,8 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..boinc.fleet import kernel_tracer, tee_observers
-from ..boinc.server import GridServer
-from ..boinc.simulator import Telemetry
+from ..boinc.simulator import CampaignRuntime
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
 from ..obs import HostLedger, MetricsRegistry, Tracer
@@ -152,7 +155,6 @@ class SchedulerService:
         self.tracer = tracer
         self.sim = Simulator(tracer=kernel_tracer(tracer))
         self.horizon_s = sim_model.horizon_s
-        self.telemetry = Telemetry(sim_model.horizon_s, tracer=tracer)
         # Per-host behavioral ledger behind GET /v1/hosts, fed by the same
         # tee on the server's event stream an in-process run uses.  With a
         # caller-supplied tracer the tee rides its sink (a channel filter
@@ -165,24 +167,15 @@ class SchedulerService:
             tracer, ledger=self.ledger
         )
         try:
-            workunits = sim_model.materialize_workunits()
-            batch_bytes = sim_model.batch_result_bytes()
-            self.server = GridServer(
-                sim=self.sim,
-                workunits=workunits,
-                config=sim_model.server_config,
-                on_workunit_valid=lambda wu, t: self.telemetry.record_validation(t),
-                on_batch_complete=lambda batch, t: self.telemetry.record_shipment(
-                    t, batch_bytes[batch]
-                ),
-                tracer=server_tracer,
-                id_base=sim_model.wu_id_base,
+            runtime = CampaignRuntime(
+                self.sim, sim_model.runtime_spec(), self.horizon_s, server_tracer
             )
         except BaseException:
             # No shutdown() will ever run for a service that failed to
             # build: give the caller's tracer its sink back now.
             self._restore_tracer_sink()
             raise
+        self.telemetry, self.server = runtime.telemetry, runtime.server
         #: the served campaign's name; scopes every assignment on the
         #: wire (multi-campaign grids run one service per campaign)
         self.campaign_name = campaign

@@ -113,7 +113,7 @@ def test_scaled_phase1_signature():
 def test_multi_grid_simulation_signature():
     sig = inspect.signature(repro.MultiGridSimulation)
     assert list(sig.parameters) == [
-        "config", "tracer", "profiler",
+        "config", "tracer", "profiler", "health", "ledger",
     ]
 
 

@@ -7,6 +7,30 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: ``simulate`` engine (as docs/observability.md labels it) -> the flags
+#: that select it
+ENGINES = {
+    "single campaign": [],
+    "`--shards 2`": ["--shards", "2", "--shard-workers", "1"],
+    "one `--campaign`": ["--campaign", "scale=900,proteins=5"],
+    "two `--campaign`": [
+        "--campaign", "scale=900,proteins=5",
+        "--campaign", "kind=screening,ligands=40,mean-hours=1,batch=20",
+    ],
+}
+OBSERVERS = ("--health", "--ledger", "--profile", "--trace PATH", "--report")
+#: The observer x engine cells ``simulate`` refuses with a one-line error
+#: and exit 2; every other cell runs.  docs/observability.md prints this
+#: table and tests/test_docs_consistency.py holds the two together.
+REFUSED = {
+    ("`--shards 2`", "--health"),
+    ("`--shards 2`", "--profile"),
+    ("`--shards 2`", "--report"),  # runs once --trace PATH is added
+    ("one `--campaign`", "--report"),
+    ("two `--campaign`", "--report"),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -116,6 +140,56 @@ class TestCommands:
         assert "wall-time profile" in out
         for section in ("setup.campaigns", "setup.hosts", "des.run"):
             assert section in out
+
+    def test_simulate_campaigns_with_health_and_ledger(self, capsys):
+        assert main([
+            "simulate",
+            "--campaign", "name=hcmd,scale=900,proteins=5",
+            "--campaign", "name=malaria,kind=screening,ligands=60,batch=20",
+            "--hosts-peak", "10", "--health", "--ledger",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "SLO report:" in out
+        assert "fleet:" in out and "per-campaign:" in out
+        assert "malaria" in out.split("per-campaign:")[1]
+
+    def test_simulate_horizon_and_hosts_reach_the_single_campaign(self, capsys):
+        """``--horizon-weeks`` / ``--hosts-peak`` are not roster-only."""
+        def table(*flags):
+            assert main(
+                ["simulate", "--scale", "900", "--proteins", "5", *flags]
+            ) == 0
+            rows = (
+                line.split("|") for line in capsys.readouterr().out.splitlines()
+            )
+            return {r[0].strip(): r[1].strip() for r in rows if len(r) == 3}
+
+        default = table()
+        assert default["completion (weeks)"] != "incomplete"
+        assert table("--horizon-weeks", "3")["completion (weeks)"] == "incomplete"
+        assert table("--hosts-peak", "40")["hosts"] != default["hosts"]
+
+    @pytest.mark.parametrize("observer", OBSERVERS)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_simulate_observer_matrix(self, engine, observer, tmp_path, capsys):
+        """Every observer on every ``simulate`` engine: runs, or is refused
+        with exit 2 and an error naming the flag to drop."""
+        flags = (
+            ["--trace", str(tmp_path / "t.jsonl")]
+            if observer == "--trace PATH"
+            else [observer]
+        )
+        status = main([
+            "simulate", "--scale", "900", "--proteins", "5",
+            *ENGINES[engine], *flags,
+        ])
+        err = capsys.readouterr().err
+        if (engine, observer) in REFUSED:
+            assert status == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert observer in err
+        else:
+            assert status == 0 and err == ""
 
     def test_simulate_campaign_spec_error_is_friendly(self, capsys):
         assert main(["simulate", "--campaign", "bogus=1"]) == 2

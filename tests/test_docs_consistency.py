@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.obs import CHANNELS, EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
 from repro.service import ENDPOINTS, WIRE_PROTOCOL_VERSION
 from repro.service.app import ROUTES
+from tests.test_cli import ENGINES, OBSERVERS, REFUSED
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -186,3 +187,27 @@ def test_every_benchmark_file_the_docs_name_exists():
             if not path.exists():
                 dangling.append(f"{doc.relative_to(REPO)}: {name}")
     assert not dangling, f"docs name benchmark files that do not exist: {dangling}"
+
+
+def test_observer_engine_table_matches_the_cli_matrix():
+    """The "which observer on which engine" table is the table
+    ``tests/test_cli.py`` drives ``simulate`` against: same engines, same
+    observers, and a cell is ``refused`` in the doc exactly when the CLI
+    exits 2 on it."""
+    text = OBS_DOC.read_text(encoding="utf-8")
+    section = text.split("## Which observer on which engine")[1].split("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|---")
+    ]
+    header, body = rows[0], rows[1:]
+    assert tuple(cell.strip("`") for cell in header[1:]) == OBSERVERS
+    assert [row[0] for row in body] == list(ENGINES)
+    cells = {
+        (row[0], observer): verdict
+        for row in body
+        for observer, verdict in zip(OBSERVERS, row[1:], strict=True)
+    }
+    assert set(cells.values()) <= {"yes", "refused"}
+    assert {cell for cell, verdict in cells.items() if verdict == "refused"} == REFUSED

@@ -91,7 +91,7 @@ class TestTracerRestoredOnFailure:
         ring = RingSink()
         tracer = Tracer(sink=ring)
         monkeypatch.setattr(
-            "repro.service.app.GridServer", self._raising_factory
+            "repro.boinc.simulator.GridServer", self._raising_factory
         )
         with pytest.raises(RuntimeError, match="construction failed"):
             SchedulerService(_small(), tracer=tracer)
@@ -191,6 +191,33 @@ class TestOneDefinitionEach:
             r"|HealthSink|LedgerSink|_LEGACY_ALIASES"
         )
         assert _modules_matching(retired) == []
+
+    def test_one_engine_body_drives_the_fleet(self):
+        assert _modules_matching(r"(?<!def )\brun_fleet\(") == [
+            "boinc/simulator.py"
+        ]
+
+    def test_server_callbacks_are_wired_in_one_module(self):
+        assert _modules_matching(r"\bon_workunit_valid=") == [
+            "boinc/simulator.py"
+        ]
+        assert _modules_matching(r"\bon_batch_complete=") == [
+            "boinc/simulator.py"
+        ]
+
+    def test_campaign_results_are_built_live_once_and_merged_once(self):
+        assert _modules_matching(r"\bCampaignResult\(") == [
+            "boinc/sharding.py", "boinc/simulator.py"
+        ]
+
+    def test_one_campaign_runtime(self):
+        assert _modules_matching(r"(?m)^class CampaignRuntime\b") == [
+            "boinc/simulator.py"
+        ]
+        assert re.search(
+            r"(?s)from \.\.boinc\.simulator import \([^)]*\bCampaignRuntime\b",
+            _sources()["multi/engine.py"],
+        )
 
     def test_front_stays_a_duck_type(self):
         """The bare GridServer is a front as it is: no base class."""

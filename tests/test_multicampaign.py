@@ -26,7 +26,7 @@ from repro.multi import (
     WU_ID_STRIDE,
     three_phase_scenario,
 )
-from repro.obs import RingSink, Tracer
+from repro.obs import HealthMonitor, RingSink, Tracer
 from repro.units import weeks
 
 SCALE, N_PROTEINS, SEED = 900.0, 5, 42
@@ -261,3 +261,105 @@ class TestQuota:
         # issue granularity), and the grid stays work-conserving.
         assert shares["capped"] <= 0.35
         assert shares["capped"] + shares["open"] == pytest.approx(1.0)
+
+
+class TestObserversOnARoster:
+    """``health=`` / ``ledger=`` reach the roster through the engine body
+    the single campaign uses, so they mean the same thing on both."""
+
+    @pytest.fixture(scope="class")
+    def observed_sim(self):
+        return MultiGridSimulation(
+            _two_campaign_grid(), health=True, ledger=True
+        )
+
+    @pytest.fixture(scope="class")
+    def observed(self, observed_sim):
+        return observed_sim.run()
+
+    def test_observed_grid_is_bit_identical(self, observed):
+        bare = MultiGridSimulation(_two_campaign_grid()).run()
+        assert bare.health is None and bare.ledger is None
+        assert observed.n_hosts == bare.n_hosts
+        for name, ref in bare.campaigns.items():
+            result = observed[name]
+            assert result.server.stats == ref.server.stats
+            assert result.completion_time == ref.completion_time
+            for series in ("daily_cpu_s", "daily_results", "daily_useful"):
+                np.testing.assert_array_equal(
+                    getattr(result.telemetry, series),
+                    getattr(ref.telemetry, series),
+                )
+
+    def test_n1_reports_equal_the_single_campaigns(self):
+        """The observers fold neither ``grid.*`` events nor (the ledger's
+        ``by_campaign`` block aside) the ``campaign=`` stamp, and the N=1
+        router answers the front protocol with its one campaign's values:
+        the reports are equal field for field."""
+        grid = MultiGridSimulation(
+            _single_grid(), health=True, ledger=True
+        ).run()
+        ref = scaled_phase1(
+            scale=SCALE, n_proteins=N_PROTEINS, seed=SEED,
+            health=True, ledger=True,
+        ).run()
+        assert grid.health.as_dict() == ref.health.as_dict()
+        fleet, ref_fleet = grid.ledger.as_dict(), ref.ledger.as_dict()
+        assert ref_fleet.pop("by_campaign") == {}
+        assert list(fleet.pop("by_campaign")) == ["hcmd"]
+        assert fleet == ref_fleet
+
+    def test_second_run_reports_the_same(self, observed_sim, observed):
+        """Fresh observers per run, as on the single campaign."""
+        again = observed_sim.run()
+        assert again.health.as_dict() == observed.health.as_dict()
+        assert again.ledger.as_dict() == observed.ledger.as_dict()
+
+    def test_ledger_reconciles_with_each_campaigns_stats(self, observed):
+        by_campaign = observed.ledger.by_campaign
+        assert set(by_campaign) == set(observed.campaigns)
+        for name, result in observed.campaigns.items():
+            stats = result.server.stats
+            assert by_campaign[name] == {
+                "results": stats.disclosed,
+                "validated": stats.effective,
+                "invalid": stats.invalid,
+                "late": stats.late,
+            }
+        merged = observed.merged_stats()
+        assert observed.ledger.totals["results"] == merged.disclosed
+        assert observed.ledger.totals["validated"] == merged.effective
+
+    def test_router_answers_the_front_protocol(self):
+        """What ``run_fleet`` reads from a front besides the agent surface
+        (see ``repro.boinc.fleet``): the loosest reissue budget, all the
+        workunits, the last completion."""
+        from repro.boinc.server import ServerConfig
+
+        tight, loose = ServerConfig(max_reissues=3), ServerConfig(max_reissues=9)
+        config = GridConfig(
+            campaigns=(
+                Campaign.screening(
+                    "a", n_ligands=30, mean_hours=1.0, batch_size=10,
+                    server=tight,
+                ),
+                Campaign.screening(
+                    "b", n_ligands=20, mean_hours=1.0, batch_size=10,
+                    server=loose,
+                ),
+            ),
+            seed=3,
+            horizon_weeks=20.0,
+            n_hosts_peak=8,
+        )
+        seen = {}
+
+        class Probe(HealthMonitor):
+            def configure_campaign(self, n_workunits, max_reissues):
+                seen.update(n_workunits=n_workunits, max_reissues=max_reissues)
+                super().configure_campaign(n_workunits, max_reissues)
+
+        result = MultiGridSimulation(config, health=Probe()).run()
+        assert seen == {"n_workunits": 50, "max_reissues": 9}
+        assert result.completion_time is not None
+        assert result.health.t_end == result.completion_time
