@@ -3,7 +3,7 @@
 The paper runs *one* volunteer fleet under a share schedule and lets the
 server side vary.  This module is that fleet, once, for every engine:
 the single-campaign :class:`~repro.boinc.simulator.VolunteerGridSimulation`,
-each shard of :func:`~repro.boinc.sharding.run_sharded`, the
+each slice :func:`~repro.boinc.sharding.run_sharded` runs, the
 multi-campaign :class:`~repro.multi.MultiGridSimulation` and (for the
 observer wiring) the live :class:`~repro.service.SchedulerService` all
 come here for
@@ -68,7 +68,6 @@ from .validator import ValidationPolicy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..multi.campaign import GridConfig
     from .config import CampaignConfig
-    from .sharding import ShardSpec
 
 __all__ = [
     "FleetSpec",
@@ -109,14 +108,11 @@ class FleetSpec:
         cls,
         config: "CampaignConfig | GridConfig",
         total_reference_s: float,
-        shard: "ShardSpec | None" = None,
     ) -> "FleetSpec":
         """The fleet ``config`` describes, ``None`` fields defaulted.
 
         ``total_reference_s`` (all the work the fleet will be offered)
-        sizes the peak fleet when the config leaves it open.  A ``shard``
-        brings its own prorated fleet, host-id block and arrival
-        substream (the shard planner already sized it).
+        sizes the peak fleet when the config leaves it open.
         """
         horizon_s = weeks(config.horizon_weeks)
         spec = cls(
@@ -145,13 +141,6 @@ class FleetSpec:
             faults=config.faults,
             n_hosts_peak=0,
         )
-        if shard is not None:
-            return replace(
-                spec,
-                n_hosts_peak=shard.n_hosts_peak,
-                host_id_base=shard.host_id_base,
-                arrival_stream=shard.index,
-            )
         peak = config.n_hosts_peak
         if peak is None:
             peak = spec.auto_host_count(total_reference_s)

@@ -50,7 +50,8 @@ class ServerConfig:
     validation: ValidationPolicy = field(
         default_factory=lambda: ValidationPolicy(switch_time=days(7 * 12))
     )
-    #: BOINC-style adaptive replication (None = phase-I fixed policy)
+    #: BOINC-style adaptive replication (None = phase-I fixed policy); only
+    #: its two numbers are read — the streaks are ``GridServer.adaptive``'s
     adaptive: AdaptiveReplication | None = None
     #: reissues allowed per workunit before it is terminally failed
     #: (None = unbounded, the phase-I behaviour)
@@ -131,6 +132,13 @@ class GridServer:
         self.sim = sim
         self.config = config if config is not None else ServerConfig()
         self.stats = ValidationStats()
+        policy = self.config.adaptive
+        #: this run's trust table, built from the policy's two numbers:
+        #: streaks are run state, so a config reused across runs, shards
+        #: or campaigns starts clean (None = fixed replication)
+        self.adaptive = policy and AdaptiveReplication(
+            policy.trust_after, policy.spot_check_rate
+        )
         self.tracer = tracer
         self._on_workunit_valid = on_workunit_valid
         self._on_batch_complete = on_batch_complete
@@ -256,7 +264,7 @@ class GridServer:
             # Initial replication: queue the extra copies for the next
             # requesters, advance past this workunit.
             replication = self.config.validation.replication_at(self.sim.now)
-            adaptive = self.config.adaptive
+            adaptive = self.adaptive
             if replication > 1 and adaptive is not None:
                 if not adaptive.needs_partner(host_id):
                     replication = 1
@@ -364,7 +372,7 @@ class GridServer:
                 copy=instance.copy,
             )
 
-        adaptive = self.config.adaptive
+        adaptive = self.adaptive
         if state.done:
             self.stats.late += 1
             return

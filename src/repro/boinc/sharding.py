@@ -4,25 +4,31 @@ A monolithic campaign is one :class:`~repro.boinc.server.GridServer`
 plus one DES loop in a single Python process — the one thing the kernel
 fast path cannot speed up further.  This module partitions a campaign
 into ``K`` *shards* along the release order (contiguous receptor-batch
-ranges, balanced by workunit count), runs each shard as an independent
-mini-campaign — its own server, DES kernel and volunteer fleet — on a
-``ProcessPoolExecutor`` worker, and merges the shard outputs losslessly
-into one :class:`~repro.boinc.simulator.CampaignResult`.  The WISDOM
-large-scale screening deployments scaled exactly this way: partition the
-input database into independently executed chunks, collate afterward.
+ranges, balanced by workunit count) and runs the engine body
+(:func:`~repro.boinc.simulator.run_campaigns` — the one a campaign alone
+and a roster run through) once per slice: its own server, DES kernel and
+volunteer fleet, on a ``ProcessPoolExecutor`` worker.  The K
+:class:`~repro.boinc.simulator.CampaignResult` s fold losslessly into one
+(:func:`~repro.boinc.simulator.fold_results`).  The WISDOM large-scale
+screening deployments scaled exactly this way: partition the input
+database into independently executed chunks, collate afterward.
 
 Determinism contract
 --------------------
 
-* Every shard is fully determined by ``(library, cost_model, config,
-  ShardSpec)``: the spec's three fleet fields flow into the shard's
-  :class:`~repro.boinc.fleet.FleetSpec`, so shard ``k`` draws its host
+* Every shard is fully determined by the parent's resolved fleet,
+  packaging plan, release order and server policy plus its
+  ``ShardSpec``: the spec's three fleet fields replace the parent
+  :class:`~repro.boinc.fleet.FleetSpec`'s, so shard ``k`` draws its host
   arrivals from arrival substream ``k`` and numbers its hosts from a
   disjoint id block — host/agent/fault substreams never collide or
-  correlate across shards.
+  correlate across shards.  Nothing a run mutates is shared: each shard's
+  server builds its own adaptive-replication trust table, so shards that
+  share a process cannot see each other's streaks.
 * The merge folds shards in shard-index order regardless of which
   worker finishes first, so the merged result is **bit-identical for
-  every worker count** (and for the in-process ``n_workers=1`` path).
+  every worker count** (and for the in-process ``n_workers=1`` path),
+  adaptive replication included.
 * A single shard (``ShardPlan(n_shards=1)``) never reaches this module:
   :meth:`VolunteerGridSimulation.run` short-circuits to the monolithic
   path, which stays bit-identical to a config with no shard plan at all.
@@ -44,10 +50,13 @@ Merge semantics
   tell a sharded trace from a monolithic one (zero orphans).
 * ``completion_time`` is the max over shards once **all** shards
   completed, else ``None`` (the campaign-global definition).
+* Host ledgers union (disjoint host-id blocks) and profiler section
+  tables add, both in shard order: a sharded profile reads per-section
+  totals summed over the shard processes.
 
-What does *not* cross shards: the streaming health monitor and the
-profiler (both are in-process observers); asking for them with
-``n_shards > 1`` raises instead of silently dropping data.
+What does *not* cross shards: the streaming health monitor (its SLO
+windows have no merge); asking for it with ``n_shards > 1`` raises
+instead of silently dropping data.
 """
 
 from __future__ import annotations
@@ -56,12 +65,14 @@ import heapq
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from ..obs.ledger import HostLedger
+from ..obs.profile import Profiler
 from ..obs.tracer import JsonlSink, Tracer
 from .validator import ValidationStats
 
@@ -101,9 +112,13 @@ class ShardPlan:
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
+            raise ValueError(
+                f"n_shards (--shards) must be >= 1, got {self.n_shards}"
+            )
         if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
+            raise ValueError(
+                f"n_workers (--shard-workers) must be >= 1, got {self.n_workers}"
+            )
 
 
 @dataclass(frozen=True)
@@ -122,15 +137,12 @@ class ShardSpec:
 
 @dataclass
 class ShardOutput:
-    """What one shard sends back to the merge (must pickle)."""
+    """What one shard sends back to the fold (must pickle)."""
 
-    spec: ShardSpec
-    telemetry: "Telemetry"  #: tracer stripped before crossing the process
-    stats: ValidationStats
-    completion_time: float | None
-    batch_completion: dict[int, float]  #: global batch index -> t_sim
-    n_workunits: int
-    n_hosts: int
+    #: the body's result for the slice — tracer stripped and the live
+    #: server replaced by its :class:`MergedServerView` record, neither of
+    #: which can cross a process
+    result: "CampaignResult"
     wall_s: float  #: the shard's own wall-clock execution time
     trace_path: str | None = None
     trace_counts: dict[str, int] | None = None
@@ -139,6 +151,8 @@ class ShardOutput:
     #: merge is a pure union in shard order)
     ledger_records: dict | None = None
     ledger_campaigns: dict | None = None
+    #: the shard's own profiler when the campaign ran with ``profiler=``
+    profiler: Profiler | None = None
 
 
 def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec]:
@@ -161,7 +175,8 @@ def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec
     n = len(sim.library)
     if not 1 <= n_shards <= n:
         raise ValueError(
-            f"n_shards must be in [1, {n} receptor batches], got {n_shards}"
+            f"n_shards (--shards) must be in [1, {n} receptor batches], "
+            f"got {n_shards}"
         )
     release_order = sim.campaign.release_order
     # Workunits per couple (counts minus merge-tail folds), summed over
@@ -214,17 +229,18 @@ def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec
 # -- shard execution ---------------------------------------------------------
 
 def _execute_shard(
-    library,
-    cost_model,
-    config,
-    spec: ShardSpec,
-    trace_dir: str | None,
-    trace_channels: frozenset | None,
-    ledger: bool = False,
+    fleet, plan, campaign, batch_bytes, server_config, scale,
+    trace_dir, trace_channels, ledger: bool, profile: bool, spec: ShardSpec,
 ) -> ShardOutput:
-    """Run one shard to completion and package its picklable output."""
-    from ..obs.ledger import HostLedger
-    from .simulator import VolunteerGridSimulation
+    """Run the engine body on one shard's slice and package its output.
+
+    Everything but ``spec`` is the parent's, already resolved: the shard
+    swaps its three fleet fields into ``fleet`` and materializes only its
+    own release-order range — workunit ids and batch indices stay
+    campaign-global, so merged traces, spans and batch telemetry are
+    collision-free.
+    """
+    from .simulator import RuntimeSpec, run_campaigns
 
     tracer = None
     trace_path = None
@@ -232,61 +248,74 @@ def _execute_shard(
         trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.jsonl")
         tracer = Tracer.to_jsonl(trace_path, channels=trace_channels)
     shard_ledger = HostLedger() if ledger else None
+    profiler = Profiler() if profile else None
     t0 = perf_counter()
-    sim = VolunteerGridSimulation(
-        library, cost_model, config, tracer=tracer, shard=spec,
+    with (profiler or Profiler()).timed("setup.workunits"):
+        runtime = RuntimeSpec(
+            workunits=campaign.materialize(
+                plan, spec.batch_lo, spec.batch_hi, spec.wu_id_base
+            ),
+            batch_bytes=batch_bytes,
+            server_config=server_config,
+            release_order=campaign.release_order,
+            scale=scale,
+            id_base=spec.wu_id_base,
+        )
+    _, (result,) = run_campaigns(
+        replace(
+            fleet,
+            n_hosts_peak=spec.n_hosts_peak,
+            host_id_base=spec.host_id_base,
+            arrival_stream=spec.index,
+        ),
+        [runtime],
+        tracer=tracer,
+        profiler=profiler,
         ledger=shard_ledger,
     )
-    result = sim.run()
     wall_s = perf_counter() - t0
     trace_counts = None
     if tracer is not None:
         tracer.close()
         trace_counts = dict(tracer.counts)
     result.telemetry.tracer = None  # the sink handle must not cross processes
+    server = result.server
+    result.server = MergedServerView(
+        stats=server.stats,
+        n_workunits=server.n_workunits,
+        completion_time=server.completion_time,
+        batch_completion=server.batch_completion,
+        config=server.config,
+    )
     return ShardOutput(
-        spec=spec,
-        telemetry=result.telemetry,
-        stats=result.server.stats,
-        completion_time=result.completion_time,
-        batch_completion=dict(result.server.batch_completion),
-        n_workunits=result.server.n_workunits,
-        n_hosts=result.n_hosts,
+        result=result,
         wall_s=wall_s,
         trace_path=trace_path,
         trace_counts=trace_counts,
         ledger_records=shard_ledger.records if ledger else None,
         ledger_campaigns=shard_ledger.by_campaign if ledger else None,
+        profiler=profiler,
     )
 
 
-#: worker-process state installed by :func:`_init_worker`.  Under the
-#: POSIX ``fork`` start method the initargs are inherited by memory, so
-#: the (potentially large) library/cost-model matrices are never pickled;
-#: per-task payloads are just the small :class:`ShardSpec`.
+#: worker-process state installed by :func:`_init_worker`: the parent's
+#: share of :func:`_execute_shard`'s arguments.  Under the POSIX ``fork``
+#: start method the initargs are inherited by memory, so the (potentially
+#: large) plan/cost matrices are never pickled; per-task payloads are just
+#: the small :class:`ShardSpec`.
 _WORKER_STATE: tuple | None = None
 
 
-def _init_worker(
-    library, cost_model, config, trace_dir, trace_channels, ledger=False
-) -> None:
+def _init_worker(*parent_args) -> None:
     global _WORKER_STATE
-    _WORKER_STATE = (
-        library, cost_model, config, trace_dir, trace_channels, ledger
-    )
+    _WORKER_STATE = parent_args
 
 
 def _run_shard_task(spec: ShardSpec) -> ShardOutput:
     """Module-level pool worker (must pickle), mirroring the docking
     engine's ``dock_couple(n_workers=N)`` fan-out pattern."""
     assert _WORKER_STATE is not None, "pool worker not initialized"
-    library, cost_model, config, trace_dir, trace_channels, ledger = (
-        _WORKER_STATE
-    )
-    return _execute_shard(
-        library, cost_model, config, spec, trace_dir, trace_channels,
-        ledger=ledger,
-    )
+    return _execute_shard(*_WORKER_STATE, spec)
 
 
 # -- merge -------------------------------------------------------------------
@@ -317,12 +346,9 @@ class MergedServerView:
 
 
 def merge_stats(dst: ValidationStats, src: ValidationStats) -> None:
-    """Field-wise sum (the counters are all additive across shards).
-
-    Public: the multi-campaign grid (:mod:`repro.multi`) folds
-    per-campaign stats into grid-global numbers with the same merge the
-    shard collator uses, so both aggregation paths stay one code path.
-    """
+    """Field-wise sum (the counters are all additive across shards and
+    across a roster's campaigns); called by
+    :func:`repro.boinc.simulator.fold_results` and nowhere else."""
     for f in fields(ValidationStats):
         if f.name == "_by_regime":
             for regime, count in src._by_regime.items():
@@ -396,8 +422,8 @@ def _merge_traces(outputs: list[ShardOutput], target_path: str) -> None:
     """Interleave the shard JSONL traces by global ``(t_sim, shard,
     line)`` into ``target_path``, then remove the shard files."""
     streams = [
-        _iter_trace_lines(out.trace_path, out.spec.index)
-        for out in outputs
+        _iter_trace_lines(out.trace_path, index)
+        for index, out in enumerate(outputs)
         if out.trace_path is not None
     ]
     with open(target_path, "w", encoding="ascii") as fh:
@@ -431,16 +457,15 @@ def _resolve_trace_target(sim: "VolunteerGridSimulation") -> tuple:
 
 
 def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
-    """Execute ``sim`` as ``config.shards`` prescribes and merge.
+    """Execute ``sim`` as ``config.shards`` prescribes and fold.
 
     Called by :meth:`VolunteerGridSimulation.run` when the config carries
-    a :class:`ShardPlan` with ``n_shards > 1``.  Returns a merged
+    a :class:`ShardPlan` with ``n_shards > 1``.  Returns a folded
     :class:`CampaignResult` indistinguishable (metrics, fault report,
     exports, trace) from one server having run the whole campaign;
     per-shard wall times are kept on ``result.shard_walls``.
     """
-    from ..obs.ledger import HostLedger
-    from .simulator import CampaignResult, Telemetry, batch_completion_array
+    from .simulator import fold_results
 
     plan = sim.config.shards
     if sim.health is not None:
@@ -451,39 +476,27 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             "monolithically with n_shards=1 (drop --shards), or use the "
             "shard-mergeable host ledger (ledger=) instead"
         )
-    if sim.profiler is not None:
-        raise ValueError(
-            "unsupported artifact for a sharded campaign: the profiler "
-            "(--profile / profiler=) cannot aggregate wall times across "
-            "shard processes; run monolithically with n_shards=1 "
-            "(drop --shards) to profile"
-        )
     tracer, target_path, trace_channels = _resolve_trace_target(sim)
     trace_dir = (
         (os.path.dirname(target_path) or ".") if target_path is not None else None
     )
 
     specs = plan_shards(sim, plan.n_shards)
-    shard_config = sim.config.with_(shards=None)
+    # What every shard takes from the parent, resolved once here.
+    parent_args = (
+        sim.fleet, sim.plan, sim.campaign, sim.batch_result_bytes(),
+        sim.server_config, sim.scale, trace_dir, trace_channels,
+        sim.ledger is not None, sim.profiler is not None,
+    )
     n_workers = min(plan.n_workers, plan.n_shards)
 
     if n_workers <= 1:
-        outputs = [
-            _execute_shard(
-                sim.library, sim.cost_model, shard_config, spec,
-                trace_dir, trace_channels,
-                ledger=sim.ledger is not None,
-            )
-            for spec in specs
-        ]
+        outputs = [_execute_shard(*parent_args, spec) for spec in specs]
     else:
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(
-                sim.library, sim.cost_model, shard_config,
-                trace_dir, trace_channels, sim.ledger is not None,
-            ),
+            initargs=parent_args,
         ) as pool:
             # submit order == shard order: the list() below is the
             # deterministic ordered merge, whatever order workers finish.
@@ -502,52 +515,21 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
                 n_lines += sum(out.trace_counts.values())
         tracer.sink.n_written = n_lines
 
-    telemetry = Telemetry(sim.horizon_s)
-    stats = ValidationStats()
-    batch_completion: dict[int, float] = {}
-    for out in outputs:
-        merge_telemetry(telemetry, out.telemetry)
-        merge_stats(stats, out.stats)
-        batch_completion.update(out.batch_completion)
-
-    completed = [out.completion_time for out in outputs]
-    completion_time = (
-        max(completed) if all(t is not None for t in completed) else None
-    )
-
-    server = MergedServerView(
-        stats=stats,
-        n_workunits=sum(out.n_workunits for out in outputs),
-        completion_time=completion_time,
-        batch_completion=batch_completion,
-        config=sim.server_config,
-    )
-    fleet = None
-    # ledger=True merges into a fresh ledger per run (as run_fleet does)
-    ledger = HostLedger() if sim.ledger is True else sim.ledger
-    if ledger is not None:
-        # Shard host-id blocks are disjoint (HOST_ID_STRIDE), so the
-        # merged ledger is a pure union absorbed in shard order.
-        for out in outputs:
-            if out.ledger_records is not None:
-                ledger.absorb(out.ledger_records, out.ledger_campaigns)
-        fleet = ledger.finalize(
-            completion_time if completion_time is not None else sim.horizon_s
-        )
-    result = CampaignResult(
-        telemetry=telemetry,
-        server=server,
-        completion_time=completion_time,
-        horizon_s=sim.horizon_s,
-        scale=sim.scale,
-        n_hosts=sum(out.n_hosts for out in outputs),
-        release_order=sim.campaign.release_order.copy(),
-        batch_completion_s=batch_completion_array(
-            len(sim.library), batch_completion
-        ),
-        faults=sim.faults,
-        health=None,
-        ledger=fleet,
+    result = fold_results(
+        [out.result for out in outputs],
+        n_hosts=sum(out.result.n_hosts for out in outputs),
     )
     result.shard_walls = [out.wall_s for out in outputs]
+    # ledger=True merges into a fresh ledger per run (as run_fleet does)
+    ledger = HostLedger() if sim.ledger is True else sim.ledger
+    for out in outputs:
+        # Shard host-id blocks are disjoint (HOST_ID_STRIDE), so the
+        # merged ledger is a pure union absorbed in shard order; section
+        # tables add in the same order.
+        if ledger is not None:
+            ledger.absorb(out.ledger_records, out.ledger_campaigns)
+        if sim.profiler is not None:
+            sim.profiler.add(out.profiler)
+    if ledger is not None:
+        result.ledger = ledger.finalize(result.span_s)
     return result

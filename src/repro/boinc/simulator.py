@@ -24,9 +24,11 @@ full-scale absolute numbers.
 One engine body: :func:`run_campaigns` starts a :class:`CampaignRuntime`
 per campaign (the one place telemetry, server and callbacks are wired),
 picks the front, drives :func:`repro.boinc.fleet.run_fleet` and
-assembles a :class:`CampaignResult` each — for a campaign alone or one
-shard (:class:`VolunteerGridSimulation`) and for a roster
-(:class:`repro.multi.MultiGridSimulation`) alike.
+assembles a :class:`CampaignResult` each — for a campaign alone
+(:class:`VolunteerGridSimulation`), one release-order slice of it
+(:func:`repro.boinc.sharding.run_sharded`) and a roster
+(:class:`repro.multi.MultiGridSimulation`) alike; where results meet
+again they meet in :func:`fold_results`.
 
 Observability: :class:`Telemetry` is built on a
 :class:`repro.obs.MetricsRegistry` (every daily series/counter/histogram
@@ -40,12 +42,9 @@ docs/observability.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .sharding import ShardSpec
 
 from .. import constants
 from ..faults import FaultPlan, FaultReport
@@ -65,10 +64,13 @@ from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK
 from .config import CampaignConfig
 from .fleet import FleetRun, FleetSpec, resolve_server_config, run_fleet
 from .server import GridServer, ServerConfig
+from .sharding import MergedServerView, merge_stats, merge_telemetry, run_sharded
+from .validator import ValidationStats
 
 __all__ = [
     "Telemetry",
     "CampaignResult",
+    "fold_results",
     "RuntimeSpec",
     "CampaignRuntime",
     "run_campaigns",
@@ -241,7 +243,9 @@ class CampaignResult:
     """Everything a finished (or horizon-capped) campaign produced."""
 
     telemetry: Telemetry
-    server: GridServer
+    #: the live server, or the plain record of one (a shard's result that
+    #: crossed a process, a folded result)
+    server: GridServer | MergedServerView
     completion_time: float | None
     horizon_s: float
     scale: float
@@ -410,6 +414,58 @@ def batch_completion_array(
     for batch, t in batch_completion.items():
         out[batch] = t
     return out
+
+
+def fold_results(
+    results: Sequence[CampaignResult],
+    n_hosts: int,
+    extra_telemetry: Sequence[Telemetry] = (),
+) -> CampaignResult:
+    """Fold results that ran to one horizon into one.
+
+    The one place results meet — the shards of a campaign
+    (:func:`repro.boinc.sharding.run_sharded`) and the campaigns of a
+    roster (:class:`repro.multi.GridResult`'s merged views): telemetry
+    sums day-aligned (``extra_telemetry`` first — a grid's own),
+    :class:`ValidationStats` field-wise, and ``completion_time`` is the
+    last part's once **every** part completed, else ``None``.  What the
+    parts share (horizon, scale, release order, fault plan, server
+    policy) is read off the first; ``n_hosts`` is the caller's to state:
+    shards recruit disjoint fleets, a roster shares one.  Batch
+    completions union by release position — the campaign's table for
+    shards, which slice one release order; a roster's campaigns each
+    count from 0, so :class:`~repro.multi.GridResult` exposes no batch
+    view of its fold.
+    """
+    first = results[0]
+    telemetry = Telemetry(first.horizon_s)
+    for part in (*extra_telemetry, *(r.telemetry for r in results)):
+        merge_telemetry(telemetry, part)
+    stats = ValidationStats()
+    batch_completion: dict[int, float] = {}
+    for result in results:
+        merge_stats(stats, result.server.stats)
+        batch_completion.update(result.server.batch_completion)
+    times = [r.completion_time for r in results]
+    completion_time = None if None in times else max(times)
+    return replace(
+        first,
+        telemetry=telemetry,
+        server=MergedServerView(
+            stats=stats,
+            n_workunits=sum(r.server.n_workunits for r in results),
+            completion_time=completion_time,
+            batch_completion=batch_completion,
+            config=first.server.config,
+        ),
+        completion_time=completion_time,
+        n_hosts=n_hosts,
+        batch_completion_s=batch_completion_array(
+            max(len(r.batch_completion_s) for r in results), batch_completion
+        ),
+        health=None,
+        ledger=None,
+    )
 
 
 class _CampaignTracer:
@@ -621,7 +677,6 @@ class VolunteerGridSimulation:
         profiler: Profiler | None = None,
         health: "bool | HealthMonitor | None" = None,
         ledger: "bool | HostLedger | None" = None,
-        shard: "ShardSpec | None" = None,
     ) -> None:
         if config is None:
             config = CampaignConfig()
@@ -639,19 +694,6 @@ class VolunteerGridSimulation:
         #: streaming per-host behavioral ledger riding the trace stream
         #: (opt-in; ``True`` = a fresh ledger per :meth:`run`)
         self.ledger = ledger or None
-        #: when set, this simulation runs one shard of a larger campaign:
-        #: a contiguous release-order slice with campaign-global workunit
-        #: and host numbering (see :mod:`repro.boinc.sharding`)
-        self.shard = shard
-        if (
-            shard is not None
-            and config.shards is not None
-            and config.shards.n_shards > 1
-        ):
-            raise ValueError(
-                "a shard simulation must carry a config without a "
-                "multi-shard plan (run_sharded strips it)"
-            )
         self.packaging = (
             config.packaging
             if config.packaging is not None
@@ -661,7 +703,7 @@ class VolunteerGridSimulation:
         self.plan = WorkUnitPlan(cost_model, self.packaging)
         self.campaign = CampaignPlan(library, cost_model, policy=config.release_policy)
         #: who volunteers, when, and how they are accounted
-        self.fleet = FleetSpec.resolve(config, self.campaign.total_work, shard)
+        self.fleet = FleetSpec.resolve(config, self.campaign.total_work)
         self.server_config = resolve_server_config(
             config.server, config.faults, config.seed, self.fleet.horizon_s
         )
@@ -692,24 +734,12 @@ class VolunteerGridSimulation:
     def materialize_workunits(self) -> list[tuple[WorkUnit, int]]:
         """The campaign's ``(workunit, batch)`` list in release order.
 
-        A shard materializes only its own release-order slice; workunit ids
-        and batch indices stay campaign-global so merged traces, spans and
-        batch telemetry are collision-free.  The list is deterministic for a
-        given library/cost-model/config, which is what lets a wire-driven
-        load generator rebuild the exact same workunits independently of
-        the scheduler service (see :mod:`repro.service`).
+        The list is deterministic for a given library/cost-model/config,
+        which is what lets a wire-driven load generator rebuild the exact
+        same workunits independently of the scheduler service (see
+        :mod:`repro.service`).
         """
-        shard = self.shard
-        if shard is None:
-            return self.campaign.materialize(self.plan)
-        return self.campaign.materialize(
-            self.plan, shard.batch_lo, shard.batch_hi, shard.wu_id_base
-        )
-
-    @property
-    def wu_id_base(self) -> int:
-        """First workunit id of this (shard of the) campaign."""
-        return self.shard.wu_id_base if self.shard is not None else 0
+        return self.campaign.materialize(self.plan)
 
     def batch_result_bytes(self) -> list[int]:
         """Result bytes shipped per receptor batch, by release position.
@@ -727,15 +757,14 @@ class VolunteerGridSimulation:
         ]
 
     def runtime_spec(self) -> RuntimeSpec:
-        """This (shard of the) campaign as a :class:`CampaignRuntime` can
-        start it; materializes the workunits."""
+        """This campaign as a :class:`CampaignRuntime` can start it;
+        materializes the workunits."""
         return RuntimeSpec(
             workunits=self.materialize_workunits(),
             batch_bytes=self.batch_result_bytes(),
             server_config=self.server_config,
             release_order=self.campaign.release_order,
             scale=self.scale,
-            id_base=self.wu_id_base,
         )
 
     # -- execution ----------------------------------------------------------
@@ -745,9 +774,9 @@ class VolunteerGridSimulation:
 
         With a :class:`~repro.boinc.sharding.ShardPlan` of more than one
         shard in the config, execution is delegated to
-        :func:`repro.boinc.sharding.run_sharded` (K independent shard
-        simulations, merged losslessly); a plan of one shard — or none —
-        runs the monolithic path below, bit-identical either way.
+        :func:`repro.boinc.sharding.run_sharded` (the body below run on
+        K release-order slices, folded losslessly); a plan of one shard —
+        or none — runs the monolithic path below, bit-identical either way.
 
         ``server_factory`` swaps the in-process :class:`GridServer` for a
         stand-in with the same agent-facing surface — the wire-driven
@@ -763,8 +792,6 @@ class VolunteerGridSimulation:
                     "server_factory is incompatible with a multi-shard plan; "
                     "run the load generator against a single-shard campaign"
                 )
-            from .sharding import run_sharded
-
             return run_sharded(self)
         if server_factory is not None and self.health is not None:
             raise ValueError(

@@ -444,27 +444,30 @@ def _fault_plan(args: argparse.Namespace):
     return FaultPlan.from_spec(args.faults)
 
 
-def _simulate_prologue(args: argparse.Namespace, channels=None):
+def _simulate_prologue(args: argparse.Namespace, channels=None, path=None):
     """What both ``simulate`` engines build from ``--trace`` / ``--profile``:
-    ``(tracer, profiler)``.  Opening the trace truncates the file, so call
-    this once the run's configuration has been accepted."""
+    ``(tracer, profiler)``.  ``path`` defaults to ``--trace``.  Opening the
+    trace truncates the file, so call this once the run's configuration
+    has been accepted."""
     from .obs import Profiler, Tracer
 
+    if path is None:
+        path = args.trace
     tracer = (
-        Tracer.to_jsonl(args.trace, channels=channels)
-        if args.trace is not None
-        else None
+        Tracer.to_jsonl(path, channels=channels) if path is not None else None
     )
     return tracer, Profiler() if args.profile else None
 
 
-def _simulate_epilogue(args: argparse.Namespace, profiler, trace_line: str) -> None:
+def _simulate_epilogue(
+    args: argparse.Namespace, profiler, trace_line: str, summed_over: str = ""
+) -> None:
     """The trace / profile trailer both ``simulate`` engines end with."""
     if args.trace is not None:
         print(f"{trace_line} -> {args.trace} "
               f"(summarize with `repro-hcmd trace {args.trace}`)")
     if profiler is not None:
-        print("\nwall-time profile (heaviest sections first):")
+        print(f"\nwall-time profile{summed_over} (heaviest sections first):")
         print(profiler.render())
 
 
@@ -476,30 +479,24 @@ def _print_fleet_reports(result) -> None:
             print(report.render())
 
 
-def _cmd_simulate_multi(args: argparse.Namespace) -> int:
+def _simulate_multi(args: argparse.Namespace) -> int:
     """``simulate --campaign SPEC [--campaign SPEC ...]``: a shared grid."""
     from .multi import GridConfig, MultiGridSimulation
-    from .multi.spec import CampaignSpecError, parse_campaign_spec
+    from .multi.spec import parse_campaign_spec
 
-    for flag, used in (("--shards", args.shards > 1), ("--report", args.report)):
+    for flag, used in (("--shards", args.shards != 1), ("--report", args.report)):
         if used:
-            print(f"error: {flag} needs the single-campaign engine; "
-                  f"drop {flag} or --campaign", file=sys.stderr)
-            return 2
-    faults = _fault_plan(args)
-    try:
-        grid = GridConfig(
-            campaigns=tuple(parse_campaign_spec(s) for s in args.campaign),
-            policy=args.policy,
-            seed=args.seed,
-            horizon_weeks=args.horizon_weeks,
-            n_hosts_peak=args.hosts_peak,
-            faults=faults,
-            accounting=AccountingMode(args.accounting),
-        )
-    except (CampaignSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"{flag} needs the single-campaign engine; "
+                             f"drop {flag} or --campaign")
+    grid = GridConfig(
+        campaigns=tuple(parse_campaign_spec(s) for s in args.campaign),
+        policy=args.policy,
+        seed=args.seed,
+        horizon_weeks=args.horizon_weeks,
+        n_hosts_peak=args.hosts_peak,
+        faults=_fault_plan(args),
+        accounting=AccountingMode(args.accounting),
+    )
     tracer, profiler = _simulate_prologue(args)
     try:
         result = MultiGridSimulation(
@@ -540,57 +537,30 @@ def _cmd_simulate_multi(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """Either ``simulate`` engine; whatever the library refuses (a bad
+    spec, an observer an engine cannot carry) is printed, not re-checked."""
+    try:
+        return (_simulate_multi if args.campaign else _simulate_single)(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _simulate_single(args: argparse.Namespace) -> int:
+    import tempfile
+
     from .boinc.config import CampaignConfig
+    from .boinc.sharding import ShardPlan, plan_shards
     from .boinc.simulator import scaled_phase1
 
-    if args.campaign:
-        return _cmd_simulate_multi(args)
-    sharded = args.shards > 1
-    if sharded:
-        if args.health:
-            print("error: --health needs the monolithic DES loop; "
-                  "drop --shards or --health", file=sys.stderr)
-            return 2
-        if args.profile:
-            print("error: --profile cannot aggregate across shard "
-                  "processes; drop --shards or --profile", file=sys.stderr)
-            return 2
-        if args.report and args.trace is None:
-            print("error: a sharded --report needs an on-disk trace; "
-                  "add --trace PATH", file=sys.stderr)
-            return 2
-
-    channels = (
-        [c.strip() for c in args.trace_channels.split(",") if c.strip()]
-        if args.trace_channels is not None
-        else None
-    )
     faults = _fault_plan(args)
-    tracer, profiler = _simulate_prologue(args, channels)
-    ring = None
-    if tracer is None and args.report:
-        # The post-mortem reconstructs workunit lifecycles from the event
-        # stream; without --trace, buffer the lifecycle channels in memory.
-        from .obs import RingSink, Tracer
-
-        ring = RingSink(capacity=4_000_000)
-        tracer = Tracer(
-            sink=ring, channels=("server", "agent", "fault", "health")
-        )
-    shards = None
-    if sharded:
-        from .boinc.sharding import ShardPlan
-
-        n_workers = (
+    shards = ShardPlan(
+        n_shards=args.shards,
+        n_workers=(
             args.shard_workers
             if args.shard_workers is not None
             else min(args.shards, os.cpu_count() or 1)
-        )
-        shards = ShardPlan(n_shards=args.shards, n_workers=n_workers)
-    config = CampaignConfig(
-        accounting=AccountingMode(args.accounting),
-        faults=faults,
-        shards=shards,
+        ),
     )
     sim = scaled_phase1(
         scale=args.scale,
@@ -598,17 +568,46 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         horizon_weeks=args.horizon_weeks,
         n_hosts_peak=args.hosts_peak,
-        config=config,
-        tracer=tracer,
-        profiler=profiler,
+        config=CampaignConfig(
+            accounting=AccountingMode(args.accounting),
+            faults=faults,
+            shards=shards,
+        ),
         health=args.health,
         ledger=args.ledger,
     )
-    try:
-        result = sim.run()
-    finally:
-        if tracer is not None and ring is None:
-            tracer.close()
+    sharded = shards.n_shards > 1
+    if sharded:
+        # More shards than receptor batches is refused here, by the
+        # planner, while an existing --trace file is still untouched.
+        plan_shards(sim, shards.n_shards)
+    trace_path = args.trace
+    channels = (
+        [c.strip() for c in args.trace_channels.split(",") if c.strip()]
+        if args.trace_channels is not None
+        else None
+    )
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.report and trace_path is None:
+            # The post-mortem reconstructs workunit lifecycles from a
+            # recorded event stream; without --trace, record the lifecycle
+            # channels to a file that goes away with the report.
+            trace_path = os.path.join(scratch, "report.jsonl")
+            channels = ("server", "agent", "fault", "health")
+        tracer, profiler = _simulate_prologue(args, channels, trace_path)
+        sim.tracer, sim.profiler = tracer, profiler
+        try:
+            result = sim.run()
+        finally:
+            if tracer is not None:
+                tracer.close()
+        report = None
+        if args.report:
+            from .obs.postmortem import CampaignReport
+
+            report = CampaignReport.from_trace(trace_path)
+            if args.trace is None:
+                report.source = "live run"
     from .validation.merge import dataset_volume
 
     volume = dataset_volume(sim.library)
@@ -630,7 +629,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ["result dataset (columnar)", format_bytes(volume.columnar_bytes), "-"],
         ["text / columnar ratio", f"{volume.columnar_ratio:.2f}x", "-"],
     ]))
-    if sharded and result.shard_walls is not None:
+    if result.shard_walls is not None:
         walls = ", ".join(f"{w:.2f}s" for w in result.shard_walls)
         print(f"\nshards: {args.shards} x {shards.n_workers} worker(s); "
               f"per-shard wall [{walls}]")
@@ -638,26 +637,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print("\nerror budget (fault injection):")
         print(render_table(["quantity", "value"], result.fault_report().rows()))
     _print_fleet_reports(result)
-    if args.report:
-        from .obs.postmortem import CampaignReport
-
-        fault_rows = result.fault_report().rows() if faults.enabled else None
-        if ring is not None:
-            report = CampaignReport.from_events(
-                ring.events, health=result.health,
-                fault_rows=fault_rows, source="live run",
-            )
-        else:
-            tracer.close()
-            report = CampaignReport.from_trace(args.trace)
-            report.health = result.health
-            report.fault_rows = fault_rows
+    if report is not None:
+        report.health = result.health
+        report.fault_rows = result.fault_report().rows() if faults.enabled else None
         report.volume = volume
         print()
         print(report.render())
     _simulate_epilogue(
         args, profiler,
         f"\ntrace: {tracer.n_events:,} events" if tracer is not None else "",
+        f", summed over {args.shards} shard processes" if sharded else "",
     )
     return 0
 
@@ -1010,7 +999,9 @@ def _service_campaign(args: argparse.Namespace):
     wire proxy verifies this against the service's discovery endpoint.
     Returns ``(simulation, campaign_name)``; a ``--campaign SPEC``
     overrides the ``--scale``/``--proteins`` shorthand (one cross-docking
-    campaign — the wire protocol is single-campaign).
+    campaign — the wire protocol is single-campaign, so the keys that
+    schedule a campaign against others are refused, not dropped).  Raises
+    ``ValueError`` for whatever the spec or ``--faults`` gets wrong.
     """
     from .boinc.config import CampaignConfig
     from .boinc.simulator import scaled_phase1
@@ -1030,7 +1021,7 @@ def _service_campaign(args: argparse.Namespace):
                 "pass --campaign once (run several campaigns on one grid "
                 "with `simulate --campaign ... --campaign ...`)"
             )
-        campaign = parse_campaign_spec(args.campaign[0])
+        campaign = parse_campaign_spec(args.campaign[0], roster=False)
         if not isinstance(campaign.workload, CrossDockingWorkload):
             raise CampaignSpecError(
                 "serve/loadgen front a cross-docking GridServer; use "
@@ -1058,29 +1049,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .multi.spec import CampaignSpecError
     from .obs import Tracer
     from .service import SchedulerService, ServiceConfig
 
-    tracer = Tracer.to_jsonl(args.trace) if args.trace is not None else None
     try:
         sim_model, campaign_name = _service_campaign(args)
-    except CampaignSpecError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    service = SchedulerService(
-        sim_model,
-        config=ServiceConfig(
-            host=args.host,
-            port=args.port,
-            max_pending=args.max_pending,
-            time_scale=args.time_scale,
-        ),
-        tracer=tracer,
-        campaign=campaign_name,
-    )
 
-    async def _run() -> None:
+    async def _run(service: SchedulerService) -> None:
         host, port = await service.start()
         print(
             f"serving campaign {campaign_name!r}: "
@@ -1106,7 +1084,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("draining...", flush=True)
         await service.shutdown()
 
-    asyncio.run(_run())
+    # Opened once the configuration has been accepted (it truncates).
+    tracer = Tracer.to_jsonl(args.trace) if args.trace is not None else None
+    try:
+        service = SchedulerService(
+            sim_model,
+            config=ServiceConfig(
+                host=args.host,
+                port=args.port,
+                max_pending=args.max_pending,
+                time_scale=args.time_scale,
+            ),
+            tracer=tracer,
+            campaign=campaign_name,
+        )
+        asyncio.run(_run(service))
+    finally:
+        if tracer is not None:
+            tracer.close()
     stats = service.server.stats
     print(render_table(["quantity", "value"], [
         ["requests answered", service.requests_total],
@@ -1117,13 +1112,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["peak queue depth", service.max_queue_depth],
     ]))
     if tracer is not None:
-        tracer.close()
         print(f"trace: {tracer.n_events:,} events -> {args.trace}")
     return 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .multi.spec import CampaignSpecError
     from .service import replay_campaign, storm
 
     if args.mode == "storm":
@@ -1166,10 +1159,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return 0 if report.dropped == 0 else 1
 
     try:
-        result = replay_campaign(_service_campaign(args)[0], args.url)
-    except CampaignSpecError as exc:
+        sim_model = _service_campaign(args)[0]
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        result = replay_campaign(sim_model, args.url)
     except OSError as exc:
         print(f"error: cannot reach {args.url}: {exc}", file=sys.stderr)
         return 1

@@ -338,7 +338,7 @@ class FaultPlan:
             maxreissue=10      fail a workunit after 10 reissues
 
         ``outage=N`` alone uses the default 12 h mean.  An empty spec is
-        :meth:`FaultPlan.none`.
+        :meth:`FaultPlan.none`.  A ``ValueError`` names the offending key.
         """
         plan = cls.none()
         spec = spec.strip()
@@ -353,31 +353,38 @@ class FaultPlan:
                 raise ValueError(f"fault spec entry {part!r} is not key=value")
             key = key.strip().lower()
             value = value.strip()
-            if key == "crash":
-                plan = plan.with_(
-                    crashes=CrashFaults(mtbf_active_days=float(value))
-                )
-            elif key == "corrupt":
-                plan = plan.with_(corruption=CorruptionFaults(prob=float(value)))
-            elif key == "sabotage":
-                plan = plan.with_(
-                    sabotage=SabotageFaults(host_fraction=float(value))
-                )
-            elif key == "outage":
-                n, x, hours = value.partition("x")
-                plan = plan.with_(outages=OutageFaults(
-                    n_windows=int(n),
-                    mean_duration_h=float(hours) if x else 12.0,
-                ))
-            elif key == "loss":
-                plan = plan.with_(report_loss=ReportLossFaults(prob=float(value)))
-            elif key == "maxreissue":
-                plan = plan.with_(max_reissues=int(value))
-            else:
-                raise ValueError(
-                    f"unknown fault spec key {key!r} (expected crash, corrupt, "
-                    "sabotage, outage, loss or maxreissue)"
-                )
+            try:
+                if key == "crash":
+                    plan = plan.with_(
+                        crashes=CrashFaults(mtbf_active_days=float(value))
+                    )
+                elif key == "corrupt":
+                    plan = plan.with_(
+                        corruption=CorruptionFaults(prob=float(value))
+                    )
+                elif key == "sabotage":
+                    plan = plan.with_(
+                        sabotage=SabotageFaults(host_fraction=float(value))
+                    )
+                elif key == "outage":
+                    n, x, hours = value.partition("x")
+                    plan = plan.with_(outages=OutageFaults(
+                        n_windows=int(n),
+                        mean_duration_h=float(hours) if x else 12.0,
+                    ))
+                elif key == "loss":
+                    plan = plan.with_(
+                        report_loss=ReportLossFaults(prob=float(value))
+                    )
+                elif key == "maxreissue":
+                    plan = plan.with_(max_reissues=int(value))
+                else:
+                    raise ValueError(
+                        "unknown fault spec key (expected crash, corrupt, "
+                        "sabotage, outage, loss or maxreissue)"
+                    )
+            except ValueError as exc:
+                raise ValueError(f"fault spec entry {key!r}: {exc}") from None
         return plan
 
     def describe(self) -> str:

@@ -42,7 +42,7 @@ integer division, and merged traces never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,9 +53,9 @@ from ..boinc.simulator import (
     CampaignRuntime,
     RuntimeSpec,
     Telemetry,
+    fold_results,
     run_campaigns,
 )
-from ..boinc.sharding import merge_stats, merge_telemetry
 from ..boinc.validator import ValidationStats
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
@@ -347,29 +347,26 @@ class GridResult:
     def __getitem__(self, name: str) -> CampaignResult:
         return self.campaigns[name]
 
+    @cached_property
+    def _folded(self) -> CampaignResult:
+        """The roster as one campaign, by the fold shards use."""
+        return fold_results(
+            list(self.campaigns.values()), self.n_hosts, [self.grid_telemetry]
+        )
+
     @property
     def completion_time(self) -> float | None:
         """Grid completion: when the *last* campaign closed (None if any
         campaign was still open at the horizon)."""
-        times = [r.completion_time for r in self.campaigns.values()]
-        if any(t is None for t in times):
-            return None
-        return max(times)
+        return self._folded.completion_time
 
     def merged_stats(self) -> ValidationStats:
         """Campaign stats folded into one grid-global ValidationStats."""
-        merged = ValidationStats()
-        for result in self.campaigns.values():
-            merge_stats(merged, result.server.stats)
-        return merged
+        return self._folded.server.stats
 
     def merged_telemetry(self) -> Telemetry:
         """All telemetry (campaigns + grid-level) folded day-aligned."""
-        merged = Telemetry(self.horizon_s)
-        merge_telemetry(merged, self.grid_telemetry)
-        for result in self.campaigns.values():
-            merge_telemetry(merged, result.telemetry)
-        return merged
+        return self._folded.telemetry
 
     def issued_share(self) -> dict[str, float]:
         """Each campaign's share of the grid's useful reference work."""

@@ -52,6 +52,16 @@ SPEC_KEYS: dict[str, tuple[str, str]] = {
 
 _KINDS = ("cross-docking", "screening")
 
+#: the keys that schedule a campaign against the others on a shared grid:
+#: spec key -> (:class:`Campaign` field, type)
+_ROSTER_KEYS = {
+    "weight": ("weight", float),
+    "priority": ("priority", int),
+    "quota": ("quota_fraction", float),
+    "submit": ("submit_week", float),
+    "drain": ("drain_week", float),
+}
+
 
 def _fail(message: str) -> None:
     raise CampaignSpecError(
@@ -90,13 +100,24 @@ def _convert(key: str, value: str, kind: type):
         ) from None
 
 
-def parse_campaign_spec(spec: str) -> Campaign:
+def parse_campaign_spec(spec: str, roster: bool = True) -> Campaign:
     """Parse one ``--campaign`` value into a :class:`Campaign`.
+
+    ``roster=False`` is the single-campaign wire protocol (``serve`` /
+    ``loadgen``): the roster keys are refused rather than silently dropped.
 
     >>> parse_campaign_spec("kind=screening,ligands=500,weight=2").name
     'screening'
     """
     pairs = _parse_pairs(spec)
+    given = [key for key in _ROSTER_KEYS if key in pairs]
+    if given and not roster:
+        raise CampaignSpecError(
+            f"campaign-spec key(s) {', '.join(map(repr, given))} schedule a "
+            "campaign against others on a shared grid (`simulate "
+            "--campaign`); serve/loadgen speak the single-campaign wire "
+            "protocol"
+        )
     workload_kind = pairs.pop("kind", "cross-docking")
     if workload_kind not in _KINDS:
         _fail(
@@ -111,17 +132,10 @@ def parse_campaign_spec(spec: str) -> Campaign:
                 f"kind={owner}, not kind={workload_kind}"
             )
 
-    campaign_kwargs: dict = {}
-    if "weight" in pairs:
-        campaign_kwargs["weight"] = _convert("weight", pairs["weight"], float)
-    if "priority" in pairs:
-        campaign_kwargs["priority"] = _convert("priority", pairs["priority"], int)
-    if "quota" in pairs:
-        campaign_kwargs["quota_fraction"] = _convert("quota", pairs["quota"], float)
-    if "submit" in pairs:
-        campaign_kwargs["submit_week"] = _convert("submit", pairs["submit"], float)
-    if "drain" in pairs:
-        campaign_kwargs["drain_week"] = _convert("drain", pairs["drain"], float)
+    campaign_kwargs = {
+        _ROSTER_KEYS[key][0]: _convert(key, pairs[key], _ROSTER_KEYS[key][1])
+        for key in given
+    }
 
     name = pairs.get("name", "hcmd" if workload_kind == "cross-docking" else "screening")
     try:

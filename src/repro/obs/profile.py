@@ -47,6 +47,14 @@ class Profiler:
         finally:
             self.record(name, time.perf_counter() - start)
 
+    def add(self, other: "Profiler") -> None:
+        """Sum ``other``'s section table into this one (a sharded
+        campaign's profile is its shards' profiles, added)."""
+        for name, (calls, total) in other._sections.items():
+            entry = self._sections.setdefault(name, [0, 0.0])
+            entry[0] += calls
+            entry[1] += total
+
     @property
     def total_seconds(self) -> float:
         return sum(total for _, total in self._sections.values())

@@ -126,3 +126,38 @@ class TestCampaignEffect:
         # Adaptive replication trims the quorum-era duplicates.
         assert adaptive.redundancy < fixed.redundancy
         assert adaptive.useful_result_fraction > fixed.useful_result_fraction
+
+
+class TestTrustIsRunState:
+    """The policy in the config is a value; the streak table and the
+    spot-check counter belong to the server a run builds."""
+
+    @staticmethod
+    def _sim(**kwargs):
+        from repro.units import weeks
+
+        return scaled_phase1(
+            scale=400, n_proteins=10, seed=7,
+            server=ServerConfig(
+                validation=ValidationPolicy(switch_time=weeks(16.0)),
+                adaptive=AdaptiveReplication(trust_after=3, spot_check_rate=0.3),
+            ),
+            **kwargs,
+        )
+
+    def test_server_builds_its_own_table(self):
+        policy = AdaptiveReplication(trust_after=1, spot_check_rate=0.0)
+        server = _server(Simulator(), adaptive=policy)
+        server.on_result(server.request_work(1), valid=True, accounted_cpu_s=1.0)
+        assert server.adaptive is not policy
+        assert server.adaptive.is_trusted(1) and not policy.is_trusted(1)
+
+    def test_same_simulation_run_twice_is_the_same_run(self):
+        sim = self._sim(ledger=True)
+        first, second = sim.run(), sim.run()
+        assert first.server.stats == second.server.stats
+        assert first.server.stats.validated_by_regime["adaptive"] > 0
+        assert first.completion_time == second.completion_time
+        assert first.ledger.as_dict() == second.ledger.as_dict()
+        # the values of a fresh-process run
+        assert first.server.stats.disclosed == 165

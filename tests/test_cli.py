@@ -24,8 +24,6 @@ OBSERVERS = ("--health", "--ledger", "--profile", "--trace PATH", "--report")
 #: table and tests/test_docs_consistency.py holds the two together.
 REFUSED = {
     ("`--shards 2`", "--health"),
-    ("`--shards 2`", "--profile"),
-    ("`--shards 2`", "--report"),  # runs once --trace PATH is added
     ("one `--campaign`", "--report"),
     ("two `--campaign`", "--report"),
 }
@@ -217,10 +215,71 @@ class TestCommands:
         ]) == 2
         assert "cross-docking" in capsys.readouterr().err
 
-    def test_simulate_bad_fault_spec_rejected(self):
-        with pytest.raises(ValueError):
-            main(["simulate", "--scale", "900", "--proteins", "5",
-                  "--faults", "jitter=3"])
+    def test_simulate_bad_fault_spec_rejected(self, capsys):
+        assert main(["simulate", "--scale", "900", "--proteins", "5",
+                     "--faults", "jitter=3"]) == 2
+        assert "'jitter'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--proteins", "6", "--shards", "20"], "--shards"),
+        (["simulate", "--shards", "2", "--shard-workers", "0"],
+         "--shard-workers"),
+        (["simulate", "--shards", "-3"], "--shards"),
+        (["simulate", "--shards", "0"], "--shards"),
+        (["simulate", "--faults", "bogus=1"], "'bogus'"),
+        (["simulate", "--campaign", "scale=900,proteins=5",
+          "--faults", "bogus=1"], "'bogus'"),
+        (["simulate", "--faults", "crash=abc"], "'crash'"),
+        (["serve", "--faults", "bogus=1"], "'bogus'"),
+        (["serve", "--faults", "outage=2xlong"], "'outage'"),
+        (["serve", "--campaign", "kind=screening"], "cross-docking"),
+        (["serve", "--campaign", "submit=5,weight=3"], "'weight', 'submit'"),
+        (["loadgen", "http://127.0.0.1:1", "--faults", "bogus=1"], "'bogus'"),
+        (["loadgen", "http://127.0.0.1:1", "--campaign", "quota=0.5"],
+         "'quota'"),
+    ])
+    def test_user_errors_are_one_line_and_touch_nothing(
+        self, argv, named, tmp_path, capsys
+    ):
+        """What the library refuses is printed as one ``error:`` line
+        naming the flag or spec key, exit 2, before anything is printed or
+        an existing ``--trace`` file is opened."""
+        trace = tmp_path / "existing.jsonl"
+        trace.write_text("keep me\n")
+        if argv[0] != "loadgen":
+            argv = [*argv, "--trace", str(trace)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert trace.read_text() == "keep me\n"
+
+    def test_sharded_profile_sums_over_shards(self, capsys):
+        assert main([
+            "simulate", "--scale", "900", "--proteins", "5",
+            "--shards", "2", "--shard-workers", "1", "--profile",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "summed over 2 shard processes" in out
+        for section in ("setup.workunits", "setup.hosts", "des.run",
+                        "des.VolunteerAgent."):
+            assert section in out
+
+    def test_sharded_report_needs_no_trace_and_leaves_no_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import tempfile
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main([
+            "simulate", "--scale", "900", "--proteins", "5",
+            "--shards", "2", "--shard-workers", "1", "--report",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "CAMPAIGN POST-MORTEM" in out and "source: live run" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_compare(self, capsys):
         assert main(["compare"]) == 0

@@ -117,16 +117,40 @@ class TestFleetSpec:
             == sim.fleet.arrival_times().tolist()
         )
 
-    def test_shard_fields_flow_into_the_spec(self):
-        from repro.boinc.sharding import plan_shards
+    def test_shard_fields_flow_into_the_spec(self, monkeypatch):
+        """A shard is the engine body on the parent's fleet with the
+        ``ShardSpec``'s three fields swapped in — checked on the fleets
+        ``run_sharded`` actually hands ``run_campaigns``."""
+        from repro.boinc import simulator
+        from repro.boinc.sharding import ShardPlan, plan_shards
 
-        sim = _small()
-        shard = plan_shards(sim, 2)[1]
-        spec = FleetSpec.resolve(sim.config, sim.campaign.total_work, shard)
-        assert spec.n_hosts_peak == shard.n_hosts_peak
-        assert spec.host_id_base == shard.host_id_base
-        assert spec.arrival_stream == shard.index == 1
-        assert spec.arrival_times().tolist() != sim.fleet.arrival_times().tolist()
+        handed = []
+        body = simulator.run_campaigns
+
+        def recording(fleet, specs, **observers):
+            handed.append(fleet)
+            return body(fleet, specs, **observers)
+
+        monkeypatch.setattr(simulator, "run_campaigns", recording)
+        sim = _small(config=CampaignConfig(shards=ShardPlan(2)))
+        sim.run()
+        shards = plan_shards(sim, 2)
+        assert len(handed) == 2
+        for spec, shard in zip(handed, shards):
+            assert spec.n_hosts_peak == shard.n_hosts_peak
+            assert spec.host_id_base == shard.host_id_base
+            assert spec.arrival_stream == shard.index
+            # everything else is the parent's, already resolved
+            assert replace(
+                spec,
+                n_hosts_peak=sim.fleet.n_hosts_peak,
+                host_id_base=0,
+                arrival_stream=0,
+            ) == sim.fleet
+        assert (
+            handed[1].arrival_times().tolist()
+            != sim.fleet.arrival_times().tolist()
+        )
 
     def test_fault_plan_overrides_the_server_policy_once(self):
         faults = FaultPlan.from_spec("outage=2x12,maxreissue=4")
@@ -161,6 +185,22 @@ def _sources() -> dict[str, str]:
 def _modules_matching(pattern: str) -> list[str]:
     regex = re.compile(pattern)
     return [name for name, text in _sources().items() if regex.search(text)]
+
+
+def _functions_calling(name: str) -> list[str]:
+    """``module:function`` for every ``def`` in ``src/repro`` that
+    contains a call of the bare name ``name``."""
+    return [
+        f"{module}:{node.name}"
+        for module, text in _sources().items()
+        if f"{name}(" in text
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+            for call in ast.walk(node)
+        )
+    ]
 
 
 class TestOneDefinitionEach:
@@ -206,9 +246,36 @@ class TestOneDefinitionEach:
         ]
 
     def test_campaign_results_are_built_live_once_and_merged_once(self):
+        """Built live by ``CampaignRuntime.result`` and folded by
+        ``fold_results``, both in one module; the two merge rules are each
+        called from one function — the fold."""
         assert _modules_matching(r"\bCampaignResult\(") == [
-            "boinc/sharding.py", "boinc/simulator.py"
+            "boinc/simulator.py"
         ]
+        for merge in ("merge_stats", "merge_telemetry"):
+            assert _functions_calling(merge) == [
+                "boinc/simulator.py:fold_results"
+            ]
+
+    def test_a_shard_is_not_a_nested_simulation(self):
+        from repro.boinc.simulator import VolunteerGridSimulation
+
+        for api in (VolunteerGridSimulation.__init__, FleetSpec.resolve):
+            assert "shard" not in inspect.signature(api).parameters
+        assert "VolunteerGridSimulation(" not in _sources()["boinc/sharding.py"]
+
+    def test_trust_state_is_the_servers(self):
+        """The adaptive policy is read off the config in one place —
+        where the server builds its own table from it."""
+        reads = [
+            (name, len(re.findall(r"\bconfig\.adaptive\b", text)))
+            for name, text in _sources().items()
+            if "config.adaptive" in text
+        ]
+        assert reads == [("boinc/server.py", 1)]
+
+    def test_the_cli_reports_from_a_trace_file_only(self):
+        assert "RingSink(" not in _sources()["cli.py"]
 
     def test_one_campaign_runtime(self):
         assert _modules_matching(r"(?m)^class CampaignRuntime\b") == [

@@ -263,6 +263,45 @@ class TestQuota:
         assert shares["capped"] + shares["open"] == pytest.approx(1.0)
 
 
+class TestSharedServerPolicy:
+    def test_campaigns_given_one_config_keep_separate_streaks(self):
+        """A ``ServerConfig`` is a value: two roster campaigns handed the
+        same object run as if each had its own equal copy."""
+        from repro.boinc.server import ServerConfig
+        from repro.boinc.validator import AdaptiveReplication, ValidationPolicy
+
+        def policy():
+            return ServerConfig(
+                validation=ValidationPolicy(switch_time=weeks(16.0)),
+                adaptive=AdaptiveReplication(trust_after=2, spot_check_rate=0.25),
+            )
+
+        def run(server_a, server_b):
+            return MultiGridSimulation(GridConfig(
+                campaigns=(
+                    Campaign.cross_docking(
+                        "a", scale=SCALE, n_proteins=N_PROTEINS, server=server_a
+                    ),
+                    Campaign.screening(
+                        "b", n_ligands=120, mean_hours=1.0, batch_size=20,
+                        server=server_b,
+                    ),
+                ),
+                seed=7, horizon_weeks=40.0, n_hosts_peak=12,
+            )).run()
+
+        shared = policy()
+        together, apart = run(shared, shared), run(policy(), policy())
+        for name in ("a", "b"):
+            assert together[name].server.stats == apart[name].server.stats
+            assert together[name].completion_time == apart[name].completion_time
+        tables = [together[name].server.adaptive for name in ("a", "b")]
+        assert tables[0] is not tables[1]
+        assert all(table.streaks() for table in tables)
+        assert tables[0].streaks() != tables[1].streaks()
+        assert shared.adaptive.streaks() == {}
+
+
 class TestObserversOnARoster:
     """``health=`` / ``ledger=`` reach the roster through the engine body
     the single campaign uses, so they mean the same thing on both."""

@@ -247,6 +247,67 @@ class TestFaultMerge:
         )
 
 
+class TestAdaptiveReplication:
+    """Trust streaks are each shard server's own, so shards that share a
+    process (``n_workers < n_shards``) cannot see each other's."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        from repro.boinc.server import ServerConfig
+        from repro.boinc.validator import AdaptiveReplication, ValidationPolicy
+        from repro.units import weeks
+
+        d = tmp_path_factory.mktemp("adaptive")
+        out = {}
+        for n_workers in (1, 2, 4):
+            tracer = Tracer.to_jsonl(d / f"w{n_workers}.jsonl", channels=CHANNELS)
+            out[n_workers] = scaled_phase1(
+                scale=400, n_proteins=10, seed=7, tracer=tracer, ledger=True,
+                config=CampaignConfig(
+                    shards=ShardPlan(n_shards=4, n_workers=n_workers),
+                    server=ServerConfig(
+                        validation=ValidationPolicy(switch_time=weeks(16.0)),
+                        adaptive=AdaptiveReplication(
+                            trust_after=3, spot_check_rate=0.3
+                        ),
+                    ),
+                ),
+            ).run()
+            tracer.close()
+        return out, d
+
+    @pytest.mark.parametrize("n_workers", [2, 4])
+    def test_identical_for_every_worker_count(self, runs, n_workers):
+        results, d = runs
+        ref, other = results[1], results[n_workers]
+        assert other.server.stats == ref.server.stats
+        assert other.completion_time == ref.completion_time
+        assert other.ledger.as_dict() == ref.ledger.as_dict()
+        assert _trace_digest(d / f"w{n_workers}.jsonl") == _trace_digest(
+            d / "w1.jsonl"
+        )
+
+    def test_equals_a_fresh_process_run(self, runs):
+        result = runs[0][1]
+        assert result.server.stats.disclosed == 170
+        assert result.server.stats.validated_by_regime["adaptive"] > 0
+        assert result.completion_time == pytest.approx(7755478.48, abs=0.01)
+
+
+class TestShardedProfile:
+    def test_sections_sum_over_the_shards(self):
+        """Each shard runs with its own profiler; the caller's gets their
+        section tables added in shard order."""
+        from repro.obs import Profiler
+
+        profiler = Profiler()
+        _run(2, 1, profiler=profiler)
+        stats = profiler.stats()
+        for section in ("setup.workunits", "setup.hosts", "des.run"):
+            assert stats[section][0] == 2
+        assert any(name.startswith("des.VolunteerAgent.") for name in stats)
+
+
 class TestIncompatibleRiders:
     """Fail-fast errors must name the unsupported artifact and point the
     user back at the monolithic path (drop ``--shards`` / ``n_shards=1``)."""
@@ -259,20 +320,6 @@ class TestIncompatibleRiders:
         with pytest.raises(
             ValueError,
             match=r"health monitor .*cannot be recombined.*n_shards=1",
-        ):
-            sim.run()
-
-    def test_profiler_rejected(self):
-        from repro.obs import Profiler
-
-        config = CampaignConfig(shards=ShardPlan(n_shards=2))
-        sim = scaled_phase1(
-            scale=700, n_proteins=6, seed=42, config=config,
-            profiler=Profiler(),
-        )
-        with pytest.raises(
-            ValueError,
-            match=r"profiler .*across[\s\S]*shard processes.*n_shards=1",
         ):
             sim.run()
 
