@@ -70,66 +70,29 @@ or dock one protein couple with the MAXDo model::
 """
 
 from . import constants, units
-from .core.campaign import CampaignPlan
-from .core.estimation import calibration_experiment, estimate_total_work
-from .core.metrics import CampaignMetrics, virtual_full_time_processors
-from .core.packaging import PackagingPolicy, WorkUnitPlan
-from .core.projection import project_phase2
-from .core.workunit import WorkUnit
-from .faults import FaultPlan
-from .fluid import FluidCampaign
-from .grid.population import WCGPopulationModel, hcmd_share_schedule
-from .maxdo.cost_model import CostModel
-from .maxdo.docking import MaxDoRun, dock_couple
-from .obs import MetricsRegistry, Profiler, Tracer
-from .proteins.library import ProteinLibrary
-from .store import (
-    ColumnarSegment,
-    ResultStore,
-    read_store,
-    store_to_text,
-    text_to_store,
-    write_store,
-)
-from .boinc import CampaignConfig, ShardPlan, scaled_phase1
-from .multi import Campaign, GridConfig, MultiGridSimulation
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.campaign": ["CampaignPlan"],
+    ".core.estimation": ["calibration_experiment", "estimate_total_work"],
+    ".core.metrics": ["CampaignMetrics", "virtual_full_time_processors"],
+    ".core.packaging": ["PackagingPolicy", "WorkUnitPlan"],
+    ".core.projection": ["project_phase2"],
+    ".core.workunit": ["WorkUnit"],
+    ".faults": ["FaultPlan"],
+    ".fluid": ["FluidCampaign"],
+    ".grid.population": ["WCGPopulationModel", "hcmd_share_schedule"],
+    ".maxdo.cost_model": ["CostModel"],
+    ".maxdo.docking": ["MaxDoRun", "dock_couple"],
+    ".obs": ["MetricsRegistry", "Profiler", "Tracer"],
+    ".proteins.library": ["ProteinLibrary"],
+    ".store": [
+        "ColumnarSegment", "ResultStore", "read_store", "store_to_text",
+        "text_to_store", "write_store",
+    ],
+    ".boinc": ["CampaignConfig", "ShardPlan", "scaled_phase1"],
+    ".multi": ["Campaign", "GridConfig", "MultiGridSimulation"],
+})
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "constants",
-    "units",
-    "CampaignPlan",
-    "calibration_experiment",
-    "estimate_total_work",
-    "CampaignMetrics",
-    "virtual_full_time_processors",
-    "PackagingPolicy",
-    "WorkUnitPlan",
-    "project_phase2",
-    "WorkUnit",
-    "FaultPlan",
-    "FluidCampaign",
-    "WCGPopulationModel",
-    "hcmd_share_schedule",
-    "CostModel",
-    "MaxDoRun",
-    "dock_couple",
-    "MetricsRegistry",
-    "Profiler",
-    "Tracer",
-    "ProteinLibrary",
-    "ColumnarSegment",
-    "ResultStore",
-    "read_store",
-    "store_to_text",
-    "text_to_store",
-    "write_store",
-    "CampaignConfig",
-    "ShardPlan",
-    "scaled_phase1",
-    "Campaign",
-    "GridConfig",
-    "MultiGridSimulation",
-    "__version__",
-]
+__all__ = ["constants", "units", *__all__, "__version__"]

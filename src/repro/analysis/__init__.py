@@ -11,22 +11,12 @@
   paper-vs-measured reports.
 """
 
-from .comparison import EquivalenceTable
-from .distributions import histogram, hour_bins
-from .progression import progression_anchor, progression_curve
-from .report import paper_vs_measured, render_histogram, render_table
-from .timeseries import WeeklySeries, cpu_days_to_vftp, segment_phases
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EquivalenceTable",
-    "histogram",
-    "hour_bins",
-    "progression_anchor",
-    "progression_curve",
-    "paper_vs_measured",
-    "render_histogram",
-    "render_table",
-    "WeeklySeries",
-    "cpu_days_to_vftp",
-    "segment_phases",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".comparison": ["EquivalenceTable"],
+    ".distributions": ["histogram", "hour_bins"],
+    ".progression": ["progression_anchor", "progression_curve"],
+    ".report": ["paper_vs_measured", "render_histogram", "render_table"],
+    ".timeseries": ["WeeklySeries", "cpu_days_to_vftp", "segment_phases"],
+})

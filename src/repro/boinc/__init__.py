@@ -16,25 +16,18 @@ that scale is out of reach, so this subpackage simulates the grid's
   :class:`repro.core.metrics.CampaignMetrics`.
 """
 
-from .config import CampaignConfig
-from .credit import AccountingMode, CobblestoneScale, HostBenchmark, vftp_from_credit
-from .server import GridServer, ServerConfig
-from .sharding import ShardPlan, ShardSpec
-from .simulator import CampaignResult, VolunteerGridSimulation, scaled_phase1
-from .validator import ValidationPolicy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccountingMode",
-    "CampaignConfig",
-    "CobblestoneScale",
-    "HostBenchmark",
-    "vftp_from_credit",
-    "GridServer",
-    "ServerConfig",
-    "ShardPlan",
-    "ShardSpec",
-    "CampaignResult",
-    "VolunteerGridSimulation",
-    "scaled_phase1",
-    "ValidationPolicy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ["CampaignConfig"],
+    ".credit": [
+        "AccountingMode", "CobblestoneScale", "HostBenchmark",
+        "vftp_from_credit",
+    ],
+    ".server": ["GridServer", "ServerConfig"],
+    ".sharding": ["ShardPlan", "ShardSpec"],
+    ".simulator": [
+        "CampaignResult", "VolunteerGridSimulation", "scaled_phase1",
+    ],
+    ".validator": ["ValidationPolicy"],
+})

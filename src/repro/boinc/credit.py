@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..grid.host import HostSpec
+if TYPE_CHECKING:  # annotations only: the accounting enum stays stdlib-only
+    from ..grid.host import HostSpec
 
 __all__ = [
     "AccountingMode",

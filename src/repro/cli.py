@@ -37,15 +37,22 @@ import os
 import sys
 from typing import Sequence
 
+# The parser is built from the stdlib plus these three (all stdlib-only),
+# so ``--help`` and usage errors never wait for numpy or scipy; everything
+# a handler needs is imported by the handler (tests/test_import_budget.py).
 from . import constants as C
-from .analysis.comparison import EquivalenceTable
-from .analysis.report import render_table
-from .boinc.capacity import ServerCapacityModel
 from .boinc.credit import AccountingMode
-from .core.projection import project_phase2
 from .units import format_bytes, format_duration, seconds_to_ydhms
 
 __all__ = ["main", "build_parser"]
+
+
+def render_table(headers, rows) -> str:
+    """:func:`repro.analysis.report.render_table`, imported (with numpy)
+    by the first handler that prints a table."""
+    from .analysis.report import render_table as render
+
+    return render(headers, rows)
 
 
 def _add_campaign_flag(p: argparse.ArgumentParser, repeatable: bool) -> None:
@@ -880,6 +887,7 @@ def _cmd_hosts(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.comparison import EquivalenceTable
     from .core.campaign import CampaignPlan
     from .core.packaging import PackagingPolicy, WorkUnitPlan
     from .fluid import FluidCampaign
@@ -903,6 +911,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .core.projection import project_phase2
+
     proj = project_phase2(
         n_proteins_new=args.proteins,
         point_reduction=args.reduction,
@@ -917,6 +927,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .boinc.capacity import ServerCapacityModel
+
     model = ServerCapacityModel()
     device_s = args.hours * 3600 * C.SPEED_DOWN_NET
     print(render_table(["quantity", "value"], [

@@ -14,36 +14,22 @@ campaign.
   Table 3).
 """
 
-from .campaign import CampaignPlan
-from .estimation import EstimateReport, calibration_experiment, estimate_total_work
-from .metrics import (
-    CampaignMetrics,
-    dedicated_equivalent,
-    redundancy_factor,
-    speed_down_net,
-    speed_down_raw,
-    virtual_full_time_processors,
-)
-from .packaging import PackagingPolicy, WorkUnitPlan, positions_per_workunit
-from .projection import Phase2Projection, project_phase2
-from .workunit import WorkUnit, WorkUnitStatus
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignPlan",
-    "EstimateReport",
-    "calibration_experiment",
-    "estimate_total_work",
-    "CampaignMetrics",
-    "dedicated_equivalent",
-    "redundancy_factor",
-    "speed_down_net",
-    "speed_down_raw",
-    "virtual_full_time_processors",
-    "PackagingPolicy",
-    "WorkUnitPlan",
-    "positions_per_workunit",
-    "Phase2Projection",
-    "project_phase2",
-    "WorkUnit",
-    "WorkUnitStatus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaign": ["CampaignPlan"],
+    ".estimation": [
+        "EstimateReport", "calibration_experiment",
+        "estimate_total_work",
+    ],
+    ".metrics": [
+        "CampaignMetrics", "dedicated_equivalent", "redundancy_factor",
+        "speed_down_net", "speed_down_raw",
+        "virtual_full_time_processors",
+    ],
+    ".packaging": [
+        "PackagingPolicy", "WorkUnitPlan", "positions_per_workunit",
+    ],
+    ".projection": ["Phase2Projection", "project_phase2"],
+    ".workunit": ["WorkUnit", "WorkUnitStatus"],
+})

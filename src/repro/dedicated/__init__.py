@@ -12,7 +12,9 @@ scheduling, which for identical machines is a 2-approximation of the
 optimal makespan — close enough to "optimally used").
 """
 
-from .cluster import Cluster
-from .simulator import DedicatedGridSimulation, DedicatedRunResult
+from .._lazy import lazy_exports
 
-__all__ = ["Cluster", "DedicatedGridSimulation", "DedicatedRunResult"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cluster": ["Cluster"],
+    ".simulator": ["DedicatedGridSimulation", "DedicatedRunResult"],
+})

@@ -9,6 +9,8 @@ Figures 6a, 6b and 7 and the Table 2 averages.  The DES cross-validates the
 fluid model at reduced scale (see ``bench_ablation_des_vs_fluid``).
 """
 
-from .model import FluidCampaign, FluidResult
+from .._lazy import lazy_exports
 
-__all__ = ["FluidCampaign", "FluidResult"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".model": ["FluidCampaign", "FluidResult"],
+})

@@ -11,17 +11,11 @@ dedicated-grid simulator (:mod:`repro.dedicated`):
   behind Figure 1 and the HCMD share schedule of Figure 6a.
 """
 
-from .availability import AvailabilityTrace
-from .des import Event, Simulator
-from .host import HostPopulationModel, HostSpec
-from .population import WCGPopulationModel, hcmd_share_schedule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AvailabilityTrace",
-    "Event",
-    "Simulator",
-    "HostPopulationModel",
-    "HostSpec",
-    "WCGPopulationModel",
-    "hcmd_share_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".availability": ["AvailabilityTrace"],
+    ".des": ["Event", "Simulator"],
+    ".host": ["HostPopulationModel", "HostSpec"],
+    ".population": ["WCGPopulationModel", "hcmd_share_schedule"],
+})

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .. import constants
 from ..units import SECONDS_PER_DAY
@@ -104,6 +103,8 @@ class WCGPopulationModel:
         2. average 54,947 VFTP over the HCMD window (days 763..945);
         3. 74,825 VFTP in the week the paper was written (~day 1110).
         """
+        from scipy.optimize import least_squares
+
         project_days = np.arange(
             constants.WCG_LAUNCH_TO_HCMD_DAYS,
             constants.WCG_LAUNCH_TO_HCMD_DAYS + 7 * constants.PROJECT_DURATION_WEEKS,

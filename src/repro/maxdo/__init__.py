@@ -27,32 +27,18 @@ This subpackage reimplements that pipeline on the synthetic substrate of
   properties, which the packaging/scheduling layers consume.
 """
 
-from .cost_model import CostModel
-from .docking import DockingResult, MaxDoRun, dock_couple
-from .energy import (
-    batch_energy_and_pose_gradient,
-    batch_interaction_energy,
-    interaction_energy,
-    pair_energies,
-)
-from .minimize import minimize_rigid, minimize_rigid_batch
-from .orientations import gamma_values, orientation_couples, rotation_matrix
-from .pairtable import PairTable, pair_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CostModel",
-    "DockingResult",
-    "MaxDoRun",
-    "PairTable",
-    "dock_couple",
-    "interaction_energy",
-    "pair_energies",
-    "pair_table",
-    "batch_interaction_energy",
-    "batch_energy_and_pose_gradient",
-    "minimize_rigid",
-    "minimize_rigid_batch",
-    "gamma_values",
-    "orientation_couples",
-    "rotation_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cost_model": ["CostModel"],
+    ".docking": ["DockingResult", "MaxDoRun", "dock_couple"],
+    ".energy": [
+        "batch_energy_and_pose_gradient", "batch_interaction_energy",
+        "interaction_energy", "pair_energies",
+    ],
+    ".minimize": ["minimize_rigid", "minimize_rigid_batch"],
+    ".orientations": [
+        "gamma_values", "orientation_couples", "rotation_matrix",
+    ],
+    ".pairtable": ["PairTable", "pair_table"],
+})

@@ -35,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import t as student_t
 
 from .. import constants
 from ..proteins.library import ProteinLibrary
 from ..rng import stable_hash64, stream
+from ._roots import brentq
 
 __all__ = ["CostModel", "LinearityFit", "fit_line"]
 
@@ -128,6 +127,10 @@ class CostModel:
         smaller libraries reuse the same per-couple scale (their total is
         proportionally smaller) unless ``total_cpu_seconds`` is forced.
         """
+        # the function ``scipy.stats.t.ppf`` itself calls, without the
+        # ~0.5 s import of scipy.stats (docs/architecture.md, Start-up cost)
+        from scipy.special import stdtrit
+
         if seed is None:
             seed = library.seed
         n = len(library)
@@ -159,7 +162,7 @@ class CostModel:
         elif ratio_target <= 1.0:
             a = 0.0
         else:
-            a = float(brentq(lambda t: weighted_ratio(t) - ratio_target, lo, hi))
+            a = brentq(lambda t: weighted_ratio(t) - ratio_target, lo, hi)
 
         # Total log-variance from the mean/median ratio of Table 1; the
         # ligand exponent takes what the receptor term leaves, capped at the
@@ -178,7 +181,7 @@ class CostModel:
         # shape of the matrix distribution is thus exact, not a lucky draw.
         rng = stream(seed, "cost-matrix")
         q = (np.arange(n * n) + 0.5) / (n * n)
-        eps = student_t.ppf(q, NOISE_TAIL_DF) / np.sqrt(
+        eps = stdtrit(NOISE_TAIL_DF, q) / np.sqrt(
             NOISE_TAIL_DF / (NOISE_TAIL_DF - 2.0)
         )
         eps = eps[rng.permutation(n * n)].reshape(n, n)

@@ -28,7 +28,7 @@ from ..proteins.model import ReducedProtein
 from ..proteins.surface import starting_positions
 from .checkpoint import Checkpoint, rollback_partial_results
 from .energy import EnergyParams, batch_interaction_energy
-from .minimize import minimize_rigid_batch
+from .minimize import minimize_rigid_batch, scipy_lbfgsb
 from .orientations import (
     N_COUPLES,
     N_GAMMA,
@@ -284,6 +284,9 @@ def dock_couple(
                 n_workers=min(n_workers, nsep), n_tasks=nsep,
                 receptor=receptor.name, ligand=ligand.name,
             )
+        if minimize:
+            # import scipy.optimize once, here: forked workers inherit it
+            scipy_lbfgsb()
         with ProcessPoolExecutor(max_workers=min(n_workers, nsep)) as pool:
             # submit order == position order: the enumerate below is the
             # deterministic ordered merge, whatever order workers finish in.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from ..proteins.model import ReducedProtein
 from .energy import (
@@ -37,7 +36,27 @@ __all__ = [
     "minimize_rigid",
     "minimize_rigid_batch",
     "pose_gradient",
+    "scipy_lbfgsb",
 ]
+
+
+def scipy_lbfgsb():
+    """scipy's L-BFGS-B as ``(minimize, core)``, imported on first call.
+
+    ``core`` is the reverse-communication ``setulb`` module that scipy's
+    own driver loop wraps (``None`` if scipy's internals moved).  Only a
+    process that minimizes pays for ``scipy.optimize`` (~0.4 s): both
+    entry points resolve it once per call, outside every loop, and
+    :func:`repro.maxdo.docking.dock_couple` calls this before it forks a
+    pool so workers inherit the import instead of each repeating it.
+    """
+    from scipy.optimize import minimize
+
+    try:
+        from scipy.optimize import _lbfgsb as core
+    except ImportError:  # pragma: no cover - scipy internals moved
+        core = None
+    return minimize, core
 
 
 def _rz(a: float) -> np.ndarray:
@@ -124,6 +143,7 @@ def minimize_rigid(
     the bound every run would escape to infinity whenever the local basin is
     repulsive (net energy ~ 0 at large separation).
     """
+    scipy_minimize, _ = scipy_lbfgsb()
     start_translation = np.asarray(start_translation, dtype=np.float64)
     start_euler = np.asarray(start_euler, dtype=np.float64)
     if start_translation.shape != (3,) or start_euler.shape != (3,):
@@ -192,11 +212,6 @@ _PGTOL = 1e-5
 _MAXLS = 20
 _MAXFUN = 15000
 
-try:  # the reverse-communication core scipy's own driver loop wraps
-    from scipy.optimize import _lbfgsb as _lbfgsb_core
-except ImportError:  # pragma: no cover - scipy internals moved
-    _lbfgsb_core = None
-
 
 class _LockstepState:
     """Per-pose ``setulb`` reverse-communication workspace.
@@ -238,16 +253,17 @@ class _LockstepState:
         self.done = False
         self.success = False
 
-    def advance(self, max_iterations: int) -> bool:
+    def advance(self, setulb, max_iterations: int) -> bool:
         """Run the state machine until it wants ``(f, g)`` or finishes.
 
         Returns True when the pose is requesting an evaluation at
         ``self.x``; False when it has terminated (``self.done``).  Mirrors
         the reference driver loop in ``scipy.optimize._lbfgsb_py``,
-        including the iteration/evaluation stop conditions.
+        including the iteration/evaluation stop conditions.  ``setulb`` is
+        the core's entry point, resolved by the caller once per batch.
         """
         while True:
-            _lbfgsb_core.setulb(
+            setulb(
                 _LBFGS_M, self.x, self.low, self.up, self.nbd, self.f,
                 self.g, _FACTR, _PGTOL, self.wa, self.iwa, self.task,
                 self.lsave, self.isave, self.dsave, _MAXLS, self.ln_task,
@@ -267,7 +283,6 @@ class _LockstepState:
             self.done = True
             self.success = bool(self.task[0] == 4)
             return False
-
 
 
 def minimize_rigid_batch(
@@ -311,7 +326,8 @@ def minimize_rigid_batch(
     n_poses = start_t.shape[0]
     x0 = np.hstack([start_t, start_e])
 
-    if _lbfgsb_core is None:  # pragma: no cover - scipy internals moved
+    _, core = scipy_lbfgsb()
+    if core is None:  # pragma: no cover - scipy internals moved
         results = [
             minimize_rigid(
                 receptor, ligand, x0[b, :3], x0[b, 3:],
@@ -341,7 +357,8 @@ def minimize_rigid_batch(
         states.append(_LockstepState(x0[b], lower, upper))
 
     rounds = 0
-    active = [s for s in states if s.advance(max_iterations)]
+    setulb = core.setulb
+    active = [s for s in states if s.advance(setulb, max_iterations)]
     while active:
         rounds += 1
         batch_x = np.stack([s.x for s in active])
@@ -349,7 +366,7 @@ def minimize_rigid_batch(
         for i, state in enumerate(active):
             state.f = np.float64(energy[i])
             state.g = grad[i].copy()
-        active = [s for s in active if s.advance(max_iterations)]
+        active = [s for s in active if s.advance(setulb, max_iterations)]
 
     x = np.stack([s.x for s in states])
     e_lj, e_elec = batch_interaction_energy(table, x)

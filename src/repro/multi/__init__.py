@@ -41,57 +41,25 @@ See docs/multicampaign.md for policy semantics and the three-phase
 walkthrough.
 """
 
-from .campaign import Campaign, GridConfig, POLICIES
-from .engine import (
-    CampaignRouter,
-    CampaignRuntime,
-    GridResult,
-    MultiGridSimulation,
-    WU_ID_STRIDE,
-)
-from .policies import (
-    FairShare,
-    SchedulingPolicy,
-    StrictPriority,
-    WeightedLottery,
-    make_policy,
-)
-from .scenario import (
-    constant_share,
-    flat_population,
-    three_phase_scenario,
-    three_phase_weights,
-)
-from .spec import CampaignSpecError, parse_campaign_spec
-from .workloads import (
-    CrossDockingWorkload,
-    ScreeningWorkload,
-    Workload,
-    WorkloadBuild,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "GridConfig",
-    "POLICIES",
-    "CampaignRouter",
-    "CampaignRuntime",
-    "GridResult",
-    "MultiGridSimulation",
-    "WU_ID_STRIDE",
-    "FairShare",
-    "SchedulingPolicy",
-    "StrictPriority",
-    "WeightedLottery",
-    "make_policy",
-    "constant_share",
-    "flat_population",
-    "three_phase_scenario",
-    "three_phase_weights",
-    "CampaignSpecError",
-    "parse_campaign_spec",
-    "CrossDockingWorkload",
-    "ScreeningWorkload",
-    "Workload",
-    "WorkloadBuild",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaign": ["Campaign", "GridConfig", "POLICIES"],
+    ".engine": [
+        "CampaignRouter", "CampaignRuntime", "GridResult",
+        "MultiGridSimulation", "WU_ID_STRIDE",
+    ],
+    ".policies": [
+        "FairShare", "SchedulingPolicy", "StrictPriority",
+        "WeightedLottery", "make_policy",
+    ],
+    ".scenario": [
+        "constant_share", "flat_population", "three_phase_scenario",
+        "three_phase_weights",
+    ],
+    ".spec": ["CampaignSpecError", "parse_campaign_spec"],
+    ".workloads": [
+        "CrossDockingWorkload", "ScreeningWorkload", "Workload",
+        "WorkloadBuild",
+    ],
+})

@@ -44,70 +44,28 @@ See docs/observability.md for the taxonomy, the trace schema and worked
 examples.
 """
 
-from .events import CHANNELS, EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
-from .health import HealthMonitor, SLOConfig, SLOReport
-from .ledger import FleetReport, HostLedger, HostRecord
-from .metrics import (
-    Counter,
-    DailySeries,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    QuantileSketch,
-)
-from .profile import Profiler
-from .quantiles import P2Quantile
-from .replay import TraceSummary, format_timeline, summarize_trace
-from .spans import SpanCampaign, SpanReconstructor, reconstruct, reconstruct_file
-from .tracer import (
-    FoldSink,
-    JsonlSink,
-    NullSink,
-    RingSink,
-    TraceEvent,
-    Tracer,
-    global_tracer,
-    iter_trace,
-    read_trace,
-    set_global_tracer,
-    tracing,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHANNELS",
-    "EVENT_TYPES",
-    "TRACE_SCHEMA_VERSION",
-    "channel_of",
-    "HealthMonitor",
-    "SLOConfig",
-    "SLOReport",
-    "FleetReport",
-    "HostLedger",
-    "HostRecord",
-    "Counter",
-    "DailySeries",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "QuantileSketch",
-    "P2Quantile",
-    "Profiler",
-    "TraceSummary",
-    "format_timeline",
-    "summarize_trace",
-    "SpanCampaign",
-    "SpanReconstructor",
-    "reconstruct",
-    "reconstruct_file",
-    "FoldSink",
-    "JsonlSink",
-    "NullSink",
-    "RingSink",
-    "TraceEvent",
-    "Tracer",
-    "global_tracer",
-    "iter_trace",
-    "read_trace",
-    "set_global_tracer",
-    "tracing",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": [
+        "CHANNELS", "EVENT_TYPES", "TRACE_SCHEMA_VERSION", "channel_of",
+    ],
+    ".health": ["HealthMonitor", "SLOConfig", "SLOReport"],
+    ".ledger": ["FleetReport", "HostLedger", "HostRecord"],
+    ".metrics": [
+        "Counter", "DailySeries", "Gauge", "Histogram",
+        "MetricsRegistry", "QuantileSketch",
+    ],
+    ".profile": ["Profiler"],
+    ".quantiles": ["P2Quantile"],
+    ".replay": ["TraceSummary", "format_timeline", "summarize_trace"],
+    ".spans": [
+        "SpanCampaign", "SpanReconstructor", "reconstruct",
+        "reconstruct_file",
+    ],
+    ".tracer": [
+        "FoldSink", "JsonlSink", "NullSink", "RingSink", "TraceEvent",
+        "Tracer", "global_tracer", "iter_trace", "read_trace",
+        "set_global_tracer", "tracing",
+    ],
+})

@@ -16,15 +16,10 @@ See :mod:`repro.proteins.model` for single-protein synthesis,
 :mod:`repro.proteins.library` for the calibrated 168-protein set.
 """
 
-from .library import ProteinLibrary
-from .model import ReducedProtein, synthesize_protein
-from .surface import geometric_nsep, shell_radii, starting_positions
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProteinLibrary",
-    "ReducedProtein",
-    "synthesize_protein",
-    "geometric_nsep",
-    "shell_radii",
-    "starting_positions",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".library": ["ProteinLibrary"],
+    ".model": ["ReducedProtein", "synthesize_protein"],
+    ".surface": ["geometric_nsep", "shell_radii", "starting_positions"],
+})

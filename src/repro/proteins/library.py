@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 from .. import constants
 from ..rng import stream, substream
@@ -85,6 +84,8 @@ def _invert_residues(target_area: float) -> int:
 
 def _stratified_lognormal(n: int, sigma: float) -> np.ndarray:
     """Unit-median lognormal quantiles at the ``n`` stratified probabilities."""
+    from scipy.special import ndtri
+
     q = (np.arange(n) + 0.5) / n
     return np.exp(sigma * ndtri(q))
 

@@ -18,21 +18,13 @@ This subpackage implements that downstream analysis:
   identified protein-protein complex", Section 2.1).
 """
 
-from .energymatrix import CrossDockingMatrix, plant_complexes
-from .partners import (
-    PartnerPrediction,
-    double_centered,
-    predict_partners,
-    recovery_rate,
-)
-from .sitemaps import SiteMaps
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CrossDockingMatrix",
-    "plant_complexes",
-    "PartnerPrediction",
-    "double_centered",
-    "predict_partners",
-    "recovery_rate",
-    "SiteMaps",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".energymatrix": ["CrossDockingMatrix", "plant_complexes"],
+    ".partners": [
+        "PartnerPrediction", "double_centered", "predict_partners",
+        "recovery_rate",
+    ],
+    ".sitemaps": ["SiteMaps"],
+})

@@ -16,28 +16,17 @@ report-result / heartbeat surface on real sockets:
 Wire protocol reference: docs/service.md.
 """
 
-from .app import SchedulerService, ServiceConfig, ServiceHandle, serve_in_thread
-from .client import (
-    RemoteGridServer,
-    SchedulerClient,
-    ServiceError,
-    ServiceRefused,
-)
-from .loadgen import StormReport, replay_campaign, storm
-from .protocol import ENDPOINTS, WIRE_PROTOCOL_VERSION
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SchedulerService",
-    "ServiceConfig",
-    "ServiceHandle",
-    "serve_in_thread",
-    "SchedulerClient",
-    "RemoteGridServer",
-    "ServiceError",
-    "ServiceRefused",
-    "replay_campaign",
-    "storm",
-    "StormReport",
-    "ENDPOINTS",
-    "WIRE_PROTOCOL_VERSION",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".app": [
+        "SchedulerService", "ServiceConfig", "ServiceHandle",
+        "serve_in_thread",
+    ],
+    ".client": [
+        "RemoteGridServer", "SchedulerClient", "ServiceError",
+        "ServiceRefused",
+    ],
+    ".loadgen": ["StormReport", "replay_campaign", "storm"],
+    ".protocol": ["ENDPOINTS", "WIRE_PROTOCOL_VERSION"],
+})

@@ -13,64 +13,22 @@ guarantees; the ``results_ingest`` / ``results_reduce`` workloads of
 ``benchmarks/e2e`` measure the pipeline.
 """
 
-from .convert import (
-    header_only_segment,
-    render_lines,
-    segment_from_text,
-    segment_to_text,
-    store_to_text,
-    text_to_store,
-)
-from .format import (
-    PACKED_DTYPE,
-    ROW_BYTES,
-    SEGMENT_OVERHEAD_BYTES,
-    STORE_MAGIC,
-    STORE_VERSION,
-    ColumnarSegment,
-    ResultStore,
-    StoreWriter,
-    iter_segments,
-    pack_records,
-    read_store,
-    rollback_partial_store,
-    unpack_records,
-    write_store,
-)
-from .pipeline import (
-    check_segment,
-    check_store,
-    energy_matrix,
-    merge_couple_store,
-    merge_segments,
-    position_energy_maps,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PACKED_DTYPE",
-    "ROW_BYTES",
-    "SEGMENT_OVERHEAD_BYTES",
-    "STORE_MAGIC",
-    "STORE_VERSION",
-    "ColumnarSegment",
-    "ResultStore",
-    "StoreWriter",
-    "check_segment",
-    "check_store",
-    "energy_matrix",
-    "header_only_segment",
-    "iter_segments",
-    "merge_couple_store",
-    "merge_segments",
-    "pack_records",
-    "position_energy_maps",
-    "read_store",
-    "render_lines",
-    "rollback_partial_store",
-    "segment_from_text",
-    "segment_to_text",
-    "store_to_text",
-    "text_to_store",
-    "unpack_records",
-    "write_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".convert": [
+        "header_only_segment", "render_lines", "segment_from_text",
+        "segment_to_text", "store_to_text", "text_to_store",
+    ],
+    ".format": [
+        "PACKED_DTYPE", "ROW_BYTES", "SEGMENT_OVERHEAD_BYTES",
+        "STORE_MAGIC", "STORE_VERSION", "ColumnarSegment",
+        "ResultStore", "StoreWriter", "iter_segments", "pack_records",
+        "read_store", "rollback_partial_store", "unpack_records",
+        "write_store",
+    ],
+    ".pipeline": [
+        "check_segment", "check_store", "energy_matrix",
+        "merge_couple_store", "merge_segments", "position_energy_maps",
+    ],
+})

@@ -11,14 +11,11 @@ phase I).
   volume model.
 """
 
-from .checks import CheckReport, ValueRanges, check_batch, check_result_file
-from .merge import dataset_volume, merge_couple_results
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CheckReport",
-    "ValueRanges",
-    "check_batch",
-    "check_result_file",
-    "dataset_volume",
-    "merge_couple_results",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checks": [
+        "CheckReport", "ValueRanges", "check_batch", "check_result_file",
+    ],
+    ".merge": ["dataset_volume", "merge_couple_results"],
+})

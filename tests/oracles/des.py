@@ -15,8 +15,7 @@ definition of the kernel's determinism contract:
 interleavings through both kernels and asserts identical fire sequences;
 ``tests/test_des_determinism.py`` swaps this kernel into a full scaled
 campaign and asserts a bit-identical :class:`CampaignResult` and an
-identical event trace.  ``benchmarks/bench_des_kernel.py`` uses it as the
-speedup baseline for ``BENCH_des.json``.
+identical event trace.
 
 The extended queue API added with the fast kernel (``schedule_timer``,
 ``schedule_batch_at``) is provided here with the *naive* semantics the
