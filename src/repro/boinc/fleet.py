@@ -56,6 +56,7 @@ from ..grid.des import Simulator
 from ..grid.host import HostPopulationModel
 from ..grid.population import ShareSchedule, WCGPopulationModel, hcmd_share_schedule
 from ..obs import FoldSink, HealthMonitor, HostLedger, NullSink, Profiler, Tracer
+from ..obs.events import channel_of
 from ..obs.health import SLOReport
 from ..obs.ledger import FleetReport
 from ..rng import substream
@@ -239,28 +240,27 @@ def tee_observers(
 
     Without a user-supplied tracer, build an observer-only one: events
     feed the monitor/ledger and are then discarded (``NullSink``),
-    restricted to the lifecycle channels so the DES kernel's high-rate
-    events skip the emit path entirely.  With a user tracer, the tee
-    inherits its channel filter — a filter that drops ``"host"`` starves
-    the ledger of credit and trust events (documented in
+    restricted to the channels the observers' handler tables fold (plus
+    ``health``, which the monitor emits on) so the DES kernel's
+    high-rate events skip the emit path entirely.  With a user tracer,
+    the tee inherits its channel filter — a filter that drops ``"host"``
+    starves the ledger of credit and trust events (documented in
     :mod:`repro.obs.ledger`).
     """
-    if health is None and ledger is None:
+    observers = [obs for obs in (health, ledger) if obs is not None]
+    if not observers:
         return tracer, None
     restore_sink = None
     if tracer is None:
-        channels = ["server", "agent", "fault"]
+        channels = {channel_of(etype) for obs in observers for etype in obs.HANDLERS}
         if health is not None:
-            channels.append("health")
-        if ledger is not None:
-            channels.append("host")
+            channels.add("health")
         tracer = Tracer(sink=NullSink(), channels=channels)
     else:
         restore_sink = tracer.sink
-    if ledger is not None:
-        tracer.sink = FoldSink(ledger, tracer.sink)
+    for observer in reversed(observers):  # the health tee outermost
+        tracer.sink = FoldSink(observer, tracer.sink)
     if health is not None:
-        tracer.sink = FoldSink(health, tracer.sink)
         health.bind(tracer)
     return tracer, restore_sink
 

@@ -398,14 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _library_and_costs(n_proteins: int, seed: int):
-    from .maxdo.cost_model import CostModel
+def _library(n_proteins: int, seed: int):
+    """The phase-I library at its real size, a synthetic one otherwise."""
     from .proteins.library import ProteinLibrary
 
     if n_proteins == C.N_PROTEINS:
-        library = ProteinLibrary.phase1(seed=seed)
-    else:
-        library = ProteinLibrary.synthetic(n_proteins=n_proteins, seed=seed)
+        return ProteinLibrary.phase1(seed=seed)
+    return ProteinLibrary.synthetic(n_proteins=n_proteins, seed=seed)
+
+
+def _library_and_costs(n_proteins: int, seed: int):
+    from .maxdo.cost_model import CostModel
+
+    library = _library(n_proteins, seed)
     return library, CostModel.calibrated(library)
 
 
@@ -812,7 +817,8 @@ def _cmd_hosts(args: argparse.Namespace) -> int:
     t_end = 0.0
     try:
         for event in iter_trace(args.path):
-            ledger.observe(event)
+            ledger.feed(event)
+            # the horizon is the trace's last timestamp, folded or not
             if event.t_sim is not None:
                 t_end = event.t_sim
     except (OSError, ValueError) as exc:
@@ -959,16 +965,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_partners(args: argparse.Namespace) -> int:
-    from .proteins.library import ProteinLibrary
     from .science import CrossDockingMatrix, predict_partners, recovery_rate
     from .science.partners import ranking_auc
 
-    library = (
-        ProteinLibrary.phase1(seed=args.seed)
-        if args.proteins == C.N_PROTEINS
-        else ProteinLibrary.synthetic(n_proteins=args.proteins, seed=args.seed)
-    )
-    matrix = CrossDockingMatrix.synthetic(library)
+    matrix = CrossDockingMatrix.synthetic(_library(args.proteins, args.seed))
     pred = predict_partners(matrix)
     print(render_table(["quantity", "value"], [
         ["proteins", matrix.n_proteins],
@@ -1022,10 +1022,8 @@ def _service_campaign(args: argparse.Namespace):
     scale, n_proteins = args.scale, args.proteins
     target_hours, release_policy = 3.65, "least-cost"
     if args.campaign:
-        from .multi.spec import parse_campaign_spec
+        from .multi.spec import CampaignSpecError, parse_campaign_spec
         from .multi.workloads import CrossDockingWorkload
-
-        from .multi.spec import CampaignSpecError
 
         if len(args.campaign) > 1:
             raise CampaignSpecError(

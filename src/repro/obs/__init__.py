@@ -7,7 +7,12 @@ this subpackage is the shared substrate every layer records it through:
 * :mod:`repro.obs.tracer` — structured, typed trace events with both
   simulation time and wall time, streamed to a ring buffer or a JSONL
   file, emitted by the DES kernel, the grid server, the volunteer agents
-  and the docking engine (~zero cost when disabled);
+  and the docking engine (~zero cost when disabled); and the one
+  observer protocol, :class:`~repro.obs.tracer.Fold` — a handler table
+  applied in 64-event batches, fed live through the ``FoldSink`` tee or
+  offline by ``fold(events)`` over a recorded trace, so the health
+  monitor, the host ledger and the span reconstructor below refold a
+  trace into exactly their live reports;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, histograms
   and daily series; campaign telemetry is built on it, so every recorded
   quantity is uniformly exportable;
@@ -64,7 +69,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "reconstruct_file",
     ],
     ".tracer": [
-        "FoldSink", "JsonlSink", "NullSink", "RingSink", "TraceEvent",
+        "Fold", "FoldSink", "JsonlSink", "NullSink", "RingSink", "TraceEvent",
         "Tracer", "global_tracer", "iter_trace", "read_trace",
         "set_global_tracer", "tracing",
     ],

@@ -1,9 +1,10 @@
 """Streaming campaign health: quantile sketches and SLO rules.
 
-A :class:`HealthMonitor` rides the trace stream *during* a simulation —
-attached as a :class:`~repro.obs.tracer.FoldSink` wrapped around the
-tracer's sink, so it sees every ``server.*`` / ``agent.*`` / ``fault.*``
-event with zero extra emit sites — and maintains:
+A :class:`HealthMonitor` is a :class:`~repro.obs.tracer.Fold`: it rides
+the trace stream *during* a simulation — fed by a
+:class:`~repro.obs.tracer.FoldSink` wrapped around the tracer's sink, so
+it sees every ``server.*`` / ``agent.*`` event with zero extra emit
+sites — or refolds a recorded trace into the same report, and maintains:
 
 - **P² quantile sketches** (:mod:`repro.obs.quantiles`) over the span
   latencies the offline reconstructor measures exactly: workunit makespan
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .metrics import MetricsRegistry
-from .tracer import FoldSink, TraceEvent, Tracer
+from .tracer import Fold, Tracer
 
 __all__ = [
     "SLOConfig",
@@ -82,10 +83,10 @@ class SLORule:
     ``update(t, level)`` compares the instantaneous level against the
     thresholds: breach at ``level >= threshold``, clear at
     ``level <= threshold * clear_fraction`` (hysteresis keeps a rule from
-    flapping around the boundary).  Transitions are reported to the
-    monitor, which emits the ``health.slo_breach`` / ``health.slo_clear``
-    trace events; the rule accumulates breach count and breached seconds
-    for the final report.
+    flapping around the boundary).  Transitions are emitted as
+    ``health.slo_breach`` / ``health.slo_clear`` trace events through the
+    monitor's bound tracer (if any); the rule accumulates breach count
+    and breached seconds for the final report.
     """
 
     def __init__(self, name: str, threshold: float, clear_fraction: float) -> None:
@@ -104,18 +105,31 @@ class SLORule:
             self.breached = True
             self.t_breach = t
             self.n_breaches += 1
-            monitor._emit_breach(t, self.name, level, self.threshold)
+            if monitor.tracer is not None:
+                monitor.tracer.emit(
+                    "health.slo_breach", t_sim=t,
+                    rule=self.name, level=level, threshold=self.threshold,
+                )
         elif self.breached and level <= self.clear_level:
             self.breached = False
-            duration = t - (self.t_breach or t)
+            duration = max(0.0, t - (self.t_breach or t))
             self.breached_s += duration
             self.t_breach = None
-            monitor._emit_clear(t, self.name, duration)
+            if monitor.tracer is not None:
+                monitor.tracer.emit(
+                    "health.slo_clear", t_sim=t, rule=self.name, breached_s=duration,
+                )
 
     def close(self, t_end: float) -> None:
-        """Account a still-open breach at the campaign horizon."""
+        """Account a still-open breach up to the campaign horizon.
+
+        The accounted span moves ``t_breach`` up to ``t_end``, so closing
+        again (a caller-supplied monitor finalized twice) adds only the
+        time since.
+        """
         if self.breached and self.t_breach is not None:
             self.breached_s += max(0.0, t_end - self.t_breach)
+            self.t_breach = max(self.t_breach, t_end)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -127,8 +141,15 @@ class SLORule:
         }
 
 
-class HealthMonitor:
-    """Fold trace events into live health state (sketches + SLO rules)."""
+class HealthMonitor(Fold):
+    """Fold trace events into live health state (sketches + SLO rules).
+
+    Handlers mutate correlation state only; the SLO rules are swept once
+    per drained batch, at its last timestamp, so breach/clear transitions
+    carry the drain-point ``t_sim`` — still the simulation time of a real
+    event, and at the fold's stride well under the sliding-window
+    resolution of every rule.
+    """
 
     #: sketch sample lists hand over to the sketches in chunks of this
     #: many samples (and at finalize) — memory stays bounded while the
@@ -148,6 +169,7 @@ class HealthMonitor:
         config: SLOConfig | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        super().__init__()
         self.config = config if config is not None else SLOConfig()
         #: private registry: campaign telemetry exports must stay
         #: byte-identical with the monitor attached
@@ -184,15 +206,11 @@ class HealthMonitor:
         self._deadline_window: deque[float] = deque()
         self._reissues_total = 0
         self._reissue_budget: float | None = None
-        self.t_last = 0.0
-        self.n_observed = 0
         # -- hot-path caches -------------------------------------------------
         # The fold runs once per lifecycle event; counters are plain ints
         # synced into the registry at finalize() (lazily, like the live
-        # registry counters: a zero count never materializes a metric),
-        # sketches and rules are bound to locals-friendly attributes, and
-        # event types dispatch through one dict lookup — a miss skips
-        # irrelevant channels (fault.*, telemetry.*, docking.*) outright.
+        # registry counters: a zero count never materializes a metric)
+        # and sketches and rules are bound to locals-friendly attributes.
         self._n_results = 0
         self._n_validated = 0
         self._n_wu_failed = 0
@@ -206,33 +224,20 @@ class HealthMonitor:
         self._mk_samples: list[float] = []
         self._rep_samples: list[float] = []
         self._act_samples: list[float] = []
-        self._sk_makespan = self.sketches["health.makespan_s"]
-        self._sk_latency = self.sketches["health.result_latency_s"]
-        self._sk_report = self.sketches["health.report_delay_s"]
-        self._sk_active = self.sketches["health.active_hours"]
+        self._sample_sketches = (
+            (self._lat_samples, self.sketches["health.result_latency_s"]),
+            (self._mk_samples, self.sketches["health.makespan_s"]),
+            (self._rep_samples, self.sketches["health.report_delay_s"]),
+            (self._act_samples, self.sketches["health.active_hours"]),
+        )
         self._rule_starvation = self.rules["queue-starvation"]
         self._rule_deadline = self.rules["deadline-storm"]
         self._rule_burn = self.rules["reissue-burn"]
         self._rule_backlog = self.rules["validation-backlog"]
-        self._dispatch = {
-            "server.release": self._on_release,
-            "server.issue": self._on_issue,
-            "server.result": self._on_result,
-            "server.validate": self._on_validate,
-            "server.workunit_failed": self._on_workunit_failed,
-            "server.reissue": self._on_reissue,
-            "agent.complete": self._on_complete,
-            "agent.idle": self._on_idle,
-        }
-        self._sink: "FoldSink | None" = None
 
     def bind(self, tracer: Tracer) -> None:
         """Attach the tracer used to emit ``health.*`` transition events."""
         self.tracer = tracer
-
-    def attach_sink(self, sink: "FoldSink") -> None:
-        """Register the tee so :meth:`finalize` can drain its buffer."""
-        self._sink = sink
 
     def configure_campaign(
         self, n_workunits: int, max_reissues: int | None
@@ -245,71 +250,7 @@ class HealthMonitor:
         )
         self._reissue_budget = max(1.0, per_wu * n_workunits)
 
-    # -- event fold ----------------------------------------------------------
-
-    def observe(self, event: TraceEvent) -> None:
-        """Fold one event and evaluate the SLO rules at its timestamp.
-
-        The per-event path: transitions land with the exact timestamp of
-        the event that tipped the level.  Campaign runs go through the
-        :class:`FoldSink` tee instead, which amortizes the rule sweep
-        over a drain stride.
-        """
-        t = event.t_sim
-        if t is None:
-            return
-        handler = self._dispatch.get(event.etype)
-        if handler is not None:
-            self.n_observed += 1
-            self.t_last = t
-            handler(t, event.fields)
-            self._evaluate_rules(t)
-            if len(self._lat_samples) >= self.SKETCH_CHUNK or len(
-                self._mk_samples
-            ) >= self.SKETCH_CHUNK or len(
-                self._rep_samples
-            ) >= self.SKETCH_CHUNK or len(
-                self._act_samples
-            ) >= self.SKETCH_CHUNK:
-                self._drain_sketches()
-
-    def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold a batch of events known to dispatch and carry a ``t_sim``.
-
-        The :class:`FoldSink` drain lands here — its buffer admits only
-        dispatchable, timestamped events, so this loop can skip every
-        per-event guard and counter update.  State handlers run per
-        event; the SLO rule sweep runs **once** at the batch's final
-        timestamp, so breach/clear transitions are detected at drain
-        granularity (their events carry the drain-point ``t_sim``, which
-        is still the simulation time of a real event — at the sink's
-        stride that is well under the sliding-window resolution of every
-        rule).
-        """
-        dispatch = self._dispatch
-        for event in events:
-            dispatch[event.etype](event.t_sim, event.fields)
-        self.n_observed += len(events)
-        last = events[-1].t_sim
-        self.t_last = last
-        self._evaluate_rules(last)
-        if len(self._lat_samples) >= self.SKETCH_CHUNK:
-            self._sk_latency.observe_many(self._lat_samples)
-            self._lat_samples.clear()
-        if len(self._mk_samples) >= self.SKETCH_CHUNK:
-            self._sk_makespan.observe_many(self._mk_samples)
-            self._mk_samples.clear()
-        if len(self._rep_samples) >= self.SKETCH_CHUNK:
-            self._sk_report.observe_many(self._rep_samples)
-            self._rep_samples.clear()
-        if len(self._act_samples) >= self.SKETCH_CHUNK:
-            self._sk_active.observe_many(self._act_samples)
-            self._act_samples.clear()
-
-    # one handler per lifecycle event type, bound in ``_dispatch``.  The
-    # handlers mutate correlation state only; breach levels are read off
-    # that state by ``_evaluate_rules`` (per event on the direct path,
-    # once per drain on the batched path) --------------------------------
+    # -- event fold: one handler per lifecycle event type (``HANDLERS``) ----
 
     def _on_release(self, t: float, f: dict) -> None:
         self._t_release[f["wu"]] = t
@@ -355,12 +296,27 @@ class HealthMonitor:
         self._n_idle += 1
         self._idle_window.append(t)
 
+    HANDLERS = {
+        "server.release": _on_release,
+        "server.issue": _on_issue,
+        "server.result": _on_result,
+        "server.validate": _on_validate,
+        "server.workunit_failed": _on_workunit_failed,
+        "server.reissue": _on_reissue,
+        "agent.complete": _on_complete,
+        "agent.idle": _on_idle,
+    }
+
+    def _drained(self, t_last: float) -> None:
+        """Sweep the rules and hand full sample lists to the sketches."""
+        self._evaluate_rules(t_last)
+        self._drain_sketches(self.SKETCH_CHUNK)
+
     def _evaluate_rules(self, t: float) -> None:
         """Sweep all four rules against the current state at time ``t``.
 
-        Sliding windows are pruned here (not in the handlers), so window
-        membership at evaluation time is identical whether events arrived
-        one at a time or in a drained batch.
+        Sliding windows are pruned here (not in the handlers): window
+        membership is read at the sweep's time, once per drained batch.
         """
         window = self._idle_window
         edge = t - self.config.starvation_window_s
@@ -377,30 +333,11 @@ class HealthMonitor:
         if budget is not None:
             self._rule_burn.update(t, self._reissues_total / budget, self)
 
-    def _emit_breach(
-        self, t: float, rule: str, level: float, threshold: float
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "health.slo_breach", t_sim=t,
-                rule=rule, level=level, threshold=threshold,
-            )
-
-    def _emit_clear(self, t: float, rule: str, breached_s: float) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                "health.slo_clear", t_sim=t, rule=rule, breached_s=breached_s,
-            )
-
-    def _drain_sketches(self) -> None:
-        """Hand buffered samples to the sketches (arrival order)."""
-        for samples, sketch in (
-            (self._lat_samples, self._sk_latency),
-            (self._mk_samples, self._sk_makespan),
-            (self._rep_samples, self._sk_report),
-            (self._act_samples, self._sk_active),
-        ):
-            if samples:
+    def _drain_sketches(self, chunk: int) -> None:
+        """Hand every sample list holding at least ``chunk`` samples to
+        its sketch (arrival order)."""
+        for samples, sketch in self._sample_sketches:
+            if len(samples) >= chunk:
                 sketch.observe_many(samples)
                 samples.clear()
 
@@ -427,9 +364,8 @@ class HealthMonitor:
         self._n_reissues = self._n_idle = 0
 
     def finalize(self, t_end: float | None = None) -> "SLOReport":
-        if self._sink is not None:
-            self._sink.flush()
-        self._drain_sketches()
+        self.drain()
+        self._drain_sketches(1)
         self._sync_counters()
         horizon = t_end if t_end is not None else self.t_last
         for rule in self.rules.values():

@@ -7,11 +7,12 @@ today corrupted/sabotaged/timed-out results, availability sessions and
 the :class:`~repro.boinc.validator.AdaptiveReplication` trust trajectory
 all vanish into aggregate counters.  This module keeps them.
 
-A :class:`HostLedger` rides the trace stream during a simulation exactly
-like the health monitor does — attached as a
+A :class:`HostLedger` is a :class:`~repro.obs.tracer.Fold`, like the
+health monitor: it rides the trace stream during a simulation — fed by a
 :class:`~repro.obs.tracer.FoldSink` tee around the tracer's sink,
-near-zero cost when disabled — and folds the lifecycle/fault events into
-one :class:`HostRecord` per host:
+near-zero cost when disabled — or refolds a recorded trace
+(``repro-hcmd hosts``) into the same report, folding the
+lifecycle/fault events into one :class:`HostRecord` per host:
 
 * issue/result/validate/invalid/late counters, deadline timeouts,
   refused RPCs, reported CPU seconds and claimed credit;
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .quantiles import QuantileSketch
-from .tracer import FoldSink, TraceEvent
+from .tracer import Fold
 
 __all__ = ["HostRecord", "HostLedger", "FleetReport"]
 
@@ -164,7 +165,7 @@ class HostRecord:
         return doc
 
 
-class HostLedger:
+class HostLedger(Fold):
     """Fold the lifecycle/fault event stream into per-host records."""
 
     #: ``flaky``: invalid results exceed this fraction of all results
@@ -178,9 +179,9 @@ class HostLedger:
     TOP_N = 10
 
     def __init__(self) -> None:
+        super().__init__()
         self.records: dict[int, HostRecord] = {}
         self.by_campaign: dict[str, dict[str, int]] = {}
-        self.n_observed = 0
         # correlation state, bounded by in-flight work (packed issue keys
         # like the health monitor: ``wu * 2**20 + copy``)
         self._t_issue: dict[int, float] = {}
@@ -188,51 +189,6 @@ class HostLedger:
         self._sab_pending: dict[tuple[int, int], int] = {}
         #: per-workunit hosts whose sabotage entered the quorum unexposed
         self._pending_bad: dict[int, list[int]] = {}
-        self._sink: "FoldSink | None" = None
-        self._dispatch = {
-            "server.issue": self._on_issue,
-            "server.result": self._on_result,
-            "server.validate": self._on_validate,
-            "server.reissue": self._on_reissue,
-            "server.refuse": self._on_refuse,
-            "server.workunit_failed": self._on_workunit_failed,
-            "agent.fetch": self._on_fetch,
-            "agent.abandon": self._on_abandon,
-            "agent.checkpoint": self._on_checkpoint,
-            "agent.complete": self._on_complete,
-            "agent.retry": self._on_retry,
-            "fault.crash": self._on_crash,
-            "fault.corrupt": self._on_corrupt,
-            "fault.sabotage": self._on_sabotage,
-            "fault.report_lost": self._on_report_lost,
-            "host.trusted": self._on_trusted,
-            "host.demoted": self._on_demoted,
-            "host.spot_check": self._on_spot_check,
-            "host.credit": self._on_credit,
-        }
-
-    def attach_sink(self, sink: "FoldSink") -> None:
-        """Register the tee so :meth:`finalize` can drain its buffer."""
-        self._sink = sink
-
-    # -- event fold ----------------------------------------------------------
-
-    def observe(self, event: TraceEvent) -> None:
-        """Fold one event (the per-event path; campaigns use the sink)."""
-        if event.t_sim is None:
-            return
-        handler = self._dispatch.get(event.etype)
-        if handler is not None:
-            self.n_observed += 1
-            handler(event.t_sim, event.fields)
-
-    def _fold_filtered(self, events: list[TraceEvent]) -> None:
-        """Fold a batch of events known to dispatch and carry a ``t_sim``
-        (the :class:`FoldSink` drain)."""
-        dispatch = self._dispatch
-        for event in events:
-            dispatch[event.etype](event.t_sim, event.fields)
-        self.n_observed += len(events)
 
     def _rec(self, host: int, t: float) -> HostRecord:
         rec = self.records.get(host)
@@ -251,7 +207,7 @@ class HostLedger:
             }
         return agg
 
-    # -- handlers (one per dispatched event type) ---------------------------
+    # -- event fold: one handler per event type (``HANDLERS``) --------------
 
     def _on_issue(self, t: float, f: dict) -> None:
         self._rec(f["host"], t).issued += 1
@@ -384,6 +340,28 @@ class HostLedger:
     def _on_credit(self, t: float, f: dict) -> None:
         self._rec(f["host"], t).credit += f.get("points", 0.0)
 
+    HANDLERS = {
+        "server.issue": _on_issue,
+        "server.result": _on_result,
+        "server.validate": _on_validate,
+        "server.reissue": _on_reissue,
+        "server.refuse": _on_refuse,
+        "server.workunit_failed": _on_workunit_failed,
+        "agent.fetch": _on_fetch,
+        "agent.abandon": _on_abandon,
+        "agent.checkpoint": _on_checkpoint,
+        "agent.complete": _on_complete,
+        "agent.retry": _on_retry,
+        "fault.crash": _on_crash,
+        "fault.corrupt": _on_corrupt,
+        "fault.sabotage": _on_sabotage,
+        "fault.report_lost": _on_report_lost,
+        "host.trusted": _on_trusted,
+        "host.demoted": _on_demoted,
+        "host.spot_check": _on_spot_check,
+        "host.credit": _on_credit,
+    }
+
     # -- shard merge ---------------------------------------------------------
 
     def absorb(
@@ -455,9 +433,8 @@ class HostLedger:
         return "reliable"
 
     def finalize(self, t_end: float | None = None) -> "FleetReport":
-        """Drain the tee and render the final :class:`FleetReport`."""
-        if self._sink is not None:
-            self._sink.flush()
+        """Drain the last batch and render the final :class:`FleetReport`."""
+        self.drain()
         fleet_median = self.fleet_median_turnaround()
         classes = {name: 0 for name in HOST_CLASSES}
         hosts: list[dict[str, Any]] = []

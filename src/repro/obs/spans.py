@@ -25,9 +25,10 @@ straggler/tail analysis over every tree.
 Reconstruction is *total and lossless*: every traced workunit yields
 exactly one tree, and span-derived aggregates reconcile with
 :class:`~repro.core.metrics.CampaignMetrics` and the fault error budget
-(pinned by ``tests/test_obs_spans.py``).  The fold is streaming — events
-arrive one at a time in trace order — so it applies equally to a recorded
-file (:func:`reconstruct_file`) and to a live campaign.
+(pinned by ``tests/test_obs_spans.py``).  The fold is a streaming
+:class:`~repro.obs.tracer.Fold` — events arrive in trace order — so it
+applies equally to a recorded file (:func:`reconstruct_file`) and to a
+live campaign's ring.
 
 Spans require the ``server`` and ``agent`` channels (``fault`` enriches
 crash/corruption attribution); a trace recorded with those channels
@@ -41,7 +42,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..units import SECONDS_PER_WEEK
-from .tracer import TraceEvent
+from .tracer import Fold, TraceEvent, iter_trace
 
 __all__ = [
     "Span",
@@ -266,35 +267,26 @@ class WorkunitSpanTree:
         return max(candidates, key=lambda a: (fail_time(a), -a.copy))
 
 
-class SpanReconstructor:
+class SpanReconstructor(Fold):
     """Streaming fold of trace events into per-workunit span trees.
 
-    Feed events in trace order via :meth:`observe`; call :meth:`finalize`
-    once to close still-open spans at the trace horizon.  The fold keeps
-    one tree per workunit plus an O(hosts) index of in-flight attempts —
-    it never buffers raw events, so arbitrarily long traces reconstruct in
-    bounded extra memory beyond the trees themselves.
+    Feed events in trace order (:meth:`feed`, or :meth:`fold` a whole
+    stream); call :meth:`finalize` once to close still-open spans at the
+    trace horizon.  The fold keeps one tree per workunit plus an O(hosts)
+    index of in-flight attempts — beyond one drain batch it never buffers
+    raw events, so arbitrarily long traces reconstruct in bounded extra
+    memory beyond the trees themselves.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.trees: dict[int, WorkunitSpanTree] = {}
         #: (host, wu) -> the attempt currently bound to that host
         self._active: dict[tuple[int, int], AttemptSpan] = {}
-        self.n_events = 0
         #: events that carried a wu the fold could not attach (diagnostics)
         self.orphans = 0
-        self.t_last: float | None = None
 
-    # -- event routing -------------------------------------------------------
-
-    def observe(self, event: TraceEvent) -> None:
-        handler = self._HANDLERS.get(event.etype)
-        if handler is None:
-            return
-        self.n_events += 1
-        if event.t_sim is not None:
-            self.t_last = event.t_sim
-        handler(self, event.t_sim or 0.0, event.fields)
+    # -- event fold: one handler per event type (``HANDLERS``) ---------------
 
     def _tree(self, wu: int) -> WorkunitSpanTree:
         tree = self.trees.get(wu)
@@ -357,51 +349,45 @@ class SpanReconstructor:
         attempt.t_end = t
         self._close_spans(attempt, t)
 
-    def _on_checkpoint(self, t: float, f: dict) -> None:
+    def _bound(self, f: dict) -> AttemptSpan | None:
+        """The attempt bound to the event's (host, wu); an event naming a
+        workunit no attempt of that host holds is an orphan."""
         wu = f.get("wu")
         if wu is None:
-            return
+            return None
         attempt = self._active.get((f["host"], wu))
         if attempt is None:
             self.orphans += 1
-            return
+        return attempt
+
+    @staticmethod
+    def _end_segment(attempt: AttemptSpan, t: float, attrs: dict) -> None:
+        """Close the current segment of the attempt's open compute span."""
         compute = attempt.open_span("compute")
-        if compute is None:
-            return
-        start = compute.children[-1].t_end if compute.children else compute.t_start
-        compute.children.append(Span(
-            "segment", start, t,
-            attrs={
+        if compute is not None:
+            start = compute.children[-1].t_end if compute.children else compute.t_start
+            compute.children.append(Span("segment", start, t, attrs=attrs))
+
+    def _on_checkpoint(self, t: float, f: dict) -> None:
+        attempt = self._bound(f)
+        if attempt is not None:
+            self._end_segment(attempt, t, {
                 "killed": f.get("killed", False),
                 "lost_reference_s": f.get("lost_reference_s", 0.0),
-            },
-        ))
+            })
 
     def _on_crash(self, t: float, f: dict) -> None:
-        wu = f.get("wu")
-        if wu is None:
-            return
-        attempt = self._active.get((f["host"], wu))
-        if attempt is None:
-            self.orphans += 1
-            return
-        attempt.crashes += 1
-        compute = attempt.open_span("compute")
-        if compute is None:
-            return
-        start = compute.children[-1].t_end if compute.children else compute.t_start
-        compute.children.append(Span(
-            "segment", start, t,
-            attrs={
+        attempt = self._bound(f)
+        if attempt is not None:
+            attempt.crashes += 1
+            self._end_segment(attempt, t, {
                 "crash": True,
                 "lost_reference_s": f.get("lost_reference_s", 0.0),
-            },
-        ))
+            })
 
     def _on_complete(self, t: float, f: dict) -> None:
-        attempt = self._active.get((f["host"], f["wu"]))
+        attempt = self._bound(f)
         if attempt is None:
-            self.orphans += 1
             return
         compute = attempt.open_span("compute")
         if compute is not None:
@@ -416,12 +402,8 @@ class SpanReconstructor:
         ))
 
     def _on_report_lost(self, t: float, f: dict) -> None:
-        wu = f.get("wu")
-        if wu is None:
-            return
-        attempt = self._active.get((f["host"], wu))
+        attempt = self._bound(f)
         if attempt is None:
-            self.orphans += 1
             return
         attempt.report_retries += 1
         report = attempt.open_span("report")
@@ -487,7 +469,7 @@ class SpanReconstructor:
             if span.t_end is None:
                 span.t_end = t
 
-    _HANDLERS = {
+    HANDLERS = {
         "server.release": _on_release,
         "server.issue": _on_issue,
         "agent.fetch": _on_fetch,
@@ -508,7 +490,8 @@ class SpanReconstructor:
 
     def finalize(self, t_end: float | None = None) -> "SpanCampaign":
         """Close still-open spans at the horizon and return the campaign."""
-        horizon = t_end if t_end is not None else (self.t_last or 0.0)
+        self.drain()
+        horizon = t_end if t_end is not None else self.t_last
         for tree in self.trees.values():
             for attempt in tree.attempts:
                 if attempt.t_end is None:
@@ -523,7 +506,7 @@ class SpanReconstructor:
                         span.t_end = stop
         return SpanCampaign(
             trees=self.trees,
-            n_events=self.n_events,
+            n_events=self.n_observed,
             orphans=self.orphans,
             t_end=horizon,
         )
@@ -703,15 +686,10 @@ class SpanCampaign:
 
 def reconstruct(events: Iterable[TraceEvent]) -> SpanCampaign:
     """Fold an event iterable into a :class:`SpanCampaign`."""
-    rec = SpanReconstructor()
-    for event in events:
-        rec.observe(event)
-    return rec.finalize()
+    return SpanReconstructor().fold(events).finalize()
 
 
 def reconstruct_file(path: Path | str) -> SpanCampaign:
     """Stream a JSONL trace file into a :class:`SpanCampaign` without
     loading the whole trace into memory."""
-    from .tracer import iter_trace
-
     return reconstruct(iter_trace(path))

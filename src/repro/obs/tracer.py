@@ -26,7 +26,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .events import EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
 
@@ -35,6 +35,7 @@ __all__ = [
     "RingSink",
     "JsonlSink",
     "NullSink",
+    "Fold",
     "FoldSink",
     "Tracer",
     "read_trace",
@@ -144,68 +145,100 @@ class NullSink:
         pass
 
 
-class FoldSink:
-    """Tee a tracer's event stream into a streaming observer.
+class Fold:
+    """A streaming observer: one handler table, applied in batches.
 
-    Wraps the tracer's real sink.  The observer is anything with the
-    fold surface :class:`~repro.obs.health.HealthMonitor` and
-    :class:`~repro.obs.ledger.HostLedger` share: a ``_dispatch`` table
-    keyed by event type, ``_fold_filtered(events)`` and
-    ``attach_sink(sink)``.  Hot-path contract, tuned so attaching an
-    observer costs a small fraction of lifecycle tracing itself:
-
-    - every event is forwarded to the inner sink **immediately**, so the
-      trace/ring order is exactly the arrival order — buffering never
-      reorders or delays the real stream;
-    - only events the observer actually folds (its dispatch-table etypes)
-      enter the drain buffer; everything else — ``agent.report``, the
-      health monitor's own ``health.*`` emissions — costs one frozenset
-      probe and is done;
-    - the buffer drains into the observer's guard-free batched fold every
-      :data:`STRIDE` events (and on :meth:`flush`/:meth:`close`; the
-      observer drains it from ``finalize`` too).
-
-    Consequently whatever an observer emits while folding (the health
-    monitor's ``health.slo_breach``/``health.slo_clear``) is detected and
-    appended at drain boundaries: its ``t_sim`` is the simulation time of
-    the last event in the drained batch.  An observer never re-enters the
-    fold on its own emissions (they are not in its dispatch table, so
-    they forward without buffering).
+    The health monitor, the host ledger and the span reconstructor are
+    all this.  A subclass gives a class-level :attr:`HANDLERS` table —
+    event type -> ``handler(self, t_sim, fields)`` — and reads nothing
+    else of the stream.  :meth:`feed` buffers an event only if the table
+    names its type and it carries a ``t_sim``; every :attr:`STRIDE`
+    buffered events :meth:`drain` applies the batch in arrival order and
+    then calls the one per-batch hook, :meth:`_drained`.  The same
+    batching runs live (a :class:`FoldSink` tee feeds the observer) and
+    offline (:meth:`fold` over a recorded trace), so a trace refolds into
+    exactly the report the live run produced.  ``finalize()`` — each
+    subclass renders its own report — starts with :meth:`drain`.
     """
 
-    #: drain stride: small enough that breach events stay timely in the
-    #: sink, large enough to amortize the per-event tee overhead
+    #: drain stride: small enough that whatever a hook emits (the health
+    #: monitor's breach events) stays timely, large enough to amortize
+    #: the per-batch work
     STRIDE = 64
+    #: event type -> ``handler(self, t_sim, fields)``; set by each subclass
+    HANDLERS: dict[str, Callable[..., None]] = {}
 
-    def __init__(self, observer, inner) -> None:
+    def __init__(self) -> None:
+        self._batch: list[TraceEvent] = []
+        #: events applied so far
+        self.n_observed = 0
+        #: ``t_sim`` of the last applied event
+        self.t_last = 0.0
+
+    def feed(self, event: TraceEvent) -> None:
+        """Buffer one event if this observer folds it; drain when full."""
+        if event.etype in self.HANDLERS and event.t_sim is not None:
+            batch = self._batch
+            batch.append(event)
+            if len(batch) >= self.STRIDE:
+                self.drain()
+
+    def drain(self) -> None:
+        """Apply the buffered batch, then run the per-batch hook."""
+        batch = self._batch
+        if batch:
+            # Swap before applying: a hook may emit through the tracer
+            # and re-enter feed() mid-batch.
+            self._batch = []
+            handlers = self.HANDLERS
+            for event in batch:
+                handlers[event.etype](self, event.t_sim, event.fields)
+            self.n_observed += len(batch)
+            self.t_last = batch[-1].t_sim
+            self._drained(self.t_last)
+
+    def _drained(self, t_last: float) -> None:
+        """Per-batch hook, at the batch's last timestamp (none here)."""
+
+    def fold(self, events: Iterable[TraceEvent]) -> "Fold":
+        """Feed a whole stream, drain the tail and return ``self``."""
+        for event in events:
+            self.feed(event)
+        self.drain()
+        return self
+
+
+class FoldSink:
+    """Tee a tracer's event stream into a :class:`Fold`.
+
+    Wraps the tracer's real sink.  Every event is forwarded to the inner
+    sink **immediately**, so the trace/ring order is exactly the arrival
+    order — the observer's batching never reorders or delays the real
+    stream — and then fed to the observer.  Only event types in the
+    observer's handler table pay for that call; everything else —
+    ``agent.report``, the health monitor's own ``health.*`` emissions —
+    costs one frozenset probe and is done.
+
+    Consequently whatever an observer emits while draining (the health
+    monitor's ``health.slo_breach``/``health.slo_clear``) is appended at
+    drain boundaries: its ``t_sim`` is the simulation time of the last
+    event in the drained batch.
+    """
+
+    def __init__(self, observer: Fold, inner) -> None:
         self.observer = observer
         self.inner = inner
-        self._buffer: list[TraceEvent] = []
         self._inner_append = inner.append
-        self._relevant = frozenset(observer._dispatch)
-        observer.attach_sink(self)
+        self._relevant = frozenset(observer.HANDLERS)
+        self._feed = observer.feed
 
     def append(self, event: TraceEvent) -> None:
         self._inner_append(event)
-        if event.etype in self._relevant and event.t_sim is not None:
-            buffer = self._buffer
-            buffer.append(event)
-            if len(buffer) >= self.STRIDE:
-                self.flush()
-
-    def flush(self) -> None:
-        """Drain the buffer into the observer's batched fold."""
-        buffer = self._buffer
-        if buffer:
-            # Swap before draining: a fold hook may emit through the
-            # tracer and re-enter append() mid-iteration.  The buffer
-            # admits only dispatchable timestamped events, so the
-            # guard-free fold applies.
-            self._buffer = []
-            self.observer._fold_filtered(buffer)
+        if event.etype in self._relevant:
+            self._feed(event)
 
     def close(self) -> None:
-        self.flush()
+        self.observer.drain()
         self.inner.close()
 
 

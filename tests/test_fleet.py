@@ -24,7 +24,7 @@ from repro.boinc.fleet import FleetSpec, resolve_server_config, tee_observers
 from repro.boinc.server import GridServer
 from repro.faults import FaultPlan
 from repro.multi import Campaign, GridConfig, MultiGridSimulation
-from repro.obs import FoldSink, HostLedger, RingSink, Tracer
+from repro.obs import FoldSink, HealthMonitor, HostLedger, RingSink, Tracer
 from repro.service import SchedulerService
 from repro.units import weeks
 
@@ -174,6 +174,20 @@ class TestFleetSpec:
         assert isinstance(tracer.sink, FoldSink)
         assert "host" in tracer.channels and "des" not in tracer.channels
 
+    def test_observer_only_channels_follow_the_handler_tables(self):
+        """What the observers fold, plus ``health`` — the monitor emits
+        its transitions there."""
+        for observers, channels in (
+            ({"health": HealthMonitor()}, {"server", "agent", "health"}),
+            ({"ledger": HostLedger()}, {"server", "agent", "fault", "host"}),
+            (
+                {"health": HealthMonitor(), "ledger": HostLedger()},
+                {"server", "agent", "fault", "host", "health"},
+            ),
+        ):
+            tracer, _ = tee_observers(None, **observers)
+            assert tracer.channels == channels
+
 
 def _sources() -> dict[str, str]:
     return {
@@ -220,10 +234,23 @@ class TestOneDefinitionEach:
         assert len(re.findall(rule, _sources()["boinc/fleet.py"])) == 1
 
     def test_one_fold_sink_class(self):
-        assert _modules_matching(r"(?m)^class \w*Sink\b.*:\n(?s:.*?)_fold_filtered") == [
-            "obs/tracer.py"
-        ]
+        assert _modules_matching(r"(?m)^class FoldSink\b") == ["obs/tracer.py"]
         assert _modules_matching(r"\bFoldSink\(") == ["boinc/fleet.py"]
+        assert len(re.findall(r"\bFoldSink\(", _sources()["boinc/fleet.py"])) == 1
+
+    def test_one_fold_protocol(self):
+        """Health, ledger and spans are ``Fold`` subclasses: no observer
+        keeps a per-event path, a second batched fold or its sink.  (The
+        metric sketches' ``observe(value)`` takes samples, not events.)"""
+        assert _modules_matching(r"(?m)^class Fold\b") == ["obs/tracer.py"]
+        for gone in (
+            r"def observe\(self, event", r"_fold_filtered", r"attach_sink",
+            r"_dispatch\b",
+        ):
+            assert [
+                name for name in _modules_matching(gone)
+                if name.startswith("obs/")
+            ] == [], gone
 
     def test_retired_names_are_gone(self):
         retired = (

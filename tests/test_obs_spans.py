@@ -25,12 +25,17 @@ import pytest
 from repro.boinc import CampaignConfig, scaled_phase1
 from repro.faults import FaultPlan
 from repro.obs import (
+    EVENT_TYPES,
+    Fold,
     HealthMonitor,
+    HostLedger,
     P2Quantile,
     QuantileSketch,
     RingSink,
     SLOConfig,
+    SpanReconstructor,
     Tracer,
+    iter_trace,
     read_trace,
     reconstruct,
     reconstruct_file,
@@ -356,7 +361,7 @@ class TestSLOHysteresis:
         # clears the breach
         feed.emit("agent.idle", t_sim=200_000.0, host=1)
         for event in feed.sink.events:
-            monitor.observe(event)
+            monitor.fold([event])  # a batch per poll: the rules sweep at each
         assert out.counts["health.slo_breach"] == 1
         assert out.counts["health.slo_clear"] == 1
         breach = out.sink.events[0]
@@ -367,13 +372,92 @@ class TestSLOHysteresis:
         monitor = HealthMonitor()
         feed = Tracer(channels=["server"])
         feed.emit("server.reissue", t_sim=0.0, wu=1, reason="deadline")
-        monitor.observe(feed.sink.events[0])
+        monitor.fold(feed.sink.events[:1])
         # without configure_campaign the burn rule has no budget: silent
         assert monitor.rules["reissue-burn"].peak_level == 0.0
         monitor.configure_campaign(n_workunits=2, max_reissues=1)
         feed.emit("server.reissue", t_sim=1.0, wu=1, reason="deadline")
-        monitor.observe(feed.sink.events[1])
+        monitor.fold(feed.sink.events[1:])
         assert monitor.rules["reissue-burn"].peak_level == pytest.approx(1.0)
+
+    def test_finalizing_twice_accounts_an_open_breach_once(self):
+        """A caller-supplied monitor may be finalized again (it
+        accumulates across runs): the open breach counts once."""
+        monitor = HealthMonitor()
+        starvation = monitor.rules["queue-starvation"]
+        starvation.update(2.0, starvation.threshold, monitor)  # opens at t=2
+        for _ in range(2):
+            rule = monitor.finalize(10.0).rules["queue-starvation"]
+            assert rule["breached_at_end"]
+            assert rule["breached_s"] == pytest.approx(8.0)
+        # a later horizon adds only the time since the last close
+        starvation.close(12.0)
+        assert starvation.breached_s == pytest.approx(10.0)
+
+
+# -- refold == live -----------------------------------------------------------
+
+#: the faulted campaign the refold contract is checked on (full trace)
+REFOLD_FAULTS = "crash=5,corrupt=0.05,sabotage=0.02,loss=0.1"
+
+
+@pytest.fixture(scope="module", params=(7, 11), ids=lambda s: f"seed{s}")
+def recorded(request, tmp_path_factory):
+    """One seeded faulted campaign recorded in full to JSONL with the
+    health monitor live, and the same campaign recorded to a ring."""
+    seed = request.param
+    path = tmp_path_factory.mktemp("refold") / "trace.jsonl"
+
+    def campaign(tracer, **observers):
+        return scaled_phase1(
+            scale=300, n_proteins=10, seed=seed, tracer=tracer,
+            config=CampaignConfig(faults=FaultPlan.from_spec(REFOLD_FAULTS)),
+            **observers,
+        ).run()
+
+    with Tracer.to_jsonl(path) as tracer:
+        result = campaign(tracer, health=True)
+    ring = Tracer()
+    campaign(ring)
+    assert len(ring.sink) == ring.n_events  # the ring kept every event
+    return path, result, ring.sink.events
+
+
+class TestRefoldEqualsLive:
+    """Every observer is a ``Fold``: the recorded trace refolds into
+    exactly the report the live tee produced."""
+
+    def test_health_refolds_into_the_live_report(self, recorded):
+        path, result, _ = recorded
+        monitor = HealthMonitor()
+        monitor.configure_campaign(
+            result.server.n_workunits, result.server.config.max_reissues
+        )
+        report = monitor.fold(iter_trace(path)).finalize(result.health.t_end)
+        assert report.n_observed > 0
+        assert report.as_dict() == result.health.as_dict()
+
+    def test_spans_from_the_live_ring_equal_the_file(self, recorded):
+        path, _, ring_events = recorded
+        from_ring = reconstruct(ring_events)
+        from_file = reconstruct_file(path)
+        assert len(from_ring) > 0
+        assert from_ring.trees == from_file.trees
+        assert (from_ring.n_events, from_ring.orphans, from_ring.t_end) == (
+            from_file.n_events, from_file.orphans, from_file.t_end
+        )
+
+    def test_every_handler_names_a_declared_event_type(self):
+        """A mistyped handler key would never fire; the taxonomy is the
+        closed world every emit is checked against."""
+        folds = {cls.__name__: cls for cls in Fold.__subclasses__()}
+        for cls in (HealthMonitor, HostLedger, SpanReconstructor):
+            assert folds[cls.__name__] is cls
+        undeclared = {
+            name: sorted(set(cls.HANDLERS) - set(EVENT_TYPES))
+            for name, cls in folds.items()
+        }
+        assert undeclared == {name: [] for name in folds}
 
 
 # -- post-mortems -------------------------------------------------------------
