@@ -508,12 +508,9 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         # per-type counts campaign-global.
         tracer.sink.close()
         _merge_traces(outputs, target_path)
-        n_lines = 0
         for out in outputs:
             if out.trace_counts:
                 tracer.counts.update(out.trace_counts)
-                n_lines += sum(out.trace_counts.values())
-        tracer.sink.n_written = n_lines
 
     result = fold_results(
         [out.result for out in outputs],

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..obs import global_tracer
+from ..obs import global_tracer, set_global_tracer
 from ..proteins.model import ReducedProtein
 from ..proteins.surface import starting_positions
 from .checkpoint import Checkpoint, rollback_partial_results
@@ -277,8 +277,8 @@ def dock_couple(
             for p in range(nsep)
         ]
         if tracer is not None:
-            # Workers are separate processes: their docking.* events are
-            # not captured; the fan-out itself is traced in the parent.
+            # Workers clear the inherited global tracer (they would write
+            # into the parent's trace); the fan-out is traced here.
             tracer.emit(
                 "docking.fanout",
                 n_workers=min(n_workers, nsep), n_tasks=nsep,
@@ -287,7 +287,10 @@ def dock_couple(
         if minimize:
             # import scipy.optimize once, here: forked workers inherit it
             scipy_lbfgsb()
-        with ProcessPoolExecutor(max_workers=min(n_workers, nsep)) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(n_workers, nsep),
+            initializer=set_global_tracer, initargs=(None,),
+        ) as pool:
             # submit order == position order: the enumerate below is the
             # deterministic ordered merge, whatever order workers finish in.
             for p, (lj, el, fpos, feul) in enumerate(

@@ -4,10 +4,11 @@ A :class:`Tracer` turns instrumentation points scattered through the DES
 kernel, the grid server, the volunteer agents and the docking engine into
 typed :class:`TraceEvent` records carrying both simulation time and wall
 time.  Records flow into a pluggable sink — an in-memory ring buffer
-(:class:`RingSink`) or a streaming JSONL file (:class:`JsonlSink`) — and
-per-event-type counts are kept regardless of sink capacity, so aggregate
-reconciliation (e.g. trace counts vs :class:`~repro.core.metrics.
-CampaignMetrics`) never depends on buffer size.
+(:class:`RingSink`) or a JSONL file written by a writer process
+(:class:`JsonlSink`) — and per-event-type counts are kept regardless of
+sink capacity, so aggregate reconciliation (e.g. trace counts vs
+:class:`~repro.core.metrics.CampaignMetrics`) never depends on buffer
+size.
 
 Cost contract: instrumented hot paths hold a tracer reference that is
 ``None`` when tracing is off, so the disabled cost is one identity check;
@@ -20,10 +21,15 @@ See docs/observability.md for the trace schema and the event taxonomy.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 import time
+import weakref
 from collections import Counter as _Counter
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -49,27 +55,15 @@ __all__ = [
 RESERVED_KEYS = frozenset({"v", "type", "ch", "t_sim", "t_wall"})
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
-    """One structured trace record."""
+    """One structured trace record (its JSONL line is ``_jsonl_writer``'s)."""
 
     etype: str  #: taxonomy event type, e.g. ``"server.issue"``
     channel: str  #: subsystem channel (the dotted prefix of ``etype``)
     t_sim: float | None  #: simulation time (seconds), None outside a DES
     t_wall: float  #: wall-clock time (``time.time()`` epoch seconds)
     fields: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """Render as one JSONL line (schema version stamped)."""
-        doc: dict[str, Any] = {
-            "v": TRACE_SCHEMA_VERSION,
-            "type": self.etype,
-            "ch": self.channel,
-            "t_sim": self.t_sim,
-            "t_wall": self.t_wall,
-        }
-        doc.update(self.fields)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
@@ -116,23 +110,96 @@ class RingSink:
         return iter(self._events)
 
 
+#: the writer process's script, run by file path (it imports the stdlib only)
+_WRITER = str(Path(__file__).with_name("_jsonl_writer.py"))
+
+
+def _send(pipe, batch: list[tuple]) -> None:
+    """Write ``batch`` to the writer as one length-prefixed frame, emptied."""
+    if batch:
+        payload = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
+        batch.clear()
+        pipe.write(len(payload).to_bytes(4, "little") + payload)
+        # Nothing stays buffered: a forked copy of this process must have
+        # no half-sent bytes of its own to flush into the stream.
+        pipe.flush()
+
+
+def _finish(proc: subprocess.Popen, batch: list[tuple], path: Path, pid: int) -> None:
+    """Send the tail and the end frame, reap the writer, raise if it failed.
+
+    Runs once per sink — from ``close()``, at garbage collection or at
+    interpreter exit — and never in a forked copy of the process that
+    started the writer.
+    """
+    if os.getpid() != pid:
+        return
+    try:
+        _send(proc.stdin, batch)
+        # A zero-length end frame: forked processes may still hold the
+        # pipe, so EOF alone cannot end the stream.
+        proc.stdin.write(bytes(4))
+    except BrokenPipeError:
+        pass  # the writer is gone; its exit status says why
+    _, stderr = proc.communicate()
+    if proc.returncode:
+        lines = stderr.decode(errors="replace").strip().splitlines()
+        raise OSError(
+            f"trace writer for {path} failed (exit status {proc.returncode}): "
+            f"{lines[-1] if lines else 'no message'}"
+        )
+
+
 class JsonlSink:
-    """Stream events to a JSONL file, one record per line."""
+    """Stream events to a JSONL file, one record per line.
+
+    The lines are encoded and written by a writer process
+    (``_jsonl_writer.py``) while the campaign keeps running: ``append``
+    only buffers, and every :attr:`Fold.STRIDE` events one pickled batch
+    goes down a pipe.  ``close()`` flushes the tail, waits for the
+    writer and raises :class:`OSError` naming the path if it failed; an
+    unclosed sink gets the same flush at garbage collection or
+    interpreter exit.
+    """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w", encoding="ascii")
-        self.n_written = 0
+        with self.path.open("wb") as fh:  # truncates; a bad path raises here
+            # Isolated and site-free (-I -S): the stdlib only, whatever is
+            # on sys.path here, and a quicker start.  Its own session: a
+            # terminal's Ctrl-C, which can land before the writer's
+            # start-up ignores SIGINT, never reaches it.
+            self._proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", _WRITER, str(TRACE_SCHEMA_VERSION)],
+                stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE,
+                start_new_session=True,
+            )
+        # A 1 MiB pipe where Linux allows it (~18 k events): the writer's
+        # start-up and stalls are absorbed instead of blocking the campaign.
+        with suppress(ImportError, AttributeError, OSError):
+            import fcntl
+
+            fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+        self._batch: list[tuple] = []
+        self._finalizer = weakref.finalize(
+            self, _finish, self._proc, self._batch, self.path, os.getpid()
+        )
 
     def append(self, event: TraceEvent) -> None:
-        self._fh.write(event.to_json() + "\n")
-        self.n_written += 1
+        batch = self._batch
+        batch.append(
+            (event.etype, event.channel, event.t_sim, event.t_wall, event.fields)
+        )
+        if len(batch) >= Fold.STRIDE:
+            try:
+                _send(self._proc.stdin, batch)
+            except BrokenPipeError:
+                self._finalizer()  # reaps the writer, raises naming the path
+                raise
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
+        self._finalizer()
 
 
 class NullSink:
@@ -263,6 +330,9 @@ class Tracer:
         self.channels = frozenset(channels) if channels is not None else None
         #: per-event-type record counts (kept even when the ring overflows)
         self.counts: _Counter[str] = _Counter()
+        #: event type -> channel, or "" when ``channels`` filters it out;
+        #: filled on a type's first emit (unknown types are never cached)
+        self._routes: dict[str, str] = {}
 
     @classmethod
     def to_jsonl(
@@ -280,28 +350,24 @@ class Tracer:
         """Record one event; a no-op when the tracer is disabled."""
         if not self.enabled:
             return
-        description = EVENT_TYPES.get(etype)
-        if description is None:
-            raise ValueError(
-                f"unknown event type {etype!r}; declare it in "
-                "repro.obs.events.EVENT_TYPES (and docs/observability.md)"
-            )
-        channel = channel_of(etype)
-        if self.channels is not None and channel not in self.channels:
+        channel = self._routes.get(etype)
+        if channel is None:  # first sight of this type: validate, filter, cache
+            if etype not in EVENT_TYPES:
+                raise ValueError(
+                    f"unknown event type {etype!r}; declare it in "
+                    "repro.obs.events.EVENT_TYPES (and docs/observability.md)"
+                )
+            channel = channel_of(etype)
+            if self.channels is not None and channel not in self.channels:
+                channel = ""
+            self._routes[etype] = channel
+        if not channel:
             return
         if not RESERVED_KEYS.isdisjoint(fields):
             clash = sorted(RESERVED_KEYS.intersection(fields))
             raise ValueError(f"event fields collide with reserved keys: {clash}")
         self.counts[etype] += 1
-        self.sink.append(
-            TraceEvent(
-                etype=etype,
-                channel=channel,
-                t_sim=t_sim,
-                t_wall=time.time(),
-                fields=fields,
-            )
-        )
+        self.sink.append(TraceEvent(etype, channel, t_sim, time.time(), fields))
 
     @property
     def n_events(self) -> int:
@@ -342,8 +408,8 @@ def read_trace(path: Path | str) -> list[TraceEvent]:
 # The DES layers thread an explicit tracer (one per simulation); the
 # docking engine's module-level functions consult this process-global slot
 # instead, so `dock_couple` / `MaxDoRun` pick up tracing without signature
-# churn.  Process-pool workers (`dock_couple(n_workers=...)`) do not
-# inherit it; the fan-out itself is traced in the parent.
+# churn.  Process-pool workers (`dock_couple(n_workers=...)`) clear it on
+# start-up, so they do not trace; the fan-out itself is traced in the parent.
 
 _global_tracer: Tracer | None = None
 

@@ -191,3 +191,19 @@ def test_star_import_binds_exactly_all():
         "out = [sorted(k for k in ns if k != '__builtins__'), sorted(repro.__all__)]"
     )
     assert out[0] == out[1]
+
+
+def test_trace_lines_are_encoded_by_the_stdlib_only_writer():
+    """The JSONL line has one definition, in a writer process that never
+    imports ``repro`` (it runs by file path, so nothing else would work)."""
+    tracer = (SRC / "repro" / "obs" / "tracer.py").read_text()
+    assert "json.dumps" not in tracer and "JSONEncoder" not in tracer
+    writer = ast.parse((SRC / "repro" / "obs" / "_jsonl_writer.py").read_text())
+    imported = set()
+    for node in ast.walk(writer):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0
+            imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+    assert imported and imported <= sys.stdlib_module_names
