@@ -2,29 +2,39 @@
 
 Every benchmark prints its artifact through these helpers so the harness
 output reads like the paper's tables/figures with a "measured" column next
-to the published values.
+to the published values.  :class:`Report` is the one protocol the
+observability reports (fleet, host record, SLO) render through: a
+terminal table, GitHub-flavoured markdown, or JSON.
+
+The module imports the stdlib only, so the CLI and the observers that
+render through it never pay for numpy unless a histogram is drawn.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
+import json
+import numbers
+from typing import Any, Sequence
 
 __all__ = [
+    "FORMATS",
+    "Report",
     "render_table",
-    "render_markdown_table",
     "render_histogram",
     "paper_vs_measured",
     "format_number",
 ]
+
+#: what :meth:`Report.render` takes: a fixed-width terminal table,
+#: GitHub-flavoured markdown, or the report's ``as_dict()`` as JSON
+FORMATS = ("table", "md", "json")
 
 
 def format_number(value: float | int | str) -> str:
     """Humane formatting: thousands separators, trimmed floats."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return f"{int(value):,}"
     if value != value:  # NaN
         return "-"
@@ -36,19 +46,34 @@ def format_number(value: float | int | str) -> str:
 
 
 def render_table(
-    headers: Sequence[str], rows: Sequence[Sequence[float | int | str]]
+    headers: Sequence[str],
+    rows: Sequence[Sequence[float | int | str]],
+    fmt: str = "table",
 ) -> str:
-    """Fixed-width text table.
+    """Fixed-width text table, or (``fmt="md"``) a GitHub-flavoured
+    markdown table with the same cell formatting, so terminal and
+    markdown reports agree.
 
     >>> print(render_table(["a", "b"], [[1, 2.5]]))
     a | b
     --+----
     1 | 2.5
+    >>> print(render_table(["a", "b"], [[1, 2.5]], fmt="md"))
+    | a | b |
+    | --- | --- |
+    | 1 | 2.5 |
     """
+    if fmt not in ("table", "md"):
+        raise ValueError(f"unknown table format {fmt!r} (expected table or md)")
     cells = [[format_number(v) for v in row] for row in rows]
     for row in cells:
         if len(row) != len(headers):
             raise ValueError("row width does not match headers")
+    if fmt == "md":
+        return "\n".join(
+            "| " + " | ".join(row) + " |"
+            for row in [list(headers), ["---"] * len(headers), *cells]
+        )
     widths = [
         max(len(headers[c]), *(len(row[c]) for row in cells)) if cells else len(headers[c])
         for c in range(len(headers))
@@ -62,37 +87,40 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_markdown_table(
-    headers: Sequence[str], rows: Sequence[Sequence[float | int | str]]
-) -> str:
-    """GitHub-flavoured markdown table (same cell formatting as
-    :func:`render_table`, so terminal and markdown reports agree).
+class Report:
+    """The one report protocol: ``as_dict()`` plus ``render(fmt)``.
 
-    >>> print(render_markdown_table(["a", "b"], [[1, 2.5]]))
-    | a | b |
-    | --- | --- |
-    | 1 | 2.5 |
+    A report writes its two text layouts in ``_text(fmt, **options)``
+    (``fmt`` is ``"table"`` or ``"md"``); its JSON form is the
+    ``as_dict()`` document, written here once for every report.
     """
-    cells = [[format_number(v) for v in row] for row in rows]
-    for row in cells:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match headers")
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in cells:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines)
+
+    def as_dict(self) -> dict[str, Any]:
+        raise NotImplementedError
+
+    def _text(self, fmt: str, **options: Any) -> str:
+        raise NotImplementedError
+
+    def render(self, fmt: str = "table", **options: Any) -> str:
+        """The report in ``fmt`` (one of :data:`FORMATS`); ``options``
+        tune the text layouts and are ignored by JSON."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown report format {fmt!r} "
+                             f"(expected {', '.join(FORMATS)})")
+        if fmt == "json":
+            return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return self._text(fmt, **options)
 
 
 def render_histogram(
-    bin_edges: np.ndarray,
-    counts: np.ndarray,
+    bin_edges,
+    counts,
     width: int = 50,
     label=lambda lo, hi: f"[{lo:g}, {hi:g})",
 ) -> str:
     """ASCII bar chart of a histogram (one row per bin)."""
+    import numpy as np
+
     edges = np.asarray(bin_edges, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.float64)
     if len(edges) != len(counts) + 1:
@@ -113,8 +141,8 @@ def paper_vs_measured(
     for name, paper, measured in rows:
         row = [name, format_number(paper), format_number(measured)]
         if (
-            isinstance(paper, (int, float, np.integer, np.floating))
-            and isinstance(measured, (int, float, np.integer, np.floating))
+            isinstance(paper, numbers.Real)
+            and isinstance(measured, numbers.Real)
             and float(paper) != 0
         ):
             ratio = float(measured) / float(paper)

@@ -16,6 +16,7 @@ quantitative backing for the paper's statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
@@ -44,10 +45,6 @@ class ServerCapacityModel:
             raise ValueError("transactions per result must be positive")
         if not 0 < self.target_utilization <= 1:
             raise ValueError("target utilization must be in (0, 1]")
-
-    @property
-    def max_transactions_per_day(self) -> float:
-        return self.max_results_per_day * self.transactions_per_result
 
     # -- load --------------------------------------------------------------
 
@@ -112,3 +109,20 @@ class ServerCapacityModel:
         """Largest fleet the server sustains at this per-result time."""
         sustainable_results = self.max_results_per_day * self.target_utilization
         return sustainable_results * device_seconds_per_result / SECONDS_PER_DAY
+
+    def check_rows(
+        self, n_devices: float, workunit_hours: float, net_speed_down: float
+    ) -> list[list[Any]]:
+        """The ``repro-hcmd capacity`` table: the load ``n_devices`` put
+        on the server at one workunit size, and the smallest size it
+        sustains."""
+        device_s = workunit_hours * SECONDS_PER_HOUR * net_speed_down
+        return [
+            ["devices", f"{n_devices:,.0f}"],
+            ["workunit target", f"{workunit_hours:g} reference hours"],
+            ["results per day", f"{self.results_per_day(n_devices, device_s):,.0f}"],
+            ["server utilization", f"{self.utilization(n_devices, device_s):.1%}"],
+            ["sustainable", "yes" if self.sustainable(n_devices, device_s) else "NO"],
+            ["minimum sustainable workunit",
+             f"{self.min_workunit_hours(n_devices, net_speed_down):.2f} h"],
+        ]

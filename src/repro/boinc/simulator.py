@@ -42,7 +42,7 @@ docs/observability.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -60,12 +60,15 @@ from ..grid.host import HostPopulationModel
 from ..maxdo.cost_model import CostModel
 from ..proteins.library import ProteinLibrary
 from ..store.format import result_bytes
-from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK
+from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK, format_bytes
 from .config import CampaignConfig
 from .fleet import FleetRun, FleetSpec, resolve_server_config, run_fleet
 from .server import GridServer, ServerConfig
 from .sharding import MergedServerView, merge_stats, merge_telemetry, run_sharded
 from .validator import ValidationStats
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..validation.merge import DatasetVolume
 
 __all__ = [
     "Telemetry",
@@ -230,13 +233,6 @@ class Telemetry:
         daily_vftp = self.daily_cpu_s[: n_weeks * 7] / SECONDS_PER_DAY
         return daily_vftp.reshape(n_weeks, 7).mean(axis=1)
 
-    def weekly_results(self) -> tuple[np.ndarray, np.ndarray]:
-        """Results per week: (all disclosed, useful) — Figure 6b."""
-        n_weeks = len(self.daily_results) // 7
-        disclosed = self.daily_results[: n_weeks * 7].reshape(n_weeks, 7).sum(axis=1)
-        useful = self.daily_useful[: n_weeks * 7].reshape(n_weeks, 7).sum(axis=1)
-        return disclosed, useful
-
 
 @dataclass
 class CampaignResult:
@@ -297,6 +293,30 @@ class CampaignResult:
             self.telemetry.registry,
             total_workunits=self.server.n_workunits,
         )
+
+    def summary_rows(self, volume: DatasetVolume) -> list[list[Any]]:
+        """The ``repro-hcmd simulate`` table: (quantity, measured, paper)
+        for the Section 5 headline numbers and the merged result dataset
+        ``volume`` in both formats (the paper's 123 GB is the full
+        library's)."""
+        metrics = self.metrics()
+        weeks = self.completion_weeks
+        full_library = volume.n_files == constants.N_PROTEINS**2
+        return [
+            ["scale", f"1/{self.scale:g}", "-"],
+            ["hosts", self.n_hosts, "-"],
+            ["workunits", self.server.n_workunits, "-"],
+            ["completion (weeks)", f"{weeks:.1f}" if weeks else "incomplete", "26"],
+            ["redundancy factor", f"{metrics.redundancy:.3f}", "1.37"],
+            ["useful result fraction", f"{metrics.useful_result_fraction:.3f}", "0.73"],
+            ["net speed-down", f"{metrics.speed_down_net:.2f}", "3.96"],
+            ["points-based VFTP / truth",
+             f"{self.vftp_from_credit() / self.vftp_from_useful_work():.2f}", "-"],
+            ["result dataset (text)", format_bytes(volume.raw_bytes),
+             "123 GB" if full_library else "-"],
+            ["result dataset (columnar)", format_bytes(volume.columnar_bytes), "-"],
+            ["text / columnar ratio", f"{volume.columnar_ratio:.2f}x", "-"],
+        ]
 
     def mean_device_run_hours(self) -> float:
         """Average device-side run time per result (paper: ~13 h)."""

@@ -15,6 +15,7 @@ plan is executed by :mod:`repro.dedicated`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .. import constants
 from ..maxdo.cost_model import CostModel
 from ..maxdo.resultfile import BYTES_PER_LINE
 from ..proteins.library import ProteinLibrary
-from ..units import SECONDS_PER_DAY, seconds_to_ydhms
+from ..units import SECONDS_PER_DAY, format_bytes, seconds_to_ydhms
 
 __all__ = [
     "EstimateReport",
@@ -47,10 +48,14 @@ class EstimateReport:
         """The paper's headline figure, e.g. ``1,488:237:19:45:54``."""
         return str(seconds_to_ydhms(self.total_reference_cpu_s))
 
-    @property
-    def result_gib(self) -> float:
-        """Projected result-dataset volume in GiB (paper: 123 GB)."""
-        return self.result_bytes / 1024**3
+    def rows(self) -> list[list[Any]]:
+        """(quantity, value) rows: what ``repro-hcmd estimate`` prints."""
+        return [
+            ["proteins", self.n_proteins],
+            ["total reference CPU (y:d:h:m:s)", self.total_ydhms],
+            ["maximum workunits", self.max_workunits],
+            ["result dataset", format_bytes(self.result_bytes)],
+        ]
 
 
 def estimate_total_work(

@@ -32,12 +32,12 @@ is reserved for the (scaled) discrete-event simulations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Any, Iterable, Iterator, Literal
 
 import numpy as np
 
 from ..maxdo.cost_model import CostModel
-from ..units import hours as hours_to_s
+from ..units import format_duration, hours as hours_to_s, seconds_to_ydhms
 from .workunit import WorkUnit
 
 __all__ = ["PackagingPolicy", "WorkUnitPlan", "positions_per_workunit"]
@@ -187,6 +187,18 @@ class WorkUnitPlan:
             "min": float(durations.min()),
             "max": float(durations.max()),
         }
+
+    def summary_rows(self) -> list[list[Any]]:
+        """(quantity, value) rows: what ``repro-hcmd package`` prints."""
+        stats = self.duration_stats()
+        return [
+            ["target duration",
+             f"{self.policy.target_hours:g} h ({self.policy.strategy})"],
+            ["workunits", self.total_workunits()],
+            ["mean duration", format_duration(stats["mean"])],
+            ["max duration", format_duration(stats["max"])],
+            ["total reference CPU", str(seconds_to_ydhms(self.total_reference_cpu()))],
+        ]
 
     def total_reference_cpu(self) -> float:
         """Total reference CPU seconds across all workunits.

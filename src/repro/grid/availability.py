@@ -110,12 +110,6 @@ class AvailabilityTrace:
         return len(self.starts)
 
 
-def _diurnal_weight(t: float, phase: float) -> float:
-    """Relative availability at time-of-day ``t`` (peak in the evening)."""
-    day_fraction = ((t / SECONDS_PER_DAY) + phase) % 1.0
-    return 1.0 + 0.5 * math.sin(2.0 * math.pi * (day_fraction - 0.25))
-
-
 def generate_trace(
     rng: np.random.Generator,
     horizon: float,

@@ -28,10 +28,6 @@ class BindingMode:
     n_members: int  #: poses assigned to this mode
     member_indices: np.ndarray  #: flat indices into the (pos, cpl, gam) grid
 
-    @property
-    def occupancy(self) -> int:
-        return self.n_members
-
 
 def cluster_minima(
     result: DockingResult,

@@ -46,6 +46,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from ..analysis.report import render_table
 from ..boinc.fleet import FleetSpec, resolve_server_config
 from ..boinc.server import Instance
 from ..boinc.simulator import (
@@ -65,7 +66,7 @@ from ..obs.ledger import FleetReport
 from ..units import SECONDS_PER_WEEK, weeks
 from .campaign import GridConfig
 from .policies import SchedulingPolicy, make_policy
-from .workloads import WorkloadBuild
+from .workloads import CrossDockingWorkload, WorkloadBuild
 
 __all__ = [
     "WU_ID_STRIDE",
@@ -378,6 +379,34 @@ class GridResult:
         if total <= 0.0:
             return {name: 0.0 for name in useful}
         return {name: v / total for name, v in useful.items()}
+
+    def summary(self) -> str:
+        """The roster table plus the grid line (``simulate --campaign``)."""
+        shares = self.issued_share()
+        rows = []
+        for name, result in self.campaigns.items():
+            workload = self.config.campaign(name).workload
+            weeks = result.completion_weeks
+            rows.append([
+                name,
+                "cross-docking" if isinstance(workload, CrossDockingWorkload)
+                else "screening",
+                result.server.n_workunits,
+                result.server.stats.effective,
+                f"{weeks:.1f}" if weeks else "incomplete",
+                f"{shares.get(name, 0.0):.1%}",
+            ])
+        table = render_table(
+            ["campaign", "kind", "workunits", "validated", "weeks", "share"], rows
+        )
+        done = "incomplete"
+        if self.completion_time is not None:
+            done = f"{self.completion_time / SECONDS_PER_WEEK:.1f} weeks"
+        return (
+            f"{table}\n\npolicy: {self.config.policy}; hosts: {self.n_hosts}; "
+            f"grid completion: {done}; "
+            f"validated results: {self.merged_stats().effective:,}"
+        )
 
 
 class MultiGridSimulation:

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..analysis.report import Report
 from .metrics import MetricsRegistry
 from .tracer import Fold, Tracer
 
@@ -386,7 +387,7 @@ class HealthMonitor(Fold):
 
 
 @dataclass
-class SLOReport:
+class SLOReport(Report):
     """The final health verdict of one campaign (JSON-safe)."""
 
     t_end: float
@@ -416,8 +417,9 @@ class SLOReport:
             "counters": self.counters,
         }
 
-    def render(self) -> str:
-        """A compact terminal SLO summary."""
+    def _text(self, fmt: str) -> str:
+        """A compact terminal SLO summary (fenced as a code block in
+        markdown: its columns are aligned for a fixed-width font)."""
         lines = [
             "SLO report: "
             + ("healthy" if self.healthy
@@ -442,4 +444,5 @@ class SLOReport:
                 f"{q}={est[q]:,.1f}" for q in sorted(est)
             )
             lines.append(f"    {name:<26} n={sk['count']:<7d} {rendered}")
-        return "\n".join(lines)
+        text = "\n".join(lines)
+        return f"```\n{text}\n```" if fmt == "md" else text

@@ -56,10 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..analysis.report import Report, render_table
+from ..units import format_duration
 from .quantiles import QuantileSketch
-from .tracer import Fold
+from .tracer import Fold, iter_trace
 
-__all__ = ["HostRecord", "HostLedger", "FleetReport"]
+__all__ = ["HostRecord", "HostLedger", "FleetReport", "HostReport"]
 
 #: behavioral classes, in classification precedence order
 HOST_CLASSES = ("suspect-saboteur", "flaky", "straggler", "reliable")
@@ -439,9 +441,7 @@ class HostLedger(Fold):
         classes = {name: 0 for name in HOST_CLASSES}
         hosts: list[dict[str, Any]] = []
         totals: dict[str, float] = {name: 0 for name in HostRecord.COUNTERS}
-        totals["active_s"] = 0.0
-        totals["cpu_s"] = 0.0
-        totals["credit"] = 0.0
+        totals.update(active_s=0.0, cpu_s=0.0, credit=0.0)
         last_seen = 0.0
         for host in sorted(self.records):
             rec = self.records[host]
@@ -450,11 +450,8 @@ class HostLedger(Fold):
             doc = rec.as_dict()
             doc["class"] = cls
             hosts.append(doc)
-            for name in HostRecord.COUNTERS:
+            for name in totals:
                 totals[name] += getattr(rec, name)
-            totals["active_s"] += rec.active_s
-            totals["cpu_s"] += rec.cpu_s
-            totals["credit"] += rec.credit
             if rec.last_seen is not None and rec.last_seen > last_seen:
                 last_seen = rec.last_seen
 
@@ -497,7 +494,7 @@ class HostLedger(Fold):
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Report):
     """The final per-host forensics of one campaign (JSON-safe)."""
 
     t_end: float
@@ -511,12 +508,39 @@ class FleetReport:
     stragglers: list[dict[str, Any]] = field(default_factory=list)
     by_campaign: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def host(self, host_id: int) -> dict[str, Any]:
-        """One host's record (KeyError when the ledger never saw it)."""
+    #: the per-host table, declared once for both text layouts: (header,
+    #: record key, terminal width, cell format); a negative width
+    #: left-aligns the column
+    COLUMNS = (
+        ("host", "host", 10, ""),
+        ("class", "class", -16, ""),
+        ("issued", "issued", 6, ""),
+        ("valid", "validated", 6, ""),
+        ("inval", "invalid", 6, ""),
+        ("t/out", "timed_out", 6, ""),
+        ("caught", "sabotage_caught", 6, ""),
+        ("uptime", "uptime_fraction", 7, ".1%"),
+        ("streak", "streak", 6, ""),
+        ("credit", "credit", 10, ",.0f"),
+    )
+
+    @classmethod
+    def from_trace(cls, path) -> "FleetReport":
+        """Refold a recorded JSONL trace (``repro-hcmd hosts``); the
+        horizon is the trace's last timestamp, folded or not."""
+        ledger, t_end = HostLedger(), 0.0
+        for event in iter_trace(path):
+            ledger.feed(event)
+            if event.t_sim is not None:
+                t_end = event.t_sim
+        return ledger.finalize(t_end)
+
+    def host(self, host_id: int) -> "HostReport":
+        """One host's record (ValueError when the ledger never saw it)."""
         for doc in self.hosts:
             if doc["host"] == host_id:
-                return doc
-        raise KeyError(f"host {host_id} does not appear in the ledger")
+                return HostReport(doc)
+        raise ValueError(f"host {host_id} does not appear in the ledger")
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -532,43 +556,70 @@ class FleetReport:
             "by_campaign": self.by_campaign,
         }
 
-    def render(self, top: int = 10) -> str:
-        """A compact terminal fleet summary."""
-        lines = [
-            f"fleet: {self.n_hosts} hosts, "
-            + ", ".join(
-                f"{n} {name}" for name, n in self.classes.items() if n
-            )
+    def _host_table(self, fmt: str, top: int) -> list[str]:
+        """The first ``top`` hosts as :attr:`COLUMNS`, one line per row."""
+        rows = [[header for header, *_ in self.COLUMNS]] + [
+            [format(doc[key], spec) for _, key, _, spec in self.COLUMNS]
+            for doc in self.hosts[:top]
         ]
+        if fmt == "md":
+            rows.insert(1, [
+                ":---" if width < 0 else "---:" for *_, width, _ in self.COLUMNS
+            ])
+            return ["| " + " | ".join(row) + " |" for row in rows]
+        return [
+            "  " + " ".join(
+                f"{cell:<{-width}}" if width < 0 else f"{cell:>{width}}"
+                for cell, (*_, width, _) in zip(row, self.COLUMNS)
+            )
+            for row in rows
+        ]
+
+    def _text(self, fmt: str, top: int = 10) -> str:
+        """A compact terminal fleet summary, or a markdown section."""
+        classes = ", ".join(
+            f"{n} {name}" for name, n in self.classes.items() if n
+        )
+        more = len(self.hosts) - top
+        if fmt == "md":
+            lines = [
+                "## Fleet forensics",
+                "",
+                f"**{self.n_hosts} hosts** ({classes or 'no hosts observed'}); "
+                f"{self.n_observed:,} events folded.",
+                "",
+                *self._host_table(fmt, top),
+            ]
+            if more > 0:
+                lines += ["", f"... {more} more hosts"]
+            if self.by_campaign:
+                lines += [
+                    "",
+                    "| campaign | results | validated | invalid |",
+                    "| :--- | ---: | ---: | ---: |",
+                ]
+                for name, agg in self.by_campaign.items():
+                    lines.append(
+                        f"| {name} | {agg['results']} | {agg['validated']} "
+                        f"| {agg['invalid']} |"
+                    )
+            return "\n".join(lines)
         t = self.totals
-        lines.append(
+        lines = [
+            f"fleet: {self.n_hosts} hosts, " + classes,
             f"  issued={t['issued']:.0f} results={t['results']:.0f} "
             f"validated={t['validated']:.0f} invalid={t['invalid']:.0f} "
             f"late={t['late']:.0f} timed_out={t['timed_out']:.0f} "
-            f"credit={t['credit']:,.0f}"
-        )
+            f"credit={t['credit']:,.0f}",
+        ]
         if self.fleet_median_turnaround_s is not None:
             lines.append(
                 "  fleet median turnaround: "
                 f"{self.fleet_median_turnaround_s / 3600.0:,.1f} h"
             )
-        header = (
-            f"  {'host':>10} {'class':<16} {'issued':>6} {'valid':>6} "
-            f"{'inval':>6} {'t/out':>6} {'caught':>6} {'uptime':>7} "
-            f"{'streak':>6} {'credit':>10}"
-        )
-        lines.append(header)
-        for doc in self.hosts[:top]:
-            lines.append(
-                f"  {doc['host']:>10} {doc['class']:<16} "
-                f"{doc['issued']:>6} {doc['validated']:>6} "
-                f"{doc['invalid']:>6} {doc['timed_out']:>6} "
-                f"{doc['sabotage_caught']:>6} "
-                f"{doc['uptime_fraction']:>6.1%} {doc['streak']:>6} "
-                f"{doc['credit']:>10,.0f}"
-            )
-        if len(self.hosts) > top:
-            lines.append(f"  ... {len(self.hosts) - top} more hosts")
+        lines += self._host_table(fmt, top)
+        if more > 0:
+            lines.append(f"  ... {more} more hosts")
         if self.by_campaign:
             lines.append("  per-campaign:")
             for name, agg in self.by_campaign.items():
@@ -578,42 +629,42 @@ class FleetReport:
                 )
         return "\n".join(lines)
 
-    def render_markdown(self, top: int = 10) -> str:
-        """The fleet summary as a GitHub-flavoured markdown table."""
-        classes = ", ".join(
-            f"{n} {name}" for name, n in self.classes.items() if n
-        )
-        lines = [
-            "## Fleet forensics",
-            "",
-            f"**{self.n_hosts} hosts** ({classes or 'no hosts observed'}); "
-            f"{self.n_observed:,} events folded.",
-            "",
-            "| host | class | issued | valid | inval | t/out | caught "
-            "| uptime | streak | credit |",
-            "| ---: | :--- | ---: | ---: | ---: | ---: | ---: "
-            "| ---: | ---: | ---: |",
+
+class HostReport(dict, Report):
+    """One host's ledger record (``repro-hcmd hosts --host N``): the
+    record dict itself, rendered as a two-column table."""
+
+    def as_dict(self) -> dict[str, Any]:
+        return self
+
+    def _text(self, fmt: str) -> str:
+        doc = self
+        rows = [
+            ["class", doc["class"]],
+            ["issued / results / validated",
+             f"{doc['issued']} / {doc['results']} / {doc['validated']}"],
+            ["invalid / late / timed out",
+             f"{doc['invalid']} / {doc['late']} / {doc['timed_out']}"],
+            ["crashes / corrupted / sabotaged",
+             f"{doc['crashes']} / {doc['corrupted']} / {doc['sabotaged']}"],
+            ["sabotage caught / bad validated",
+             f"{doc['sabotage_caught']} / {doc['bad_validated']}"],
+            ["sessions / uptime",
+             f"{doc['sessions']} / {doc['uptime_fraction']:.1%}"],
+            ["trust streak (now / peak)",
+             f"{doc['streak']} / {doc['peak_streak']}"
+             + (" (trusted)" if doc["trusted"] else "")],
+            ["demotions / spot checks",
+             f"{doc['demotions']} / {doc['spot_checks']}"],
+            ["cpu / credit",
+             f"{format_duration(doc['cpu_s'])} / {doc['credit']:,.0f}"],
         ]
-        for doc in self.hosts[:top]:
-            lines.append(
-                f"| {doc['host']} | {doc['class']} | {doc['issued']} "
-                f"| {doc['validated']} | {doc['invalid']} "
-                f"| {doc['timed_out']} | {doc['sabotage_caught']} "
-                f"| {doc['uptime_fraction']:.1%} | {doc['streak']} "
-                f"| {doc['credit']:,.0f} |"
-            )
-        if len(self.hosts) > top:
-            lines.append("")
-            lines.append(f"... {len(self.hosts) - top} more hosts")
-        if self.by_campaign:
-            lines += [
-                "",
-                "| campaign | results | validated | invalid |",
-                "| :--- | ---: | ---: | ---: |",
-            ]
-            for name, agg in self.by_campaign.items():
-                lines.append(
-                    f"| {name} | {agg['results']} | {agg['validated']} "
-                    f"| {agg['invalid']} |"
-                )
-        return "\n".join(lines)
+        estimates = doc["turnaround"].get("estimates")
+        if estimates:
+            rows.append([
+                "turnaround p50 / p90 / p99",
+                " / ".join(
+                    format_duration(estimates[k]) for k in ("p50", "p90", "p99")
+                ),
+            ])
+        return render_table([f"host {doc['host']}", "value"], rows, fmt)

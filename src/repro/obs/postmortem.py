@@ -25,9 +25,9 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from ..analysis.report import render_markdown_table, render_table
+from ..analysis.report import render_table
 from ..grid.population import hcmd_share_schedule
-from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK
+from ..units import SECONDS_PER_DAY
 from .spans import SpanCampaign, reconstruct, reconstruct_file
 from .tracer import TraceEvent
 
@@ -177,65 +177,40 @@ class CampaignReport:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self, markdown: bool = False) -> str:
-        """The full post-mortem, terminal fixed-width or markdown."""
-        table = render_markdown_table if markdown else render_table
-
-        def heading(text: str) -> str:
-            return f"## {text}" if markdown else f"{text}\n{'-' * len(text)}"
-
-        sections = [
-            ("# Campaign post-mortem" if markdown else "CAMPAIGN POST-MORTEM")
-            + f"\nsource: {self.source}",
-            heading("Summary") + "\n"
-            + table(["quantity", "value"], self.summary_rows()),
+    def render(self, fmt: str = "table") -> str:
+        """The full post-mortem, terminal fixed-width (``"table"``) or
+        markdown (``"md"``); a section without rows is left out."""
+        quantity = ["quantity", "value"]
+        tables = [
+            ("Summary", quantity, self.summary_rows(), ""),
+            ("Throughput by paper phase",
+             ["phase", "weeks", "released", "attempts", "validated",
+              "validated/week"], self.phase_rows(), ""),
+            ("Span latencies (exact offline percentiles)",
+             ["span", "n", "p50", "p90", "p99", "max"], self.latency_rows(),
+             "\n(makespan/latency/report columns in hours; "
+             "active_hours in hours of device compute)"),
+            ("Result dataset (both formats)", quantity, self.dataset_rows(), ""),
+            ("Fault error budget", quantity, self.error_budget_rows(), ""),
+            ("Top critical-path couples",
+             ["couple", "wus", "attempts", "worst makespan", "mean makespan",
+              "dominant critical-path cost"], self.straggler_rows(), ""),
         ]
-        phase = self.phase_rows()
-        if phase:
-            sections.append(
-                heading("Throughput by paper phase") + "\n"
-                + table(
-                    ["phase", "weeks", "released", "attempts", "validated",
-                     "validated/week"],
-                    phase,
-                )
-            )
-        latency = self.latency_rows()
-        if latency:
-            sections.append(
-                heading("Span latencies (exact offline percentiles)") + "\n"
-                + table(
-                    ["span", "n", "p50", "p90", "p99", "max"], latency,
-                )
-                + "\n(makespan/latency/report columns in hours; "
-                  "active_hours in hours of device compute)"
-            )
-        dataset = self.dataset_rows()
-        if dataset:
-            sections.append(
-                heading("Result dataset (both formats)") + "\n"
-                + table(["quantity", "value"], dataset)
-            )
-        sections.append(
-            heading("Fault error budget") + "\n"
-            + table(["quantity", "value"], self.error_budget_rows())
-        )
-        stragglers = self.straggler_rows()
-        if stragglers:
-            sections.append(
-                heading("Top critical-path couples") + "\n"
-                + table(
-                    ["couple", "wus", "attempts", "worst makespan",
-                     "mean makespan", "dominant critical-path cost"],
-                    stragglers,
-                )
-            )
+        sections = [
+            (title, render_table(headers, rows, fmt) + note)
+            for title, headers, rows, note in tables if rows
+        ]
         if self.health is not None:
-            body = self.health.render()
-            if markdown:
-                body = "```\n" + body + "\n```"
-            sections.append(heading("Live SLO report") + "\n" + body)
-        return "\n\n".join(sections)
+            sections.append(("Live SLO report", self.health.render(fmt)))
+        if fmt == "md":
+            head = f"# Campaign post-mortem\nsource: {self.source}"
+            return "\n\n".join(
+                [head] + [f"## {title}\n{body}" for title, body in sections]
+            )
+        head = f"CAMPAIGN POST-MORTEM\nsource: {self.source}"
+        return "\n\n".join([head] + [
+            f"{title}\n{'-' * len(title)}\n{body}" for title, body in sections
+        ])
 
 
 # -- trace diff -------------------------------------------------------------

@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import Counter as _Counter
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
+from ..analysis.report import render_table
 from ..units import SECONDS_PER_DAY
 from .events import channel_of
 from .tracer import TraceEvent
@@ -35,8 +36,6 @@ class TraceSummary:
     by_channel: _Counter = field(default_factory=_Counter)
     t_sim_min: float | None = None
     t_sim_max: float | None = None
-    t_wall_min: float | None = None
-    t_wall_max: float | None = None
 
     @property
     def sim_span_days(self) -> float | None:
@@ -45,18 +44,34 @@ class TraceSummary:
             return None
         return (self.t_sim_max - self.t_sim_min) / SECONDS_PER_DAY
 
-    @property
-    def wall_span_s(self) -> float | None:
-        if self.t_wall_min is None or self.t_wall_max is None:
-            return None
-        return self.t_wall_max - self.t_wall_min
-
     def rows(self) -> list[tuple[str, str, int]]:
         """(event type, channel, count) rows sorted by channel then type."""
         return [
             (etype, channel_of(etype), self.by_type[etype])
             for etype in sorted(self.by_type, key=lambda e: (channel_of(e), e))
         ]
+
+    def render(self, selection: dict[str, Any] | None = None) -> str:
+        """The ``repro-hcmd trace`` summary: the totals (led by the
+        filter ``selection`` the events went through), then the
+        per-type counts."""
+        span = self.sim_span_days
+        rows = [
+            ["events", self.n_events],
+            ["event types", len(self.by_type)],
+            ["channels", ", ".join(sorted(self.by_channel)) or "-"],
+            ["simulated span", f"{span:.1f} days" if span is not None else "-"],
+        ]
+        if selection:
+            rows.insert(0, [
+                "selection", ", ".join(f"{k}={v}" for k, v in selection.items())
+            ])
+        text = render_table(["quantity", "value"], rows)
+        if self.by_type:
+            text += "\n\n" + render_table(
+                ["event type", "channel", "count"], [list(r) for r in self.rows()]
+            )
+        return text
 
 
 def summarize_trace(events: Iterable[TraceEvent]) -> TraceSummary:
@@ -71,10 +86,6 @@ def summarize_trace(events: Iterable[TraceEvent]) -> TraceSummary:
                 summary.t_sim_min = event.t_sim
             if summary.t_sim_max is None or event.t_sim > summary.t_sim_max:
                 summary.t_sim_max = event.t_sim
-        if summary.t_wall_min is None or event.t_wall < summary.t_wall_min:
-            summary.t_wall_min = event.t_wall
-        if summary.t_wall_max is None or event.t_wall > summary.t_wall_max:
-            summary.t_wall_max = event.t_wall
     return summary
 
 

@@ -248,6 +248,18 @@ class SchedulerService:
                 "service.drain", t_sim=self.sim.now, phase="end", pending=0,
             )
 
+    def summary_rows(self) -> list[list[Any]]:
+        """What the service answered and refused (``repro-hcmd serve``
+        prints it after draining)."""
+        return [
+            ["requests answered", self.requests_total],
+            ["results validated", self.server.stats.effective],
+            ["refused (outage)", self.refused["outage"]],
+            ["refused (overload)", self.refused["overload"]],
+            ["refused (draining)", self.refused["draining"]],
+            ["peak queue depth", self.max_queue_depth],
+        ]
+
     async def shutdown(self) -> None:
         """Graceful stop: drain the write queue, then close the socket."""
         await self.drain()

@@ -114,6 +114,33 @@ class StormReport:
             for q in (0.5, 0.9, 0.99)
         }
 
+    def rows(self, requests_per_host: int) -> list[list[Any]]:
+        """The ``loadgen --mode storm`` table: the client's counts and
+        latencies, then the service's own per-op P² sketches
+        (``service.rpc_wall_s.<op>``)."""
+
+        def p50_p99_ms(quantiles: dict[str, float]) -> str:
+            return (f"{quantiles.get('p50', 0) * 1e3:.2f} / "
+                    f"{quantiles.get('p99', 0) * 1e3:.2f}")
+
+        rows = [
+            ["hosts x sweeps", f"{self.n_hosts} x {requests_per_host}"],
+            ["connections", self.connections],
+            ["requests sent", self.sent],
+            ["requests answered", self.answered],
+            ["dropped (no response)", self.dropped],
+            ["refused (503)", self.refused_total],
+            ["assignments / reports", f"{self.assignments} / {self.reports}"],
+            ["sustained requests/s", f"{self.requests_per_s:,.0f}"],
+            ["latency p50 / p99 (ms)", p50_p99_ms(self.latency_quantiles())],
+        ]
+        for name in sorted(self.service_rpc_wall_s):
+            estimates = self.service_rpc_wall_s[name].get("estimates")
+            if estimates:
+                op = name.rsplit(".", 1)[-1]
+                rows.append([f"service {op} p50 / p99 (ms)", p50_p99_ms(estimates)])
+        return rows
+
     def as_dict(self) -> dict[str, Any]:
         return {
             "n_hosts": self.n_hosts,

@@ -37,7 +37,7 @@ import io
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from ..maxdo.resultfile import (
     ResultHeader,
     ResultTable,
 )
+from ..units import format_bytes
 
 __all__ = [
     "PACKED_DTYPE",
@@ -452,6 +453,23 @@ class ResultStore:
     @property
     def n_rows(self) -> int:
         return sum(len(s) for s in self.segments)
+
+    def size_rows(self) -> list[list[Any]]:
+        """Rows, couples and bytes in both result formats (``repro-hcmd
+        results stats``); the text side counts what
+        :func:`~repro.store.store_to_text` writes, headers included."""
+        store_bytes = self.path.stat().st_size
+        text_bytes = result_bytes(self.n_rows, len(self)) + sum(
+            len("\n".join(s.header.lines())) + 1 for s in self.segments
+        )
+        return [
+            ["segments", len(self)],
+            ["couples", len(self.by_couple())],
+            ["rows", f"{self.n_rows:,}"],
+            ["store bytes", format_bytes(store_bytes)],
+            ["text-equivalent bytes", format_bytes(text_bytes)],
+            ["text / columnar ratio", f"{text_bytes / store_bytes:.2f}x"],
+        ]
 
     def couples(self) -> list[tuple[str, str]]:
         """Distinct (receptor, ligand) couples, in first-seen order."""

@@ -118,20 +118,8 @@ class DatasetVolume:
     compression_ratio: float = 123.0 / 45.0
 
     @property
-    def raw_gib(self) -> float:
-        return self.raw_bytes / 1024**3
-
-    @property
     def compressed_bytes(self) -> int:
         return int(self.raw_bytes / self.compression_ratio)
-
-    @property
-    def compressed_gib(self) -> float:
-        return self.compressed_bytes / 1024**3
-
-    @property
-    def columnar_gib(self) -> float:
-        return self.columnar_bytes / 1024**3
 
     @property
     def columnar_ratio(self) -> float:

@@ -327,10 +327,13 @@ class TestScienceCommands:
         assert "site recovery" in out
         assert "focused search" in out
 
-    def test_sites_keep_validation(self):
-        with pytest.raises(ValueError):
-            main(["sites", "--proteins", "20", "--positions", "100",
-                  "--keep", "0.0"])
+    def test_sites_keep_validation(self, capsys):
+        """The library's refusal is one ``error:`` line and exit 2 (main
+        is the one place that turns a ValueError into that)."""
+        assert main(["sites", "--proteins", "20", "--positions", "100",
+                     "--keep", "0.0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: keep_fraction must be in (0, 1]\n"
 
 
 class TestResultsCommands:
@@ -338,44 +341,9 @@ class TestResultsCommands:
 
     @pytest.fixture
     def text_dir(self, tmp_path):
-        import numpy as np
+        from tests.test_cli_transcript import write_result_chunks
 
-        from repro.maxdo.resultfile import (
-            RESULT_DTYPE, ResultHeader, write_results,
-        )
-        from repro.rng import stream
-        from repro.store import render_lines
-
-        rng = stream(31, "cli-results")
-        src = tmp_path / "uploads"
-        src.mkdir()
-        for ligand in ("P002", "P003"):
-            for k in range(2):
-                nsep, n_rot = 3, 4
-                n = nsep * n_rot
-                rec = np.zeros(n, dtype=RESULT_DTYPE)
-                rec["isep"] = np.repeat(
-                    np.arange(1 + k * nsep, 1 + (k + 1) * nsep), n_rot
-                )
-                rec["irot"] = np.tile(np.arange(1, n_rot + 1), nsep)
-                rec["igamma"] = rng.integers(1, 7, size=n)
-                for f in ("x", "y", "z"):
-                    rec[f] = np.round(rng.normal(0.0, 40.0, n), 3)
-                for f in ("alpha", "beta", "gamma"):
-                    rec[f] = np.round(rng.uniform(0.0, 6.28, n), 4)
-                rec["e_lj"] = np.round(rng.normal(-30.0, 12.0, n), 4)
-                rec["e_elec"] = np.round(rng.normal(-8.0, 4.0, n), 4)
-                rec["e_tot"] = np.round(rec["e_lj"] + rec["e_elec"], 4)
-                header = ResultHeader(
-                    receptor="P001", ligand=ligand,
-                    isep_start=1 + k * nsep, nsep=nsep,
-                    n_couples=n_rot, n_gamma=6,
-                )
-                write_results(
-                    src / f"P001_{ligand}_{header.isep_start}.result",
-                    header, render_lines(rec),
-                )
-        return src
+        return write_result_chunks(tmp_path / "uploads")
 
     def test_convert_roundtrip_zero_diff(self, text_dir, tmp_path, capsys):
         store = tmp_path / "all.rcs"

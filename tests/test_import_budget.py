@@ -57,6 +57,12 @@ def test_result_file_jobs_never_load_scipy(statement):
     assert "scipy" not in probe(f"{statement}\n{LOADED}")["heavy"]
 
 
+def test_report_protocol_is_stdlib_only():
+    """``render_table`` and the report protocol cost no numpy, so the CLI
+    and the host ledger can render through them for free."""
+    assert probe(f"import repro.analysis.report\n{LOADED}")["heavy"] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"], ["simulate", "--help"], ["results", "--help"], ["serve", "--help"],
 ])

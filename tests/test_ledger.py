@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -260,6 +261,33 @@ class TestHostsCli:
         assert "host 0" in out
         assert "trust streak" in out
         assert "host=0" in out  # the timeline tail
+
+    def test_fleet_table_columns_line_up(self, trace_path):
+        """Each host row's cells end where their header ends (``class``,
+        left-aligned, starts where its header starts)."""
+        lines = HostLedger().fold(iter_trace(trace_path)).finalize().render()
+        lines = lines.splitlines()
+        at = next(
+            i for i, line in enumerate(lines) if line.split()[:2] == ["host", "class"]
+        )
+        rows = [line for line in lines[at + 1:] if line.split()[0].isdigit()]
+
+        def edges(line: str) -> list[int]:
+            spans = [m.span() for m in re.finditer(r"\S+", line)]
+            return [spans[0][1], spans[1][0], *(end for _, end in spans[2:])]
+
+        assert rows
+        for row in rows:
+            assert edges(row) == edges(lines[at]), row
+
+    def test_host_detail_markdown(self, trace_path, capsys):
+        from repro.cli import main
+
+        assert main(["hosts", str(trace_path), "--host", "0", "--format", "md"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("| host 0 | value |\n| --- | --- |\n| class | ")
+        assert "| trust streak (now / peak) | " in out
+        assert "host=0" in out  # the timeline still follows the record
 
     def test_json_format_round_trips(self, trace_path, capsys):
         from repro.cli import main

@@ -509,7 +509,7 @@ class TestCampaignReport:
     def test_markdown_render(self, faulted):
         tracer, _, _ = faulted
         report = CampaignReport.from_events(tracer.sink.events)
-        text = report.render(markdown=True)
+        text = report.render("md")
         assert text.startswith("# Campaign post-mortem")
         assert "## Summary" in text
         assert "| --" in text  # markdown table separators
