@@ -184,37 +184,32 @@ def _records_from_columns(raw: np.ndarray) -> np.ndarray:
 def read_results(path: Path | str) -> ResultTable:
     """Parse a result file written by :func:`write_results`.
 
-    The data block is parsed in one vectorized pass (a single whitespace
-    split of the whole block feeding one ``np.array(..., float)`` call)
-    instead of per-line float parsing — an order of magnitude faster on
-    workunit-sized files.  Equivalent to the per-line ``np.loadtxt`` parser
-    (``tests/oracles/resultfile.py``) on every well-formed file, pinned by
-    ``tests/test_maxdo_resultfile.py``.
+    ``#`` lines are the header; every other non-blank line is a data row,
+    and the whole block is one ``np.loadtxt`` call (numpy's C tokenizer,
+    correctly rounded like ``float()``, so ``-0.000`` keeps its sign and
+    ``nan`` / ``inf`` parse as themselves).  Bit-identical to the
+    per-token oracle in ``tests/oracles/resultfile.py``.
 
-    Raises ``ValueError`` on malformed headers or data lines; the validator
-    (:mod:`repro.validation.checks`) relies on these errors to reject
-    corrupted volunteer uploads.
+    Raises ``ValueError`` on malformed headers or data lines (not 12
+    columns, a ragged block, a token that is not a number, ``#`` inside a
+    data line included); the validator (:mod:`repro.validation.checks`)
+    relies on these errors to reject corrupted volunteer uploads.
     """
-    path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    header_lines = [ln for ln in lines if ln.startswith("#")]
-    data_lines = [ln for ln in lines if not ln.startswith("#") and ln.strip()]
-    header = _parse_header(header_lines)
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    header = _parse_header([ln for ln in lines if ln[:1] == "#"])
+    data_lines = [ln for ln in lines if ln and ln[0] != "#" and not ln.isspace()]
+    if not data_lines:
+        return ResultTable(header=header, records=np.zeros(0, dtype=_DTYPE))
     n_cols = len(_DTYPE.names)
-    if data_lines:
-        first_cols = len(data_lines[0].split())
-        if first_cols != n_cols:
-            raise ValueError(f"expected {n_cols} columns, got {first_cols}")
-        try:
-            flat = np.array("\n".join(data_lines).split(), dtype=np.float64)
-        except ValueError as exc:
+    try:
+        raw = np.loadtxt(data_lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        widths = [len(ln.split()) for ln in data_lines]
+        row = next((i for i, w in enumerate(widths) if w != n_cols), None)
+        if row is None:
             raise ValueError(f"unparseable data line: {exc}") from exc
-        if flat.size != len(data_lines) * n_cols:
-            raise ValueError(
-                f"ragged data block: {flat.size} values over "
-                f"{len(data_lines)} lines (expected {n_cols} columns)"
-            )
-        records = _records_from_columns(flat.reshape(-1, n_cols))
-    else:
-        records = np.zeros(0, dtype=_DTYPE)
-    return ResultTable(header=header, records=records)
+        ragged = f"ragged data block: data line {row + 1}: " if row else ""
+        raise ValueError(f"{ragged}expected {n_cols} columns, got {widths[row]}") from exc
+    if raw.shape[1] != n_cols:
+        raise ValueError(f"expected {n_cols} columns, got {raw.shape[1]}")
+    return ResultTable(header=header, records=_records_from_columns(raw))

@@ -136,11 +136,11 @@ _INDEX_FIELDS = ("isep", "irot", "igamma")
 
 # Reserved sentinel codes at the bottom of each integer range carry the
 # IEEE specials through the fixed-point packing (corrupted uploads do
-# contain NaN; check 3 must see them on either representation).
-_SENTINEL_NAN = 0
-_SENTINEL_PINF = 1
-_SENTINEL_NINF = 2
-_N_SENTINELS = 3
+# contain NaN; check 3 must see them on either representation) and the
+# sign of a zero the text format prints as ``-0.000``.  Code 3 was the
+# lowest packable value before negative zeros had a code.
+_SENTINEL_NAN, _SENTINEL_PINF, _SENTINEL_NINF, _SENTINEL_NZERO = range(4)
+_N_SENTINELS = 4
 
 
 def _int_bounds(dtype: np.dtype) -> tuple[int, int]:
@@ -171,19 +171,23 @@ def pack_records(records: np.ndarray) -> np.ndarray:
         finite = np.isfinite(col)
         scaled = np.round(col[finite] * scale)
         lo, hi = _int_bounds(PACKED_DTYPE[name])
-        lo += _N_SENTINELS  # sentinel codes live at the bottom of the range
-        if len(scaled) and (scaled.min() < lo or scaled.max() > hi):
+        floor = lo + _N_SENTINELS  # sentinel codes live below the floor
+        if len(scaled) and (scaled.min() < floor or scaled.max() > hi):
             raise ValueError(
                 f"column {name!r} has values outside the packed range "
-                f"[{lo / scale:g}, {hi / scale:g}]"
+                f"[{floor / scale:g}, {hi / scale:g}]"
             )
         out[finite] = scaled.astype(np.int64)
-        if not finite.all():
-            bad = col[~finite]
-            codes = np.full(len(bad), _SENTINEL_NAN, dtype=np.int64)
-            codes[np.isposinf(bad)] = _SENTINEL_PINF
-            codes[np.isneginf(bad)] = _SENTINEL_NINF
-            out[~finite] = _int_bounds(PACKED_DTYPE[name])[0] + codes
+        # sentinels: the non-finite values, and the negative values that
+        # round to zero (the text format prints them as ``-0.000``)
+        special = ~finite
+        special[finite] = (scaled == 0) & np.signbit(scaled)
+        if special.any():
+            bad = col[special]
+            out[special] = lo + np.select(
+                [np.isnan(bad), bad == np.inf, bad == -np.inf],
+                [_SENTINEL_NAN, _SENTINEL_PINF, _SENTINEL_NINF], _SENTINEL_NZERO,
+            )
         packed[name] = out
     return packed
 
@@ -200,6 +204,7 @@ def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
         values = np.full(len(code), np.nan)
         values[code == _SENTINEL_PINF] = np.inf
         values[code == _SENTINEL_NINF] = -np.inf
+        values[code == _SENTINEL_NZERO] = -0.0
         col[special] = values
     return col
 

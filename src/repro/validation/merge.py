@@ -100,8 +100,6 @@ def merge_couple_results(chunk_paths: list[Path | str], out_path: Path | str) ->
     header = merged_header(
         [(t.header, p.name) for t, p in zip(tables, chunk_paths)]
     )
-    # Rendered from the parsed float64 rows, not via the packed codec: the
-    # fixed-point columns would drop the sign of a ``-0.000`` coordinate.
     records = sorted_rows([t.records for t in tables])
     return write_results(out_path, header, render_lines(records))
 

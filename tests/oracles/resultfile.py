@@ -1,8 +1,7 @@
-"""Result-file oracles: the per-row formatter and the per-line parser."""
+"""Result-file oracles: the per-row formatter and the per-token parser."""
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -38,28 +37,28 @@ def format_record(
 
 
 def read_results_reference(path: Path | str) -> ResultTable:
-    """The original per-line ``np.loadtxt`` parser, kept as the equivalence
-    oracle for :func:`read_results` (and for honesty in parser benchmarks)."""
-    path = Path(path)
+    """Parse a result file one line and one token at a time.
+
+    The equivalence oracle for :func:`read_results`, sharing none of its
+    parsing: each token goes through Python's own correctly rounded
+    ``float()``, one line at a time.  Same header rule (``#`` lines are
+    the header, blank lines are skipped); any line that is not exactly
+    twelve numbers raises ``ValueError``.
+    """
+    n_cols = len(_DTYPE.names)
     header_lines: list[str] = []
-    data = io.StringIO()
-    n_data = 0
-    with path.open("r", encoding="ascii") as fh:
+    rows: list[list[float]] = []
+    with Path(path).open("r", encoding="ascii") as fh:
         for line in fh:
             if line.startswith("#"):
                 header_lines.append(line.rstrip("\n"))
             elif line.strip():
-                data.write(line)
-                n_data += 1
+                tokens = line.split()
+                if len(tokens) != n_cols:
+                    raise ValueError(
+                        f"expected {n_cols} columns, got {len(tokens)}"
+                    )
+                rows.append([float(tok) for tok in tokens])
     header = _parse_header(header_lines)
-    if n_data:
-        data.seek(0)
-        raw = np.loadtxt(data, ndmin=2)
-        if raw.shape[1] != len(_DTYPE.names):
-            raise ValueError(
-                f"expected {len(_DTYPE.names)} columns, got {raw.shape[1]}"
-            )
-        records = _records_from_columns(raw)
-    else:
-        records = np.zeros(0, dtype=_DTYPE)
-    return ResultTable(header=header, records=records)
+    raw = np.array(rows, dtype=np.float64).reshape(-1, n_cols)
+    return ResultTable(header=header, records=_records_from_columns(raw))

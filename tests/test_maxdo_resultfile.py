@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,12 +93,17 @@ class TestRoundtrip:
         assert rec["e_elec"] == pytest.approx(e_elec, abs=1e-4)
 
 
-class TestVectorizedParserEquivalence:
-    """The vectorized ``read_results`` against the per-line reference.
+#: a data block whose middle row lost its last column
+RAGGED = f"{_line(irot=1)}\n{_line(irot=2)[:-14]}\n{_line(irot=3)}\n"
 
-    ``read_results_reference`` is the slow oracle kept for exactly this:
-    the fast parser must return the same header and bit-identical records
-    on well-formed files, and reject the same malformed ones.
+
+class TestPerTokenOracleEquivalence:
+    """The bulk ``read_results`` against the per-token ``float()`` oracle.
+
+    ``read_results_reference`` parses one token at a time with Python's
+    own conversion: the ``np.loadtxt`` parser must return the same header
+    and bit-identical records on well-formed files, and reject the same
+    malformed ones.
     """
 
     def _golden(self, tmp_path, nsep=4, n_couples=3):
@@ -144,19 +151,62 @@ class TestVectorizedParserEquivalence:
         slow = read_results_reference(path).records
         assert fast.tobytes() == slow.tobytes()
 
+    def _write(self, tmp_path, body):
+        path = tmp_path / "f.result"
+        path.write_text(
+            "\n".join(_header().lines()) + "\n" + body, encoding="ascii"
+        )
+        return path
+
     @pytest.mark.parametrize("payload", [
         "1 2 3 4\n",                        # wrong column count
         "not numbers at all here pal\n",    # garbage tokens
+        pytest.param(RAGGED, id="ragged-row-mid-file"),
+        pytest.param(f"{_line()}  # note\n", id="trailing-comment"),
+        pytest.param(f"{_line()[:-1]}#\n", id="hash-inside-a-token"),
     ])
     def test_both_reject_malformed(self, tmp_path, payload):
-        path = tmp_path / "bad.result"
-        path.write_text(
-            "\n".join(_header().lines()) + "\n" + payload, encoding="ascii"
-        )
+        path = self._write(tmp_path, payload)
         with pytest.raises(ValueError):
             read_results(path)
         with pytest.raises(ValueError):
             read_results_reference(path)
+
+    def test_ragged_row_is_named(self, tmp_path):
+        with pytest.raises(ValueError, match="ragged data block: data line 2"):
+            read_results(self._write(tmp_path, RAGGED))
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(
+            f"{_line(irot=1)}\n   \n\t\n{_line(irot=2)}\n  \n",
+            id="whitespace-only-lines",
+        ),
+        # '#' lines placed after data are header lines too
+        pytest.param(
+            f"{_line(irot=1)}\n# a note\n{_line(irot=2)}\n# trailer\n",
+            id="hash-lines-after-data",
+        ),
+        # the signs and specials the text format can carry
+        pytest.param(
+            _line(e_lj=-0.0, e_elec=-0.0) + "\n"
+            + _line(e_lj=float("nan"), e_elec=float("inf")) + "\n"
+            + _line(e_lj=float("-inf"), e_elec=-1e-5) + "\n",
+            id="negative-zero-nan-inf",
+        ),
+    ])
+    def test_both_accept_identically(self, tmp_path, body):
+        path = self._write(tmp_path, body)
+        fast = read_results(path)
+        slow = read_results_reference(path)
+        assert fast.header == slow.header == _header()
+        assert len(fast) == len(slow) >= 2
+        assert fast.records.tobytes() == slow.records.tobytes()
+
+    def test_empty_data_block_raises_no_warning(self, tmp_path):
+        path = self._write(tmp_path, "\n  \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(read_results(path)) == 0
 
 
 class TestMalformed:

@@ -120,6 +120,37 @@ class TestPacking:
         with pytest.raises(ValueError, match="'irot'"):
             pack_records(rec)
 
+    def test_negative_zero_keeps_its_sign(self):
+        # A zero the text format prints as -0.000 / -0.0000 (a negative
+        # zero, or a negative value that rounds to zero) must come back
+        # printing the same sign.
+        rec = synth_records(None, nsep=1, n_rot=1)
+        rec["x"] = rec["e_lj"] = -0.0
+        rec["e_tot"] = -1e-5
+        back = unpack_records(pack_records(rec))
+        assert render_lines(back) == render_lines(rec)
+        assert "    -0.000" in render_lines(back)[0]
+        assert render_lines(back)[0].endswith("      -0.0000")
+        for name in ("x", "e_lj", "e_tot"):
+            assert back[name][0] == 0.0 and np.signbit(back[name][0]), name
+
+    def test_sentinel_codes_sit_below_the_packable_floor(self):
+        # The four reserved codes decode to the specials; the lowest
+        # packable value is four codes above the integer minimum, so a
+        # store written before -0.0 had a code decodes unchanged.
+        lo = np.iinfo(np.int32).min
+        packed = np.zeros(5, dtype=PACKED_DTYPE)
+        packed["x"] = [lo, lo + 1, lo + 2, lo + 3, lo + 4]
+        x = unpack_records(packed)["x"]
+        assert np.isnan(x[0]) and x[1] == np.inf and x[2] == -np.inf
+        assert x[3] == 0.0 and np.signbit(x[3])
+        assert x[4] == (lo + 4) / 1000
+        rec = unpack_records(packed[4:])
+        assert pack_records(rec).tobytes() == packed[4:].tobytes()
+        rec["x"] = (lo + 3) / 1000
+        with pytest.raises(ValueError, match="'x'"):
+            pack_records(rec)
+
     def test_quantizes_non_text_values_like_the_formatter(self):
         # A value that never went through text is stored at text precision,
         # with the same rounding the %-format would apply.
@@ -330,6 +361,16 @@ class TestTextConversion:
         rec["e_tot"][:] = rec["e_lj"]
         src = write_text(tmp_path / "x.result", rec)
         out = tmp_path / "y.result"
+        segment_to_text(segment_from_text(src), out)
+        assert out.read_bytes() == src.read_bytes()
+
+    def test_negative_zero_lines_roundtrip(self, tmp_path):
+        rec = synth_records(None, nsep=1, n_rot=3)
+        rec["y"][0] = rec["beta"][1] = rec["e_elec"][2] = -0.0
+        rec["e_tot"][2] = -0.0
+        src = write_text(tmp_path / "z.result", rec)
+        assert src.read_text().count(" -0.000") == 4
+        out = tmp_path / "back.result"
         segment_to_text(segment_from_text(src), out)
         assert out.read_bytes() == src.read_bytes()
 

@@ -1,12 +1,16 @@
 """Property-based tests of the columnar store's lossless-conversion pledge.
 
 For arbitrary text-representable result tables — including range-edge
-energies near the check thresholds and maximal ``isep`` slices at the
-widest the ``%7d`` column ever prints — both conversion directions must
-be byte-identical round trips:
+energies near the check thresholds, maximal ``isep`` slices at the
+widest the ``%7d`` column ever prints, and ``-0.0`` / NaN / ±inf in every
+scaled column — both conversion directions must be byte-identical round
+trips:
 
 * text -> columnar -> text reproduces the file byte for byte;
-* columnar -> text -> columnar reproduces the packed columns bit for bit.
+* columnar -> text -> columnar reproduces the packed columns bit for bit;
+
+and the text parser must return exactly the records the per-token
+oracle does.
 """
 
 from __future__ import annotations
@@ -16,18 +20,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, write_results
+from repro.maxdo.resultfile import (
+    RESULT_DTYPE,
+    ResultHeader,
+    read_results,
+    write_results,
+)
 from repro.store import (
     ColumnarSegment,
     render_lines,
     segment_from_text,
     segment_to_text,
 )
+from tests.oracles.resultfile import read_results_reference
 
 pytestmark = pytest.mark.store
 
 #: maximal isep slice the %7d column prints without widening
 MAX_ISEP = 9_999_999
+
+#: the values a scaled column carries beyond plain fixed-point numbers
+SPECIALS = st.sampled_from([-0.0, np.nan, np.inf, -np.inf])
 
 
 def _quantized(lo, hi, decimals):
@@ -45,7 +58,9 @@ def result_tables(draw):
     Values stay within what the fixed text formats represent exactly, but
     deliberately reach the range edges: coordinates to ±499.999, energies
     to ±99_999.9999 (both sides of the 1e6 check threshold's printable
-    range), and isep slices ending at ``MAX_ISEP``.
+    range), and isep slices ending at ``MAX_ISEP``.  Every scaled column
+    also draws the rest of the legal value grammar: ``-0.0`` (printed
+    ``-0.000``), NaN and ±inf.
     """
     nsep = draw(st.integers(min_value=1, max_value=4))
     n_rot = draw(st.integers(min_value=1, max_value=5))
@@ -74,11 +89,18 @@ def result_tables(draw):
         ("alpha", angle), ("beta", angle), ("gamma", angle),
         ("e_lj", energy), ("e_elec", energy),
     ):
-        rec[field] = draw(st.lists(strat, min_size=n, max_size=n))
+        rec[field] = draw(
+            st.lists(st.one_of(strat, SPECIALS), min_size=n, max_size=n)
+        )
     # e_tot is the formatted sum, kept representable (|sum| < 1e5 always
     # holds at these bounds only up to rounding; clip via the same round
-    # the producer applies).
-    rec["e_tot"] = np.round(rec["e_lj"] + rec["e_elec"], 4)
+    # the producer applies), or a special of its own.
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        rec["e_tot"] = np.round(rec["e_lj"] + rec["e_elec"], 4)
+    own = draw(st.lists(st.one_of(st.none(), SPECIALS), min_size=n, max_size=n))
+    rec["e_tot"] = [s if v is None else v for s, v in zip(rec["e_tot"], own)]
+    # text carries one NaN, the one ``float("nan")`` parses to
+    rec["e_tot"][np.isnan(rec["e_tot"])] = np.nan
     header = ResultHeader(
         receptor="RCPT", ligand="LGND", isep_start=isep_start,
         nsep=nsep, n_couples=n_rot, n_gamma=n_gamma,
@@ -86,14 +108,17 @@ def result_tables(draw):
     return header, rec
 
 
+#: every property below: tmp_path reuse across examples is safe, as every
+#: example overwrites its files before reading them back
+PROPERTY = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
 class TestRoundTripProperties:
-    @settings(
-        max_examples=25,
-        deadline=None,
-        # tmp_path reuse across examples is safe: every example overwrites
-        # its files before reading them back
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @PROPERTY
     @given(table=result_tables())
     def test_text_to_columnar_to_text_byte_identical(self, table, tmp_path):
         header, rec = table
@@ -103,13 +128,7 @@ class TestRoundTripProperties:
         segment_to_text(segment_from_text(src), out)
         assert out.read_bytes() == src.read_bytes()
 
-    @settings(
-        max_examples=25,
-        deadline=None,
-        # tmp_path reuse across examples is safe: every example overwrites
-        # its files before reading them back
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @PROPERTY
     @given(table=result_tables())
     def test_columnar_to_text_to_columnar_bit_identical(self, table, tmp_path):
         header, rec = table
@@ -120,16 +139,21 @@ class TestRoundTripProperties:
         assert back.header == seg.header
         assert back.packed.tobytes() == seg.packed.tobytes()
 
-    @settings(
-        max_examples=25,
-        deadline=None,
-        # tmp_path reuse across examples is safe: every example overwrites
-        # its files before reading them back
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @PROPERTY
     @given(table=result_tables())
     def test_unpacked_records_match_source_bitwise(self, table, tmp_path):
         header, rec = table
         seg = ColumnarSegment.from_records(header, rec)
         for name in RESULT_DTYPE.names:
-            assert np.array_equal(seg.records[name], rec[name]), name
+            assert seg.records[name].tobytes() == rec[name].tobytes(), name
+
+    @PROPERTY
+    @given(table=result_tables())
+    def test_parser_matches_per_token_oracle_bitwise(self, table, tmp_path):
+        header, rec = table
+        path = tmp_path / "r.result"
+        write_results(path, header, render_lines(rec))
+        parsed = read_results(path)
+        oracle = read_results_reference(path)
+        assert parsed.header == oracle.header == header
+        assert parsed.records.tobytes() == oracle.records.tobytes()
