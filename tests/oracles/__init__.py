@@ -10,7 +10,9 @@ became the only one:
   oracle for the pose-batched ``repro.maxdo.docking.dock_position``;
 * :mod:`tests.oracles.resultfile` — the per-line ``np.loadtxt`` parser and
   the per-row f-string formatter, oracles for ``read_results`` and
-  ``repro.store.render_lines``.
+  ``repro.store.render_lines``;
+* :mod:`tests.oracles.population` — the ``least_squares`` fit of the WCG
+  trend, whose answer ``WCGPopulationModel.calibrated()`` returns frozen.
 
 Only tests import this package (``tests/test_fleet.py`` pins that).  The
 docstrings are frozen with the code and may name files as they were when

@@ -11,6 +11,7 @@ from repro.grid.population import (
     WCGPopulationModel,
     hcmd_share_schedule,
 )
+from tests.oracles.population import fit_wcg_trend
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,22 @@ class TestCalibration:
     def test_globally_increasing_trend(self, model):
         days = np.arange(0, 1200, 10.0)
         assert (np.diff(model.trend(days)) > 0).all()
+
+    def test_frozen_fit_is_the_refit(self, model):
+        """``calibrated()`` returns the fit's answer as literals; the fit
+        (the oracle) must still produce exactly those three floats."""
+        import scipy
+
+        def triple(m):
+            return (m.capacity, m.midpoint_day, m.timescale_days)
+
+        frozen, refit = triple(model), triple(fit_wcg_trend())
+        assert frozen == refit, (
+            f"frozen {frozen!r} != refit {refit!r} under scipy "
+            f"{scipy.__version__}: the frozen constants are the product's "
+            "truth and the goldens depend on them; change them only in a "
+            "change that re-pins the goldens"
+        )
 
 
 class TestModulation:

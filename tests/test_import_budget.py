@@ -87,7 +87,8 @@ SCIPY_KEYS = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 def test_simulation_run_loads_nothing_deferred():
     """Library, cost model and fleet are built by the constructor, where
     the user already waits; ``run()`` — the timed region, a served
-    request — imports no scipy module."""
+    request — imports no scipy module.  The fleet's population trend is
+    frozen, so no campaign loads ``scipy.optimize`` at all."""
     out = probe(
         "import sys\n"
         "from repro import scaled_phase1\n"
@@ -97,7 +98,37 @@ def test_simulation_run_loads_nothing_deferred():
         f"out = {{'before': before, 'after': {SCIPY_KEYS}}}"
     )
     assert "scipy.special" in out["before"]
+    assert "scipy.optimize" not in out["before"]
     assert out["after"] == out["before"]
+
+
+@pytest.mark.parametrize("construct", [
+    "from repro import CampaignPlan, CostModel, FluidCampaign, ProteinLibrary\n"
+    "library = ProteinLibrary.synthetic(n_proteins=12, seed=42)\n"
+    "FluidCampaign(CampaignPlan(library, CostModel.calibrated(library)), 12_000.0)",
+    "from repro import Campaign, GridConfig, MultiGridSimulation\n"
+    "MultiGridSimulation(GridConfig(campaigns=("
+    "Campaign.cross_docking('hcmd', scale=900, n_proteins=5),)))",
+], ids=["fluid", "multi"])
+def test_campaign_constructors_never_load_the_optimizer(construct):
+    out = probe(f"import sys\n{construct}\nout = {SCIPY_KEYS}")
+    assert "scipy.special" in out  # the probe sees scipy at all
+    assert "scipy.optimize" not in out
+
+
+def test_simulate_command_never_loads_the_optimizer():
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli",
+         "simulate", "--scale", "900", "--proteins", "5"],
+        env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "scipy.special" in imported  # the probe sees scipy at all
+    assert "scipy.optimize" not in imported
 
 
 DOCK = (
