@@ -10,7 +10,9 @@ Behaviour modeled per the paper:
   at the host's ``progress_rate`` (speed x duty cycle);
 * every availability interruption may be a clean suspend (in-memory state
   kept) or a kill — after a kill, progress rolls back to the last
-  checkpoint, i.e. the last completed starting position (Section 4.3);
+  checkpoint, i.e. the last completed starting position (Section 4.3).
+  The trace is precomputed: an interruption is a lookup, not a DES event
+  (a traced run schedules ``_checkpoint_seen`` to emit its checkpoint);
 * finished results are reported after a reconnection delay; the accounted
   run time is the *active wall-clock* time, reproducing the UD agent's
   accounting bias (Section 6);
@@ -202,29 +204,52 @@ class VolunteerAgent:
     # -- computing ---------------------------------------------------------
 
     def _compute_step(self) -> None:
-        """Crunch within the current availability interval."""
+        """Crunch to the workunit's end, walking the precomputed trace: a
+        gap is applied inline, then one event (completion or injected
+        crash) follows, or none if the host never computes again.
+        """
         t = self.sim.now
         trace = self.spec.trace
-        if not trace.is_available(t):
-            self._when_available(self._compute_step)
-            return
-        interval_end = trace.next_transition(t)
         rate = self.spec.progress_rate
-        # Float accumulation in _interrupt can push _done a few ulp past
-        # _cost; a negative residual would make sim.schedule raise.
-        needed_s = max(0.0, (self._cost - self._done) / rate)
-        if interval_end is None or t + needed_s <= interval_end:
-            if self._maybe_crash(needed_s):
+        while t is not None:  # None: the host never computes again
+            if not trace.is_available(t):
+                t = trace.next_transition(t)
+                continue
+            interval_end = trace.next_transition(t)
+            # Float accumulation over interruptions can push _done a few ulp
+            # past _cost; a negative residual would schedule into the past.
+            needed_s = max(0.0, (self._cost - self._done) / rate)
+            if interval_end is None or t + needed_s <= interval_end:
+                if not self._maybe_crash(needed_s, t):
+                    self.sim.schedule_at(t + needed_s, self._complete)
                 return
-            self.sim.schedule(needed_s, self._complete)
-            return
-        span = interval_end - t
-        if self._maybe_crash(span):
-            return
-        self.sim.schedule_at(interval_end, self._interrupt, span)
+            span = interval_end - t
+            if self._maybe_crash(span, t):
+                return
+            # Suspend, or kill: progress since the last checkpoint (the last
+            # starting-position boundary) is lost.
+            self._active_s += span
+            self._done += span * rate
+            self._checkpointed = math.floor(self._done / self._chunk) * self._chunk
+            killed = bool(self.rng.random() < KILL_PROBABILITY)
+            lost_s = self._done - self._checkpointed if killed else 0.0
+            if killed:
+                self._done = self._checkpointed
+            if self.tracer is not None:
+                self.sim.schedule_at(interval_end, self._checkpoint_seen,
+                                     killed, lost_s, self._done / self._cost)
+            t = interval_end
 
-    def _maybe_crash(self, span: float) -> bool:
-        """Inject a crash inside the next ``span`` active seconds, maybe.
+    def _checkpoint_seen(self, killed: bool, lost_s: float, done: float) -> None:
+        """Emit an interruption's ``agent.checkpoint`` at its instant."""
+        self.tracer.emit(
+            "agent.checkpoint", t_sim=self.sim.now, host=self.spec.host_id,
+            wu=self.instance.wu.wu_id, killed=killed,
+            lost_reference_s=lost_s, done_fraction=done,
+        )
+
+    def _maybe_crash(self, span: float, t: float) -> bool:
+        """Inject a crash inside the ``span`` active seconds from ``t``, maybe.
 
         Draws the time-to-crash from the host's dedicated fault stream
         (exponential around the crash MTBF; the hazard accrues only over
@@ -238,7 +263,7 @@ class VolunteerAgent:
         crash_in = float(f.rng.exponential(f.crash_mtbf_s))
         if crash_in >= span:
             return False
-        self.sim.schedule(crash_in, self._fault_crash, crash_in)
+        self.sim.schedule_at(t + crash_in, self._fault_crash, crash_in)
         return True
 
     def _fault_crash(self, active_span: float) -> None:
@@ -261,31 +286,6 @@ class VolunteerAgent:
             )
         reboot = float(f.rng.exponential(f.reboot_delay_s)) if f.reboot_delay_s > 0 else 0.0
         self.sim.schedule(reboot, self._when_available, self._compute_step)
-
-    def _interrupt(self, active_span: float) -> None:
-        """Availability ended mid-workunit: suspend or kill."""
-        self._active_s += active_span
-        self._done += active_span * self.spec.progress_rate
-        # Checkpoints commit at starting-position boundaries.  (math.floor
-        # == np.floor bit-for-bit on float64; the scalar form skips a
-        # ufunc dispatch in this per-interruption path.)
-        self._checkpointed = math.floor(self._done / self._chunk) * self._chunk
-        killed = bool(self.rng.random() < KILL_PROBABILITY)
-        lost_s = self._done - self._checkpointed
-        if killed:
-            # Killed: in-memory progress since the last checkpoint is lost.
-            self._done = self._checkpointed
-        if self.tracer is not None:
-            instance = self.instance
-            self.tracer.emit(
-                "agent.checkpoint", t_sim=self.sim.now,
-                host=self.spec.host_id,
-                wu=instance.wu.wu_id if instance is not None else None,
-                killed=killed,
-                lost_reference_s=lost_s if killed else 0.0,
-                done_fraction=self._done / self._cost if self._cost else 1.0,
-            )
-        self._when_available(self._compute_step)
 
     def _complete(self) -> None:
         instance = self.instance

@@ -12,7 +12,10 @@ became the only one:
   the per-row f-string formatter, oracles for ``read_results`` and
   ``repro.store.render_lines``;
 * :mod:`tests.oracles.population` — the ``least_squares`` fit of the WCG
-  trend, whose answer ``WCGPopulationModel.calibrated()`` returns frozen.
+  trend, whose answer ``WCGPopulationModel.calibrated()`` returns frozen;
+* :mod:`tests.oracles.agent` — ``SteppedAgent``, which fires an
+  ``_interrupt`` and a ``_when_available`` event per availability gap,
+  the oracle for ``VolunteerAgent._compute_step``'s walk of the trace.
 
 Only tests import this package (``tests/test_fleet.py`` pins that).  The
 docstrings are frozen with the code and may name files as they were when

@@ -98,6 +98,10 @@ class TestInterruption:
         assert server.stats.effective == 1
         # Kills cost extra active time: at least the reference amount spent.
         assert telemetry.run_active_s[0] >= 10_000.0
+        assert telemetry.run_active_s[0] == 12200.0
+        # The gaps are walked, not fired: start, completion and report are
+        # the only events.
+        assert sim.events_processed == 3
 
     def test_checkpoint_losses_bounded_by_chunks(self):
         starts = np.arange(200) * 7200.0
@@ -135,7 +139,7 @@ class TestProgressResidualClamp:
         agent._chunk = agent._cost / instance.wu.nsep
         agent._done = math.nextafter(agent._cost, math.inf)
         agent._active_s = agent._done / agent.spec.progress_rate
-        agent._compute_step()  # pre-fix: ValueError from sim.schedule(-eps)
+        agent._compute_step()  # pre-fix: ValueError from scheduling at -eps
         sim.run(until=HORIZON)
         assert agent.results_returned == 1
         assert server.stats.effective == 1

@@ -145,19 +145,21 @@ class TestFaultPlan:
 class TestEmptyPlanBitIdentity:
     """FaultPlan.none() campaigns match the pre-fault-subsystem traces."""
 
-    # sha256 over (etype, t_sim, sorted fields) of every trace event.
-    # Re-pinned when the span correlation fields (copy/receptor/ligand/host)
-    # joined the event payloads, and again when the host-ledger events
-    # (host.credit on the unfiltered trace) joined the stream; the
-    # completion times are the original pre-fault-subsystem values — the
-    # trajectory itself never moved.
+    # sha256 over (etype, t_sim, sorted fields) of every trace event,
+    # the kernel's des.* events included.  Re-pinned when the span
+    # correlation fields (copy/receptor/ligand/host) joined the event
+    # payloads, again when the host-ledger events (host.credit on the
+    # unfiltered trace) joined the stream, and again when availability
+    # interruptions stopped firing DES events (the agent walks its trace;
+    # only the des.* events moved).  The completion times are the original
+    # pre-fault-subsystem values — the trajectory itself never moved.
     GOLDEN = {
         (300, 10, None): (
-            "79fcb83764ddb813c707cef2489b89969daac37b09f4fcf26b017ccbf7df0b4b",
+            "0e16fdd048f5806eb22d1541b0c89d6f3aaca3cb54c520918d9e7d6ff6f99c27",
             10695940.733569192,
         ),
         (500, 8, 7): (
-            "81d78900000eff0afc897000fbe2853259978af6a5a71aab294796a79035b871",
+            "e7140520b68016eb75ba9987c95172763468d4586885771a4d9e89d135d6ad5e",
             8987859.456949988,
         ),
     }
