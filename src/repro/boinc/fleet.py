@@ -231,35 +231,38 @@ def tee_observers(
     health: HealthMonitor | None = None,
     ledger: HostLedger | None = None,
 ) -> tuple[Tracer | None, Any]:
-    """Tee the trace stream into the observers.
+    """Tee the trace stream into the observers' one lifecycle table.
 
     Returns ``(tracer, restore_sink)``: the tracer every emitter should
     use, and the caller's original sink to put back on it when the run
     ends (``None`` when there is nothing to restore).  The caller owns
     the restore — in a ``finally``, the tracer outlives the run.
 
-    Without a user-supplied tracer, build an observer-only one: events
-    feed the monitor/ledger and are then discarded (``NullSink``),
-    restricted to the channels the observers' handler tables fold (plus
-    ``health``, which the monitor emits on) so the DES kernel's
-    high-rate events skip the emit path entirely.  With a user tracer,
-    the tee inherits its channel filter — a filter that drops ``"host"``
-    starves the ledger of credit and trust events (documented in
-    :mod:`repro.obs.ledger`).
+    A monitor riding with a ledger reads the ledger's table, so each
+    event crosses one :class:`~repro.obs.tracer.FoldSink`.  Without a
+    user-supplied tracer, build an observer-only one: events feed the
+    table and are then discarded (``NullSink``), restricted to the
+    channels the observers read (plus ``health``, which the monitor
+    emits on) so the DES kernel's high-rate events skip the emit path
+    entirely.  With a user tracer, the tee inherits its channel filter —
+    a filter that drops ``"host"`` starves the ledger of credit and
+    trust events (documented in :mod:`repro.obs.ledger`).
     """
     observers = [obs for obs in (health, ledger) if obs is not None]
     if not observers:
         return tracer, None
+    table = observers[-1].table
+    if health is not None and health.table is not table:
+        health.attach(table)
     restore_sink = None
     if tracer is None:
-        channels = {channel_of(etype) for obs in observers for etype in obs.HANDLERS}
+        channels = {channel_of(etype) for obs in observers for etype in obs.EVENTS}
         if health is not None:
             channels.add("health")
         tracer = Tracer(sink=NullSink(), channels=channels)
     else:
         restore_sink = tracer.sink
-    for observer in reversed(observers):  # the health tee outermost
-        tracer.sink = FoldSink(observer, tracer.sink)
+    tracer.sink = FoldSink(table, tracer.sink)
     if health is not None:
         health.bind(tracer)
     return tracer, restore_sink

@@ -7,12 +7,14 @@ this subpackage is the shared substrate every layer records it through:
 * :mod:`repro.obs.tracer` — structured, typed trace events with both
   simulation time and wall time, streamed to a ring buffer or a JSONL
   file, emitted by the DES kernel, the grid server, the volunteer agents
-  and the docking engine (~zero cost when disabled); and the one
-  observer protocol, :class:`~repro.obs.tracer.Fold` — a handler table
-  applied in 64-event batches, fed live through the ``FoldSink`` tee or
-  offline by ``fold(events)`` over a recorded trace, so the health
-  monitor, the host ledger and the span reconstructor below refold a
-  trace into exactly their live reports;
+  and the docking engine (~zero cost when disabled); and the observer
+  protocol, :class:`~repro.obs.tracer.Fold` — a handler table fed live
+  through the ``FoldSink`` tee or offline by ``fold(events)`` over a
+  recorded trace;
+* :mod:`repro.obs.lifecycle` — the one fold: the lifecycle table of
+  workunit, attempt and host rows.  The health monitor, the host ledger
+  and the span reconstructor below are views over it, so a trace refolds
+  into exactly their live reports;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, histograms
   and daily series; campaign telemetry is built on it, so every recorded
   quantity is uniformly exportable;
@@ -56,7 +58,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CHANNELS", "EVENT_TYPES", "TRACE_SCHEMA_VERSION", "channel_of",
     ],
     ".health": ["HealthMonitor", "SLOConfig", "SLOReport"],
-    ".ledger": ["FleetReport", "HostLedger", "HostRecord"],
+    ".ledger": ["FleetReport", "HostLedger"],
+    ".lifecycle": ["HostRecord", "Lifecycle"],
     ".metrics": [
         "Counter", "DailySeries", "Gauge", "Histogram",
         "MetricsRegistry", "QuantileSketch",

@@ -1,10 +1,10 @@
 """Streaming campaign health: quantile sketches and SLO rules.
 
-A :class:`HealthMonitor` is a :class:`~repro.obs.tracer.Fold`: it rides
-the trace stream *during* a simulation — fed by a
-:class:`~repro.obs.tracer.FoldSink` wrapped around the tracer's sink, so
-it sees every ``server.*`` / ``agent.*`` event with zero extra emit
-sites — or refolds a recorded trace into the same report, and maintains:
+A :class:`HealthMonitor` is a view over the lifecycle table
+(:mod:`repro.obs.lifecycle`): it rides the trace stream *during* a
+simulation — the run's one :class:`~repro.obs.tracer.FoldSink` tee feeds
+the table, with zero extra emit sites — or refolds a recorded trace into
+the same report, and maintains:
 
 - **P² quantile sketches** (:mod:`repro.obs.quantiles`) over the span
   latencies the offline reconstructor measures exactly: workunit makespan
@@ -34,13 +34,13 @@ final :class:`SLOReport` attached to ``CampaignResult.health``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.report import Report
 from .metrics import MetricsRegistry
-from .tracer import Fold, Tracer
+from .lifecycle import SAMPLES, Lifecycle, View
+from .tracer import Tracer
 
 __all__ = [
     "SLOConfig",
@@ -142,18 +142,25 @@ class SLORule:
         }
 
 
-class HealthMonitor(Fold):
-    """Fold trace events into live health state (sketches + SLO rules).
+class HealthMonitor(View):
+    """Live health state (sketches + SLO rules) over a lifecycle table.
 
-    Handlers mutate correlation state only; the SLO rules are swept once
-    per drained batch, at its last timestamp, so breach/clear transitions
-    carry the drain-point ``t_sim`` — still the simulation time of a real
-    event, and at the fold's stride well under the sliding-window
-    resolution of every rule.
+    The table's handlers keep what the rules read — the idle-poll and
+    deadline-reissue instants, the workunits awaiting a quorum partner,
+    the latency samples — and the table sweeps the rules once per
+    :attr:`~repro.obs.tracer.Fold.STRIDE` events of :attr:`EVENTS`, at
+    that event's time: the simulation time of a real event, and at this
+    stride well under the sliding-window resolution of every rule.
     """
 
-    #: sketch sample lists hand over to the sketches in chunks of this
-    #: many samples (and at finalize) — memory stays bounded while the
+    EVENTS = frozenset({
+        "server.release", "server.issue", "server.result", "server.validate",
+        "server.workunit_failed", "server.reissue", "agent.complete",
+        "agent.idle",
+    })
+
+    #: sample lists hand over to the sketches in chunks of this many
+    #: samples (and at finalize) — memory stays bounded while the
     #: per-sample fold cost drops to a list append
     SKETCH_CHUNK = 4096
 
@@ -165,12 +172,20 @@ class HealthMonitor(Fold):
         "health.active_hours": "device-side active compute per result, hours",
     }
 
+    #: report counters: registry name -> the event type counted
+    COUNTERS = {
+        "health.results": "server.result",
+        "health.validated": "server.validate",
+        "health.workunits_failed": "server.workunit_failed",
+        "health.reissues": "server.reissue",
+        "health.idle_polls": "agent.idle",
+    }
+
     def __init__(
         self,
         config: SLOConfig | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__()
         self.config = config if config is not None else SLOConfig()
         #: private registry: campaign telemetry exports must stay
         #: byte-identical with the monitor attached
@@ -195,46 +210,18 @@ class HealthMonitor(Fold):
                 "validation-backlog", cfg.backlog_workunits, cfg.clear_fraction
             ),
         }
-        # correlation state (bounded by in-flight work, not trace length).
-        # ``_t_issue`` keys pack ``(wu, copy)`` into one int — copy
-        # ordinals are tiny (reissue budgets are single digits), so
-        # ``wu * 2**20 + copy`` is collision-free and hashes ~2x faster
-        # than a tuple on the fold hot path.
-        self._t_release: dict[int, float] = {}
-        self._t_issue: dict[int, float] = {}
-        self._pending_quorum: set[int] = set()
-        self._idle_window: deque[float] = deque()
-        self._deadline_window: deque[float] = deque()
-        self._reissues_total = 0
         self._reissue_budget: float | None = None
-        # -- hot-path caches -------------------------------------------------
-        # The fold runs once per lifecycle event; counters are plain ints
-        # synced into the registry at finalize() (lazily, like the live
-        # registry counters: a zero count never materializes a metric)
-        # and sketches and rules are bound to locals-friendly attributes.
-        self._n_results = 0
-        self._n_validated = 0
-        self._n_wu_failed = 0
-        self._n_reissues = 0
-        self._n_idle = 0
-        # sketch samples buffer in plain lists (a 60 ns append on the
-        # fold path) and feed the sketches chunk-wise through
-        # ``QuantileSketch.observe_many`` — state-identical to per-event
-        # feeding, several times cheaper (see that method's docstring)
-        self._lat_samples: list[float] = []
-        self._mk_samples: list[float] = []
-        self._rep_samples: list[float] = []
-        self._act_samples: list[float] = []
-        self._sample_sketches = (
-            (self._lat_samples, self.sketches["health.result_latency_s"]),
-            (self._mk_samples, self.sketches["health.makespan_s"]),
-            (self._rep_samples, self.sketches["health.report_delay_s"]),
-            (self._act_samples, self.sketches["health.active_hours"]),
+        super().__init__()
+        self.attach(self.table)
+
+    def attach(self, table: Lifecycle) -> None:
+        """Read (and sweep on) ``table`` from now on."""
+        self.table = table
+        table.bind_monitor(self)
+        self._sample_sketches = tuple(
+            (table.samples[name], self.sketches[f"health.{name}"])
+            for name in SAMPLES
         )
-        self._rule_starvation = self.rules["queue-starvation"]
-        self._rule_deadline = self.rules["deadline-storm"]
-        self._rule_burn = self.rules["reissue-burn"]
-        self._rule_backlog = self.rules["validation-backlog"]
 
     def bind(self, tracer: Tracer) -> None:
         """Attach the tracer used to emit ``health.*`` transition events."""
@@ -251,88 +238,31 @@ class HealthMonitor(Fold):
         )
         self._reissue_budget = max(1.0, per_wu * n_workunits)
 
-    # -- event fold: one handler per lifecycle event type (``HANDLERS``) ----
-
-    def _on_release(self, t: float, f: dict) -> None:
-        self._t_release[f["wu"]] = t
-
-    def _on_issue(self, t: float, f: dict) -> None:
-        self._t_issue[f["wu"] * 1_048_576 + f.get("copy", 0)] = t
-
-    def _on_result(self, t: float, f: dict) -> None:
-        issued = self._t_issue.pop(f["wu"] * 1_048_576 + f.get("copy", 0), None)
-        if issued is not None:
-            self._lat_samples.append(t - issued)
-        self._n_results += 1
-        if f.get("valid") and not f.get("late"):
-            self._pending_quorum.add(f["wu"])
-
-    def _on_validate(self, t: float, f: dict) -> None:
-        released = self._t_release.pop(f["wu"], None)
-        if released is not None:
-            self._mk_samples.append(t - released)
-        self._n_validated += 1
-        self._pending_quorum.discard(f["wu"])
-
-    def _on_workunit_failed(self, t: float, f: dict) -> None:
-        self._n_wu_failed += 1
-        self._t_release.pop(f["wu"], None)
-        self._pending_quorum.discard(f["wu"])
-
-    def _on_reissue(self, t: float, f: dict) -> None:
-        self._reissues_total += 1
-        self._n_reissues += 1
-        if f.get("reason") == "deadline":
-            self._deadline_window.append(t)
-
-    def _on_complete(self, t: float, f: dict) -> None:
-        delay = f.get("report_delay_s")
-        if delay is not None:
-            self._rep_samples.append(delay)
-        active = f.get("active_s")
-        if active is not None:
-            self._act_samples.append(active / 3600.0)
-
-    def _on_idle(self, t: float, f: dict) -> None:
-        self._n_idle += 1
-        self._idle_window.append(t)
-
-    HANDLERS = {
-        "server.release": _on_release,
-        "server.issue": _on_issue,
-        "server.result": _on_result,
-        "server.validate": _on_validate,
-        "server.workunit_failed": _on_workunit_failed,
-        "server.reissue": _on_reissue,
-        "agent.complete": _on_complete,
-        "agent.idle": _on_idle,
-    }
-
-    def _drained(self, t_last: float) -> None:
-        """Sweep the rules and hand full sample lists to the sketches."""
-        self._evaluate_rules(t_last)
-        self._drain_sketches(self.SKETCH_CHUNK)
-
-    def _evaluate_rules(self, t: float) -> None:
-        """Sweep all four rules against the current state at time ``t``.
+    def sweep(self, t: float) -> None:
+        """Sweep all four rules against the table at time ``t`` and hand
+        full sample lists to the sketches.
 
         Sliding windows are pruned here (not in the handlers): window
-        membership is read at the sweep's time, once per drained batch.
+        membership is read at the sweep's time.
         """
-        window = self._idle_window
+        table = self.table
+        window = table.idle_times
         edge = t - self.config.starvation_window_s
         while window and window[0] < edge:
             window.popleft()
-        self._rule_starvation.update(t, len(window), self)
-        window = self._deadline_window
+        self.rules["queue-starvation"].update(t, len(window), self)
+        window = table.deadline_times
         edge = t - self.config.deadline_window_s
         while window and window[0] < edge:
             window.popleft()
-        self._rule_deadline.update(t, len(window), self)
-        self._rule_backlog.update(t, len(self._pending_quorum), self)
+        self.rules["deadline-storm"].update(t, len(window), self)
+        self.rules["validation-backlog"].update(t, len(table.pending_quorum), self)
         budget = self._reissue_budget
         if budget is not None:
-            self._rule_burn.update(t, self._reissues_total / budget, self)
+            self.rules["reissue-burn"].update(
+                t, table.count("server.reissue") / budget, self
+            )
+        self._drain_sketches(self.SKETCH_CHUNK)
 
     def _drain_sketches(self, chunk: int) -> None:
         """Hand every sample list holding at least ``chunk`` samples to
@@ -344,36 +274,24 @@ class HealthMonitor(Fold):
 
     # -- finalization --------------------------------------------------------
 
-    def _sync_counters(self) -> None:
-        """Fold the hot-path int accumulators into the registry.
-
-        Counters are created lazily (a zero count never materializes a
-        metric, matching the per-event ``registry.counter(...).inc()``
-        behaviour this replaces); the accumulators reset so a second
-        finalize cannot double-count.
-        """
-        for name, count in (
-            ("health.results", self._n_results),
-            ("health.validated", self._n_validated),
-            ("health.workunits_failed", self._n_wu_failed),
-            ("health.reissues", self._n_reissues),
-            ("health.idle_polls", self._n_idle),
-        ):
-            if count:
-                self.registry.counter(name).inc(count)
-        self._n_results = self._n_validated = self._n_wu_failed = 0
-        self._n_reissues = self._n_idle = 0
-
     def finalize(self, t_end: float | None = None) -> "SLOReport":
-        self.drain()
+        self.table.drain()
         self._drain_sketches(1)
-        self._sync_counters()
-        horizon = t_end if t_end is not None else self.t_last
+        # Counters are created lazily (a zero count never materializes a
+        # metric) and track the table's totals, so finalizing twice
+        # cannot double-count.
+        for name, etype in self.COUNTERS.items():
+            count = self.table.count(etype)
+            if count:
+                counter = self.registry.counter(name)
+                counter.inc(count - counter.value)
+        n_observed, t_last = self.table.observed(self.EVENTS)
+        horizon = t_end if t_end is not None else t_last
         for rule in self.rules.values():
             rule.close(horizon)
         return SLOReport(
             t_end=horizon,
-            n_observed=self.n_observed,
+            n_observed=n_observed,
             rules={name: rule.as_dict() for name, rule in self.rules.items()},
             latencies={
                 name: sketch.as_dict() for name, sketch in self.sketches.items()

@@ -1,53 +1,29 @@
-"""Fleet forensics: a streaming per-host behavioral ledger.
+"""Fleet forensics: the per-host view of the lifecycle table.
 
 The paper's campaign paid a fixed 1.37x redundancy because the server was
-blind to which of its ~100k volunteer hosts were reliable.  The ROADMAP's
-trust-based adaptive replication needs per-host behavioral history — and
-today corrupted/sabotaged/timed-out results, availability sessions and
-the :class:`~repro.boinc.validator.AdaptiveReplication` trust trajectory
-all vanish into aggregate counters.  This module keeps them.
+blind to which of its ~100k volunteer hosts were reliable.  A
+:class:`HostLedger` reads the :class:`~repro.obs.lifecycle.HostRecord`
+rows the lifecycle table keeps — live, through the run's one
+:class:`~repro.obs.tracer.FoldSink` tee, or refolded from a recorded trace
+(``repro-hcmd hosts``) — and :meth:`HostLedger.finalize` derives
+per-host **behavioral classes** (``suspect-saboteur`` > ``flaky`` >
+``straggler`` > ``reliable``, in precedence order) and renders a
+:class:`FleetReport`: class histograms, top-N offender/straggler tables, a
+per-campaign breakdown (from the ``campaign=`` stamps a multi-campaign
+grid adds) and fleet totals that reconcile **exactly** against
+:class:`ValidationStats`, campaign telemetry and the fault report (pinned
+by ``tests/test_ledger.py``).
 
-A :class:`HostLedger` is a :class:`~repro.obs.tracer.Fold`, like the
-health monitor: it rides the trace stream during a simulation — fed by a
-:class:`~repro.obs.tracer.FoldSink` tee around the tracer's sink,
-near-zero cost when disabled — or refolds a recorded trace
-(``repro-hcmd hosts``) into the same report, folding the
-lifecycle/fault events into one :class:`HostRecord` per host:
-
-* issue/result/validate/invalid/late counters, deadline timeouts,
-  refused RPCs, reported CPU seconds and claimed credit;
-* injected-fault exposure (crashes, corruption, sabotage, lost reports,
-  retries) plus the *observable* consequences — ``sabotage_caught``
-  (a quorum partner exposed the host's plausible-but-wrong result) and
-  ``bad_validated`` (the host's sabotage validated a workunit);
-* the adaptive-replication trust trajectory replayed from the
-  ``host.*`` events: current/peak streaks, promotions, demotions and
-  deterministic spot checks;
-* availability: first/last seen, active compute seconds, checkpoint
-  sessions and the derived uptime fraction (event-derived estimates);
-* a per-host issue→result turnaround :class:`QuantileSketch` (exact
-  below the warm-up bound, streaming P² beyond).
-
-:meth:`HostLedger.finalize` derives per-host **behavioral classes** —
-``suspect-saboteur`` > ``flaky`` > ``straggler`` > ``reliable`` in
-precedence order — and renders a :class:`FleetReport` with class
-histograms, top-N offender/straggler tables, a per-campaign breakdown
-(from the ``campaign=`` stamps a multi-campaign grid adds) and fleet
-totals that reconcile **exactly** against :class:`ValidationStats`,
-campaign telemetry and the fault report (pinned by
-``tests/test_ledger.py``).
-
-Like the health monitor, the ledger never touches simulation state or
-RNG streams: a ledger-enabled campaign is bit-identical in outcome to an
-unobserved one (golden-digest pinned).  Records are **shard-mergeable**:
-shards number their hosts from disjoint id blocks, so
-:func:`repro.boinc.sharding.run_sharded` recombines per-shard records
-into one fleet view identical for every worker count.
+The ledger never touches simulation state or RNG streams: a
+ledger-enabled campaign is bit-identical in outcome to an unobserved one
+(golden-digest pinned).  Shards number their hosts from disjoint id
+blocks, so :func:`repro.boinc.sharding.run_sharded` recombines per-shard
+rows into one fleet view identical for every worker count.
 
 Caveat: a ledger teed onto a *user-supplied* tracer only hears the
 channels that tracer records — include ``"host"`` (and the lifecycle
 channels) in its channel filter, or pass no tracer and let the
-simulation build its internal ledger-only tracer, to get credit and
+simulation build its internal observer-only tracer, to get credit and
 trust-trajectory data.
 """
 
@@ -58,8 +34,8 @@ from typing import Any
 
 from ..analysis.report import Report, render_table
 from ..units import format_duration
-from .quantiles import QuantileSketch
-from .tracer import Fold, iter_trace
+from .lifecycle import HostRecord, View
+from .tracer import iter_trace
 
 __all__ = ["HostRecord", "HostLedger", "FleetReport", "HostReport"]
 
@@ -67,108 +43,16 @@ __all__ = ["HostRecord", "HostLedger", "FleetReport", "HostReport"]
 HOST_CLASSES = ("suspect-saboteur", "flaky", "straggler", "reliable")
 
 
-class HostRecord:
-    """Everything the ledger knows about one volunteer host."""
+class HostLedger(View):
+    """The fleet view of a lifecycle table: its host rows."""
 
-    #: per-host turnaround quantiles tracked by the sketch
-    TURNAROUND_QUANTILES = (0.5, 0.9, 0.99)
-
-    #: the additive counters (merged by summation across shards)
-    COUNTERS = (
-        "issued", "results", "validated", "invalid", "late", "timed_out",
-        "refused", "abandoned", "checkpoints", "kills", "completes",
-        "retries", "crashes", "corrupted", "sabotaged", "sabotage_caught",
-        "bad_validated", "report_lost", "demotions", "spot_checks",
-    )
-
-    def __init__(self, host: int) -> None:
-        self.host = host
-        self.first_seen: float | None = None
-        self.last_seen: float | None = None
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-        self.active_s = 0.0
-        self.cpu_s = 0.0
-        self.credit = 0.0
-        #: adaptive-replication trust trajectory (replayed from events)
-        self.streak = 0
-        self.peak_streak = 0
-        self.trusted = False
-        self.turnaround = QuantileSketch(
-            f"host.turnaround_s.{host}",
-            quantiles=self.TURNAROUND_QUANTILES,
-            help="issue -> result turnaround, seconds",
-        )
-
-    # -- derived views -----------------------------------------------------
-
-    @property
-    def sessions(self) -> int:
-        """Availability sessions (event-derived: checkpoints + 1)."""
-        if self.first_seen is None:
-            return 0
-        return self.checkpoints + 1
-
-    @property
-    def uptime_fraction(self) -> float:
-        """Active compute time over the host's observed lifespan."""
-        if self.first_seen is None or self.last_seen is None:
-            return 0.0
-        span = self.last_seen - self.first_seen
-        if span <= 0.0:
-            return 1.0 if self.active_s > 0.0 else 0.0
-        return min(1.0, self.active_s / span)
-
-    @property
-    def invalid_fraction(self) -> float:
-        return self.invalid / self.results if self.results else 0.0
-
-    def merge(self, other: "HostRecord") -> None:
-        """Fold another shard's record for the same host into this one.
-
-        Counters add, seen-spans union and the turnaround sketches merge
-        exactly (warm-up replay).  The trust trajectory is stream-order
-        state; merging two streams of one host takes the later shard's
-        streak and the max peak — shards number hosts from disjoint id
-        blocks, so this path only matters for hand-built ledgers.
-        """
-        for name in self.COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        if other.first_seen is not None:
-            if self.first_seen is None or other.first_seen < self.first_seen:
-                self.first_seen = other.first_seen
-        if other.last_seen is not None:
-            if self.last_seen is None or other.last_seen > self.last_seen:
-                self.last_seen = other.last_seen
-        self.active_s += other.active_s
-        self.cpu_s += other.cpu_s
-        self.credit += other.credit
-        self.streak = other.streak
-        self.peak_streak = max(self.peak_streak, other.peak_streak)
-        self.trusted = other.trusted
-        self.turnaround.merge(other.turnaround)
-
-    def as_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {"host": self.host}
-        doc.update({name: getattr(self, name) for name in self.COUNTERS})
-        doc.update(
-            first_seen=self.first_seen,
-            last_seen=self.last_seen,
-            sessions=self.sessions,
-            uptime_fraction=self.uptime_fraction,
-            active_s=self.active_s,
-            cpu_s=self.cpu_s,
-            credit=self.credit,
-            streak=self.streak,
-            peak_streak=self.peak_streak,
-            trusted=self.trusted,
-            turnaround=self.turnaround.as_dict(),
-        )
-        return doc
-
-
-class HostLedger(Fold):
-    """Fold the lifecycle/fault event stream into per-host records."""
+    EVENTS = frozenset({
+        "server.issue", "server.result", "server.validate", "server.reissue",
+        "server.refuse", "server.workunit_failed", "agent.fetch",
+        "agent.abandon", "agent.checkpoint", "agent.complete", "agent.retry",
+        "fault.crash", "fault.corrupt", "fault.sabotage", "fault.report_lost",
+        "host.trusted", "host.demoted", "host.spot_check", "host.credit",
+    })
 
     #: ``flaky``: invalid results exceed this fraction of all results
     FLAKY_INVALID_FRACTION = 0.1
@@ -180,189 +64,13 @@ class HostLedger(Fold):
     #: rows kept in the offender/straggler tables
     TOP_N = 10
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: dict[int, HostRecord] = {}
-        self.by_campaign: dict[str, dict[str, int]] = {}
-        # correlation state, bounded by in-flight work (packed issue keys
-        # like the health monitor: ``wu * 2**20 + copy``)
-        self._t_issue: dict[int, float] = {}
-        #: sabotaged results awaiting their server.result: (wu, host) -> n
-        self._sab_pending: dict[tuple[int, int], int] = {}
-        #: per-workunit hosts whose sabotage entered the quorum unexposed
-        self._pending_bad: dict[int, list[int]] = {}
+    @property
+    def records(self) -> dict[int, HostRecord]:
+        return self.table.hosts
 
-    def _rec(self, host: int, t: float) -> HostRecord:
-        rec = self.records.get(host)
-        if rec is None:
-            rec = self.records[host] = HostRecord(host)
-        if rec.first_seen is None:
-            rec.first_seen = t
-        rec.last_seen = t  # the stream is non-decreasing in t_sim
-        return rec
-
-    def _campaign(self, name: str) -> dict[str, int]:
-        agg = self.by_campaign.get(name)
-        if agg is None:
-            agg = self.by_campaign[name] = {
-                "results": 0, "validated": 0, "invalid": 0, "late": 0,
-            }
-        return agg
-
-    # -- event fold: one handler per event type (``HANDLERS``) --------------
-
-    def _on_issue(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).issued += 1
-        self._t_issue[f["wu"] * 1_048_576 + f.get("copy", 0)] = t
-
-    def _on_result(self, t: float, f: dict) -> None:
-        host = f["host"]
-        rec = self._rec(host, t)
-        rec.results += 1
-        rec.cpu_s += f.get("accounted_cpu_s", 0.0)
-        issued = self._t_issue.pop(f["wu"] * 1_048_576 + f.get("copy", 0), None)
-        if issued is not None:
-            rec.turnaround.observe(t - issued)
-        wu = f["wu"]
-        key = (wu, host)
-        pending = self._sab_pending.get(key, 0)
-        campaign = f.get("campaign")
-        agg = self._campaign(campaign) if campaign is not None else None
-        if agg is not None:
-            agg["results"] += 1
-        if f.get("late"):
-            rec.late += 1
-            if agg is not None:
-                agg["late"] += 1
-            if pending:
-                # A late sabotaged result never entered the quorum: it can
-                # be neither caught nor validated.
-                self._drop_pending(key, pending)
-        elif not f.get("valid"):
-            rec.invalid += 1
-            rec.streak = 0  # mirrors AdaptiveReplication.record_invalid
-            if agg is not None:
-                agg["invalid"] += 1
-        else:
-            rec.streak += 1  # mirrors AdaptiveReplication.record_valid
-            if rec.streak > rec.peak_streak:
-                rec.peak_streak = rec.streak
-            if pending:
-                # The sabotage passed the range check and now sits in the
-                # quorum; server.validate decides caught vs validated.
-                self._drop_pending(key, pending)
-                self._pending_bad.setdefault(wu, []).append(host)
-
-    def _drop_pending(self, key: tuple[int, int], pending: int) -> None:
-        if pending <= 1:
-            del self._sab_pending[key]
-        else:
-            self._sab_pending[key] = pending - 1
-
-    def _on_validate(self, t: float, f: dict) -> None:
-        host = f.get("host")
-        rec = self._rec(host, t) if host is not None else None
-        if rec is not None:
-            rec.validated += 1
-        wu = f["wu"]
-        if f.get("tainted"):
-            # Wrong-but-agreeing results closed the workunit: the event's
-            # host is the saboteur whose copy tipped the quorum; the other
-            # contributors' sabotage is moot once the workunit closes.
-            if rec is not None:
-                rec.bad_validated += 1
-            self._pending_bad.pop(wu, None)
-        else:
-            # An untainted close exposes every unexposed sabotaged copy
-            # of this workunit (stats.sabotage_caught += n_valid_bad).
-            for bad_host in self._pending_bad.pop(wu, ()):
-                self._rec(bad_host, t).sabotage_caught += 1
-        campaign = f.get("campaign")
-        if campaign is not None:
-            self._campaign(campaign)["validated"] += 1
-
-    def _on_reissue(self, t: float, f: dict) -> None:
-        if f.get("reason") == "deadline":
-            self._rec(f["host"], t).timed_out += 1
-
-    def _on_refuse(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).refused += 1
-
-    def _on_workunit_failed(self, t: float, f: dict) -> None:
-        # Terminal failure: pending sabotage on this workunit was neither
-        # caught nor validated.
-        self._pending_bad.pop(f["wu"], None)
-
-    def _on_fetch(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t)
-
-    def _on_abandon(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).abandoned += 1
-
-    def _on_checkpoint(self, t: float, f: dict) -> None:
-        rec = self._rec(f["host"], t)
-        rec.checkpoints += 1
-        if f.get("killed"):
-            rec.kills += 1
-
-    def _on_complete(self, t: float, f: dict) -> None:
-        rec = self._rec(f["host"], t)
-        rec.completes += 1
-        rec.active_s += f.get("active_s", 0.0)
-
-    def _on_retry(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).retries += 1
-
-    def _on_crash(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).crashes += 1
-
-    def _on_corrupt(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).corrupted += 1
-
-    def _on_sabotage(self, t: float, f: dict) -> None:
-        rec = self._rec(f["host"], t)
-        rec.sabotaged += 1
-        key = (f["wu"], f["host"])
-        self._sab_pending[key] = self._sab_pending.get(key, 0) + 1
-
-    def _on_report_lost(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).report_lost += 1
-
-    def _on_trusted(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).trusted = True
-
-    def _on_demoted(self, t: float, f: dict) -> None:
-        rec = self._rec(f["host"], t)
-        rec.demotions += 1
-        rec.trusted = False
-
-    def _on_spot_check(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).spot_checks += 1
-
-    def _on_credit(self, t: float, f: dict) -> None:
-        self._rec(f["host"], t).credit += f.get("points", 0.0)
-
-    HANDLERS = {
-        "server.issue": _on_issue,
-        "server.result": _on_result,
-        "server.validate": _on_validate,
-        "server.reissue": _on_reissue,
-        "server.refuse": _on_refuse,
-        "server.workunit_failed": _on_workunit_failed,
-        "agent.fetch": _on_fetch,
-        "agent.abandon": _on_abandon,
-        "agent.checkpoint": _on_checkpoint,
-        "agent.complete": _on_complete,
-        "agent.retry": _on_retry,
-        "fault.crash": _on_crash,
-        "fault.corrupt": _on_corrupt,
-        "fault.sabotage": _on_sabotage,
-        "fault.report_lost": _on_report_lost,
-        "host.trusted": _on_trusted,
-        "host.demoted": _on_demoted,
-        "host.spot_check": _on_spot_check,
-        "host.credit": _on_credit,
-    }
+    @property
+    def by_campaign(self) -> dict[str, dict[str, int]]:
+        return self.table.by_campaign
 
     # -- shard merge ---------------------------------------------------------
 
@@ -371,22 +79,19 @@ class HostLedger(Fold):
         records: dict[int, HostRecord],
         by_campaign: dict[str, dict[str, int]] | None = None,
     ) -> None:
-        """Fold one shard's records into this ledger (shard order).
+        """Add one shard's host rows to this ledger (shard order).
 
         Hosts from different shards come from disjoint id blocks
         (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so this is a pure
-        union; a colliding host id falls back to
-        :meth:`HostRecord.merge`.
+        union; a colliding host id is refused.
         """
-        for host, rec in records.items():
-            mine = self.records.get(host)
-            if mine is None:
-                self.records[host] = rec
-            else:
-                mine.merge(rec)
+        clash = sorted(self.records.keys() & records.keys())
+        if clash:
+            raise ValueError(f"host ids already in the ledger: {clash[:5]}")
+        self.records.update(records)
         if by_campaign:
             for name, agg in by_campaign.items():
-                dst = self._campaign(name)
+                dst = self.table.campaign(name)
                 for key, value in agg.items():
                     dst[key] = dst.get(key, 0) + value
 
@@ -435,8 +140,8 @@ class HostLedger(Fold):
         return "reliable"
 
     def finalize(self, t_end: float | None = None) -> "FleetReport":
-        """Drain the last batch and render the final :class:`FleetReport`."""
-        self.drain()
+        """Render the final :class:`FleetReport`."""
+        self.table.drain()
         fleet_median = self.fleet_median_turnaround()
         classes = {name: 0 for name in HOST_CLASSES}
         hosts: list[dict[str, Any]] = []
@@ -530,7 +235,7 @@ class FleetReport(Report):
         horizon is the trace's last timestamp, folded or not."""
         ledger, t_end = HostLedger(), 0.0
         for event in iter_trace(path):
-            ledger.feed(event)
+            ledger.table.feed(event)
             if event.t_sim is not None:
                 t_end = event.t_sim
         return ledger.finalize(t_end)

@@ -1,8 +1,8 @@
 """Causal span reconstruction: workunit lifecycles out of a flat trace.
 
 The flat JSONL event stream (docs/observability.md) answers "what
-happened" but not "where did this workunit's 10 days go?".  This module
-folds the stream — no new emit sites required; the server's correlation
+happened" but not "where did this workunit's 10 days go?".  The lifecycle
+table folds the stream — no new emit sites required; the server's correlation
 fields (`copy` on issue/result, `receptor`/`ligand` on release, `host` on
 validate) disambiguate the lifecycle edges — into one causal **span
 tree** per workunit:
@@ -25,10 +25,10 @@ straggler/tail analysis over every tree.
 Reconstruction is *total and lossless*: every traced workunit yields
 exactly one tree, and span-derived aggregates reconcile with
 :class:`~repro.core.metrics.CampaignMetrics` and the fault error budget
-(pinned by ``tests/test_obs_spans.py``).  The fold is a streaming
-:class:`~repro.obs.tracer.Fold` — events arrive in trace order — so it
-applies equally to a recorded file (:func:`reconstruct_file`) and to a
-live campaign's ring.
+(pinned by ``tests/test_obs_spans.py``).  The trees are the workunit rows
+of the :class:`~repro.obs.lifecycle.Lifecycle` table, read by a
+:class:`SpanReconstructor` view, so they come equally from a recorded
+file (:func:`reconstruct_file`) and from a live campaign's ring.
 
 Spans require the ``server`` and ``agent`` channels (``fault`` enriches
 crash/corruption attribution); a trace recorded with those channels
@@ -42,7 +42,8 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..units import SECONDS_PER_WEEK
-from .tracer import Fold, TraceEvent, iter_trace
+from .lifecycle import AttemptSpan, Span, View, WorkunitSpanTree
+from .tracer import TraceEvent, iter_trace
 
 __all__ = [
     "Span",
@@ -55,459 +56,44 @@ __all__ = [
 ]
 
 
-@dataclass
-class Span:
-    """One timed interval of a workunit's life (a tree node leaf)."""
+class SpanReconstructor(View):
+    """The span view of a lifecycle table: one tree per workunit.
 
-    kind: str  #: ``dispatch`` | ``compute`` | ``segment`` | ``report`` | ``retry``
-    t_start: float
-    t_end: float | None = None  #: None while the span is still open
-    attrs: dict[str, Any] = field(default_factory=dict)
-    children: list["Span"] = field(default_factory=list)
-
-    @property
-    def duration_s(self) -> float | None:
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_start
-
-
-@dataclass
-class AttemptSpan:
-    """One issued copy of a workunit on one host (a mid-level tree node)."""
-
-    copy: int
-    host: int
-    t_issue: float
-    #: why this copy went out: ``fresh`` | ``replica`` | ``deadline`` |
-    #: ``invalid`` | ``quorum-stall``
-    reason: str = "fresh"
-    t_end: float | None = None
-    #: ``valid`` | ``invalid`` | ``late`` | ``timed-out`` | ``abandoned`` |
-    #: ``in-flight``
-    outcome: str = "in-flight"
-    #: the server's deadline reclaimed this copy at this time (it may still
-    #: report late afterwards)
-    deadline_missed_at: float | None = None
-    spans: list[Span] = field(default_factory=list)
-    #: report attempts that never reached the server (lost / refused)
-    report_retries: int = 0
-    #: injected crashes suffered while computing this copy
-    crashes: int = 0
-    #: the result carried detectable corruption / sabotage ground truth
-    fault_kinds: list[str] = field(default_factory=list)
-
-    @property
-    def duration_s(self) -> float | None:
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_issue
-
-    def open_span(self, kind: str) -> Span | None:
-        for span in reversed(self.spans):
-            if span.kind == kind and span.t_end is None:
-                return span
-        return None
-
-
-@dataclass
-class WorkunitSpanTree:
-    """The complete causal lifecycle of one workunit."""
-
-    wu: int
-    batch: int | None = None
-    receptor: int | None = None
-    ligand: int | None = None
-    replication: int | None = None
-    t_release: float | None = None
-    t_close: float | None = None
-    #: ``validated`` | ``failed`` | ``open``
-    outcome: str = "open"
-    regime: str | None = None  #: validation regime at close
-    tainted: bool = False  #: validated on sabotaged (plausible-wrong) results
-    attempts: list[AttemptSpan] = field(default_factory=list)
-    #: pending reissue causes not yet consumed by a new issue:
-    #: ``(t, reason, triggering attempt index | None)``
-    _pending: list[tuple[float, str, int | None]] = field(default_factory=list)
-
-    @property
-    def couple(self) -> tuple[int, int] | None:
-        if self.receptor is None or self.ligand is None:
-            return None
-        return (self.receptor, self.ligand)
-
-    @property
-    def makespan_s(self) -> float | None:
-        """Release-to-close duration (the workunit's wall-clock cost)."""
-        if self.t_release is None or self.t_close is None:
-            return None
-        return self.t_close - self.t_release
-
-    @property
-    def n_results(self) -> int:
-        return sum(
-            1 for a in self.attempts if a.outcome in ("valid", "invalid", "late")
-        )
-
-    # -- critical path ------------------------------------------------------
-
-    def critical_path(self) -> list[tuple[str, float, float, dict[str, Any]]]:
-        """The causal chain release -> close as ``(category, t0, t1, attrs)``.
-
-        Walks backwards from the closing attempt through the reissue hops
-        that gated it; the returned intervals are contiguous and their
-        durations sum exactly to :attr:`makespan_s`.  Categories:
-        ``queue-wait`` (release to issue of the chain's first copy),
-        ``reissue-hop`` (a prior copy's failure to the next issue — the
-        deadline/invalid/quorum-stall cost), ``dispatch``, ``compute``,
-        ``report`` and ``validation-wait`` (a result arrived but the
-        quorum was still open).
-        """
-        if self.t_release is None or self.t_close is None:
-            return []
-        closing = self._closing_attempt()
-        if closing is None:
-            return [("queue-wait", self.t_release, self.t_close, {})]
-        # Chase reissue causality backwards: attempt -> the reissue that
-        # spawned it -> the attempt whose failure triggered that reissue.
-        chain: list[AttemptSpan] = [closing]
-        seen = {id(closing)}
-        current = closing
-        while current.reason not in ("fresh", "replica"):
-            trigger = self._trigger_of(current)
-            if trigger is None or id(trigger) in seen:
-                break
-            chain.append(trigger)
-            seen.add(id(trigger))
-            current = trigger
-        chain.reverse()
-
-        path: list[tuple[str, float, float, dict[str, Any]]] = []
-        cursor = self.t_release
-        for attempt in chain:
-            if attempt.t_issue > cursor:
-                category = (
-                    "queue-wait"
-                    if attempt.reason in ("fresh", "replica")
-                    else "reissue-hop"
-                )
-                path.append((
-                    category, cursor, attempt.t_issue,
-                    {"reason": attempt.reason},
-                ))
-            cursor = max(cursor, attempt.t_issue)
-            stop = attempt.t_end if attempt.t_end is not None else self.t_close
-            stop = min(stop, self.t_close)
-            for span in attempt.spans:
-                if span.t_end is None or span.t_end > stop or span.t_start < cursor:
-                    continue
-                if span.t_start > cursor:
-                    path.append(("dispatch", cursor, span.t_start, {}))
-                path.append((
-                    span.kind, span.t_start, span.t_end,
-                    {"host": attempt.host, "copy": attempt.copy, **span.attrs},
-                ))
-                cursor = span.t_end
-            if stop > cursor:
-                label = (
-                    "deadline-wait"
-                    if attempt.outcome in ("timed-out", "abandoned")
-                    else "compute"
-                )
-                path.append((label, cursor, stop,
-                             {"host": attempt.host, "copy": attempt.copy}))
-                cursor = stop
-        if self.t_close > cursor:
-            path.append(("validation-wait", cursor, self.t_close, {}))
-        return path
-
-    def time_by_category(self) -> dict[str, float]:
-        """Critical-path seconds aggregated per category."""
-        totals: dict[str, float] = {}
-        for category, t0, t1, _ in self.critical_path():
-            totals[category] = totals.get(category, 0.0) + (t1 - t0)
-        return totals
-
-    def _closing_attempt(self) -> AttemptSpan | None:
-        """The attempt whose result closed (or would close) the workunit."""
-        best: AttemptSpan | None = None
-        for attempt in self.attempts:
-            if attempt.outcome != "valid":
-                continue
-            if best is None or (attempt.t_end or 0.0) > (best.t_end or 0.0):
-                best = attempt
-        if best is not None:
-            return best
-        # Failed / open workunits: fall back to the last terminated attempt.
-        for attempt in reversed(self.attempts):
-            if attempt.t_end is not None:
-                return attempt
-        return self.attempts[-1] if self.attempts else None
-
-    def _trigger_of(self, attempt: AttemptSpan) -> AttemptSpan | None:
-        """The earlier attempt whose failure caused ``attempt``'s reissue."""
-        candidates = [
-            a for a in self.attempts
-            if a is not attempt and a.t_issue < attempt.t_issue and (
-                (a.deadline_missed_at is not None
-                 and a.deadline_missed_at <= attempt.t_issue)
-                or (a.outcome == "invalid" and a.t_end is not None
-                    and a.t_end <= attempt.t_issue)
-            )
-        ]
-        if not candidates:
-            return None
-        # The most recent failure before this issue is the causal trigger
-        # (the server reissues FIFO, so ties resolve to the oldest copy).
-        def fail_time(a: AttemptSpan) -> float:
-            if a.deadline_missed_at is not None:
-                return a.deadline_missed_at
-            return a.t_end if a.t_end is not None else 0.0
-
-        return max(candidates, key=lambda a: (fail_time(a), -a.copy))
-
-
-class SpanReconstructor(Fold):
-    """Streaming fold of trace events into per-workunit span trees.
-
-    Feed events in trace order (:meth:`feed`, or :meth:`fold` a whole
-    stream); call :meth:`finalize` once to close still-open spans at the
-    trace horizon.  The fold keeps one tree per workunit plus an O(hosts)
-    index of in-flight attempts — beyond one drain batch it never buffers
-    raw events, so arbitrarily long traces reconstruct in bounded extra
-    memory beyond the trees themselves.
+    Feed events in trace order (:meth:`fold` a whole stream); call
+    :meth:`finalize` once to close still-open spans at the trace horizon.
+    The table keeps one tree per workunit plus an index of the attempts
+    awaiting their result, so arbitrarily long traces reconstruct in
+    bounded extra memory beyond the trees themselves.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.trees: dict[int, WorkunitSpanTree] = {}
-        #: (host, wu) -> the attempt currently bound to that host
-        self._active: dict[tuple[int, int], AttemptSpan] = {}
-        #: events that carried a wu the fold could not attach (diagnostics)
-        self.orphans = 0
-
-    # -- event fold: one handler per event type (``HANDLERS``) ---------------
-
-    def _tree(self, wu: int) -> WorkunitSpanTree:
-        tree = self.trees.get(wu)
-        if tree is None:
-            tree = WorkunitSpanTree(wu=wu)
-            self.trees[wu] = tree
-        return tree
-
-    def _on_release(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        tree.t_release = t
-        tree.batch = f.get("batch")
-        tree.replication = f.get("replication")
-        tree.receptor = f.get("receptor")
-        tree.ligand = f.get("ligand")
-
-    def _on_issue(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        if tree.t_release is None:
-            tree.t_release = t  # release event filtered out: best effort
-        reason = "fresh" if not tree.attempts else "replica"
-        if tree._pending:
-            _, reason, _ = tree._pending.pop(0)
-        attempt = AttemptSpan(
-            copy=f.get("copy", len(tree.attempts)),
-            host=f["host"],
-            t_issue=t,
-            reason=reason,
-        )
-        tree.attempts.append(attempt)
-        self._active[(attempt.host, tree.wu)] = attempt
-
-    def _match(self, f: dict) -> AttemptSpan | None:
-        """Resolve an event to its attempt: the ``copy`` ordinal wins (it
-        disambiguates a host holding a re-issued copy of a workunit it
-        already computed), falling back to the (host, wu) active index."""
-        copy = f.get("copy")
-        if copy is not None:
-            tree = self.trees.get(f.get("wu"))
-            if tree is not None:
-                for attempt in tree.attempts:
-                    if attempt.copy == copy:
-                        return attempt
-        return self._active.get((f.get("host"), f.get("wu")))
-
-    def _on_fetch(self, t: float, f: dict) -> None:
-        attempt = self._match(f)
-        if attempt is None:
-            self.orphans += 1
-            return
-        attempt.spans.append(Span("dispatch", attempt.t_issue, t))
-        attempt.spans.append(Span("compute", t))
-
-    def _on_abandon(self, t: float, f: dict) -> None:
-        attempt = self._active.pop((f["host"], f["wu"]), None)
-        if attempt is None:
-            self.orphans += 1
-            return
-        attempt.outcome = "abandoned"
-        attempt.t_end = t
-        self._close_spans(attempt, t)
-
-    def _bound(self, f: dict) -> AttemptSpan | None:
-        """The attempt bound to the event's (host, wu); an event naming a
-        workunit no attempt of that host holds is an orphan."""
-        wu = f.get("wu")
-        if wu is None:
-            return None
-        attempt = self._active.get((f["host"], wu))
-        if attempt is None:
-            self.orphans += 1
-        return attempt
-
-    @staticmethod
-    def _end_segment(attempt: AttemptSpan, t: float, attrs: dict) -> None:
-        """Close the current segment of the attempt's open compute span."""
-        compute = attempt.open_span("compute")
-        if compute is not None:
-            start = compute.children[-1].t_end if compute.children else compute.t_start
-            compute.children.append(Span("segment", start, t, attrs=attrs))
-
-    def _on_checkpoint(self, t: float, f: dict) -> None:
-        attempt = self._bound(f)
-        if attempt is not None:
-            self._end_segment(attempt, t, {
-                "killed": f.get("killed", False),
-                "lost_reference_s": f.get("lost_reference_s", 0.0),
-            })
-
-    def _on_crash(self, t: float, f: dict) -> None:
-        attempt = self._bound(f)
-        if attempt is not None:
-            attempt.crashes += 1
-            self._end_segment(attempt, t, {
-                "crash": True,
-                "lost_reference_s": f.get("lost_reference_s", 0.0),
-            })
-
-    def _on_complete(self, t: float, f: dict) -> None:
-        attempt = self._bound(f)
-        if attempt is None:
-            return
-        compute = attempt.open_span("compute")
-        if compute is not None:
-            compute.t_end = t
-            compute.attrs["active_s"] = f.get("active_s")
-            if compute.children:
-                start = compute.children[-1].t_end
-                if start is not None and t > start:
-                    compute.children.append(Span("segment", start, t))
-        attempt.spans.append(Span(
-            "report", t, attrs={"report_delay_s": f.get("report_delay_s")},
-        ))
-
-    def _on_report_lost(self, t: float, f: dict) -> None:
-        attempt = self._bound(f)
-        if attempt is None:
-            return
-        attempt.report_retries += 1
-        report = attempt.open_span("report")
-        if report is not None:
-            report.children.append(Span("retry", t, t, attrs={"reason": "lost"}))
-
-    def _on_result_fault(self, t: float, f: dict, kind: str) -> None:
-        attempt = self._active.get((f.get("host"), f.get("wu")))
-        if attempt is not None:
-            attempt.fault_kinds.append(kind)
-
-    def _on_result(self, t: float, f: dict) -> None:
-        attempt = self._match(f)
-        if attempt is None:
-            self.orphans += 1
-            return
-        active = self._active.get((f["host"], f["wu"]))
-        if active is attempt:
-            del self._active[(f["host"], f["wu"])]
-        report = attempt.open_span("report")
-        if report is not None:
-            report.t_end = t
-        attempt.t_end = t
-        if f.get("late"):
-            attempt.outcome = "late"
-        elif f.get("valid", True):
-            attempt.outcome = "valid"
-        else:
-            attempt.outcome = "invalid"
-        self._close_spans(attempt, t)
-
-    def _on_reissue(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        reason = f.get("reason", "deadline")
-        trigger_idx: int | None = None
-        if reason == "deadline":
-            # The deadline reclaimed the triggering host's copy: mark it so
-            # late reports and the critical path can tell reclaimed copies
-            # from live ones.
-            attempt = self._active.get((f.get("host"), f["wu"]))
-            if attempt is not None and attempt.deadline_missed_at is None:
-                attempt.deadline_missed_at = t
-                if attempt.outcome == "in-flight":
-                    attempt.outcome = "timed-out"
-                trigger_idx = tree.attempts.index(attempt)
-        tree._pending.append((t, reason, trigger_idx))
-
-    def _on_validate(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        tree.outcome = "validated"
-        tree.t_close = t
-        tree.regime = f.get("regime")
-        tree.tainted = bool(f.get("tainted", False))
-
-    def _on_failed(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        tree.outcome = "failed"
-        tree.t_close = t
-
-    @staticmethod
-    def _close_spans(attempt: AttemptSpan, t: float) -> None:
-        for span in attempt.spans:
-            if span.t_end is None:
-                span.t_end = t
-
-    HANDLERS = {
-        "server.release": _on_release,
-        "server.issue": _on_issue,
-        "agent.fetch": _on_fetch,
-        "agent.abandon": _on_abandon,
-        "agent.checkpoint": _on_checkpoint,
-        "fault.crash": _on_crash,
-        "agent.complete": _on_complete,
-        "fault.report_lost": _on_report_lost,
-        "fault.corrupt": lambda self, t, f: self._on_result_fault(t, f, "corrupt"),
-        "fault.sabotage": lambda self, t, f: self._on_result_fault(t, f, "sabotage"),
-        "server.result": _on_result,
-        "server.reissue": _on_reissue,
-        "server.validate": _on_validate,
-        "server.workunit_failed": _on_failed,
-    }
-
-    # -- finalization --------------------------------------------------------
+    EVENTS = frozenset({
+        "server.release", "server.issue", "agent.fetch", "agent.abandon",
+        "agent.checkpoint", "fault.crash", "agent.complete",
+        "fault.report_lost", "fault.corrupt", "fault.sabotage",
+        "server.result", "server.reissue", "server.validate",
+        "server.workunit_failed",
+    })
+    KEEP_CLOSED = True
 
     def finalize(self, t_end: float | None = None) -> "SpanCampaign":
         """Close still-open spans at the horizon and return the campaign."""
-        self.drain()
-        horizon = t_end if t_end is not None else self.t_last
-        for tree in self.trees.values():
+        table = self.table
+        table.drain()
+        n_events, t_last = table.observed(self.EVENTS)
+        horizon = t_end if t_end is not None else t_last
+        for tree in table.trees.values():
             for attempt in tree.attempts:
-                if attempt.t_end is None:
+                if attempt.t_end is None and attempt.deadline_missed_at is not None:
                     # Timed-out copies that never reported stay terminated
                     # at their deadline; truly in-flight copies end at the
                     # trace horizon.
-                    if attempt.deadline_missed_at is not None:
-                        attempt.t_end = attempt.deadline_missed_at
-                stop = attempt.t_end if attempt.t_end is not None else horizon
-                for span in attempt.spans:
-                    if span.t_end is None:
-                        span.t_end = stop
+                    attempt.t_end = attempt.deadline_missed_at
+                if attempt.t_stop is None:
+                    attempt.t_stop = horizon
         return SpanCampaign(
-            trees=self.trees,
-            n_events=self.n_observed,
-            orphans=self.orphans,
+            trees=table.trees,
+            n_events=n_events,
+            orphans=table.orphans,
             t_end=horizon,
         )
 

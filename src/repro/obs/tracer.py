@@ -155,7 +155,7 @@ class JsonlSink:
 
     The lines are encoded and written by a writer process
     (``_jsonl_writer.py``) while the campaign keeps running: ``append``
-    only buffers, and every :attr:`Fold.STRIDE` events one pickled batch
+    only buffers, and every :attr:`Fold.STRIDE` events one pickled frame
     goes down a pipe.  ``close()`` flushes the tail, waits for the
     writer and raises :class:`OSError` naming the path if it failed; an
     unclosed sink gets the same flush at garbage collection or
@@ -213,83 +213,105 @@ class NullSink:
 
 
 class Fold:
-    """A streaming observer: one handler table, applied in batches.
+    """A streaming observer: one handler table, applied event by event.
 
-    The health monitor, the host ledger and the span reconstructor are
-    all this.  A subclass gives a class-level :attr:`HANDLERS` table —
-    event type -> ``handler(self, t_sim, fields)`` — and reads nothing
-    else of the stream.  :meth:`feed` buffers an event only if the table
-    names its type and it carries a ``t_sim``; every :attr:`STRIDE`
-    buffered events :meth:`drain` applies the batch in arrival order and
-    then calls the one per-batch hook, :meth:`_drained`.  The same
-    batching runs live (a :class:`FoldSink` tee feeds the observer) and
-    offline (:meth:`fold` over a recorded trace), so a trace refolds into
-    exactly the report the live run produced.  ``finalize()`` — each
-    subclass renders its own report — starts with :meth:`drain`.
+    A subclass gives a class-level :attr:`HANDLERS` table — event type ->
+    ``handler(self, t_sim, fields)`` — and reads nothing else of the
+    stream (:class:`~repro.obs.lifecycle.Lifecycle` is the one in the
+    product).  :meth:`feed` applies an event if the table names its type
+    and it carries a ``t_sim``, and counts it per type; after every
+    :attr:`STRIDE` events of the types :meth:`hook_types` named it runs
+    :meth:`_hook` at that event's ``t_sim``, and :meth:`drain` runs it once
+    more if any arrived since.  The same fold runs live (a
+    :class:`FoldSink` tee feeds it) and offline (:meth:`fold` over a
+    recorded trace), so a trace refolds into exactly the state — hook
+    times included — the live run reached.
     """
 
-    #: drain stride: small enough that whatever a hook emits (the health
-    #: monitor's breach events) stays timely, large enough to amortize
-    #: the per-batch work
+    #: hook stride (and the JSONL writer's frame size): small enough that
+    #: whatever a hook emits (the health monitor's breach events) stays
+    #: timely, large enough to amortize the hook's work
     STRIDE = 64
     #: event type -> ``handler(self, t_sim, fields)``; set by each subclass
     HANDLERS: dict[str, Callable[..., None]] = {}
 
     def __init__(self) -> None:
-        self._batch: list[TraceEvent] = []
-        #: events applied so far
-        self.n_observed = 0
-        #: ``t_sim`` of the last applied event
-        self.t_last = 0.0
+        #: event type -> [handler, events applied, t_sim of the last, hooked]
+        #: (one lookup per event)
+        self._routes: dict[str, list] = {
+            etype: [handler, 0, 0.0, False]
+            for etype, handler in self.HANDLERS.items()
+        }
+        self._unhooked = 0  # hooked events applied since the last hook
+        self._t_unhooked = 0.0
+
+    def hook_types(self, etypes: Iterable[str]) -> None:
+        """Run :meth:`_hook` every :attr:`STRIDE` events of ``etypes``."""
+        for route in self._routes.values():
+            route[3] = False
+        for etype in etypes:
+            self._routes[etype][3] = True
+        self._unhooked = 0
 
     def feed(self, event: TraceEvent) -> None:
-        """Buffer one event if this observer folds it; drain when full."""
-        if event.etype in self.HANDLERS and event.t_sim is not None:
-            batch = self._batch
-            batch.append(event)
-            if len(batch) >= self.STRIDE:
-                self.drain()
+        """Apply one event if this fold handles it."""
+        route = self._routes.get(event.etype)
+        t = event.t_sim
+        if route is None or t is None:
+            return
+        route[0](self, t, event.fields)
+        route[1] += 1
+        route[2] = t
+        if route[3]:
+            self._t_unhooked = t
+            self._unhooked += 1
+            if self._unhooked == self.STRIDE:
+                self._unhooked = 0
+                self._hook(t)
 
     def drain(self) -> None:
-        """Apply the buffered batch, then run the per-batch hook."""
-        batch = self._batch
-        if batch:
-            # Swap before applying: a hook may emit through the tracer
-            # and re-enter feed() mid-batch.
-            self._batch = []
-            handlers = self.HANDLERS
-            for event in batch:
-                handlers[event.etype](self, event.t_sim, event.fields)
-            self.n_observed += len(batch)
-            self.t_last = batch[-1].t_sim
-            self._drained(self.t_last)
+        """Run the hook for the hooked events applied since the last."""
+        if self._unhooked:
+            self._unhooked = 0
+            self._hook(self._t_unhooked)
 
-    def _drained(self, t_last: float) -> None:
-        """Per-batch hook, at the batch's last timestamp (none here)."""
+    def _hook(self, t: float) -> None:
+        """Per-stride hook (none here)."""
 
     def fold(self, events: Iterable[TraceEvent]) -> "Fold":
-        """Feed a whole stream, drain the tail and return ``self``."""
+        """Feed a whole stream, drain and return ``self``."""
         for event in events:
             self.feed(event)
         self.drain()
         return self
+
+    def count(self, etype: str) -> int:
+        """Events of type ``etype`` applied so far."""
+        return self._routes[etype][1]
+
+    def observed(self, etypes: Iterable[str]) -> tuple[int, float]:
+        """How many events of ``etypes`` were applied, and the ``t_sim``
+        of the last of them (0.0 before any)."""
+        routes = [self._routes[etype] for etype in etypes]
+        return (
+            sum(route[1] for route in routes),
+            max((route[2] for route in routes if route[1]), default=0.0),
+        )
 
 
 class FoldSink:
     """Tee a tracer's event stream into a :class:`Fold`.
 
     Wraps the tracer's real sink.  Every event is forwarded to the inner
-    sink **immediately**, so the trace/ring order is exactly the arrival
-    order — the observer's batching never reorders or delays the real
-    stream — and then fed to the observer.  Only event types in the
-    observer's handler table pay for that call; everything else —
-    ``agent.report``, the health monitor's own ``health.*`` emissions —
-    costs one frozenset probe and is done.
+    sink first, so the trace/ring order is exactly the arrival order, and
+    then fed to the observer.  Only event types in the observer's handler
+    table pay for that call; everything else — ``agent.report``, the
+    health monitor's own ``health.*`` emissions — costs one frozenset
+    probe and is done.
 
-    Consequently whatever an observer emits while draining (the health
-    monitor's ``health.slo_breach``/``health.slo_clear``) is appended at
-    drain boundaries: its ``t_sim`` is the simulation time of the last
-    event in the drained batch.
+    Consequently whatever an observer's hook emits (the health monitor's
+    ``health.slo_breach``/``health.slo_clear``) lands right after the
+    event that triggered the hook, carrying that event's ``t_sim``.
     """
 
     def __init__(self, observer: Fold, inner) -> None:

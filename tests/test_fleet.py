@@ -55,6 +55,21 @@ class TestObserversPerRun:
         assert observed_once > 0
         assert ledger.n_observed == 2 * observed_once
 
+    def test_a_ledger_outlives_its_first_runs_monitor(self):
+        """The run's monitor sweeps the ledger's table; once that monitor
+        is gone, the table keeps folding without it."""
+        ledger = HostLedger()
+        _small(ledger=ledger, health=True).run()
+        observed_once = ledger.n_observed
+        _small(ledger=ledger).run()
+        assert ledger.n_observed == 2 * observed_once
+
+    def test_a_live_table_keeps_no_closed_workunit(self):
+        ledger = HostLedger()
+        result = _small(ledger=ledger, health=True).run()
+        assert result.completion_time is not None
+        assert ledger.table.trees == {}
+
     def test_second_sharded_run_reports_the_same(self):
         from repro.boinc.sharding import ShardPlan
 
@@ -166,6 +181,13 @@ class TestFleetSpec:
         tracer = Tracer()
         assert tee_observers(tracer) == (tracer, None)
         assert tee_observers(None) == (None, None)
+
+    def test_health_and_ledger_share_one_table_behind_one_tee(self):
+        health, ledger = HealthMonitor(), HostLedger()
+        tracer, _ = tee_observers(None, health=health, ledger=ledger)
+        assert health.table is ledger.table
+        assert tracer.sink.observer is ledger.table
+        assert not isinstance(tracer.sink.inner, FoldSink)
 
     def test_observer_only_tracer_skips_the_kernel_channel(self):
         ledger = HostLedger()

@@ -30,7 +30,7 @@ from repro import CampaignConfig, ShardPlan, Tracer, scaled_phase1
 from repro.boinc.server import ServerConfig
 from repro.boinc.validator import AdaptiveReplication, ValidationPolicy
 from repro.faults import FaultPlan
-from repro.obs import FleetReport, HostLedger
+from repro.obs import FleetReport, HostLedger, HostRecord
 from repro.obs.tracer import iter_trace
 from repro.units import weeks
 
@@ -182,6 +182,15 @@ class TestShardedFleetReport:
         return scaled_phase1(
             scale=700, n_proteins=6, seed=42, config=config, ledger=True
         ).run()
+
+    def test_shard_rows_with_a_known_host_id_are_refused(self):
+        """Shards number hosts from disjoint blocks: a repeated host id
+        means two streams were mixed up, not one host to merge."""
+        ledger = HostLedger()
+        ledger.absorb({3: HostRecord(3)}, {"a": {"results": 1}})
+        with pytest.raises(ValueError, match="host ids already in the ledger"):
+            ledger.absorb({3: HostRecord(3)})
+        assert ledger.by_campaign["a"]["results"] == 1
 
     def test_merged_report_identical_across_worker_counts(self):
         sequential = self._run(4, 1)

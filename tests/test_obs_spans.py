@@ -41,6 +41,7 @@ from repro.obs import (
     reconstruct_file,
 )
 from repro.obs.health import SLORule
+from repro.obs.lifecycle import Lifecycle, View
 from repro.obs.postmortem import CampaignReport, diff_traces
 
 #: shared faulted-campaign shape (small enough for the tier-1 suite);
@@ -424,8 +425,9 @@ def recorded(request, tmp_path_factory):
 
 
 class TestRefoldEqualsLive:
-    """Every observer is a ``Fold``: the recorded trace refolds into
-    exactly the report the live tee produced."""
+    """Every observer is a view over the one ``Lifecycle`` fold: the
+    recorded trace refolds into exactly the report the live tee
+    produced."""
 
     def test_health_refolds_into_the_live_report(self, recorded):
         path, result, _ = recorded
@@ -449,15 +451,16 @@ class TestRefoldEqualsLive:
 
     def test_every_handler_names_a_declared_event_type(self):
         """A mistyped handler key would never fire; the taxonomy is the
-        closed world every emit is checked against."""
-        folds = {cls.__name__: cls for cls in Fold.__subclasses__()}
-        for cls in (HealthMonitor, HostLedger, SpanReconstructor):
-            assert folds[cls.__name__] is cls
-        undeclared = {
-            name: sorted(set(cls.HANDLERS) - set(EVENT_TYPES))
-            for name, cls in folds.items()
-        }
-        assert undeclared == {name: [] for name in folds}
+        closed world every emit is checked against.  The lifecycle table
+        is the one fold, and it handles every type a view reads."""
+        assert Fold.__subclasses__() == [Lifecycle]
+        assert sorted(set(Lifecycle.HANDLERS) - set(EVENT_TYPES)) == []
+        for view in (HealthMonitor, HostLedger, SpanReconstructor):
+            assert issubclass(view, View)
+            assert sorted(view.EVENTS - set(Lifecycle.HANDLERS)) == [], view
+        assert set(Lifecycle.HANDLERS) == (
+            HealthMonitor.EVENTS | HostLedger.EVENTS | SpanReconstructor.EVENTS
+        )
 
 
 # -- post-mortems -------------------------------------------------------------
