@@ -231,29 +231,26 @@ def tee_observers(
     health: HealthMonitor | None = None,
     ledger: HostLedger | None = None,
 ) -> tuple[Tracer | None, Any]:
-    """Tee the trace stream into the observers' one lifecycle table.
+    """Tee the trace stream into the observers' lifecycle tables.
 
     Returns ``(tracer, restore_sink)``: the tracer every emitter should
     use, and the caller's original sink to put back on it when the run
     ends (``None`` when there is nothing to restore).  The caller owns
     the restore — in a ``finally``, the tracer outlives the run.
 
-    A monitor riding with a ledger reads the ledger's table, so each
-    event crosses one :class:`~repro.obs.tracer.FoldSink`.  Without a
-    user-supplied tracer, build an observer-only one: events feed the
-    table and are then discarded (``NullSink``), restricted to the
-    channels the observers read (plus ``health``, which the monitor
-    emits on) so the DES kernel's high-rate events skip the emit path
-    entirely.  With a user tracer, the tee inherits its channel filter —
-    a filter that drops ``"host"`` starves the ledger of credit and
-    trust events (documented in :mod:`repro.obs.ledger`).
+    Each distinct table gets one :class:`~repro.obs.tracer.FoldSink`, the
+    health tee outermost.  Without a user-supplied tracer, build an
+    observer-only one: events feed the tables and are then discarded
+    (``NullSink``), restricted to the channels the observers read (plus
+    ``health``, which the monitor emits on) so the DES kernel's
+    high-rate events skip the emit path entirely.  With a user tracer,
+    the tee inherits its channel filter — a filter that drops ``"host"``
+    starves the ledger of credit and trust events (documented in
+    :mod:`repro.obs.ledger`).
     """
     observers = [obs for obs in (health, ledger) if obs is not None]
     if not observers:
         return tracer, None
-    table = observers[-1].table
-    if health is not None and health.table is not table:
-        health.attach(table)
     restore_sink = None
     if tracer is None:
         channels = {channel_of(etype) for obs in observers for etype in obs.EVENTS}
@@ -262,7 +259,8 @@ def tee_observers(
         tracer = Tracer(sink=NullSink(), channels=channels)
     else:
         restore_sink = tracer.sink
-    tracer.sink = FoldSink(table, tracer.sink)
+    for table in reversed(dict.fromkeys(obs.table for obs in observers)):
+        tracer.sink = FoldSink(table, tracer.sink)
     if health is not None:
         health.bind(tracer)
     return tracer, restore_sink
@@ -315,9 +313,14 @@ def run_fleet(
     records into.  ``health=True`` / ``ledger=True`` build a default
     observer *for this run*, so running the same simulation twice reports
     the same thing twice; an instance the caller supplied stays theirs
-    (and accumulates across runs, as they asked).  Whatever happens, the
+    (and accumulates across runs, as they asked).  Only a monitor and a
+    ledger both built for this run share one lifecycle table: a supplied
+    observer's table carries its earlier runs.  Whatever happens, the
     caller's tracer gets its own sink back.
     """
+    if health is True and ledger is True:
+        ledger = HostLedger()
+        health = HealthMonitor(table=ledger.table)
     health = HealthMonitor() if health is True else health or None
     ledger = HostLedger() if ledger is True else ledger or None
     tracer, restore_sink = tee_observers(tracer, health, ledger)

@@ -143,11 +143,13 @@ class SLORule:
 
 
 class HealthMonitor(View):
-    """Live health state (sketches + SLO rules) over a lifecycle table.
+    """Live health state (sketches + SLO rules) over a lifecycle table:
+    its own, or ``table`` when a run shares one with its ledger.
 
-    The table's handlers keep what the rules read — the idle-poll and
-    deadline-reissue instants, the workunits awaiting a quorum partner,
-    the latency samples — and the table sweeps the rules once per
+    While the monitor watches it, the table's handlers keep what the
+    rules read — the idle-poll and deadline-reissue instants, the
+    workunits awaiting a quorum partner, the latency samples — and the
+    table sweeps the rules once per
     :attr:`~repro.obs.tracer.Fold.STRIDE` events of :attr:`EVENTS`, at
     that event's time: the simulation time of a real event, and at this
     stride well under the sliding-window resolution of every rule.
@@ -185,6 +187,7 @@ class HealthMonitor(View):
         self,
         config: SLOConfig | None = None,
         registry: MetricsRegistry | None = None,
+        table: Lifecycle | None = None,
     ) -> None:
         self.config = config if config is not None else SLOConfig()
         #: private registry: campaign telemetry exports must stay
@@ -197,29 +200,19 @@ class HealthMonitor(View):
         }
         cfg = self.config
         self.rules = {
-            "queue-starvation": SLORule(
-                "queue-starvation", cfg.starvation_idle_polls, cfg.clear_fraction
-            ),
-            "deadline-storm": SLORule(
-                "deadline-storm", cfg.deadline_reissues, cfg.clear_fraction
-            ),
-            "reissue-burn": SLORule(
-                "reissue-burn", cfg.burn_fraction, cfg.clear_fraction
-            ),
-            "validation-backlog": SLORule(
-                "validation-backlog", cfg.backlog_workunits, cfg.clear_fraction
-            ),
+            name: SLORule(name, threshold, cfg.clear_fraction)
+            for name, threshold in (
+                ("queue-starvation", cfg.starvation_idle_polls),
+                ("deadline-storm", cfg.deadline_reissues),
+                ("reissue-burn", cfg.burn_fraction),
+                ("validation-backlog", cfg.backlog_workunits),
+            )
         }
         self._reissue_budget: float | None = None
-        super().__init__()
-        self.attach(self.table)
-
-    def attach(self, table: Lifecycle) -> None:
-        """Read (and sweep on) ``table`` from now on."""
-        self.table = table
-        table.bind_monitor(self)
+        super().__init__(table)
+        self.table.bind_monitor(self)
         self._sample_sketches = tuple(
-            (table.samples[name], self.sketches[f"health.{name}"])
+            (self.table.samples[name], self.sketches[f"health.{name}"])
             for name in SAMPLES
         )
 
@@ -245,17 +238,15 @@ class HealthMonitor(View):
         Sliding windows are pruned here (not in the handlers): window
         membership is read at the sweep's time.
         """
-        table = self.table
-        window = table.idle_times
-        edge = t - self.config.starvation_window_s
-        while window and window[0] < edge:
-            window.popleft()
-        self.rules["queue-starvation"].update(t, len(window), self)
-        window = table.deadline_times
-        edge = t - self.config.deadline_window_s
-        while window and window[0] < edge:
-            window.popleft()
-        self.rules["deadline-storm"].update(t, len(window), self)
+        table, cfg = self.table, self.config
+        for rule, window, width in (
+            ("queue-starvation", table.idle_times, cfg.starvation_window_s),
+            ("deadline-storm", table.deadline_times, cfg.deadline_window_s),
+        ):
+            edge = t - width
+            while window and window[0] < edge:
+                window.popleft()
+            self.rules[rule].update(t, len(window), self)
         self.rules["validation-backlog"].update(t, len(table.pending_quorum), self)
         budget = self._reissue_budget
         if budget is not None:

@@ -34,7 +34,7 @@ from typing import Any
 
 from ..analysis.report import Report, render_table
 from ..units import format_duration
-from .lifecycle import HostRecord, View
+from .lifecycle import HostRecord, Lifecycle, View
 from .tracer import iter_trace
 
 __all__ = ["HostRecord", "HostLedger", "FleetReport", "HostReport"]
@@ -46,13 +46,8 @@ HOST_CLASSES = ("suspect-saboteur", "flaky", "straggler", "reliable")
 class HostLedger(View):
     """The fleet view of a lifecycle table: its host rows."""
 
-    EVENTS = frozenset({
-        "server.issue", "server.result", "server.validate", "server.reissue",
-        "server.refuse", "server.workunit_failed", "agent.fetch",
-        "agent.abandon", "agent.checkpoint", "agent.complete", "agent.retry",
-        "fault.crash", "fault.corrupt", "fault.sabotage", "fault.report_lost",
-        "host.trusted", "host.demoted", "host.spot_check", "host.credit",
-    })
+    #: every type the table handles but the monitor's release and idle poll
+    EVENTS = frozenset(Lifecycle.HANDLERS) - {"server.release", "agent.idle"}
 
     #: ``flaky``: invalid results exceed this fraction of all results
     FLAKY_INVALID_FRACTION = 0.1
@@ -79,16 +74,19 @@ class HostLedger(View):
         records: dict[int, HostRecord],
         by_campaign: dict[str, dict[str, int]] | None = None,
     ) -> None:
-        """Add one shard's host rows to this ledger (shard order).
+        """Fold one shard's host rows into this ledger (shard order).
 
         Hosts from different shards come from disjoint id blocks
-        (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so this is a pure
-        union; a colliding host id is refused.
+        (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so within one run
+        this is a pure union.  A host already in the ledger — a supplied
+        ledger absorbing a second run — merges (:meth:`HostRecord.merge`).
         """
-        clash = sorted(self.records.keys() & records.keys())
-        if clash:
-            raise ValueError(f"host ids already in the ledger: {clash[:5]}")
-        self.records.update(records)
+        for host, rec in records.items():
+            mine = self.records.get(host)
+            if mine is None:
+                self.records[host] = rec
+            else:
+                mine.merge(rec)
         if by_campaign:
             for name, agg in by_campaign.items():
                 dst = self.table.campaign(name)
@@ -118,7 +116,7 @@ class HostLedger(View):
             return "suspect-saboteur"
         if rec.crashes > 0 or (
             rec.results > 0
-            and rec.invalid_fraction > self.FLAKY_INVALID_FRACTION
+            and rec.invalid / rec.results > self.FLAKY_INVALID_FRACTION
         ):
             return "flaky"
         if rec.issued > 0 and rec.results == 0:

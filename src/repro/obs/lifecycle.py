@@ -3,27 +3,28 @@
 A workunit's life — release, issue, fetch, checkpoints, complete, report,
 result, reissue, validate — is one stream of trace events.  The
 :class:`Lifecycle` fold applies it once, with one handler per event type,
-into three kinds of rows:
+into rows:
 
-* a :class:`WorkunitSpanTree` per workunit (release and close instants,
-  outcome, regime, the pending reissue causes);
-* an :class:`AttemptSpan` per issued copy (wu, copy, host, issue / fetch /
-  complete / result instants, checkpoint segments, outcome, lost report
-  attempts, fault kinds) — the attempt table;
 * a :class:`HostRecord` per volunteer (counters, seen span, trust
-  trajectory, turnaround sketch) for what is not an attempt: refused
-  RPCs, retries, trust and credit events.
+  trajectory, turnaround sketch) and per-campaign result tallies, always;
+* a :class:`WorkunitSpanTree` per workunit (release and close instants,
+  outcome, regime, the pending reissue causes) holding an
+  :class:`AttemptSpan` per issued copy (host, issue / fetch / complete /
+  result instants, checkpoint segments, outcome, lost report attempts),
+  in a span table only (``Lifecycle(spans=True)``);
+* the sliding windows, quorum backlog and latency samples the health
+  rules read, while a monitor watches the table.
 
-Each observer is a :class:`View` over that table: the host ledger
+Each observer is a :class:`View` over a table: the host ledger
 (:mod:`repro.obs.ledger`) reads the host rows, the span reconstructor
 (:mod:`repro.obs.spans`) the workunit rows and the health monitor
-(:mod:`repro.obs.health`) the campaign-level windows and latency samples
-the same handlers keep.  A live run with ``--health --ledger`` tees the
-stream into one table through one :class:`~repro.obs.tracer.FoldSink`;
-a recorded trace refolds into the same rows, so every view's report is
-identical live and offline.  Workunit ids are campaign-global and shard
-host ids come from disjoint blocks, so the rows of two shards or two
-campaigns never collide.
+(:mod:`repro.obs.health`) the windows and samples.  A run that builds
+both a monitor and a ledger of its own tees the stream into one table
+through one :class:`~repro.obs.tracer.FoldSink`; a recorded trace refolds
+into the same rows, so every view's report is identical live and
+offline.  Workunit ids are campaign-global and shard host ids come from
+disjoint blocks, so the rows of two shards or two campaigns never
+collide.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ class Span:
     attrs: dict[str, Any] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
 
-    @property
-    def duration_s(self) -> float | None:
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_start
-
 
 @dataclass(slots=True)
 class AttemptSpan:
@@ -94,8 +89,6 @@ class AttemptSpan:
     report_retries: int = 0
     #: injected crashes suffered while computing this copy
     crashes: int = 0
-    #: the result carried detectable corruption / sabotage ground truth
-    fault_kinds: tuple[str, ...] = ()
     t_fetch: float | None = None
     #: compute segment ends (checkpoint or crash) with their attributes
     segments: tuple[tuple[float, dict], ...] = ()
@@ -106,12 +99,6 @@ class AttemptSpan:
     lost_at: tuple[float, ...] = ()
     #: where still-open spans end: the attempt's end, else the horizon
     t_stop: float | None = None
-
-    @property
-    def duration_s(self) -> float | None:
-        if self.t_end is None:
-            return None
-        return self.t_end - self.t_issue
 
     @property
     def spans(self) -> list[Span]:
@@ -274,14 +261,9 @@ class WorkunitSpanTree:
 
     def _closing_attempt(self) -> AttemptSpan | None:
         """The attempt whose result closed (or would close) the workunit."""
-        best: AttemptSpan | None = None
-        for attempt in self.attempts:
-            if attempt.outcome != "valid":
-                continue
-            if best is None or (attempt.t_end or 0.0) > (best.t_end or 0.0):
-                best = attempt
-        if best is not None:
-            return best
+        valid = [a for a in self.attempts if a.outcome == "valid"]
+        if valid:
+            return max(valid, key=lambda a: a.t_end or 0.0)
         # Failed / open workunits: fall back to the last terminated attempt.
         for attempt in reversed(self.attempts):
             if attempt.t_end is not None:
@@ -324,6 +306,11 @@ class HostRecord:
         "retries", "crashes", "corrupted", "sabotaged", "sabotage_caught",
         "bad_validated", "report_lost", "demotions", "spot_checks",
     )
+    #: the rest of a host's report, after its counters
+    FIELDS = (
+        "first_seen", "last_seen", "sessions", "uptime_fraction", "active_s",
+        "cpu_s", "credit", "streak", "peak_streak", "trusted",
+    )
 
     def __init__(self, host: int) -> None:
         self.host = host
@@ -363,74 +350,81 @@ class HostRecord:
             return 1.0 if self.active_s > 0.0 else 0.0
         return min(1.0, self.active_s / span)
 
-    @property
-    def invalid_fraction(self) -> float:
-        return self.invalid / self.results if self.results else 0.0
+    def merge(self, other: "HostRecord") -> None:
+        """Fold another stream's record of the same host into this one
+        (a supplied ledger absorbing a second sharded run).
+
+        Counters add, seen-spans union and the turnaround sketches merge
+        exactly.  The trust trajectory is stream-order state: the later
+        stream's streak and the max peak win.
+        """
+        for name in self.COUNTERS + ("active_s", "cpu_s", "credit"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        firsts = [t for t in (self.first_seen, other.first_seen) if t is not None]
+        lasts = [t for t in (self.last_seen, other.last_seen) if t is not None]
+        self.first_seen = min(firsts, default=None)
+        self.last_seen = max(lasts, default=None)
+        self.streak, self.trusted = other.streak, other.trusted
+        self.peak_streak = max(self.peak_streak, other.peak_streak)
+        self.turnaround.merge(other.turnaround)
 
     def as_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"host": self.host}
-        doc.update({name: getattr(self, name) for name in self.COUNTERS})
         doc.update(
-            first_seen=self.first_seen,
-            last_seen=self.last_seen,
-            sessions=self.sessions,
-            uptime_fraction=self.uptime_fraction,
-            active_s=self.active_s,
-            cpu_s=self.cpu_s,
-            credit=self.credit,
-            streak=self.streak,
-            peak_streak=self.peak_streak,
-            trusted=self.trusted,
-            turnaround=self.turnaround.as_dict(),
+            {name: getattr(self, name) for name in self.COUNTERS + self.FIELDS}
         )
+        doc["turnaround"] = self.turnaround.as_dict()
         return doc
 
 
 class Lifecycle(Fold):
     """Fold the lifecycle/fault/host event stream into the table's rows.
 
-    Events are applied as they arrive.  A bound health monitor
-    (:meth:`bind_monitor`) sweeps its rules as the fold's stride hook:
-    after every :attr:`STRIDE` events of its own types, and once more at
-    :meth:`drain` if any arrived since.  A closed workunit's
-    row stays in :attr:`trees` only with ``keep_closed`` (the span view
-    reads it; the ledger and the monitor do not), so a live run's table
-    holds O(hosts + work in flight).
+    Events are applied as they arrive.  Host rows are always kept.  The
+    workunit and attempt rows are kept only with ``spans`` (the span view
+    reads them, closed rows included), and the health state only while a
+    monitor watches (:meth:`bind_monitor`), so a live run's table holds
+    O(hosts + work in flight) and does no span work.  The monitor's rule
+    sweep is the fold's stride hook: after every :attr:`STRIDE` events of
+    its types, and once more at :meth:`drain` if any arrived since.
     """
 
-    def __init__(self, keep_closed: bool = True) -> None:
+    def __init__(self, spans: bool = False) -> None:
         super().__init__()
-        self.keep_closed = keep_closed
+        self.spans = spans
         self.trees: dict[int, WorkunitSpanTree] = {}
         self.hosts: dict[int, HostRecord] = {}
         self.by_campaign: dict[str, dict[str, int]] = {}
         #: span events that named an attempt the table does not hold
         self.orphans = 0
-        #: issued attempts awaiting their result, by packed ``(wu, copy)``
-        self._open: dict[int, AttemptSpan] = {}
+        #: issue instants of the attempts out, by packed ``(wu, copy)``
+        self._t_issue: dict[int, float] = {}
         #: sabotaged results awaiting their server.result: (wu, host) -> n
         self._sab_pending: dict[tuple[int, int], int] = {}
         #: per-workunit hosts whose sabotage entered the quorum unexposed
         self._pending_bad: dict[int, list[int]] = {}
-        # -- campaign-level state the health rules read ----------------------
+        # -- what the health rules read, kept while a monitor watches --------
+        self.watched = False
+        self._monitor: Callable[[], Any] = lambda: None
+        #: release instants of the workunits not yet closed
+        self._t_release: dict[int, float] = {}
         #: workunits holding a valid result, still awaiting a quorum partner
         self.pending_quorum: set[int] = set()
-        #: instants of idle polls and of deadline reissues (the monitor
-        #: prunes them to its sliding windows)
+        #: idle-poll and deadline-reissue instants (the sweep prunes them)
         self.idle_times: deque[float] = deque()
         self.deadline_times: deque[float] = deque()
-        #: latency samples in arrival order (the monitor hands them to its
-        #: sketches chunk-wise and clears them)
+        #: latency samples, handed to the monitor's sketches chunk-wise
         self.samples: dict[str, list[float]] = {name: [] for name in SAMPLES}
-        self._monitor: Callable[[], Any] = lambda: None
 
     def bind_monitor(self, monitor) -> None:
-        """Sweep ``monitor`` (a :class:`~repro.obs.health.HealthMonitor`)
-        every :attr:`STRIDE` events of its types.
+        """Keep the health state from now on, and sweep ``monitor`` (a
+        :class:`~repro.obs.health.HealthMonitor`) every :attr:`STRIDE`
+        events of its types.
 
         The table holds the monitor weakly: the monitor holds the table,
         and a cycle would keep a finished run's rows alive until the next
         full garbage collection."""
+        self.watched = True
         self._monitor = weakref.ref(monitor)
         self.hook_types(monitor.EVENTS)
 
@@ -459,9 +453,9 @@ class Lifecycle(Fold):
     def campaign(self, name: str) -> dict[str, int]:
         agg = self.by_campaign.get(name)
         if agg is None:
-            agg = self.by_campaign[name] = {
-                "results": 0, "validated": 0, "invalid": 0, "late": 0,
-            }
+            agg = self.by_campaign[name] = dict.fromkeys(
+                ("results", "validated", "invalid", "late"), 0
+            )
         return agg
 
     def _held(self, host: int | None, wu: int | None) -> AttemptSpan | None:
@@ -474,26 +468,21 @@ class Lifecycle(Fold):
                     return attempt if attempt.t_end is None else None
         return None
 
-    def _match(self, f: dict) -> AttemptSpan | None:
-        """Resolve an event to its attempt: the ``copy`` ordinal wins (it
-        disambiguates a host holding a re-issued copy of a workunit it
-        already computed), falling back to the attempt the host holds."""
-        copy = f.get("copy")
-        if copy is not None:
-            tree = self.trees.get(f.get("wu"))
-            if tree is not None:
-                for attempt in tree.attempts:
-                    if attempt.copy == copy:
-                        return attempt
-        return self._held(f.get("host"), f.get("wu"))
-
-    def _bound(self, f: dict) -> AttemptSpan | None:
-        """The attempt the event's host holds of its workunit; an event
-        naming a workunit its host holds no attempt of is an orphan."""
+    def _attempt(self, f: dict) -> AttemptSpan | None:
+        """Resolve an event naming a workunit to its attempt: the ``copy``
+        ordinal wins (it disambiguates a host holding a re-issued copy of
+        a workunit it already computed), else the attempt the host holds.
+        An event resolving to no attempt is an orphan."""
         wu = f.get("wu")
         if wu is None:
             return None
-        attempt = self._held(f["host"], wu)
+        copy = f.get("copy")
+        tree = self.trees.get(wu)
+        if copy is not None and tree is not None:
+            for attempt in tree.attempts:
+                if attempt.copy == copy:
+                    return attempt
+        attempt = self._held(f.get("host"), wu)
         if attempt is None:
             self.orphans += 1
         return attempt
@@ -501,44 +490,46 @@ class Lifecycle(Fold):
     # -- event fold: one handler per event type (``HANDLERS``) ---------------
 
     def _on_release(self, t: float, f: dict) -> None:
-        tree = self._tree(f["wu"])
-        tree.t_release = t
-        tree.batch = f.get("batch")
-        tree.replication = f.get("replication")
-        tree.receptor = f.get("receptor")
-        tree.ligand = f.get("ligand")
+        if self.watched:
+            self._t_release[f["wu"]] = t
+        if self.spans:
+            tree = self._tree(f["wu"])
+            tree.t_release = t
+            tree.batch = f.get("batch")
+            tree.replication = f.get("replication")
+            tree.receptor = f.get("receptor")
+            tree.ligand = f.get("ligand")
 
     def _on_issue(self, t: float, f: dict) -> None:
         wu, host = f["wu"], f["host"]
-        tree = self._tree(wu)
-        if tree.t_release is None:
-            tree.t_release = t  # release event filtered out: best effort
-        reason = "fresh" if not tree.attempts else "replica"
-        if tree._pending:
-            (_, reason, _), *rest = tree._pending
-            tree._pending = tuple(rest)
-        attempt = AttemptSpan(f.get("copy", len(tree.attempts)), host, t, reason)
-        tree.attempts.append(attempt)
-        self._open[wu * _COPY + f.get("copy", 0)] = attempt
+        self._t_issue[wu * _COPY + f.get("copy", 0)] = t
         self._host(host, t).issued += 1
+        if self.spans:
+            tree = self._tree(wu)
+            if tree.t_release is None:
+                tree.t_release = t  # release event filtered out: best effort
+            reason = "fresh" if not tree.attempts else "replica"
+            if tree._pending:
+                (_, reason, _), *rest = tree._pending
+                tree._pending = tuple(rest)
+            tree.attempts.append(
+                AttemptSpan(f.get("copy", len(tree.attempts)), host, t, reason)
+            )
 
     def _on_fetch(self, t: float, f: dict) -> None:
         self._host(f["host"], t)
-        attempt = self._match(f)
-        if attempt is None:
-            self.orphans += 1
-        else:
-            attempt.t_fetch = t
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None:
+                attempt.t_fetch = t
 
     def _on_abandon(self, t: float, f: dict) -> None:
-        host = f["host"]
-        self._host(host, t).abandoned += 1
-        attempt = self._held(host, f["wu"])
-        if attempt is None:
-            self.orphans += 1
-        else:
-            attempt.outcome = "abandoned"
-            attempt.t_end = t
+        self._host(f["host"], t).abandoned += 1
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None:
+                attempt.outcome = "abandoned"
+                attempt.t_end = t
 
     def _on_checkpoint(self, t: float, f: dict) -> None:
         rec = self._host(f["host"], t)
@@ -546,63 +537,62 @@ class Lifecycle(Fold):
         killed = f.get("killed", False)
         if killed:
             rec.kills += 1
-        attempt = self._bound(f)
-        if attempt is not None and attempt.computing:
-            attempt.segments += ((t, {
-                "killed": killed,
-                "lost_reference_s": f.get("lost_reference_s", 0.0),
-            }),)
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None and attempt.computing:
+                attempt.segments += ((t, {
+                    "killed": killed,
+                    "lost_reference_s": f.get("lost_reference_s", 0.0),
+                }),)
 
     def _on_crash(self, t: float, f: dict) -> None:
         self._host(f["host"], t).crashes += 1
-        attempt = self._bound(f)
-        if attempt is not None:
-            attempt.crashes += 1
-            if attempt.computing:
-                attempt.segments += ((t, {
-                    "crash": True,
-                    "lost_reference_s": f.get("lost_reference_s", 0.0),
-                }),)
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None:
+                attempt.crashes += 1
+                if attempt.computing:
+                    attempt.segments += ((t, {
+                        "crash": True,
+                        "lost_reference_s": f.get("lost_reference_s", 0.0),
+                    }),)
 
     def _on_complete(self, t: float, f: dict) -> None:
         rec = self._host(f["host"], t)
         rec.completes += 1
         active = f.get("active_s")
         delay = f.get("report_delay_s")
-        samples = self.samples
-        if delay is not None:
-            samples["report_delay_s"].append(delay)
         if active is not None:
             rec.active_s += active
-            samples["active_hours"].append(active / 3600.0)
-        attempt = self._bound(f)
-        if attempt is not None and attempt.t_complete is None:
-            attempt.t_complete = t
-            attempt.active_s = active
-            attempt.report_delay_s = delay
+        if self.watched:
+            if delay is not None:
+                self.samples["report_delay_s"].append(delay)
+            if active is not None:
+                self.samples["active_hours"].append(active / 3600.0)
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None and attempt.t_complete is None:
+                attempt.t_complete = t
+                attempt.active_s = active
+                attempt.report_delay_s = delay
 
     def _on_report_lost(self, t: float, f: dict) -> None:
         self._host(f["host"], t).report_lost += 1
-        attempt = self._bound(f)
-        if attempt is not None:
-            attempt.report_retries += 1
-            if attempt.t_complete is not None:
-                attempt.lost_at += (t,)
+        if self.spans:
+            attempt = self._attempt(f)
+            if attempt is not None:
+                attempt.report_retries += 1
+                if attempt.t_complete is not None:
+                    attempt.lost_at += (t,)
 
     def _on_corrupt(self, t: float, f: dict) -> None:
         self._host(f["host"], t).corrupted += 1
-        attempt = self._held(f["host"], f.get("wu"))
-        if attempt is not None:
-            attempt.fault_kinds += ("corrupt",)
 
     def _on_sabotage(self, t: float, f: dict) -> None:
         host = f["host"]
         self._host(host, t).sabotaged += 1
         key = (f["wu"], host)
         self._sab_pending[key] = self._sab_pending.get(key, 0) + 1
-        attempt = self._held(host, f["wu"])
-        if attempt is not None:
-            attempt.fault_kinds += ("sabotage",)
 
     def _on_result(self, t: float, f: dict) -> None:
         wu, host = f["wu"], f["host"]
@@ -610,13 +600,14 @@ class Lifecycle(Fold):
         rec = self._host(host, t)
         rec.results += 1
         rec.cpu_s += f.get("accounted_cpu_s", 0.0)
-        attempt = self._open.pop(wu * _COPY + f.get("copy", 0), None)
-        if attempt is not None:
-            latency = t - attempt.t_issue
-            self.samples["result_latency_s"].append(latency)
-            rec.turnaround.observe(latency)
-        if valid and not late:
-            self.pending_quorum.add(wu)
+        issued = self._t_issue.pop(wu * _COPY + f.get("copy", 0), None)
+        if issued is not None:
+            rec.turnaround.observe(t - issued)
+        if self.watched:
+            if issued is not None:
+                self.samples["result_latency_s"].append(t - issued)
+            if valid and not late:
+                self.pending_quorum.add(wu)
         # -- the host's validity record and trust streak
         key = (wu, host)
         pending = self._sab_pending.get(key, 0)
@@ -631,7 +622,7 @@ class Lifecycle(Fold):
             if pending:
                 # A late sabotaged result never entered the quorum: it can
                 # be neither caught nor validated.
-                self._drop_pending(key, pending)
+                self._sab_pending[key] = pending - 1
         elif not valid:
             rec.invalid += 1
             rec.streak = 0  # mirrors AdaptiveReplication.record_invalid
@@ -644,63 +635,54 @@ class Lifecycle(Fold):
             if pending:
                 # The sabotage passed the range check and now sits in the
                 # quorum; server.validate decides caught vs validated.
-                self._drop_pending(key, pending)
+                self._sab_pending[key] = pending - 1
                 self._pending_bad.setdefault(wu, []).append(host)
-        # -- the attempt's outcome (the copy ordinal names it)
-        if attempt is None or f.get("copy") is None:
-            attempt = self._match(f)
-            if attempt is None:
-                self.orphans += 1
-                return
-        attempt.t_end = t
-        if late:
-            attempt.outcome = "late"
-        elif f.get("valid", True):
-            attempt.outcome = "valid"
-        else:
-            attempt.outcome = "invalid"
-
-    def _drop_pending(self, key: tuple[int, int], pending: int) -> None:
-        if pending <= 1:
-            del self._sab_pending[key]
-        else:
-            self._sab_pending[key] = pending - 1
+        if self.spans:  # the attempt's outcome (the copy ordinal names it)
+            attempt = self._attempt(f)
+            if attempt is not None:
+                attempt.t_end = t
+                if late:
+                    attempt.outcome = "late"
+                elif f.get("valid", True):
+                    attempt.outcome = "valid"
+                else:
+                    attempt.outcome = "invalid"
 
     def _on_reissue(self, t: float, f: dict) -> None:
         wu, host = f["wu"], f.get("host")
         if f.get("reason") == "deadline":
-            self.deadline_times.append(t)
+            if self.watched:
+                self.deadline_times.append(t)
             if host is not None:
                 self._host(host, t).timed_out += 1
-        tree = self._tree(wu)
-        reason = f.get("reason", "deadline")
-        trigger_idx: int | None = None
-        if reason == "deadline":
-            # The deadline reclaimed the triggering host's copy: mark it so
-            # late reports and the critical path can tell reclaimed copies
-            # from live ones.
-            attempt = self._held(host, wu)
-            if attempt is not None and attempt.deadline_missed_at is None:
-                attempt.deadline_missed_at = t
-                if attempt.outcome == "in-flight":
-                    attempt.outcome = "timed-out"
-                trigger_idx = tree.attempts.index(attempt)
-        tree._pending += ((t, reason, trigger_idx),)
+        if self.spans:
+            tree = self._tree(wu)
+            reason = f.get("reason", "deadline")
+            trigger_idx: int | None = None
+            if reason == "deadline":
+                # The deadline reclaimed the triggering host's copy: mark it
+                # so late reports and the critical path can tell reclaimed
+                # copies from live ones.
+                attempt = self._held(host, wu)
+                if attempt is not None and attempt.deadline_missed_at is None:
+                    attempt.deadline_missed_at = t
+                    if attempt.outcome == "in-flight":
+                        attempt.outcome = "timed-out"
+                    trigger_idx = tree.attempts.index(attempt)
+            tree._pending += ((t, reason, trigger_idx),)
 
     def _on_validate(self, t: float, f: dict) -> None:
         wu, host = f["wu"], f.get("host")
-        tree = self._tree(wu)
-        if tree.t_close is None and tree.t_release is not None:
-            self.samples["makespan_s"].append(t - tree.t_release)
-        self.pending_quorum.discard(wu)
-        tree.outcome = "validated"
-        tree.t_close = t
-        tree.regime = f.get("regime")
-        tree.tainted = bool(f.get("tainted", False))
+        if self.watched:
+            released = self._t_release.pop(wu, None)
+            if released is not None:
+                self.samples["makespan_s"].append(t - released)
+            self.pending_quorum.discard(wu)
+        tainted = bool(f.get("tainted", False))
         rec = self._host(host, t) if host is not None else None
         if rec is not None:
             rec.validated += 1
-        if tree.tainted:
+        if tainted:
             # Wrong-but-agreeing results closed the workunit: the event's
             # host is the saboteur whose copy tipped the quorum; the other
             # contributors' sabotage is moot once the workunit closes.
@@ -715,23 +697,29 @@ class Lifecycle(Fold):
         campaign = f.get("campaign")
         if campaign is not None:
             self.campaign(campaign)["validated"] += 1
-        if not self.keep_closed:
-            del self.trees[wu]
+        if self.spans:
+            tree = self._tree(wu)
+            tree.outcome = "validated"
+            tree.t_close = t
+            tree.regime = f.get("regime")
+            tree.tainted = tainted
 
     def _on_failed(self, t: float, f: dict) -> None:
         wu = f["wu"]
-        tree = self._tree(wu)
-        tree.outcome = "failed"
-        tree.t_close = t
-        self.pending_quorum.discard(wu)
+        if self.watched:
+            self._t_release.pop(wu, None)
+            self.pending_quorum.discard(wu)
         # Terminal failure: pending sabotage on this workunit was neither
         # caught nor validated.
         self._pending_bad.pop(wu, None)
-        if not self.keep_closed:
-            del self.trees[wu]
+        if self.spans:
+            tree = self._tree(wu)
+            tree.outcome = "failed"
+            tree.t_close = t
 
     def _on_idle(self, t: float, f: dict) -> None:
-        self.idle_times.append(t)
+        if self.watched:
+            self.idle_times.append(t)
 
     def _on_refuse(self, t: float, f: dict) -> None:
         self._host(f["host"], t).refused += 1
@@ -779,9 +767,9 @@ class Lifecycle(Fold):
 
 
 class View:
-    """A report over a :class:`Lifecycle` table — its own, unless a run
-    shares one table between several views (see
-    :func:`repro.boinc.fleet.tee_observers`).
+    """A report over a :class:`Lifecycle` table: its own, unless it was
+    handed one to share with the other views of the same run (see
+    :func:`repro.boinc.fleet.run_fleet`).
 
     :attr:`EVENTS` names the event types the view's report reads: they
     fix the channels an observer-only tracer records and what the report
@@ -789,11 +777,11 @@ class View:
     """
 
     EVENTS: frozenset[str] = frozenset()
-    #: whether the view reads closed workunit rows (its own table keeps them)
-    KEEP_CLOSED = False
+    #: whether the view reads the workunit and attempt rows
+    SPANS = False
 
-    def __init__(self) -> None:
-        self.table = Lifecycle(self.KEEP_CLOSED)
+    def __init__(self, table: Lifecycle | None = None) -> None:
+        self.table = table if table is not None else Lifecycle(self.SPANS)
 
     def fold(self, events: Iterable[TraceEvent]) -> "View":
         """Fold a whole stream into the table and return ``self``."""

@@ -30,8 +30,8 @@ of the :class:`~repro.obs.lifecycle.Lifecycle` table, read by a
 :class:`SpanReconstructor` view, so they come equally from a recorded
 file (:func:`reconstruct_file`) and from a live campaign's ring.
 
-Spans require the ``server`` and ``agent`` channels (``fault`` enriches
-crash/corruption attribution); a trace recorded with those channels
+Spans require the ``server`` and ``agent`` channels (``fault`` adds
+crash segments and lost reports); a trace recorded with those channels
 filtered out reconstructs what it can and reports the gaps.
 """
 
@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..units import SECONDS_PER_WEEK
-from .lifecycle import AttemptSpan, Span, View, WorkunitSpanTree
+from .lifecycle import AttemptSpan, Lifecycle, Span, View, WorkunitSpanTree
 from .tracer import TraceEvent, iter_trace
 
 __all__ = [
@@ -61,19 +61,17 @@ class SpanReconstructor(View):
 
     Feed events in trace order (:meth:`fold` a whole stream); call
     :meth:`finalize` once to close still-open spans at the trace horizon.
-    The table keeps one tree per workunit plus an index of the attempts
-    awaiting their result, so arbitrarily long traces reconstruct in
-    bounded extra memory beyond the trees themselves.
+    The span table keeps one tree per workunit and nothing per event, so
+    arbitrarily long traces reconstruct in bounded extra memory beyond
+    the trees themselves.
     """
 
-    EVENTS = frozenset({
-        "server.release", "server.issue", "agent.fetch", "agent.abandon",
-        "agent.checkpoint", "fault.crash", "agent.complete",
-        "fault.report_lost", "fault.corrupt", "fault.sabotage",
-        "server.result", "server.reissue", "server.validate",
-        "server.workunit_failed",
-    })
-    KEEP_CLOSED = True
+    #: every type the table handles but those no span reads
+    EVENTS = frozenset(Lifecycle.HANDLERS) - {
+        "server.refuse", "agent.idle", "agent.retry", "host.trusted",
+        "host.demoted", "host.spot_check", "host.credit",
+    }
+    SPANS = True
 
     def finalize(self, t_end: float | None = None) -> "SpanCampaign":
         """Close still-open spans at the horizon and return the campaign."""
@@ -118,21 +116,12 @@ class SpanCampaign:
     def counts(self) -> dict[str, int]:
         """Aggregates reconcilable against ``CampaignMetrics`` and the
         fault report: results == disclosed, validated == effective, ..."""
-        c = {
-            "workunits": len(self.trees),
-            "validated": 0,
-            "failed": 0,
-            "open": 0,
-            "attempts": 0,
-            "results": 0,
-            "late": 0,
-            "invalid": 0,
-            "timed_out": 0,
-            "abandoned": 0,
-            "tainted": 0,
-            "crashes": 0,
-            "report_retries": 0,
-        }
+        c = dict.fromkeys((
+            "workunits", "validated", "failed", "open", "attempts", "results",
+            "late", "invalid", "timed_out", "abandoned", "tainted", "crashes",
+            "report_retries",
+        ), 0)
+        c["workunits"] = len(self.trees)
         for tree in self:
             c[tree.outcome if tree.outcome in ("validated", "failed") else "open"] += 1
             c["tainted"] += int(tree.tainted)
@@ -142,14 +131,9 @@ class SpanCampaign:
                 c["report_retries"] += a.report_retries
                 if a.outcome in ("valid", "invalid", "late"):
                     c["results"] += 1
-                if a.outcome == "late":
-                    c["late"] += 1
-                elif a.outcome == "invalid":
-                    c["invalid"] += 1
-                elif a.outcome == "timed-out":
-                    c["timed_out"] += 1
-                elif a.outcome == "abandoned":
-                    c["abandoned"] += 1
+                outcome = a.outcome.replace("-", "_")
+                if outcome in ("late", "invalid", "timed_out", "abandoned"):
+                    c[outcome] += 1
         return c
 
     # -- latency samples (exact, offline) -----------------------------------
@@ -171,17 +155,13 @@ class SpanCampaign:
             if tree.outcome == "validated" and tree.makespan_s is not None:
                 makespan.append(tree.makespan_s)
             for a in tree.attempts:
-                if a.outcome in ("valid", "invalid", "late") and a.t_end is not None:
+                reported = a.outcome in ("valid", "invalid", "late")
+                if reported and a.t_end is not None:
                     result_latency.append(a.t_end - a.t_issue)
-                for span in a.spans:
-                    if span.kind == "compute" and span.attrs.get("active_s"):
-                        active_hours.append(span.attrs["active_s"] / 3600.0)
-                    if (
-                        span.kind == "report"
-                        and span.duration_s is not None
-                        and a.outcome in ("valid", "invalid", "late")
-                    ):
-                        report_delay.append(span.duration_s)
+                if a.t_fetch is not None and a.active_s:
+                    active_hours.append(a.active_s / 3600.0)
+                if reported and a.t_complete is not None:
+                    report_delay.append(a.t_end - a.t_complete)
         return {
             "makespan_s": makespan,
             "result_latency_s": result_latency,

@@ -215,17 +215,15 @@ class NullSink:
 class Fold:
     """A streaming observer: one handler table, applied event by event.
 
-    A subclass gives a class-level :attr:`HANDLERS` table — event type ->
-    ``handler(self, t_sim, fields)`` — and reads nothing else of the
-    stream (:class:`~repro.obs.lifecycle.Lifecycle` is the one in the
-    product).  :meth:`feed` applies an event if the table names its type
-    and it carries a ``t_sim``, and counts it per type; after every
-    :attr:`STRIDE` events of the types :meth:`hook_types` named it runs
-    :meth:`_hook` at that event's ``t_sim``, and :meth:`drain` runs it once
-    more if any arrived since.  The same fold runs live (a
-    :class:`FoldSink` tee feeds it) and offline (:meth:`fold` over a
-    recorded trace), so a trace refolds into exactly the state — hook
-    times included — the live run reached.
+    A subclass (:class:`~repro.obs.lifecycle.Lifecycle` in the product)
+    gives a class-level :attr:`HANDLERS` table — event type ->
+    ``handler(self, t_sim, fields)``.  :meth:`feed` applies and counts an
+    event if the table names its type and it carries a ``t_sim``; every
+    :attr:`STRIDE` events of the :meth:`hook_types` it runs :meth:`_hook`
+    at that event's ``t_sim`` (and :meth:`drain` once more for the tail).
+    The same fold runs live (a :class:`FoldSink` tee feeds it) and offline
+    (:meth:`fold` over a recorded trace), so a trace refolds into exactly
+    the state — hook times included — the live run reached.
     """
 
     #: hook stride (and the JSONL writer's frame size): small enough that
@@ -247,11 +245,8 @@ class Fold:
 
     def hook_types(self, etypes: Iterable[str]) -> None:
         """Run :meth:`_hook` every :attr:`STRIDE` events of ``etypes``."""
-        for route in self._routes.values():
-            route[3] = False
         for etype in etypes:
             self._routes[etype][3] = True
-        self._unhooked = 0
 
     def feed(self, event: TraceEvent) -> None:
         """Apply one event if this fold handles it."""

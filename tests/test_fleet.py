@@ -55,20 +55,46 @@ class TestObserversPerRun:
         assert observed_once > 0
         assert ledger.n_observed == 2 * observed_once
 
-    def test_a_ledger_outlives_its_first_runs_monitor(self):
-        """The run's monitor sweeps the ledger's table; once that monitor
-        is gone, the table keeps folding without it."""
+    def test_health_beside_a_reused_ledger_reports_each_run_alone(self):
+        """The run's monitor reads a table of its own, not the table the
+        supplied ledger carries from its earlier runs."""
+        faults = CampaignConfig(faults=FaultPlan.from_spec("crash=5,loss=0.1"))
+        alone = _small(health=True, config=faults).run().health.as_dict()
         ledger = HostLedger()
-        _small(ledger=ledger, health=True).run()
+        first = _small(ledger=ledger, health=True, config=faults).run()
         observed_once = ledger.n_observed
-        _small(ledger=ledger).run()
+        second = _small(ledger=ledger, health=True, config=faults).run()
+        assert first.health.as_dict() == second.health.as_dict() == alone
         assert ledger.n_observed == 2 * observed_once
+        assert not ledger.table.watched  # no monitor left on the ledger
 
-    def test_a_live_table_keeps_no_closed_workunit(self):
+    def test_a_supplied_monitor_accumulates_beside_a_fresh_ledger(self):
+        monitor = HealthMonitor()
+        first = _small(health=monitor, ledger=True).run()
+        second = _small(health=monitor, ledger=True).run()
+        once = first.health.counters["health.results"]
+        assert once > 0
+        assert second.health.counters["health.results"] == 2 * once
+        assert second.ledger.as_dict() == first.ledger.as_dict()
+
+    def test_a_ledger_only_table_keeps_no_health_state(self):
+        """Windows and latency samples are the monitor's; without one the
+        table keeps neither (nor any workunit row: that is the span
+        view's)."""
         ledger = HostLedger()
-        result = _small(ledger=ledger, health=True).run()
+        result = _small(ledger=ledger).run()
         assert result.completion_time is not None
-        assert ledger.table.trees == {}
+        table = ledger.table
+        assert not table.idle_times and not table.deadline_times
+        assert not any(table.samples.values())
+        assert not table._t_release and not table.pending_quorum
+        assert table.trees == {}
+
+    def test_a_shared_table_reports_what_separate_ones_do(self):
+        result = _small(health=True, ledger=True).run()
+        alone = _small(health=True).run()
+        assert result.health.as_dict() == alone.health.as_dict()
+        assert result.ledger.as_dict() == _small(ledger=True).run().ledger.as_dict()
 
     def test_second_sharded_run_reports_the_same(self):
         from repro.boinc.sharding import ShardPlan
@@ -182,12 +208,16 @@ class TestFleetSpec:
         assert tee_observers(tracer) == (tracer, None)
         assert tee_observers(None) == (None, None)
 
-    def test_health_and_ledger_share_one_table_behind_one_tee(self):
-        health, ledger = HealthMonitor(), HostLedger()
-        tracer, _ = tee_observers(None, health=health, ledger=ledger)
-        assert health.table is ledger.table
+    def test_one_tee_per_table(self):
+        ledger = HostLedger()
+        shared = HealthMonitor(table=ledger.table)
+        tracer, _ = tee_observers(None, health=shared, ledger=ledger)
         assert tracer.sink.observer is ledger.table
         assert not isinstance(tracer.sink.inner, FoldSink)
+        own = HealthMonitor()
+        tracer, _ = tee_observers(None, health=own, ledger=HostLedger())
+        assert tracer.sink.observer is own.table  # the health tee outermost
+        assert tracer.sink.inner.observer is not own.table
 
     def test_observer_only_tracer_skips_the_kernel_channel(self):
         ledger = HostLedger()

@@ -183,14 +183,23 @@ class TestShardedFleetReport:
             scale=700, n_proteins=6, seed=42, config=config, ledger=True
         ).run()
 
-    def test_shard_rows_with_a_known_host_id_are_refused(self):
-        """Shards number hosts from disjoint blocks: a repeated host id
-        means two streams were mixed up, not one host to merge."""
+    def test_a_supplied_ledger_accumulates_two_sharded_runs(self):
+        """Shard host ids repeat from run to run: the second run's rows
+        merge into the first's, as a supplied ledger accumulates."""
         ledger = HostLedger()
-        ledger.absorb({3: HostRecord(3)}, {"a": {"results": 1}})
-        with pytest.raises(ValueError, match="host ids already in the ledger"):
-            ledger.absorb({3: HostRecord(3)})
-        assert ledger.by_campaign["a"]["results"] == 1
+        sim = scaled_phase1(
+            scale=700, n_proteins=6, seed=42, ledger=ledger,
+            config=CampaignConfig(shards=ShardPlan(n_shards=2)),
+        )
+        first = sim.run().ledger
+        second = sim.run().ledger
+        assert second.n_hosts == first.n_hosts > 0
+        for name in HostRecord.COUNTERS + ("cpu_s", "credit"):
+            assert second.totals[name] == pytest.approx(2 * first.totals[name])
+        host = first.hosts[0]["host"]
+        assert second.host(host)["turnaround"]["count"] == (
+            2 * first.host(host)["turnaround"]["count"]
+        )
 
     def test_merged_report_identical_across_worker_counts(self):
         sequential = self._run(4, 1)
