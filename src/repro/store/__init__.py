@@ -17,7 +17,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".convert": [
-        "header_only_segment", "render_lines", "segment_from_text",
+        "render_lines", "segment_from_text",
         "segment_to_text", "store_to_text", "text_to_store",
     ],
     ".format": [

@@ -19,19 +19,11 @@ directory exactly — names, headers, bytes.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
-from ..maxdo.resultfile import (
-    RESULT_DTYPE,
-    ResultHeader,
-    read_results,
-    render_lines,
-)
-from .format import ColumnarSegment, StoreWriter, iter_segments, pack_records
+from ..maxdo.resultfile import read_results, render_lines, write_results
+from .format import ColumnarSegment, iter_segments, pack_records, write_store
 
 __all__ = [
     "segment_from_text",
@@ -39,7 +31,6 @@ __all__ = [
     "render_lines",
     "text_to_store",
     "store_to_text",
-    "header_only_segment",
 ]
 
 
@@ -59,36 +50,18 @@ def segment_from_text(path: Path | str) -> ColumnarSegment:
 
 
 def segment_to_text(segment: ColumnarSegment, out_path: Path | str) -> int:
-    """Write one segment as a text result file; returns the line count.
-
-    Produces exactly the bytes ``write_results`` + ``render_lines`` would
-    for the same header and records.
-    """
-    out_path = Path(out_path)
-    lines = render_lines(segment.records)
-    buf = io.StringIO()
-    for line in segment.header.lines():
-        buf.write(line + "\n")
-    for line in lines:
-        buf.write(line + "\n")
-    out_path.write_text(buf.getvalue(), encoding="ascii")
-    return len(lines)
+    """Write one segment as a text result file (``write_results`` over
+    ``render_lines``); returns the line count."""
+    return write_results(out_path, segment.header, render_lines(segment.records))
 
 
 def text_to_store(
     text_paths: Iterable[Path | str], store_path: Path | str
 ) -> int:
     """Convert text result files into one columnar store (one segment per
-    file, in the given order); returns the segment count."""
-    store_path = Path(store_path)
-    if store_path.exists():
-        store_path.unlink()
-    count = 0
-    with StoreWriter(store_path) as writer:
-        for path in text_paths:
-            writer.append(segment_from_text(path))
-            count += 1
-    return count
+    file, in the given order, parsed one at a time and written atomically
+    by :func:`write_store`); returns the segment count."""
+    return write_store(store_path, (segment_from_text(p) for p in text_paths))
 
 
 def store_to_text(store_path: Path | str, out_dir: Path | str) -> list[Path]:
@@ -107,13 +80,3 @@ def store_to_text(store_path: Path | str, out_dir: Path | str) -> list[Path]:
         segment_to_text(segment, path)
         written.append(path)
     return written
-
-
-def header_only_segment(header: ResultHeader, source: str | None = None) -> ColumnarSegment:
-    """An empty segment carrying just an identity (the columnar twin of a
-    freshly opened partial result file)."""
-    return ColumnarSegment(
-        header=header,
-        packed=pack_records(np.zeros(0, dtype=RESULT_DTYPE)),
-        source=source,
-    )

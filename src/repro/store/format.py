@@ -33,7 +33,7 @@ either representation.
 
 from __future__ import annotations
 
-import io
+import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -315,26 +315,6 @@ def _header_from_meta(meta: dict) -> ResultHeader:
     )
 
 
-def _encode_segment(segment: ColumnarSegment) -> bytes:
-    import json
-
-    meta = json.dumps(_segment_meta(segment), sort_keys=True).encode("ascii")
-    buf = io.BytesIO()
-    n_rows = len(segment.packed)
-    payload = io.BytesIO()
-    for name in PACKED_DTYPE.names:
-        column = np.ascontiguousarray(segment.packed[name])
-        payload.write(column.astype(column.dtype.newbyteorder("<")).tobytes())
-    payload_bytes = payload.getvalue()
-    buf.write(_SEGMENT_MAGIC)
-    buf.write(len(meta).to_bytes(4, "little"))
-    buf.write(meta)
-    buf.write(n_rows.to_bytes(8, "little"))
-    buf.write(payload_bytes)
-    buf.write(zlib.crc32(payload_bytes).to_bytes(4, "little"))
-    return buf.getvalue()
-
-
 def _decode_segment(fh, path: Path) -> ColumnarSegment | None:
     import json
 
@@ -395,11 +375,26 @@ class StoreWriter:
         self.n_segments_written = 0
 
     def append(self, segment: ColumnarSegment) -> int:
-        """Append one segment; returns the bytes written."""
-        blob = _encode_segment(segment)
-        self._fh.write(blob)
+        """Append one segment; returns the bytes written.  The columns go
+        to the file one by one, under a running CRC: no payload copy."""
+        import json
+
+        meta = json.dumps(_segment_meta(segment), sort_keys=True).encode("ascii")
+        n_rows = len(segment.packed)
+        self._fh.write(
+            _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta
+            + n_rows.to_bytes(8, "little")
+        )
+        crc = 0
+        for name in PACKED_DTYPE.names:
+            column = np.ascontiguousarray(
+                segment.packed[name], dtype=PACKED_DTYPE[name].newbyteorder("<")
+            )
+            self._fh.write(column)
+            crc = zlib.crc32(column, crc)
+        self._fh.write(crc.to_bytes(4, "little"))
         self.n_segments_written += 1
-        return len(blob)
+        return 20 + len(meta) + n_rows * ROW_BYTES  # 20: magic, 2 lengths, CRC
 
     def flush(self) -> None:
         self._fh.flush()
@@ -415,14 +410,21 @@ class StoreWriter:
 
 
 def write_store(path: Path | str, segments: Iterable[ColumnarSegment]) -> int:
-    """Write a store file from scratch; returns the segment count."""
+    """Write a store file from scratch, one segment at a time; returns the
+    segment count.  Atomic: a temporary file beside ``path`` replaces it
+    once all is written, and any failure leaves ``path`` as it was."""
     path = Path(path)
-    if path.exists():
-        path.unlink()
-    with StoreWriter(path) as writer:
-        for segment in segments:
-            writer.append(segment)
-        return writer.n_segments_written
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.unlink(missing_ok=True)  # left by a killed writer that had our pid
+    try:
+        with StoreWriter(tmp) as writer:
+            for segment in segments:
+                writer.append(segment)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return writer.n_segments_written
 
 
 def iter_segments(path: Path | str) -> Iterator[ColumnarSegment]:
@@ -520,42 +522,35 @@ def rollback_partial_store(path: Path | str, rows_committed: int) -> int:
     number of rows dropped.
     """
     path = Path(path)
-    kept_rows = 0
+    kept_rows = dropped = 0
     offset = len(STORE_MAGIC) + 4
-    dropped = 0
     with path.open("rb") as fh:
-        magic = fh.read(len(STORE_MAGIC))
-        if magic != STORE_MAGIC:
+        if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise ValueError(f"{path.name}: not a repro result store")
-        int.from_bytes(_read_exact(fh, path, 4), "little")
-        while kept_rows < rows_committed:
-            try:
-                segment = _decode_segment(fh, path)
-            except ValueError:
-                segment = None
-            if segment is None:
-                raise ValueError(
-                    f"partial store has {kept_rows} committed rows, "
-                    f"checkpoint claims {rows_committed}"
-                )
-            kept_rows += len(segment)
-            offset = fh.tell()
-        if kept_rows != rows_committed:
-            raise ValueError(
-                f"checkpoint boundary {rows_committed} does not align with "
-                f"a segment boundary (reached {kept_rows})"
-            )
-        # Count what the truncation drops (torn trailing bytes count as 0).
+        _read_exact(fh, path, 4)
         while True:
             try:
                 segment = _decode_segment(fh, path)
-            except ValueError:
-                break
+            except ValueError:  # a torn trailing segment: no rows to drop
+                segment = None
             if segment is None:
                 break
-            dropped += len(segment)
-        end = fh.tell()
-    if end != offset or path.stat().st_size != offset:
+            if kept_rows < rows_committed:
+                kept_rows += len(segment)
+                offset = fh.tell()
+            else:
+                dropped += len(segment)
+    if kept_rows < rows_committed:
+        raise ValueError(
+            f"partial store has {kept_rows} committed rows, "
+            f"checkpoint claims {rows_committed}"
+        )
+    if kept_rows != rows_committed:
+        raise ValueError(
+            f"checkpoint boundary {rows_committed} does not align with "
+            f"a segment boundary (reached {kept_rows})"
+        )
+    if path.stat().st_size != offset:
         with path.open("r+b") as fh:
             fh.truncate(offset)
     return dropped

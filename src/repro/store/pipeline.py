@@ -8,9 +8,9 @@ array passes:
   identical to :mod:`repro.validation.checks` over the equivalent text
   files, without a text parse;
 * **merge** (:func:`merge_segments` / :func:`merge_couple_store`):
-  slice-tiling validation plus a packed-column concatenation + lexsort —
-  no text line is ever materialized, and the merged energies are
-  bit-identical to the text path's;
+  slice-tiling validation plus a packed-column concatenation in key
+  order, one couple at a time — no text line is ever materialized, and
+  the merged energies are bit-identical to the text path's;
 * **reduction** (:func:`energy_matrix` / :func:`position_energy_maps`):
   the cross-docking matrix and the position-resolved site maps read as
   grouped column minima (`np.minimum.at` over integer keys), feeding
@@ -45,6 +45,11 @@ __all__ = [
 ]
 
 
+def _segments(store: ResultStore | Path | str) -> Iterable[ColumnarSegment]:
+    """A store's segments in on-disk order; a path is streamed."""
+    return store.segments if isinstance(store, ResultStore) else iter_segments(store)
+
+
 def _segment_label(segment: ColumnarSegment, index: int) -> str:
     if segment.source:
         return segment.source
@@ -74,16 +79,18 @@ def check_store(
     files_expected: int | None = None,
     ranges: ValueRanges | None = None,
 ) -> CheckReport:
-    """All three checks over a whole store (check 1 counts segments)."""
-    if not isinstance(store, ResultStore):
-        store = read_store(store)
+    """All three checks over a whole store (check 1 counts segments); a
+    path is read one segment at a time."""
     ranges = ranges if ranges is not None else ValueRanges()
-    expected = files_expected if files_expected is not None else len(store)
-    report = CheckReport(files_expected=expected, files_found=len(store))
-    for i, segment in enumerate(store.segments):
+    report = CheckReport(files_expected=0, files_found=0)
+    for i, segment in enumerate(_segments(store)):
         sub = check_segment(segment, ranges, name=_segment_label(segment, i))
         report.files_with_bad_line_count.extend(sub.files_with_bad_line_count)
         report.files_with_bad_values.update(sub.files_with_bad_values)
+        report.files_found += 1
+    report.files_expected = (
+        files_expected if files_expected is not None else report.files_found
+    )
     return report
 
 
@@ -94,9 +101,10 @@ def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     :func:`repro.validation.merge.merge_couple_results` applies to text
     files: segments must belong to one couple, agree on the orientation
     grid and tile ``[1..Nsep]`` exactly; every error names the offending
-    chunk.  The merged rows are the packed-column concatenation lexsorted
-    by ``(isep, irot, igamma)`` — integer keys, exact, so the merged
-    energies are bit-identical to the text path's.
+    chunk.  The merged rows are the chunks' packed rows in
+    ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.sorted_rows`)
+    — integer keys, exact, so the merged energies are bit-identical to
+    the text path's.
     """
     header = merged_header(
         [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
@@ -110,22 +118,22 @@ def merge_couple_store(
     store: ResultStore | Path | str, out_path: Path | str
 ) -> int:
     """Merge every couple of a chunked store into a one-segment-per-couple
-    store at ``out_path``; returns the total merged row count."""
+    store at ``out_path``; returns the total merged row count.  Couples are
+    merged and written one at a time, atomically (:func:`write_store`)."""
     if not isinstance(store, ResultStore):
         store = read_store(store)
-    merged = [
-        merge_segments(chunks) for chunks in store.by_couple().values()
-    ]
-    write_store(out_path, merged)
-    return sum(len(s) for s in merged)
+    write_store(
+        out_path, (merge_segments(c) for c in store.by_couple().values())
+    )
+    return store.n_rows
 
 
 def _couple_index(
-    store: ResultStore, names: Sequence[str] | None
+    couples: Iterable[tuple[str, str]], names: Sequence[str] | None
 ) -> tuple[list[str], dict[str, int]]:
     if names is None:
         seen: dict[str, None] = {}
-        for r, l in store.couples():
+        for r, l in couples:
             seen.setdefault(r, None)
             seen.setdefault(l, None)
         names = list(seen)
@@ -142,16 +150,18 @@ def energy_matrix(
     ``+inf``.  NaN energies propagate into the entry, exactly as a
     ``records["e_tot"].min()`` over the parsed text file would (checks
     reject such files, but the reduction must not silently launder them).
-    Returns ``(matrix, names)``.
+    Returns ``(matrix, names)``.  A path is read one segment at a time.
     """
-    if not isinstance(store, ResultStore):
-        store = read_store(store)
-    names, index = _couple_index(store, names)
+    minima: dict[tuple[str, str], list] = {}
+    for s in _segments(store):
+        found = minima.setdefault((s.header.receptor, s.header.ligand), [])
+        if len(s):
+            found.append(s.column("e_tot").min())
+    names, index = _couple_index(minima, names)
     n = len(names)
     matrix = np.full((n, n), np.inf)
-    for (receptor, ligand), segments in store.by_couple().items():
+    for (receptor, ligand), candidates in minima.items():
         i, j = index[receptor], index[ligand]
-        candidates = [s.column("e_tot").min() for s in segments if len(s)]
         if candidates:
             matrix[i, j] = np.minimum(matrix[i, j], np.min(candidates))
     return matrix, names
@@ -173,7 +183,7 @@ def position_energy_maps(
     """
     if not isinstance(store, ResultStore):
         store = read_store(store)
-    names, index = _couple_index(store, names)
+    names, index = _couple_index(store.couples(), names)
     if n_positions is None:
         n_positions = max(
             (s.header.isep_start + s.header.nsep - 1 for s in store.segments),

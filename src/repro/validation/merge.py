@@ -80,9 +80,23 @@ def merged_header(chunks: Sequence[tuple[ResultHeader, str]]) -> ResultHeader:
 def sorted_rows(chunks: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate chunk rows in merged-file order, ``(isep, irot, igamma)``.
 
-    Works on either record dtype (float64 or packed): both name the three
-    integer key columns the same, and the sort never touches the rest.
+    Chunks ordered by their first ``isep`` usually concatenate into that
+    order already, and if the keys then strictly increase that is the
+    result; if not, it is the stable ``lexsort`` of the chunks as given,
+    so ties and NaN keys come out as they always did.  Works on either
+    record dtype (float64 or packed): both name the three integer key
+    columns the same, and the rest is never read.
     """
+    rows = np.concatenate(
+        sorted(chunks, key=lambda c: c["isep"][0] if len(c) else 0)
+    )
+    i, r, g = rows["isep"], rows["irot"], rows["igamma"]
+    ascending = (i[:-1] < i[1:]) | (
+        (i[:-1] == i[1:])
+        & ((r[:-1] < r[1:]) | ((r[:-1] == r[1:]) & (g[:-1] < g[1:])))
+    )
+    if ascending.all():
+        return rows
     rows = np.concatenate(chunks)
     return rows[np.lexsort((rows["igamma"], rows["irot"], rows["isep"]))]
 

@@ -15,7 +15,10 @@ became the only one:
   trend, whose answer ``WCGPopulationModel.calibrated()`` returns frozen;
 * :mod:`tests.oracles.agent` — ``SteppedAgent``, which fires an
   ``_interrupt`` and a ``_when_available`` event per availability gap,
-  the oracle for ``VolunteerAgent._compute_step``'s walk of the trace.
+  the oracle for ``VolunteerAgent._compute_step``'s walk of the trace;
+* :mod:`tests.oracles.merge` — the concatenate-then-``lexsort`` merge
+  order, the oracle for ``repro.validation.merge.sorted_rows``, which
+  concatenates chunks already in key order without sorting.
 
 Only tests import this package (``tests/test_fleet.py`` pins that).  The
 docstrings are frozen with the code and may name files as they were when

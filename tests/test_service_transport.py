@@ -617,21 +617,26 @@ class ScriptedServer:
             if behaviour == "hang-up":
                 conn.close()
                 continue
-            framer = Framer(request_line)
-            while True:
-                while (message := framer.next_message()) is None:
-                    chunk = conn.recv(65536)
-                    if not chunk:
-                        break
-                    framer.feed(chunk)
-                if message is None:
-                    break
-                self.requests.append(message.start[:2])
-                keep = behaviour != "answer-close-header"
-                conn.sendall(build_response(200, b'{"ok":true}', keep_alive=keep))
-                if behaviour == "answer-then-hang-up":
-                    conn.close()
-                    break
+            try:
+                self._converse(conn, behaviour)
+            except OSError:
+                # close() shut this connection under us: the client is done
+                pass
+
+    def _converse(self, conn: socket.socket, behaviour: str) -> None:
+        framer = Framer(request_line)
+        while True:
+            while (message := framer.next_message()) is None:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    return
+                framer.feed(chunk)
+            self.requests.append(message.start[:2])
+            keep = behaviour != "answer-close-header"
+            conn.sendall(build_response(200, b'{"ok":true}', keep_alive=keep))
+            if behaviour == "answer-then-hang-up":
+                conn.close()
+                return
 
     def close(self) -> None:
         self._listener.close()

@@ -1,0 +1,270 @@
+"""The streaming result path: one writer, one couple at a time.
+
+* ``StoreWriter.append`` writes each column straight to the file; the
+  bytes are pinned to the format's digest, so the copy-free writer cannot
+  drift from the layout every existing store was written in.
+* ``write_store`` (and so ``text_to_store`` and ``merge_couple_store``)
+  is atomic: a failure leaves the target as it was and no temporary file.
+* ``check_store`` and ``energy_matrix`` fold a store *path* one segment at
+  a time and agree bit for bit with the same call on a ``ResultStore``.
+* ``merge_couple_store`` holds a bounded number of merged couples, not
+  the whole campaign.
+* ``sorted_rows`` concatenates chunks already in key order and falls
+  back to the ``lexsort`` oracle otherwise — bit for bit either way.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.store.pipeline as pipeline
+from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, write_results
+from repro.store import (
+    PACKED_DTYPE,
+    ColumnarSegment,
+    ResultStore,
+    StoreWriter,
+    check_store,
+    energy_matrix,
+    merge_couple_store,
+    read_store,
+    render_lines,
+    text_to_store,
+    write_store,
+)
+from repro.validation.merge import sorted_rows
+from tests.oracles.merge import sorted_rows_reference
+
+pytestmark = pytest.mark.store
+
+#: sha256 of ``pinned_segments()`` as written by the BytesIO encoder the
+#: column-at-a-time writer replaced
+PINNED_DIGEST = "d051a23750c2807a4bfc12a0e9e0619678bda43f3f38626f93d812adac9528eb"
+
+
+def pinned_segments() -> list[ColumnarSegment]:
+    """A tagged, an empty and a reversed segment, with NaN, inf and -0.0."""
+    rec = np.zeros(12, dtype=RESULT_DTYPE)
+    rec["isep"] = np.repeat([3, 4], 6)
+    rec["irot"] = np.tile(np.arange(1, 7), 2)
+    rec["igamma"] = np.arange(12) % 5 + 1
+    for k, name in enumerate(("x", "y", "z", "alpha", "beta", "gamma")):
+        rec[name] = (np.arange(12) - 6) * (k + 1) / 8
+    rec["e_lj"] = -np.arange(12) * 1.25
+    rec["e_elec"] = np.arange(12) * 0.0625
+    rec["e_tot"] = rec["e_lj"] + rec["e_elec"]
+    rec["e_lj"][0] = np.nan
+    rec["x"][1] = -0.0
+    rec["e_tot"][2] = np.inf
+    header = ResultHeader(
+        "P001", "P002", isep_start=3, nsep=2, n_couples=6, n_gamma=5
+    )
+    return [
+        ColumnarSegment.from_records(header, rec, source="a.result"),
+        ColumnarSegment.from_records(header, rec[:0], campaign="hcmd"),
+        ColumnarSegment.from_records(header, rec[::-1].copy()),
+    ]
+
+
+def couple_chunks(
+    receptor: str, ligand: str, n_chunks: int, nsep: int, n_rot: int, seed: int
+) -> list[ColumnarSegment]:
+    """One couple's chunks, each in key order, tiling ``[1..n_chunks*nsep]``."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    for k in range(n_chunks):
+        n = nsep * n_rot
+        rec = np.zeros(n, dtype=RESULT_DTYPE)
+        rec["isep"] = np.repeat(np.arange(1 + k * nsep, 1 + (k + 1) * nsep), n_rot)
+        rec["irot"] = np.tile(np.arange(1, n_rot + 1), nsep)
+        rec["igamma"] = rng.integers(1, 11, size=n)
+        rec["e_lj"] = np.round(rng.normal(-25.0, 10.0, n), 4)
+        rec["e_elec"] = np.round(rng.normal(-6.0, 3.0, n), 4)
+        rec["e_tot"] = np.round(rec["e_lj"] + rec["e_elec"], 4)
+        header = ResultHeader(
+            receptor, ligand, isep_start=1 + k * nsep, nsep=nsep,
+            n_couples=n_rot, n_gamma=10,
+        )
+        chunks.append(ColumnarSegment.from_records(
+            header, rec, source=f"{receptor}_{ligand}_{1 + k * nsep}.result"
+        ))
+    return chunks
+
+
+def chunked_store(n_couples: int, n_chunks=3, nsep=4, n_rot=5) -> list:
+    """Chunks of ``n_couples`` couples, each couple's in reverse order."""
+    segments = []
+    for c in range(n_couples):
+        chunks = couple_chunks(f"R{c:02d}", f"L{c:02d}", n_chunks, nsep, n_rot, c)
+        segments.extend(reversed(chunks))
+    return segments
+
+
+class TestWriter:
+    def test_bytes_match_the_pinned_layout(self, tmp_path):
+        path = tmp_path / "s.rcs"
+        assert write_store(path, pinned_segments()) == 3
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGEST
+
+    def test_append_returns_the_bytes_it_wrote(self, tmp_path):
+        path = tmp_path / "s.rcs"
+        write_store(path, [])
+        with StoreWriter(path) as writer:
+            for segment in pinned_segments():
+                before = path.stat().st_size
+                written = writer.append(segment)
+                writer.flush()
+                assert path.stat().st_size - before == written
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def segments():
+            yield from pinned_segments()
+            raise RuntimeError("producer died")
+
+        with pytest.raises(RuntimeError, match="producer died"):
+            write_store(tmp_path / "s.rcs", segments())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_target(self, tmp_path):
+        path = tmp_path / "s.rcs"
+        write_store(path, pinned_segments()[:1])
+        before = path.read_bytes()
+
+        def segments():
+            yield from pinned_segments()
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_store(path, segments())
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_text_conversion_keeps_the_old_target(self, tmp_path):
+        good = tmp_path / "a.result"
+        segment = pinned_segments()[0]
+        write_results(good, segment.header, render_lines(segment.records))
+        bad = tmp_path / "b.result"
+        bad.write_text("not a result file\n")
+        store = tmp_path / "s.rcs"
+        assert text_to_store([good, good], store) == 2
+        before = store.read_bytes()
+        with pytest.raises(ValueError):
+            text_to_store([good, bad], store)
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.result", "b.result", "s.rcs"
+        ]
+
+
+class TestStreamingReduce:
+    def _store(self, tmp_path):
+        segments = chunked_store(4)
+        nan = segments[1]
+        nan.packed["e_tot"][0] = np.iinfo(np.int64).min  # the NaN code
+        short = segments[4]
+        short.packed = short.packed[:-1]
+        segments.append(pinned_segments()[1])  # an empty segment
+        path = tmp_path / "chunks.rcs"
+        write_store(path, segments)
+        return path
+
+    def test_path_and_store_agree(self, tmp_path, monkeypatch):
+        path = self._store(tmp_path)
+        store = read_store(path)
+
+        def refused(_):
+            raise AssertionError("a path must be folded, not read whole")
+
+        monkeypatch.setattr(pipeline, "read_store", refused)
+        for expected in (None, 17):
+            from_path = check_store(path, files_expected=expected)
+            assert from_path == check_store(store, files_expected=expected)
+            assert not from_path.ok
+        for names in (None, ["L03", "R00", "L00", "R01", "L01", "R02",
+                             "L02", "R03", "P001", "P002"]):
+            m_path, n_path = energy_matrix(path, names)
+            m_store, n_store = energy_matrix(store, names)
+            assert n_path == n_store
+            assert m_path.tobytes() == m_store.tobytes()
+            assert np.isnan(m_path).sum() == 1
+
+    def test_failed_merge_keeps_the_old_output(self, tmp_path):
+        segments = chunked_store(3)
+        del segments[-2]  # the last couple now has an isep gap
+        store = ResultStore(path=tmp_path / "chunks.rcs", segments=segments)
+        out = tmp_path / "merged.rcs"
+        out.write_bytes(b"an earlier merge")
+        with pytest.raises(ValueError, match="isep gap"):
+            merge_couple_store(store, out)
+        assert out.read_bytes() == b"an earlier merge"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_merge_holds_a_few_couples_not_all(self, tmp_path):
+        n_couples = 12
+        store = ResultStore(
+            path=tmp_path / "chunks.rcs",
+            segments=chunked_store(n_couples, n_chunks=3, nsep=8, n_rot=210),
+        )
+        couple_bytes = store.n_rows // n_couples * PACKED_DTYPE.itemsize
+        tracemalloc.start()
+        try:
+            rows = merge_couple_store(store, tmp_path / "merged.rcs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == store.n_rows
+        assert peak < 4 * couple_bytes, peak / couple_bytes
+
+
+#: keys as floats, so they can be NaN (the result dtypes keep them integer)
+FLOAT_KEYS = np.dtype([(k, np.float64) for k in ("isep", "irot", "igamma", "e_tot")])
+
+
+@st.composite
+def merge_inputs(draw):
+    """Chunks in any order: key-ordered runs, duplicate keys, NaN keys,
+    empty chunks; each row's ``e_tot`` is its identity."""
+    dtype = draw(st.sampled_from([RESULT_DTYPE, PACKED_DTYPE, FLOAT_KEYS]))
+    rows = np.zeros(draw(st.integers(0, 24)), dtype)
+    narrow = draw(st.booleans())  # small key space: duplicates likely
+    key = st.tuples(
+        st.integers(1, 2 if narrow else 9), st.integers(1, 2 if narrow else 5),
+        st.integers(1, 2 if narrow else 4),
+    )
+    keys = draw(st.lists(key, min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        keys.sort()
+    if len(rows):
+        rows["isep"], rows["irot"], rows["igamma"] = np.array(keys).T
+    rows["e_tot"] = np.arange(len(rows))
+    if dtype == FLOAT_KEYS and len(rows):
+        for i, name in draw(st.lists(st.tuples(
+            st.integers(0, len(rows) - 1), st.sampled_from(["isep", "irot", "igamma"])
+        ), max_size=3)):
+            rows[name][i] = np.nan
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=5)))
+    return draw(st.permutations(np.split(rows, cuts)))
+
+
+class TestSortedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=merge_inputs())
+    def test_matches_the_lexsort_oracle_bit_for_bit(self, chunks):
+        merged = sorted_rows(chunks)
+        reference = sorted_rows_reference(chunks)
+        assert merged.dtype == reference.dtype
+        assert merged.tobytes() == reference.tobytes()
+
+    def test_ordered_chunks_in_any_order_are_not_sorted(self, monkeypatch):
+        chunks = [s.packed for s in couple_chunks("R", "L", 4, 3, 5, 0)]
+        monkeypatch.setattr(np, "lexsort", None)  # the fallback would fail
+        expected = np.concatenate(chunks)
+        for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
+            merged = sorted_rows([chunks[k] for k in order])
+            assert merged.tobytes() == expected.tobytes()
