@@ -501,7 +501,7 @@ class MaxDoRun:
             isep, lj[None], el[None], fpos[None], feul[None]
         )
         if self.columnar:
-            from ..store.format import ColumnarSegment, pack_records
+            from ..store.format import ColumnarSegment
 
             header = ResultHeader(
                 receptor=self.receptor.name,
@@ -511,9 +511,7 @@ class MaxDoRun:
                 n_couples=self.n_couples,
                 n_gamma=self.n_gamma,
             )
-            sink.append(
-                ColumnarSegment(header=header, packed=pack_records(records))
-            )
+            sink.append(ColumnarSegment.from_records(header, records))
         else:
             append_records(sink, render_lines(records))
         sink.flush()
@@ -531,26 +529,12 @@ class MaxDoRun:
                 f"workunit incomplete: {ckpt.positions_done}/{ckpt.nsep} positions"
             )
         if self.columnar:
-            from ..store.format import (
-                PACKED_DTYPE,
-                ColumnarSegment,
-                iter_segments,
-                write_store,
-            )
+            from ..store.format import write_store
 
-            chunks = list(iter_segments(self.partial_path))
-            packed = (
-                np.concatenate([c.packed for c in chunks])
-                if chunks
-                else np.zeros(0, dtype=PACKED_DTYPE)
-            )
             final = self.partial_path.with_name(
                 self.partial_path.name.replace(".partial.rcs", ".result.rcs")
             )
-            write_store(
-                final,
-                [ColumnarSegment(header=self._header, packed=packed)],
-            )
+            write_store(final, [self._partial_segment()])
             self.partial_path.unlink()
             self.checkpoint_path.unlink()
             return final
@@ -559,19 +543,21 @@ class MaxDoRun:
         self.checkpoint_path.unlink()
         return final
 
+    def _partial_segment(self):
+        """The partial store's position segments joined, column by column,
+        under the workunit header."""
+        from ..store.format import PACKED_DTYPE, ColumnarSegment, iter_segments
+
+        chunks = list(iter_segments(self.partial_path))
+        return ColumnarSegment(self._header, columns={
+            name: np.concatenate(
+                [np.zeros(0, PACKED_DTYPE[name])] + [c.columns[name] for c in chunks]
+            )
+            for name in PACKED_DTYPE.names
+        })
+
     def result_table(self):
         """Parse whatever the partial file currently holds."""
         if self.columnar:
-            from ..store.format import PACKED_DTYPE, iter_segments, unpack_records
-            from .resultfile import ResultTable
-
-            chunks = list(iter_segments(self.partial_path))
-            packed = (
-                np.concatenate([c.packed for c in chunks])
-                if chunks
-                else np.zeros(0, dtype=PACKED_DTYPE)
-            )
-            return ResultTable(
-                header=self._header, records=unpack_records(packed)
-            )
+            return self._partial_segment().table()
         return read_results(self.partial_path)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..maxdo.resultfile import read_results, render_lines, write_results
-from .format import ColumnarSegment, iter_segments, pack_records, write_store
+from .format import ColumnarSegment, iter_segments, write_store
 
 __all__ = [
     "segment_from_text",
@@ -42,11 +42,7 @@ def segment_from_text(path: Path | str) -> ColumnarSegment:
     """
     path = Path(path)
     table = read_results(path)
-    return ColumnarSegment(
-        header=table.header,
-        packed=pack_records(table.records),
-        source=path.name,
-    )
+    return ColumnarSegment.from_records(table.header, table.records, path.name)
 
 
 def segment_to_text(segment: ColumnarSegment, out_path: Path | str) -> int:

@@ -37,7 +37,8 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -143,34 +144,27 @@ _SENTINEL_NAN, _SENTINEL_PINF, _SENTINEL_NINF, _SENTINEL_NZERO = range(4)
 _N_SENTINELS = 4
 
 
-def _int_bounds(dtype: np.dtype) -> tuple[int, int]:
-    info = np.iinfo(dtype)
-    return info.min, info.max
+#: each packed column's dtype (on disk and in memory) and integer range
+_COLUMN_DTYPES = {n: PACKED_DTYPE[n].newbyteorder("<") for n in PACKED_DTYPE.names}
+_BOUNDS = {n: (np.iinfo(d).min, np.iinfo(d).max) for n, d in _COLUMN_DTYPES.items()}
 
 
-def pack_records(records: np.ndarray) -> np.ndarray:
-    """Encode a float64 record array (:data:`RESULT_DTYPE`) as packed columns.
-
-    Exact for every text-representable value; values that came from
-    anywhere else are quantized to the text format's precision (the same
-    rounding ``render_lines`` would apply).  Raises ``ValueError`` when a
-    finite value does not fit the packed column's range — such a value
-    could not appear on a well-formed text line either.
-    """
+def _pack_columns(records: np.ndarray) -> dict[str, np.ndarray]:
+    """Encode a float64 record array as the twelve packed columns."""
     records = np.asarray(records)
-    packed = np.empty(len(records), dtype=PACKED_DTYPE)
+    columns = {}
     for name in _INDEX_FIELDS:
-        lo, hi = _int_bounds(PACKED_DTYPE[name])
+        lo, hi = _BOUNDS[name]
         col = records[name]
         if len(col) and (col.min() < lo or col.max() > hi):
             raise ValueError(f"column {name!r} does not fit {PACKED_DTYPE[name]}")
-        packed[name] = col
+        columns[name] = col.astype(_COLUMN_DTYPES[name])
     for name, scale in _SCALES.items():
         col = np.asarray(records[name], dtype=np.float64)
         out = np.empty(len(col), dtype=np.int64)
         finite = np.isfinite(col)
         scaled = np.round(col[finite] * scale)
-        lo, hi = _int_bounds(PACKED_DTYPE[name])
+        lo, hi = _BOUNDS[name]
         floor = lo + _N_SENTINELS  # sentinel codes live below the floor
         if len(scaled) and (scaled.min() < floor or scaled.max() > hi):
             raise ValueError(
@@ -188,19 +182,37 @@ def pack_records(records: np.ndarray) -> np.ndarray:
                 [np.isnan(bad), bad == np.inf, bad == -np.inf],
                 [_SENTINEL_NAN, _SENTINEL_PINF, _SENTINEL_NINF], _SENTINEL_NZERO,
             )
-        packed[name] = out
-    return packed
+        columns[name] = out.astype(_COLUMN_DTYPES[name], copy=False)
+    return columns
+
+
+def pack_records(records: np.ndarray) -> np.ndarray:
+    """Encode a float64 record array (:data:`RESULT_DTYPE`) as packed rows.
+
+    Exact for every text-representable value; values that came from
+    anywhere else are quantized to the text format's precision (the same
+    rounding ``render_lines`` would apply).  Raises ``ValueError`` when a
+    finite value does not fit the packed column's range — such a value
+    could not appear on a well-formed text line either.
+    """
+    return _rows(_pack_columns(records))
+
+
+def _rows(columns: dict[str, np.ndarray]) -> np.ndarray:
+    """Interleave packed columns into :data:`PACKED_DTYPE` rows."""
+    rows = np.empty(len(columns["isep"]), dtype=PACKED_DTYPE)
+    for name, col in columns.items():
+        rows[name] = col
+    return rows
 
 
 def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
     """Decode one packed fixed-point column to float64."""
-    raw = np.asarray(raw, dtype=np.int64)
-    scale = _SCALES[name]
-    lo = _int_bounds(PACKED_DTYPE[name])[0]
-    col = raw / scale
+    lo = _BOUNDS[name][0]
+    col = raw / _SCALES[name]
     special = raw < lo + _N_SENTINELS
     if special.any():
-        code = raw[special] - lo
+        code = raw[special].astype(np.int64) - lo
         values = np.full(len(code), np.nan)
         values[code == _SENTINEL_PINF] = np.inf
         values[code == _SENTINEL_NINF] = -np.inf
@@ -209,14 +221,14 @@ def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
     return col
 
 
-def unpack_records(packed: np.ndarray) -> np.ndarray:
-    """Decode packed columns back to the float64 :data:`RESULT_DTYPE`.
+def unpack_records(packed) -> np.ndarray:
+    """Decode packed rows, or a segment's columns by name, to the float64
+    :data:`RESULT_DTYPE`.
 
     The inverse of :func:`pack_records` on its image: bit-identical float64
     values for everything that round-tripped through text.
     """
-    packed = np.asarray(packed)
-    records = np.empty(len(packed), dtype=RESULT_DTYPE)
+    records = np.empty(len(packed["isep"]), dtype=RESULT_DTYPE)
     for name in _INDEX_FIELDS:
         records[name] = packed[name]
     for name in _SCALES:
@@ -224,46 +236,73 @@ def unpack_records(packed: np.ndarray) -> np.ndarray:
     return records
 
 
-@dataclass
 class ColumnarSegment:
     """One result slice in packed columnar form.
 
     The columnar twin of a text result file: the same
-    :class:`~repro.maxdo.resultfile.ResultHeader` identity plus a packed
-    record block.  ``source`` remembers the file name the segment was
-    converted from (or should convert back to), so a store round-trips a
-    whole result directory without renaming anything.  ``campaign``
+    :class:`~repro.maxdo.resultfile.ResultHeader` identity plus the twelve
+    packed columns, ``columns[name]``, each contiguous, little-endian and
+    of its :data:`PACKED_DTYPE` field type, in the order they sit on disk.
+    ``columns`` is a read-only mapping, and columns read from a store are
+    read-only views over the segment's payload bytes.  ``source``
+    remembers the file name the segment was converted from (or should
+    convert back to), so a store round-trips a whole result directory
+    without renaming anything.  ``campaign``
     optionally names the producing campaign on a multi-campaign grid
     (:mod:`repro.multi`); untagged segments encode byte-identically to
     the pre-tag format, so single-campaign stores are unchanged.
+
+    Build one from ``columns=``, from ``packed=`` rows of
+    :data:`PACKED_DTYPE` (split into columns), or :meth:`from_records`.
     """
 
-    header: ResultHeader
-    packed: np.ndarray  #: packed rows, dtype :data:`PACKED_DTYPE`
-    source: str | None = None
-    campaign: str | None = None
-
-    def __post_init__(self) -> None:
-        self.packed = np.ascontiguousarray(self.packed)
-        if self.packed.dtype != PACKED_DTYPE:
-            raise ValueError(
-                f"segment rows must use PACKED_DTYPE, got {self.packed.dtype}"
-            )
+    def __init__(
+        self, header: ResultHeader, packed: np.ndarray | None = None,
+        source: str | None = None, campaign: str | None = None,
+        *, columns: Mapping[str, np.ndarray] | None = None,
+    ) -> None:
+        if (packed is None) == (columns is None):
+            raise TypeError("give a segment either packed rows or columns")
+        if packed is not None:
+            columns = np.asarray(packed)  # rows read by field name, like columns
+            if columns.dtype != PACKED_DTYPE:
+                raise ValueError(
+                    f"segment rows must use PACKED_DTYPE, got {columns.dtype}"
+                )
+        n_rows = len(columns["isep"])
+        checked = {}
+        for name, dtype in _COLUMN_DTYPES.items():
+            col = np.asarray(columns[name])
+            if col.shape != (n_rows,) or col.dtype.newbyteorder("<") != dtype:
+                raise ValueError(f"column {name!r} must be {n_rows} {dtype} codes")
+            checked[name] = np.ascontiguousarray(col, dtype)
+        # read-only mapping: a column cannot be swapped past the checks
+        # above, so the writer can send the columns to disk as they are
+        self.columns: Mapping[str, np.ndarray] = MappingProxyType(checked)
+        self.header, self.source, self.campaign = header, source, campaign
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.columns["isep"])
+
+    @property
+    def packed(self) -> np.ndarray:
+        """The rows as one read-only :data:`PACKED_DTYPE` array (built on
+        access)."""
+        rows = _rows(self.columns)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def records(self) -> np.ndarray:
         """The decoded float64 record array (computed on access)."""
-        return unpack_records(self.packed)
+        return unpack_records(self.columns)
 
     def column(self, name: str) -> np.ndarray:
         """One decoded column as float64 (indices as int64), without
         materializing the other eleven."""
         if name in _INDEX_FIELDS:
-            return np.asarray(self.packed[name], dtype=np.int64)
-        return _decode_column(self.packed[name], name)
+            return self.columns[name].astype(np.int64)
+        return _decode_column(self.columns[name], name)
 
     def table(self) -> ResultTable:
         """View as the parsed-text interface the legacy pipeline consumes."""
@@ -278,12 +317,7 @@ class ColumnarSegment:
         campaign: str | None = None,
     ) -> "ColumnarSegment":
         """Pack a float64 record array under ``header``."""
-        return cls(
-            header=header,
-            packed=pack_records(records),
-            source=source,
-            campaign=campaign,
-        )
+        return cls(header, None, source, campaign, columns=_pack_columns(records))
 
 
 def _segment_meta(segment: ColumnarSegment) -> dict:
@@ -326,26 +360,19 @@ def _decode_segment(fh, path: Path) -> ColumnarSegment | None:
     meta_len = int.from_bytes(_read_exact(fh, path, 4), "little")
     meta = json.loads(_read_exact(fh, path, meta_len).decode("ascii"))
     n_rows = int.from_bytes(_read_exact(fh, path, 8), "little")
-    packed = np.empty(n_rows, dtype=PACKED_DTYPE)
-    payload = _read_exact(
-        fh, path, n_rows * ROW_BYTES
-    )
-    offset = 0
-    for name in PACKED_DTYPE.names:
-        width = PACKED_DTYPE[name].itemsize * n_rows
-        packed[name] = np.frombuffer(
-            payload, dtype=PACKED_DTYPE[name].newbyteorder("<"),
-            count=n_rows, offset=offset,
-        )
-        offset += width
+    payload = _read_exact(fh, path, n_rows * ROW_BYTES)
     crc = int.from_bytes(_read_exact(fh, path, 4), "little")
     if crc != zlib.crc32(payload):
         raise ValueError(f"{path.name}: segment payload CRC mismatch")
+    columns, offset = {}, 0
+    for name, dtype in _COLUMN_DTYPES.items():  # views: the bytes stay put
+        columns[name] = np.frombuffer(payload, dtype, n_rows, offset)
+        offset += dtype.itemsize * n_rows
     return ColumnarSegment(
-        header=_header_from_meta(meta),
-        packed=packed,
+        _header_from_meta(meta),
         source=meta.get("source"),
         campaign=meta.get("campaign"),
+        columns=columns,
     )
 
 
@@ -376,20 +403,17 @@ class StoreWriter:
 
     def append(self, segment: ColumnarSegment) -> int:
         """Append one segment; returns the bytes written.  The columns go
-        to the file one by one, under a running CRC: no payload copy."""
+        to the file as they are, under a running CRC: no payload copy."""
         import json
 
         meta = json.dumps(_segment_meta(segment), sort_keys=True).encode("ascii")
-        n_rows = len(segment.packed)
+        n_rows = len(segment)
         self._fh.write(
             _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta
             + n_rows.to_bytes(8, "little")
         )
         crc = 0
-        for name in PACKED_DTYPE.names:
-            column = np.ascontiguousarray(
-                segment.packed[name], dtype=PACKED_DTYPE[name].newbyteorder("<")
-            )
+        for column in segment.columns.values():
             self._fh.write(column)
             crc = zlib.crc32(column, crc)
         self._fh.write(crc.to_bytes(4, "little"))

@@ -4,11 +4,11 @@ Re-implements Section 5.2's check -> merge -> reduce chain as whole-column
 array passes:
 
 * **checks 2/3** (:func:`check_segment` / :func:`check_store`): line-count
-  and value-range validation straight off the decoded columns — verdicts
-  identical to :mod:`repro.validation.checks` over the equivalent text
-  files, without a text parse;
+  and value-range validation straight off the columns the rules read —
+  verdicts identical to :mod:`repro.validation.checks` over the
+  equivalent text files, without a text parse;
 * **merge** (:func:`merge_segments` / :func:`merge_couple_store`):
-  slice-tiling validation plus a packed-column concatenation in key
+  slice-tiling validation plus a column-by-column concatenation in key
   order, one couple at a time — no text line is ever materialized, and
   the merged energies are bit-identical to the text path's;
 * **reduction** (:func:`energy_matrix` / :func:`position_energy_maps`):
@@ -26,8 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..validation.checks import CheckReport, ValueRanges, check_table
-from ..validation.merge import merged_header, sorted_rows
+from ..validation.merge import key_order, merged_header
 from .format import (
+    PACKED_DTYPE,
     ColumnarSegment,
     ResultStore,
     iter_segments,
@@ -57,6 +58,10 @@ def _segment_label(segment: ColumnarSegment, index: int) -> str:
     return f"segment[{index}] {h.receptor}-{h.ligand}@{h.isep_start}"
 
 
+#: the columns the range rules read that need decoding; the indices stay int
+_CHECKED = ("x", "y", "z", "e_lj", "e_elec", "e_tot")
+
+
 def check_segment(
     segment: ColumnarSegment,
     ranges: ValueRanges | None = None,
@@ -65,12 +70,15 @@ def check_segment(
     """Checks 2 and 3 (line count, value ranges) on one segment.
 
     Same verdicts as :func:`repro.validation.checks.check_result_file` on
-    the equivalent text file: the decoded columns are bit-identical to what
-    the text parser would produce, and the same rule
-    (:func:`repro.validation.checks.check_table`) runs over them.
+    the equivalent text file: the same rule
+    (:func:`repro.validation.checks.check_table`) runs over the columns it
+    reads — the six value columns decoded, bit-identical to what the text
+    parser would produce, and the three integer indices as stored.
     """
+    rows = {n: segment.column(n) for n in _CHECKED}
+    rows.update((n, segment.columns[n]) for n in ("isep", "irot", "igamma"))
     return check_table(
-        name or _segment_label(segment, 0), segment.table(), ranges
+        name or _segment_label(segment, 0), segment.header, rows, ranges
     )
 
 
@@ -101,17 +109,19 @@ def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     :func:`repro.validation.merge.merge_couple_results` applies to text
     files: segments must belong to one couple, agree on the orientation
     grid and tile ``[1..Nsep]`` exactly; every error names the offending
-    chunk.  The merged rows are the chunks' packed rows in
-    ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.sorted_rows`)
-    — integer keys, exact, so the merged energies are bit-identical to
-    the text path's.
+    chunk.  The merged columns are the chunks' packed columns in
+    ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.key_order`,
+    the text path's rule) — integer keys, exact, so the merged energies
+    are bit-identical to the text path's.
     """
     header = merged_header(
         [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
     )
-    return ColumnarSegment(
-        header=header, packed=sorted_rows([s.packed for s in segments])
-    )
+    order = key_order([s.columns for s in segments])
+    return ColumnarSegment(header, columns={
+        name: order.apply([s.columns[name] for s in segments])
+        for name in PACKED_DTYPE.names
+    })
 
 
 def merge_couple_store(

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..maxdo.resultfile import ResultTable, expected_line_count, read_results
+from ..maxdo.resultfile import (
+    ResultHeader, ResultTable, expected_line_count, read_results,
+)
 
 __all__ = ["ValueRanges", "CheckReport", "check_result_file", "check_batch"]
 
@@ -31,26 +33,29 @@ class ValueRanges:
     max_abs_energy: float = 1.0e6  #: kcal/mol
     energy_sum_tolerance: float = 1.0e-3  #: |e_tot - (e_lj + e_elec)|
 
-    def violations(self, table: ResultTable) -> list[str]:
-        """Names of the range rules the table violates."""
-        rec = table.records
+    def violations(
+        self, table: ResultTable | np.ndarray | dict[str, np.ndarray]
+    ) -> list[str]:
+        """Names of the range rules the table violates.  ``table`` may also
+        be its columns by name: a record array, or the dict of decoded
+        columns a store segment hands over (only the rules' nine)."""
+        rec = table.records if isinstance(table, ResultTable) else table
         problems: list[str] = []
-        if len(rec) == 0:
+        if len(rec["isep"]) == 0:
             return problems
-        coords = np.stack([rec["x"], rec["y"], rec["z"]])
-        energies = np.stack([rec["e_lj"], rec["e_elec"], rec["e_tot"]])
-        if not np.isfinite(coords).all() or not np.isfinite(energies).all():
+        coords = [rec[name] for name in ("x", "y", "z")]
+        energies = [rec[name] for name in ("e_lj", "e_elec", "e_tot")]
+        if not all(np.isfinite(c).all() for c in coords + energies):
             problems.append("non-finite values")
-        if np.abs(coords).max(initial=0.0) > self.max_abs_coordinate:
+        # np.max, not max(): a NaN maximum must stay NaN, as over a stack
+        if np.max([np.abs(c).max() for c in coords]) > self.max_abs_coordinate:
             problems.append("coordinate out of range")
-        if np.abs(energies).max(initial=0.0) > self.max_abs_energy:
+        if np.max([np.abs(e).max() for e in energies]) > self.max_abs_energy:
             problems.append("energy out of range")
-        if (rec["isep"] < 1).any() or (rec["irot"] < 1).any() or (
-            rec["igamma"] < 1
-        ).any():
+        if any((rec[name] < 1).any() for name in ("isep", "irot", "igamma")):
             problems.append("non-positive indices")
         mismatch = np.abs(rec["e_tot"] - (rec["e_lj"] + rec["e_elec"]))
-        if mismatch.max(initial=0.0) > self.energy_sum_tolerance:
+        if mismatch.max() > self.energy_sum_tolerance:
             problems.append("energy sum mismatch")
         return problems
 
@@ -80,17 +85,18 @@ class CheckReport:
 
 
 def check_table(
-    name: str, table: ResultTable, ranges: ValueRanges | None = None
+    name: str, header: ResultHeader, rows: np.ndarray | dict[str, np.ndarray],
+    ranges: ValueRanges | None = None,
 ) -> CheckReport:
-    """Checks 2 and 3 (line count, value ranges) on one parsed result slice,
-    reported under ``name`` — the rule behind both the text files and the
-    columnar segments."""
+    """Checks 2 and 3 (line count, value ranges) on one result slice given
+    as its header and its columns by name (a record array, or a store
+    segment's decoded columns), reported under ``name`` — the rule behind
+    both the text files and the columnar segments."""
     ranges = ranges if ranges is not None else ValueRanges()
     report = CheckReport(files_expected=1, files_found=1)
-    expected = expected_line_count(table.header.nsep, table.header.n_couples)
-    if len(table) != expected:
+    if len(rows["isep"]) != expected_line_count(header.nsep, header.n_couples):
         report.files_with_bad_line_count.append(name)
-    problems = ranges.violations(table)
+    problems = ranges.violations(rows)
     if problems:
         report.files_with_bad_values[name] = problems
     return report
@@ -107,7 +113,7 @@ def check_result_file(
         report = CheckReport(files_expected=1, files_found=1)
         report.files_unreadable[path.name] = str(exc)
         return report
-    return check_table(path.name, table, ranges)
+    return check_table(path.name, table.header, table.records, ranges)
 
 
 def check_batch(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,28 +77,52 @@ def merged_header(chunks: Sequence[tuple[ResultHeader, str]]) -> ResultHeader:
     )
 
 
-def sorted_rows(chunks: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate chunk rows in merged-file order, ``(isep, irot, igamma)``.
+class KeyOrder(NamedTuple):
+    """Concatenate the chunks in ``chunks`` order, then take ``rows``."""
 
-    Chunks ordered by their first ``isep`` usually concatenate into that
-    order already, and if the keys then strictly increase that is the
-    result; if not, it is the stable ``lexsort`` of the chunks as given,
-    so ties and NaN keys come out as they always did.  Works on either
-    record dtype (float64 or packed): both name the three integer key
-    columns the same, and the rest is never read.
+    chunks: list[int]
+    rows: np.ndarray | None  #: None: already in order
+
+    def apply(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """One array per chunk (rows, or one column) in merged order."""
+        merged = np.concatenate([parts[k] for k in self.chunks])
+        return merged if self.rows is None else merged[self.rows]
+
+
+def key_order(chunks: Sequence) -> KeyOrder:
+    """The merged-file order, ``(isep, irot, igamma)`` ascending, of one
+    couple's chunks — each a record array or a segment's columns, read by
+    key name: the one rule the text and the store merge apply.
+
+    A workunit writes its rows in key order and slices ``isep``, so the
+    chunks taken by their first ``isep`` usually concatenate into merged
+    order; if the keys then strictly increase, that is the order.  If
+    not — ties, disorder, NaN keys — it is the stable ``lexsort`` of the
+    chunks as given, so ties and NaN keys come out as they always did.
     """
-    rows = np.concatenate(
-        sorted(chunks, key=lambda c: c["isep"][0] if len(c) else 0)
+    def keys(order):
+        return [np.concatenate([chunks[k][n] for k in order])
+                for n in ("isep", "irot", "igamma")]
+
+    given = list(range(len(chunks)))
+    by_start = sorted(
+        given, key=lambda k: chunks[k]["isep"][0] if len(chunks[k]["isep"]) else 0
     )
-    i, r, g = rows["isep"], rows["irot"], rows["igamma"]
+    i, r, g = keys(by_start)
     ascending = (i[:-1] < i[1:]) | (
         (i[:-1] == i[1:])
         & ((r[:-1] < r[1:]) | ((r[:-1] == r[1:]) & (g[:-1] < g[1:])))
     )
     if ascending.all():
-        return rows
-    rows = np.concatenate(chunks)
-    return rows[np.lexsort((rows["igamma"], rows["irot"], rows["isep"]))]
+        return KeyOrder(by_start, None)
+    i, r, g = keys(given)
+    return KeyOrder(given, np.lexsort((g, r, i)))
+
+
+def sorted_rows(chunks: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate chunk rows (float64 or packed records) in merged-file
+    order, :func:`key_order`."""
+    return key_order(chunks).apply(chunks)
 
 
 def merge_couple_results(chunk_paths: list[Path | str], out_path: Path | str) -> int:

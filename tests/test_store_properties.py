@@ -10,7 +10,9 @@ trips:
 * columnar -> text -> columnar reproduces the packed columns bit for bit;
 
 and the text parser must return exactly the records the per-token
-oracle does.
+oracle does.  Checks 2/3 on a segment's columns must reach the verdicts
+the same rule reaches over the decoded record array, sentinel codes and
+rule boundaries included.
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from repro.maxdo.resultfile import (
     write_results,
 )
 from repro.store import (
+    PACKED_DTYPE,
     ColumnarSegment,
+    check_segment,
     render_lines,
     segment_from_text,
     segment_to_text,
+    unpack_records,
 )
+from repro.validation.checks import check_table
 from tests.oracles.resultfile import read_results_reference
 
 pytestmark = pytest.mark.store
@@ -157,3 +163,95 @@ class TestRoundTripProperties:
         oracle = read_results_reference(path)
         assert parsed.header == oracle.header == header
         assert parsed.records.tobytes() == oracle.records.tobytes()
+
+
+def _codes(bits: int, edges: list[int], span: int):
+    """Raw codes of one packed value column: its four sentinel codes
+    (NaN, +inf, -inf, -0.0 at the bottom of the range), the given rule
+    boundaries, and plain fixed-point values within ``±span``."""
+    lo = -(1 << bits - 1)
+    return st.one_of(
+        st.sampled_from([lo, lo + 1, lo + 2, lo + 3, *edges]),
+        st.integers(-span, span),
+    )
+
+
+#: |coordinate| 500.000 passes and 500.001 fails (milli-Angstrom codes)
+COORD = _codes(32, [500_000, 500_001, -500_000, -500_001], 600_000)
+#: |energy| 1e6 passes and 1e6 + 1e-4 fails (1e-4 codes)
+E6 = 10**10
+ENERGY = _codes(64, [E6, E6 + 1, -E6, -E6 - 1], E6 + 5)
+#: per column: values every rule passes, or the codes above
+COLUMN_CODES = {
+    "index": (st.integers(1, 3), st.integers(-1, 6)),
+    "coord": (st.integers(-500_000, 500_000), COORD),
+    "energy": (st.integers(-E6 // 2, E6 // 2), ENERGY),
+}
+KINDS = dict.fromkeys(("isep", "irot", "igamma"), "index") | dict.fromkeys(
+    ("x", "y", "z", "alpha", "beta", "gamma"), "coord"
+) | {"e_lj": "energy", "e_elec": "energy"}
+
+
+@st.composite
+def coded_segments(draw):
+    """A segment built straight from packed codes: any row count (0 too);
+    each column either clean or drawing non-positive indices, sentinel
+    codes and rule-boundary codes; ``e_tot`` either codes of its own or
+    the sum of the other two energies off by 0, 10 or 11 units per row
+    (the 1e-3 tolerance is 10)."""
+    n = draw(st.integers(0, 6))
+    header = ResultHeader(
+        "R", "L", isep_start=1, nsep=draw(st.integers(0, 3)),
+        n_couples=draw(st.integers(1, 3)), n_gamma=4,
+    )
+    columns = {}
+    for name, kind in KINDS.items():
+        codes = draw(st.sampled_from(COLUMN_CODES[kind]))
+        columns[name] = np.array(
+            draw(st.lists(codes, min_size=n, max_size=n)), dtype=PACKED_DTYPE[name]
+        )
+    e_tot, own = [], draw(st.sampled_from([None, *COLUMN_CODES["energy"]]))
+    for lj, el in zip(columns["e_lj"].tolist(), columns["e_elec"].tolist()):
+        total = lj + el + draw(st.sampled_from([0, -10, 10, -11, 11]))
+        plain = min(lj, el) > -(1 << 63) + 3 and abs(total) <= E6 + 16
+        if not plain or own is not None:
+            total = draw(ENERGY if own is None else own)
+        e_tot.append(total)
+    columns["e_tot"] = np.array(e_tot, dtype=PACKED_DTYPE["e_tot"])
+    return ColumnarSegment(header, columns=columns)
+
+
+class TestCheckProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(segment=coded_segments())
+    def test_column_checks_match_the_record_checks(self, segment):
+        with np.errstate(invalid="ignore"):  # inf - inf in the sum rule
+            from_columns = check_segment(segment, name="s")
+            from_records = check_table(
+                "s", segment.header, unpack_records(segment.packed)
+            )
+        assert from_columns == from_records
+
+    @pytest.mark.parametrize("passes, fails, problem", [
+        ({"x": 500_000}, {"x": 500_001}, "coordinate out of range"),
+        ({"z": -500_000}, {"z": -500_001}, "coordinate out of range"),
+        ({"e_elec": E6, "e_tot": E6}, {"e_elec": E6 + 1, "e_tot": E6 + 1},
+         "energy out of range"),
+        ({"e_lj": 10_000, "e_tot": 10_010}, {"e_lj": 10_000, "e_tot": 10_011},
+         "energy sum mismatch"),
+        ({"y": -(1 << 31) + 3}, {"y": -(1 << 31)}, "non-finite values"),
+        ({"irot": 1}, {"irot": 0}, "non-positive indices"),
+    ])
+    def test_each_rule_flips_at_its_boundary(self, passes, fails, problem):
+        verdicts = []
+        for codes in (passes, fails):
+            rows = np.zeros(1, dtype=PACKED_DTYPE)
+            rows["isep"] = rows["irot"] = rows["igamma"] = 1
+            for name, code in codes.items():
+                rows[name] = code
+            header = ResultHeader("R", "L", 1, 1, 1, 1)
+            verdicts.append(check_segment(ColumnarSegment(header, rows)))
+        assert verdicts[0].ok
+        assert verdicts[1].files_with_bad_values == {
+            "segment[0] R-L@1": [problem]
+        }

@@ -1,5 +1,8 @@
 """The streaming result path: one writer, one couple at a time.
 
+* A segment is its twelve packed columns; read from a store they are
+  read-only views over the one payload buffer the CRC was checked on,
+  and ``check_store`` decodes only the columns the rules read.
 * ``StoreWriter.append`` writes each column straight to the file; the
   bytes are pinned to the format's digest, so the copy-free writer cannot
   drift from the layout every existing store was written in.
@@ -27,6 +30,7 @@ import repro.store.pipeline as pipeline
 from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, write_results
 from repro.store import (
     PACKED_DTYPE,
+    ROW_BYTES,
     ColumnarSegment,
     ResultStore,
     StoreWriter,
@@ -46,6 +50,9 @@ pytestmark = pytest.mark.store
 #: sha256 of ``pinned_segments()`` as written by the BytesIO encoder the
 #: column-at-a-time writer replaced
 PINNED_DIGEST = "d051a23750c2807a4bfc12a0e9e0619678bda43f3f38626f93d812adac9528eb"
+#: sha256 of ``merge_couple_store`` over ``merge_input()`` as merged by the
+#: row-record pipeline the column pipeline replaced
+MERGED_DIGEST = "d55b31974706fe1750757c90ed581162595964bef63257ae2b3e1a0143066644"
 
 
 def pinned_segments() -> list[ColumnarSegment]:
@@ -104,6 +111,74 @@ def chunked_store(n_couples: int, n_chunks=3, nsep=4, n_rot=5) -> list:
         chunks = couple_chunks(f"R{c:02d}", f"L{c:02d}", n_chunks, nsep, n_rot, c)
         segments.extend(reversed(chunks))
     return segments
+
+
+def merge_input() -> list[ColumnarSegment]:
+    """Four couples' chunks in reverse order, one with a NaN-coded energy,
+    one short a row and one whose rows run backwards (so its couple takes
+    the sorting path)."""
+    segments = chunked_store(4)
+    for k, edit in ((1, "nan"), (4, "short"), (6, "reversed")):
+        s = segments[k]
+        rec = s.records
+        if edit == "nan":
+            rec["e_tot"][0] = np.nan
+        elif edit == "short":
+            rec = rec[:-1]
+        else:
+            rec = rec[::-1]
+        segments[k] = ColumnarSegment.from_records(s.header, rec, source=s.source)
+    return segments
+
+
+class TestColumns:
+    def test_read_columns_are_read_only_views_of_one_payload(self, tmp_path):
+        path = tmp_path / "s.rcs"
+        write_store(path, pinned_segments())
+        store = read_store(path)
+        for segment in store.segments:
+            payload = segment.columns["isep"].base
+            assert isinstance(payload, bytes)
+            assert len(payload) == len(segment) * ROW_BYTES
+            whole = np.frombuffer(payload, np.uint8)
+            for name, column in segment.columns.items():
+                assert column.base is payload, name
+                assert not column.flags.writeable, name
+                assert np.shares_memory(column, whole) == bool(len(segment))
+            assert not segment.packed.flags.writeable
+        assert [s.packed.tobytes() for s in store.segments] == [
+            s.packed.tobytes() for s in pinned_segments()
+        ]
+
+    def test_check_decodes_no_record_array(self, tmp_path):
+        path = tmp_path / "s.rcs"
+        write_store(path, chunked_store(2, n_chunks=2, nsep=40, n_rot=210))
+        store = read_store(path)
+        record_bytes = len(store.segments[0]) * RESULT_DTYPE.itemsize
+        tracemalloc.start()
+        try:
+            report = check_store(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < record_bytes, peak / record_bytes
+
+    def test_columns_must_be_the_packed_columns(self):
+        header = pinned_segments()[0].header
+        columns = dict(pinned_segments()[0].columns)
+        with pytest.raises(TypeError):
+            ColumnarSegment(header, np.zeros(1, PACKED_DTYPE), columns=columns)
+        with pytest.raises(ValueError, match="'x'"):
+            ColumnarSegment(header, columns={**columns, "x": columns["x"][1:]})
+        with pytest.raises(ValueError, match="'e_tot'"):
+            ColumnarSegment(header, columns={**columns, "e_tot": columns["x"]})
+        with pytest.raises(ValueError, match="PACKED_DTYPE"):
+            ColumnarSegment(header, packed=np.zeros(3, dtype=RESULT_DTYPE))
+        segment = pinned_segments()[0]
+        with pytest.raises(TypeError):  # nor can one be swapped in later
+            segment.columns["e_tot"] = columns["e_tot"][1:]
+        assert len(segment.columns["e_tot"]) == len(segment)
 
 
 class TestWriter:
@@ -165,10 +240,12 @@ class TestWriter:
 class TestStreamingReduce:
     def _store(self, tmp_path):
         segments = chunked_store(4)
-        nan = segments[1]
-        nan.packed["e_tot"][0] = np.iinfo(np.int64).min  # the NaN code
+        segments[1].columns["e_tot"][0] = np.iinfo(np.int64).min  # the NaN code
         short = segments[4]
-        short.packed = short.packed[:-1]
+        segments[4] = ColumnarSegment(
+            short.header, source=short.source,
+            columns={name: col[:-1] for name, col in short.columns.items()},
+        )
         segments.append(pinned_segments()[1])  # an empty segment
         path = tmp_path / "chunks.rcs"
         write_store(path, segments)
@@ -193,6 +270,12 @@ class TestStreamingReduce:
             assert n_path == n_store
             assert m_path.tobytes() == m_store.tobytes()
             assert np.isnan(m_path).sum() == 1
+
+    def test_merged_bytes_match_the_pinned_merge(self, tmp_path):
+        store = ResultStore(path=tmp_path / "chunks.rcs", segments=merge_input())
+        out = tmp_path / "merged.rcs"
+        assert merge_couple_store(store, out) == 239
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == MERGED_DIGEST
 
     def test_failed_merge_keeps_the_old_output(self, tmp_path):
         segments = chunked_store(3)
