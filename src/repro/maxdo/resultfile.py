@@ -184,18 +184,23 @@ def _records_from_columns(raw: np.ndarray) -> np.ndarray:
 def read_results(path: Path | str) -> ResultTable:
     """Parse a result file written by :func:`write_results`.
 
-    ``#`` lines are the header; every other non-blank line is a data row,
-    and the whole block is one ``np.loadtxt`` call (numpy's C tokenizer,
-    correctly rounded like ``float()``, so ``-0.000`` keeps its sign and
-    ``nan`` / ``inf`` parse as themselves).  Bit-identical to the
-    per-token oracle in ``tests/oracles/resultfile.py``.
+    ``#`` lines are the header, other non-blank lines data rows: in
+    ``LINE_FORMAT``'s exact layout, read as the store's codes and then
+    ``code / scale`` (:func:`repro.store.convert._decode_fixed`), else by
+    one float ``np.loadtxt`` over the lines split at ``\\n``; either way
+    bit-identical to the per-token oracle in ``tests/oracles/resultfile.py``.
 
     Raises ``ValueError`` on malformed headers or data lines (not 12
     columns, a ragged block, a token that is not a number, ``#`` inside a
     data line included); the validator (:mod:`repro.validation.checks`)
     relies on these errors to reject corrupted volunteer uploads.
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    from ..store.convert import _decode_fixed  # the store imports this module
+
+    data = Path(path).read_bytes()
+    if (segment := _decode_fixed(data)) is not None:
+        return segment.table()
+    lines = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = _parse_header([ln for ln in lines if ln[:1] == "#"])
     data_lines = [ln for ln in lines if ln and ln[0] != "#" and not ln.isspace()]
     if not data_lines:

@@ -19,11 +19,20 @@ directory exactly — names, headers, bytes.
 
 from __future__ import annotations
 
+import io
+import re
 from pathlib import Path
 from typing import Iterable
 
-from ..maxdo.resultfile import read_results, render_lines, write_results
-from .format import ColumnarSegment, iter_segments, write_store
+import numpy as np
+
+from ..maxdo.resultfile import (
+    BYTES_PER_LINE, LINE_FORMAT, _parse_header, read_results, render_lines, write_results,
+)
+from .format import (
+    _BOUNDS, _COLUMN_DTYPES, _SENTINEL_NAN, _SENTINEL_NINF, _SENTINEL_NZERO,
+    _SENTINEL_PINF, ColumnarSegment, iter_segments, write_store,
+)
 
 __all__ = [
     "segment_from_text",
@@ -33,16 +42,73 @@ __all__ = [
     "store_to_text",
 ]
 
+# Field k of a ``LINE_FORMAT`` line ends at the space (or newline) at column
+# _END[k]; a decimal field has its dot at _DOT[k].
+_FORMATS = LINE_FORMAT.split()
+_END = np.cumsum([len(f % 0) + 1 for f in _FORMATS]) - 1
+_IS_DEC = np.array([f.endswith("f") for f in _FORMATS])
+_DEC = np.flatnonzero(_IS_DEC)
+_DOT = _END - [len((f % 0).partition(".")[2]) + 1 for f in _FORMATS]
+#: separators, dots, then digits by high nibble: last in a field, left of a dot
+_CHECKED = np.concatenate([_END, _DOT[_DEC], _END - 1, _DOT[_DEC] - 1])
+_MASK = np.repeat(np.uint8([0xFF, 0xF0]), len(_CHECKED) // 2)
+_LAYOUT = np.frombuffer(b" " * 11 + b"\n" + b"." * 9 + b"0" * 21, np.uint8)
+#: a decimal field spelling ``nan`` / ``inf`` / ``-inf`` -> its sentinel
+_SPELLED = {(f % v).encode(): code for f in _FORMATS if f.endswith("f") for v, code in (
+    (np.nan, _SENTINEL_NAN), (np.inf, _SENTINEL_PINF), (-np.inf, _SENTINEL_NINF))}
+#: keeps digits, space, ``-`` and newline; any other byte (``:`` too) fails the parse
+_SCRUB = bytes(c if chr(c) in "0123456789 -\n" else ord("x") for c in range(256))
+
+
+def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | None:
+    """The segment of a file whose data block is in ``LINE_FORMAT``'s exact
+    layout, by one integer ``np.loadtxt`` with the dots dropped (the text's
+    decimals are the store's scales); ``None`` for any other layout."""
+    start = re.match(rb"(?:#[^\n\r]*\n)*", data).end()  # the header lines
+    n, tail = divmod(len(data) - start, BYTES_PER_LINE)
+    lines = np.frombuffer(data, np.uint8, n * BYTES_PER_LINE, start).reshape(n, BYTES_PER_LINE)
+    special = []  # (row, field, sentinel); a spelled special reads as a zero
+    if data.find(b"n", start) >= 0 or data.find(b"f", start) >= 0:
+        lines = lines.copy()
+        for r, k in zip(*np.nonzero(lines[:, _END[_DEC] - 1] > ord("9"))):
+            k, zero = _DEC[k], np.frombuffer((_FORMATS[_DEC[k]] % 0).encode(), np.uint8)
+            special.append((r, k, _SPELLED.get(lines[r, _END[k] - len(zero):_END[k]].tobytes())))
+            lines[r, _END[k] - len(zero):_END[k]] = zero
+    off = (lines[:, _CHECKED] & _MASK) != _LAYOUT
+    if tail or not n or off.any() or any(code is None for *_, code in special):
+        return None
+    digits = lines.tobytes().translate(_SCRUB, b".")
+    try:
+        codes = np.loadtxt(io.BytesIO(digits), np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if codes.shape != (n, len(_FORMATS)) or len(digits) != lines.size - len(_DEC) * n:
+        return None  # a token split in two, or a dot outside its column
+    rows, fields = np.divmod(np.flatnonzero(codes == 0), len(_FORMATS))
+    rows, fields = rows[_IS_DEC[fields]], fields[_IS_DEC[fields]]
+    sign = lines[rows, _DOT[fields] - 2]
+    if not ((sign == ord(" ")) | (sign == ord("-"))).all():  # "00.000" is not canonical
+        return None
+    special += [(r, k, _SENTINEL_NZERO) for r, k, c in zip(rows, fields, sign) if c == ord("-")]
+    for r, k, code in special:  # the sentinels count up from each column's lowest code
+        codes[r, k] = list(_BOUNDS.values())[k][0] + code
+    columns = {name: codes[:, k].astype(d) for k, (name, d) in enumerate(_COLUMN_DTYPES.items())}
+    header = _parse_header(data[:start].decode("ascii").split("\n"))
+    return ColumnarSegment(header, source=source, columns=columns)
+
 
 def segment_from_text(path: Path | str) -> ColumnarSegment:
-    """Parse one text result file into a packed segment.
-
-    Keeps the file name as the segment ``source`` so a later
-    :func:`store_to_text` can reproduce the directory layout.
-    """
+    """Parse one text result file into a packed segment (straight to the
+    codes in the canonical layout), its file name the ``source`` that
+    :func:`store_to_text` reuses; a ``ValueError`` names the file."""
     path = Path(path)
-    table = read_results(path)
-    return ColumnarSegment.from_records(table.header, table.records, path.name)
+    try:
+        if (segment := _decode_fixed(path.read_bytes(), path.name)) is None:
+            table = read_results(path)
+            return ColumnarSegment.from_records(table.header, table.records, path.name)
+        return segment
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
 
 
 def segment_to_text(segment: ColumnarSegment, out_path: Path | str) -> int:

@@ -35,10 +35,9 @@ from repro.faults import (
     ResultQuality,
     SabotageFaults,
     ServerUnavailable,
-    corrupt_energies,
-    truncate_table,
 )
 from repro.grid.des import Simulator
+from repro.maxdo.resultfile import ResultTable
 from repro.obs import Tracer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -468,6 +467,36 @@ class TestSabotageUnit:
 
 
 # -- result-file corruption vs validation.checks -----------------------------
+
+
+def corrupt_energies(
+    table: ResultTable, rng: np.random.Generator, n_lines: int = 1
+) -> ResultTable:
+    """Corrupt ``n_lines`` energy entries of a result table in place.
+
+    Models a cheating client or a torn upload: the total energy of the
+    chosen lines is replaced by a garbage magnitude that
+    :class:`repro.validation.checks.ValueRanges` must flag (both via the
+    absolute-energy bound and the ``e_tot = e_lj + e_elec`` consistency
+    rule).  Returns the table for chaining.
+    """
+    rec = table.records
+    if len(rec) == 0:
+        return table
+    idx = rng.integers(0, len(rec), size=min(n_lines, len(rec)))
+    rec["e_tot"][idx] = 1e9
+    return table
+
+
+def truncate_table(table: ResultTable, keep_fraction: float = 0.5) -> ResultTable:
+    """A copy of ``table`` with only the first ``keep_fraction`` of lines.
+
+    Models a truncated upload; the line-count check
+    (:func:`repro.validation.checks.check_result_file`) must flag the
+    mismatch against ``expected_line_count``.
+    """
+    n = max(1, int(len(table.records) * keep_fraction))
+    return ResultTable(header=table.header, records=table.records[:n].copy())
 
 
 class TestResultFileCorruption:

@@ -193,6 +193,14 @@ class TestPerTokenOracleEquivalence:
             + _line(e_lj=float("-inf"), e_elec=-1e-5) + "\n",
             id="negative-zero-nan-inf",
         ),
+        # whitespace that ``str.splitlines`` would break a line at
+        *(
+            pytest.param(
+                f"{_line(irot=1)}\n{_line(irot=2)[:37]}{ws}{_line(irot=2)[38:]}\n",
+                id=f"{ws!r}-inside-a-data-line",
+            )
+            for ws in ("\f", "\v", "\x1c", "\x1d", "\x1e")
+        ),
     ])
     def test_both_accept_identically(self, tmp_path, body):
         path = self._write(tmp_path, body)
