@@ -6,10 +6,12 @@ the program is stopped during the computation of one starting position, the
 MAXDo program has to be relaunched from this position." (Section 4.3)
 
 A checkpoint records the workunit identity and how many starting positions
-have been fully committed to the partial result file.  Loading a checkpoint
-verifies that the partial file is consistent (the right number of data
-lines); a file truncated mid-position is rolled back to the last committed
-position boundary — exactly the semantics above.
+have been fully committed to the partial result file, a packed store with
+one segment per committed position.  On resume the partial store is rolled
+back to the checkpoint's row count
+(:func:`repro.store.format.rollback_partial_store`): rows of a position
+interrupted mid-way, a torn trailing segment included, are dropped and the
+position is recomputed — exactly the semantics above.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = ["Checkpoint", "rollback_partial_results"]
+__all__ = ["Checkpoint"]
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,8 @@ class Checkpoint:
 
     @property
     def lines_committed(self) -> int:
-        """Data lines the partial result file must contain (one line per
-        position and orientation couple — the best-of-gamma optimum)."""
+        """Rows the partial result file must contain (one per position and
+        orientation couple — the best-of-gamma optimum)."""
         return self.positions_done * self.n_couples
 
     @property
@@ -77,25 +79,3 @@ class Checkpoint:
             n_gamma=self.n_gamma,
             positions_done=done,
         )
-
-
-def rollback_partial_results(partial_path: Path | str, checkpoint: Checkpoint) -> int:
-    """Truncate a partial result file to the checkpoint's position boundary.
-
-    Volunteers can kill the agent mid-position; any data lines beyond the
-    last committed boundary are discarded.  Returns the number of data lines
-    dropped.  Header lines (``#``) are preserved.
-    """
-    partial_path = Path(partial_path)
-    lines = partial_path.read_text(encoding="ascii").splitlines(keepends=True)
-    header = [ln for ln in lines if ln.startswith("#")]
-    data = [ln for ln in lines if not ln.startswith("#") and ln.strip()]
-    keep = checkpoint.lines_committed
-    if len(data) < keep:
-        raise ValueError(
-            f"partial file has {len(data)} lines, checkpoint claims {keep}"
-        )
-    dropped = len(data) - keep
-    if dropped:
-        partial_path.write_text("".join(header + data[:keep]), encoding="ascii")
-    return dropped

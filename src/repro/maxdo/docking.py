@@ -3,7 +3,7 @@
 ``dock_couple`` computes the interaction-energy map of one (receptor,
 ligand) couple over a slice of starting positions — the computational
 content of one workunit.  ``MaxDoRun`` wraps it with the volunteer-facing
-machinery: incremental result files, checkpoint-restart between starting
+machinery: an incremental partial store, checkpoint-restart between starting
 positions, and interruption (the agent can stop the run at any position
 boundary, or kill it mid-position and lose the uncommitted tail).
 
@@ -18,7 +18,7 @@ docs/observability.md.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,12 @@ import numpy as np
 from ..obs import global_tracer, set_global_tracer
 from ..proteins.model import ReducedProtein
 from ..proteins.surface import starting_positions
-from .checkpoint import Checkpoint, rollback_partial_results
+from ..store.convert import segment_to_text
+from ..store.format import (
+    PACKED_DTYPE, ColumnarSegment, StoreWriter, iter_segments, rollback_partial_store,
+    write_store,
+)
+from .checkpoint import Checkpoint
 from .energy import EnergyParams, batch_interaction_energy
 from .minimize import minimize_rigid_batch, scipy_lbfgsb
 from .orientations import (
@@ -36,14 +41,7 @@ from .orientations import (
     orientation_couples,
 )
 from .pairtable import pair_table
-from .resultfile import (
-    RESULT_DTYPE,
-    ResultHeader,
-    append_records,
-    read_results,
-    render_lines,
-    write_results,
-)
+from .resultfile import RESULT_DTYPE, ResultHeader, render_lines
 
 __all__ = ["DockingResult", "dock_position", "dock_couple", "MaxDoRun"]
 
@@ -317,17 +315,21 @@ def dock_couple(
     return result
 
 
-#: MaxDoRun result formats: line-oriented text (the paper's files) or the
-#: packed columnar store of :mod:`repro.store`
-_RESULT_FORMATS = ("text", "columnar")
+#: per MaxDoRun result format: the final file's suffix and its writer
+_FINAL_OUTPUT = {
+    "text": (".result", segment_to_text),
+    "columnar": (".result.rcs", lambda segment, path: write_store(path, [segment])),
+}
 
 
 class MaxDoRun:
     """A checkpointed MAXDo workunit execution.
 
-    Mirrors the agent-visible behaviour: results stream to a partial file,
-    a checkpoint is committed after every starting position, and the run
-    can be stopped (`max_positions`) and later resumed from disk.
+    Mirrors the agent-visible behaviour: results stream to a partial store
+    (``<stem>.partial.rcs``, one segment per starting position), a
+    checkpoint is committed after every position, and the run can be
+    stopped (`max_positions`) and later resumed from disk, where a killed
+    run's uncommitted tail is first rolled back.
 
     Parameters
     ----------
@@ -336,12 +338,10 @@ class MaxDoRun:
     minimize:
         Full minimization (True) or starting-pose evaluation only.
     result_format:
-        ``"text"`` (default) streams the paper's line-oriented partial
-        file; ``"columnar"`` streams a packed store
-        (:mod:`repro.store`) instead — one appended segment per committed
-        starting position, rollback at segment boundaries, and a final
-        compaction into a one-segment ``.result.rcs``.  Converting the
-        columnar output to text reproduces the text run byte for byte.
+        What :meth:`finalize` writes: ``"text"`` (default) the paper's
+        line-oriented ``.result`` file, ``"columnar"`` a one-segment
+        ``.result.rcs`` store.  Converting the columnar output to text
+        reproduces the text output byte for byte.
     tracer:
         Structured event tracer for the ``docking.*`` channel; defaults
         to the process-global tracer (``repro.obs.tracing``) at run time.
@@ -362,9 +362,9 @@ class MaxDoRun:
         result_format: str = "text",
         tracer=None,
     ) -> None:
-        if result_format not in _RESULT_FORMATS:
+        if result_format not in _FINAL_OUTPUT:
             raise ValueError(
-                f"result_format must be one of {_RESULT_FORMATS}, "
+                f"result_format must be one of {tuple(_FINAL_OUTPUT)}, "
                 f"got {result_format!r}"
             )
         self.receptor = receptor
@@ -389,47 +389,26 @@ class MaxDoRun:
             n_gamma=n_gamma,
         )
 
-    @property
-    def columnar(self) -> bool:
-        return self.result_format == "columnar"
-
-    @property
-    def partial_path(self) -> Path:
+    def _path(self, suffix: str) -> Path:
         stem = f"{self.receptor.name}_{self.ligand.name}_{self.isep_start}"
-        suffix = ".partial.rcs" if self.columnar else ".partial"
         return self.workdir / f"{stem}{suffix}"
 
     @property
+    def partial_path(self) -> Path:
+        return self._path(".partial.rcs")
+
+    @property
     def checkpoint_path(self) -> Path:
-        stem = f"{self.receptor.name}_{self.ligand.name}_{self.isep_start}"
-        return self.workdir / f"{stem}.ckpt"
+        return self._path(".ckpt")
 
     def _load_state(self) -> Checkpoint:
         if self.checkpoint_path.exists():
             ckpt = Checkpoint.load(self.checkpoint_path)
             # A kill mid-position leaves uncommitted rows: roll them back.
-            if self.columnar:
-                from ..store.format import rollback_partial_store
-
-                rollback_partial_store(self.partial_path, ckpt.lines_committed)
-            else:
-                rollback_partial_results(self.partial_path, ckpt)
+            rollback_partial_store(self.partial_path, ckpt.lines_committed)
             return ckpt
-        ckpt = Checkpoint(
-            receptor=self.receptor.name,
-            ligand=self.ligand.name,
-            isep_start=self.isep_start,
-            nsep=self.nsep,
-            n_couples=self.n_couples,
-            n_gamma=self.n_gamma,
-            positions_done=0,
-        )
-        if self.columnar:
-            from ..store.format import write_store
-
-            write_store(self.partial_path, [])
-        else:
-            write_results(self.partial_path, self._header, [])
+        ckpt = Checkpoint(**asdict(self._header), positions_done=0)
+        write_store(self.partial_path, [])
         ckpt.save(self.checkpoint_path)
         return ckpt
 
@@ -456,8 +435,7 @@ class MaxDoRun:
                 minimize=self.minimize, n_workers=1,
             )
         done_now = 0
-        sink = self._open_sink()
-        try:
+        with StoreWriter(self.partial_path) as sink:
             while not ckpt.complete:
                 if max_positions is not None and done_now >= max_positions:
                     break
@@ -484,70 +462,39 @@ class MaxDoRun:
                         nsep=self.nsep, receptor=self.receptor.name,
                         ligand=self.ligand.name,
                     )
-        finally:
-            sink.close()
         return ckpt
-
-    def _open_sink(self):
-        if self.columnar:
-            from ..store.format import StoreWriter
-
-            return StoreWriter(self.partial_path)
-        return self.partial_path.open("a", encoding="ascii")
 
     def _commit_position(self, sink, isep, lj, el, fpos, feul) -> None:
         # one committed position: a [1, couple, gamma] energy map
         records = _best_of_gamma_records(
             isep, lj[None], el[None], fpos[None], feul[None]
         )
-        if self.columnar:
-            from ..store.format import ColumnarSegment
-
-            header = ResultHeader(
-                receptor=self.receptor.name,
-                ligand=self.ligand.name,
-                isep_start=isep,
-                nsep=1,
-                n_couples=self.n_couples,
-                n_gamma=self.n_gamma,
-            )
-            sink.append(ColumnarSegment.from_records(header, records))
-        else:
-            append_records(sink, render_lines(records))
+        header = replace(self._header, isep_start=isep, nsep=1)
+        sink.append(ColumnarSegment.from_records(header, records))
         sink.flush()
 
     def finalize(self) -> Path:
-        """Promote a complete partial file to its final result file.
+        """Write the final result file from a complete partial store.
 
-        In columnar mode the per-position chunk segments are additionally
-        compacted into a single segment carrying the workunit header —
-        the exact columnar twin of the text result file.
+        The per-position segments are joined into one under the workunit
+        header and written in ``result_format``; the partial store and
+        the checkpoint are then removed.
         """
         ckpt = Checkpoint.load(self.checkpoint_path)
         if not ckpt.complete:
             raise RuntimeError(
                 f"workunit incomplete: {ckpt.positions_done}/{ckpt.nsep} positions"
             )
-        if self.columnar:
-            from ..store.format import write_store
-
-            final = self.partial_path.with_name(
-                self.partial_path.name.replace(".partial.rcs", ".result.rcs")
-            )
-            write_store(final, [self._partial_segment()])
-            self.partial_path.unlink()
-            self.checkpoint_path.unlink()
-            return final
-        final = self.partial_path.with_suffix(".result")
-        self.partial_path.replace(final)
+        suffix, write = _FINAL_OUTPUT[self.result_format]
+        final = self._path(suffix)
+        write(self._partial_segment(), final)
+        self.partial_path.unlink()
         self.checkpoint_path.unlink()
         return final
 
-    def _partial_segment(self):
+    def _partial_segment(self) -> ColumnarSegment:
         """The partial store's position segments joined, column by column,
         under the workunit header."""
-        from ..store.format import PACKED_DTYPE, ColumnarSegment, iter_segments
-
         chunks = list(iter_segments(self.partial_path))
         return ColumnarSegment(self._header, columns={
             name: np.concatenate(
@@ -557,7 +504,5 @@ class MaxDoRun:
         })
 
     def result_table(self):
-        """Parse whatever the partial file currently holds."""
-        if self.columnar:
-            return self._partial_segment().table()
-        return read_results(self.partial_path)
+        """Decode whatever the partial store currently holds."""
+        return self._partial_segment().table()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "LINE_FORMAT",
     "render_lines",
     "write_results",
-    "append_records",
     "read_results",
     "expected_line_count",
     "BYTES_PER_LINE",
@@ -142,15 +141,6 @@ def write_results(
         for line in lines:
             fh.write(line + "\n")
             count += 1
-    return count
-
-
-def append_records(fh: TextIO, lines: Iterable[str]) -> int:
-    """Append data lines to an open result file; returns lines written."""
-    count = 0
-    for line in lines:
-        fh.write(line + "\n")
-        count += 1
     return count
 
 

@@ -149,6 +149,22 @@ _COLUMN_DTYPES = {n: PACKED_DTYPE[n].newbyteorder("<") for n in PACKED_DTYPE.nam
 _BOUNDS = {n: (np.iinfo(d).min, np.iinfo(d).max) for n, d in _COLUMN_DTYPES.items()}
 
 
+def _round_scaled(values: np.ndarray, scale: int) -> np.ndarray:
+    """``values * scale`` rounded half to even as the exact decimal value,
+    as ``%.Nf`` prints it.  The binary product is within ``|product| *
+    2**-53`` of the exact one, so it rounds the same way unless it lies
+    that close to a half; those few round from the exact product."""
+    from fractions import Fraction  # 4 ms to import: kept off start-up
+
+    product = values * scale
+    scaled = np.round(product)
+    slack = np.abs(product - scaled)  # 0.5 minus the distance to a half
+    slack += np.abs(product) * 2.0**-52
+    for i in np.flatnonzero(slack >= 0.5):
+        scaled[i] = np.copysign(round(Fraction(values[i]) * scale), values[i])
+    return scaled
+
+
 def _pack_columns(records: np.ndarray) -> dict[str, np.ndarray]:
     """Encode a float64 record array as the twelve packed columns."""
     records = np.asarray(records)
@@ -163,7 +179,7 @@ def _pack_columns(records: np.ndarray) -> dict[str, np.ndarray]:
         col = np.asarray(records[name], dtype=np.float64)
         out = np.empty(len(col), dtype=np.int64)
         finite = np.isfinite(col)
-        scaled = np.round(col[finite] * scale)
+        scaled = _round_scaled(col[finite], scale)
         lo, hi = _BOUNDS[name]
         floor = lo + _N_SENTINELS  # sentinel codes live below the floor
         if len(scaled) and (scaled.min() < floor or scaled.max() > hi):
@@ -190,8 +206,10 @@ def pack_records(records: np.ndarray) -> np.ndarray:
     """Encode a float64 record array (:data:`RESULT_DTYPE`) as packed rows.
 
     Exact for every text-representable value; values that came from
-    anywhere else are quantized to the text format's precision (the same
-    rounding ``render_lines`` would apply).  Raises ``ValueError`` when a
+    anywhere else are quantized to the text format's precision with the
+    rounding ``render_lines`` applies, ties and near-ties included, so
+    ``render_lines(unpack_records(pack_records(r))) == render_lines(r)``
+    wherever the codes stay below 2**53.  Raises ``ValueError`` when a
     finite value does not fit the packed column's range — such a value
     could not appear on a well-formed text line either.
     """
@@ -537,11 +555,10 @@ def read_store(path: Path | str) -> ResultStore:
 def rollback_partial_store(path: Path | str, rows_committed: int) -> int:
     """Truncate a partial store to the last checkpointed row boundary.
 
-    The columnar twin of
-    :func:`repro.maxdo.checkpoint.rollback_partial_results`: the producer
-    appends one segment per committed starting position, so a kill can
-    only leave whole uncommitted segments (or one torn trailing segment)
-    past the boundary.  Keeps the longest clean segment prefix holding
+    The producer (:class:`repro.maxdo.docking.MaxDoRun`) appends one
+    segment per committed starting position, so a kill can only leave
+    whole uncommitted segments (or one torn trailing segment) past the
+    boundary.  Keeps the longest clean segment prefix holding
     exactly ``rows_committed`` rows and truncates there; returns the
     number of rows dropped.
     """

@@ -22,7 +22,6 @@ import numpy as np
 
 from .. import constants
 from ..maxdo.resultfile import (
-    BYTES_PER_LINE,
     ResultHeader,
     read_results,
     render_lines,
@@ -169,11 +168,11 @@ def dataset_volume(library: ProteinLibrary) -> DatasetVolume:
     """Volume of the full phase-style dataset for ``library``.
 
     One merged file per ordered couple; one line per
-    (starting position, orientation couple) optimum.  ``columnar_bytes``
-    prices the same rows in the packed store (56 bytes/row + per-segment
-    framing) — the store's lazy import keeps this module import-light.
+    (starting position, orientation couple) optimum, priced in both
+    formats by :func:`repro.store.format.result_bytes` — the store's lazy
+    import keeps this module import-light.
     """
-    from ..store.format import ROW_BYTES, SEGMENT_OVERHEAD_BYTES
+    from ..store.format import result_bytes
 
     n = len(library)
     lines = int(library.nsep.sum()) * n * constants.N_ROT_COUPLES
@@ -181,6 +180,6 @@ def dataset_volume(library: ProteinLibrary) -> DatasetVolume:
     return DatasetVolume(
         n_files=n_files,
         total_lines=lines,
-        raw_bytes=lines * BYTES_PER_LINE,
-        columnar_bytes=lines * ROW_BYTES + n_files * SEGMENT_OVERHEAD_BYTES,
+        raw_bytes=result_bytes(lines, n_files),
+        columnar_bytes=result_bytes(lines, n_files, "columnar"),
     )

@@ -109,7 +109,6 @@ class TestRunFromBundle:
         import numpy as np
 
         from repro.maxdo.docking import MaxDoRun
-        from repro.maxdo.resultfile import read_results
 
         bundle_dir = pack_workunit(
             tmp_path / "in", _wu(), tiny_receptor, tiny_ligand,
@@ -123,8 +122,8 @@ class TestRunFromBundle:
             workdir=tmp_path / "b", n_couples=3, n_gamma=2, minimize=False,
         )
         direct.run()
-        a = read_results(via_bundle.partial_path).records
-        b = read_results(direct.partial_path).records
+        a = via_bundle.result_table().records
+        b = direct.result_table().records
         # The fixed-width protein format rounds coordinates to 1e-5 A, so
         # energies agree to formatting precision rather than bit-exactly.
         np.testing.assert_allclose(a["e_tot"], b["e_tot"], rtol=2e-3, atol=2e-3)

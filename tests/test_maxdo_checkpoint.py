@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.maxdo.checkpoint import Checkpoint, rollback_partial_results
-from repro.maxdo.resultfile import ResultHeader, write_results
-from tests.oracles.resultfile import format_record
-import numpy as np
+from repro.maxdo.checkpoint import Checkpoint
+from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader
+from repro.store.format import (
+    STORE_MAGIC,
+    ColumnarSegment,
+    StoreWriter,
+    read_store,
+    rollback_partial_store,
+)
 
 
 def _ckpt(positions_done=0, nsep=5, n_couples=3):
@@ -17,17 +23,16 @@ def _ckpt(positions_done=0, nsep=5, n_couples=3):
     )
 
 
-def _partial(tmp_path, n_lines, n_couples=3):
-    header = ResultHeader("A", "B", 1, 5, n_couples, 10)
-    lines = [
-        format_record(
-            i // n_couples + 1, i % n_couples + 1, 1,
-            np.zeros(3), np.zeros(3), -1.0, 0.5,
-        )
-        for i in range(n_lines)
-    ]
-    path = tmp_path / "x.partial"
-    write_results(path, header, lines)
+def _partial(tmp_path, n_positions, n_couples=3):
+    """A partial store as MaxDoRun streams it: one segment per position."""
+    path = tmp_path / "x.partial.rcs"
+    with StoreWriter(path) as writer:
+        for isep in range(1, n_positions + 1):
+            rec = np.zeros(n_couples, dtype=RESULT_DTYPE)
+            rec["isep"], rec["irot"], rec["igamma"] = isep, np.arange(1, n_couples + 1), 1
+            rec["e_lj"], rec["e_elec"], rec["e_tot"] = -1.0, 0.5, -0.5
+            header = ResultHeader("A", "B", isep, 1, n_couples, 10)
+            writer.append(ColumnarSegment.from_records(header, rec))
     return path
 
 
@@ -71,26 +76,31 @@ class TestCheckpoint:
 
 class TestRollback:
     def test_rollback_drops_uncommitted_tail(self, tmp_path):
-        # 2 positions committed (6 lines), 2 extra lines from a mid-position
-        # kill: the paper says those must be recomputed.
-        path = _partial(tmp_path, n_lines=8)
-        dropped = rollback_partial_results(path, _ckpt(positions_done=2))
-        assert dropped == 2
-        data_lines = [
-            ln for ln in path.read_text().splitlines() if not ln.startswith("#")
-        ]
-        assert len(data_lines) == 6
+        # 2 positions committed (6 rows), a third position appended but
+        # killed before its checkpoint: the paper says it is recomputed.
+        path = _partial(tmp_path, n_positions=3)
+        with path.open("ab") as fh:
+            fh.write(b"SEG1\x00\x01torn")  # and a kill mid-append
+        dropped = rollback_partial_store(path, _ckpt(positions_done=2).lines_committed)
+        assert dropped == 3
+        assert read_store(path).n_rows == 6
 
     def test_rollback_noop_when_consistent(self, tmp_path):
-        path = _partial(tmp_path, n_lines=6)
-        assert rollback_partial_results(path, _ckpt(positions_done=2)) == 0
+        path = _partial(tmp_path, n_positions=2)
+        size = path.stat().st_size
+        assert rollback_partial_store(path, _ckpt(positions_done=2).lines_committed) == 0
+        assert path.stat().st_size == size
 
     def test_rollback_preserves_header(self, tmp_path):
-        path = _partial(tmp_path, n_lines=8)
-        rollback_partial_results(path, _ckpt(positions_done=2))
-        assert any(ln.startswith("# receptor A") for ln in path.read_text().splitlines())
+        path = _partial(tmp_path, n_positions=3)
+        rollback_partial_store(path, _ckpt(positions_done=2).lines_committed)
+        assert path.read_bytes()[: len(STORE_MAGIC)] == STORE_MAGIC
+        headers = [s.header for s in read_store(path).segments]
+        assert [(h.receptor, h.ligand, h.isep_start) for h in headers] == [
+            ("A", "B", 1), ("A", "B", 2)
+        ]
 
     def test_rollback_rejects_missing_lines(self, tmp_path):
-        path = _partial(tmp_path, n_lines=3)
-        with pytest.raises(ValueError):
-            rollback_partial_results(path, _ckpt(positions_done=2))
+        path = _partial(tmp_path, n_positions=1)
+        with pytest.raises(ValueError, match="checkpoint claims 6"):
+            rollback_partial_store(path, _ckpt(positions_done=2).lines_committed)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.maxdo.docking import MaxDoRun, dock_couple, ligand_start_positions
-from repro.maxdo.resultfile import expected_line_count, read_results
+from repro.maxdo.resultfile import expected_line_count
+from repro.proteins.library import ProteinLibrary
 
 
 def _dock(receptor, ligand, **kw):
@@ -114,8 +117,8 @@ class TestMaxDoRun:
         interrupted.run(max_positions=1)
         resumed = self._run(d2, tiny_receptor, tiny_ligand)
         resumed.run()
-        a = read_results(straight.partial_path).records
-        b = read_results(resumed.partial_path).records
+        a = straight.result_table().records
+        b = resumed.result_table().records
         np.testing.assert_array_equal(a, b)
 
     def test_finalize(self, tmp_path, tiny_receptor, tiny_ligand):
@@ -135,10 +138,40 @@ class TestMaxDoRun:
     def test_mid_position_kill_rolls_back(self, tmp_path, tiny_receptor, tiny_ligand):
         run = self._run(tmp_path, tiny_receptor, tiny_ligand)
         run.run(max_positions=1)
-        # Simulate a kill mid-position: stray uncommitted lines appear.
-        with run.partial_path.open("a") as fh:
-            fh.write("1 1 1 0 0 0 0 0 0 0 0 0\n")
+        # Simulate a kill mid-position: a torn uncommitted segment appears.
+        with run.partial_path.open("ab") as fh:
+            fh.write(b"SEG1\x00\x01torn")
         resumed = self._run(tmp_path, tiny_receptor, tiny_ligand)
         ck = resumed.run()
         assert ck.complete
-        assert len(read_results(resumed.partial_path)) == expected_line_count(3, 3)
+        assert len(resumed.result_table()) == expected_line_count(3, 3)
+
+
+#: sha256 of ``finalize()``'s output for a minimized workunit that was
+#: interrupted after one of its three starting positions and resumed.
+#: Recorded while text mode still streamed a text partial file, so they
+#: also pin that the partial format never changes the final bytes.
+FINALIZE_SHA256 = {
+    ((2, 3), "text"): "487f1293e88efec97b351da199222092267d64324e997623e80952b498661fb5",
+    ((2, 3), "columnar"): "1823fee1da58e0dc399b1a2725de6be344e837a439a9eb4788331245b631725c",
+    ((3, 2), "text"): "960a230af1b57ba2f22d309877478c9aec0c117731267db540ada6ef5e35ae78",
+    ((3, 2), "columnar"): "142a6c1fb9bf2769200abcdd98250303a99228674f1d516e17be80b79dd7d7ee",
+}
+
+
+@pytest.mark.parametrize(
+    "couple, result_format", sorted(FINALIZE_SHA256),
+    ids=[f"{i}-{j}-{fmt}" for (i, j), fmt in sorted(FINALIZE_SHA256)],
+)
+def test_resumed_finalize_bytes_pinned(tmp_path, couple, result_format):
+    library = ProteinLibrary.synthetic(4, sum_nsep=40, seed=3)
+    receptor, ligand = (library.protein(i) for i in couple)
+    kw = dict(
+        isep_start=1, nsep=3, total_nsep=int(library.nsep[couple[0]]),
+        workdir=tmp_path, n_couples=4, n_gamma=3, result_format=result_format,
+    )
+    MaxDoRun(receptor, ligand, **kw).run(max_positions=1)
+    run = MaxDoRun(receptor, ligand, **kw)
+    assert run.run().complete
+    digest = hashlib.sha256(run.finalize().read_bytes()).hexdigest()
+    assert digest == FINALIZE_SHA256[couple, result_format]

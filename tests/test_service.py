@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -254,7 +255,8 @@ class TestOverload:
                 report_results=False, t_step_s=0.0,
             )
             service = handle.service
-            status = SchedulerClient(*handle.address).status()
+            with closing(SchedulerClient(*handle.address)) as client:
+                status = client.status()
         finally:
             handle.stop()
         # every request got an answer: 200 or an explicit 503, never a drop

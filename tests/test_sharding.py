@@ -206,7 +206,8 @@ class TestMergedArtifacts:
 
     def test_tracer_counts_cover_merged_file(self, sharded):
         _, tracer, path = sharded
-        n_lines = sum(1 for _ in open(path))
+        with open(path) as fh:
+            n_lines = sum(1 for _ in fh)
         assert tracer.n_events == n_lines
         assert sum(tracer.counts.values()) == n_lines
 

@@ -10,16 +10,18 @@ trips:
 * columnar -> text -> columnar reproduces the packed columns bit for bit;
 
 and the text parser must return exactly the records the per-token
-oracle does.  Checks 2/3 on a segment's columns must reach the verdicts
-the same rule reaches over the decoded record array, sentinel codes and
-rule boundaries included.
+oracle does.  Packing values that never went through text rounds them
+exactly as the text format prints them, near-ties included.  Checks 2/3
+on a segment's columns must reach the verdicts the same rule reaches
+over the decoded record array, sentinel codes and rule boundaries
+included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.maxdo.resultfile import (
@@ -32,6 +34,7 @@ from repro.store import (
     PACKED_DTYPE,
     ColumnarSegment,
     check_segment,
+    pack_records,
     render_lines,
     segment_from_text,
     segment_to_text,
@@ -163,6 +166,62 @@ class TestRoundTripProperties:
         oracle = read_results_reference(path)
         assert parsed.header == oracle.header == header
         assert parsed.records.tobytes() == oracle.records.tobytes()
+
+
+def _unquantized(scale: int, max_code: int):
+    """Finite floats whose ``scale`` multiples stay within ``±max_code``:
+    any such float, floats within one ulp of a rounding tie, and the
+    negatives the text format prints as ``-0``."""
+    def near_tie(draw_args):
+        code, ulps = draw_args
+        value = (code + 0.5) / scale
+        return value if not ulps else float(np.nextafter(value, ulps * np.inf))
+
+    return st.one_of(
+        st.floats(-max_code / scale, max_code / scale),
+        st.tuples(st.integers(-max_code, max_code - 1), st.integers(-1, 1)).map(near_tie),
+        st.floats(-0.5 / scale, -0.0),
+    )
+
+
+#: per scaled column: its text decimals' scale and the largest code drawn
+#: (int32 columns to their range, energies to the 2**52 that float64
+#: still carries exactly)
+UNQUANTIZED = {
+    **dict.fromkeys(("x", "y", "z"), _unquantized(1_000, 2**31 - 8)),
+    **dict.fromkeys(("alpha", "beta", "gamma"), _unquantized(10_000, 2**31 - 8)),
+    **dict.fromkeys(("e_lj", "e_elec", "e_tot"), _unquantized(10_000, 2**52)),
+}
+
+
+@st.composite
+def unquantized_records(draw):
+    """A few rows of arbitrary in-range floats in every scaled column."""
+    n = draw(st.integers(1, 8))
+    rec = np.ones(n, dtype=RESULT_DTYPE)
+    for name, values in UNQUANTIZED.items():
+        rec[name] = draw(st.lists(values, min_size=n, max_size=n))
+    return rec
+
+
+def _one_value(name: str, value: float) -> np.ndarray:
+    rec = np.ones(1, dtype=RESULT_DTYPE)
+    rec[name] = value
+    return rec
+
+
+class TestPackRounding:
+    # 0.0025 is just above its tie and prints 0.003, but the binary
+    # product 0.0025 * 1000 is 2.5 and rounds half to even to 2; 0.00035
+    # is just below and prints 0.0003, but 0.00035 * 10000 is 3.5 -> 4
+    @settings(max_examples=300, deadline=None)
+    @example(rec=_one_value("x", 0.0025))
+    @example(rec=_one_value("e_lj", 0.00035))
+    @example(rec=_one_value("x", -0.0005))
+    @example(rec=_one_value("y", -0.0004))
+    @given(rec=unquantized_records())
+    def test_packing_rounds_as_the_text_format_prints(self, rec):
+        assert render_lines(unpack_records(pack_records(rec))) == render_lines(rec)
 
 
 def _codes(bits: int, edges: list[int], span: int):
