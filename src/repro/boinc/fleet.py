@@ -17,8 +17,8 @@ come here for
   :func:`resolve_server_config`;
 * **who listens** — :func:`tee_observers` (health monitor and host
   ledger riding the trace stream through :class:`~repro.obs.FoldSink`
-  tees) and :func:`kernel_tracer` (the DES kernel keeps its fast path
-  unless its own channel is traced);
+  tees) and :func:`kernel_tracer` (the DES kernel emits per event only
+  when its own channel is traced);
 * **the run itself** — :func:`run_fleet`.
 
 What varies between engines is only the *front*: the object agents talk
@@ -269,10 +269,11 @@ def tee_observers(
 def kernel_tracer(tracer: Tracer | None) -> Tracer | None:
     """The tracer the DES kernel itself should hold.
 
-    The kernel's vectorized fast path is only disabled by *its own*
-    instrumentation: a tracer whose channel filter excludes ``des`` would
-    drop every kernel event anyway (they are all ``des.*``), so hand the
-    kernel ``None`` and keep the fast path.
+    A tracer whose channel filter excludes ``des`` would drop every
+    kernel event anyway (they are all ``des.*``), yet the kernel would
+    still pay an ``emit`` call per scheduled, fired and discarded event
+    to find that out.  Hand the kernel ``None`` instead, so its dispatch
+    loop pays only its ``is None`` check.
     """
     if (
         tracer is not None

@@ -1,4 +1,4 @@
-"""A minimal deterministic discrete-event simulation kernel — fast path.
+"""A minimal deterministic discrete-event simulation kernel.
 
 Design goals, in order: determinism (same inputs, same trajectory — events
 at equal times fire in scheduling order), speed (the volunteer campaign
@@ -31,6 +31,9 @@ kept as the test oracle ``tests/oracles/des.py``):
   is indistinguishable from a single heap.
 * ``schedule_batch_at`` bulk-loads a time-sorted batch (host arrivals)
   without per-event sift-up; an unsorted batch degrades to one heapify.
+* **One dispatch loop** (``_dispatch``): ``run``, ``step`` and ``peek``
+  are thin calls into it.  It discards tombstones as they reach the
+  head and fires live entries up to a horizon and a count limit.
 
 Determinism contract: a seeded campaign driven by this kernel is
 bit-identical — same ``CampaignResult``, same event trace — to one driven
@@ -40,9 +43,9 @@ enforce this.
 
 Observability: pass ``tracer=`` to record ``des.schedule`` / ``des.fire``
 / ``des.cancel`` events, and ``profiler=`` to attribute wall time to each
-fired callback by qualified name.  Both default to None; the fully
-uninstrumented run() uses a tight drain loop with zero per-event
-instrumentation cost — see docs/observability.md.
+fired callback by qualified name.  Both default to None and ride the same
+loop: an uninstrumented event pays two ``is None`` checks — see
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -62,9 +65,6 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 _object_new = object.__new__
 _INFINITY = float("inf")
-
-#: heap/lane entry layout: (time, seq, callback, args, Event)
-_TIME, _SEQ, _CALLBACK, _ARGS, _HANDLE = range(5)
 
 
 def _callback_name(callback: Callable[..., None]) -> str:
@@ -169,14 +169,11 @@ class Simulator:
         at = self.now + delay
         event = _object_new(Event)
         event.cancelled = False
-        entry = (at, next(self._counter), callback, args, event)
         lane = self._lanes.get(delay)
         if lane is None:
             lane = self._lanes[delay] = deque()
-        if lane and lane[-1][_TIME] > at:  # pragma: no cover - monotone clock
-            _heappush(self._queue, entry)  # defensive: never break fire order
-        else:
-            lane.append(entry)
+        # now never decreases, so a lane's times (now + delay) never do
+        lane.append((at, next(self._counter), callback, args, event))
         if self.tracer is not None:
             self.tracer.emit(
                 "des.schedule", t_sim=self.now, at=at,
@@ -189,109 +186,49 @@ class Simulator:
     ) -> list[Event]:
         """Schedule a batch of ``(time, callback)`` pairs at once.
 
-        Equivalent to ``[self.schedule_at(t, cb) for t, cb in items]``.
-        When the queue is empty and the batch is time-sorted (the host
-        arrival schedule), entries are appended directly — a sorted array
-        is already a valid heap — skipping per-event sift-up; otherwise
-        the queue is re-heapified once at the end.
+        Equivalent to ``[self.schedule_at(t, cb) for t, cb in items]``,
+        except that a batch holding a past time is refused whole: every
+        time is checked before the queue is touched.  When the queue is
+        empty and the batch is time-sorted (the host arrival schedule),
+        entries are appended directly — a sorted array is already a valid
+        heap — skipping per-event sift-up; otherwise the queue is
+        re-heapified once at the end.
         """
         queue = self._queue
-        was_empty = not queue
-        in_order = True
+        in_order = not queue
         prev = -_INFINITY
-        events: list[Event] = []
-        tracer = self.tracer
+        entries: list[tuple] = []
         for at, callback in items:
             if at < self.now:
                 raise ValueError(f"cannot schedule at {at} < now {self.now}")
-            event = _object_new(Event)
-            event.cancelled = False
-            queue.append((at, next(self._counter), callback, (), event))
-            events.append(event)
             if at < prev:
                 in_order = False
             prev = at
-            if tracer is not None:
-                tracer.emit(
+            event = _object_new(Event)
+            event.cancelled = False
+            entries.append((at, next(self._counter), callback, (), event))
+        queue.extend(entries)
+        if not in_order:
+            heapq.heapify(queue)
+        if self.tracer is not None:
+            for at, _, callback, _, _ in entries:
+                self.tracer.emit(
                     "des.schedule", t_sim=self.now, at=at,
                     callback=_callback_name(callback),
                 )
-        if not (was_empty and in_order):
-            heapq.heapify(queue)
-        return events
+        return [event for _, _, _, _, event in entries]
 
-    # -- queue inspection --------------------------------------------------
-
-    def _min_entry(self) -> tuple[tuple | None, deque | None]:
-        """The globally next entry (live or tombstoned) without removing it.
-
-        Returns ``(entry, lane)`` where ``lane`` is None when the entry
-        sits in the heap.  Tombstones participate in the ordering exactly
-        as they would in a single heap, so discard timing matches the
-        reference kernel event for event.
-        """
-        queue = self._queue
-        best = queue[0] if queue else None
-        best_lane = None
-        for lane in self._lanes.values():
-            if lane and (best is None or lane[0] < best):
-                best = lane[0]
-                best_lane = lane
-        return best, best_lane
-
-    def _pop_entry(self, lane: deque | None) -> tuple:
-        return _heappop(self._queue) if lane is None else lane.popleft()
-
-    def _discard(self, entry: tuple) -> None:
-        """Drop a tombstoned entry (trace point for cancellations)."""
-        if self.tracer is not None:
-            self.tracer.emit(
-                "des.cancel", t_sim=self.now, at=entry[_TIME],
-                callback=_callback_name(entry[_CALLBACK]),
-            )
+    # -- dispatch ----------------------------------------------------------
 
     def peek(self) -> float | None:
         """Time of the next live event, or None if the queue is drained."""
-        while True:
-            entry, lane = self._min_entry()
-            if entry is None:
-                return None
-            if entry[_HANDLE].cancelled:
-                self._discard(self._pop_entry(lane))
-                continue
-            return entry[_TIME]
+        return self._dispatch(-_INFINITY, 0)
 
     def step(self) -> bool:
         """Fire the next live event.  Returns False when the queue is empty."""
-        while True:
-            entry, lane = self._min_entry()
-            if entry is None:
-                return False
-            self._pop_entry(lane)
-            at, _, callback, args, event = entry
-            if event.cancelled:
-                self._discard(entry)
-                continue
-            if at < self.now:
-                raise RuntimeError("event queue corrupted: time went backwards")
-            self.now = at
-            self.events_processed += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "des.fire", t_sim=at, callback=_callback_name(callback),
-                )
-            if self.profiler is not None:
-                start = time.perf_counter()
-                callback(*args)
-                self.profiler.record(
-                    f"des.{_callback_name(callback)}",
-                    time.perf_counter() - start,
-                )
-            else:
-                callback(*args)
-            return True
-
-    # -- execution ---------------------------------------------------------
+        fired = self.events_processed
+        self._dispatch(_INFINITY, 1)
+        return self.events_processed > fired
 
     def run(self, until: float | None = None) -> None:
         """Run to quiescence, or up to (and including) time ``until``.
@@ -300,67 +237,74 @@ class Simulator:
         drained earlier, so telemetry spanning the full horizon reads a
         consistent end time.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run to {until} < now {self.now}")
-        if self.tracer is None and self.profiler is None:
-            self._run_fast(until)
-            return
         if until is None:
-            while self.step():
-                pass
+            self._dispatch(_INFINITY, _INFINITY)
             return
-        while True:
-            nxt = self.peek()
-            if nxt is None or nxt > until:
-                break
-            self.step()
+        if until < self.now:
+            raise ValueError(f"cannot run to {until} < now {self.now}")
+        self._dispatch(until, _INFINITY)
         self.now = until
 
-    def _run_fast(self, until: float | None) -> None:
-        """Uninstrumented drain loop: the campaign-scale hot path.
+    def _dispatch(self, horizon: float, limit: float) -> float | None:
+        """The one dispatch loop: fire live entries due by ``horizon``.
 
-        Fires exactly the events the instrumented loop would, in the same
-        order; tombstones are silently dropped (there is no tracer to
-        tell).  All hot names are bound locally and the per-event work is
-        one heap pop (or lane popleft), one flag check, one clock store
-        and the callback itself.
+        The next entry is the global ``(time, seq)`` minimum over the heap
+        head and the lane fronts.  A tombstone is discarded whenever it is
+        that minimum, whatever its time — exactly when the reference
+        kernel's ``peek`` discards it.  The loop returns the time of the
+        first live entry past ``horizon`` (left queued), None once the
+        queue is drained, and None right after its ``limit``-th firing,
+        without looking further.
         """
         queue = self._queue
         lanes = self._lanes
-        pop = _heappop
-        horizon = _INFINITY if until is None else until
+        tracer = self.tracer
+        profiler = self.profiler
         fired = 0
         try:
             while True:
-                if lanes:
-                    entry = queue[0] if queue else None
-                    best_lane = None
-                    for lane in lanes.values():
-                        if lane and (entry is None or lane[0] < entry):
-                            entry = lane[0]
-                            best_lane = lane
-                    if entry is None or entry[0] > horizon:
-                        break
-                    if best_lane is None:
-                        pop(queue)
-                    else:
-                        best_lane.popleft()
-                    at, _, callback, args, event = entry
+                entry = queue[0] if queue else None
+                lane = None
+                for candidate in lanes.values():
+                    if candidate and (entry is None or candidate[0] < entry):
+                        entry = candidate[0]
+                        lane = candidate
+                if entry is None:
+                    return None
+                at, _, callback, args, event = entry
+                if at > horizon and not event.cancelled:
+                    return at
+                if lane is None:
+                    _heappop(queue)
                 else:
-                    if not queue or queue[0][0] > horizon:
-                        break
-                    at, _, callback, args, event = pop(queue)
+                    lane.popleft()
                 if event.cancelled:
+                    if tracer is not None:
+                        tracer.emit(
+                            "des.cancel", t_sim=self.now, at=at,
+                            callback=_callback_name(callback),
+                        )
                     continue
                 self.now = at
                 fired += 1
+                if tracer is not None:
+                    tracer.emit(
+                        "des.fire", t_sim=at, callback=_callback_name(callback),
+                    )
+                if profiler is not None:
+                    start = time.perf_counter()
+                    callback(*args)
+                    profiler.record(
+                        f"des.{_callback_name(callback)}",
+                        time.perf_counter() - start,
+                    )
                 # Plain CALL beats CALL_FUNCTION_EX for the no-arg
                 # majority (self-scheduling ticks, polls, completions).
-                if args:
+                elif args:
                     callback(*args)
                 else:
                     callback()
+                if fired == limit:
+                    return None
         finally:
             self.events_processed += fired
-        if until is not None:
-            self.now = until

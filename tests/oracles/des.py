@@ -20,7 +20,8 @@ identical event trace.
 The extended queue API added with the fast kernel (``schedule_timer``,
 ``schedule_batch_at``) is provided here with the *naive* semantics the
 optimized kernel must reproduce: timers are ordinary heap events and a
-batch is a loop of ``schedule_at`` calls.
+batch is a loop of ``schedule_at`` calls, refused whole (nothing
+scheduled) when any of its times is in the past.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ class Simulator:
         self, items: Iterable[tuple[float, Callable[[], None]]]
     ) -> list[Event]:
         """Bulk schedule: in the reference kernel, a loop of schedule_at."""
+        items = list(items)
+        for t, _ in items:
+            if t < self.now:
+                raise ValueError(f"cannot schedule at {t} < now {self.now}")
         return [self.schedule_at(t, callback) for t, callback in items]
 
     def _discard(self, event: Event) -> None:

@@ -4,8 +4,8 @@ The ISSUE acceptance criterion for the fast path: a seeded scaled
 campaign must produce a bit-identical ``CampaignResult`` and an
 identical event-trace sequence whether it runs on the new kernel
 (``repro.grid.des``) or the original one (``tests.oracles.des``).
-These tests monkeypatch the kernel class used by the campaign simulator
-and compare full trajectories.
+These tests monkeypatch the kernel class the fleet driver builds
+(``repro.boinc.fleet.Simulator``) and compare full trajectories.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.boinc.fleet as fleet_mod
 import repro.boinc.simulator as simulator_mod
 from tests.oracles import des as _reference_des
 from repro.grid.des import Simulator as FastSimulator
@@ -21,11 +22,12 @@ from repro.obs import Tracer
 
 def _run_campaign(monkeypatch, sim_cls, scale=200, n_proteins=12):
     """One traced seeded campaign on the given kernel class."""
-    monkeypatch.setattr(simulator_mod, "Simulator", sim_cls)
+    monkeypatch.setattr(fleet_mod, "Simulator", sim_cls)
     tracer = Tracer()
     result = simulator_mod.scaled_phase1(
         scale=scale, n_proteins=n_proteins, tracer=tracer
     ).run()
+    assert type(result.server.sim) is sim_cls
     return tracer, result
 
 

@@ -9,11 +9,12 @@ fast path's correctness oracle.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.oracles import des as _reference_des
 from repro.grid.des import Simulator
+from repro.obs import Profiler, Tracer
 
 
 class TestScheduling:
@@ -273,6 +274,23 @@ class TestBatchSchedule:
         with pytest.raises(ValueError):
             sim.schedule_batch_at([(1.0, lambda: None)])
 
+    def test_refused_batch_schedules_nothing(self):
+        # A batch with one past time is refused whole: its valid entries
+        # must not stay queued behind the heap's back and fire out of order.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, fired.append, "a")
+        sim.schedule_at(1.0, fired.append, "b")
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.schedule_batch_at(
+                [(3.0, lambda: fired.append("c")),
+                 (1.0, lambda: fired.append("late"))]
+            )
+        sim.schedule_at(4.0, fired.append, "d")
+        sim.run()
+        assert fired == ["b", "d", "a"]
+
     def test_equal_times_fire_in_batch_order(self):
         sim = Simulator()
         fired = []
@@ -291,21 +309,26 @@ _DELAYS = [0.0, 0.5, 1.0, 1.0, 2.5, 7.0]
 _TIMER_DELAYS = [5.0, 5.0, 12.0]
 
 _op = st.tuples(
-    st.integers(min_value=0, max_value=5),   # op kind
+    st.integers(min_value=0, max_value=6),   # op kind
     st.integers(min_value=0, max_value=23),  # operand a
     st.integers(min_value=0, max_value=23),  # operand b
 )
 
 
-def _drive(sim_cls, ops):
+def _drive(sim_cls, ops, traced=False):
     """Replay an encoded op sequence on a kernel; return its trajectory.
 
     Ops: 0=schedule, 1=schedule_timer, 2=cancel an earlier handle,
-    3=step, 4=run(until=now+dt), 5=schedule_batch_at.  Every third
-    scheduled callback schedules a child event, so firing order feeds
-    back into queue contents.
+    3=step, 4=run(until=now+dt), 5=schedule_batch_at, 6=peek.  Every
+    third scheduled callback schedules a child event, so firing order
+    feeds back into queue contents.  ``step`` and ``peek`` results are
+    logged.  With ``traced`` the kernel holds a tracer and a profiler, and
+    the trajectory also carries the ``(etype, t_sim, at)`` sequence of
+    ``des.*`` events and the profiler's per-callback call counts.
     """
-    sim = sim_cls()
+    tracer = Tracer() if traced else None
+    profiler = Profiler() if traced else None
+    sim = sim_cls(tracer=tracer, profiler=profiler)
     log = []
     handles = []
     tag = 0
@@ -328,28 +351,44 @@ def _drive(sim_cls, ops):
             if handles:
                 handles[a % len(handles)].cancel()
         elif kind == 3:
-            sim.step()
+            log.append(("step", sim.step()))
         elif kind == 4:
             sim.run(until=sim.now + _DELAYS[a % len(_DELAYS)])
-        else:
+        elif kind == 5:
             times = sorted(
                 sim.now + _DELAYS[(a + k) % len(_DELAYS)] for k in range(b % 4)
             )
             batch = [(t, lambda tag=tag + k: fire(tag)) for k, t in enumerate(times)]
             handles.extend(sim.schedule_batch_at(batch))
             tag += len(batch)
+        else:
+            log.append(("peek", sim.peek()))
     sim.run()
-    return log, sim.now, sim.events_processed
+    if not traced:
+        return log, sim.now, sim.events_processed
+    trace = [
+        (e.etype, e.t_sim, e.fields.get("at"))
+        for e in tracer.sink.events if e.etype.startswith("des.")
+    ]
+    calls = {name: n for name, (n, _) in profiler.stats().items()}
+    return log, sim.now, sim.events_processed, trace, calls
 
 
 class TestReferenceEquivalence:
     """The fast kernel's trajectory must match the frozen reference kernel
-    for arbitrary interleavings of every scheduling primitive."""
+    for arbitrary interleavings of every scheduling primitive, traced
+    (tracer and profiler attached) or not."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_op, min_size=1, max_size=40))
+    # a tombstone behind a stepped event is discarded only when dispatch
+    # next reaches it: after the later-scheduled, earlier-due event fires
+    @example(ops=[(0, 1, 0), (2, 0, 0), (0, 0, 0), (3, 0, 0), (0, 0, 0)])
     def test_same_trajectory_as_reference(self, ops):
-        assert _drive(Simulator, ops) == _drive(_reference_des.Simulator, ops)
+        for traced in (False, True):
+            assert _drive(Simulator, ops, traced) == _drive(
+                _reference_des.Simulator, ops, traced
+            ), f"traced={traced}"
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_op, min_size=1, max_size=40))
