@@ -1,9 +1,10 @@
 """Ablation — vectorized vs per-pair interaction energy.
 
 The HPC guideline behind the MAXDo engine: the pairwise LJ + electrostatic
-kernel is evaluated with vectorized NumPy over bead-pair blocks.  This
-bench quantifies the speedup over a naive per-pair Python loop and checks
-both agree to near machine precision.
+kernel is evaluated over bead-pair blocks of a precomputed pair table
+(``batch_interaction_energy``, the fused C kernel or its numpy twin).
+This bench times one pose through it against a naive per-pair Python
+loop and checks both agree to near machine precision.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from repro.maxdo.energy import (
     DEBYE_LENGTH_A,
     DIELECTRIC,
     SOFTENING_A,
-    pair_energies,
+    batch_interaction_energy,
 )
+from repro.maxdo.pairtable import pair_table
 from repro.proteins.model import synthesize_protein
 from repro.rng import stream
 
@@ -47,26 +49,25 @@ def pair():
     receptor = synthesize_protein("R", 120, stream(3, "abl-r"))
     ligand = synthesize_protein("L", 90, stream(3, "abl-l"))
     t = np.array([receptor.bounding_radius + ligand.bounding_radius + 4, 0, 0])
-    return receptor, ligand, ligand.transformed(np.eye(3), t)
+    pose = np.array([[*t, 0.0, 0.0, 0.0]])
+    return receptor, ligand, ligand.transformed(np.eye(3), t), pose
+
+
+def _vectorized(receptor, ligand, pose):
+    lj, el = batch_interaction_energy(pair_table(receptor, ligand), pose)
+    return lj[0], el[0]
 
 
 def test_vectorized_kernel(pair, benchmark, record_artifact):
-    receptor, ligand, coords = pair
+    receptor, ligand, coords, pose = pair
     import time
 
-    vec = benchmark(
-        pair_energies,
-        receptor.coords, receptor.radii, receptor.epsilons, receptor.charges,
-        coords, ligand.radii, ligand.epsilons, ligand.charges,
-    )
+    vec = benchmark(_vectorized, receptor, ligand, pose)
     t0 = time.perf_counter()
     naive = _naive_pair_energies(receptor, coords, ligand)
     naive_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    pair_energies(
-        receptor.coords, receptor.radii, receptor.epsilons, receptor.charges,
-        coords, ligand.radii, ligand.epsilons, ligand.charges,
-    )
+    _vectorized(receptor, ligand, pose)
     vec_s = time.perf_counter() - t0
 
     record_artifact(
@@ -89,7 +90,7 @@ def test_vectorized_kernel(pair, benchmark, record_artifact):
 
 def test_naive_kernel_for_scale(pair, benchmark):
     """Time the reference loop so the speedup is visible in the table."""
-    receptor, ligand, coords = pair
+    receptor, ligand, coords, _ = pair
     benchmark.pedantic(
         _naive_pair_energies, args=(receptor, coords, ligand),
         rounds=1, iterations=1,

@@ -72,17 +72,16 @@ def test_energy_model_variants(record_artifact, benchmark):
     # Parameter monotonicity is asserted at a FIXED pose (minimization
     # relocates the optimum, so post-optimization components need not be
     # monotone in the parameters).
-    from repro.maxdo.energy import interaction_energy
+    from repro.maxdo.energy import batch_interaction_energy
+    from repro.maxdo.pairtable import pair_table
 
-    pose_t = np.array(
-        [receptor.bounding_radius + ligand.bounding_radius + 2.0, 0.0, 0.0]
+    pose = np.array(
+        [[receptor.bounding_radius + ligand.bounding_radius + 2.0, 0, 0, 0, 0, 0]]
     )
-    at_pose = {
-        label: interaction_energy(
-            receptor, ligand, np.eye(3), pose_t, params=params
-        )
-        for label, params in VARIANTS.items()
-    }
+    at_pose = {}
+    for label, params in VARIANTS.items():
+        lj, el = batch_interaction_energy(pair_table(receptor, ligand, params), pose)
+        at_pose[label] = (lj[0], el[0])
     base = at_pose["default (eps=15, Debye 8 A)"]
     assert abs(at_pose["weak electrostatics (eps=60)"][1]) < abs(base[1])
     assert abs(at_pose["strong screening (Debye 2 A)"][1]) < abs(base[1])

@@ -357,37 +357,31 @@ def merge_stats(dst: ValidationStats, src: ValidationStats) -> None:
             setattr(dst, f.name, getattr(dst, f.name) + getattr(src, f.name))
 
 
-#: telemetry registry entries merged structurally (everything else in a
-#: campaign registry is a counter and merges by addition)
-_DAILY_SERIES = (
-    "campaign.daily_cpu_s",
-    "campaign.daily_results",
-    "campaign.daily_useful",
-)
-_HISTOGRAMS = ("campaign.run_active_hours",)
-
-
 def merge_telemetry(dst: "Telemetry", src: "Telemetry") -> None:
     """Fold one shard's (or campaign's) telemetry into the accumulator.
 
-    Day-aligned: both registries were built over the same horizon, so
-    the daily series add element-wise.  Lazily-created counters (the
-    ``fault.*`` family) are created in the destination only when a shard
-    actually has them, preserving the monolithic contract that a
-    fault-free export carries no zero-valued fault counters.
+    Merged by metric kind.  Day-aligned: both registries were built over
+    the same horizon, so the daily series add element-wise.  A metric
+    the destination lacks (the lazily-created ``fault.*`` counters) is
+    created there only when a shard actually has it, preserving the
+    monolithic contract that a fault-free export carries no zero-valued
+    fault counters.
     """
+    reg = dst.registry
     for name in src.registry.names():
         metric = src.registry.get(name)
-        if name in _DAILY_SERIES:
-            target = dst.registry.get(name)
+        if metric.kind == "daily_series":
+            target = reg.daily_series(
+                name, metric.n_days, metric.values.dtype, help=metric.help
+            )
             if len(target.values) != len(metric.values):
                 raise ValueError(
                     f"shard horizon mismatch merging {name}: "
                     f"{len(metric.values)} vs {len(target.values)} days"
                 )
             target.values += metric.values
-        elif name in _HISTOGRAMS:
-            target = dst.registry.get(name)
+        elif metric.kind == "histogram":
+            target = reg.histogram(name, metric.bounds, help=metric.help)
             if target.bounds != metric.bounds:
                 raise ValueError(f"histogram bounds mismatch merging {name}")
             for i, count in enumerate(metric.bucket_counts):
@@ -395,7 +389,7 @@ def merge_telemetry(dst: "Telemetry", src: "Telemetry") -> None:
             target.sum += metric.sum
             target.count += metric.count
         elif metric.kind == "counter":
-            dst.registry.counter(name, help=metric.help).inc(metric.value)
+            reg.counter(name, help=metric.help).inc(metric.value)
         else:  # pragma: no cover - no other kinds live in campaign telemetry
             raise TypeError(
                 f"cannot merge metric {name!r} of kind {metric.kind!r}"

@@ -11,12 +11,13 @@ This subpackage reimplements that pipeline on the synthetic substrate of
 
 * :mod:`repro.maxdo.orientations` — the 21 (alpha, beta) starting-orientation
   couples x 10 gamma values of the paper (footnote 1);
-* :mod:`repro.maxdo.energy` — vectorized interaction energy and bead forces,
-  both the scalar kernels and their pose-batched counterparts;
+* :mod:`repro.maxdo.energy` — pose-batched interaction energy and 6-DOF
+  gradients (the per-pose scalar kernels they are bit-identical to are
+  the test oracle ``tests/oracles/docking.py``);
 * :mod:`repro.maxdo.pairtable` — cached pose-invariant per-couple arrays
   feeding the batched kernels;
-* :mod:`repro.maxdo.minimize` — rigid-body 6-DOF minimization, scalar and
-  lockstep-batched;
+* :mod:`repro.maxdo.minimize` — rigid-body 6-DOF minimization, every pose
+  of a batch in lockstep through scipy's L-BFGS-B core;
 * :mod:`repro.maxdo.docking` — the isep x irot energy-map driver (one
   engine: all orientations of a position in lockstep), optional
   process-pool fan-out over starting positions, checkpointing
@@ -32,11 +33,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".cost_model": ["CostModel"],
     ".docking": ["DockingResult", "MaxDoRun", "dock_couple"],
-    ".energy": [
-        "batch_energy_and_pose_gradient", "batch_interaction_energy",
-        "interaction_energy", "pair_energies",
-    ],
-    ".minimize": ["minimize_rigid", "minimize_rigid_batch"],
+    ".energy": ["batch_energy_and_pose_gradient", "batch_interaction_energy"],
+    ".minimize": ["minimize_rigid_batch"],
     ".orientations": [
         "gamma_values", "orientation_couples", "rotation_matrix",
     ],

@@ -16,8 +16,11 @@ Distances are softened (``r^2 -> r^2 + delta^2``) so that energies and
 gradients stay finite for overlapping starting configurations — the
 minimizer has to be able to start anywhere on the starting grid.
 
-Everything is vectorized over bead pairs; gradients are computed
-analytically (per ligand bead) with chunking to bound peak memory.
+Every kernel here is pose-batched: it evaluates a ``(B, 6)`` batch of
+rigid poses over a couple's :class:`~repro.maxdo.pairtable.PairTable`,
+vectorized over poses and bead pairs, with analytic 6-DoF gradients.
+They are bit-identical to the per-pose scalar kernels kept as the test
+oracle in ``tests/oracles/docking.py``.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ __all__ = [
     "DEBYE_LENGTH_A",
     "SOFTENING_A",
     "EnergyParams",
-    "pair_energies",
-    "interaction_energy",
-    "energy_and_bead_gradient",
     "batch_pose_coords",
     "batch_interaction_energy",
     "batch_energy_and_pose_gradient",
@@ -90,140 +90,6 @@ class EnergyParams:
             raise ValueError("softening and LJ scale must be non-negative")
 
 
-_DEFAULT_PARAMS = EnergyParams()
-
-
-def _check_pair_inputs(
-    coords_a: np.ndarray, coords_b: np.ndarray, *vectors: np.ndarray
-) -> None:
-    if coords_a.ndim != 2 or coords_a.shape[1] != 3:
-        raise ValueError(f"receptor coords must be (n, 3), got {coords_a.shape}")
-    if coords_b.ndim != 2 or coords_b.shape[1] != 3:
-        raise ValueError(f"ligand coords must be (m, 3), got {coords_b.shape}")
-    for v in vectors:
-        if v.ndim != 1:
-            raise ValueError("per-bead arrays must be one-dimensional")
-
-
-def pair_energies(
-    coords_a: np.ndarray,
-    radii_a: np.ndarray,
-    eps_a: np.ndarray,
-    charges_a: np.ndarray,
-    coords_b: np.ndarray,
-    radii_b: np.ndarray,
-    eps_b: np.ndarray,
-    charges_b: np.ndarray,
-    params: EnergyParams | None = None,
-) -> tuple[float, float]:
-    """Return ``(E_lj, E_elec)`` between two bead sets (kcal/mol).
-
-    Group ``a`` is the receptor, ``b`` the ligand (already transformed into
-    the receptor frame).  Pure function of the coordinates: calling it twice
-    gives bit-identical results, which mirrors the paper's "reproducible
-    computing time/result" property.
-    """
-    p = params if params is not None else _DEFAULT_PARAMS
-    coords_a = np.asarray(coords_a, dtype=np.float64)
-    coords_b = np.asarray(coords_b, dtype=np.float64)
-    _check_pair_inputs(coords_a, coords_b, radii_a, eps_a, charges_a)
-
-    e_lj = 0.0
-    e_elec = 0.0
-    soft2 = p.softening_a**2
-    for start in range(0, coords_b.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        delta = coords_b[sl, None, :] - coords_a[None, :, :]
-        r2 = (delta**2).sum(axis=2) + soft2
-        r = np.sqrt(r2)
-
-        sigma = radii_b[sl, None] + radii_a[None, :]
-        eps = np.sqrt(eps_b[sl, None] * eps_a[None, :])
-        s2 = sigma**2 / r2
-        s6 = s2 * s2 * s2
-        e_lj += p.lj_scale * float((eps * (s6 * s6 - 2.0 * s6)).sum())
-
-        qq = charges_b[sl, None] * charges_a[None, :]
-        e_elec += float(
-            (
-                COULOMB_CONSTANT / p.dielectric * qq
-                * np.exp(-r / p.debye_length_a) / r
-            ).sum()
-        )
-    return e_lj, e_elec
-
-
-def interaction_energy(
-    receptor: ReducedProtein,
-    ligand: ReducedProtein,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    params: EnergyParams | None = None,
-) -> tuple[float, float]:
-    """``(E_lj, E_elec)`` with the ligand posed by ``R x + t`` in the
-    receptor frame."""
-    ligand_coords = ligand.transformed(rotation, translation)
-    return pair_energies(
-        receptor.coords,
-        receptor.radii,
-        receptor.epsilons,
-        receptor.charges,
-        ligand_coords,
-        ligand.radii,
-        ligand.epsilons,
-        ligand.charges,
-        params=params,
-    )
-
-
-def energy_and_bead_gradient(
-    receptor: ReducedProtein,
-    ligand: ReducedProtein,
-    ligand_coords: np.ndarray,
-    params: EnergyParams | None = None,
-) -> tuple[float, np.ndarray]:
-    """Total energy and its gradient w.r.t. each ligand bead position.
-
-    Returns ``(E_lj + E_elec, grad)`` with ``grad`` of shape (m, 3):
-    ``grad[j] = dE / d ligand_coords[j]``.  The rigid-body minimizer chains
-    this through the pose parametrization.
-    """
-    p = params if params is not None else _DEFAULT_PARAMS
-    ligand_coords = np.asarray(ligand_coords, dtype=np.float64)
-    coords_a = receptor.coords
-    _check_pair_inputs(coords_a, ligand_coords, receptor.radii)
-
-    total = 0.0
-    grad = np.zeros_like(ligand_coords)
-    soft2 = p.softening_a**2
-    for start in range(0, ligand_coords.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        delta = ligand_coords[sl, None, :] - coords_a[None, :, :]
-        r2 = (delta**2).sum(axis=2) + soft2
-        r = np.sqrt(r2)
-
-        sigma = ligand.radii[sl, None] + receptor.radii[None, :]
-        eps = p.lj_scale * np.sqrt(
-            ligand.epsilons[sl, None] * receptor.epsilons[None, :]
-        )
-        s2 = sigma**2 / r2
-        s6 = s2 * s2 * s2
-        e_lj = eps * (s6 * s6 - 2.0 * s6)
-        # dE_lj/dr2 = eps * (-6 s12 / r2 + 6 s6 / r2)
-        dlj_dr2 = eps * 6.0 * (s6 - s6 * s6) / r2
-
-        qq = ligand.charges[sl, None] * receptor.charges[None, :]
-        screen = np.exp(-r / p.debye_length_a)
-        e_el = COULOMB_CONSTANT / p.dielectric * qq * screen / r
-        # dE_el/dr = -E * (1/r + 1/lambda);  dr/dr2 = 1/(2r)
-        del_dr2 = -e_el * (1.0 / r + 1.0 / p.debye_length_a) / (2.0 * r)
-
-        total += float(e_lj.sum() + e_el.sum())
-        coeff = 2.0 * (dlj_dr2 + del_dr2)  # dE/dr2 * dr2/ddelta = coeff*delta
-        grad[sl] = (coeff[:, :, None] * delta).sum(axis=1)
-    return total, grad
-
-
 def _check_poses(poses: np.ndarray) -> np.ndarray:
     poses = np.asarray(poses, dtype=np.float64)
     if poses.ndim != 2 or poses.shape[1] != 6:
@@ -236,8 +102,9 @@ def batch_pose_coords(ligand: ReducedProtein, poses: np.ndarray) -> np.ndarray:
 
     A pose is ``(x, y, z, alpha, beta, gamma)``: mass-center translation
     followed by ZYZ Euler angles.  Returns ``(B, m, 3)``.  The rotations
-    are composed by the same left-associated matrix products as the scalar
-    path (``Rz(a) @ Ry(b) @ Rz(g)``), keeping coordinates bit-identical to
+    are composed by the same left-associated matrix products as
+    :func:`~repro.maxdo.orientations.rotation_matrix`
+    (``Rz(a) @ Ry(b) @ Rz(g)``), keeping coordinates bit-identical to
     :meth:`~repro.proteins.model.ReducedProtein.transformed`.
     """
     from .orientations import _ry_batch, _rz_batch
@@ -276,9 +143,9 @@ def _scratch_buffers(n_chunk: int, m: int, n: int, count: int) -> list[np.ndarra
 def _fused_ready(n_lig: int) -> bool:
     """Fused C kernels apply when compiled and the ligand fits one chunk.
 
-    The scalar kernels accumulate per ligand chunk of ``_CHUNK`` beads;
-    the fused path has no ligand chunking, so beyond one chunk its
-    summation order would no longer mirror the reference.  Every protein
+    The numpy path (and the scalar oracle) accumulate per ligand chunk of
+    ``_CHUNK`` beads; the fused path has no ligand chunking, so beyond one
+    chunk its summation order would no longer mirror them.  Every protein
     in the reduced-model library is far below that bound.
     """
     from . import _fused
@@ -291,12 +158,12 @@ def batch_interaction_energy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-pose ``(E_lj, E_elec)`` for a ``(B, 6)`` pose batch, kcal/mol.
 
-    The batched counterpart of :func:`pair_energies`, evaluated over the
-    precomputed :class:`~repro.maxdo.pairtable.PairTable` combination
-    arrays in pose chunks of shape ``(B_chunk, m, n)`` — through the fused
-    C kernels when available, otherwise a numpy broadcast with the scalar
-    kernel's exact accumulation order.  Both paths are bit-identical to
-    the reference kernel.  Returns two ``(B,)`` arrays.
+    Evaluated over the precomputed
+    :class:`~repro.maxdo.pairtable.PairTable` combination arrays in pose
+    chunks of shape ``(B_chunk, m, n)`` — through the fused C kernels when
+    available, otherwise a numpy broadcast with the same accumulation
+    order.  Both paths are bit-identical to the scalar ``pair_energies``
+    oracle (``tests/oracles/docking.py``).  Returns two ``(B,)`` arrays.
     """
     from . import _fused
 
@@ -350,12 +217,12 @@ def batch_energy_and_pose_gradient(
 
     Returns ``(energy, grad)`` with shapes ``(B,)`` and ``(B, 6)``:
     ``grad[b, :3]`` is ``dE/d translation`` and ``grad[b, 3:]`` the Euler
-    chain rule of :func:`repro.maxdo.minimize.pose_gradient`, vectorized
-    over the batch.  Bit-identical to the scalar
-    ``pose_gradient``/:func:`energy_and_bead_gradient` composition: same
-    chunk accumulation order, same operation association — which is what
-    lets the batched minimizer reproduce the reference trajectories
-    exactly.
+    chain rule ``dE/dtheta = sum_j bead_grad[j] . (dR/dtheta x_j)``.
+    Bit-identical to the scalar oracle's
+    ``pose_gradient``/``energy_and_bead_gradient`` composition
+    (``tests/oracles/docking.py``): same chunk accumulation order, same
+    operation association — which is what lets the batched minimizer
+    reproduce the reference trajectories exactly.
     """
     from .orientations import _ry_batch, _rz_batch
 
@@ -369,7 +236,7 @@ def batch_energy_and_pose_gradient(
     grad = np.empty((n_poses, 6))
     soft2 = p.softening_a**2
 
-    # dR/d(alpha,beta,gamma) per pose, composed exactly as the scalar path.
+    # dR/d(alpha,beta,gamma) per pose, composed exactly as the scalar oracle.
     alpha, beta, gamma = poses[:, 3], poses[:, 4], poses[:, 5]
     rz_a, ry_b, rz_g = _rz_batch(alpha), _ry_batch(beta), _rz_batch(gamma)
     drot = (

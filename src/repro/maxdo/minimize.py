@@ -6,11 +6,14 @@ minimizations with a regular array of starting positions and orientations"
 freedom of the ligand: the mass-center translation ``(x, y, z)`` and the
 ZYZ Euler orientation ``(alpha, beta, gamma)``.
 
-The objective gradient is analytic: per-bead energy gradients from
-:func:`repro.maxdo.energy.energy_and_bead_gradient` are chained through the
-pose parametrization (``d pose / d translation`` is the identity;
-``d pose / d angle`` uses the analytic Euler-derivative matrices), then fed
-to scipy's L-BFGS-B.
+One engine minimizes: :func:`minimize_rigid_batch` drives every pose of
+a batch through scipy's L-BFGS-B ``setulb`` core in lockstep.  The
+objective gradient is analytic: per-bead energy gradients are chained
+through the pose parametrization (``d pose / d translation`` is the
+identity; ``d pose / d angle`` uses the analytic Euler-derivative
+matrices) by :func:`repro.maxdo.energy.batch_energy_and_pose_gradient`.
+The per-pose ``minimize_rigid`` it is bit-identical to is the test oracle
+in ``tests/oracles/docking.py``.
 """
 
 from __future__ import annotations
@@ -24,163 +27,29 @@ from .energy import (
     EnergyParams,
     batch_energy_and_pose_gradient,
     batch_interaction_energy,
-    energy_and_bead_gradient,
-    interaction_energy,
 )
-from .orientations import rotation_matrix
 from .pairtable import pair_table
 
 __all__ = [
-    "MinimizationResult",
     "BatchMinimizationResult",
-    "minimize_rigid",
     "minimize_rigid_batch",
-    "pose_gradient",
     "scipy_lbfgsb",
 ]
 
 
 def scipy_lbfgsb():
-    """scipy's L-BFGS-B as ``(minimize, core)``, imported on first call.
+    """scipy's reverse-communication L-BFGS-B core, imported on first call.
 
-    ``core`` is the reverse-communication ``setulb`` module that scipy's
-    own driver loop wraps (``None`` if scipy's internals moved).  Only a
-    process that minimizes pays for ``scipy.optimize`` (~0.4 s): both
-    entry points resolve it once per call, outside every loop, and
-    :func:`repro.maxdo.docking.dock_couple` calls this before it forks a
-    pool so workers inherit the import instead of each repeating it.
+    The module whose ``setulb`` scipy's own L-BFGS-B loop wraps.  Only a
+    process that minimizes pays for ``scipy.optimize`` (~0.4 s):
+    :func:`minimize_rigid_batch` resolves it once per call, outside every
+    loop, and :func:`repro.maxdo.docking.dock_couple` calls this before it
+    forks a pool so workers inherit the import instead of each repeating
+    it.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import _lbfgsb
 
-    try:
-        from scipy.optimize import _lbfgsb as core
-    except ImportError:  # pragma: no cover - scipy internals moved
-        core = None
-    return minimize, core
-
-
-def _rz(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _ry(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _drz(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-
-
-def _dry(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[-s, 0.0, c], [0.0, 0.0, 0.0], [-c, 0.0, -s]])
-
-
-def pose_gradient(
-    receptor: ReducedProtein,
-    ligand: ReducedProtein,
-    params: np.ndarray,
-    energy_params: EnergyParams | None = None,
-) -> tuple[float, np.ndarray]:
-    """Energy and gradient w.r.t. the 6 pose parameters ``(t, euler)``."""
-    t = params[:3]
-    alpha, beta, gamma = params[3:]
-    rz_a, ry_b, rz_g = _rz(alpha), _ry(beta), _rz(gamma)
-    rot = rz_a @ ry_b @ rz_g
-    coords = ligand.coords @ rot.T + t
-    energy, bead_grad = energy_and_bead_gradient(
-        receptor, ligand, coords, params=energy_params
-    )
-
-    grad = np.empty(6)
-    grad[:3] = bead_grad.sum(axis=0)
-    for k, drot in enumerate(
-        (
-            _drz(alpha) @ ry_b @ rz_g,
-            rz_a @ _dry(beta) @ rz_g,
-            rz_a @ ry_b @ _drz(gamma),
-        )
-    ):
-        # dE/dtheta = sum_j bead_grad[j] . (dR/dtheta x_j)
-        grad[3 + k] = float((bead_grad * (ligand.coords @ drot.T)).sum())
-    return energy, grad
-
-
-@dataclass(frozen=True)
-class MinimizationResult:
-    """Outcome of one rigid-body minimization."""
-
-    energy_lj: float
-    energy_elec: float
-    translation: np.ndarray  #: optimal mass-center position (3,)
-    euler: np.ndarray  #: optimal ZYZ angles (3,)
-    n_evaluations: int  #: objective evaluations spent
-    converged: bool
-
-    @property
-    def energy_total(self) -> float:
-        """Total interaction energy ``E_lj + E_elec`` (kcal/mol)."""
-        return self.energy_lj + self.energy_elec
-
-
-def minimize_rigid(
-    receptor: ReducedProtein,
-    ligand: ReducedProtein,
-    start_translation: np.ndarray,
-    start_euler: np.ndarray,
-    max_iterations: int = 200,
-    translation_window: float = 15.0,
-    energy_params: EnergyParams | None = None,
-) -> MinimizationResult:
-    """Minimize the interaction energy from one starting pose.
-
-    ``translation_window`` bounds how far (Angstrom, per axis) the mass
-    center may drift from its starting position — each starting position
-    explores its own basin, as intended by the regular-array search; without
-    the bound every run would escape to infinity whenever the local basin is
-    repulsive (net energy ~ 0 at large separation).
-    """
-    scipy_minimize, _ = scipy_lbfgsb()
-    start_translation = np.asarray(start_translation, dtype=np.float64)
-    start_euler = np.asarray(start_euler, dtype=np.float64)
-    if start_translation.shape != (3,) or start_euler.shape != (3,):
-        raise ValueError("start_translation and start_euler must have shape (3,)")
-
-    x0 = np.concatenate([start_translation, start_euler])
-    bounds = [
-        (x0[i] - translation_window, x0[i] + translation_window) for i in range(3)
-    ] + [(None, None)] * 3
-
-    evaluations = 0
-
-    def objective(params: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evaluations
-        evaluations += 1
-        return pose_gradient(receptor, ligand, params, energy_params)
-
-    result = scipy_minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": max_iterations},
-    )
-    rot = rotation_matrix(*result.x[3:])
-    e_lj, e_elec = interaction_energy(
-        receptor, ligand, rot, result.x[:3], params=energy_params
-    )
-    return MinimizationResult(
-        energy_lj=e_lj,
-        energy_elec=e_elec,
-        translation=result.x[:3].copy(),
-        euler=result.x[3:].copy(),
-        n_evaluations=evaluations,
-        converged=bool(result.success),
-    )
+    return _lbfgsb
 
 
 @dataclass(frozen=True)
@@ -217,10 +86,10 @@ class _LockstepState:
     """Per-pose ``setulb`` reverse-communication workspace.
 
     One instance drives one pose through the same L-BFGS-B state machine
-    that :func:`minimize_rigid` delegates to scipy — identical algorithm,
-    identical defaults — but yields control whenever the routine asks for
-    an objective evaluation, so the batch driver can answer every pending
-    request with a single fused kernel dispatch.
+    that scipy's ``minimize(method="L-BFGS-B")`` runs — identical
+    algorithm, identical defaults — but yields control whenever the
+    routine asks for an objective evaluation, so the batch loop can answer
+    every pending request with a single fused kernel dispatch.
     """
 
     __slots__ = (
@@ -294,10 +163,10 @@ def minimize_rigid_batch(
     translation_window: float = 15.0,
     energy_params: EnergyParams | None = None,
 ) -> BatchMinimizationResult:
-    """Minimize a batch of rigid poses simultaneously (the batched engine).
+    """Minimize a batch of rigid poses simultaneously, in lockstep.
 
-    The batched counterpart of :func:`minimize_rigid`: every pose runs the
-    *same* L-BFGS-B state machine as the scalar reference (scipy's
+    Every pose runs the *same* L-BFGS-B state machine as one scipy
+    ``minimize(method="L-BFGS-B")`` call per pose (scipy's
     reverse-communication ``setulb`` core with scipy's defaults), but all
     poses advance in lockstep and every round of pending objective requests
     is answered by one fused
@@ -307,12 +176,16 @@ def minimize_rigid_batch(
     so late stragglers don't pay for the whole batch.
 
     One starting position's 210 orientations thus cost a few hundred large
-    numpy dispatches instead of ~10^4 tiny ones, while final poses agree
-    with the scalar oracle to optimizer tolerance (same algorithm, same
+    numpy dispatches instead of ~10^4 tiny ones, while final poses equal
+    those of the per-pose ``minimize_rigid`` oracle in
+    ``tests/oracles/docking.py`` bit for bit (same algorithm, same
     analytic gradients — see ``tests/test_maxdo_batched.py``).
 
-    ``start_translations`` and ``start_eulers`` are ``(B, 3)`` arrays; the
-    per-axis ``translation_window`` box is identical to the scalar path's.
+    ``start_translations`` and ``start_eulers`` are ``(B, 3)`` arrays.  The
+    per-axis ``translation_window`` (Angstrom) box around each start keeps
+    every starting position in its own basin, as the regular-array search
+    intends; unbounded, a pose in a repulsive basin would escape to
+    infinity (net energy ~ 0 at large separation).
     """
     start_t = np.atleast_2d(np.asarray(start_translations, dtype=np.float64))
     start_e = np.atleast_2d(np.asarray(start_eulers, dtype=np.float64))
@@ -326,27 +199,7 @@ def minimize_rigid_batch(
     n_poses = start_t.shape[0]
     x0 = np.hstack([start_t, start_e])
 
-    _, core = scipy_lbfgsb()
-    if core is None:  # pragma: no cover - scipy internals moved
-        results = [
-            minimize_rigid(
-                receptor, ligand, x0[b, :3], x0[b, 3:],
-                max_iterations=max_iterations,
-                translation_window=translation_window,
-                energy_params=energy_params,
-            )
-            for b in range(n_poses)
-        ]
-        return BatchMinimizationResult(
-            energy_lj=np.array([r.energy_lj for r in results]),
-            energy_elec=np.array([r.energy_elec for r in results]),
-            translations=np.array([r.translation for r in results]),
-            eulers=np.array([r.euler for r in results]),
-            n_iterations=max_iterations,
-            n_evaluations=sum(r.n_evaluations for r in results),
-            converged=np.array([r.converged for r in results]),
-        )
-
+    setulb = scipy_lbfgsb().setulb
     table = pair_table(receptor, ligand, energy_params)
     lower = np.full(6, -np.inf)
     upper = np.full(6, np.inf)
@@ -357,7 +210,6 @@ def minimize_rigid_batch(
         states.append(_LockstepState(x0[b], lower, upper))
 
     rounds = 0
-    setulb = core.setulb
     active = [s for s in states if s.advance(setulb, max_iterations)]
     while active:
         rounds += 1

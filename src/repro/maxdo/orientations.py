@@ -26,7 +26,6 @@ __all__ = [
     "gamma_values",
     "rotation_matrix",
     "rotation_matrices",
-    "rotation_matrix_derivatives",
     "euler_from_matrix",
 ]
 
@@ -134,26 +133,6 @@ def _ry_batch(angles: np.ndarray, derivative: bool = False) -> np.ndarray:
         out[:, 0, 0], out[:, 0, 2] = c, s
         out[:, 1, 1] = 1.0
         out[:, 2, 0], out[:, 2, 2] = -s, c
-    return out
-
-
-def rotation_matrix_derivatives(angles: np.ndarray) -> np.ndarray:
-    """Batched analytic derivatives of the ZYZ rotation.
-
-    ``angles`` is (m, 3); the result is (m, 3, 3, 3) with ``out[b, k]`` the
-    matrix ``dR/d angles[b, k]`` — the Euler chain-rule factors the batched
-    pose-gradient kernel contracts bead gradients against.
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim != 2 or angles.shape[1] != 3:
-        raise ValueError(f"angles must be (m, 3), got {angles.shape}")
-    rz_a = _rz_batch(angles[:, 0])
-    ry_b = _ry_batch(angles[:, 1])
-    rz_g = _rz_batch(angles[:, 2])
-    out = np.empty((angles.shape[0], 3, 3, 3))
-    out[:, 0] = _rz_batch(angles[:, 0], derivative=True) @ ry_b @ rz_g
-    out[:, 1] = rz_a @ _ry_batch(angles[:, 1], derivative=True) @ rz_g
-    out[:, 2] = rz_a @ ry_b @ _rz_batch(angles[:, 2], derivative=True)
     return out
 
 

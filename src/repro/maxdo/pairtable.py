@@ -4,8 +4,9 @@ Every term of the reduced interaction energy factors into a part that
 depends only on *which* beads interact (the Lorentz combination
 ``sigma = r_i + r_j``, the geometric well depth ``sqrt(eps_i eps_j)``, the
 charge product ``k q_i q_j / eps_r``) and a part that depends on the pose
-(the distances).  The reference kernels recombine the bead part on every
-call — ~10^4–10^5 times per workunit, once per minimizer line-search step.
+(the distances).  The per-pose scalar kernels (the test oracle
+``tests/oracles/docking.py``) recombine the bead part on every call —
+~10^4–10^5 times per workunit, once per minimizer line-search step.
 A :class:`PairTable` precomputes those combination arrays once per
 ``(receptor, ligand, EnergyParams)`` and the batched kernels in
 :mod:`repro.maxdo.energy` reuse them across every pose of every starting
@@ -63,14 +64,15 @@ class PairTable:
     ) -> "PairTable":
         """Compute the combination arrays for one couple (uncached).
 
-        Operation association mirrors the scalar kernels exactly (e.g.
-        ``(k/eps_r) * qq`` with ``qq`` the charge outer product), so the
-        batched kernels are bit-identical to the reference path, not merely
-        close — the batched minimizer then follows the very same descent
+        Operation association mirrors the scalar oracle kernels exactly
+        (e.g. ``(k/eps_r) * qq`` with ``qq`` the charge outer product), so
+        the batched kernels are bit-identical to them, not merely close —
+        the batched minimizer then follows the very same descent
         trajectories.  Both the unscaled well depths (the energy kernel
-        applies ``lj_scale`` after summation, as :func:`pair_energies`
-        does) and the pre-scaled ones (the gradient kernel applies it per
-        element, as :func:`energy_and_bead_gradient` does) are kept.
+        applies ``lj_scale`` after summation, as the oracle's
+        ``pair_energies`` does) and the pre-scaled ones (the gradient
+        kernel applies it per element, as its ``energy_and_bead_gradient``
+        does) are kept.
         """
         p = params if params is not None else EnergyParams()
         sigma = ligand.radii[:, None] + receptor.radii[None, :]

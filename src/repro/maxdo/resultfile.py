@@ -190,6 +190,13 @@ def read_results(path: Path | str) -> ResultTable:
     data = Path(path).read_bytes()
     if (segment := _decode_fixed(data)) is not None:
         return segment.table()
+    return _parse_floats(data)
+
+
+def _parse_floats(data: bytes) -> ResultTable:
+    """The float parser, for a file ``_decode_fixed`` turned down (used by
+    :func:`read_results` and :func:`repro.store.convert.segment_from_text`
+    after their one decode attempt): one ``np.loadtxt`` over the lines."""
     lines = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = _parse_header([ln for ln in lines if ln[:1] == "#"])
     data_lines = [ln for ln in lines if ln and ln[0] != "#" and not ln.isspace()]

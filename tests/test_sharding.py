@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro import CampaignConfig, ShardPlan, Tracer, scaled_phase1
-from repro.boinc.sharding import HOST_ID_STRIDE, plan_shards
+from repro.boinc.sharding import HOST_ID_STRIDE, merge_telemetry, plan_shards
+from repro.boinc.simulator import Telemetry
 from repro.faults import FaultPlan
 from repro.obs.tracer import iter_trace
 
@@ -246,6 +247,24 @@ class TestFaultMerge:
             v for k, v in seq.fault_report().as_dict().items()
             if isinstance(v, (int, float)) and v
         )
+
+
+class TestTelemetryMerge:
+    def test_merges_by_metric_kind(self):
+        """A series or histogram the destination lacks is created there,
+        as a counter is: the merge follows each metric's kind, not a list
+        of names."""
+        dst, src = Telemetry(3 * 86400.0), Telemetry(3 * 86400.0)
+        n_days = src.registry.get("campaign.daily_cpu_s").n_days
+        src.registry.daily_series("campaign.extra", n_days).add(1, 5.0)
+        src.registry.histogram("campaign.extra_hours", (1.0, 2.0)).observe(1.5)
+        merge_telemetry(dst, src)
+        merge_telemetry(dst, src)
+        assert dst.registry.get("campaign.extra").values.tolist() == [
+            0.0, 10.0, 0.0, 0.0
+        ]
+        hours = dst.registry.get("campaign.extra_hours")
+        assert (hours.bucket_counts, hours.count, hours.sum) == ([0, 2, 0], 2, 3.0)
 
 
 class TestAdaptiveReplication:
