@@ -113,7 +113,8 @@ class FleetSpec:
         """The fleet ``config`` describes, ``None`` fields defaulted.
 
         ``total_reference_s`` (all the work the fleet will be offered)
-        sizes the peak fleet when the config leaves it open.
+        sizes the peak fleet when the config leaves it open; a peak the
+        config sets must be at least one host.
         """
         horizon_s = weeks(config.horizon_weeks)
         spec = cls(
@@ -145,6 +146,8 @@ class FleetSpec:
         peak = config.n_hosts_peak
         if peak is None:
             peak = spec.auto_host_count(total_reference_s)
+        elif peak < 1:
+            raise ValueError(f"n_hosts_peak (--hosts-peak) must be >= 1, got {peak}")
         return replace(spec, n_hosts_peak=peak)
 
     def auto_host_count(self, total_reference_s: float) -> int:

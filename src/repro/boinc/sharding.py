@@ -229,7 +229,7 @@ def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec
 # -- shard execution ---------------------------------------------------------
 
 def _execute_shard(
-    fleet, plan, campaign, batch_bytes, server_config, scale,
+    fleet, plan, campaign, server_config, scale,
     trace_dir, trace_channels, ledger: bool, profile: bool, spec: ShardSpec,
 ) -> ShardOutput:
     """Run the engine body on one shard's slice and package its output.
@@ -251,15 +251,9 @@ def _execute_shard(
     profiler = Profiler() if profile else None
     t0 = perf_counter()
     with (profiler or Profiler()).timed("setup.workunits"):
-        runtime = RuntimeSpec(
-            workunits=campaign.materialize(
-                plan, spec.batch_lo, spec.batch_hi, spec.wu_id_base
-            ),
-            batch_bytes=batch_bytes,
-            server_config=server_config,
-            release_order=campaign.release_order,
-            scale=scale,
-            id_base=spec.wu_id_base,
+        runtime = RuntimeSpec.cross_docking(
+            campaign, plan, server_config, scale,
+            spec.batch_lo, spec.batch_hi, spec.wu_id_base,
         )
     _, (result,) = run_campaigns(
         replace(
@@ -478,8 +472,8 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     specs = plan_shards(sim, plan.n_shards)
     # What every shard takes from the parent, resolved once here.
     parent_args = (
-        sim.fleet, sim.plan, sim.campaign, sim.batch_result_bytes(),
-        sim.server_config, sim.scale, trace_dir, trace_channels,
+        sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
+        trace_dir, trace_channels,
         sim.ledger is not None, sim.profiler is not None,
     )
     n_workers = min(plan.n_workers, plan.n_shards)

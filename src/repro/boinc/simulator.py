@@ -511,17 +511,21 @@ class _CampaignTracer:
 
 @dataclass(frozen=True)
 class RuntimeSpec:
-    """What one campaign brings to a DES kernel: everything a
-    :class:`CampaignRuntime` needs except the kernel, the tracer and the
-    fleet's horizon."""
+    """A materialized campaign — alone, a shard, a roster entry or served:
+    everything a :class:`CampaignRuntime` needs except the kernel, the
+    tracer and the fleet's horizon.  Every cross-docking spec comes from
+    :meth:`cross_docking`; a screening build makes its own."""
 
     #: the ``(workunit, batch)`` list in release order
     workunits: list[tuple[WorkUnit, int]]
     #: result bytes shipped when each batch completes, by release position
     batch_bytes: Sequence[int]
+    #: resolved, never ``None`` (``GridServer``'s default is not phase I's)
     server_config: ServerConfig
     #: receptor / batch indices in release order
     release_order: np.ndarray
+    #: the whole campaign's reference CPU seconds (a shard's spec too)
+    total_reference_s: float
     scale: float = 1.0
     #: first workunit id (a shard's or a roster campaign's id namespace)
     id_base: int = 0
@@ -529,6 +533,29 @@ class RuntimeSpec:
     #: under on a shared grid — its name stamps every server event; None
     #: for a campaign alone, whose events carry no stamp
     campaign: Any = None
+
+    @classmethod
+    def cross_docking(
+        cls, campaign_plan: CampaignPlan, plan: WorkUnitPlan,
+        server_config: ServerConfig, scale: float = 1.0,
+        batch_lo: int = 0, batch_hi: int | None = None, id_base: int = 0,
+    ) -> "RuntimeSpec":
+        """Release positions ``[batch_lo, batch_hi)`` (default: all) of a
+        cross-docking campaign, ids from ``id_base``.  A receptor batch
+        ships its result lines, 118 bytes each, when it completes ("when
+        one protein has been docked with the 168 others", Section 5.2)."""
+        n_files = len(campaign_plan.library)
+        return cls(
+            workunits=campaign_plan.materialize(plan, batch_lo, batch_hi, id_base),
+            batch_bytes=[
+                result_bytes(rows, n_files) for rows in campaign_plan.batch_rows()
+            ],
+            server_config=server_config,
+            release_order=campaign_plan.release_order,
+            total_reference_s=campaign_plan.total_work,
+            scale=scale,
+            id_base=id_base,
+        )
 
 
 class CampaignRuntime:
@@ -759,32 +786,13 @@ class VolunteerGridSimulation:
         same workunits independently of the scheduler service (see
         :mod:`repro.service`).
         """
-        return self.campaign.materialize(self.plan)
-
-    def batch_result_bytes(self) -> list[int]:
-        """Result bytes shipped per receptor batch, by release position.
-
-        Result volume ships when a receptor batch completes ("when one
-        protein has been docked with the 168 others", Section 5.2): one
-        line per (position, orientation couple) against every ligand, at
-        the paper's 118 bytes per line — what the shipment telemetry
-        models (:func:`repro.validation.merge.dataset_volume` prices the
-        packed columnar store).
-        """
-        n_files = len(self.library)
-        return [
-            result_bytes(rows, n_files) for rows in self.campaign.batch_rows()
-        ]
+        return self.runtime_spec().workunits
 
     def runtime_spec(self) -> RuntimeSpec:
         """This campaign as a :class:`CampaignRuntime` can start it;
         materializes the workunits."""
-        return RuntimeSpec(
-            workunits=self.materialize_workunits(),
-            batch_bytes=self.batch_result_bytes(),
-            server_config=self.server_config,
-            release_order=self.campaign.release_order,
-            scale=self.scale,
+        return RuntimeSpec.cross_docking(
+            self.campaign, self.plan, self.server_config, self.scale
         )
 
     # -- execution ----------------------------------------------------------
@@ -876,8 +884,8 @@ def scaled_phase1(
     This function is a thin adapter over the campaign-first API: the
     library and cost model come from
     :class:`repro.multi.CrossDockingWorkload` (the workload a
-    ``Campaign.cross_docking(...)`` runs on a multi-campaign grid), so
-    both entry points materialize bit-identical campaigns.
+    ``Campaign.cross_docking(...)`` runs on a multi-campaign grid) and
+    both entry points build with :meth:`RuntimeSpec.cross_docking`.
     """
     # Imported lazily: repro.multi.engine imports this module, so a
     # module-level import here would be circular.

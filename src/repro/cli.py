@@ -176,12 +176,11 @@ def _simulate_multi(args: argparse.Namespace) -> None:
         faults=FaultPlan.from_spec(args.faults),
         accounting=AccountingMode(args.accounting),
     )
+    sim = MultiGridSimulation(grid, health=args.health, ledger=args.ledger)
     profiler = Profiler() if args.profile else None
     with _tracer(args.trace) as tracer:
-        result = MultiGridSimulation(
-            grid, tracer=tracer, profiler=profiler,
-            health=args.health, ledger=args.ledger,
-        ).run()
+        sim.tracer, sim.profiler = tracer, profiler
+        result = sim.run()
     print(result.summary())
     _simulate_tail(args, result, profiler, "trace:")
 
@@ -553,18 +552,16 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         print("draining...", flush=True)
         await service.shutdown()
 
+    config = ServiceConfig(
+        host=args.host,
+        port=args.port,
+        max_pending=args.max_pending,
+        time_scale=args.time_scale,
+    )
     # Opened once the configuration has been accepted (it truncates).
     with _tracer(args.trace) as tracer:
         service = SchedulerService(
-            sim_model,
-            config=ServiceConfig(
-                host=args.host,
-                port=args.port,
-                max_pending=args.max_pending,
-                time_scale=args.time_scale,
-            ),
-            tracer=tracer,
-            campaign=campaign_name,
+            sim_model, config=config, tracer=tracer, campaign=campaign_name
         )
         asyncio.run(_run(service))
     print(render_table(["quantity", "value"], service.summary_rows()))

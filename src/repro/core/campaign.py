@@ -159,11 +159,10 @@ class CampaignPlan:
         """The ``(workunit, batch)`` list of a release-position range, in
         release order.
 
-        The one materializer behind the single-campaign engine, its
-        shards and the multi-campaign cross-docking workload
-        (:meth:`batch_rows` prices what each batch ships).  Workunit ids
-        count up from ``wu_id_base`` and batch indices are release
-        positions, both campaign-global whatever the range.
+        Called by :meth:`repro.boinc.simulator.RuntimeSpec.cross_docking`
+        alone.  Workunit ids count up from ``wu_id_base`` and batch
+        indices are release positions, both campaign-global whatever the
+        range.
         """
         n = len(self.library)
         workunits: list[tuple[WorkUnit, int]] = []

@@ -58,8 +58,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "three_phase_weights",
     ],
     ".spec": ["CampaignSpecError", "parse_campaign_spec"],
-    ".workloads": [
-        "CrossDockingWorkload", "ScreeningWorkload", "Workload",
-        "WorkloadBuild",
-    ],
+    ".workloads": ["CrossDockingWorkload", "ScreeningWorkload", "Workload"],
 })

@@ -15,8 +15,9 @@ Identity contract
 
 The grid runs through the engine body every campaign runs through
 (:func:`repro.boinc.simulator.run_campaigns`): this module hands it one
-:class:`~repro.boinc.simulator.RuntimeSpec` per roster entry and the
-router constructor; the body starts a
+:class:`~repro.boinc.simulator.RuntimeSpec` per roster entry (a
+cross-docking one from ``scaled_phase1``'s builder) and the router
+constructor; the body starts a
 :class:`~repro.boinc.simulator.CampaignRuntime` for each, drives the one
 fleet (:func:`repro.boinc.fleet.run_fleet`), forwards ``health=`` /
 ``ledger=`` and assembles each :class:`CampaignResult`.  The router adds
@@ -41,10 +42,8 @@ integer division, and merged traces never collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
-
-import numpy as np
 
 from ..analysis.report import render_table
 from ..boinc.fleet import FleetSpec, resolve_server_config
@@ -66,7 +65,7 @@ from ..obs.ledger import FleetReport
 from ..units import SECONDS_PER_WEEK, weeks
 from .campaign import GridConfig
 from .policies import SchedulingPolicy, make_policy
-from .workloads import CrossDockingWorkload, WorkloadBuild
+from .workloads import CrossDockingWorkload
 
 __all__ = [
     "WU_ID_STRIDE",
@@ -431,48 +430,38 @@ class MultiGridSimulation:
         self.profiler = profiler
         self.health = health
         self.ledger = ledger
-        #: builds are pure functions of (workload, seed, id base): the
-        #: same grid config always materializes identical workunits, the
+        #: one :class:`RuntimeSpec` per roster entry, built once: builds are
+        #: pure functions of (workload, seed, server policy, id base), the
         #: root of the deterministic mid-run-admission replay guarantee
-        self.builds: list[WorkloadBuild] = [
-            c.workload.build(config.seed, index * WU_ID_STRIDE)
+        horizon_s = weeks(config.horizon_weeks)
+        self.specs: list[RuntimeSpec] = [
+            replace(
+                c.workload.build(
+                    config.seed,
+                    resolve_server_config(
+                        c.server, config.faults, config.seed, horizon_s
+                    ),
+                    index * WU_ID_STRIDE,
+                ),
+                campaign=c,
+            )
             for index, c in enumerate(config.campaigns)
         ]
         #: one fleet for all campaigns, auto-sized (when the config leaves
         #: it open) for the *total registered work*
         self.fleet = FleetSpec.resolve(
-            config, sum(b.total_reference_s for b in self.builds)
+            config, sum(spec.total_reference_s for spec in self.specs)
         )
         self.horizon_s = self.fleet.horizon_s
 
     # -- execution ---------------------------------------------------------
-
-    def _runtime_spec(self, index: int) -> RuntimeSpec:
-        """Campaign ``index`` as a :class:`CampaignRuntime` can start it."""
-        campaign, build = self.config.campaigns[index], self.builds[index]
-        return RuntimeSpec(
-            workunits=build.workunits,
-            batch_bytes=build.batch_bytes,
-            server_config=resolve_server_config(
-                campaign.server, self.config.faults, self.config.seed,
-                self.horizon_s,
-            ),
-            release_order=(
-                build.release_order
-                if build.release_order is not None
-                else np.arange(build.n_batches)
-            ),
-            scale=getattr(campaign.workload, "scale", 1.0),
-            id_base=index * WU_ID_STRIDE,
-            campaign=campaign,
-        )
 
     def run(self) -> GridResult:
         """Run the grid to completion of every campaign (or the horizon)."""
         grid_telemetry = Telemetry(self.horizon_s, tracer=self.tracer)
         fleet_run, results = run_campaigns(
             self.fleet,
-            [self._runtime_spec(i) for i in range(len(self.config.campaigns))],
+            self.specs,
             router=partial(
                 CampaignRouter,
                 policy=make_policy(self.config.policy, self.config.seed),

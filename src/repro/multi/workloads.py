@@ -1,16 +1,15 @@
 """Campaign workload models: what a campaign actually computes.
 
 The multi-campaign grid hosts heterogeneous science.  A *workload* is the
-pure, frozen description of one campaign's computation — enough to
-materialize its workunits deterministically and to price its result
-volume in either result format:
+pure, frozen description of one campaign's computation; ``build()``
+materializes it into a :class:`~repro.boinc.simulator.RuntimeSpec`, the
+one record of a built campaign:
 
 * :class:`CrossDockingWorkload` — the HCMD phase-I shape: an all-pairs
   protein cross-docking matrix, released receptor batch by receptor
-  batch in least-cost order.  ``build()`` and
-  :func:`repro.boinc.simulator.scaled_phase1` materialize through the
-  same :meth:`~repro.core.campaign.CampaignPlan.materialize`, so they
-  agree byte for byte (the façade is a thin adapter over this class).
+  batch in least-cost order.  ``build()`` hands its plans to
+  :meth:`RuntimeSpec.cross_docking <repro.boinc.simulator.RuntimeSpec.cross_docking>`,
+  the builder :func:`repro.boinc.simulator.scaled_phase1` uses too.
 * :class:`ScreeningWorkload` — the WISDOM-style on-demand virtual
   screening shape: one target receptor docked against a ligand database,
   with per-workunit costs drawn from a lognormal ligand-difficulty model
@@ -18,10 +17,10 @@ volume in either result format:
   lognormal is the standard fit).  Ligands ship in fixed-size batches,
   the unit the result store segments on.
 
-Both builds are pure functions of ``(workload, seed, wu_id_base)`` —
-the same triple always yields the same workunit list, which is what the
-deterministic-replay and mid-run-admission guarantees of
-:mod:`repro.multi.engine` rest on.
+Both builds are pure functions of ``(workload, seed, server_config,
+wu_id_base)`` — the same arguments always yield the same workunit list,
+which is what the deterministic-replay and mid-run-admission guarantees
+of :mod:`repro.multi.engine` rest on.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from typing import Union
 import numpy as np
 
 from .. import constants
+from ..boinc.server import ServerConfig
+from ..boinc.simulator import RuntimeSpec
 from ..core.campaign import CampaignPlan
 from ..core.packaging import PackagingPolicy, WorkUnitPlan
 from ..core.workunit import WorkUnit
@@ -42,39 +43,10 @@ from ..store.format import result_bytes
 from ..units import SECONDS_PER_HOUR
 
 __all__ = [
-    "WorkloadBuild",
     "CrossDockingWorkload",
     "ScreeningWorkload",
     "Workload",
 ]
-
-
-@dataclass
-class WorkloadBuild:
-    """A materialized workload: everything the grid server needs."""
-
-    #: ``(workunit, batch)`` in release order; ids start at ``wu_id_base``
-    workunits: list[tuple[WorkUnit, int]]
-    #: result bytes shipped when each batch completes (text format)
-    batch_bytes: list[int]
-    #: total reference CPU seconds across all workunits
-    total_reference_s: float
-    #: receptor/batch indices in release order (length = number of batches)
-    release_order: np.ndarray | None = None
-    #: the protein library backing a cross-docking build (None otherwise)
-    library: ProteinLibrary | None = None
-    #: the cost model backing a cross-docking build (None otherwise)
-    cost_model: CostModel | None = None
-    #: the packaging plan backing a cross-docking build (None otherwise)
-    plan: WorkUnitPlan | None = None
-
-    @property
-    def n_workunits(self) -> int:
-        return len(self.workunits)
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batch_bytes)
 
 
 @dataclass(frozen=True)
@@ -116,7 +88,9 @@ class CrossDockingWorkload:
         )
         return library, CostModel.calibrated(library, seed=seed)
 
-    def build(self, seed: int, wu_id_base: int = 0) -> WorkloadBuild:
+    def build(
+        self, seed: int, server_config: ServerConfig, wu_id_base: int = 0
+    ) -> RuntimeSpec:
         """Materialize the campaign's workunits in release order."""
         library, cost_model = self.library_and_costs(seed)
         packaging = (
@@ -124,20 +98,10 @@ class CrossDockingWorkload:
             if self.packaging is not None
             else PackagingPolicy(target_hours=self.target_hours)
         )
-        plan = WorkUnitPlan(cost_model, packaging)
-        campaign = CampaignPlan(library, cost_model, policy=self.release_policy)
-        n = len(library)
-        return WorkloadBuild(
-            workunits=campaign.materialize(plan, wu_id_base=wu_id_base),
-            batch_bytes=[result_bytes(rows, n) for rows in campaign.batch_rows()],
-            # CampaignPlan's vectorized total, not a per-workunit sum: the
-            # grid's fleet auto-sizing must agree bit for bit with the
-            # monolithic engine, which sizes from CampaignPlan.total_work.
-            total_reference_s=campaign.total_work,
-            release_order=campaign.release_order.copy(),
-            library=library,
-            cost_model=cost_model,
-            plan=plan,
+        return RuntimeSpec.cross_docking(
+            CampaignPlan(library, cost_model, policy=self.release_policy),
+            WorkUnitPlan(cost_model, packaging), server_config, self.scale,
+            id_base=wu_id_base,
         )
 
 
@@ -172,39 +136,42 @@ class ScreeningWorkload:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def build(self, seed: int, wu_id_base: int = 0) -> WorkloadBuild:
+    def build(
+        self, seed: int, server_config: ServerConfig, wu_id_base: int = 0
+    ) -> RuntimeSpec:
         """Materialize one workunit per ligand, costs from the lognormal."""
         rng = substream(seed, "screening", wu_id_base)
         mean_s = self.mean_hours * SECONDS_PER_HOUR
         # lognormal parameterized so the *mean* (not the median) is mean_s
         mu = np.log(mean_s) - 0.5 * self.sigma**2
         costs = np.exp(rng.normal(mu, self.sigma, size=self.n_ligands))
-        workunits: list[tuple[WorkUnit, int]] = []
-        for i in range(self.n_ligands):
-            workunits.append(
-                (
-                    WorkUnit(
-                        wu_id=wu_id_base + i,
-                        receptor=0,  # the single screening target
-                        ligand=i,
-                        isep_start=1,
-                        nsep=self.n_checkpoints,
-                        cost_reference_s=float(costs[i]),
-                    ),
-                    i // self.batch_size,
-                )
+        workunits = [
+            (
+                WorkUnit(
+                    wu_id=wu_id_base + i,
+                    receptor=0,  # the single screening target
+                    ligand=i,
+                    isep_start=1,
+                    nsep=self.n_checkpoints,
+                    cost_reference_s=float(cost),
+                ),
+                i // self.batch_size,
             )
+            for i, cost in enumerate(costs)
+        ]
         n_batches = (self.n_ligands + self.batch_size - 1) // self.batch_size
         batch_rows = [
             min(self.batch_size, self.n_ligands - b * self.batch_size)
             * self.poses_per_ligand
             for b in range(n_batches)
         ]
-        return WorkloadBuild(
+        return RuntimeSpec(
             workunits=workunits,
             batch_bytes=[result_bytes(rows, 1) for rows in batch_rows],
-            total_reference_s=float(costs.sum()),
+            server_config=server_config,
             release_order=np.arange(n_batches),
+            total_reference_s=float(costs.sum()),
+            id_base=wu_id_base,
         )
 
 

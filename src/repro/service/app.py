@@ -127,6 +127,11 @@ class ServiceConfig:
     #: largest accepted request body
     max_body_bytes: int = 1 << 20
 
+    def __post_init__(self) -> None:
+        if self.max_pending < 1:  # asyncio.Queue(maxsize=0) is unbounded
+            raise ValueError(f"max_pending (--max-pending) must be >= 1, "
+                             f"got {self.max_pending}")
+
 
 class SchedulerService:
     """HTTP/JSON RPC front-end over one campaign's :class:`GridServer`.

@@ -237,6 +237,11 @@ class TestCommands:
         (["loadgen", "http://127.0.0.1:1", "--faults", "bogus=1"], "'bogus'"),
         (["loadgen", "http://127.0.0.1:1", "--campaign", "quota=0.5"],
          "'quota'"),
+        (["simulate", "--hosts-peak", "0"], "--hosts-peak"),
+        (["simulate", "--campaign", "scale=900,proteins=5",
+          "--hosts-peak", "-3"], "--hosts-peak"),
+        (["serve", "--max-pending", "0", "--port", "0", "--duration", "0"],
+         "--max-pending"),
     ])
     def test_user_errors_are_one_line_and_touch_nothing(
         self, argv, named, tmp_path, capsys

@@ -269,6 +269,42 @@ def _functions_calling(name: str) -> list[str]:
     ]
 
 
+def _call_sites(matches) -> list[str]:
+    """``module:Class.function`` for every call in ``src/repro`` that
+    ``matches``, one entry per call."""
+    sites = []
+
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                visit(module, child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and matches(child):
+                sites.append(f"{module}:{'.'.join(scope)}")
+            visit(module, child, scope)
+
+    for module, text in _sources().items():
+        visit(module, ast.parse(text), [])
+    return sites
+
+
+class TestPeakFleet:
+    @pytest.mark.parametrize("peak", [0, -3])
+    def test_a_peak_fleet_of_no_host_is_refused(self, peak):
+        """Both configs resolve through ``FleetSpec.resolve``; the CLI's
+        ``--hosts-peak`` cases are in ``tests/test_cli.py``."""
+        named = r"n_hosts_peak \(--hosts-peak\)"
+        with pytest.raises(ValueError, match=named):
+            _small(config=CampaignConfig(n_hosts_peak=peak))
+        with pytest.raises(ValueError, match=named):
+            MultiGridSimulation(GridConfig(
+                campaigns=(Campaign.cross_docking("hcmd", scale=900, n_proteins=5),),
+                n_hosts_peak=peak,
+            ))
+
+
 class TestOneDefinitionEach:
     """Structural guard: what the fleet driver owns exists once."""
 
@@ -416,6 +452,29 @@ class TestOneOfEach:
             and node.name == "minimize_rigid_batch"
         ]
         assert sum(isinstance(n, ast.Return) for n in ast.walk(batch)) == 1
+
+    def test_a_campaign_is_materialized_by_one_builder(self):
+        """``RuntimeSpec`` is the one built-campaign record: every
+        cross-docking spec comes from ``RuntimeSpec.cross_docking``, the
+        one caller of ``CampaignPlan.materialize``; only the screening
+        build makes a spec of its own."""
+        defined = [
+            name
+            for name, text in _sources().items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef) and node.name == "WorkloadBuild"
+        ]
+        assert defined == []
+        assert _call_sites(
+            lambda call: getattr(call.func, "attr", None) == "materialize"
+        ) == ["boinc/simulator.py:RuntimeSpec.cross_docking"]
+        constructed = _call_sites(
+            lambda call: getattr(call.func, "id", None) == "RuntimeSpec"
+        )
+        assert [
+            site for site in constructed
+            if not site.startswith("boinc/simulator.py:")
+        ] == ["multi/workloads.py:ScreeningWorkload.build"]
 
     def test_chunk_tiling_rule_is_written_once(self):
         functions = [

@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.boinc.simulator import scaled_phase1
+from repro.boinc.sharding import plan_shards
+from repro.boinc.simulator import RuntimeSpec, scaled_phase1
 from repro.multi import (
     Campaign,
     GridConfig,
@@ -94,6 +95,33 @@ class TestSingleCampaignIdentity:
             routed.telemetry.total_claimed_credit
             == ref.telemetry.total_claimed_credit
         )
+
+    def test_one_builder_makes_the_roster_and_shard_specs(self):
+        """Checked at setup, before any run: the N=1 roster spec is the
+        campaign's own spec field for field (its roster entry aside), and
+        shard slices from the same builder concatenate to its workunits."""
+        roster = MultiGridSimulation(GridConfig(
+            campaigns=(Campaign.cross_docking("hcmd", scale=900, n_proteins=5),),
+            seed=42,
+        )).specs[0]
+        sim = scaled_phase1(scale=900, n_proteins=5, seed=42)
+        alone = sim.runtime_spec()
+        assert roster.campaign is not None and alone.campaign is None
+        assert roster.workunits == alone.workunits  # ids, batches, costs
+        np.testing.assert_array_equal(roster.release_order, alone.release_order)
+        for name in (
+            "batch_bytes", "total_reference_s", "server_config", "scale",
+            "id_base",
+        ):
+            assert getattr(roster, name) == getattr(alone, name), name
+        shards = [
+            RuntimeSpec.cross_docking(
+                sim.campaign, sim.plan, sim.server_config, sim.scale,
+                shard.batch_lo, shard.batch_hi, shard.wu_id_base,
+            )
+            for shard in plan_shards(sim, 3)
+        ]
+        assert [wu for spec in shards for wu in spec.workunits] == alone.workunits
 
     def test_n1_trace_identical_under_full_tracing(self):
         """The N=1 router trace *is* the monolithic one, plus the

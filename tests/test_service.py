@@ -242,6 +242,14 @@ class TestReplayReconciliation:
 
 
 class TestOverload:
+    @pytest.mark.parametrize("max_pending", [0, -1])
+    def test_an_unbounded_queue_is_refused(self, max_pending):
+        """``asyncio.Queue(maxsize=0)`` is unbounded: a service built on it
+        could never refuse with ``overload`` (``serve --max-pending 0`` is
+        a case of the CLI's user-error test)."""
+        with pytest.raises(ValueError, match=r"max_pending \(--max-pending\)"):
+            ServiceConfig(max_pending=max_pending)
+
     def test_burst_overload_refuses_but_answers_everything(self):
         tracer = Tracer(sink=RingSink(capacity=100_000), channels=("service",))
         handle = serve_in_thread(
