@@ -16,9 +16,9 @@ import numpy as np
 
 from repro import CostModel, ProteinLibrary
 from repro.maxdo.docking import MaxDoRun
-from repro.maxdo.resultfile import read_results
-from repro.validation.checks import check_result_file
-from repro.validation.merge import merge_couple_results
+from repro.store import (
+    check_segment, iter_segments, merge_couple_store, read_store, text_to_store,
+)
 
 
 def main() -> None:
@@ -72,18 +72,22 @@ def main() -> None:
         file2 = wu2.finalize()
         print(f"workunit 2 complete: {file2.name}\n")
 
-        # Validate both uploads with the paper's checks, then merge.
-        for f in (file1, file2):
-            report = check_result_file(f)
-            print(f"validation of {f.name}: {'OK' if report.ok else report}")
-        merged = workdir / "couple.result"
-        n_lines = merge_couple_results([file1, file2], merged)
+        # Convert both uploads into the result store, validate them with the
+        # paper's checks, then merge the couple.
+        uploads = workdir / "uploads.rcs"
+        text_to_store([file1, file2], uploads)
+        for segment in iter_segments(uploads):
+            report = check_segment(segment)
+            print(f"validation of {segment.source}: "
+                  f"{'OK' if report.ok else report}")
+        merged = workdir / "couple.rcs"
+        n_lines = merge_couple_store(uploads, merged)
         print(f"\nmerged result file: {n_lines} lines "
               f"({total_nsep} positions x {n_couples} orientation couples)")
 
-        table = read_results(merged)
-        best = int(np.argmin(table.records["e_tot"]))
-        rec = table.records[best]
+        (couple,) = read_store(merged).segments
+        records = couple.records
+        rec = records[int(np.argmin(records["e_tot"]))]
         print("\nstrongest interaction found:")
         print(f"  isep={int(rec['isep'])} irot={int(rec['irot'])} "
               f"E_lj={rec['e_lj']:.2f} E_elec={rec['e_elec']:.2f} "

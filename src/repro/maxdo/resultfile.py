@@ -174,29 +174,25 @@ def _records_from_columns(raw: np.ndarray) -> np.ndarray:
 def read_results(path: Path | str) -> ResultTable:
     """Parse a result file written by :func:`write_results`.
 
-    ``#`` lines are the header, other non-blank lines data rows: in
-    ``LINE_FORMAT``'s exact layout, read as the store's codes and then
-    ``code / scale`` (:func:`repro.store.convert._decode_fixed`), else by
-    one float ``np.loadtxt`` over the lines split at ``\\n``; either way
-    bit-identical to the per-token oracle in ``tests/oracles/resultfile.py``.
+    The table of :func:`repro.store.segment_from_text`, the one text
+    reader: a data block in ``LINE_FORMAT``'s exact layout is read as the
+    store's codes, any other by the float parser and packed, so the values
+    are what the store keeps (rounded to the printed precision).
 
-    Raises ``ValueError`` on malformed headers or data lines (not 12
-    columns, a ragged block, a token that is not a number, ``#`` inside a
-    data line included); the validator (:mod:`repro.validation.checks`)
-    relies on these errors to reject corrupted volunteer uploads.
+    Raises ``ValueError`` naming the file (``"<name>: ..."``) on malformed
+    headers or data lines (not 12 columns, a ragged block, a token that is
+    not a number, ``#`` inside a data line included) and on a value the
+    store cannot hold.
     """
-    from ..store.convert import _decode_fixed  # the store imports this module
+    from ..store.convert import segment_from_text  # the store imports this module
 
-    data = Path(path).read_bytes()
-    if (segment := _decode_fixed(data)) is not None:
-        return segment.table()
-    return _parse_floats(data)
+    return segment_from_text(path).table()
 
 
 def _parse_floats(data: bytes) -> ResultTable:
-    """The float parser, for a file ``_decode_fixed`` turned down (used by
-    :func:`read_results` and :func:`repro.store.convert.segment_from_text`
-    after their one decode attempt): one ``np.loadtxt`` over the lines."""
+    """The float parser, for a file ``_decode_fixed`` turned down (called
+    by :func:`repro.store.convert.segment_from_text` after its one decode
+    attempt): one ``np.loadtxt`` over the lines."""
     lines = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     header = _parse_header([ln for ln in lines if ln[:1] == "#"])
     data_lines = [ln for ln in lines if ln and ln[0] != "#" and not ln.isspace()]

@@ -4,9 +4,9 @@ The canonical result format of the reproduction: fixed-point packed numpy
 record columns (:data:`PACKED_DTYPE`, 56 bytes/row vs the text format's
 118), per-couple segments behind a versioned header, an append-friendly
 writer for the checkpointed producer, lossless text converters, and the
-vectorized check -> merge -> matrix pipeline over Section 5.2's rules —
-the same rule set the text path applies (:mod:`repro.validation`), entered
-with columns instead of lines.
+vectorized check -> merge -> matrix pipeline over Section 5.2's rules
+(:mod:`repro.validation`) — the one result path; text enters it through
+:func:`segment_from_text`.
 
 See ``docs/resultstore.md`` for the on-disk layout and conversion
 guarantees; the ``results_ingest`` / ``results_reduce`` workloads of

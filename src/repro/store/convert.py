@@ -100,7 +100,8 @@ def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | N
 def segment_from_text(path: Path | str) -> ColumnarSegment:
     """Parse one text result file into a packed segment (straight to the
     codes in the canonical layout), its file name the ``source`` that
-    :func:`store_to_text` reuses; a ``ValueError`` names the file."""
+    :func:`store_to_text` reuses.  The one way text enters the program; a
+    ``ValueError`` names the file, a value the store cannot hold included."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -131,15 +132,18 @@ def store_to_text(store_path: Path | str, out_dir: Path | str) -> list[Path]:
     """Expand a store back into text result files under ``out_dir``.
 
     Segment ``source`` names are reused; segments without one are named
-    ``{receptor}_{ligand}_{isep_start}.result``.  Returns the written paths.
+    ``{receptor}_{ligand}_{isep_start}.result``.  Returns the written paths;
+    a ``ValueError`` names a file two segments would both be written to.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written: dict[Path, None] = {}  # insertion-ordered, O(1) membership
     for segment in iter_segments(store_path):
         h = segment.header
         name = segment.source or f"{h.receptor}_{h.ligand}_{h.isep_start}.result"
         path = out_dir / name
+        if path in written:
+            raise ValueError(f"{name}: two segments expand to this file")
         segment_to_text(segment, path)
-        written.append(path)
-    return written
+        written[path] = None
+    return list(written)

@@ -323,7 +323,7 @@ class ColumnarSegment:
         return _decode_column(self.columns[name], name)
 
     def table(self) -> ResultTable:
-        """View as the parsed-text interface the legacy pipeline consumes."""
+        """View as the parsed-text interface :func:`read_results` returns."""
         return ResultTable(header=self.header, records=self.records)
 
     @classmethod

@@ -1,16 +1,15 @@
 """The vectorized post-processing pipeline over the columnar store.
 
-Re-implements Section 5.2's check -> merge -> reduce chain as whole-column
-array passes:
+Section 5.2's check -> merge -> reduce chain as whole-column array
+passes — the one result path: a text upload enters it through
+:func:`repro.store.segment_from_text`.
 
 * **checks 2/3** (:func:`check_segment` / :func:`check_store`): line-count
-  and value-range validation straight off the columns the rules read —
-  verdicts identical to :mod:`repro.validation.checks` over the
-  equivalent text files, without a text parse;
+  and value-range validation straight off the columns the rules read
+  (:func:`repro.validation.checks.check_table`), without a text parse;
 * **merge** (:func:`merge_segments` / :func:`merge_couple_store`):
   slice-tiling validation plus a column-by-column concatenation in key
-  order, one couple at a time — no text line is ever materialized, and
-  the merged energies are bit-identical to the text path's;
+  order, one couple at a time — no text line is ever materialized;
 * **reduction** (:func:`energy_matrix` / :func:`position_energy_maps`):
   the cross-docking matrix and the position-resolved site maps read as
   grouped column minima (`np.minimum.at` over integer keys), feeding
@@ -69,11 +68,10 @@ def check_segment(
 ) -> CheckReport:
     """Checks 2 and 3 (line count, value ranges) on one segment.
 
-    Same verdicts as :func:`repro.validation.checks.check_result_file` on
-    the equivalent text file: the same rule
-    (:func:`repro.validation.checks.check_table`) runs over the columns it
-    reads — the six value columns decoded, bit-identical to what the text
-    parser would produce, and the three integer indices as stored.
+    The rule (:func:`repro.validation.checks.check_table`) runs over the
+    columns it reads — the six value columns decoded, bit-identical to
+    what a per-token parse of the text file gives, and the three integer
+    indices as stored.
     """
     rows = {n: segment.column(n) for n in _CHECKED}
     rows.update((n, segment.columns[n]) for n in ("isep", "irot", "igamma"))
@@ -105,14 +103,12 @@ def check_store(
 def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     """Merge one couple's workunit segments into a single segment.
 
-    The columnar entry to the rule
-    :func:`repro.validation.merge.merge_couple_results` applies to text
-    files: segments must belong to one couple, agree on the orientation
-    grid and tile ``[1..Nsep]`` exactly; every error names the offending
-    chunk.  The merged columns are the chunks' packed columns in
-    ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.key_order`,
-    the text path's rule) — integer keys, exact, so the merged energies
-    are bit-identical to the text path's.
+    Segments must belong to one couple, agree on the orientation grid and
+    tile ``[1..Nsep]`` exactly
+    (:func:`~repro.validation.merge.merged_header`); every error names the
+    offending chunk.  The merged columns are the chunks' packed columns in
+    ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.key_order`)
+    — integer keys, exact, so the merged energies are the chunks' own.
     """
     header = merged_header(
         [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
@@ -141,13 +137,18 @@ def merge_couple_store(
 def _couple_index(
     couples: Iterable[tuple[str, str]], names: Sequence[str] | None
 ) -> tuple[list[str], dict[str, int]]:
-    if names is None:
-        seen: dict[str, None] = {}
-        for r, l in couples:
-            seen.setdefault(r, None)
-            seen.setdefault(l, None)
-        names = list(seen)
-    return list(names), {n: i for i, n in enumerate(names)}
+    """The protein order (``names``, else first-seen) and each protein's
+    index; a protein of ``couples`` missing from ``names`` is refused."""
+    seen: dict[str, None] = {}
+    for r, l in couples:
+        seen.setdefault(r, None)
+        seen.setdefault(l, None)
+    names = list(seen) if names is None else list(names)
+    index = {n: i for i, n in enumerate(names)}
+    for name in seen:
+        if name not in index:
+            raise ValueError(f"protein {name!r} in the store is not in names")
+    return names, index
 
 
 def energy_matrix(

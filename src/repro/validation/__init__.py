@@ -7,15 +7,15 @@ valid ranges — then merged into one file per couple (123 GB of text for
 phase I).
 
 * :mod:`repro.validation.checks` — the three checks;
-* :mod:`repro.validation.merge` — per-couple merging and the dataset
-  volume model.
+* :mod:`repro.validation.merge` — the per-couple merge rules and the
+  dataset volume model.
+
+:mod:`repro.store` runs both over the columnar store.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".checks": [
-        "CheckReport", "ValueRanges", "check_batch", "check_result_file",
-    ],
-    ".merge": ["dataset_volume", "merge_couple_results"],
+    ".checks": ["CheckReport", "ValueRanges"],
+    ".merge": ["dataset_volume"],
 })

@@ -9,15 +9,12 @@ the file are within a valid range."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ..maxdo.resultfile import (
-    ResultHeader, ResultTable, expected_line_count, read_results,
-)
+from ..maxdo.resultfile import ResultHeader, ResultTable, expected_line_count
 
-__all__ = ["ValueRanges", "CheckReport", "check_result_file", "check_batch"]
+__all__ = ["ValueRanges", "CheckReport"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class CheckReport:
     files_found: int
     files_with_bad_line_count: list[str] = field(default_factory=list)
     files_with_bad_values: dict[str, list[str]] = field(default_factory=dict)
-    files_unreadable: dict[str, str] = field(default_factory=dict)
 
     @property
     def file_count_ok(self) -> bool:
@@ -80,7 +76,6 @@ class CheckReport:
             self.file_count_ok
             and not self.files_with_bad_line_count
             and not self.files_with_bad_values
-            and not self.files_unreadable
         )
 
 
@@ -90,8 +85,8 @@ def check_table(
 ) -> CheckReport:
     """Checks 2 and 3 (line count, value ranges) on one result slice given
     as its header and its columns by name (a record array, or a store
-    segment's decoded columns), reported under ``name`` — the rule behind
-    both the text files and the columnar segments."""
+    segment's decoded columns), reported under ``name`` — the rule
+    :func:`repro.store.check_segment` applies to every segment."""
     ranges = ranges if ranges is not None else ValueRanges()
     report = CheckReport(files_expected=1, files_found=1)
     if len(rows["isep"]) != expected_line_count(header.nsep, header.n_couples):
@@ -101,32 +96,3 @@ def check_table(
         report.files_with_bad_values[name] = problems
     return report
 
-
-def check_result_file(
-    path: Path | str, ranges: ValueRanges | None = None
-) -> CheckReport:
-    """Run checks 2 and 3 (line count, value ranges) on one result file."""
-    path = Path(path)
-    try:
-        table = read_results(path)
-    except (ValueError, OSError) as exc:
-        report = CheckReport(files_expected=1, files_found=1)
-        report.files_unreadable[path.name] = str(exc)
-        return report
-    return check_table(path.name, table.header, table.records, ranges)
-
-
-def check_batch(
-    paths: list[Path | str],
-    files_expected: int,
-    ranges: ValueRanges | None = None,
-) -> CheckReport:
-    """Run all three checks on a receptor batch of result files."""
-    ranges = ranges if ranges is not None else ValueRanges()
-    report = CheckReport(files_expected=files_expected, files_found=len(paths))
-    for p in paths:
-        sub = check_result_file(p, ranges)
-        report.files_with_bad_line_count.extend(sub.files_with_bad_line_count)
-        report.files_with_bad_values.update(sub.files_with_bad_values)
-        report.files_unreadable.update(sub.files_unreadable)
-    return report

@@ -15,21 +15,15 @@ that this reproduction uses as its canonical format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .. import constants
-from ..maxdo.resultfile import (
-    ResultHeader,
-    read_results,
-    render_lines,
-    write_results,
-)
+from ..maxdo.resultfile import ResultHeader
 from ..proteins.library import ProteinLibrary
 
-__all__ = ["merge_couple_results", "DatasetVolume", "dataset_volume"]
+__all__ = ["DatasetVolume", "dataset_volume"]
 
 
 def merged_header(chunks: Sequence[tuple[ResultHeader, str]]) -> ResultHeader:
@@ -91,7 +85,7 @@ class KeyOrder(NamedTuple):
 def key_order(chunks: Sequence) -> KeyOrder:
     """The merged-file order, ``(isep, irot, igamma)`` ascending, of one
     couple's chunks — each a record array or a segment's columns, read by
-    key name: the one rule the text and the store merge apply.
+    key name: the one rule :func:`repro.store.merge_segments` applies.
 
     A workunit writes its rows in key order and slices ``isep``, so the
     chunks taken by their first ``isep`` usually concatenate into merged
@@ -116,29 +110,6 @@ def key_order(chunks: Sequence) -> KeyOrder:
         return KeyOrder(by_start, None)
     i, r, g = keys(given)
     return KeyOrder(given, np.lexsort((g, r, i)))
-
-
-def sorted_rows(chunks: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate chunk rows (float64 or packed records) in merged-file
-    order, :func:`key_order`."""
-    return key_order(chunks).apply(chunks)
-
-
-def merge_couple_results(chunk_paths: list[Path | str], out_path: Path | str) -> int:
-    """Merge one couple's workunit result files into a single file.
-
-    Chunks must pass individual parsing and :func:`merged_header`'s rules
-    (one couple, one orientation grid, exact ``[1..Nsep]`` tiling; errors
-    name the offending chunk file); the merged file is sorted by
-    ``(isep, irot, igamma)``.  Returns the merged line count.
-    """
-    chunk_paths = [Path(p) for p in chunk_paths]
-    tables = [read_results(p) for p in chunk_paths]
-    header = merged_header(
-        [(t.header, p.name) for t, p in zip(tables, chunk_paths)]
-    )
-    records = sorted_rows([t.records for t in tables])
-    return write_results(out_path, header, render_lines(records))
 
 
 @dataclass(frozen=True)

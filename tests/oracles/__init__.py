@@ -11,16 +11,19 @@ became the only one:
   ``repro.maxdo.energy`` kernels; ``minimize_rigid`` (one scipy call per
   pose), the oracle for ``minimize_rigid_batch``; and the per-orientation
   loop on them, the oracle for ``repro.maxdo.docking.dock_position``;
-* :mod:`tests.oracles.resultfile` — the per-line ``np.loadtxt`` parser and
-  the per-row f-string formatter, oracles for ``read_results`` and
-  ``repro.store.render_lines``;
+* :mod:`tests.oracles.resultfile` — the per-token parser and the per-row
+  f-string formatter, oracles for ``read_results`` and
+  ``repro.store.render_lines``; and, rebuilt on that parser, the
+  text-file check and merge the product shipped until the store became
+  the one result path — the verdict and merged-bytes oracles for
+  ``repro.store.check_segment`` and ``merge_segments``;
 * :mod:`tests.oracles.population` — the ``least_squares`` fit of the WCG
   trend, whose answer ``WCGPopulationModel.calibrated()`` returns frozen;
 * :mod:`tests.oracles.agent` — ``SteppedAgent``, which fires an
   ``_interrupt`` and a ``_when_available`` event per availability gap,
   the oracle for ``VolunteerAgent._compute_step``'s walk of the trace;
 * :mod:`tests.oracles.merge` — the concatenate-then-``lexsort`` merge
-  order, the oracle for ``repro.validation.merge.sorted_rows``, which
+  order, the oracle for ``repro.validation.merge.key_order``, which
   concatenates chunks already in key order without sorting.
 
 Only tests import this package (``tests/test_fleet.py`` pins that).  The

@@ -1,4 +1,5 @@
-"""Result-file oracles: the per-row formatter and the per-token parser."""
+"""Result-file oracles: the per-row formatter, the per-token parser and
+the text check and merge built on that parser."""
 
 from __future__ import annotations
 
@@ -11,9 +12,20 @@ from repro.maxdo.resultfile import (
     ResultTable,
     _parse_header,
     _records_from_columns,
+    render_lines,
+    write_results,
 )
+from repro.validation.checks import CheckReport, ValueRanges, check_table
+from repro.validation.merge import merged_header
 
-__all__ = ["format_record", "read_results_reference"]
+from .merge import sorted_rows_reference
+
+__all__ = [
+    "check_result_file_reference",
+    "format_record",
+    "merge_couple_results_reference",
+    "read_results_reference",
+]
 
 
 def format_record(
@@ -62,3 +74,32 @@ def read_results_reference(path: Path | str) -> ResultTable:
     header = _parse_header(header_lines)
     raw = np.array(rows, dtype=np.float64).reshape(-1, n_cols)
     return ResultTable(header=header, records=_records_from_columns(raw))
+
+
+def check_result_file_reference(
+    path: Path | str, ranges: ValueRanges | None = None
+) -> CheckReport:
+    """Checks 2 and 3 (line count, value ranges) on one text file, over
+    :func:`read_results_reference`'s records: the verdict oracle for
+    ``repro.store.check_segment`` on the file's segment.  A file the parser
+    rejects raises its ``ValueError``."""
+    path = Path(path)
+    table = read_results_reference(path)
+    return check_table(path.name, table.header, table.records, ranges)
+
+
+def merge_couple_results_reference(
+    chunk_paths: list[Path | str], out_path: Path | str
+) -> int:
+    """Merge one couple's text files into one text file: each parsed by
+    :func:`read_results_reference`, tiled by ``merged_header`` (errors name
+    the file), rows in :func:`sorted_rows_reference` order.  The oracle for
+    ``repro.store.merge_segments`` over the files' segments; returns the
+    merged line count."""
+    chunk_paths = [Path(p) for p in chunk_paths]
+    tables = [read_results_reference(p) for p in chunk_paths]
+    header = merged_header(
+        [(t.header, p.name) for t, p in zip(tables, chunk_paths)]
+    )
+    records = sorted_rows_reference([t.records for t in tables])
+    return write_results(out_path, header, render_lines(records))

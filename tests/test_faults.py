@@ -492,8 +492,8 @@ def truncate_table(table: ResultTable, keep_fraction: float = 0.5) -> ResultTabl
     """A copy of ``table`` with only the first ``keep_fraction`` of lines.
 
     Models a truncated upload; the line-count check
-    (:func:`repro.validation.checks.check_result_file`) must flag the
-    mismatch against ``expected_line_count``.
+    (:func:`repro.store.check_segment`) must flag the mismatch against
+    ``expected_line_count``.
     """
     n = max(1, int(len(table.records) * keep_fraction))
     return ResultTable(header=table.header, records=table.records[:n].copy())
@@ -540,13 +540,14 @@ class TestResultFileCorruption:
         assert "energy sum mismatch" in problems
 
     def test_truncated_table_caught_by_line_count(self, tmp_path):
-        from repro.maxdo.resultfile import read_results
-        from repro.validation.checks import check_result_file
+        from repro.store import check_segment, segment_from_text
+        from tests.oracles.resultfile import check_result_file_reference
 
         intact = self._write(tmp_path / "ok.res")
-        assert check_result_file(intact).ok
+        assert check_segment(segment_from_text(intact)).ok
         cut = self._write(tmp_path / "cut.res", drop_lines=5)
-        report = check_result_file(cut)
+        report = check_segment(segment_from_text(cut))
+        assert report == check_result_file_reference(cut)
         assert not report.ok
         assert report.files_with_bad_line_count == ["cut.res"]
 

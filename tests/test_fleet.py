@@ -486,6 +486,39 @@ class TestOneOfEach:
         ]
         assert functions == ["validation/merge.py:merged_header"]
 
+    def test_one_result_path_in_the_product(self):
+        """Uploads are checked and merged only through the store, and text
+        is read by one function: the text-file checker and merge are the
+        oracles in ``tests/oracles/resultfile.py``, and both text decoders
+        are called from ``segment_from_text`` alone."""
+        retired = {
+            "check_result_file", "check_batch", "merge_couple_results",
+            "sorted_rows", "files_unreadable",
+        }
+        def bound(node):  # the names a def, class or (field) assignment binds
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                return [node.name]
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            return [t.id for t in targets if isinstance(t, ast.Name)]
+
+        defined = [
+            f"{module}:{name}"
+            for module, text in _sources().items()
+            for node in ast.walk(ast.parse(text))
+            for name in bound(node)
+            if name in retired
+        ]
+        assert defined == []
+        for decoder in ("_decode_fixed", "_parse_floats"):
+            assert _call_sites(
+                lambda call: decoder in (
+                    getattr(call.func, "id", None),
+                    getattr(call.func, "attr", None),
+                )
+            ) == ["store/convert.py:segment_from_text"], decoder
+
 
 def _tracked(pattern: str) -> list[str]:
     if not (ROOT / ".git").exists():

@@ -118,7 +118,7 @@ class TestRealDockingThroughPackaging:
 
     def test_workunit_executes_and_validates(self, tmp_path):
         from repro.maxdo.docking import MaxDoRun
-        from repro.validation.checks import check_result_file
+        from repro.store import check_segment, segment_from_text
 
         library = ProteinLibrary.synthetic(n_proteins=2, sum_nsep=24, seed=3)
         cost_model = CostModel.calibrated(library)
@@ -137,4 +137,4 @@ class TestRealDockingThroughPackaging:
         ck = run.run()
         assert ck.complete
         final = run.finalize()
-        assert check_result_file(final).ok
+        assert check_segment(segment_from_text(final)).ok

@@ -10,7 +10,8 @@ goes through the float parser it always did.  Pinned here:
   ``pack_records`` of the per-token oracle's records and ``read_results``
   equals that oracle bit for bit;
 * a table of non-canonical inputs, each giving the float parser's
-  records or its ``ValueError`` (the per-token oracle agrees);
+  records or its ``ValueError``, which ``read_results`` prefixes with
+  the file name (the per-token oracle agrees);
 * which path each input takes: canonical files never reach the float
   parser, and every non-canonical case does.
 """
@@ -226,10 +227,8 @@ def outcome(parse, path) -> tuple[str, object]:
 
 
 def float_path(path):
-    """``read_results`` with the code decoder turned off: the float parser."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(convert, "_decode_fixed", lambda data, source=None: None)
-        return read_results(path)
+    """The float parser, on the bytes of ``path``."""
+    return resultfile._parse_floats(path.read_bytes())
 
 
 @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
@@ -237,16 +236,17 @@ def test_non_canonical_input_parses_as_today(case, tmp_path):
     path = tmp_path / "n.result"
     path.write_bytes(NON_CANONICAL[case](canonical_text()).encode("ascii"))
     kind, today = outcome(float_path, path)
-    assert outcome(read_results, path) == (kind, today)
     if kind == "error":
+        assert outcome(read_results, path) == (kind, f"n.result: {today}")
         assert outcome(read_results_reference, path)[0] == "error"
         with pytest.raises(ValueError) as raised:
             segment_from_text(path)
         assert str(raised.value) == f"n.result: {today}"
     else:
+        assert outcome(read_results, path) == (kind, today)
         assert outcome(read_results_reference, path) == (kind, today)
         assert (segment_from_text(path).packed.tobytes()
-                == pack_records(read_results(path).records).tobytes())
+                == pack_records(float_path(path).records).tobytes())
 
 
 def test_stray_dot_is_an_error(tmp_path):

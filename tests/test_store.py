@@ -3,12 +3,14 @@
 Covers the format layer (pack/unpack exactness, sentinels, the on-disk
 segment framing, rollback), the lossless text converters (the pinned
 byte-identity contract), the vectorized check -> merge -> matrix pipeline
-(verdict and bit parity with the text path on golden fixtures), the
+(verdict and bit parity with the text-file oracles), the
 science-layer extraction constructors, and the MaxDoRun columnar
 producer path.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ import pytest
 from repro.maxdo.resultfile import (
     RESULT_DTYPE,
     ResultHeader,
-    read_results,
     write_results,
 )
 from repro.rng import stream
@@ -44,8 +45,11 @@ from repro.store import (
     unpack_records,
     write_store,
 )
-from repro.validation.checks import check_result_file
-from repro.validation.merge import merge_couple_results
+from tests.oracles.resultfile import (
+    check_result_file_reference,
+    merge_couple_results_reference,
+    read_results_reference,
+)
 
 pytestmark = pytest.mark.store
 
@@ -391,6 +395,20 @@ class TestTextConversion:
         for orig, back in zip(paths, written):
             assert back.read_bytes() == orig.read_bytes()
 
+    @pytest.mark.parametrize("source", ["a.result", None])
+    def test_two_segments_on_one_file_are_refused(self, tmp_path, source):
+        """Two segments sharing a ``source``, or two sourceless segments of
+        one couple and one ``isep_start``, would expand to one file."""
+        rec = synth_records(None)
+        store_path = tmp_path / "twice.rcs"
+        write_store(store_path, [
+            ColumnarSegment.from_records(header_for(rec), rec, source=source)
+            for _ in range(2)
+        ])
+        name = source or "P001_P002_1.result"
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}: "):
+            store_to_text(store_path, tmp_path / "back")
+
     def test_render_lines_matches_format_record(self):
         from tests.oracles.resultfile import format_record
 
@@ -406,15 +424,15 @@ class TestTextConversion:
 
 
 class TestCheckParity:
-    """check_segment must reach the verdicts check_result_file reaches."""
+    """check_segment on a file's segment must reach the verdicts the
+    text-file oracle reaches on the file."""
 
     def _both(self, tmp_path, rec, header=None):
         header = header or header_for(rec)
         path = tmp_path / "a.result"
         write_results(path, header, render_lines(rec))
-        text_report = check_result_file(path)
-        seg = ColumnarSegment.from_records(header, rec, source="a.result")
-        col_report = check_segment(seg, name="a.result")
+        text_report = check_result_file_reference(path)
+        col_report = check_segment(segment_from_text(path))
         return text_report, col_report
 
     def _assert_same(self, text_report, col_report):
@@ -462,10 +480,8 @@ class TestCheckParity:
         short = rec[:-1]
         path = tmp_path / "a.result"
         write_results(path, header, render_lines(short))
-        t = check_result_file(path)
-        c = check_segment(
-            ColumnarSegment.from_records(header, short), name="a.result"
-        )
+        t = check_result_file_reference(path)
+        c = check_segment(segment_from_text(path))
         assert not c.ok
         self._assert_same(t, c)
 
@@ -496,7 +512,7 @@ class TestMergeParity:
             for k, rec in enumerate(chunks)
         ]
         text_out = tmp_path / "merged.result"
-        merge_couple_results(paths, text_out)
+        merge_couple_results_reference(paths, text_out)
 
         merged = merge_segments([segment_from_text(p) for p in paths])
         col_out = tmp_path / "merged_from_store.result"
@@ -510,8 +526,8 @@ class TestMergeParity:
             for k, rec in enumerate(chunks)
         ]
         text_out = tmp_path / "merged.result"
-        merge_couple_results(paths, text_out)
-        text_packed = pack_records(read_results(text_out).records)
+        merge_couple_results_reference(paths, text_out)
+        text_packed = pack_records(read_results_reference(text_out).records)
         merged = merge_segments([segment_from_text(p) for p in paths])
         assert np.array_equal(merged.packed["e_tot"], text_packed["e_tot"])
 
@@ -623,6 +639,19 @@ class TestExtraction:
         ])
         with pytest.raises(ValueError, match=r"in segment\[1\] A-B@3"):
             position_energy_maps(path, n_positions=2)
+
+    def test_names_must_cover_the_store(self, tmp_path):
+        from repro.science import CrossDockingMatrix, SiteMaps
+
+        path, _ = self._store(tmp_path)
+        for reduce in (
+            energy_matrix, position_energy_maps,
+            CrossDockingMatrix.from_store, SiteMaps.from_store,
+        ):
+            with pytest.raises(
+                ValueError, match="protein 'B' in the store is not in names"
+            ):
+                reduce(path, names=["A", "C"])
 
     def test_cross_docking_matrix_from_store(self, tmp_path):
         from repro.science import CrossDockingMatrix

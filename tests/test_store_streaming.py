@@ -12,7 +12,7 @@
   a time and agree bit for bit with the same call on a ``ResultStore``.
 * ``merge_couple_store`` holds a bounded number of merged couples, not
   the whole campaign.
-* ``sorted_rows`` concatenates chunks already in key order and falls
+* ``key_order`` concatenates chunks already in key order and falls
   back to the ``lexsort`` oracle otherwise — bit for bit either way.
 """
 
@@ -42,7 +42,7 @@ from repro.store import (
     text_to_store,
     write_store,
 )
-from repro.validation.merge import sorted_rows
+from repro.validation.merge import key_order
 from tests.oracles.merge import sorted_rows_reference
 
 pytestmark = pytest.mark.store
@@ -339,7 +339,7 @@ class TestSortedRows:
     @settings(max_examples=300, deadline=None)
     @given(chunks=merge_inputs())
     def test_matches_the_lexsort_oracle_bit_for_bit(self, chunks):
-        merged = sorted_rows(chunks)
+        merged = key_order(chunks).apply(chunks)
         reference = sorted_rows_reference(chunks)
         assert merged.dtype == reference.dtype
         assert merged.tobytes() == reference.tobytes()
@@ -349,5 +349,6 @@ class TestSortedRows:
         monkeypatch.setattr(np, "lexsort", None)  # the fallback would fail
         expected = np.concatenate(chunks)
         for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
-            merged = sorted_rows([chunks[k] for k in order])
+            ordered = [chunks[k] for k in order]
+            merged = key_order(ordered).apply(ordered)
             assert merged.tobytes() == expected.tobytes()

@@ -1,14 +1,24 @@
-"""Tests for repro.validation: the three checks and result merging."""
+"""Tests for repro.validation: the three checks and result merging, run
+the one way uploads take — converted into the store and checked and
+merged there."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.maxdo.resultfile import ResultHeader, write_results
-from repro.validation.checks import ValueRanges, check_batch, check_result_file
-from repro.validation.merge import dataset_volume, merge_couple_results
-from tests.oracles.resultfile import format_record
+from repro.maxdo.resultfile import ResultHeader, read_results, write_results
+from repro.store import (
+    check_segment, check_store, merge_couple_store, merge_segments,
+    read_store, segment_from_text, segment_to_text, text_to_store,
+)
+from repro.validation.checks import ValueRanges
+from repro.validation.merge import dataset_volume
+from tests.oracles.resultfile import (
+    check_result_file_reference,
+    format_record,
+    merge_couple_results_reference,
+)
 
 
 def _write(path, isep_start=1, nsep=2, n_couples=3, bad_energy=None, drop_lines=0):
@@ -30,33 +40,52 @@ def _write(path, isep_start=1, nsep=2, n_couples=3, bad_energy=None, drop_lines=
     return path
 
 
+def _check(path):
+    """Checks 2 and 3 on one upload: its segment, named by the file; the
+    report equals the text-file oracle's."""
+    report = check_segment(segment_from_text(path))
+    assert report == check_result_file_reference(path)
+    return report
+
+
+def _merge(paths, out):
+    """One couple's uploads merged in the store, written back as text; the
+    bytes equal the text-file oracle's."""
+    n = segment_to_text(
+        merge_segments([segment_from_text(p) for p in paths]), out
+    )
+    oracle = out.with_name(f"oracle-{out.name}")
+    assert merge_couple_results_reference(paths, oracle) == n
+    assert oracle.read_bytes() == out.read_bytes()
+    return n
+
+
 class TestCheckResultFile:
     def test_good_file_passes(self, tmp_path):
-        report = check_result_file(_write(tmp_path / "a.result"))
+        report = _check(_write(tmp_path / "a.result"))
         assert report.ok
 
     def test_wrong_line_count_detected(self, tmp_path):
-        report = check_result_file(_write(tmp_path / "a.result", drop_lines=1))
+        report = _check(_write(tmp_path / "a.result", drop_lines=1))
         assert not report.ok
         assert report.files_with_bad_line_count == ["a.result"]
 
     def test_out_of_range_energy_detected(self, tmp_path):
-        report = check_result_file(_write(tmp_path / "a.result", bad_energy=5e6))
+        report = _check(_write(tmp_path / "a.result", bad_energy=5e6))
         assert not report.ok
         assert "energy out of range" in report.files_with_bad_values["a.result"]
 
     def test_unreadable_file_detected(self, tmp_path):
+        """An upload that does not parse is a conversion error naming the
+        file, not a verdict."""
         path = tmp_path / "bad.result"
         path.write_text("garbage\n")
-        report = check_result_file(path)
-        assert not report.ok
-        assert "bad.result" in report.files_unreadable
+        with pytest.raises(ValueError, match=r"^bad\.result: "):
+            segment_from_text(path)
 
 
 class TestValueRanges:
     def _table(self, tmp_path, **kw):
-        from repro.maxdo.resultfile import read_results
-
         return read_results(_write(tmp_path / "x.result", **kw))
 
     def test_clean_table(self, tmp_path):
@@ -84,14 +113,17 @@ class TestValueRanges:
 
 
 class TestCheckBatch:
+    def _batch(self, tmp_path, n):
+        store = tmp_path / "batch.rcs"
+        text_to_store([_write(tmp_path / f"f{i}.result") for i in range(n)], store)
+        return store
+
     def test_counts_files(self, tmp_path):
-        paths = [_write(tmp_path / f"f{i}.result") for i in range(3)]
-        report = check_batch(paths, files_expected=3)
+        report = check_store(self._batch(tmp_path, 3), files_expected=3)
         assert report.ok
 
     def test_missing_file_detected(self, tmp_path):
-        paths = [_write(tmp_path / "f0.result")]
-        report = check_batch(paths, files_expected=2)
+        report = check_store(self._batch(tmp_path, 1), files_expected=2)
         assert not report.ok
         assert not report.file_count_ok
 
@@ -100,19 +132,19 @@ class TestMerge:
     def test_merge_two_chunks(self, tmp_path):
         a = _write(tmp_path / "a.result", isep_start=1, nsep=2)
         b = _write(tmp_path / "b.result", isep_start=3, nsep=2)
-        out = tmp_path / "merged.result"
-        n = merge_couple_results([a, b], out)
+        chunks, out = tmp_path / "chunks.rcs", tmp_path / "merged.rcs"
+        text_to_store([a, b], chunks)
+        n = merge_couple_store(chunks, out)
         assert n == 4 * 3
-        report = check_result_file(out)
+        report = check_store(out, files_expected=1)
         assert report.ok
+        assert read_store(out).segments[0].header.nsep == 4
 
     def test_merge_sorted_by_isep(self, tmp_path):
-        from repro.maxdo.resultfile import read_results
-
         a = _write(tmp_path / "a.result", isep_start=3, nsep=2)
         b = _write(tmp_path / "b.result", isep_start=1, nsep=2)
         out = tmp_path / "m.result"
-        merge_couple_results([a, b], out)
+        _merge([a, b], out)
         rec = read_results(out).records
         assert (np.diff(rec["isep"]) >= 0).all()
 
@@ -120,22 +152,22 @@ class TestMerge:
         a = _write(tmp_path / "a.result", isep_start=1, nsep=2)
         b = _write(tmp_path / "b.result", isep_start=3, nsep=2)
         m1 = tmp_path / "m1.result"
-        merge_couple_results([a, b], m1)
+        _merge([a, b], m1)
         m2 = tmp_path / "m2.result"
-        merge_couple_results([m1], m2)
+        _merge([m1], m2)
         assert m1.read_text() == m2.read_text()
 
     def test_merge_rejects_gap(self, tmp_path):
         a = _write(tmp_path / "a.result", isep_start=1, nsep=2)
         b = _write(tmp_path / "b.result", isep_start=4, nsep=2)
         with pytest.raises(ValueError, match="gap"):
-            merge_couple_results([a, b], tmp_path / "m.result")
+            _merge([a, b], tmp_path / "m.result")
 
     def test_merge_rejects_overlap(self, tmp_path):
         a = _write(tmp_path / "a.result", isep_start=1, nsep=3)
         b = _write(tmp_path / "b.result", isep_start=3, nsep=2)
         with pytest.raises(ValueError, match="overlap"):
-            merge_couple_results([a, b], tmp_path / "m.result")
+            _merge([a, b], tmp_path / "m.result")
 
     def test_merge_rejects_mixed_couples(self, tmp_path):
         a = _write(tmp_path / "a.result", isep_start=1, nsep=2)
@@ -143,11 +175,11 @@ class TestMerge:
         other = tmp_path / "other.result"
         write_results(other, header, [])
         with pytest.raises(ValueError, match="cannot merge"):
-            merge_couple_results([a, other], tmp_path / "m.result")
+            _merge([a, other], tmp_path / "m.result")
 
     def test_merge_rejects_empty_list(self, tmp_path):
         with pytest.raises(ValueError):
-            merge_couple_results([], tmp_path / "m.result")
+            _merge([], tmp_path / "m.result")
 
 
 class TestDatasetVolume:

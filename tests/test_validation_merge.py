@@ -1,10 +1,12 @@
-"""At-scale tests of the text merge path and its error reporting.
+"""At-scale tests of the per-couple merge and its error reporting.
 
-``merge_couple_results`` is the server-side step that turns a couple's
-chunked workunit uploads into the one-file-per-couple dataset; a phase-I
-couple arrives in dozens of chunks, so these tests exercise the tiling
-validation at that scale and pin the contract that every gap / overlap /
-duplicate-chunk failure names the offending upload file.
+Merging is the server-side step that turns a couple's chunked workunit
+uploads into the one-file-per-couple dataset: each upload is read into a
+store segment (``segment_from_text``) and the segments are merged
+(``merge_segments``).  A phase-I couple arrives in dozens of chunks, so
+these tests exercise the tiling validation at that scale, pin the merged
+bytes to the text-file oracle, and pin the contract that every gap /
+overlap / duplicate-chunk failure names the offending upload file.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from repro.maxdo.resultfile import (
 from repro.rng import stream
 from repro.cli import main as cli_main
 from repro.store import (
+    merge_couple_store,
     merge_segments,
     render_lines,
     segment_from_text,
+    segment_to_text,
     text_to_store,
 )
-from repro.validation.merge import merge_couple_results
+from tests.oracles.resultfile import merge_couple_results_reference
 
 N_ROT = 4
 N_GAMMA = 6
@@ -61,6 +65,12 @@ def _write_chunk(
     return path
 
 
+def merge_uploads(chunk_paths, out_path):
+    """Merge one couple's uploads through their segments; write text."""
+    merged = merge_segments([segment_from_text(p) for p in chunk_paths])
+    return segment_to_text(merged, out_path)
+
+
 @pytest.fixture
 def chunk_dir(tmp_path):
     """64 chunks of one couple, nsep=3 each, written in shuffled order."""
@@ -77,7 +87,7 @@ class TestMergeAtScale:
     def test_merges_64_shuffled_chunks(self, chunk_dir):
         tmp_path, paths, shuffled = chunk_dir
         out = tmp_path / "merged.result"
-        n = merge_couple_results(shuffled, out)
+        n = merge_uploads(shuffled, out)
         assert n == 64 * 3 * N_ROT
         table = read_results(out)
         assert table.header.isep_start == 1
@@ -90,19 +100,17 @@ class TestMergeAtScale:
     def test_order_independent(self, chunk_dir):
         tmp_path, paths, shuffled = chunk_dir
         a, b = tmp_path / "a.result", tmp_path / "b.result"
-        merge_couple_results(paths, a)
-        merge_couple_results(shuffled, b)
+        merge_uploads(paths, a)
+        merge_uploads(shuffled, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_matches_columnar_merge(self, chunk_dir):
+        """The store merge writes the text-file oracle's bytes."""
         tmp_path, paths, shuffled = chunk_dir
         out = tmp_path / "merged.result"
-        merge_couple_results(shuffled, out)
-        merged = merge_segments([segment_from_text(p) for p in shuffled])
+        merge_uploads(shuffled, out)
         twin = tmp_path / "twin.result"
-        from repro.store import segment_to_text
-
-        segment_to_text(merged, twin)
+        merge_couple_results_reference(shuffled, twin)
         assert twin.read_bytes() == out.read_bytes()
 
 
@@ -111,7 +119,7 @@ class TestMergeErrorsNameTheChunk:
         tmp_path, paths, _ = chunk_dir
         missing = paths[:17] + paths[18:]  # drop chunk 17 (isep 52..54)
         with pytest.raises(ValueError) as err:
-            merge_couple_results(missing, tmp_path / "out.result")
+            merge_uploads(missing, tmp_path / "out.result")
         assert "gap at 55 (expected 52)" in str(err.value)
         assert "chunk_018.result" in str(err.value)
 
@@ -122,7 +130,7 @@ class TestMergeErrorsNameTheChunk:
         rec = _chunk_records(rng, isep_start=17, nsep=3)
         bad = _write_chunk(tmp_path / "straddler.result", rec)
         with pytest.raises(ValueError) as err:
-            merge_couple_results(paths + [bad], tmp_path / "out.result")
+            merge_uploads(paths + [bad], tmp_path / "out.result")
         assert "overlap at 17" in str(err.value)
         assert "straddler.result" in str(err.value)
 
@@ -131,7 +139,7 @@ class TestMergeErrorsNameTheChunk:
         dup = tmp_path / "resent_upload.result"
         dup.write_bytes(paths[3].read_bytes())  # chunk 3 uploaded twice
         with pytest.raises(ValueError) as err:
-            merge_couple_results(paths + [dup], tmp_path / "out.result")
+            merge_uploads(paths + [dup], tmp_path / "out.result")
         # The duplicate slice [10..12] collides; the error carries the
         # colliding file's name (sorted ties break on the name).
         assert "overlap at 10 (expected 13)" in str(err.value)
@@ -145,7 +153,7 @@ class TestMergeErrorsNameTheChunk:
             tmp_path / "foreign.result", rec, ligand="P099"
         )
         with pytest.raises(ValueError) as err:
-            merge_couple_results(paths + [foreign], tmp_path / "out.result")
+            merge_uploads(paths + [foreign], tmp_path / "out.result")
         msg = str(err.value)
         assert "P001-P099" in msg and "foreign.result" in msg
         assert "chunk_000.result" in msg
@@ -176,7 +184,9 @@ class TestMergeErrorsNameTheChunk:
         else:
             with pytest.raises(ValueError) as err:
                 if entry == "text":
-                    merge_couple_results([first, odd], tmp_path / "out.result")
+                    store = tmp_path / "chunks.rcs"
+                    text_to_store([first, odd], store)
+                    merge_couple_store(store, tmp_path / "merged.rcs")
                 else:
                     merge_segments(
                         [segment_from_text(first), segment_from_text(odd)]
@@ -187,4 +197,4 @@ class TestMergeErrorsNameTheChunk:
 
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to merge"):
-            merge_couple_results([], tmp_path / "out.result")
+            merge_uploads([], tmp_path / "out.result")
