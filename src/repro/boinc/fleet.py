@@ -74,6 +74,7 @@ __all__ = [
     "FleetSpec",
     "FleetRun",
     "resolve_server_config",
+    "observer_channels",
     "tee_observers",
     "kernel_tracer",
     "run_fleet",
@@ -229,6 +230,15 @@ def resolve_server_config(
     return replace(server, **overrides) if overrides else server
 
 
+def observer_channels(health=None, ledger=None) -> set[str]:
+    """The channels an observer-only tracer records for these observers
+    (views, their classes, or None): those their events are on, plus
+    ``health`` with a monitor, which emits on it."""
+    views = [obs for obs in (health, ledger) if obs is not None]
+    channels = {channel_of(etype) for obs in views for etype in obs.EVENTS}
+    return channels | {"health"} if health is not None else channels
+
+
 def tee_observers(
     tracer: Tracer | None,
     health: HealthMonitor | None = None,
@@ -244,22 +254,18 @@ def tee_observers(
     Each distinct table gets one :class:`~repro.obs.tracer.FoldSink`, the
     health tee outermost.  Without a user-supplied tracer, build an
     observer-only one: events feed the tables and are then discarded
-    (``NullSink``), restricted to the channels the observers read (plus
-    ``health``, which the monitor emits on) so the DES kernel's
-    high-rate events skip the emit path entirely.  With a user tracer,
-    the tee inherits its channel filter — a filter that drops ``"host"``
-    starves the ledger of credit and trust events (documented in
-    :mod:`repro.obs.ledger`).
+    (``NullSink``), restricted to :func:`observer_channels`, so the DES
+    kernel's high-rate events skip the emit path entirely.  With a user
+    tracer, the tee inherits its channel filter — a filter that drops
+    ``"host"`` starves the ledger of credit and trust events (documented
+    in :mod:`repro.obs.ledger`).
     """
     observers = [obs for obs in (health, ledger) if obs is not None]
     if not observers:
         return tracer, None
     restore_sink = None
     if tracer is None:
-        channels = {channel_of(etype) for obs in observers for etype in obs.EVENTS}
-        if health is not None:
-            channels.add("health")
-        tracer = Tracer(sink=NullSink(), channels=channels)
+        tracer = Tracer(sink=NullSink(), channels=observer_channels(health, ledger))
     else:
         restore_sink = tracer.sink
     for table in reversed(dict.fromkeys(obs.table for obs in observers)):

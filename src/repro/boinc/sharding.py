@@ -50,20 +50,25 @@ Merge semantics
   tell a sharded trace from a monolithic one (zero orphans).
 * ``completion_time`` is the max over shards once **all** shards
   completed, else ``None`` (the campaign-global definition).
-* Host ledgers union (disjoint host-id blocks) and profiler section
-  tables add, both in shard order: a sharded profile reads per-section
-  totals summed over the shard processes.
-
-What does *not* cross shards: the streaming health monitor (its SLO
-windows have no merge); asking for it with ``n_shards > 1`` raises
-instead of silently dropping data.
+* Host ledgers union (each shard ships its lifecycle table: host rows,
+  per-campaign and event counts; host-id blocks are disjoint) and
+  profiler section tables add, both in shard order: a sharded profile
+  reads per-section totals summed over the shard processes.
+* The health monitor has no merge (its SLO rules sweep sliding windows
+  with hysteresis), so it refolds the merged stream instead: with
+  ``health=`` the shards record their traces — to a scratch file, gone
+  after the run, when the caller traces nothing — and the monitor,
+  configured with the campaign-global workunit count and reissue budget,
+  folds each merged event as its line is written.  Its report is the
+  refold of the merged trace by construction, identical for every
+  worker count; a sharded trace carries no ``health.*`` events.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from time import perf_counter
@@ -71,9 +76,12 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
+from ..obs.health import HealthMonitor
 from ..obs.ledger import HostLedger
+from ..obs.lifecycle import Lifecycle
 from ..obs.profile import Profiler
-from ..obs.tracer import JsonlSink, Tracer
+from ..obs.tracer import Fold, JsonlSink, TraceEvent, Tracer
+from .fleet import observer_channels
 from .validator import ValidationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -139,18 +147,16 @@ class ShardSpec:
 class ShardOutput:
     """What one shard sends back to the fold (must pickle)."""
 
-    #: the body's result for the slice — tracer stripped and the live
-    #: server replaced by its :class:`MergedServerView` record, neither of
-    #: which can cross a process
+    #: the body's result for the slice, folded alone: the live server
+    #: becomes its :class:`MergedServerView` record and the telemetry
+    #: loses its tracer, neither of which can cross a process
     result: "CampaignResult"
     wall_s: float  #: the shard's own wall-clock execution time
     trace_path: str | None = None
     trace_counts: dict[str, int] | None = None
-    #: per-host ledger records when the campaign ran with ``ledger=``
-    #: (host ids are campaign-global and disjoint across shards, so the
-    #: merge is a pure union in shard order)
-    ledger_records: dict | None = None
-    ledger_campaigns: dict | None = None
+    #: the shard ledger's lifecycle table when the campaign ran with
+    #: ``ledger=`` (its host ids are disjoint from every other shard's)
+    ledger: Lifecycle | None = None
     #: the shard's own profiler when the campaign ran with ``profiler=``
     profiler: Profiler | None = None
 
@@ -240,10 +246,9 @@ def _execute_shard(
     campaign-global, so merged traces, spans and batch telemetry are
     collision-free.
     """
-    from .simulator import RuntimeSpec, run_campaigns
+    from .simulator import RuntimeSpec, fold_results, run_campaigns
 
-    tracer = None
-    trace_path = None
+    tracer = trace_path = None
     if trace_dir is not None:
         trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.jsonl")
         tracer = Tracer.to_jsonl(trace_path, channels=trace_channels)
@@ -272,22 +277,13 @@ def _execute_shard(
     if tracer is not None:
         tracer.close()
         trace_counts = dict(tracer.counts)
-    result.telemetry.tracer = None  # the sink handle must not cross processes
-    server = result.server
-    result.server = MergedServerView(
-        stats=server.stats,
-        n_workunits=server.n_workunits,
-        completion_time=server.completion_time,
-        batch_completion=server.batch_completion,
-        config=server.config,
-    )
     return ShardOutput(
-        result=result,
+        # folded alone: plain records, no live server or sink handle
+        result=fold_results([result], result.n_hosts),
         wall_s=wall_s,
         trace_path=trace_path,
         trace_counts=trace_counts,
-        ledger_records=shard_ledger.records if ledger else None,
-        ledger_campaigns=shard_ledger.by_campaign if ledger else None,
+        ledger=shard_ledger.table if ledger else None,
         profiler=profiler,
     )
 
@@ -394,54 +390,34 @@ def merge_telemetry(dst: "Telemetry", src: "Telemetry") -> None:
 
 
 def _iter_trace_lines(path: str, shard: int) -> Iterator[tuple]:
-    """Yield ``(t_sim, shard, line_no, raw_line)`` sort keys from one
-    shard's JSONL trace (file order is non-decreasing in ``t_sim``)."""
+    """Yield ``(t_sim, shard, line_no, raw_line, event)`` from one shard's
+    JSONL trace (file order is non-decreasing in ``t_sim``)."""
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh):
             line = line.strip()
-            if not line:
-                continue
-            t_sim = json.loads(line).get("t_sim")
-            key = t_sim if t_sim is not None else float("-inf")
-            yield (key, shard, line_no, line)
+            if line:
+                event = TraceEvent.from_json(line)
+                key = event.t_sim if event.t_sim is not None else float("-inf")
+                yield (key, shard, line_no, line, event)
 
 
-def _merge_traces(outputs: list[ShardOutput], target_path: str) -> None:
+def _merge_traces(outputs, target_path: str, fold: Fold | None = None) -> None:
     """Interleave the shard JSONL traces by global ``(t_sim, shard,
-    line)`` into ``target_path``, then remove the shard files."""
+    line)`` into ``target_path``, feeding ``fold`` each event as its line
+    is written (so the fold is the refold of the merged file), then remove
+    the shard files."""
     streams = [
         _iter_trace_lines(out.trace_path, index)
         for index, out in enumerate(outputs)
-        if out.trace_path is not None
     ]
     with open(target_path, "w", encoding="ascii") as fh:
-        for _, _, _, line in heapq.merge(*streams):
+        for _, _, _, line, event in heapq.merge(*streams):
             fh.write(line + "\n")
+            if fold is not None:
+                fold.feed(event)
     for out in outputs:
-        if out.trace_path is not None and out.trace_path != target_path:
+        if out.trace_path != target_path:
             os.remove(out.trace_path)
-
-
-def _resolve_trace_target(sim: "VolunteerGridSimulation") -> tuple:
-    """Where the merged trace must land, from the caller's tracer.
-
-    Only a JSONL sink can span shard processes; an in-memory ring cannot
-    be teed across workers, so asking for one with ``n_shards > 1`` is an
-    error rather than a silently incomplete trace.
-    """
-    tracer = sim.tracer
-    if tracer is None:
-        return None, None, None
-    if not isinstance(tracer.sink, JsonlSink):
-        raise ValueError(
-            "unsupported artifact for a sharded campaign: the in-memory "
-            "ring trace (RingSink) cannot cross shard processes; trace a "
-            "sharded campaign to a JSONL path (Tracer.to_jsonl / --trace "
-            "PATH) instead, or run monolithically with n_shards=1 "
-            "(drop --shards)"
-        )
-    target_path = str(tracer.sink.path)
-    return tracer, target_path, tracer.channels
 
 
 def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
@@ -451,59 +427,70 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     a :class:`ShardPlan` with ``n_shards > 1``.  Returns a folded
     :class:`CampaignResult` indistinguishable (metrics, fault report,
     exports, trace) from one server having run the whole campaign;
-    per-shard wall times are kept on ``result.shard_walls``.
+    per-shard wall times are kept on ``result.shard_walls``.  Only a
+    JSONL sink can span shard processes: tracing to an in-memory ring is
+    an error rather than a silently incomplete trace.
     """
     from .simulator import fold_results
 
-    plan = sim.config.shards
-    if sim.health is not None:
+    plan, tracer = sim.config.shards, sim.tracer
+    if tracer is not None and not isinstance(tracer.sink, JsonlSink):
         raise ValueError(
-            "unsupported artifact for a sharded campaign: the streaming "
-            "health monitor (--health / health=) runs in-process and its "
-            "SLO report cannot be recombined across shard processes; run "
-            "monolithically with n_shards=1 (drop --shards), or use the "
-            "shard-mergeable host ledger (ledger=) instead"
+            "unsupported artifact for a sharded campaign: the in-memory "
+            "ring trace (RingSink) cannot cross shard processes; trace a "
+            "sharded campaign to a JSONL path (Tracer.to_jsonl / --trace "
+            "PATH) instead, or run monolithically with n_shards=1 "
+            "(drop --shards)"
         )
-    tracer, target_path, trace_channels = _resolve_trace_target(sim)
-    trace_dir = (
-        (os.path.dirname(target_path) or ".") if target_path is not None else None
-    )
-
-    specs = plan_shards(sim, plan.n_shards)
-    # What every shard takes from the parent, resolved once here.
-    parent_args = (
-        sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
-        trace_dir, trace_channels,
-        sim.ledger is not None, sim.profiler is not None,
-    )
-    n_workers = min(plan.n_workers, plan.n_shards)
-
-    if n_workers <= 1:
-        outputs = [_execute_shard(*parent_args, spec) for spec in specs]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=parent_args,
-        ) as pool:
-            # submit order == shard order: the list() below is the
-            # deterministic ordered merge, whatever order workers finish.
-            outputs = list(pool.map(_run_shard_task, specs))
-
-    if tracer is not None:
-        # The caller's sink opened the target file; close it and rewrite
-        # it with the globally interleaved stream, keeping the tracer's
-        # per-type counts campaign-global.
-        tracer.sink.close()
-        _merge_traces(outputs, target_path)
-        for out in outputs:
-            if out.trace_counts:
+    with tempfile.TemporaryDirectory() as scratch:
+        target_path = channels = None
+        if tracer is not None:
+            target_path, channels = str(tracer.sink.path), tracer.channels
+        elif sim.health is not None:
+            # The monitor folds the merged stream: record it to a file that
+            # goes away with the run (NullSink's part on the monolithic path).
+            target_path = os.path.join(scratch, "merged.jsonl")
+            channels = observer_channels(
+                HealthMonitor, HostLedger if sim.ledger is not None else None
+            )
+        specs = plan_shards(sim, plan.n_shards)
+        # What every shard takes from the parent, resolved once here.
+        parent_args = (
+            sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
+            (os.path.dirname(target_path) or ".") if target_path else None,
+            channels, sim.ledger is not None, sim.profiler is not None,
+        )
+        n_workers = min(plan.n_workers, plan.n_shards)
+        if n_workers <= 1:
+            outputs = [_execute_shard(*parent_args, spec) for spec in specs]
+        else:
+            with ProcessPoolExecutor(
+                n_workers, initializer=_init_worker, initargs=parent_args
+            ) as pool:
+                # submit order == shard order: the list() below is the
+                # deterministic ordered merge, whatever order workers finish.
+                outputs = list(pool.map(_run_shard_task, specs))
+        if tracer is not None:
+            # The caller's sink opened the target file; close it before
+            # it is rewritten, keeping the per-type counts campaign-global.
+            tracer.sink.close()
+            for out in outputs:
                 tracer.counts.update(out.trace_counts)
-
-    result = fold_results(
-        [out.result for out in outputs],
-        n_hosts=sum(out.result.n_hosts for out in outputs),
-    )
+        result = fold_results(
+            [out.result for out in outputs],
+            n_hosts=sum(out.result.n_hosts for out in outputs),
+        )
+        health = HealthMonitor() if sim.health is True else sim.health
+        if health is not None:
+            health.configure_campaign(
+                result.server.n_workunits, sim.server_config.max_reissues
+            )
+        if target_path is not None:
+            _merge_traces(
+                outputs, target_path, None if health is None else health.table
+            )
+        if health is not None:
+            result.health = health.finalize(result.span_s)
     result.shard_walls = [out.wall_s for out in outputs]
     # ledger=True merges into a fresh ledger per run (as run_fleet does)
     ledger = HostLedger() if sim.ledger is True else sim.ledger
@@ -512,7 +499,7 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         # merged ledger is a pure union absorbed in shard order; section
         # tables add in the same order.
         if ledger is not None:
-            ledger.absorb(out.ledger_records, out.ledger_campaigns)
+            ledger.absorb(out.ledger)
         if sim.profiler is not None:
             sim.profiler.add(out.profiler)
     if ledger is not None:

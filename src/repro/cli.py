@@ -138,100 +138,72 @@ def _cmd_package(args: argparse.Namespace) -> None:
     print(render_table(["quantity", "value"], plan.summary_rows()))
 
 
-def _simulate_tail(
-    args: argparse.Namespace, result, profiler, trace_line: str,
-    postmortem=None, summed_over: str = "",
-) -> None:
-    """What both ``simulate`` engines end with: the ``--health`` /
-    ``--ledger`` reports, the post-mortem, the trace line, the profile."""
-    for report in (result.health, result.ledger, postmortem):
-        if report is not None:
-            print()
-            print(report.render())
-    if args.trace is not None:
-        print(f"{trace_line} -> {args.trace} "
-              f"(summarize with `repro-hcmd trace {args.trace}`)")
-    if profiler is not None:
-        print(f"\nwall-time profile{summed_over} (heaviest sections first):")
-        print(profiler.render())
-
-
-def _simulate_multi(args: argparse.Namespace) -> None:
-    """``simulate --campaign SPEC [--campaign SPEC ...]``: a shared grid."""
-    from .faults import FaultPlan
-    from .multi import GridConfig, MultiGridSimulation
-    from .multi.spec import parse_campaign_spec
-    from .obs import Profiler
-
-    for flag, used in (("--shards", args.shards != 1), ("--report", args.report)):
-        if used:
-            raise ValueError(f"{flag} needs the single-campaign engine; "
-                             f"drop {flag} or --campaign")
-    grid = GridConfig(
-        campaigns=tuple(parse_campaign_spec(s) for s in args.campaign),
-        policy=args.policy,
-        seed=args.seed,
-        horizon_weeks=args.horizon_weeks,
-        n_hosts_peak=args.hosts_peak,
-        faults=FaultPlan.from_spec(args.faults),
-        accounting=AccountingMode(args.accounting),
-    )
-    sim = MultiGridSimulation(grid, health=args.health, ledger=args.ledger)
-    profiler = Profiler() if args.profile else None
-    with _tracer(args.trace) as tracer:
-        sim.tracer, sim.profiler = tracer, profiler
-        result = sim.run()
-    print(result.summary())
-    _simulate_tail(args, result, profiler, "trace:")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    """Either ``simulate`` engine; whatever the library refuses (a bad
-    spec, an observer an engine cannot carry) is printed, not re-checked."""
-    if args.campaign:
-        return _simulate_multi(args)
+    """Every ``simulate`` engine: a campaign alone, sharded, or a roster
+    (``--campaign SPEC``, repeatable) sharing one grid.  Only building the
+    simulation and printing its summary table differ by engine; every
+    observer flag is handled once, and whatever the library refuses (a bad
+    spec, more shards than receptor batches) is printed, not re-checked."""
     import tempfile
 
-    from .boinc.config import CampaignConfig
-    from .boinc.sharding import ShardPlan, plan_shards
-    from .boinc.simulator import scaled_phase1
     from .faults import FaultPlan
     from .obs import Profiler
     from .obs.postmortem import CampaignReport
     from .obs.spans import reconstruct_file
-    from .validation.merge import dataset_volume
 
     faults = FaultPlan.from_spec(args.faults)
-    n_workers = args.shard_workers
-    if n_workers is None:
-        n_workers = min(args.shards, os.cpu_count() or 1)
-    shards = ShardPlan(n_shards=args.shards, n_workers=n_workers)
-    sim = scaled_phase1(
-        scale=args.scale,
-        n_proteins=args.proteins,
-        seed=args.seed,
-        horizon_weeks=args.horizon_weeks,
-        n_hosts_peak=args.hosts_peak,
-        config=CampaignConfig(
-            accounting=AccountingMode(args.accounting),
-            faults=faults,
-            shards=shards,
-        ),
-        health=args.health,
-        ledger=args.ledger,
-    )
-    sharded = shards.n_shards > 1
-    if sharded:
-        # More shards than receptor batches is refused here, by the
-        # planner, while an existing --trace file is still untouched.
-        plan_shards(sim, shards.n_shards)
-    trace_path = args.trace
-    channels = (
-        [c.strip() for c in args.trace_channels.split(",") if c.strip()]
-        if args.trace_channels is not None
-        else None
-    )
-    volume = dataset_volume(sim.library)
+    observers = {"health": args.health, "ledger": args.ledger}
+    volume = None
+    if args.campaign:
+        from .multi import GridConfig, MultiGridSimulation
+        from .multi.spec import parse_campaign_spec
+
+        if args.shards != 1:
+            raise ValueError("--shards needs the single-campaign engine; "
+                             "drop --shards or --campaign")
+        sim = MultiGridSimulation(
+            GridConfig(
+                campaigns=tuple(parse_campaign_spec(s) for s in args.campaign),
+                policy=args.policy,
+                seed=args.seed,
+                horizon_weeks=args.horizon_weeks,
+                n_hosts_peak=args.hosts_peak,
+                faults=faults,
+                accounting=AccountingMode(args.accounting),
+            ),
+            **observers,
+        )
+    else:
+        from .boinc.config import CampaignConfig
+        from .boinc.sharding import ShardPlan, plan_shards
+        from .boinc.simulator import scaled_phase1
+        from .validation.merge import dataset_volume
+
+        n_workers = args.shard_workers
+        if n_workers is None:
+            n_workers = min(args.shards, os.cpu_count() or 1)
+        shards = ShardPlan(n_shards=args.shards, n_workers=n_workers)
+        sim = scaled_phase1(
+            scale=args.scale,
+            n_proteins=args.proteins,
+            seed=args.seed,
+            horizon_weeks=args.horizon_weeks,
+            n_hosts_peak=args.hosts_peak,
+            config=CampaignConfig(
+                accounting=AccountingMode(args.accounting),
+                faults=faults,
+                shards=shards,
+            ),
+            **observers,
+        )
+        if shards.n_shards > 1:
+            # More shards than receptor batches is refused here, by the
+            # planner, while an existing --trace file is still untouched.
+            plan_shards(sim, shards.n_shards)
+        volume = dataset_volume(sim.library)
+    trace_path, channels = args.trace, None
+    if args.trace_channels is not None:
+        channels = [c.strip() for c in args.trace_channels.split(",") if c.strip()]
     postmortem = None
     with tempfile.TemporaryDirectory() as scratch:
         if args.report and trace_path is None:
@@ -244,26 +216,35 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         with _tracer(trace_path, channels) as tracer:
             sim.tracer, sim.profiler = tracer, profiler
             result = sim.run()
+        fault_rows = result.fault_report().rows() if faults.enabled else None
         if args.report:
             postmortem = CampaignReport(
                 reconstruct_file(trace_path), health=result.health,
-                fault_rows=result.fault_report().rows() if faults.enabled else None,
-                volume=volume, source=args.trace or "live run",
+                fault_rows=fault_rows, volume=volume,
+                source=args.trace or "live run",
             )
-    print(render_table(["quantity", "value", "paper"], result.summary_rows(volume)))
-    if result.shard_walls is not None:
-        walls = ", ".join(f"{w:.2f}s" for w in result.shard_walls)
-        print(f"\nshards: {args.shards} x {shards.n_workers} worker(s); "
-              f"per-shard wall [{walls}]")
-    if faults.enabled:
+    if args.campaign:
+        print(result.summary())
+    else:
+        print(render_table(["quantity", "value", "paper"], result.summary_rows(volume)))
+        if result.shard_walls is not None:
+            walls = ", ".join(f"{w:.2f}s" for w in result.shard_walls)
+            print(f"\nshards: {args.shards} x {sim.config.shards.n_workers} "
+                  f"worker(s); per-shard wall [{walls}]")
+    if fault_rows is not None:
         print("\nerror budget (fault injection):")
-        print(render_table(["quantity", "value"], result.fault_report().rows()))
-    _simulate_tail(
-        args, result, profiler,
-        f"\ntrace: {tracer.n_events:,} events" if tracer is not None else "",
-        postmortem,
-        f", summed over {args.shards} shard processes" if sharded else "",
-    )
+        print(render_table(["quantity", "value"], fault_rows))
+    for report in (result.health, result.ledger, postmortem):
+        if report is not None:
+            print()
+            print(report.render())
+    if args.trace is not None:
+        print(f"\ntrace: {tracer.n_events:,} events -> {args.trace} "
+              f"(summarize with `repro-hcmd trace {args.trace}`)")
+    if profiler is not None:
+        summed = f", summed over {args.shards} shard processes" if args.shards > 1 else ""
+        print(f"\nwall-time profile{summed} (heaviest sections first):")
+        print(profiler.render())
 
 
 def _results_convert(args: argparse.Namespace) -> None:

@@ -368,6 +368,10 @@ class GridResult:
         """All telemetry (campaigns + grid-level) folded day-aligned."""
         return self._folded.telemetry
 
+    def fault_report(self):
+        """The grid's error budget: the roster's, folded into one."""
+        return self._folded.fault_report()
+
     def issued_share(self) -> dict[str, float]:
         """Each campaign's share of the grid's useful reference work."""
         useful = {

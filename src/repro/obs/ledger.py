@@ -69,29 +69,27 @@ class HostLedger(View):
 
     # -- shard merge ---------------------------------------------------------
 
-    def absorb(
-        self,
-        records: dict[int, HostRecord],
-        by_campaign: dict[str, dict[str, int]] | None = None,
-    ) -> None:
-        """Fold one shard's host rows into this ledger (shard order).
+    def absorb(self, table: Lifecycle) -> None:
+        """Fold one shard's table into this ledger's (shard order): its
+        host rows, per-campaign counts and event counts.
 
         Hosts from different shards come from disjoint id blocks
         (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so within one run
-        this is a pure union.  A host already in the ledger — a supplied
-        ledger absorbing a second run — merges (:meth:`HostRecord.merge`).
+        this is a pure union and the report equals the refold of the
+        merged trace.  A host already in the ledger — a supplied ledger
+        absorbing a second run — merges (:meth:`HostRecord.merge`).
         """
-        for host, rec in records.items():
+        for host, rec in table.hosts.items():
             mine = self.records.get(host)
             if mine is None:
                 self.records[host] = rec
             else:
                 mine.merge(rec)
-        if by_campaign:
-            for name, agg in by_campaign.items():
-                dst = self.table.campaign(name)
-                for key, value in agg.items():
-                    dst[key] = dst.get(key, 0) + value
+        for name, agg in table.by_campaign.items():
+            dst = self.table.campaign(name)
+            for key, value in agg.items():
+                dst[key] = dst.get(key, 0) + value
+        self.table.add_counts(table)
 
     # -- classification and the fleet report --------------------------------
 

@@ -405,7 +405,7 @@ class Lifecycle(Fold):
         self._pending_bad: dict[int, list[int]] = {}
         # -- what the health rules read, kept while a monitor watches --------
         self.watched = False
-        self._monitor: Callable[[], Any] = lambda: None
+        self._monitor: Callable[[], Any] | None = None
         #: release instants of the workunits not yet closed
         self._t_release: dict[int, float] = {}
         #: workunits holding a valid result, still awaiting a quorum partner

@@ -293,6 +293,14 @@ class Fold:
             max((route[2] for route in routes if route[1]), default=0.0),
         )
 
+    def add_counts(self, other: "Fold") -> None:
+        """Count the events ``other`` applied as applied here too (a
+        shard's fold joining its campaign's)."""
+        for etype, (_, n, t, _) in other._routes.items():
+            route = self._routes[etype]
+            route[1] += n
+            route[2] = max(route[2], t)
+
 
 class FoldSink:
     """Tee a tracer's event stream into a :class:`Fold`.

@@ -20,6 +20,7 @@ directory exactly — names, headers, bytes.
 from __future__ import annotations
 
 import io
+import os
 import re
 from pathlib import Path
 from typing import Iterable
@@ -134,16 +135,29 @@ def store_to_text(store_path: Path | str, out_dir: Path | str) -> list[Path]:
     Segment ``source`` names are reused; segments without one are named
     ``{receptor}_{ligand}_{isep_start}.result``.  Returns the written paths;
     a ``ValueError`` names a file two segments would both be written to.
+    Atomic, as :func:`~repro.store.format.write_store`: each file is
+    written to a temporary name beside its target and all are renamed into
+    place at the end, so any failure leaves ``out_dir`` as it was.
     """
     out_dir = Path(out_dir)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[Path, None] = {}  # insertion-ordered, O(1) membership
-    for segment in iter_segments(store_path):
-        h = segment.header
-        name = segment.source or f"{h.receptor}_{h.ligand}_{h.isep_start}.result"
-        path = out_dir / name
-        if path in written:
-            raise ValueError(f"{name}: two segments expand to this file")
-        segment_to_text(segment, path)
-        written[path] = None
-    return list(written)
+    staged: dict[Path, Path] = {}  # target -> temporary, insertion-ordered
+    try:
+        for segment in iter_segments(store_path):
+            h = segment.header
+            name = segment.source or f"{h.receptor}_{h.ligand}_{h.isep_start}.result"
+            path = out_dir / name
+            if path in staged:
+                raise ValueError(f"{name}: two segments expand to this file")
+            staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            segment_to_text(segment, staged[path])
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        if created:
+            out_dir.rmdir()
+        raise
+    for path, tmp in staged.items():
+        os.replace(tmp, path)
+    return list(staged)

@@ -20,13 +20,9 @@ ENGINES = {
 }
 OBSERVERS = ("--health", "--ledger", "--profile", "--trace PATH", "--report")
 #: The observer x engine cells ``simulate`` refuses with a one-line error
-#: and exit 2; every other cell runs.  docs/observability.md prints this
+#: and exit 2: none, every cell runs.  docs/observability.md prints this
 #: table and tests/test_docs_consistency.py holds the two together.
-REFUSED = {
-    ("`--shards 2`", "--health"),
-    ("one `--campaign`", "--report"),
-    ("two `--campaign`", "--report"),
-}
+REFUSED: set[tuple[str, str]] = set()
 
 
 class TestParser:
@@ -188,6 +184,20 @@ class TestCommands:
             assert observer in err
         else:
             assert status == 0 and err == ""
+
+    def test_simulate_campaign_trace_holds_only_the_named_channels(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import iter_trace
+
+        path = tmp_path / "t.jsonl"
+        assert main([
+            "simulate", "--campaign", "scale=900,proteins=5",
+            "--campaign", "kind=screening,ligands=40,mean-hours=1,batch=20",
+            "--trace", str(path), "--trace-channels", "server,host",
+        ]) == 0
+        channels = {event.etype.split(".")[0] for event in iter_trace(path)}
+        assert channels == {"server", "host"}
 
     def test_simulate_campaign_spec_error_is_friendly(self, capsys):
         assert main(["simulate", "--campaign", "bogus=1"]) == 2
@@ -407,3 +417,46 @@ class TestResultsCommands:
         assert "result dataset (text)" in out
         assert "result dataset (columnar)" in out
         assert "text / columnar ratio" in out
+
+
+class TestOneSimulateHandler:
+    """``simulate`` has one handler: only building the simulation and
+    printing its summary table differ by engine."""
+
+    @staticmethod
+    def _callers(module) -> dict[str, set[str]]:
+        """Called name -> the module-level functions that call it."""
+        import ast
+        import inspect
+
+        callers: dict[str, set[str]] = {}
+        for fn in ast.parse(inspect.getsource(module)).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+        return callers
+
+    def test_no_engine_fork_in_the_cli(self):
+        import repro.cli
+
+        assert not hasattr(repro.cli, "_simulate_multi")
+        assert not hasattr(repro.cli, "_simulate_tail")
+        callers = self._callers(repro.cli)
+        assert callers["MultiGridSimulation"] == {"_cmd_simulate"}
+        # `serve` and `loadgen` build their one wire campaign with it too
+        assert callers["scaled_phase1"] == {"_cmd_simulate", "_service_campaign"}
+
+    def test_run_sharded_refuses_no_observer(self):
+        import ast
+        import inspect
+
+        from repro.boinc.sharding import run_sharded
+
+        raised = [
+            ast.unparse(node)
+            for node in ast.walk(ast.parse(inspect.getsource(run_sharded)))
+            if isinstance(node, ast.Raise)
+        ]
+        assert raised and not any("health" in text for text in raised)

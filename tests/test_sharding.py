@@ -328,20 +328,48 @@ class TestShardedProfile:
         assert any(name.startswith("des.VolunteerAgent.") for name in stats)
 
 
+class TestShardedObservers:
+    """Health and ledger on a sharded campaign (each report is the refold
+    of the merged trace on every worker count: see
+    tests/test_observer_conformance.py)."""
+
+    @staticmethod
+    def _traced(tmp_path, n_shards, **observers):
+        path = tmp_path / f"k{n_shards}.jsonl"
+        with Tracer.to_jsonl(path) as tracer:
+            result = scaled_phase1(
+                scale=700, n_proteins=6, seed=42, tracer=tracer,
+                config=CampaignConfig(shards=ShardPlan(n_shards)), **observers,
+            ).run()
+        return result, path
+
+    def test_health_without_a_trace_leaves_no_file(self, tmp_path, monkeypatch):
+        import tempfile
+
+        traced, _ = self._traced(tmp_path, 2, health=True)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        config = CampaignConfig(shards=ShardPlan(2))
+        result = scaled_phase1(
+            scale=700, n_proteins=6, seed=42, config=config, health=True
+        ).run()
+        assert result.health.as_dict() == traced.health.as_dict()
+        assert list(scratch.iterdir()) == []
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_ledger_is_the_refold_of_the_merged_trace(self, tmp_path, n_shards):
+        from repro.obs import HostLedger
+
+        result, path = self._traced(tmp_path, n_shards, ledger=True)
+        refold = HostLedger().fold(iter_trace(path)).finalize(result.span_s)
+        assert result.ledger.as_dict() == refold.as_dict()
+        assert result.ledger.n_observed > 0
+
+
 class TestIncompatibleRiders:
     """Fail-fast errors must name the unsupported artifact and point the
     user back at the monolithic path (drop ``--shards`` / ``n_shards=1``)."""
-
-    def test_health_monitor_rejected(self):
-        config = CampaignConfig(shards=ShardPlan(n_shards=2))
-        sim = scaled_phase1(
-            scale=700, n_proteins=6, seed=42, config=config, health=True
-        )
-        with pytest.raises(
-            ValueError,
-            match=r"health monitor .*cannot be recombined.*n_shards=1",
-        ):
-            sim.run()
 
     def test_ring_sink_rejected(self):
         from repro.obs import RingSink

@@ -408,6 +408,25 @@ class TestTextConversion:
         name = source or "P001_P002_1.result"
         with pytest.raises(ValueError, match=rf"^{re.escape(name)}: "):
             store_to_text(store_path, tmp_path / "back")
+        assert not (tmp_path / "back").exists()
+
+    def test_failed_expansion_leaves_the_directory_as_it_was(self, tmp_path):
+        """A store whose segments are ``a``, ``b``, ``a`` is refused at the
+        third; the files written for the first two are not left behind,
+        and an ``a.result`` already there stays byte-identical."""
+        rec = synth_records(None)
+        store_path = tmp_path / "aba.rcs"
+        write_store(store_path, [
+            ColumnarSegment.from_records(header_for(rec), rec, source=source)
+            for source in ("a.result", "b.result", "a.result")
+        ])
+        out_dir = tmp_path / "back"
+        out_dir.mkdir()
+        (out_dir / "a.result").write_bytes(b"already here\n")
+        with pytest.raises(ValueError, match=r"^a\.result: "):
+            store_to_text(store_path, out_dir)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.result"]
+        assert (out_dir / "a.result").read_bytes() == b"already here\n"
 
     def test_render_lines_matches_format_record(self):
         from tests.oracles.resultfile import format_record
