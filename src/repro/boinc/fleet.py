@@ -21,26 +21,22 @@ come here for
   when its own channel is traced);
 * **the run itself** — :func:`run_fleet`.
 
-What varies between engines is only the *front*: the object agents talk
-to, built by the one engine body
+The object agents talk to — the *front* — is one
+:class:`~repro.boinc.simulator.CampaignRouter` over the campaigns on the
+kernel, built by the one engine body
 (:func:`repro.boinc.simulator.run_campaigns`).  The front protocol is a
 duck type, with no base class:
 
 * what :class:`~repro.boinc.agent.VolunteerAgent` consumes —
   ``all_done``, ``request_work(host_id)``, ``on_result(instance, valid,
-  accounted_cpu_s, quality=)``, ``config.deadline_s`` and an optional
-  ``finalize_campaign(horizon_s)`` (a wire proxy's final clock advance);
-* what :func:`run_fleet` reads for the observers — ``n_workunits`` and
-  ``config.max_reissues`` (they size the health monitor's reissue
-  budget) and ``completion_time`` (``None`` while anything is open; the
-  observers finalize there, else at the horizon).
-
-It is served by a bare :class:`~repro.boinc.server.GridServer` (a
-campaign alone: no scheduling policy to apply), by the wire proxy a
-``server_factory=`` injects in its place, or by a
-:class:`~repro.multi.engine.CampaignRouter` (a roster: all the
-workunits, the loosest deadline and reissue budget on the grid, the
-last completion).
+  accounted_cpu_s, quality=)`` and ``config.deadline_s``, answered by
+  the servers behind it (a :class:`~repro.boinc.server.GridServer`, or
+  the wire proxy a ``server_factory=`` injects);
+* what :func:`run_fleet` reads — ``telemetry_for(host_id)`` (what each
+  agent records into), ``n_workunits`` and ``config.max_reissues`` (they
+  size the health monitor's reissue budget) and ``completion_time``
+  (``None`` while anything is open; the observers finalize there, else
+  at the horizon).
 """
 
 from __future__ import annotations
@@ -297,8 +293,6 @@ def kernel_tracer(tracer: Tracer | None) -> Tracer | None:
 class FleetRun:
     """What :func:`run_fleet` hands back to the engine that called it."""
 
-    #: whatever ``build_front`` returned
-    front: Any
     n_hosts: int
     health: SLOReport | None = None
     ledger: FleetReport | None = None
@@ -308,7 +302,6 @@ def run_fleet(
     spec: FleetSpec,
     build_front: Callable[[Simulator, Tracer | None], Any],
     *,
-    telemetry_for: Callable[[int], Any],
     tracer: Tracer | None = None,
     profiler: Profiler | None = None,
     health: "bool | HealthMonitor | None" = None,
@@ -319,8 +312,7 @@ def run_fleet(
     ``build_front(sim, tracer)`` builds the agent-facing front on the
     given DES kernel; ``tracer`` is the one to emit through (the caller's,
     teed into the observers, or an observer-only one).
-    ``telemetry_for(host_id)`` is the telemetry object that host's agent
-    records into.  ``health=True`` / ``ledger=True`` build a default
+    ``health=True`` / ``ledger=True`` build a default
     observer *for this run*, so running the same simulation twice reports
     the same thing twice; an instance the caller supplied stays theirs
     (and accumulates across runs, as they asked).  Only a monitor and a
@@ -357,7 +349,7 @@ def run_fleet(
                         join_time=float(join_t),
                         faults=spec.faults.host_state(spec.seed, host_id),
                     ),
-                    telemetry_for(host_id),
+                    front.telemetry_for(host_id),
                     rng=substream(spec.seed, "agent", host_id),
                     accounting=spec.accounting,
                     tracer=tracer,
@@ -371,15 +363,7 @@ def run_fleet(
         with profiler.timed("des.run"):
             sim.run(until=spec.horizon_s)
 
-        # A wire-backed server proxy needs a final clock advance on the
-        # *remote* side: trailing deadline timers there fire only when told
-        # the campaign horizon was reached (the in-process GridServer has
-        # no such hook — its timers live in `sim` and already fired).
-        finalize = getattr(front, "finalize_campaign", None)
-        if finalize is not None:
-            finalize(spec.horizon_s)
-
-        run = FleetRun(front=front, n_hosts=len(agents))
+        run = FleetRun(n_hosts=len(agents))
         if health is not None or ledger is not None:
             t_final = (
                 front.completion_time

@@ -56,12 +56,13 @@ Merge semantics
   reads per-section totals summed over the shard processes.
 * The health monitor has no merge (its SLO rules sweep sliding windows
   with hysteresis), so it refolds the merged stream instead: with
-  ``health=`` the shards record their traces — to a scratch file, gone
+  ``health=`` the shards record their traces — to scratch files, gone
   after the run, when the caller traces nothing — and the monitor,
   configured with the campaign-global workunit count and reissue budget,
-  folds each merged event as its line is written.  Its report is the
-  refold of the merged trace by construction, identical for every
-  worker count; a sharded trace carries no ``health.*`` events.
+  folds each event in merged order (as its line is written, when there
+  is a merged file to write).  Its report is the refold of the merged
+  trace by construction, identical for every worker count; a sharded
+  trace carries no ``health.*`` events.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ import heapq
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
@@ -401,18 +403,23 @@ def _iter_trace_lines(path: str, shard: int) -> Iterator[tuple]:
                 yield (key, shard, line_no, line, event)
 
 
-def _merge_traces(outputs, target_path: str, fold: Fold | None = None) -> None:
+def _merge_traces(
+    outputs, target_path: str | None, fold: Fold | None = None
+) -> None:
     """Interleave the shard JSONL traces by global ``(t_sim, shard,
-    line)`` into ``target_path``, feeding ``fold`` each event as its line
-    is written (so the fold is the refold of the merged file), then remove
-    the shard files."""
+    line)`` into ``target_path`` (``None``: into no file), feeding
+    ``fold`` each event in that order (so the fold is the refold of the
+    merged stream), then remove the shard files."""
     streams = [
         _iter_trace_lines(out.trace_path, index)
         for index, out in enumerate(outputs)
     ]
-    with open(target_path, "w", encoding="ascii") as fh:
+    with (
+        open(target_path, "w", encoding="ascii") if target_path else nullcontext()
+    ) as fh:
         for _, _, _, line, event in heapq.merge(*streams):
-            fh.write(line + "\n")
+            if fh is not None:
+                fh.write(line + "\n")
             if fold is not None:
                 fold.feed(event)
     for out in outputs:
@@ -443,13 +450,15 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             "(drop --shards)"
         )
     with tempfile.TemporaryDirectory() as scratch:
-        target_path = channels = None
+        target_path = trace_dir = channels = None
         if tracer is not None:
             target_path, channels = str(tracer.sink.path), tracer.channels
+            trace_dir = os.path.dirname(target_path) or "."
         elif sim.health is not None:
-            # The monitor folds the merged stream: record it to a file that
-            # goes away with the run (NullSink's part on the monolithic path).
-            target_path = os.path.join(scratch, "merged.jsonl")
+            # The monitor folds the merged stream: the shards record it to
+            # files that go away with the run, and no merged file is written
+            # (NullSink's part on the monolithic path).
+            trace_dir = scratch
             channels = observer_channels(
                 HealthMonitor, HostLedger if sim.ledger is not None else None
             )
@@ -457,8 +466,8 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
         # What every shard takes from the parent, resolved once here.
         parent_args = (
             sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
-            (os.path.dirname(target_path) or ".") if target_path else None,
-            channels, sim.ledger is not None, sim.profiler is not None,
+            trace_dir, channels, sim.ledger is not None,
+            sim.profiler is not None,
         )
         n_workers = min(plan.n_workers, plan.n_shards)
         if n_workers <= 1:
@@ -485,7 +494,7 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             health.configure_campaign(
                 result.server.n_workunits, sim.server_config.max_reissues
             )
-        if target_path is not None:
+        if trace_dir is not None:
             _merge_traces(
                 outputs, target_path, None if health is None else health.table
             )

@@ -23,7 +23,8 @@ full-scale absolute numbers.
 
 One engine body: :func:`run_campaigns` starts a :class:`CampaignRuntime`
 per campaign (the one place telemetry, server and callbacks are wired),
-picks the front, drives :func:`repro.boinc.fleet.run_fleet` and
+fronts them with one :class:`CampaignRouter`, drives
+:func:`repro.boinc.fleet.run_fleet` and
 assembles a :class:`CampaignResult` each — for a campaign alone
 (:class:`VolunteerGridSimulation`), one release-order slice of it
 (:func:`repro.boinc.sharding.run_sharded`) and a roster
@@ -41,13 +42,14 @@ docs/observability.md.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from .. import constants
-from ..faults import FaultPlan, FaultReport
+from ..faults import FaultPlan, FaultReport, ResultQuality, ServerUnavailable
 from ..obs import MetricsRegistry, Profiler, Tracer
 from ..obs.health import HealthMonitor, SLOReport
 from ..obs.ledger import FleetReport, HostLedger
@@ -60,14 +62,15 @@ from ..grid.host import HostPopulationModel
 from ..maxdo.cost_model import CostModel
 from ..proteins.library import ProteinLibrary
 from ..store.format import result_bytes
-from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK, format_bytes
+from ..units import SECONDS_PER_DAY, SECONDS_PER_WEEK, format_bytes, weeks
 from .config import CampaignConfig
 from .fleet import FleetRun, FleetSpec, resolve_server_config, run_fleet
-from .server import GridServer, ServerConfig
+from .server import GridServer, Instance, ServerConfig
 from .sharding import MergedServerView, merge_stats, merge_telemetry, run_sharded
 from .validator import ValidationStats
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from ..multi.policies import SchedulingPolicy
     from ..validation.merge import DatasetVolume
 
 __all__ = [
@@ -76,6 +79,8 @@ __all__ = [
     "fold_results",
     "RuntimeSpec",
     "CampaignRuntime",
+    "WU_ID_STRIDE",
+    "CampaignRouter",
     "run_campaigns",
     "CampaignConfig",
     "VolunteerGridSimulation",
@@ -564,9 +569,9 @@ class CampaignRuntime:
     The only place a campaign's :class:`Telemetry`, :class:`GridServer`
     and the server's two callbacks are wired together, and
     (:meth:`result`) the only place a live server turns back into a
-    :class:`CampaignResult` — for a campaign alone, a shard, a roster
-    entry behind a :class:`~repro.multi.CampaignRouter` and the campaign
-    a :class:`~repro.service.SchedulerService` serves.
+    :class:`CampaignResult` — for a campaign alone, a shard and a roster
+    entry (each behind a :class:`CampaignRouter`) and the campaign a
+    :class:`~repro.service.SchedulerService` serves.
     """
 
     def __init__(
@@ -605,7 +610,8 @@ class CampaignRuntime:
         self.admitted = True
         #: drained: no new issues, outstanding results still accepted
         self.drained = False
-        #: cumulative reference seconds issued — the fair-share measure
+        #: cumulative reference seconds issued — the fair-share measure,
+        #: kept where a policy chooses between campaigns
         self.issued_reference_s = 0.0
         self._complete_emitted = False
 
@@ -637,11 +643,284 @@ class CampaignRuntime:
         )
 
 
+#: workunit-id stride between campaigns: campaign ``k`` numbers its
+#: workunits from ``k * WU_ID_STRIDE`` (far above any realistic campaign
+#: size), so the owning campaign of a result is ``wu_id // WU_ID_STRIDE``.
+WU_ID_STRIDE = 2**40
+
+
+class _AgentTelemetry:
+    """One host's telemetry view, routed to the campaign it serves.
+
+    Agents are strictly sequential — one instance at a time, reported
+    before the next fetch — so a single mutable ``current`` pointer, set
+    by the router at issue and report time, attributes every agent-side
+    sample (run times, results, credit, faults) to the right campaign.
+    Before the first fetch it points at the grid-level telemetry.
+    """
+
+    __slots__ = ("current",)
+
+    def __init__(self, default: Telemetry) -> None:
+        self.current = default
+
+    def record_result(self, t: float, accounted_cpu_s: float) -> None:
+        self.current.record_result(t, accounted_cpu_s)
+
+    def record_credit(self, points: float) -> None:
+        self.current.record_credit(points)
+
+    def record_fault(self, kind: str) -> None:
+        self.current.record_fault(kind)
+
+    def record_workunit_run(
+        self, t: float, active_s: float, reference_s: float
+    ) -> None:
+        self.current.record_workunit_run(t, active_s, reference_s)
+
+
+@dataclass(frozen=True)
+class _RouterConfig:
+    """The slice of ``ServerConfig`` read through the router: the loosest
+    value on the grid of each field."""
+
+    #: agents consult it only for the post-abandon revisit delay
+    deadline_s: float
+    #: sizes the health monitor's reissue budget (None = unbounded)
+    max_reissues: int | None
+
+
+class CampaignRouter:
+    """The one front: the agent-facing façade over every campaign server.
+
+    Duck-types the ``GridServer`` surface volunteer agents consume.  With
+    N runtimes every work request walks the policy's preference ordering
+    (quota-capped campaigns demoted behind everyone under quota) until a
+    campaign hands out an instance; results route back by workunit-id
+    namespace.  With one, agents record into its telemetry, and with no
+    roster entry its server answers them.  Constructing it arms the
+    roster's lifecycle on ``sim`` (a timer per mid-run ``submit_week``
+    and ``drain_week``); a runtime with no roster entry is admitted at
+    t=0, never drained, and gets no quota and no ``grid.*`` event.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        runtimes: list[CampaignRuntime],
+        policy: "SchedulingPolicy | None" = None,
+        grid_telemetry: Telemetry | None = None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        self.sim = sim
+        self.runtimes = runtimes
+        self.policy = policy
+        self.grid_telemetry = grid_telemetry
+        self.tracer = tracer
+        budgets = [rt.server.config.max_reissues for rt in runtimes]
+        self.config = _RouterConfig(
+            deadline_s=max(rt.server.config.deadline_s for rt in runtimes),
+            max_reissues=None if None in budgets else max(budgets),
+        )
+        self._views: dict[int, _AgentTelemetry] = {}
+        self._lone = runtimes[0] if len(runtimes) == 1 else None
+        self._roster = [rt for rt in runtimes if rt.campaign is not None]
+        if self._lone is not None and not self._roster:
+            # Nothing to admit, drain or announce: its server answers.
+            self.request_work = self._lone.server.request_work
+            self.on_result = self._lone.server.on_result
+        elif policy is None or self._lone is None and (
+            grid_telemetry is None or len(self._roster) < len(runtimes)
+        ):
+            raise ValueError(
+                "a roster needs a policy, and with several campaigns a "
+                "grid telemetry and a roster entry for each"
+            )
+        for rt in self._roster:
+            rt.admitted = rt.campaign.submit_week == 0.0
+        self._pending_admissions = sum(
+            1 for rt in self._roster if not rt.admitted
+        )
+        for rt in self._roster:
+            if rt.admitted and tracer is not None:
+                tracer.emit(
+                    "grid.admit", t_sim=0.0, campaign=rt.name,
+                    n_workunits=rt.server.n_workunits,
+                )
+        for rt in self._roster:
+            if not rt.admitted:
+                sim.schedule_at(weeks(rt.campaign.submit_week), self.admit, rt)
+            if rt.campaign.drain_week is not None:
+                sim.schedule_at(
+                    min(weeks(rt.campaign.drain_week), rt.telemetry.horizon_s),
+                    self.drain, rt,
+                )
+
+    # -- fleet wiring ------------------------------------------------------
+
+    def telemetry_for(self, host_id: int) -> "Telemetry | _AgentTelemetry":
+        """What the agent of ``host_id`` records into."""
+        if self._lone is not None:
+            return self._lone.telemetry
+        view = self._views[host_id] = _AgentTelemetry(self.grid_telemetry)
+        return view
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def admit(self, runtime: CampaignRuntime) -> None:
+        """Mid-run admission: the campaign joins the candidate set."""
+        runtime.admitted = True
+        self._pending_admissions -= 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                "grid.admit", t_sim=self.sim.now, campaign=runtime.name,
+                n_workunits=runtime.server.n_workunits,
+            )
+
+    def drain(self, runtime: CampaignRuntime) -> None:
+        """Mid-run drain: no new issues; outstanding results still land."""
+        runtime.drained = True
+        if self.tracer is not None:
+            self.tracer.emit(
+                "grid.drain", t_sim=self.sim.now, campaign=runtime.name,
+                validated=runtime.server.n_validated,
+                n_workunits=runtime.server.n_workunits,
+            )
+
+    # -- what run_fleet reads from a front ---------------------------------
+
+    @property
+    def n_workunits(self) -> int:
+        return sum(rt.server.n_workunits for rt in self.runtimes)
+
+    @property
+    def completion_time(self) -> float | None:
+        """When the *last* campaign closed (None while any is open)."""
+        times = [rt.server.completion_time for rt in self.runtimes]
+        return None if None in times else max(times)
+
+    # -- the GridServer surface agents consume -----------------------------
+
+    @property
+    def all_done(self) -> bool:
+        """True once no campaign will ever need the fleet again."""
+        if self._pending_admissions:
+            return False
+        for rt in self.runtimes:
+            if rt.admitted and not rt.settled:
+                return False
+        return True
+
+    def request_work(self, host_id: int) -> Instance | None:
+        """Serve one work request under the scheduling policy.
+
+        Walks the policy ordering (under-quota campaigns first) until a
+        campaign issues an instance.  Returns ``None`` when nobody has
+        issuable work; raises :class:`ServerUnavailable` only when every
+        candidate campaign's server refused (all mid-outage).
+        """
+        candidates = [rt for rt in self.runtimes if rt.is_candidate]
+        if not candidates:
+            return None
+        week = self.sim.now / SECONDS_PER_WEEK
+        order = self.policy.order(candidates, week)
+        order = self._quota_partition(order)
+        refused_until: list[float] = []
+        for rt in order:
+            try:
+                instance = rt.server.request_work(host_id)
+            except ServerUnavailable as exc:
+                refused_until.append(exc.until)
+                continue
+            if instance is None:
+                continue
+            rt.issued_reference_s += instance.wu.cost_reference_s
+            view = self._views.get(host_id)
+            if view is not None:
+                view.current = rt.telemetry
+            return instance
+        if refused_until and len(refused_until) == len(order):
+            raise ServerUnavailable(min(refused_until))
+        return None
+
+    def _quota_partition(
+        self, order: list[CampaignRuntime]
+    ) -> list[CampaignRuntime]:
+        """Demote over-quota campaigns behind everyone under quota.
+
+        A campaign is over quota when its share of all issued reference
+        work exceeds its ``quota_fraction``.  Over-quota campaigns stay
+        in the ordering — work-conserving: they are served rather than
+        letting a volunteer idle — but only after every under-quota
+        campaign had its chance.
+        """
+        total = sum(rt.issued_reference_s for rt in self.runtimes)
+        if total <= 0.0:
+            return order
+        over = [
+            rt
+            for rt in order
+            if rt.campaign.quota_fraction is not None
+            and rt.issued_reference_s > rt.campaign.quota_fraction * total
+        ]
+        if not over:
+            return order
+        over_ids = {id(rt) for rt in over}
+        return [rt for rt in order if id(rt) not in over_ids] + over
+
+    def on_result(
+        self,
+        instance: Instance,
+        valid: bool,
+        accounted_cpu_s: float,
+        quality: "ResultQuality | None" = None,
+    ) -> None:
+        """Route a result report to its owning campaign's server."""
+        rt = self.runtime_of(instance.wu.wu_id)
+        view = self._views.get(instance.host_id)
+        if view is not None:
+            view.current = rt.telemetry
+        was_done = rt.server.all_done
+        rt.server.on_result(
+            instance, valid, accounted_cpu_s, quality=quality
+        )
+        if not was_done:
+            self._note_completions()
+
+    def runtime_of(self, wu_id: int) -> CampaignRuntime:
+        """The campaign owning workunit ``wu_id`` (id-namespace lookup)."""
+        index = wu_id // WU_ID_STRIDE
+        if not 0 <= index < len(self.runtimes):
+            raise KeyError(f"workunit {wu_id} belongs to no campaign")
+        return self.runtimes[index]
+
+    def _note_completions(self) -> None:
+        """Emit ``grid.complete`` for roster campaigns that just finished.
+
+        Checked after result deliveries for *all* runtimes, because a
+        deadline-driven terminal failure can complete a campaign from
+        inside a DES timer without passing through the router.
+        """
+        if self.tracer is None:
+            return
+        for rt in self._roster:
+            if rt.server.all_done and not rt._complete_emitted:
+                rt._complete_emitted = True
+                self.tracer.emit(
+                    "grid.complete",
+                    t_sim=self.sim.now,
+                    campaign=rt.name,
+                    validated=rt.server.n_validated,
+                    failed=rt.server.stats.failed,
+                )
+
+
 def run_campaigns(
     fleet: FleetSpec,
     specs: Sequence[RuntimeSpec],
     *,
-    router: Callable[..., Any] | None = None,
+    policy: "SchedulingPolicy | None" = None,
+    grid_telemetry: Telemetry | None = None,
     server_factory: Callable[..., GridServer] | None = None,
     tracer: Tracer | None = None,
     profiler: Profiler | None = None,
@@ -650,51 +929,45 @@ def run_campaigns(
 ) -> tuple[FleetRun, list[CampaignResult]]:
     """The engine body: campaigns on one kernel, one fleet, one result each.
 
-    Starts a :class:`CampaignRuntime` per spec on the kernel
-    :func:`~repro.boinc.fleet.run_fleet` creates, picks the front, drives
-    the fleet against it and turns every runtime back into a
-    :class:`CampaignResult`.  Without ``router`` there is no scheduling
-    policy to apply: exactly one spec, fronted by its bare server
-    (``server_factory`` swaps the server class).  With one,
-    ``router(sim, runtimes, tracer=tracer)`` builds the front over the whole
-    roster — :class:`repro.multi.MultiGridSimulation` injects the
-    :class:`~repro.multi.CampaignRouter` constructor, so this package
-    does not import :mod:`repro.multi`.  Observers are forwarded here and
-    nowhere else; the fleet-level reports come back on the
+    Starts a :class:`CampaignRuntime` per spec (``server_factory`` swaps
+    every server's class) on the kernel
+    :func:`~repro.boinc.fleet.run_fleet` creates, fronts them with one
+    :class:`CampaignRouter`, drives the fleet and turns every runtime
+    back into a :class:`CampaignResult`.  A roster of several campaigns
+    adds its ``policy`` and its ``grid_telemetry`` (where agents record
+    before their first assignment).  Observers are forwarded here and
+    nowhere else; their reports come back on the
     :class:`~repro.boinc.fleet.FleetRun`.
     """
-    timed = (profiler if profiler is not None else Profiler()).timed
     runtimes: list[CampaignRuntime] = []
-    telemetry_for: Callable[[int], Any]
+    # A campaign alone or a shard has no profile row for its start.
+    timed = (profiler if profiler is not None else Profiler()).timed
+    roster = specs[0].campaign is not None
 
-    def build_front(sim: Simulator, tracer: Tracer | None) -> Any:
-        nonlocal telemetry_for
-        if router is None:
-            (spec,) = specs
-            alone = CampaignRuntime(
-                sim, spec, fleet.horizon_s, tracer, server_factory
-            )
-            runtimes.append(alone)
-            telemetry_for = lambda host_id: alone.telemetry
-            return alone.server
-        with timed("setup.campaigns"):
+    def build_front(sim: Simulator, tracer: Tracer | None) -> CampaignRouter:
+        with timed("setup.campaigns") if roster else nullcontext():
             runtimes.extend(
-                CampaignRuntime(sim, spec, fleet.horizon_s, tracer, index=index)
+                CampaignRuntime(
+                    sim, spec, fleet.horizon_s, tracer, server_factory, index
+                )
                 for index, spec in enumerate(specs)
             )
-        front = router(sim, runtimes, tracer=tracer)
-        telemetry_for = front.telemetry_for
-        return front
+        return CampaignRouter(sim, runtimes, policy, grid_telemetry, tracer)
 
     run = run_fleet(
         fleet,
         build_front,
-        telemetry_for=lambda host_id: telemetry_for(host_id),
         tracer=tracer,
         profiler=profiler,
         health=health,
         ledger=ledger,
     )
+    for rt in runtimes:
+        # A wire proxy's trailing deadline timers fire remotely, once told
+        # the horizon was reached (a GridServer's fired in the kernel).
+        finalize = getattr(rt.server, "finalize_campaign", None)
+        if finalize is not None:
+            finalize(fleet.horizon_s)
     return run, [rt.result(fleet, run.n_hosts) for rt in runtimes]
 
 
@@ -710,8 +983,8 @@ class VolunteerGridSimulation:
     The fleet is the config's fleet fields resolved once into a
     :class:`~repro.boinc.fleet.FleetSpec` (``sim.fleet``); :meth:`run`
     hands it and the campaign's one :class:`RuntimeSpec` to
-    :func:`run_campaigns`, with no router: the front is the bare
-    :class:`GridServer`.
+    :func:`run_campaigns`: no roster entry, so no policy, no ``grid.*``
+    event and no ``campaign=`` stamp.
     """
 
     def __init__(

@@ -14,13 +14,11 @@ projects) made first-class:
 * :mod:`~repro.multi.policies` — fair-share / strict-priority /
   weighted-lottery capacity division;
 * :mod:`~repro.multi.engine` — :class:`MultiGridSimulation`: per-campaign
-  grid servers behind a :class:`CampaignRouter` the agents cannot tell
-  from a single server, run by the engine body a single campaign runs
-  through (:func:`repro.boinc.simulator.run_campaigns`), ``health=`` /
-  ``ledger=`` included.  A grid with one registered
-  cross-docking campaign is simply N=1 on the router and reproduces
-  ``scaled_phase1`` exactly — at a 13–18 % wall-time cost for the
-  routing, so the fastest single campaign is ``scaled_phase1`` itself;
+  grid servers behind the :class:`CampaignRouter` a single campaign runs
+  behind too, through the same engine body
+  (:func:`repro.boinc.simulator.run_campaigns`), ``health=`` /
+  ``ledger=`` included; one registered cross-docking campaign reproduces
+  ``scaled_phase1`` exactly;
 * :mod:`~repro.multi.scenario` — canonical setups, notably the paper's
   three-phase prioritization (:func:`three_phase_scenario`);
 * :mod:`~repro.multi.spec` — the shared CLI ``--campaign SPEC`` parser.

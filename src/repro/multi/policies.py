@@ -35,7 +35,7 @@ import numpy as np
 from ..rng import substream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .engine import CampaignRuntime
+    from ..boinc.simulator import CampaignRuntime
 
 __all__ = [
     "SchedulingPolicy",

@@ -401,9 +401,26 @@ class TestOneDefinitionEach:
             _sources()["multi/engine.py"],
         )
 
+    def test_one_front(self):
+        """Every campaign runs behind the router the engine body builds:
+        no caller picks or injects a front, and the fleet driver reads
+        each agent's telemetry off the front."""
+        from repro.boinc.fleet import run_fleet
+        from repro.boinc.simulator import run_campaigns
+
+        assert "router" not in inspect.signature(run_campaigns).parameters
+        assert "telemetry_for" not in inspect.signature(run_fleet).parameters
+        assert _call_sites(
+            lambda call: getattr(call.func, "id", None) == "CampaignRouter"
+        ) == ["boinc/simulator.py:run_campaigns.build_front"]
+
     def test_front_stays_a_duck_type(self):
-        """The bare GridServer is a front as it is: no base class."""
+        """The router and the servers behind it share no base class: the
+        agent surface is a protocol, not a type."""
+        from repro.boinc.simulator import CampaignRouter
+
         assert GridServer.__bases__ == (object,)
+        assert CampaignRouter.__bases__ == (object,)
 
 
 class TestOneOfEach:

@@ -15,16 +15,26 @@ The two load-bearing contracts:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.boinc.server import GridServer
 from repro.boinc.sharding import plan_shards
-from repro.boinc.simulator import RuntimeSpec, scaled_phase1
+from repro.boinc.simulator import (
+    RuntimeSpec,
+    Telemetry,
+    run_campaigns,
+    scaled_phase1,
+)
+from repro.faults import FaultPlan
 from repro.multi import (
     Campaign,
     GridConfig,
     MultiGridSimulation,
     WU_ID_STRIDE,
+    make_policy,
     three_phase_scenario,
 )
 from repro.obs import HealthMonitor, RingSink, Tracer
@@ -80,9 +90,9 @@ class TestSingleCampaignIdentity:
             )
 
     def test_forced_router_path_matches_monolithic(self, monolithic_reference):
-        """A one-campaign grid always takes the router path now; what the
-        router hands the storage server equals the bare ``GridServer``'s
-        (one materializer prices both)."""
+        """A one-campaign roster and a campaign alone run behind the same
+        router; what each hands the storage server is the same (one
+        materializer prices both)."""
         grid = MultiGridSimulation(_single_grid()).run()
         routed, ref = grid["hcmd"], monolithic_reference
         assert grid.grid_telemetry is not None
@@ -155,6 +165,68 @@ class TestSingleCampaignIdentity:
         assert grid.completion_time == grid["hcmd"].completion_time
         assert grid.merged_stats() == grid["hcmd"].server.stats
         assert grid.issued_share() == {"hcmd": 1.0}
+
+    def test_n1_roster_keeps_its_campaigns_retries(self):
+        """An agent refused before its first assignment retries on behalf
+        of the one campaign there is: the roster entry's error budget is
+        the campaign's alone, none of it parked on the grid telemetry."""
+        faults = FaultPlan.from_spec("outage=10x72,loss=0.2")
+        grid = MultiGridSimulation(_single_grid(faults=faults)).run()
+        alone = scaled_phase1(
+            scale=SCALE, n_proteins=N_PROTEINS, seed=SEED, faults=faults
+        ).run()
+        retries = alone.fault_report().injected["retries"]
+        assert retries > 0
+        assert grid["hcmd"].fault_report().injected["retries"] == retries
+        assert grid.fault_report().injected["retries"] == retries
+        assert "fault.retries" not in grid.grid_telemetry.registry.names()
+
+
+class TestServerFactoryOnARoster:
+    def test_every_roster_server_is_built_by_the_factory(self):
+        """``server_factory`` builds the server of every runtime the
+        engine body starts, a roster's included, and changes nothing."""
+        sim = MultiGridSimulation(_two_campaign_grid())
+        built = []
+
+        def factory(**kwargs):
+            built.append(kwargs["id_base"])
+            return GridServer(**kwargs)
+
+        def run(**extra):
+            _, results = run_campaigns(
+                sim.fleet, sim.specs,
+                policy=make_policy(sim.config.policy, sim.config.seed),
+                grid_telemetry=Telemetry(sim.horizon_s),
+                **extra,
+            )
+            return results
+
+        made, plain = run(server_factory=factory), run()
+        assert built == [0, WU_ID_STRIDE]
+        for result, ref in zip(made, plain):
+            assert result.server.stats == ref.server.stats
+            assert result.completion_time == ref.completion_time
+            for series in ("daily_cpu_s", "daily_results", "daily_useful"):
+                np.testing.assert_array_equal(
+                    getattr(result.telemetry, series),
+                    getattr(ref.telemetry, series),
+                )
+
+    def test_a_roster_missing_a_part_is_refused_at_once(self):
+        """Several runtimes need a policy, a grid telemetry and a roster
+        entry each; a missing one is refused before the fleet runs."""
+        sim = MultiGridSimulation(_two_campaign_grid())
+        policy = make_policy(sim.config.policy, sim.config.seed)
+        telemetry = Telemetry(sim.horizon_s)
+        alone = dataclasses.replace(sim.specs[1], campaign=None)
+        for specs, kwargs in (
+            (sim.specs, {"grid_telemetry": telemetry}),
+            (sim.specs, {"policy": policy}),
+            ([sim.specs[0], alone], {"policy": policy, "grid_telemetry": telemetry}),
+        ):
+            with pytest.raises(ValueError, match="a roster needs a policy"):
+                run_campaigns(sim.fleet, specs, **kwargs)
 
 
 class TestDeterminism:

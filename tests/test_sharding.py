@@ -344,18 +344,32 @@ class TestShardedObservers:
         return result, path
 
     def test_health_without_a_trace_leaves_no_file(self, tmp_path, monkeypatch):
+        """With no caller trace the monitor folds the merge as it streams
+        out of the shards' scratch files: no merged file is written,
+        nothing is left behind, and the report is the traced run's."""
         import tempfile
+
+        from repro.boinc import sharding
 
         traced, _ = self._traced(tmp_path, 2, health=True)
         scratch = tmp_path / "scratch"
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        written = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(sharding, "open", recording_open, raising=False)
         config = CampaignConfig(shards=ShardPlan(2))
         result = scaled_phase1(
             scale=700, n_proteins=6, seed=42, config=config, health=True
         ).run()
         assert result.health.as_dict() == traced.health.as_dict()
         assert list(scratch.iterdir()) == []
+        assert written == []
 
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_ledger_is_the_refold_of_the_merged_trace(self, tmp_path, n_shards):
