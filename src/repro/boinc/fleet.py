@@ -15,10 +15,12 @@ come here for
   arrival process;
 * **what a fault plan changes on the server** —
   :func:`resolve_server_config`;
-* **who listens** — :func:`tee_observers` (health monitor and host
-  ledger riding the trace stream through :class:`~repro.obs.FoldSink`
-  tees) and :func:`kernel_tracer` (the DES kernel emits per event only
-  when its own channel is traced);
+* **who listens** — :func:`resolve_observers` (what ``health=True`` /
+  ``ledger=True`` build for a run), :func:`tee_observers` (health
+  monitor and host ledger riding the trace stream through
+  :class:`~repro.obs.FoldSink` tees; a sharded run tees the merged
+  stream the same way, :func:`observer_sink`) and :func:`kernel_tracer`
+  (the DES kernel emits per event only when its own channel is traced);
 * **the run itself** — :func:`run_fleet`.
 
 The object agents talk to — the *front* — is one
@@ -71,6 +73,8 @@ __all__ = [
     "FleetRun",
     "resolve_server_config",
     "observer_channels",
+    "resolve_observers",
+    "observer_sink",
     "tee_observers",
     "kernel_tracer",
     "run_fleet",
@@ -228,11 +232,44 @@ def resolve_server_config(
 
 def observer_channels(health=None, ledger=None) -> set[str]:
     """The channels an observer-only tracer records for these observers
-    (views, their classes, or None): those their events are on, plus
-    ``health`` with a monitor, which emits on it."""
+    (or None): those their events are on, plus ``health`` with a
+    monitor, which emits on it."""
     views = [obs for obs in (health, ledger) if obs is not None]
     channels = {channel_of(etype) for obs in views for etype in obs.EVENTS}
     return channels | {"health"} if health is not None else channels
+
+
+def resolve_observers(
+    health: "bool | HealthMonitor | None", ledger: "bool | HostLedger | None"
+) -> tuple[HealthMonitor | None, HostLedger | None]:
+    """The observers of one run, every engine's.
+
+    ``health=True`` / ``ledger=True`` build a default observer *for this
+    run*, so running the same simulation twice reports the same thing
+    twice; an instance the caller supplied stays theirs (and accumulates
+    across runs, as they asked).  Only a monitor and a ledger both built
+    for this run share one lifecycle table: a supplied observer's table
+    carries its earlier runs.
+    """
+    if health is True and ledger is True:
+        ledger = HostLedger()
+        return HealthMonitor(table=ledger.table), ledger
+    return (
+        HealthMonitor() if health is True else health or None,
+        HostLedger() if ledger is True else ledger or None,
+    )
+
+
+def observer_sink(
+    sink, health: HealthMonitor | None = None, ledger: HostLedger | None = None
+):
+    """``sink`` teed into the observers' lifecycle tables: one
+    :class:`~repro.obs.tracer.FoldSink` per distinct table, the health
+    tee outermost."""
+    observers = (obs for obs in (health, ledger) if obs is not None)
+    for table in reversed(dict.fromkeys(obs.table for obs in observers)):
+        sink = FoldSink(table, sink)
+    return sink
 
 
 def tee_observers(
@@ -247,25 +284,22 @@ def tee_observers(
     ends (``None`` when there is nothing to restore).  The caller owns
     the restore — in a ``finally``, the tracer outlives the run.
 
-    Each distinct table gets one :class:`~repro.obs.tracer.FoldSink`, the
-    health tee outermost.  Without a user-supplied tracer, build an
-    observer-only one: events feed the tables and are then discarded
-    (``NullSink``), restricted to :func:`observer_channels`, so the DES
-    kernel's high-rate events skip the emit path entirely.  With a user
-    tracer, the tee inherits its channel filter — a filter that drops
-    ``"host"`` starves the ledger of credit and trust events (documented
-    in :mod:`repro.obs.ledger`).
+    The tees are :func:`observer_sink`'s.  Without a user-supplied
+    tracer, build an observer-only one: events feed the tables and are
+    then discarded (``NullSink``), restricted to
+    :func:`observer_channels`, so the DES kernel's high-rate events skip
+    the emit path entirely.  With a user tracer, the tee inherits its
+    channel filter — a filter that drops ``"host"`` starves the ledger of
+    credit and trust events (documented in :mod:`repro.obs.ledger`).
     """
-    observers = [obs for obs in (health, ledger) if obs is not None]
-    if not observers:
+    if health is None and ledger is None:
         return tracer, None
     restore_sink = None
     if tracer is None:
         tracer = Tracer(sink=NullSink(), channels=observer_channels(health, ledger))
     else:
         restore_sink = tracer.sink
-    for table in reversed(dict.fromkeys(obs.table for obs in observers)):
-        tracer.sink = FoldSink(table, tracer.sink)
+    tracer.sink = observer_sink(tracer.sink, health, ledger)
     if health is not None:
         health.bind(tracer)
     return tracer, restore_sink
@@ -311,20 +345,11 @@ def run_fleet(
 
     ``build_front(sim, tracer)`` builds the agent-facing front on the
     given DES kernel; ``tracer`` is the one to emit through (the caller's,
-    teed into the observers, or an observer-only one).
-    ``health=True`` / ``ledger=True`` build a default
-    observer *for this run*, so running the same simulation twice reports
-    the same thing twice; an instance the caller supplied stays theirs
-    (and accumulates across runs, as they asked).  Only a monitor and a
-    ledger both built for this run share one lifecycle table: a supplied
-    observer's table carries its earlier runs.  Whatever happens, the
-    caller's tracer gets its own sink back.
+    teed into the observers, or an observer-only one).  ``health`` and
+    ``ledger`` resolve through :func:`resolve_observers`.  Whatever
+    happens, the caller's tracer gets its own sink back.
     """
-    if health is True and ledger is True:
-        ledger = HostLedger()
-        health = HealthMonitor(table=ledger.table)
-    health = HealthMonitor() if health is True else health or None
-    ledger = HostLedger() if ledger is True else ledger or None
+    health, ledger = resolve_observers(health, ledger)
     tracer, restore_sink = tee_observers(tracer, health, ledger)
     try:
         sim = Simulator(tracer=kernel_tracer(tracer), profiler=profiler)

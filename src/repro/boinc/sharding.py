@@ -44,25 +44,25 @@ Merge semantics
   validation counts), so :class:`CampaignMetrics` and
   :meth:`CampaignResult.fault_report` are computed from campaign-global
   numbers.
-* JSONL traces are interleaved by global ``(t_sim, shard, line)`` into
-  the path the caller's tracer pointed at; workunit and host ids are
-  campaign-global, so ``trace``/``report``/span reconstruction cannot
-  tell a sharded trace from a monolithic one (zero orphans).
+* The shards' event streams merge into one, by global ``(t_sim,
+  shard, seq)``: each shard records its stream as trace-writer frames
+  (:class:`~repro.obs.tracer.FrameSink`) in the run's scratch directory,
+  never in the caller's, and the parent appends each merged event to the
+  caller's trace.  Workunit and host ids are campaign-global, so
+  ``trace``/``report``/span reconstruction cannot tell a sharded trace
+  from a monolithic one (zero orphans).
 * ``completion_time`` is the max over shards once **all** shards
   completed, else ``None`` (the campaign-global definition).
-* Host ledgers union (each shard ships its lifecycle table: host rows,
-  per-campaign and event counts; host-id blocks are disjoint) and
-  profiler section tables add, both in shard order: a sharded profile
-  reads per-section totals summed over the shard processes.
-* The health monitor has no merge (its SLO rules sweep sliding windows
-  with hysteresis), so it refolds the merged stream instead: with
-  ``health=`` the shards record their traces — to scratch files, gone
-  after the run, when the caller traces nothing — and the monitor,
-  configured with the campaign-global workunit count and reissue budget,
-  folds each event in merged order (as its line is written, when there
-  is a merged file to write).  Its report is the refold of the merged
-  trace by construction, identical for every worker count; a sharded
-  trace carries no ``health.*`` events.
+* Every observer folds the merged stream in the parent: the health
+  monitor (configured with the campaign-global workunit count and
+  reissue budget, and bound to no tracer) and the host ledger read it
+  through the same tees as on a monolithic run, one refold serving both
+  when they share a table.  Their reports are the refold of the merged
+  trace by construction, identical for every worker count, and a
+  sharded trace carries no ``health.*`` events.  With an observer and no
+  caller trace, the shards record the observers' channels only.
+* Profiler section tables add in shard order: a sharded profile reads
+  per-section totals summed over the shard processes.
 """
 
 from __future__ import annotations
@@ -70,20 +70,18 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.health import HealthMonitor
-from ..obs.ledger import HostLedger
-from ..obs.lifecycle import Lifecycle
 from ..obs.profile import Profiler
-from ..obs.tracer import Fold, JsonlSink, TraceEvent, Tracer
-from .fleet import observer_channels
+from ..obs.tracer import FrameSink, JsonlSink, NullSink, Tracer, iter_frames
+from .fleet import observer_channels, observer_sink, resolve_observers
 from .validator import ValidationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -154,11 +152,9 @@ class ShardOutput:
     #: loses its tracer, neither of which can cross a process
     result: "CampaignResult"
     wall_s: float  #: the shard's own wall-clock execution time
+    #: the shard's recorded stream (:class:`FrameSink` frames), when the
+    #: campaign is traced or observed
     trace_path: str | None = None
-    trace_counts: dict[str, int] | None = None
-    #: the shard ledger's lifecycle table when the campaign ran with
-    #: ``ledger=`` (its host ids are disjoint from every other shard's)
-    ledger: Lifecycle | None = None
     #: the shard's own profiler when the campaign ran with ``profiler=``
     profiler: Profiler | None = None
 
@@ -238,7 +234,7 @@ def plan_shards(sim: "VolunteerGridSimulation", n_shards: int) -> list[ShardSpec
 
 def _execute_shard(
     fleet, plan, campaign, server_config, scale,
-    trace_dir, trace_channels, ledger: bool, profile: bool, spec: ShardSpec,
+    trace_dir, trace_channels, profile: bool, spec: ShardSpec,
 ) -> ShardOutput:
     """Run the engine body on one shard's slice and package its output.
 
@@ -246,15 +242,15 @@ def _execute_shard(
     swaps its three fleet fields into ``fleet`` and materializes only its
     own release-order range — workunit ids and batch indices stay
     campaign-global, so merged traces, spans and batch telemetry are
-    collision-free.
+    collision-free.  With a ``trace_dir`` the shard records its stream
+    there, for the parent to merge.
     """
     from .simulator import RuntimeSpec, fold_results, run_campaigns
 
     tracer = trace_path = None
     if trace_dir is not None:
-        trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.jsonl")
-        tracer = Tracer.to_jsonl(trace_path, channels=trace_channels)
-    shard_ledger = HostLedger() if ledger else None
+        trace_path = os.path.join(trace_dir, f"shard-{spec.index:04d}.frames")
+        tracer = Tracer(sink=FrameSink(trace_path), channels=trace_channels)
     profiler = Profiler() if profile else None
     t0 = perf_counter()
     with (profiler or Profiler()).timed("setup.workunits"):
@@ -272,20 +268,15 @@ def _execute_shard(
         [runtime],
         tracer=tracer,
         profiler=profiler,
-        ledger=shard_ledger,
     )
     wall_s = perf_counter() - t0
-    trace_counts = None
     if tracer is not None:
         tracer.close()
-        trace_counts = dict(tracer.counts)
     return ShardOutput(
         # folded alone: plain records, no live server or sink handle
         result=fold_results([result], result.n_hosts),
         wall_s=wall_s,
         trace_path=trace_path,
-        trace_counts=trace_counts,
-        ledger=shard_ledger.table if ledger else None,
         profiler=profiler,
     )
 
@@ -391,42 +382,6 @@ def merge_telemetry(dst: "Telemetry", src: "Telemetry") -> None:
     dst.shipments.extend(src.shipments)
 
 
-def _iter_trace_lines(path: str, shard: int) -> Iterator[tuple]:
-    """Yield ``(t_sim, shard, line_no, raw_line, event)`` from one shard's
-    JSONL trace (file order is non-decreasing in ``t_sim``)."""
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if line:
-                event = TraceEvent.from_json(line)
-                key = event.t_sim if event.t_sim is not None else float("-inf")
-                yield (key, shard, line_no, line, event)
-
-
-def _merge_traces(
-    outputs, target_path: str | None, fold: Fold | None = None
-) -> None:
-    """Interleave the shard JSONL traces by global ``(t_sim, shard,
-    line)`` into ``target_path`` (``None``: into no file), feeding
-    ``fold`` each event in that order (so the fold is the refold of the
-    merged stream), then remove the shard files."""
-    streams = [
-        _iter_trace_lines(out.trace_path, index)
-        for index, out in enumerate(outputs)
-    ]
-    with (
-        open(target_path, "w", encoding="ascii") if target_path else nullcontext()
-    ) as fh:
-        for _, _, _, line, event in heapq.merge(*streams):
-            if fh is not None:
-                fh.write(line + "\n")
-            if fold is not None:
-                fold.feed(event)
-    for out in outputs:
-        if out.trace_path != target_path:
-            os.remove(out.trace_path)
-
-
 def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     """Execute ``sim`` as ``config.shards`` prescribes and fold.
 
@@ -434,9 +389,9 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     a :class:`ShardPlan` with ``n_shards > 1``.  Returns a folded
     :class:`CampaignResult` indistinguishable (metrics, fault report,
     exports, trace) from one server having run the whole campaign;
-    per-shard wall times are kept on ``result.shard_walls``.  Only a
-    JSONL sink can span shard processes: tracing to an in-memory ring is
-    an error rather than a silently incomplete trace.
+    per-shard wall times are kept on ``result.shard_walls``.  The merged
+    stream is appended to a JSONL sink only: tracing to an in-memory ring
+    is refused.
     """
     from .simulator import fold_results
 
@@ -444,30 +399,24 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     if tracer is not None and not isinstance(tracer.sink, JsonlSink):
         raise ValueError(
             "unsupported artifact for a sharded campaign: the in-memory "
-            "ring trace (RingSink) cannot cross shard processes; trace a "
-            "sharded campaign to a JSONL path (Tracer.to_jsonl / --trace "
-            "PATH) instead, or run monolithically with n_shards=1 "
+            "ring trace (RingSink) is not supported; trace a sharded "
+            "campaign to a JSONL path (Tracer.to_jsonl / --trace PATH) "
+            "instead, or run monolithically with n_shards=1 "
             "(drop --shards)"
         )
+    health, ledger = resolve_observers(sim.health, sim.ledger)
+    traced = tracer is not None or health is not None or ledger is not None
     with tempfile.TemporaryDirectory() as scratch:
-        target_path = trace_dir = channels = None
-        if tracer is not None:
-            target_path, channels = str(tracer.sink.path), tracer.channels
-            trace_dir = os.path.dirname(target_path) or "."
-        elif sim.health is not None:
-            # The monitor folds the merged stream: the shards record it to
-            # files that go away with the run, and no merged file is written
-            # (NullSink's part on the monolithic path).
-            trace_dir = scratch
-            channels = observer_channels(
-                HealthMonitor, HostLedger if sim.ledger is not None else None
-            )
+        trace_dir = scratch if traced else None
+        channels = (
+            tracer.channels if tracer is not None
+            else observer_channels(health, ledger)
+        )
         specs = plan_shards(sim, plan.n_shards)
         # What every shard takes from the parent, resolved once here.
         parent_args = (
             sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
-            trace_dir, channels, sim.ledger is not None,
-            sim.profiler is not None,
+            trace_dir, channels, sim.profiler is not None,
         )
         n_workers = min(plan.n_workers, plan.n_shards)
         if n_workers <= 1:
@@ -479,38 +428,34 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
                 # submit order == shard order: the list() below is the
                 # deterministic ordered merge, whatever order workers finish.
                 outputs = list(pool.map(_run_shard_task, specs))
-        if tracer is not None:
-            # The caller's sink opened the target file; close it before
-            # it is rewritten, keeping the per-type counts campaign-global.
-            tracer.sink.close()
-            for out in outputs:
-                tracer.counts.update(out.trace_counts)
         result = fold_results(
             [out.result for out in outputs],
             n_hosts=sum(out.result.n_hosts for out in outputs),
         )
-        health = HealthMonitor() if sim.health is True else sim.health
         if health is not None:
             health.configure_campaign(
                 result.server.n_workunits, sim.server_config.max_reissues
             )
-        if trace_dir is not None:
-            _merge_traces(
-                outputs, target_path, None if health is None else health.table
+        if traced:
+            # One loop appends the merged stream to the caller's sink and
+            # tees it into the observers' tables; the monitor stays
+            # unbound, so nothing is emitted into the trace it folds.
+            sink = observer_sink(
+                tracer.sink if tracer is not None else NullSink(), health, ledger
             )
-        if health is not None:
-            result.health = health.finalize(result.span_s)
+            counts = tracer.counts if tracer is not None else Counter()
+            # Shard events all carry a t_sim; heapq.merge breaks its ties
+            # by stream order, so the merge order is (t_sim, shard, seq).
+            streams = [iter_frames(out.trace_path) for out in outputs]
+            for event in heapq.merge(*streams, key=attrgetter("t_sim")):
+                sink.append(event)
+                counts[event.etype] += 1
     result.shard_walls = [out.wall_s for out in outputs]
-    # ledger=True merges into a fresh ledger per run (as run_fleet does)
-    ledger = HostLedger() if sim.ledger is True else sim.ledger
-    for out in outputs:
-        # Shard host-id blocks are disjoint (HOST_ID_STRIDE), so the
-        # merged ledger is a pure union absorbed in shard order; section
-        # tables add in the same order.
-        if ledger is not None:
-            ledger.absorb(out.ledger)
-        if sim.profiler is not None:
-            sim.profiler.add(out.profiler)
+    if health is not None:
+        result.health = health.finalize(result.span_s)
     if ledger is not None:
         result.ledger = ledger.finalize(result.span_s)
+    if sim.profiler is not None:
+        for out in outputs:
+            sim.profiler.add(out.profiler)
     return result

@@ -16,9 +16,10 @@ by ``tests/test_ledger.py``).
 
 The ledger never touches simulation state or RNG streams: a
 ledger-enabled campaign is bit-identical in outcome to an unobserved one
-(golden-digest pinned).  Shards number their hosts from disjoint id
-blocks, so :func:`repro.boinc.sharding.run_sharded` recombines per-shard
-rows into one fleet view identical for every worker count.
+(golden-digest pinned).  A sharded campaign's ledger folds the merged
+stream in the parent (:func:`repro.boinc.sharding.run_sharded`), so its
+fleet view is the refold of the merged trace, identical for every worker
+count.
 
 Caveat: a ledger teed onto a *user-supplied* tracer only hears the
 channels that tracer records — include ``"host"`` (and the lifecycle
@@ -66,30 +67,6 @@ class HostLedger(View):
     @property
     def by_campaign(self) -> dict[str, dict[str, int]]:
         return self.table.by_campaign
-
-    # -- shard merge ---------------------------------------------------------
-
-    def absorb(self, table: Lifecycle) -> None:
-        """Fold one shard's table into this ledger's (shard order): its
-        host rows, per-campaign counts and event counts.
-
-        Hosts from different shards come from disjoint id blocks
-        (:data:`repro.boinc.sharding.HOST_ID_STRIDE`), so within one run
-        this is a pure union and the report equals the refold of the
-        merged trace.  A host already in the ledger — a supplied ledger
-        absorbing a second run — merges (:meth:`HostRecord.merge`).
-        """
-        for host, rec in table.hosts.items():
-            mine = self.records.get(host)
-            if mine is None:
-                self.records[host] = rec
-            else:
-                mine.merge(rec)
-        for name, agg in table.by_campaign.items():
-            dst = self.table.campaign(name)
-            for key, value in agg.items():
-                dst[key] = dst.get(key, 0) + value
-        self.table.add_counts(table)
 
     # -- classification and the fleet report --------------------------------
 

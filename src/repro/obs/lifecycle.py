@@ -22,8 +22,9 @@ Each observer is a :class:`View` over a table: the host ledger
 both a monitor and a ledger of its own tees the stream into one table
 through one :class:`~repro.obs.tracer.FoldSink`; a recorded trace refolds
 into the same rows, so every view's report is identical live and
-offline.  Workunit ids are campaign-global and shard host ids come from
-disjoint blocks, so the rows of two shards or two campaigns never
+offline.  A sharded run's views fold the merged stream of its shards in
+the parent; workunit ids are campaign-global and shard host ids come
+from disjoint blocks, so the rows of two shards or two campaigns never
 collide.
 """
 
@@ -349,24 +350,6 @@ class HostRecord:
         if span <= 0.0:
             return 1.0 if self.active_s > 0.0 else 0.0
         return min(1.0, self.active_s / span)
-
-    def merge(self, other: "HostRecord") -> None:
-        """Fold another stream's record of the same host into this one
-        (a supplied ledger absorbing a second sharded run).
-
-        Counters add, seen-spans union and the turnaround sketches merge
-        exactly.  The trust trajectory is stream-order state: the later
-        stream's streak and the max peak win.
-        """
-        for name in self.COUNTERS + ("active_s", "cpu_s", "credit"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        firsts = [t for t in (self.first_seen, other.first_seen) if t is not None]
-        lasts = [t for t in (self.last_seen, other.last_seen) if t is not None]
-        self.first_seen = min(firsts, default=None)
-        self.last_seen = max(lasts, default=None)
-        self.streak, self.trusted = other.streak, other.trusted
-        self.peak_streak = max(self.peak_streak, other.peak_streak)
-        self.turnaround.merge(other.turnaround)
 
     def as_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"host": self.host}

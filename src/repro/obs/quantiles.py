@@ -252,10 +252,9 @@ class QuantileSketch:
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch's samples into this one.
 
-        The host ledger recombines shard-local sketches with this: the
-        other sketch's warm-up buffer is replayed in its arrival order,
-        so the merged state is identical to one sketch having observed
-        both streams back to back.  A sketch that already outgrew its
+        The other sketch's warm-up buffer is replayed in its arrival
+        order, so the merged state is identical to one sketch having
+        observed both streams back to back.  A sketch that already outgrew its
         warm-up buffer no longer holds its samples and cannot be merged
         exactly — that raises rather than silently degrading.
         """

@@ -39,6 +39,7 @@ from .events import EVENT_TYPES, TRACE_SCHEMA_VERSION, channel_of
 __all__ = [
     "TraceEvent",
     "RingSink",
+    "FrameSink",
     "JsonlSink",
     "NullSink",
     "Fold",
@@ -46,6 +47,7 @@ __all__ = [
     "Tracer",
     "read_trace",
     "iter_trace",
+    "iter_frames",
     "global_tracer",
     "set_global_tracer",
     "tracing",
@@ -114,15 +116,15 @@ class RingSink:
 _WRITER = str(Path(__file__).with_name("_jsonl_writer.py"))
 
 
-def _send(pipe, batch: list[tuple]) -> None:
-    """Write ``batch`` to the writer as one length-prefixed frame, emptied."""
+def _send(stream, batch: list[tuple]) -> None:
+    """Write ``batch`` to ``stream`` as one length-prefixed frame, emptied."""
     if batch:
         payload = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
         batch.clear()
-        pipe.write(len(payload).to_bytes(4, "little") + payload)
+        stream.write(len(payload).to_bytes(4, "little") + payload)
         # Nothing stays buffered: a forked copy of this process must have
         # no half-sent bytes of its own to flush into the stream.
-        pipe.flush()
+        stream.flush()
 
 
 def _finish(proc: subprocess.Popen, batch: list[tuple], path: Path, pid: int) -> None:
@@ -150,16 +152,55 @@ def _finish(proc: subprocess.Popen, batch: list[tuple], path: Path, pid: int) ->
         )
 
 
-class JsonlSink:
+def _close_frames(stream, batch: list[tuple]) -> None:
+    with stream:
+        _send(stream, batch)
+
+
+class FrameSink:
+    """Record events as the trace writer's frames, to a file of their own.
+
+    A frame is a 4-byte little-endian length, then a pickled list of
+    ``(etype, channel, t_sim, t_wall, fields)`` tuples: ``append`` only
+    buffers, and every :attr:`Fold.STRIDE` events one frame is written.
+    Nothing is encoded; :func:`iter_frames` reads the events back in
+    order.  A sharded campaign's shards record their streams this way for
+    the parent to merge.
+    """
+
+    def __init__(self, path: Path | str) -> None:
+        self.path = Path(path)
+        self._stream = self.path.open("wb")
+        self._batch: list[tuple] = []
+        self._finalizer = weakref.finalize(
+            self, _close_frames, self._stream, self._batch
+        )
+
+    def append(self, event: TraceEvent) -> None:
+        batch = self._batch
+        batch.append(
+            (event.etype, event.channel, event.t_sim, event.t_wall, event.fields)
+        )
+        if len(batch) >= Fold.STRIDE:
+            try:
+                _send(self._stream, batch)
+            except BrokenPipeError:
+                self._finalizer()  # a writer's: reaps it, raises naming the path
+                raise
+
+    def close(self) -> None:
+        self._finalizer()
+
+
+class JsonlSink(FrameSink):
     """Stream events to a JSONL file, one record per line.
 
     The lines are encoded and written by a writer process
-    (``_jsonl_writer.py``) while the campaign keeps running: ``append``
-    only buffers, and every :attr:`Fold.STRIDE` events one pickled frame
-    goes down a pipe.  ``close()`` flushes the tail, waits for the
-    writer and raises :class:`OSError` naming the path if it failed; an
-    unclosed sink gets the same flush at garbage collection or
-    interpreter exit.
+    (``_jsonl_writer.py``) while the campaign keeps running: the frames
+    :class:`FrameSink` batches go down a pipe to it.  ``close()`` flushes
+    the tail, waits for the writer and raises :class:`OSError` naming the
+    path if it failed; an unclosed sink gets the same flush at garbage
+    collection or interpreter exit.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -175,31 +216,17 @@ class JsonlSink:
                 stdin=subprocess.PIPE, stdout=fh, stderr=subprocess.PIPE,
                 start_new_session=True,
             )
+        self._stream = self._proc.stdin
         # A 1 MiB pipe where Linux allows it (~18 k events): the writer's
         # start-up and stalls are absorbed instead of blocking the campaign.
         with suppress(ImportError, AttributeError, OSError):
             import fcntl
 
-            fcntl.fcntl(self._proc.stdin.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+            fcntl.fcntl(self._stream.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
         self._batch: list[tuple] = []
         self._finalizer = weakref.finalize(
             self, _finish, self._proc, self._batch, self.path, os.getpid()
         )
-
-    def append(self, event: TraceEvent) -> None:
-        batch = self._batch
-        batch.append(
-            (event.etype, event.channel, event.t_sim, event.t_wall, event.fields)
-        )
-        if len(batch) >= Fold.STRIDE:
-            try:
-                _send(self._proc.stdin, batch)
-            except BrokenPipeError:
-                self._finalizer()  # reaps the writer, raises naming the path
-                raise
-
-    def close(self) -> None:
-        self._finalizer()
 
 
 class NullSink:
@@ -292,14 +319,6 @@ class Fold:
             sum(route[1] for route in routes),
             max((route[2] for route in routes if route[1]), default=0.0),
         )
-
-    def add_counts(self, other: "Fold") -> None:
-        """Count the events ``other`` applied as applied here too (a
-        shard's fold joining its campaign's)."""
-        for etype, (_, n, t, _) in other._routes.items():
-            route = self._routes[etype]
-            route[1] += n
-            route[2] = max(route[2], t)
 
 
 class FoldSink:
@@ -426,6 +445,14 @@ def iter_trace(path: Path | str) -> Iterator[TraceEvent]:
 def read_trace(path: Path | str) -> list[TraceEvent]:
     """Load a JSONL trace back into :class:`TraceEvent` records."""
     return list(iter_trace(path))
+
+
+def iter_frames(path: Path | str) -> Iterator[TraceEvent]:
+    """Stream the events a :class:`FrameSink` recorded, in order."""
+    with Path(path).open("rb") as fh:
+        while size := int.from_bytes(fh.read(4), "little"):
+            for etype, channel, t_sim, t_wall, fields in pickle.loads(fh.read(size)):
+                yield TraceEvent(etype, channel, t_sim, t_wall, fields)
 
 
 # -- process-global tracer -------------------------------------------------

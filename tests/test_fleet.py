@@ -414,6 +414,43 @@ class TestOneDefinitionEach:
             lambda call: getattr(call.func, "id", None) == "CampaignRouter"
         ) == ["boinc/simulator.py:run_campaigns.build_front"]
 
+    def test_sharded_observers_fold_the_merged_stream(self):
+        """A shard ships no observer state and no JSON: the parent folds
+        the merged frames, and writes no file of its own."""
+        from dataclasses import fields
+
+        from repro.boinc.sharding import ShardOutput
+        from repro.obs.lifecycle import HostRecord
+        from repro.obs.tracer import Fold
+
+        text = _sources()["boinc/sharding.py"]
+        assert not re.search(r"(?m)^\s*(import json|from json\b)", text)
+        assert "from_json" not in text
+        assert not re.search(r"""\bopen\([^)]*["'][rbt+]*[wax]""", text)
+        assert not hasattr(HostLedger, "absorb")
+        assert not hasattr(HostRecord, "merge")
+        assert not hasattr(Fold, "add_counts")
+        assert {f.name for f in fields(ShardOutput)} & {
+            "ledger", "trace_counts"
+        } == set()
+
+    def test_observers_are_built_from_true_in_one_function(self):
+        """``health=True`` / ``ledger=True`` resolve in one place for
+        every engine; the other builds are the offline refold and the
+        service's always-on ledger."""
+        sites = _call_sites(
+            lambda call: getattr(call.func, "id", None)
+            in ("HealthMonitor", "HostLedger")
+        )
+        assert sorted(set(sites)) == [
+            "boinc/fleet.py:resolve_observers",
+            "obs/ledger.py:FleetReport.from_trace",
+            "service/app.py:SchedulerService.__init__",
+        ]
+        assert _modules_matching(r"\b(health|ledger) is True\b") == [
+            "boinc/fleet.py"
+        ]
+
     def test_front_stays_a_duck_type(self):
         """The router and the servers behind it share no base class: the
         agent surface is a protocol, not a type."""

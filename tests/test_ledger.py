@@ -201,6 +201,28 @@ class TestShardedFleetReport:
             2 * first.host(host)["turnaround"]["count"]
         )
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_supplied_ledger_is_the_refold_of_both_runs(self, tmp_path, n_shards):
+        """Sharded or not, a ledger carried through two runs reports what
+        one fresh ledger refolding both runs' traces back to back does:
+        the second run's trust streaks continue the first's."""
+        ledger, paths = HostLedger(), []
+        config = CampaignConfig(
+            shards=ShardPlan(n_shards=n_shards),
+            faults=FaultPlan.from_spec("crash=5,loss=0.1,sabotage=0.05"),
+        )
+        for run in range(2):
+            paths.append(tmp_path / f"run{run}.jsonl")
+            with Tracer.to_jsonl(paths[-1]) as tracer:
+                result = scaled_phase1(
+                    scale=700, n_proteins=6, seed=42, ledger=ledger,
+                    tracer=tracer, config=config,
+                ).run()
+        refold = HostLedger().fold(
+            event for path in paths for event in iter_trace(path)
+        ).finalize(result.span_s)
+        assert result.ledger.as_dict() == refold.as_dict()
+
     def test_merged_report_identical_across_worker_counts(self):
         sequential = self._run(4, 1)
         pooled = self._run(4, 2)

@@ -234,6 +234,33 @@ class TestMergedArtifacts:
         assert paths and all(p.exists() for p in paths)
 
 
+class TestTraceNamedLikeAShardStream:
+    def test_loses_no_event(self, tmp_path, capsys):
+        """The shards record their streams in the run's scratch directory,
+        so a caller's trace may carry any name: ``simulate --shards 2
+        --trace d/shard-0000.jsonl`` writes what ``--trace d/t.jsonl``
+        does, prints its true event count and leaves nothing beside it."""
+        from repro.cli import main
+
+        events = {}
+        for name in ("t.jsonl", "shard-0000.jsonl"):
+            d = tmp_path / name.split(".")[0]
+            d.mkdir()
+            assert main([
+                "simulate", "--scale", "700", "--proteins", "6",
+                "--shards", "2", "--trace", str(d / name),
+            ]) == 0
+            lines = (d / name).read_text().splitlines()
+            assert f"trace: {len(lines):,} events" in capsys.readouterr().out
+            assert os.listdir(d) == [name]
+            events[name] = [
+                {k: v for k, v in json.loads(line).items() if k != "t_wall"}
+                for line in lines
+            ]
+        assert len(events["t.jsonl"]) == 1259
+        assert events["shard-0000.jsonl"] == events["t.jsonl"]
+
+
 class TestFaultMerge:
     def test_fault_budget_recombines(self):
         config = CampaignConfig(
