@@ -16,11 +16,12 @@ come here for
 * **what a fault plan changes on the server** —
   :func:`resolve_server_config`;
 * **who listens** — :func:`resolve_observers` (what ``health=True`` /
-  ``ledger=True`` build for a run), :func:`tee_observers` (health
-  monitor and host ledger riding the trace stream through
-  :class:`~repro.obs.FoldSink` tees; a sharded run tees the merged
-  stream the same way, :func:`observer_sink`) and :func:`kernel_tracer`
-  (the DES kernel emits per event only when its own channel is traced);
+  ``ledger=True`` build for a run), :func:`tee_observers` (the run's
+  tracer: health monitor and host ledger ride the trace stream through
+  :class:`~repro.obs.FoldSink` tees on a tracer of the run's own, the
+  caller's left as it was; a sharded run's parent tees the merged stream
+  through the same tracer) and :func:`kernel_tracer` (the DES kernel
+  emits per event only when its own channel is traced);
 * **the run itself** — :func:`run_fleet`.
 
 The object agents talk to — the *front* — is one
@@ -276,33 +277,33 @@ def tee_observers(
     tracer: Tracer | None,
     health: HealthMonitor | None = None,
     ledger: HostLedger | None = None,
-) -> tuple[Tracer | None, Any]:
-    """Tee the trace stream into the observers' lifecycle tables.
+) -> Tracer | None:
+    """The tracer a run emits through, its observers teed in.
 
-    Returns ``(tracer, restore_sink)``: the tracer every emitter should
-    use, and the caller's original sink to put back on it when the run
-    ends (``None`` when there is nothing to restore).  The caller owns
-    the restore — in a ``finally``, the tracer outlives the run.
-
-    The tees are :func:`observer_sink`'s.  Without a user-supplied
-    tracer, build an observer-only one: events feed the tables and are
-    then discarded (``NullSink``), restricted to
-    :func:`observer_channels`, so the DES kernel's high-rate events skip
-    the emit path entirely.  With a user tracer, the tee inherits its
-    channel filter — a filter that drops ``"host"`` starves the ledger of
-    credit and trust events (documented in :mod:`repro.obs.ledger`).
+    A disabled tracer is no tracer.  Without observers this is the
+    caller's tracer; with them, a tracer of the run's own whose sink is
+    :func:`observer_sink` over the caller's sink, counting into the
+    caller's ``counts`` and filtering on its channels — a filter that
+    drops ``"host"`` starves the ledger of credit and trust events
+    (documented in :mod:`repro.obs.ledger`).  Without a caller tracer the
+    tees end in a ``NullSink`` and record :func:`observer_channels` only,
+    so the DES kernel's high-rate events skip the emit path entirely.
+    The caller's tracer is never changed: there is nothing to restore.
     """
+    if tracer is not None and not tracer.enabled:
+        tracer = None
     if health is None and ledger is None:
-        return tracer, None
-    restore_sink = None
+        return tracer
     if tracer is None:
-        tracer = Tracer(sink=NullSink(), channels=observer_channels(health, ledger))
-    else:
-        restore_sink = tracer.sink
-    tracer.sink = observer_sink(tracer.sink, health, ledger)
-    if health is not None:
-        health.bind(tracer)
-    return tracer, restore_sink
+        return Tracer(
+            sink=observer_sink(NullSink(), health, ledger),
+            channels=observer_channels(health, ledger),
+        )
+    teed = Tracer(
+        sink=observer_sink(tracer.sink, health, ledger), channels=tracer.channels
+    )
+    teed.counts = tracer.counts
+    return teed
 
 
 def kernel_tracer(tracer: Tracer | None) -> Tracer | None:
@@ -344,62 +345,59 @@ def run_fleet(
     """Recruit ``spec``'s fleet against a front and run it to the horizon.
 
     ``build_front(sim, tracer)`` builds the agent-facing front on the
-    given DES kernel; ``tracer`` is the one to emit through (the caller's,
-    teed into the observers, or an observer-only one).  ``health`` and
-    ``ledger`` resolve through :func:`resolve_observers`.  Whatever
-    happens, the caller's tracer gets its own sink back.
+    given DES kernel; ``tracer`` is the one to emit through
+    (:func:`tee_observers`'s: the caller's, or a tracer of the run's own
+    teed into the observers), and the health monitor emits its
+    transitions through it too.  ``health`` and ``ledger`` resolve
+    through :func:`resolve_observers`.
     """
     health, ledger = resolve_observers(health, ledger)
-    tracer, restore_sink = tee_observers(tracer, health, ledger)
-    try:
-        sim = Simulator(tracer=kernel_tracer(tracer), profiler=profiler)
-        if profiler is None:
-            profiler = Profiler()
-        front = build_front(sim, tracer)
+    tracer = tee_observers(tracer, health, ledger)
+    if health is not None:
+        health.bind(tracer)
+    sim = Simulator(tracer=kernel_tracer(tracer), profiler=profiler)
+    if profiler is None:
+        profiler = Profiler()
+    front = build_front(sim, tracer)
+    if health is not None:
+        health.configure_campaign(front.n_workunits, front.config.max_reissues)
+
+    with profiler.timed("setup.hosts"):
+        agents: list[VolunteerAgent] = []
+        starts: list[tuple[float, Callable[[], None]]] = []
+        for idx, join_t in enumerate(spec.arrival_times()):
+            host_id = spec.host_id_base + idx
+            agent = VolunteerAgent(
+                sim,
+                front,
+                spec.host_model.spec(
+                    host_id,
+                    join_time=float(join_t),
+                    faults=spec.faults.host_state(spec.seed, host_id),
+                ),
+                front.telemetry_for(host_id),
+                rng=substream(spec.seed, "agent", host_id),
+                accounting=spec.accounting,
+                tracer=tracer,
+            )
+            agents.append(agent)
+            starts.append((float(join_t), agent.start))
+        # Arrival times are generated sorted, so the batch load takes
+        # the append-only path (no per-event heap sift-up).
+        sim.schedule_batch_at(starts)
+
+    with profiler.timed("des.run"):
+        sim.run(until=spec.horizon_s)
+
+    run = FleetRun(n_hosts=len(agents))
+    if health is not None or ledger is not None:
+        t_final = (
+            front.completion_time
+            if front.completion_time is not None
+            else spec.horizon_s
+        )
         if health is not None:
-            health.configure_campaign(
-                front.n_workunits, front.config.max_reissues
-            )
-
-        with profiler.timed("setup.hosts"):
-            agents: list[VolunteerAgent] = []
-            starts: list[tuple[float, Callable[[], None]]] = []
-            for idx, join_t in enumerate(spec.arrival_times()):
-                host_id = spec.host_id_base + idx
-                agent = VolunteerAgent(
-                    sim,
-                    front,
-                    spec.host_model.spec(
-                        host_id,
-                        join_time=float(join_t),
-                        faults=spec.faults.host_state(spec.seed, host_id),
-                    ),
-                    front.telemetry_for(host_id),
-                    rng=substream(spec.seed, "agent", host_id),
-                    accounting=spec.accounting,
-                    tracer=tracer,
-                )
-                agents.append(agent)
-                starts.append((float(join_t), agent.start))
-            # Arrival times are generated sorted, so the batch load takes
-            # the append-only path (no per-event heap sift-up).
-            sim.schedule_batch_at(starts)
-
-        with profiler.timed("des.run"):
-            sim.run(until=spec.horizon_s)
-
-        run = FleetRun(n_hosts=len(agents))
-        if health is not None or ledger is not None:
-            t_final = (
-                front.completion_time
-                if front.completion_time is not None
-                else spec.horizon_s
-            )
-            if health is not None:
-                run.health = health.finalize(t_final)
-            if ledger is not None:
-                run.ledger = ledger.finalize(t_final)
-        return run
-    finally:
-        if restore_sink is not None:
-            tracer.sink = restore_sink
+            run.health = health.finalize(t_final)
+        if ledger is not None:
+            run.ledger = ledger.finalize(t_final)
+    return run

@@ -70,7 +70,6 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
@@ -80,8 +79,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs.profile import Profiler
-from ..obs.tracer import FrameSink, JsonlSink, NullSink, Tracer, iter_frames
-from .fleet import observer_channels, observer_sink, resolve_observers
+from ..obs.tracer import FrameSink, JsonlSink, Tracer, iter_frames
+from .fleet import resolve_observers, tee_observers
 from .validator import ValidationStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -405,18 +404,15 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             "(drop --shards)"
         )
     health, ledger = resolve_observers(sim.health, sim.ledger)
-    traced = tracer is not None or health is not None or ledger is not None
+    # The monitor stays unbound: nothing is emitted into the trace it folds.
+    teed = tee_observers(tracer, health, ledger)
     with tempfile.TemporaryDirectory() as scratch:
-        trace_dir = scratch if traced else None
-        channels = (
-            tracer.channels if tracer is not None
-            else observer_channels(health, ledger)
-        )
+        trace_dir = scratch if teed is not None else None
         specs = plan_shards(sim, plan.n_shards)
         # What every shard takes from the parent, resolved once here.
         parent_args = (
             sim.fleet, sim.plan, sim.campaign, sim.server_config, sim.scale,
-            trace_dir, channels, sim.profiler is not None,
+            trace_dir, teed and teed.channels, sim.profiler is not None,
         )
         n_workers = min(plan.n_workers, plan.n_shards)
         if n_workers <= 1:
@@ -436,14 +432,10 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
             health.configure_campaign(
                 result.server.n_workunits, sim.server_config.max_reissues
             )
-        if traced:
-            # One loop appends the merged stream to the caller's sink and
-            # tees it into the observers' tables; the monitor stays
-            # unbound, so nothing is emitted into the trace it folds.
-            sink = observer_sink(
-                tracer.sink if tracer is not None else NullSink(), health, ledger
-            )
-            counts = tracer.counts if tracer is not None else Counter()
+        if teed is not None:
+            # One loop appends the merged stream to the run's tracer: the
+            # caller's sink, teed into the observers' tables.
+            sink, counts = teed.sink, teed.counts
             # Shard events all carry a t_sim; heapq.merge breaks its ties
             # by stream order, so the merge order is (t_sim, shard, seq).
             streams = [iter_frames(out.trace_path) for out in outputs]

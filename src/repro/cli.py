@@ -588,6 +588,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int | None:
         match = (
             result.server.stats == reference.server.stats
             and result.completion_time == reference.completion_time
+            and result.telemetry.registry.as_dict()
+            == reference.telemetry.registry.as_dict()
+            and result.telemetry.shipments == reference.telemetry.shipments
         )
         print(f"\nreconcile vs in-process run: "
               f"{'MATCH' if match else 'DIVERGED'}")

@@ -47,11 +47,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..boinc.fleet import kernel_tracer, tee_observers
+from ..boinc.fleet import kernel_tracer, resolve_observers, tee_observers
 from ..boinc.simulator import CampaignRuntime
 from ..faults import ResultQuality, ServerUnavailable
 from ..grid.des import Simulator
-from ..obs import HostLedger, MetricsRegistry, Tracer
+from ..obs import MetricsRegistry, Tracer
 from ..obs.metrics import render_prometheus
 from .http import JSON_TYPE, Framer, FramingError, build_response, request_line
 from .protocol import (
@@ -158,28 +158,18 @@ class SchedulerService:
             )
         self.cfg = config if config is not None else ServiceConfig()
         self.tracer = tracer
-        self.sim = Simulator(tracer=kernel_tracer(tracer))
         self.horizon_s = sim_model.horizon_s
         # Per-host behavioral ledger behind GET /v1/hosts, fed by the same
-        # tee on the server's event stream an in-process run uses.  With a
-        # caller-supplied tracer the tee rides its sink (a channel filter
+        # tee on the served campaign's event stream an in-process run uses,
+        # on a tracer of its own over the caller's sink (a channel filter
         # excluding "server"/"host" starves the ledger — documented in
-        # docs/observability.md) until shutdown() puts the caller's sink
-        # back; without one, a private tracer feeds the ledger and nothing
-        # else.
-        self.ledger = HostLedger()
-        server_tracer, self._ledger_restore_sink = tee_observers(
-            tracer, ledger=self.ledger
+        # docs/observability.md); the caller's tracer is left as it was.
+        _, self.ledger = resolve_observers(None, True)
+        server_tracer = tee_observers(tracer, ledger=self.ledger)
+        self.sim = Simulator(tracer=kernel_tracer(server_tracer))
+        runtime = CampaignRuntime(
+            self.sim, sim_model.runtime_spec(), self.horizon_s, server_tracer
         )
-        try:
-            runtime = CampaignRuntime(
-                self.sim, sim_model.runtime_spec(), self.horizon_s, server_tracer
-            )
-        except BaseException:
-            # No shutdown() will ever run for a service that failed to
-            # build: give the caller's tracer its sink back now.
-            self._restore_tracer_sink()
-            raise
         self.telemetry, self.server = runtime.telemetry, runtime.server
         #: the served campaign's name; scopes every assignment on the
         #: wire (multi-campaign grids run one service per campaign)
@@ -287,13 +277,6 @@ class SchedulerService:
                 await self._writer_task
             except asyncio.CancelledError:
                 pass
-        self._restore_tracer_sink()
-
-    def _restore_tracer_sink(self) -> None:
-        """Unwrap the ledger tee: the caller's tracer outlives us."""
-        if self._ledger_restore_sink is not None:
-            self.tracer.sink = self._ledger_restore_sink
-            self._ledger_restore_sink = None
 
     # -- clock --------------------------------------------------------------
 
@@ -415,6 +398,10 @@ class SchedulerService:
             "batch_completion": {
                 str(batch): t for batch, t in sorted(server.batch_completion.items())
             },
+            # what the server callbacks recorded, for a replaying proxy's
+            # own: validations per day, batches in the order they shipped
+            "daily_useful": self.telemetry.daily_useful.tolist(),
+            "shipments": [list(item) for item in server.batch_completion.items()],
         }
 
     def _status_payload(self) -> dict[str, Any]:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
 from ..boinc.validator import ValidationStats
 from ..faults import ResultQuality, ServerUnavailable
+from ..units import SECONDS_PER_DAY
 from .http import Framer, FramingError, build_request, status_line
 from .protocol import WIRE_PROTOCOL_VERSION, encode_json, stats_from_dict
 
@@ -218,7 +219,11 @@ class RemoteGridServer:
     ``VolunteerGridSimulation.run(server_factory=...)``).  Workunit
     payloads come from the *locally* materialized campaign — the wire
     carries only ids — and the campaign identity is verified against the
-    service's ``GET /`` discovery before any work flows.
+    service's ``GET /`` discovery before any work flows.  The two server
+    callbacks fire once the campaign is finalized, from the served
+    runtime's record: ``on_workunit_valid(None, t)`` per validated
+    workunit at the start of its day (the wire names no workunit), and
+    ``on_batch_complete(batch, t)`` per shipped batch, in shipping order.
     """
 
     def __init__(
@@ -228,11 +233,15 @@ class RemoteGridServer:
         workunits: list[tuple["WorkUnit", int]],
         config: "ServerConfig",
         id_base: int = 0,
+        on_workunit_valid: Callable[[Any, float], None] | None = None,
+        on_batch_complete: Callable[[int, float], None] | None = None,
         **_ignored: Any,
     ) -> None:
         self.client = client
         self.sim = sim
         self.config = config
+        self._on_workunit_valid = on_workunit_valid
+        self._on_batch_complete = on_batch_complete
         self._wu_by_id = {wu.wu_id: wu for wu, _batch in workunits}
         self._all_done = False
         self._summary: dict[str, Any] | None = None
@@ -291,14 +300,23 @@ class RemoteGridServer:
     # -- campaign wrap-up (CampaignResult surface) ---------------------------
 
     def finalize_campaign(self, t: float) -> None:
-        """Advance the remote clock to the horizon and snapshot the summary.
+        """Advance the remote clock to the horizon, snapshot the summary
+        and feed the served validations and shipments to the callbacks.
 
-        Called by ``VolunteerGridSimulation.run`` after the local DES
-        drains: trailing server-side deadline timers (which can still fail
-        or reissue workunits) fire remotely before the summary is taken.
+        Called by :func:`~repro.boinc.simulator.run_campaigns` after the
+        local DES drains: trailing server-side deadline timers (which can
+        still fail or reissue workunits) fire remotely before the summary
+        is taken.
         """
-        self._summary = self.client.finalize(t)
-        self._all_done = bool(self._summary["all_done"])
+        self._summary = summary = self.client.finalize(t)
+        self._all_done = bool(summary["all_done"])
+        if self._on_workunit_valid is not None:
+            for day, n_valid in enumerate(summary["daily_useful"]):
+                for _ in range(n_valid):
+                    self._on_workunit_valid(None, day * SECONDS_PER_DAY)
+        if self._on_batch_complete is not None:
+            for batch, t_shipped in summary["shipments"]:
+                self._on_batch_complete(batch, t_shipped)
 
     def _final(self) -> dict[str, Any]:
         if self._summary is None:

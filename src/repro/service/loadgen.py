@@ -23,6 +23,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from .client import RemoteGridServer, SchedulerClient
@@ -47,21 +48,16 @@ def replay_campaign(
     ``GET /`` before driving it, and raises :class:`ValueError` on
     mismatch.  Returns the usual :class:`CampaignResult`; its ``server``
     is the wire proxy, whose stats/completion come from the service's
-    final summary.
+    final summary — as do the telemetry's per-day validations and its
+    shipments, fed through the proxy's server callbacks.
     """
     client = (
         SchedulerClient.from_url(url, timeout=timeout)
         if isinstance(url, str)
         else url
     )
-
-    def factory(*, sim, workunits, config, id_base, **_ignored):
-        return RemoteGridServer(
-            client, sim, workunits, config, id_base=id_base,
-        )
-
     try:
-        return sim_model.run(server_factory=factory)
+        return sim_model.run(server_factory=partial(RemoteGridServer, client))
     finally:
         client.close()
 

@@ -22,10 +22,13 @@ import pytest
 from repro.boinc import CampaignConfig, scaled_phase1
 from repro.boinc.fleet import FleetSpec, resolve_server_config, tee_observers
 from repro.boinc.server import GridServer
+from repro.boinc.sharding import ShardPlan
 from repro.faults import FaultPlan
 from repro.multi import Campaign, GridConfig, MultiGridSimulation
-from repro.obs import FoldSink, HealthMonitor, HostLedger, RingSink, Tracer
-from repro.service import SchedulerService
+from repro.obs import (
+    FoldSink, HealthMonitor, HostLedger, JsonlSink, NullSink, RingSink, Tracer,
+)
+from repro.service import SchedulerClient, SchedulerService, serve_in_thread
 from repro.units import weeks
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -205,24 +208,23 @@ class TestFleetSpec:
 
     def test_tee_without_observers_is_the_identity(self):
         tracer = Tracer()
-        assert tee_observers(tracer) == (tracer, None)
-        assert tee_observers(None) == (None, None)
+        assert tee_observers(tracer) is tracer
+        assert tee_observers(None) is None
 
     def test_one_tee_per_table(self):
         ledger = HostLedger()
         shared = HealthMonitor(table=ledger.table)
-        tracer, _ = tee_observers(None, health=shared, ledger=ledger)
+        tracer = tee_observers(None, health=shared, ledger=ledger)
         assert tracer.sink.observer is ledger.table
         assert not isinstance(tracer.sink.inner, FoldSink)
         own = HealthMonitor()
-        tracer, _ = tee_observers(None, health=own, ledger=HostLedger())
+        tracer = tee_observers(None, health=own, ledger=HostLedger())
         assert tracer.sink.observer is own.table  # the health tee outermost
         assert tracer.sink.inner.observer is not own.table
 
     def test_observer_only_tracer_skips_the_kernel_channel(self):
         ledger = HostLedger()
-        tracer, restore = tee_observers(None, ledger=ledger)
-        assert restore is None
+        tracer = tee_observers(None, ledger=ledger)
         assert isinstance(tracer.sink, FoldSink)
         assert "host" in tracer.channels and "des" not in tracer.channels
 
@@ -237,8 +239,64 @@ class TestFleetSpec:
                 {"server", "agent", "fault", "host", "health"},
             ),
         ):
-            tracer, _ = tee_observers(None, **observers)
+            tracer = tee_observers(None, **observers)
             assert tracer.channels == channels
+
+
+class TestCallersTracerUntouched:
+    """Observers tee into a tracer of the run's own: the caller's keeps
+    its sink, and a disabled one is no tracer."""
+
+    def test_the_teed_tracer_is_the_runs_own(self):
+        ring = RingSink()
+        caller = Tracer(sink=ring, channels={"server", "host"})
+        ledger = HostLedger()
+        teed = tee_observers(caller, ledger=ledger)
+        assert teed is not caller and caller.sink is ring
+        assert teed.sink.observer is ledger.table and teed.sink.inner is ring
+        assert teed.channels == caller.channels
+        teed.emit("server.issue", t_sim=1.0, wu=0, host=3, copy=0)
+        assert caller.counts["server.issue"] == 1 and len(ring) == 1
+
+    def test_a_disabled_tracer_is_no_tracer(self):
+        assert tee_observers(Tracer(enabled=False)) is None
+        teed = tee_observers(Tracer(enabled=False), ledger=HostLedger())
+        assert teed.enabled and isinstance(teed.sink.inner, NullSink)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_disabled_tracer_records_nothing(self, tmp_path, n_shards):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(sink=JsonlSink(path), enabled=False)
+        _small(
+            tracer=tracer, config=CampaignConfig(shards=ShardPlan(n_shards))
+        ).run()
+        tracer.close()
+        assert path.read_text() == "" and tracer.n_events == 0
+
+    def test_a_disabled_tracer_starves_no_monitor(self):
+        plain = _small(health=True).run().health
+        disabled = _small(health=True, tracer=Tracer(enabled=False)).run().health
+        assert disabled.as_dict() == plain.as_dict()
+
+    def test_the_service_never_rewires_the_callers_tracer(self):
+        ring = RingSink()
+        tracer = Tracer(sink=ring)
+        SchedulerService(_small(), tracer=tracer)
+        assert tracer.sink is ring
+        handle = serve_in_thread(_small(), tracer=tracer)
+        try:
+            assert tracer.sink is ring
+            client = SchedulerClient.from_url(handle.url)
+            try:
+                assert client.request_work(3, t=0.0)["assignment"] is not None
+                assert tracer.sink is ring
+                assert client.hosts()["n_hosts"] == 1  # the ledger was fed
+            finally:
+                client.close()
+        finally:
+            handle.stop()
+        assert tracer.sink is ring
+        assert tracer.counts["server.issue"] == 1
 
 
 def _sources() -> dict[str, str]:
@@ -436,8 +494,8 @@ class TestOneDefinitionEach:
 
     def test_observers_are_built_from_true_in_one_function(self):
         """``health=True`` / ``ledger=True`` resolve in one place for
-        every engine; the other builds are the offline refold and the
-        service's always-on ledger."""
+        every engine, the service's always-on ledger included; the other
+        build is the offline refold."""
         sites = _call_sites(
             lambda call: getattr(call.func, "id", None)
             in ("HealthMonitor", "HostLedger")
@@ -445,11 +503,31 @@ class TestOneDefinitionEach:
         assert sorted(set(sites)) == [
             "boinc/fleet.py:resolve_observers",
             "obs/ledger.py:FleetReport.from_trace",
-            "service/app.py:SchedulerService.__init__",
         ]
         assert _modules_matching(r"\b(health|ledger) is True\b") == [
             "boinc/fleet.py"
         ]
+
+    def test_no_code_rebinds_a_tracers_sink(self):
+        """Observers tee into a tracer of the run's own: the only
+        ``.sink`` ever assigned is the one a ``Tracer`` is built with."""
+
+        def leaves(target):
+            if isinstance(target, (ast.Tuple, ast.List)):
+                return [leaf for elt in target.elts for leaf in leaves(elt)]
+            return [target]
+
+        assigned = [
+            (module, ast.unparse(leaf))
+            for module, text in _sources().items()
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in getattr(node, "targets", None) or [node.target]
+            for leaf in leaves(target)
+            if isinstance(leaf, ast.Attribute) and leaf.attr == "sink"
+        ]
+        assert assigned == [("obs/tracer.py", "self.sink")]
+        assert _modules_matching(r"""setattr\([^)]*["']sink["']""") == []
 
     def test_front_stays_a_duck_type(self):
         """The router and the servers behind it share no base class: the

@@ -221,6 +221,25 @@ class TestReplayReconciliation:
             == reference.server.stats.refused_rpcs
         )
 
+    @pytest.mark.parametrize(
+        "faults", [None, "outage=10x72,loss=0.2,crash=5,sabotage=0.05"]
+    )
+    def test_replay_keeps_validation_and_shipment_telemetry(self, faults):
+        """The served runtime's per-day validations and shipments reach
+        the replaying run through the proxy's server callbacks."""
+        reference = tiny_campaign(faults=faults).run()
+        handle = serve_in_thread(tiny_campaign(faults=faults))
+        try:
+            wire = replay_campaign(tiny_campaign(faults=faults), handle.url)
+        finally:
+            handle.stop()
+        assert len(reference.telemetry.shipments) == 5
+        assert wire.telemetry.shipments == reference.telemetry.shipments
+        assert (
+            wire.telemetry.registry.as_dict()
+            == reference.telemetry.registry.as_dict()
+        )
+
     def test_replay_via_url_string_and_loadgen_cli(self, capsys):
         from repro.cli import main
 
