@@ -280,18 +280,16 @@ def tee_observers(
 ) -> Tracer | None:
     """The tracer a run emits through, its observers teed in.
 
-    A disabled tracer is no tracer.  Without observers this is the
-    caller's tracer; with them, a tracer of the run's own whose sink is
-    :func:`observer_sink` over the caller's sink, counting into the
-    caller's ``counts`` and filtering on its channels — a filter that
-    drops ``"host"`` starves the ledger of credit and trust events
-    (documented in :mod:`repro.obs.ledger`).  Without a caller tracer the
+    ``tracer`` is the caller's, or ``None`` for an untraced run.  Without
+    observers this is the caller's tracer; with them, a tracer of the
+    run's own whose sink is :func:`observer_sink` over the caller's sink,
+    counting into the caller's ``counts`` and filtering on its channels
+    — a filter that drops ``"host"`` starves the ledger of credit and
+    trust events (documented in :mod:`repro.obs.ledger`).  Without a caller tracer the
     tees end in a ``NullSink`` and record :func:`observer_channels` only,
     so the DES kernel's high-rate events skip the emit path entirely.
     The caller's tracer is never changed: there is nothing to restore.
     """
-    if tracer is not None and not tracer.enabled:
-        tracer = None
     if health is None and ledger is None:
         return tracer
     if tracer is None:

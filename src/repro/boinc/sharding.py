@@ -48,9 +48,9 @@ Merge semantics
   shard, seq)``: each shard records its stream as trace-writer frames
   (:class:`~repro.obs.tracer.FrameSink`) in the run's scratch directory,
   never in the caller's, and the parent appends each merged event to the
-  caller's trace.  Workunit and host ids are campaign-global, so
-  ``trace``/``report``/span reconstruction cannot tell a sharded trace
-  from a monolithic one (zero orphans).
+  caller's trace, whatever its sink.  Workunit and host ids are
+  campaign-global, so ``trace``/``report``/span reconstruction cannot
+  tell a sharded trace from a monolithic one (zero orphans).
 * ``completion_time`` is the max over shards once **all** shards
   completed, else ``None`` (the campaign-global definition).
 * Every observer folds the merged stream in the parent: the health
@@ -79,7 +79,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..obs.profile import Profiler
-from ..obs.tracer import FrameSink, JsonlSink, Tracer, iter_frames
+from ..obs.tracer import FrameSink, Tracer, iter_frames
 from .fleet import resolve_observers, tee_observers
 from .validator import ValidationStats
 
@@ -389,23 +389,15 @@ def run_sharded(sim: "VolunteerGridSimulation") -> "CampaignResult":
     :class:`CampaignResult` indistinguishable (metrics, fault report,
     exports, trace) from one server having run the whole campaign;
     per-shard wall times are kept on ``result.shard_walls``.  The merged
-    stream is appended to a JSONL sink only: tracing to an in-memory ring
-    is refused.
+    stream is appended to the run's tracer, whatever its sink: a JSONL
+    file and an in-memory ring record the same events.
     """
     from .simulator import fold_results
 
-    plan, tracer = sim.config.shards, sim.tracer
-    if tracer is not None and not isinstance(tracer.sink, JsonlSink):
-        raise ValueError(
-            "unsupported artifact for a sharded campaign: the in-memory "
-            "ring trace (RingSink) is not supported; trace a sharded "
-            "campaign to a JSONL path (Tracer.to_jsonl / --trace PATH) "
-            "instead, or run monolithically with n_shards=1 "
-            "(drop --shards)"
-        )
+    plan = sim.config.shards
     health, ledger = resolve_observers(sim.health, sim.ledger)
     # The monitor stays unbound: nothing is emitted into the trace it folds.
-    teed = tee_observers(tracer, health, ledger)
+    teed = tee_observers(sim.tracer, health, ledger)
     with tempfile.TemporaryDirectory() as scratch:
         trace_dir = scratch if teed is not None else None
         specs = plan_shards(sim, plan.n_shards)

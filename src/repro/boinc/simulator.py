@@ -111,11 +111,10 @@ class Telemetry:
     def __init__(
         self,
         horizon_s: float,
-        registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.horizon_s = horizon_s
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.tracer = tracer
         n_days = int(np.ceil(horizon_s / SECONDS_PER_DAY)) + 1
         reg = self.registry
@@ -1050,16 +1049,6 @@ class VolunteerGridSimulation:
         self.fleet = replace(self.fleet, host_model=model)
 
     # -- campaign materialization -------------------------------------------
-
-    def materialize_workunits(self) -> list[tuple[WorkUnit, int]]:
-        """The campaign's ``(workunit, batch)`` list in release order.
-
-        The list is deterministic for a given library/cost-model/config,
-        which is what lets a wire-driven load generator rebuild the exact
-        same workunits independently of the scheduler service (see
-        :mod:`repro.service`).
-        """
-        return self.runtime_spec().workunits
 
     def runtime_spec(self) -> RuntimeSpec:
         """This campaign as a :class:`CampaignRuntime` can start it;

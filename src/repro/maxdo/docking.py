@@ -7,11 +7,11 @@ machinery: an incremental partial store, checkpoint-restart between starting
 positions, and interruption (the agent can stop the run at any position
 boundary, or kill it mid-position and lose the uncommitted tail).
 
-Observability: the engine announcement, lockstep-batch convergence rounds,
-process-pool fan-out and per-position completion emit ``docking.*``
-events through the process-global tracer
-(``repro.obs.tracing(...)`` / ``repro.obs.set_global_tracer``);
-``MaxDoRun`` also accepts an explicit ``tracer=``.  See
+Observability: ``dock_position``, ``dock_couple`` and ``MaxDoRun`` take
+a ``tracer=`` (default ``None``: untraced) and emit ``docking.*`` events
+through it — the engine announcement, lockstep-batch convergence rounds,
+process-pool fan-out and per-position completion.  Pool workers are
+handed no tracer; the fan-out is traced in the parent.  See
 docs/observability.md.
 """
 
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..obs import global_tracer, set_global_tracer
 from ..proteins.model import ReducedProtein
 from ..proteins.surface import starting_positions
 from ..store.convert import segment_to_text
@@ -141,6 +140,7 @@ def dock_position(
     minimize: bool = True,
     max_iterations: int = 60,
     energy_params: EnergyParams | None = None,
+    tracer=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Dock one starting position over all orientations.
 
@@ -150,7 +150,8 @@ def dock_position(
     large sweeps).  All ``n_couples * n_gamma`` orientations run through
     the pose-vectorized kernels in one lockstep minimization; the results
     are bit-identical to one scalar ``minimize_rigid`` call per orientation
-    (``tests/oracles/docking.py``).
+    (``tests/oracles/docking.py``).  ``tracer`` records the minimization
+    as one ``docking.batch`` event.
     """
     n_cpl, n_gam = len(couples), len(gammas)
     position = np.asarray(position, dtype=np.float64)
@@ -165,7 +166,6 @@ def dock_position(
             receptor, ligand, translations, eulers,
             max_iterations=max_iterations, energy_params=energy_params,
         )
-        tracer = global_tracer()
         if tracer is not None:
             tracer.emit(
                 "docking.batch",
@@ -214,6 +214,7 @@ def dock_couple(
     max_iterations: int = 60,
     energy_params: EnergyParams | None = None,
     n_workers: int | None = None,
+    tracer=None,
 ) -> DockingResult:
     """Compute the energy map of one couple over an isep slice.
 
@@ -226,7 +227,9 @@ def dock_couple(
     checkpoint/packaging granularity — out over a process pool.  Results
     are merged back in position order, so the returned map is bit-identical
     for every worker count (each position's computation is deterministic
-    and self-contained).
+    and self-contained).  ``tracer`` records ``docking.*`` events; the
+    workers are handed none, so a fanned-out run records the engine and
+    the fan-out only.
     """
     if isep_start < 1:
         raise ValueError(f"isep_start is 1-based, got {isep_start}")
@@ -247,7 +250,6 @@ def dock_couple(
     couples = orientation_couples(n_couples)
     gammas = gamma_values(n_gamma)
 
-    tracer = global_tracer()
     if tracer is not None:
         tracer.emit(
             "docking.engine",
@@ -275,8 +277,6 @@ def dock_couple(
             for p in range(nsep)
         ]
         if tracer is not None:
-            # Workers clear the inherited global tracer (they would write
-            # into the parent's trace); the fan-out is traced here.
             tracer.emit(
                 "docking.fanout",
                 n_workers=min(n_workers, nsep), n_tasks=nsep,
@@ -285,10 +285,7 @@ def dock_couple(
         if minimize:
             # import scipy.optimize once, here: forked workers inherit it
             scipy_lbfgsb()
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, nsep),
-            initializer=set_global_tracer, initargs=(None,),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(n_workers, nsep)) as pool:
             # submit order == position order: the enumerate below is the
             # deterministic ordered merge, whatever order workers finish in.
             for p, (lj, el, fpos, feul) in enumerate(
@@ -302,7 +299,7 @@ def dock_couple(
         pos = all_positions[isep_start - 1 + p]
         lj, el, fpos, feul = dock_position(
             receptor, ligand, pos, couples, gammas, minimize, max_iterations,
-            energy_params=energy_params,
+            energy_params=energy_params, tracer=tracer,
         )
         result.e_lj[p], result.e_elec[p] = lj, el
         result.positions[p], result.eulers[p] = fpos, feul
@@ -343,8 +340,9 @@ class MaxDoRun:
         ``.result.rcs`` store.  Converting the columnar output to text
         reproduces the text output byte for byte.
     tracer:
-        Structured event tracer for the ``docking.*`` channel; defaults
-        to the process-global tracer (``repro.obs.tracing``) at run time.
+        Structured event tracer for the ``docking.*`` channel, or ``None``
+        (the default) for an untraced run; each position's minimization is
+        recorded as a ``docking.batch`` event.
     """
 
     def __init__(
@@ -425,7 +423,7 @@ class MaxDoRun:
         all_positions = ligand_start_positions(
             starting_positions(self.receptor, self.total_nsep), self.ligand
         )
-        tracer = self.tracer if self.tracer is not None else global_tracer()
+        tracer = self.tracer
         if tracer is not None:
             tracer.emit(
                 "docking.engine",
@@ -450,6 +448,7 @@ class MaxDoRun:
                     gammas,
                     self.minimize,
                     self.max_iterations,
+                    tracer=tracer,
                 )
                 self._commit_position(sink, isep, lj, el, fpos, feul)
                 ckpt = ckpt.advanced()

@@ -101,10 +101,6 @@ class GridResult:
         """Campaign stats folded into one grid-global ValidationStats."""
         return self._folded.server.stats
 
-    def merged_telemetry(self) -> Telemetry:
-        """All telemetry (campaigns + grid-level) folded day-aligned."""
-        return self._folded.telemetry
-
     def fault_report(self):
         """The grid's error budget: the roster's, folded into one."""
         return self._folded.fault_report()

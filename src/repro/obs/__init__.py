@@ -7,10 +7,10 @@ this subpackage is the shared substrate every layer records it through:
 * :mod:`repro.obs.tracer` — structured, typed trace events with both
   simulation time and wall time, streamed to a ring buffer or a JSONL
   file, emitted by the DES kernel, the grid server, the volunteer agents
-  and the docking engine (~zero cost when disabled); and the observer
-  protocol, :class:`~repro.obs.tracer.Fold` — a handler table fed live
-  through the ``FoldSink`` tee or offline by ``fold(events)`` over a
-  recorded trace;
+  and the docking engine (one ``is None`` check when untraced); and the
+  observer protocol, :class:`~repro.obs.tracer.Fold` — a handler table
+  fed live through the ``FoldSink`` tee or offline by ``fold(events)``
+  over a recorded trace;
 * :mod:`repro.obs.lifecycle` — the one fold: the lifecycle table of
   workunit, attempt and host rows.  The health monitor, the host ledger
   and the span reconstructor below are views over it, so a trace refolds
@@ -73,7 +73,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ],
     ".tracer": [
         "Fold", "FoldSink", "JsonlSink", "NullSink", "RingSink", "TraceEvent",
-        "Tracer", "global_tracer", "iter_trace", "read_trace",
-        "set_global_tracer", "tracing",
+        "Tracer", "iter_trace", "read_trace",
     ],
 })

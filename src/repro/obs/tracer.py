@@ -10,10 +10,11 @@ sink capacity, so aggregate reconciliation (e.g. trace counts vs
 :class:`~repro.core.metrics.CampaignMetrics`) never depends on buffer
 size.
 
-Cost contract: instrumented hot paths hold a tracer reference that is
-``None`` when tracing is off, so the disabled cost is one identity check;
-a constructed-but-disabled tracer short-circuits in :meth:`Tracer.emit`
-before touching the sink, the counts or the clock.
+Cost contract: a tracer is an argument, present or ``None``.  Every
+instrumented path — the DES kernel, the server, the agents, the docking
+engine — is handed its tracer explicitly, and holds ``None`` when tracing
+is off, so the untraced cost is one identity check.  No module keeps a
+tracer of its own.
 
 See docs/observability.md for the trace schema and the event taxonomy.
 """
@@ -29,7 +30,7 @@ import time
 import weakref
 from collections import Counter as _Counter
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -48,9 +49,6 @@ __all__ = [
     "read_trace",
     "iter_trace",
     "iter_frames",
-    "global_tracer",
-    "set_global_tracer",
-    "tracing",
 ]
 
 #: JSONL keys owned by the schema; event fields must not collide with them.
@@ -365,11 +363,9 @@ class Tracer:
     def __init__(
         self,
         sink: RingSink | JsonlSink | None = None,
-        enabled: bool = True,
         channels: Iterable[str] | None = None,
     ) -> None:
         self.sink = sink if sink is not None else RingSink()
-        self.enabled = enabled
         #: restrict recording to these channels (None = all)
         self.channels = frozenset(channels) if channels is not None else None
         #: per-event-type record counts (kept even when the ring overflows)
@@ -385,15 +381,8 @@ class Tracer:
         """A tracer streaming to a JSONL file at ``path``."""
         return cls(sink=JsonlSink(path), channels=channels)
 
-    @classmethod
-    def disabled(cls) -> "Tracer":
-        """A tracer that records nothing (the ~zero-cost null object)."""
-        return cls(enabled=False)
-
     def emit(self, etype: str, t_sim: float | None = None, **fields: Any) -> None:
-        """Record one event; a no-op when the tracer is disabled."""
-        if not self.enabled:
-            return
+        """Record one event (unless ``channels`` filters its channel out)."""
         channel = self._routes.get(etype)
         if channel is None:  # first sight of this type: validate, filter, cache
             if etype not in EVENT_TYPES:
@@ -454,42 +443,3 @@ def iter_frames(path: Path | str) -> Iterator[TraceEvent]:
             for etype, channel, t_sim, t_wall, fields in pickle.loads(fh.read(size)):
                 yield TraceEvent(etype, channel, t_sim, t_wall, fields)
 
-
-# -- process-global tracer -------------------------------------------------
-#
-# The DES layers thread an explicit tracer (one per simulation); the
-# docking engine's module-level functions consult this process-global slot
-# instead, so `dock_couple` / `MaxDoRun` pick up tracing without signature
-# churn.  Process-pool workers (`dock_couple(n_workers=...)`) clear it on
-# start-up, so they do not trace; the fan-out itself is traced in the parent.
-
-_global_tracer: Tracer | None = None
-
-
-def global_tracer() -> Tracer | None:
-    """The process-global tracer used by the docking engine (or None)."""
-    return _global_tracer
-
-
-def set_global_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install ``tracer`` as the process-global tracer; returns the old one."""
-    global _global_tracer
-    previous = _global_tracer
-    _global_tracer = tracer
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Scope ``tracer`` as the process-global tracer.
-
-    >>> with tracing(Tracer()) as tr:
-    ...     assert global_tracer() is tr
-    >>> global_tracer() is None
-    True
-    """
-    previous = set_global_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_global_tracer(previous)

@@ -26,7 +26,7 @@ from repro.boinc.sharding import ShardPlan
 from repro.faults import FaultPlan
 from repro.multi import Campaign, GridConfig, MultiGridSimulation
 from repro.obs import (
-    FoldSink, HealthMonitor, HostLedger, JsonlSink, NullSink, RingSink, Tracer,
+    FoldSink, HealthMonitor, HostLedger, RingSink, Tracer,
 )
 from repro.service import SchedulerClient, SchedulerService, serve_in_thread
 from repro.units import weeks
@@ -245,7 +245,7 @@ class TestFleetSpec:
 
 class TestCallersTracerUntouched:
     """Observers tee into a tracer of the run's own: the caller's keeps
-    its sink, and a disabled one is no tracer."""
+    its sink."""
 
     def test_the_teed_tracer_is_the_runs_own(self):
         ring = RingSink()
@@ -257,26 +257,6 @@ class TestCallersTracerUntouched:
         assert teed.channels == caller.channels
         teed.emit("server.issue", t_sim=1.0, wu=0, host=3, copy=0)
         assert caller.counts["server.issue"] == 1 and len(ring) == 1
-
-    def test_a_disabled_tracer_is_no_tracer(self):
-        assert tee_observers(Tracer(enabled=False)) is None
-        teed = tee_observers(Tracer(enabled=False), ledger=HostLedger())
-        assert teed.enabled and isinstance(teed.sink.inner, NullSink)
-
-    @pytest.mark.parametrize("n_shards", [1, 2])
-    def test_a_disabled_tracer_records_nothing(self, tmp_path, n_shards):
-        path = tmp_path / "trace.jsonl"
-        tracer = Tracer(sink=JsonlSink(path), enabled=False)
-        _small(
-            tracer=tracer, config=CampaignConfig(shards=ShardPlan(n_shards))
-        ).run()
-        tracer.close()
-        assert path.read_text() == "" and tracer.n_events == 0
-
-    def test_a_disabled_tracer_starves_no_monitor(self):
-        plain = _small(health=True).run().health
-        disabled = _small(health=True, tracer=Tracer(enabled=False)).run().health
-        assert disabled.as_dict() == plain.as_dict()
 
     def test_the_service_never_rewires_the_callers_tracer(self):
         ring = RingSink()
@@ -402,6 +382,8 @@ class TestOneDefinitionEach:
         retired = (
             r"force_router|delegates_to_monolithic|from_kwargs|from_config"
             r"|HealthSink|LedgerSink|_LEGACY_ALIASES"
+            r"|global_tracer|set_global_tracer|Tracer\.disabled|\btracing\("
+            r"|Tracer\([^)]*\benabled\b"
         )
         assert _modules_matching(retired) == []
 

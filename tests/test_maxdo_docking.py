@@ -9,6 +9,7 @@ import pytest
 
 from repro.maxdo.docking import MaxDoRun, dock_couple, ligand_start_positions
 from repro.maxdo.resultfile import expected_line_count
+from repro.obs import Tracer
 from repro.proteins.library import ProteinLibrary
 
 
@@ -145,6 +146,36 @@ class TestMaxDoRun:
         ck = resumed.run()
         assert ck.complete
         assert len(resumed.result_table()) == expected_line_count(3, 3)
+
+
+class TestExplicitTracer:
+    """A tracer is an argument: what a run is handed is what it records."""
+
+    def test_maxdo_run_records_each_positions_batch(
+        self, tmp_path, tiny_receptor, tiny_ligand
+    ):
+        tracer = Tracer()
+        MaxDoRun(
+            tiny_receptor, tiny_ligand, 1, 2, 2, tmp_path, n_couples=2,
+            n_gamma=2, max_iterations=3, tracer=tracer,
+        ).run()
+        assert tracer.counts == {
+            "docking.engine": 1, "docking.batch": 2, "docking.checkpoint": 2,
+        }
+        batches = [e for e in tracer.sink if e.etype == "docking.batch"]
+        assert [e.fields["n_poses"] for e in batches] == [4, 4]
+
+    def test_dock_couple_records_engine_batch_and_positions(
+        self, tiny_receptor, tiny_ligand
+    ):
+        tracer = Tracer()
+        _dock(
+            tiny_receptor, tiny_ligand, minimize=True, max_iterations=3,
+            tracer=tracer,
+        )
+        assert tracer.counts == {
+            "docking.engine": 1, "docking.batch": 2, "docking.position": 2,
+        }
 
 
 #: sha256 of ``finalize()``'s output for a minimized workunit that was

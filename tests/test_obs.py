@@ -18,21 +18,9 @@ from repro.obs import (
     Tracer,
     channel_of,
     format_timeline,
-    global_tracer,
     read_trace,
     summarize_trace,
-    tracing,
 )
-
-
-class _ExplodingSink:
-    """A sink that must never be touched (disabled-cost contract)."""
-
-    def append(self, event):  # pragma: no cover - the point is not reaching it
-        raise AssertionError("disabled tracer touched its sink")
-
-    def close(self):
-        pass
 
 
 class TestTracer:
@@ -47,18 +35,6 @@ class TestTracer:
         assert events[0].channel == "server"
         assert events[0].t_sim == 10.0
         assert events[0].fields == {"wu": 1, "host": 2}
-
-    def test_disabled_is_inert(self):
-        """The enable/disable contract: a disabled tracer records nothing
-        and never reaches the sink, the counts or the clock."""
-        tracer = Tracer(sink=_ExplodingSink(), enabled=False)
-        for _ in range(100):
-            tracer.emit("server.issue", t_sim=0.0, wu=1, host=1)
-        assert tracer.n_events == 0
-        assert not tracer.counts
-
-    def test_disabled_constructor(self):
-        assert not Tracer.disabled().enabled
 
     def test_unknown_event_type_rejected(self):
         with pytest.raises(ValueError, match="unknown event type"):
@@ -82,15 +58,6 @@ class TestTracer:
         assert tracer.counts["des.fire"] == 20
         # the ring keeps the most recent events
         assert [e.t_sim for e in tracer.sink] == [15.0, 16.0, 17.0, 18.0, 19.0]
-
-    def test_global_tracer_scoping(self):
-        assert global_tracer() is None
-        with tracing(Tracer()) as tr:
-            assert global_tracer() is tr
-            with tracing(Tracer()) as inner:
-                assert global_tracer() is inner
-            assert global_tracer() is tr
-        assert global_tracer() is None
 
 
 class TestJsonlRoundTrip:

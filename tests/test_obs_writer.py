@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.maxdo.docking import dock_couple
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer
 from repro.proteins.model import synthesize_protein
 from repro.rng import stream
 from repro.service import SchedulerClient
@@ -156,13 +156,15 @@ def test_docking_workers_do_not_write_into_the_parents_trace(tmp_path):
     lig = synthesize_protein("LIG", 10, stream(7, "l"))
     # Enough positions that an inherited tracer would fill and flush a
     # worker's copy of any buffer the parent's sink holds.
-    with tracing(Tracer.to_jsonl(path)) as tracer:
-        dock_couple(rec, lig, nsep=160, n_couples=2, n_gamma=1,
-                    max_iterations=1, n_workers=2)
+    tracer = Tracer.to_jsonl(path)
+    dock_couple(rec, lig, nsep=160, n_couples=2, n_gamma=1,
+                max_iterations=1, n_workers=2, tracer=tracer)
     tracer.close()
     lines = path.read_bytes().splitlines()
     assert len(lines) == tracer.n_events == 2
-    assert len(set(lines)) == len(lines)
+    assert [json.loads(line)["type"] for line in lines] == [
+        "docking.engine", "docking.fanout",
+    ]
 
 
 def test_serve_survives_ctrl_c_to_its_process_group(tmp_path):

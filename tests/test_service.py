@@ -173,7 +173,7 @@ class TestWireSurface:
             RemoteGridServer(
                 client,
                 sim=None,
-                workunits=other.materialize_workunits()[:-2],
+                workunits=other.runtime_spec().workunits[:-2],
                 config=other.server_config,
             )
         client.close()

@@ -408,23 +408,35 @@ class TestShardedObservers:
         assert result.ledger.n_observed > 0
 
 
-class TestIncompatibleRiders:
-    """Fail-fast errors must name the unsupported artifact and point the
-    user back at the monolithic path (drop ``--shards`` / ``n_shards=1``)."""
+class TestAnyTracerSink:
+    """The merged stream is appended to the run's tracer whatever its
+    sink: an in-memory ring records what a JSONL file does."""
 
-    def test_ring_sink_rejected(self):
+    @staticmethod
+    def _events(events):
+        return [(e.etype, e.channel, e.t_sim, e.fields) for e in events]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_ring_trace_equals_the_jsonl_trace(self, tmp_path, n_workers):
         from repro.obs import RingSink
 
-        tracer = Tracer(sink=RingSink(capacity=1000), channels=CHANNELS)
-        config = CampaignConfig(shards=ShardPlan(n_shards=2))
-        sim = scaled_phase1(
-            scale=700, n_proteins=6, seed=42, config=config, tracer=tracer
-        )
-        with pytest.raises(
-            ValueError,
-            match=r"ring trace .*JSONL path[\s\S]*n_shards=1",
-        ):
-            sim.run()
+        def run(tracer):
+            config = CampaignConfig(shards=ShardPlan(2, n_workers))
+            with tracer:
+                return scaled_phase1(
+                    scale=700, n_proteins=6, seed=42, config=config,
+                    tracer=tracer, health=True,
+                ).run()
+
+        path = tmp_path / "trace.jsonl"
+        jsonl = Tracer.to_jsonl(path)
+        on_file = run(jsonl)
+        ring = Tracer(sink=RingSink())
+        in_memory = run(ring)
+        assert self._events(ring.sink) == self._events(iter_trace(path))
+        assert len(ring.sink) == ring.n_events > 0
+        assert ring.counts == jsonl.counts
+        assert in_memory.health.as_dict() == on_file.health.as_dict()
 
 
 class TestServerIdBase:
