@@ -1,13 +1,15 @@
-/* Fused pairwise kernels for the batched docking engine.
+/* Native kernels: the batched docking engine's fused pairwise kernels and
+ * the result-text ingest's fixed-column reader.
  *
  * Compiled on demand by repro.maxdo._fused (plain `cc -O3 -shared`); the
- * batched numpy kernels in repro.maxdo.energy fall back to pure numpy when
- * no compiler is available, so this file is an accelerator, never a
- * dependency.
+ * batched numpy kernels in repro.maxdo.energy fall back to pure numpy, and
+ * repro.store.convert to an integer np.loadtxt, when no compiler is
+ * available, so this file is an accelerator, never a dependency.
  *
- * CONTRACT: every arithmetic expression below reproduces, operation for
- * operation and in the same association, the scalar numpy kernels
- * `pair_energies` / `energy_and_bead_gradient` in repro/maxdo/energy.py.
+ * CONTRACT (docking): every arithmetic expression below reproduces,
+ * operation for operation and in the same association, the scalar numpy
+ * kernels `pair_energies` / `energy_and_bead_gradient` in
+ * repro/maxdo/energy.py.
  * All operations used here (+,-,*,/ and sqrt) are IEEE-754 correctly
  * rounded, so identical association means bit-identical doubles; the one
  * transcendental (exp) is NOT correctly rounded and therefore stays on the
@@ -22,8 +24,14 @@
  * rounded per element) and sequential reduction passes (the bead-gradient
  * accumulation order over receptor beads is part of the parity contract,
  * so it must NOT be reassociated/vectorized).
+ *
+ * CONTRACT (ingest): maxdo_fixed_codes is integer-exact, so its contract
+ * is not IEEE parity but a token rule: it accepts a field exactly when the
+ * integer np.loadtxt of repro.store.convert accepts it, and reads the
+ * same int64.
  */
 
+#include <stdint.h>
 #include <stdlib.h>
 
 /* Copy (n, 3) interleaved receptor coordinates into planar x/y/z rows so
@@ -162,4 +170,45 @@ void maxdo_phase_energy(const double *r2, const double *screen,
             elrow[i] = qc[i] * srow[i] / rv;
         }
     }
+}
+
+/* Fixed-column reader: the store codes of a canonical result data block.
+ *
+ * lines: (n, width) text bytes whose separators and dots the caller has
+ * checked.  Field k spans columns [start[k], end[k]) with its decimal
+ * point, skipped, at dot[k] (-1 for an integer field).  Writes each field,
+ * read as one integer, to codes[row * n_fields + k] and returns 0; returns
+ * 1 as soon as a field is not ` *-?[0-9]+` once its dot is skipped.  A
+ * field holds at most 18 digits, so no code overflows.  Allocates nothing.
+ */
+int maxdo_fixed_codes(const unsigned char *lines, long n, long width,
+                      const int64_t *start, const int64_t *end,
+                      const int64_t *dot, long n_fields,
+                      int64_t *restrict codes)
+{
+    for (long row = 0; row < n; ++row) {
+        const unsigned char *line = lines + row * width;
+        for (long k = 0; k < n_fields; ++k) {
+            const unsigned char *c = line + start[k], *e = line + end[k];
+            const unsigned char *skip = dot[k] < 0 ? e : line + dot[k];
+            while (c < e && (*c == ' ' || c == skip))
+                ++c;
+            const int neg = c < e && *c == '-';
+            int64_t v = 0;
+            long n_digits = 0;
+            for (c += neg; c < e; ++c) {
+                const unsigned d = (unsigned)*c - '0';
+                if (c == skip)
+                    continue;
+                if (d > 9)
+                    return 1;
+                v = 10 * v + d;
+                ++n_digits;
+            }
+            if (!n_digits)
+                return 1;
+            codes[row * n_fields + k] = neg ? -v : v;
+        }
+    }
+    return 0;
 }

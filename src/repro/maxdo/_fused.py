@@ -1,11 +1,14 @@
-"""On-demand build + ctypes bindings for the fused docking kernels.
+"""On-demand build + ctypes bindings for the native library: the fused
+docking kernels and the result-text ingest's fixed-column reader.
 
 Compiles ``_fused.c`` with whatever C compiler the host happens to have
 (``$CC``, ``cc``, ``gcc`` or ``clang``) into a per-user temp cache keyed by
 a hash of the source and flags, and exposes thin numpy wrappers.  Nothing
 here is required: :func:`load` returns ``None`` when there is no compiler
-(or when ``REPRO_NO_FUSED`` is set) and the batched kernels in
-:mod:`repro.maxdo.energy` fall back to pure numpy.
+(or when ``REPRO_NO_FUSED`` is set); the batched kernels in
+:mod:`repro.maxdo.energy` then fall back to pure numpy and
+:mod:`repro.store.convert` reads codes with an integer ``np.loadtxt``.
+Both load it at first use, never at import.
 
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the C kernels are contractually bit-identical to
@@ -39,6 +42,8 @@ _lib: ctypes.CDLL | None = None
 _load_attempted = False
 
 _f64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+_i64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_u8 = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
 _c_long = ctypes.c_long
 _c_double = ctypes.c_double
 
@@ -87,14 +92,18 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _c_long, _c_long, _c_long,
         _f64, _f64,
     ]
+    lib.maxdo_fixed_codes.restype = ctypes.c_int
+    lib.maxdo_fixed_codes.argtypes = [
+        _u8, _c_long, _c_long, _i64, _i64, _i64, _c_long, _i64,
+    ]
     return lib
 
 
 def load() -> ctypes.CDLL | None:
-    """Compile (once per source hash) and load the fused kernel library.
+    """Compile (once per source hash) and load the native library.
 
-    Returns ``None`` when fused kernels are unavailable; callers must fall
-    back to the numpy implementation.  Safe to call repeatedly and from
+    Returns ``None`` when it is unavailable; callers must fall back to
+    their numpy implementation.  Safe to call repeatedly and from
     worker processes — the compiled library is cached on disk.
     """
     global _lib, _load_attempted
@@ -132,8 +141,8 @@ def load() -> ctypes.CDLL | None:
         # expected environments; an unusable temp dir is not, so say why
         # the fast path vanished instead of quietly running ~2x slower.
         warnings.warn(
-            f"fused docking kernels disabled ({exc}); using the numpy "
-            "fallback",
+            f"native kernels disabled ({exc}); using the numpy "
+            "fallbacks",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -21,15 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
 from ..analysis.report import render_table
 from ..grid.population import hcmd_share_schedule
 from ..units import SECONDS_PER_DAY
-from .spans import SpanCampaign, reconstruct, reconstruct_file
-from .tracer import TraceEvent
+from .spans import SpanCampaign, reconstruct_file
 
 __all__ = ["CampaignReport", "TraceDiff", "diff_traces"]
 
@@ -58,17 +57,6 @@ class CampaignReport:
     def from_trace(cls, path: Path | str) -> "CampaignReport":
         """Reconstruct a report from a recorded JSONL trace (streaming)."""
         return cls(campaign=reconstruct_file(path), source=str(path))
-
-    @classmethod
-    def from_events(
-        cls, events: Iterable[TraceEvent], health: Any = None,
-        fault_rows: list | None = None, source: str = "live run",
-    ) -> "CampaignReport":
-        """Reconstruct a report from an in-memory event stream."""
-        return cls(
-            campaign=reconstruct(events), health=health,
-            fault_rows=fault_rows, source=source,
-        )
 
     # -- section builders (data rows; rendering picks the table style) ------
 

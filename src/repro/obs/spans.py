@@ -208,26 +208,6 @@ class SpanCampaign:
         rows.sort(key=lambda r: r["worst_makespan_s"], reverse=True)
         return rows[:n]
 
-    def tail_summary(self) -> dict[str, float]:
-        """Straggler shape of the validated-workunit makespans."""
-        import numpy as np
-
-        spans = np.asarray([
-            t.makespan_s for t in self
-            if t.outcome == "validated" and t.makespan_s is not None
-        ])
-        if spans.size == 0:
-            return {}
-        p50, p90, p99 = (float(np.quantile(spans, q)) for q in (0.5, 0.9, 0.99))
-        return {
-            "n": int(spans.size),
-            "p50_s": p50,
-            "p90_s": p90,
-            "p99_s": p99,
-            "max_s": float(spans.max()),
-            "tail_ratio_p99_p50": p99 / p50 if p50 > 0 else float("nan"),
-        }
-
     def weekly_throughput(self) -> dict[int, dict[str, int]]:
         """Per-project-week counts: released / validated / attempts."""
         weeks: dict[int, dict[str, int]] = {}

@@ -43,13 +43,15 @@ __all__ = [
     "store_to_text",
 ]
 
-# Field k of a ``LINE_FORMAT`` line ends at the space (or newline) at column
-# _END[k]; a decimal field has its dot at _DOT[k].
+# Field k of a ``LINE_FORMAT`` line spans columns [_START[k], _END[k]), the
+# space (or newline) at _END[k]; a decimal field has its dot at _DOT[k].
 _FORMATS = LINE_FORMAT.split()
 _END = np.cumsum([len(f % 0) + 1 for f in _FORMATS]) - 1
+_START = _END - [len(f % 0) for f in _FORMATS]
 _IS_DEC = np.array([f.endswith("f") for f in _FORMATS])
 _DEC = np.flatnonzero(_IS_DEC)
 _DOT = _END - [len((f % 0).partition(".")[2]) + 1 for f in _FORMATS]
+_SKIP = np.where(_IS_DEC, _DOT, -1)  # the native reader's dot columns
 #: separators, dots, then digits by high nibble: last in a field, left of a dot
 _CHECKED = np.concatenate([_END, _DOT[_DEC], _END - 1, _DOT[_DEC] - 1])
 _MASK = np.repeat(np.uint8([0xFF, 0xF0]), len(_CHECKED) // 2)
@@ -61,10 +63,31 @@ _SPELLED = {(f % v).encode(): code for f in _FORMATS if f.endswith("f") for v, c
 _SCRUB = bytes(c if chr(c) in "0123456789 -\n" else ord("x") for c in range(256))
 
 
+def _read_codes(lines: np.ndarray) -> np.ndarray | None:
+    """The ``(n, 12)`` codes of a layout-checked data block, each field an
+    integer with its dot dropped; ``None`` if one is not `` *-?[0-9]+``.  The
+    native reader if the library loads, else the same rule by ``np.loadtxt``."""
+    from ..maxdo import _fused
+
+    n = len(lines)
+    if (lib := _fused.load()) is not None:
+        codes = np.empty((n, len(_FORMATS)), np.int64)
+        bad = lib.maxdo_fixed_codes(lines, *lines.shape, _START, _END, _SKIP, len(_FORMATS), codes)
+        return None if bad else codes
+    digits = lines.tobytes().translate(_SCRUB, b".")
+    try:
+        codes = np.loadtxt(io.BytesIO(digits), np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if codes.shape != (n, len(_FORMATS)) or len(digits) != lines.size - len(_DEC) * n:
+        return None  # a token split in two, or a dot outside its column
+    return codes
+
+
 def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | None:
     """The segment of a file whose data block is in ``LINE_FORMAT``'s exact
-    layout, by one integer ``np.loadtxt`` with the dots dropped (the text's
-    decimals are the store's scales); ``None`` for any other layout."""
+    layout, read as integers with the dots dropped (the text's decimals are
+    the store's scales); ``None`` for any other layout."""
     start = re.match(rb"(?:#[^\n\r]*\n)*", data).end()  # the header lines
     n, tail = divmod(len(data) - start, BYTES_PER_LINE)
     lines = np.frombuffer(data, np.uint8, n * BYTES_PER_LINE, start).reshape(n, BYTES_PER_LINE)
@@ -78,13 +101,8 @@ def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | N
     off = (lines[:, _CHECKED] & _MASK) != _LAYOUT
     if tail or not n or off.any() or any(code is None for *_, code in special):
         return None
-    digits = lines.tobytes().translate(_SCRUB, b".")
-    try:
-        codes = np.loadtxt(io.BytesIO(digits), np.int64, comments=None, ndmin=2)
-    except ValueError:
+    if (codes := _read_codes(lines)) is None:
         return None
-    if codes.shape != (n, len(_FORMATS)) or len(digits) != lines.size - len(_DEC) * n:
-        return None  # a token split in two, or a dot outside its column
     rows, fields = np.divmod(np.flatnonzero(codes == 0), len(_FORMATS))
     rows, fields = rows[_IS_DEC[fields]], fields[_IS_DEC[fields]]
     sign = lines[rows, _DOT[fields] - 2]

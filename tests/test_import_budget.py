@@ -26,11 +26,12 @@ ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 IMPORT_REPRO_MODULE_BUDGET = 120
 
 
-def probe(code: str) -> dict:
-    """Run ``code`` in a fresh interpreter; it leaves a JSON-able ``out``."""
+def probe(code: str, **env: str) -> dict:
+    """Run ``code`` in a fresh interpreter (``env`` added to its
+    environment); it leaves a JSON-able ``out``."""
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\nimport json; print(json.dumps(out))"],
-        env=ENV, capture_output=True, text=True, timeout=120,
+        env={**ENV, **env}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
@@ -55,6 +56,32 @@ def test_import_repro_is_stdlib_only():
 ])
 def test_result_file_jobs_never_load_scipy(statement):
     assert "scipy" not in probe(f"{statement}\n{LOADED}")["heavy"]
+
+
+@pytest.mark.parametrize("env", [{}, {"REPRO_NO_FUSED": "1"}], ids=["native", "loadtxt"])
+def test_text_ingest_never_loads_scipy(env, tmp_path):
+    """The code reader is the first store path that loads the native
+    library, and it costs no scipy with that library or without it."""
+    import numpy as np
+
+    from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, render_lines, write_results
+
+    path = tmp_path / "c.result"
+    rec = np.zeros(3, dtype=RESULT_DTYPE)
+    rec["isep"], rec["e_tot"] = 1, [-26.48, np.nan, 0.5]
+    write_results(path, ResultHeader("R", "L", 1, 1, 3, 1), render_lines(rec))
+    out = probe(
+        "from repro.store import segment_from_text\n"
+        f"segment = segment_from_text({str(path)!r})\n"
+        "from repro.maxdo import _fused\n"
+        f"{LOADED}\n"
+        "out.update(rows=len(segment.packed), native=_fused._lib is not None)",
+        **env,
+    )
+    assert "scipy" not in out["heavy"]
+    assert out["rows"] == 3
+    if env:
+        assert out["native"] is False
 
 
 def test_report_protocol_is_stdlib_only():

@@ -1,8 +1,9 @@
 """Text ingest: a canonical data block decodes straight to packed codes.
 
 A data block in ``LINE_FORMAT``'s exact layout is decoded to the store's
-fixed-point codes in one integer ``np.loadtxt`` call; every other layout
-goes through the float parser it always did.  Pinned here:
+fixed-point codes, by the native fixed-column reader when the library
+loads and by one integer ``np.loadtxt`` call when it does not; every
+other layout goes through the float parser it always did.  Pinned here:
 
 * the bytes ``text_to_store`` writes over a ``gen.py``-shaped dataset,
   planted NaN and short chunks included, as the float path wrote them;
@@ -13,7 +14,10 @@ goes through the float parser it always did.  Pinned here:
   records or its ``ValueError``, which ``read_results`` prefixes with
   the file name (the per-token oracle agrees);
 * which path each input takes: canonical files never reach the float
-  parser, and every non-canonical case does.
+  parser, and every non-canonical case does;
+* both code readers agree: the canonical and non-canonical cases above
+  run under each, a one-byte fuzz of canonical files gives both the same
+  segment or both ``None``, and the native one never calls ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 import repro.maxdo.resultfile as resultfile
 import repro.store.convert as convert
+from repro.maxdo import _fused
 from repro.maxdo.resultfile import (
     RESULT_DTYPE,
     ResultHeader,
@@ -97,6 +102,22 @@ def dataset(directory, couples: int = 3, chunks: int = 2, positions: int = 4):
     return paths
 
 
+@pytest.fixture
+def readers(monkeypatch):
+    """``for reader in readers():`` runs its body once per code reader: the
+    native one when the library loads, then the ``np.loadtxt`` one."""
+    loads = {"native": _fused.load, "loadtxt": lambda: None}
+    if _fused.load() is None:  # no compiler: the one reader of the platform
+        del loads["native"]
+
+    def each():
+        for name, load in loads.items():
+            monkeypatch.setattr(_fused, "load", load)
+            yield name
+
+    return each
+
+
 def test_store_bytes_match_the_float_path(tmp_path):
     paths = dataset(tmp_path)
     text_to_store(paths, tmp_path / "s.rcs")
@@ -144,16 +165,17 @@ HEADER = ResultHeader("RCPT", "LGND", isep_start=1, nsep=2, n_couples=3, n_gamma
 
 @PROPERTY
 @given(rec=canonical_files())
-def test_canonical_file_decodes_to_the_oracle_codes(rec, tmp_path):
+def test_canonical_file_decodes_to_the_oracle_codes(rec, tmp_path, readers):
     path = tmp_path / "c.result"
     write_results(path, HEADER, render_lines(rec))
     assert all(len(line) == 117 for line in render_lines(rec))
     oracle = read_results_reference(path)
-    parsed = read_results(path)
-    assert parsed.header == oracle.header == HEADER
-    assert parsed.records.tobytes() == oracle.records.tobytes()
-    segment = segment_from_text(path)
-    assert segment.packed.tobytes() == pack_records(oracle.records).tobytes()
+    for _ in readers():
+        parsed = read_results(path)
+        assert parsed.header == oracle.header == HEADER
+        assert parsed.records.tobytes() == oracle.records.tobytes()
+        segment = segment_from_text(path)
+        assert segment.packed.tobytes() == pack_records(oracle.records).tobytes()
 
 
 # -- (3) non-canonical inputs: today's records or today's error --------------
@@ -232,21 +254,22 @@ def float_path(path):
 
 
 @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
-def test_non_canonical_input_parses_as_today(case, tmp_path):
+def test_non_canonical_input_parses_as_today(case, tmp_path, readers):
     path = tmp_path / "n.result"
     path.write_bytes(NON_CANONICAL[case](canonical_text()).encode("ascii"))
     kind, today = outcome(float_path, path)
-    if kind == "error":
-        assert outcome(read_results, path) == (kind, f"n.result: {today}")
-        assert outcome(read_results_reference, path)[0] == "error"
-        with pytest.raises(ValueError) as raised:
-            segment_from_text(path)
-        assert str(raised.value) == f"n.result: {today}"
-    else:
-        assert outcome(read_results, path) == (kind, today)
-        assert outcome(read_results_reference, path) == (kind, today)
-        assert (segment_from_text(path).packed.tobytes()
-                == pack_records(float_path(path).records).tobytes())
+    for _ in readers():
+        if kind == "error":
+            assert outcome(read_results, path) == (kind, f"n.result: {today}")
+            assert outcome(read_results_reference, path)[0] == "error"
+            with pytest.raises(ValueError) as raised:
+                segment_from_text(path)
+            assert str(raised.value) == f"n.result: {today}"
+        else:
+            assert outcome(read_results, path) == (kind, today)
+            assert outcome(read_results_reference, path) == (kind, today)
+            assert (segment_from_text(path).packed.tobytes()
+                    == pack_records(float_path(path).records).tobytes())
 
 
 def test_stray_dot_is_an_error(tmp_path):
@@ -286,11 +309,12 @@ def test_canonical_files_never_reach_the_float_path(decoded, tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
-def test_non_canonical_input_takes_the_float_path(case, decoded, tmp_path):
+def test_non_canonical_input_takes_the_float_path(case, decoded, tmp_path, readers):
     path = tmp_path / "n.result"
     path.write_bytes(NON_CANONICAL[case](canonical_text()).encode("ascii"))
-    outcome(read_results, path)
-    outcome(segment_from_text, path)
+    for _ in readers():
+        outcome(read_results, path)
+        outcome(segment_from_text, path)
     assert decoded and not any(decoded)
 
 
@@ -304,6 +328,41 @@ def test_one_decode_attempt_per_text_file(decoded, tmp_path):
             decoded.clear()
             parse(path)
             assert len(decoded) == 1, (parse.__name__, decoded)
+
+
+# -- (5) the two code readers -------------------------------------------------
+
+#: what a one-byte edit writes: the bytes the token rule weighs, and a few it refuses
+EDITS = list(b" -.+0123456789x\t\n")
+
+
+@PROPERTY
+@given(rec=canonical_files(), data=st.data())
+def test_a_one_byte_edit_reads_alike_under_both_readers(rec, data, readers):
+    text = bytearray(canonical_text(rec).encode("ascii"))
+    row = data.draw(st.integers(0, len(rec) - 1), label="row")
+    k = data.draw(st.integers(0, len(convert._FORMATS) - 1), label="field")
+    column = data.draw(st.integers(int(convert._START[k]), int(convert._END[k]) - 1),
+                       label="column")
+    text[DATA_START + row * resultfile.BYTES_PER_LINE + column] = data.draw(st.sampled_from(EDITS))
+    read = []
+    for _ in readers():
+        segment = convert._decode_fixed(bytes(text))
+        read.append(None if segment is None else (segment.header, segment.packed.tobytes()))
+    assert all(r == read[0] for r in read)
+
+
+def test_the_native_reader_never_calls_loadtxt(tmp_path, monkeypatch):
+    if _fused.load() is None:
+        pytest.skip("the native library does not build on this platform")
+    paths = dataset(tmp_path)
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    assert text_to_store(paths, tmp_path / "s.rcs") == len(paths)
+    assert hashlib.sha256((tmp_path / "s.rcs").read_bytes()).hexdigest() == DATASET_DIGEST
 
 
 # -- errors name the file ---------------------------------------------------
