@@ -1,10 +1,11 @@
-/* Native kernels: the batched docking engine's fused pairwise kernels and
- * the result-text ingest's fixed-column reader.
+/* Native kernels: the batched docking engine's fused pairwise kernels,
+ * the result-text ingest's fixed-column reader and the store's CRC-32.
  *
  * Compiled on demand by repro.maxdo._fused (plain `cc -O3 -shared`); the
- * batched numpy kernels in repro.maxdo.energy fall back to pure numpy, and
- * repro.store.convert to an integer np.loadtxt, when no compiler is
- * available, so this file is an accelerator, never a dependency.
+ * batched numpy kernels in repro.maxdo.energy fall back to pure numpy,
+ * repro.store.convert to an integer np.loadtxt and repro.store.format to
+ * zlib.crc32 when no compiler is available, so this file is an
+ * accelerator, never a dependency.
  *
  * CONTRACT (docking): every arithmetic expression below reproduces,
  * operation for operation and in the same association, the scalar numpy
@@ -29,8 +30,13 @@
  * is not IEEE parity but a token rule: it accepts a field exactly when the
  * integer np.loadtxt of repro.store.convert accepts it, and reads the
  * same int64.
+ *
+ * CONTRACT (store): maxdo_crc32 returns zlib.crc32(buf, crc) bit for bit;
+ * it exists only where the target has PCLMULQDQ and SSE4.1, and
+ * repro.store.format falls back to zlib.crc32 where it does not.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -177,9 +183,9 @@ void maxdo_phase_energy(const double *r2, const double *screen,
  * lines: (n, width) text bytes whose separators and dots the caller has
  * checked.  Field k spans columns [start[k], end[k]) with its decimal
  * point, skipped, at dot[k] (-1 for an integer field).  Writes each field,
- * read as one integer, to codes[row * n_fields + k] and returns 0; returns
- * 1 as soon as a field is not ` *-?[0-9]+` once its dot is skipped.  A
- * field holds at most 18 digits, so no code overflows.  Allocates nothing.
+ * read as one integer, to codes[k * n + row] (a row per field) and returns
+ * 0; returns 1 as soon as a field is not ` *-?[0-9]+` once its dot is
+ * skipped.  At most 18 digits a field: no code overflows.  Allocates nothing.
  */
 int maxdo_fixed_codes(const unsigned char *lines, long n, long width,
                       const int64_t *start, const int64_t *end,
@@ -207,8 +213,66 @@ int maxdo_fixed_codes(const unsigned char *lines, long n, long width,
             }
             if (!n_digits)
                 return 1;
-            codes[row * n_fields + k] = neg ? -v : v;
+            codes[k * n + row] = neg ? -v : v;
         }
     }
     return 0;
 }
+
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+#include <immintrin.h>
+
+/* CRC-32 (zlib's: reflected polynomial 0xEDB88320, pre- and post-inverted)
+ * of len bytes at buf, continuing crc.  Folds four 128-bit lanes with
+ * carry-less multiplies, reduces them to one, then to 32 bits by Barrett
+ * reduction (Gopal et al., "Fast CRC Computation for Generic Polynomials
+ * Using PCLMULQDQ Instruction", Intel, 2009: the bit-reflected constants
+ * of its appendix); the last len % 16 bytes go bit by bit.
+ */
+uint32_t maxdo_crc32(const unsigned char *buf, size_t len, uint32_t crc)
+{
+    uint32_t c = ~crc;
+    if (len >= 64) {
+        const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+        const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+        const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+        const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+        const __m128i lo32 = _mm_setr_epi32(~0, 0, ~0, 0);
+        __m128i x[4], t;
+        for (int i = 0; i < 4; ++i)
+            x[i] = _mm_loadu_si128((const __m128i *)(buf + 16 * i));
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128((int)c));
+        for (buf += 64, len -= 64; len >= 64; buf += 64, len -= 64)
+            for (int i = 0; i < 4; ++i) {
+                t = _mm_clmulepi64_si128(x[i], k1k2, 0x00);
+                x[i] = _mm_clmulepi64_si128(x[i], k1k2, 0x11);
+                x[i] = _mm_xor_si128(_mm_xor_si128(x[i], t),
+                                     _mm_loadu_si128((const __m128i *)(buf + 16 * i)));
+            }
+        for (int i = 1; i < 4; ++i) {
+            t = _mm_clmulepi64_si128(x[0], k3k4, 0x00);
+            x[0] = _mm_clmulepi64_si128(x[0], k3k4, 0x11);
+            x[0] = _mm_xor_si128(_mm_xor_si128(x[0], t), x[i]);
+        }
+        for (; len >= 16; buf += 16, len -= 16) {
+            t = _mm_clmulepi64_si128(x[0], k3k4, 0x00);
+            x[0] = _mm_clmulepi64_si128(x[0], k3k4, 0x11);
+            x[0] = _mm_xor_si128(_mm_xor_si128(x[0], t),
+                                 _mm_loadu_si128((const __m128i *)buf));
+        }
+        t = _mm_clmulepi64_si128(x[0], k3k4, 0x10);  /* 128 -> 64 bits */
+        x[0] = _mm_xor_si128(_mm_srli_si128(x[0], 8), t);
+        t = _mm_srli_si128(x[0], 4);
+        x[0] = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x[0], lo32), k5, 0x00), t);
+        t = _mm_clmulepi64_si128(_mm_and_si128(x[0], lo32), poly, 0x10);  /* Barrett */
+        t = _mm_clmulepi64_si128(_mm_and_si128(t, lo32), poly, 0x00);
+        c = (uint32_t)_mm_extract_epi32(_mm_xor_si128(x[0], t), 1);
+    }
+    while (len--) {
+        c ^= *buf++;
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & -(c & 1u));
+    }
+    return ~c;
+}
+#endif

@@ -1,14 +1,14 @@
 """On-demand build + ctypes bindings for the native library: the fused
-docking kernels and the result-text ingest's fixed-column reader.
+docking kernels, the text ingest's fixed-column reader, the store's CRC-32.
 
 Compiles ``_fused.c`` with whatever C compiler the host happens to have
 (``$CC``, ``cc``, ``gcc`` or ``clang``) into a per-user temp cache keyed by
 a hash of the source and flags, and exposes thin numpy wrappers.  Nothing
 here is required: :func:`load` returns ``None`` when there is no compiler
 (or when ``REPRO_NO_FUSED`` is set); the batched kernels in
-:mod:`repro.maxdo.energy` then fall back to pure numpy and
-:mod:`repro.store.convert` reads codes with an integer ``np.loadtxt``.
-Both load it at first use, never at import.
+:mod:`repro.maxdo.energy` then fall back to pure numpy,
+:mod:`repro.store.convert` reads codes with an integer ``np.loadtxt`` and
+:mod:`repro.store.format` takes ``zlib.crc32``.  Each loads it at first use.
 
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the C kernels are contractually bit-identical to
@@ -96,6 +96,9 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.maxdo_fixed_codes.argtypes = [
         _u8, _c_long, _c_long, _i64, _i64, _i64, _c_long, _i64,
     ]
+    if hasattr(lib, "maxdo_crc32"):  # built only for a target with PCLMULQDQ
+        lib.maxdo_crc32.restype = ctypes.c_uint32
+        lib.maxdo_crc32.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32]
     return lib
 
 

@@ -64,14 +64,14 @@ _SCRUB = bytes(c if chr(c) in "0123456789 -\n" else ord("x") for c in range(256)
 
 
 def _read_codes(lines: np.ndarray) -> np.ndarray | None:
-    """The ``(n, 12)`` codes of a layout-checked data block, each field an
-    integer with its dot dropped; ``None`` if one is not `` *-?[0-9]+``.  The
-    native reader if the library loads, else the same rule by ``np.loadtxt``."""
+    """The ``(12, n)`` codes of a layout-checked data block, a row per field,
+    each an integer with its dot dropped; ``None`` if one is not `` *-?[0-9]+``.
+    The native reader if the library loads, else the same rule by ``np.loadtxt``."""
     from ..maxdo import _fused
 
     n = len(lines)
     if (lib := _fused.load()) is not None:
-        codes = np.empty((n, len(_FORMATS)), np.int64)
+        codes = np.empty((len(_FORMATS), n), np.int64)
         bad = lib.maxdo_fixed_codes(lines, *lines.shape, _START, _END, _SKIP, len(_FORMATS), codes)
         return None if bad else codes
     digits = lines.tobytes().translate(_SCRUB, b".")
@@ -79,9 +79,10 @@ def _read_codes(lines: np.ndarray) -> np.ndarray | None:
         codes = np.loadtxt(io.BytesIO(digits), np.int64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if codes.shape != (n, len(_FORMATS)) or len(digits) != lines.size - len(_DEC) * n:
-        return None  # a token split in two, or a dot outside its column
-    return codes
+    if (codes.shape != (n, len(_FORMATS)) or len(digits) != lines.size - len(_DEC) * n
+            or digits.count(b"\n") != n):  # loadtxt skips the blank line a newline leaves
+        return None  # a token split in two, a dot outside its column, a newline in a line
+    return codes.T.copy()
 
 
 def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | None:
@@ -103,15 +104,15 @@ def _decode_fixed(data: bytes, source: str | None = None) -> ColumnarSegment | N
         return None
     if (codes := _read_codes(lines)) is None:
         return None
-    rows, fields = np.divmod(np.flatnonzero(codes == 0), len(_FORMATS))
+    fields, rows = np.divmod(np.flatnonzero(codes == 0), n)
     rows, fields = rows[_IS_DEC[fields]], fields[_IS_DEC[fields]]
     sign = lines[rows, _DOT[fields] - 2]
     if not ((sign == ord(" ")) | (sign == ord("-"))).all():  # "00.000" is not canonical
         return None
     special += [(r, k, _SENTINEL_NZERO) for r, k, c in zip(rows, fields, sign) if c == ord("-")]
     for r, k, code in special:  # the sentinels count up from each column's lowest code
-        codes[r, k] = list(_BOUNDS.values())[k][0] + code
-    columns = {name: codes[:, k].astype(d) for k, (name, d) in enumerate(_COLUMN_DTYPES.items())}
+        codes[k, r] = list(_BOUNDS.values())[k][0] + code
+    columns = {name: codes[k].astype(d) for k, (name, d) in enumerate(_COLUMN_DTYPES.items())}
     header = _parse_header(data[:start].decode("ascii").split("\n"))
     return ColumnarSegment(header, source=source, columns=columns)
 

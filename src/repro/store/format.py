@@ -239,6 +239,17 @@ def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
     return col
 
 
+def _crc32(data: bytes | np.ndarray, crc: int = 0) -> int:
+    """``zlib.crc32(data, crc)`` of contiguous bytes: by the native library's
+    carry-less fold where it loads with one (``maxdo/_fused.c``), else zlib's."""
+    from ..maxdo import _fused
+
+    if (fold := getattr(_fused.load(), "maxdo_crc32", None)) is None:
+        return zlib.crc32(data, crc)
+    buf = np.frombuffer(data, np.uint8)
+    return fold(buf.ctypes.data, buf.size, crc)
+
+
 def unpack_records(packed) -> np.ndarray:
     """Decode packed rows, or a segment's columns by name, to the float64
     :data:`RESULT_DTYPE`.
@@ -338,8 +349,7 @@ class ColumnarSegment:
         return cls(header, None, source, campaign, columns=_pack_columns(records))
 
 
-def _segment_meta(segment: ColumnarSegment) -> dict:
-    h = segment.header
+def _segment_meta(h: ResultHeader, source: str | None, campaign: str | None) -> dict:
     meta = {
         "receptor": h.receptor,
         "ligand": h.ligand,
@@ -347,12 +357,12 @@ def _segment_meta(segment: ColumnarSegment) -> dict:
         "nsep": h.nsep,
         "n_couples": h.n_couples,
         "n_gamma": h.n_gamma,
-        "source": segment.source,
+        "source": source,
     }
     # Additive: the key is only present when set, so untagged segments
     # keep the exact pre-tag byte layout (tested).
-    if segment.campaign is not None:
-        meta["campaign"] = segment.campaign
+    if campaign is not None:
+        meta["campaign"] = campaign
     return meta
 
 
@@ -380,7 +390,7 @@ def _decode_segment(fh, path: Path) -> ColumnarSegment | None:
     n_rows = int.from_bytes(_read_exact(fh, path, 8), "little")
     payload = _read_exact(fh, path, n_rows * ROW_BYTES)
     crc = int.from_bytes(_read_exact(fh, path, 4), "little")
-    if crc != zlib.crc32(payload):
+    if crc != _crc32(payload):
         raise ValueError(f"{path.name}: segment payload CRC mismatch")
     columns, offset = {}, 0
     for name, dtype in _COLUMN_DTYPES.items():  # views: the bytes stay put
@@ -422,18 +432,24 @@ class StoreWriter:
     def append(self, segment: ColumnarSegment) -> int:
         """Append one segment; returns the bytes written.  The columns go
         to the file as they are, under a running CRC: no payload copy."""
+        return self.append_frame(segment.header, len(segment), segment.columns.values(),
+                                 segment.source, segment.campaign)
+
+    def append_frame(self, header: ResultHeader, n_rows: int, parts: Iterable[np.ndarray],
+                     source: str | None = None, campaign: str | None = None) -> int:
+        """Append the segment whose payload is ``parts``: its columns in
+        :data:`PACKED_DTYPE` order, each whole or in consecutive pieces."""
         import json
 
-        meta = json.dumps(_segment_meta(segment), sort_keys=True).encode("ascii")
-        n_rows = len(segment)
+        meta = json.dumps(_segment_meta(header, source, campaign), sort_keys=True).encode("ascii")
         self._fh.write(
             _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta
             + n_rows.to_bytes(8, "little")
         )
         crc = 0
-        for column in segment.columns.values():
-            self._fh.write(column)
-            crc = zlib.crc32(column, crc)
+        for part in parts:
+            self._fh.write(part)
+            crc = _crc32(part, crc)
         self._fh.write(crc.to_bytes(4, "little"))
         self.n_segments_written += 1
         return 20 + len(meta) + n_rows * ROW_BYTES  # 20: magic, 2 lengths, CRC
@@ -451,8 +467,9 @@ class StoreWriter:
         self.close()
 
 
-def write_store(path: Path | str, segments: Iterable[ColumnarSegment]) -> int:
-    """Write a store file from scratch, one segment at a time; returns the
+def write_store(path: Path | str, segments: Iterable[ColumnarSegment | tuple]) -> int:
+    """Write a store file from scratch, one segment (or ``(header, n_rows,
+    parts)`` frame, :meth:`StoreWriter.append_frame`) at a time; returns the
     segment count.  Atomic: a temporary file beside ``path`` replaces it
     once all is written, and any failure leaves ``path`` as it was."""
     path = Path(path)
@@ -461,7 +478,10 @@ def write_store(path: Path | str, segments: Iterable[ColumnarSegment]) -> int:
     try:
         with StoreWriter(tmp) as writer:
             for segment in segments:
-                writer.append(segment)
+                if isinstance(segment, ColumnarSegment):
+                    writer.append(segment)
+                else:
+                    writer.append_frame(*segment)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -20,12 +20,13 @@ passes — the one result path: a text upload enters it through
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..maxdo.resultfile import ResultHeader
 from ..validation.checks import CheckReport, ValueRanges, check_table
-from ..validation.merge import key_order, merged_header
+from ..validation.merge import KeyOrder, key_order, merged_header
 from .format import (
     PACKED_DTYPE,
     ColumnarSegment,
@@ -100,6 +101,21 @@ def check_store(
     return report
 
 
+def _merge_order(segments: Sequence[ColumnarSegment]) -> tuple[ResultHeader, KeyOrder]:
+    """One couple's merged header (the chunks validated) and their key order."""
+    labelled = [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
+    return merged_header(labelled), key_order([s.columns for s in segments])
+
+
+def _merged_frame(chunks: Sequence[ColumnarSegment]) -> tuple[ResultHeader, int, Iterator]:
+    """:func:`merge_segments` as a :func:`write_store` frame, in-order chunks uncopied."""
+    header, order = _merge_order(chunks)
+    return header, sum(map(len, chunks)), (
+        part for name in PACKED_DTYPE.names
+        for part in order.pieces([s.columns[name] for s in chunks])
+    )
+
+
 def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     """Merge one couple's workunit segments into a single segment.
 
@@ -110,10 +126,7 @@ def merge_segments(segments: Sequence[ColumnarSegment]) -> ColumnarSegment:
     ``(isep, irot, igamma)`` order (:func:`~repro.validation.merge.key_order`)
     — integer keys, exact, so the merged energies are the chunks' own.
     """
-    header = merged_header(
-        [(s.header, _segment_label(s, i)) for i, s in enumerate(segments)]
-    )
-    order = key_order([s.columns for s in segments])
+    header, order = _merge_order(segments)
     return ColumnarSegment(header, columns={
         name: order.apply([s.columns[name] for s in segments])
         for name in PACKED_DTYPE.names
@@ -125,12 +138,11 @@ def merge_couple_store(
 ) -> int:
     """Merge every couple of a chunked store into a one-segment-per-couple
     store at ``out_path``; returns the total merged row count.  Couples are
-    merged and written one at a time, atomically (:func:`write_store`)."""
+    merged and written one at a time, atomically (:func:`write_store`), as
+    :func:`merge_segments` would; chunks already in key order are not copied."""
     if not isinstance(store, ResultStore):
         store = read_store(store)
-    write_store(
-        out_path, (merge_segments(c) for c in store.by_couple().values())
-    )
+    write_store(out_path, (_merged_frame(c) for c in store.by_couple().values()))
     return store.n_rows
 
 

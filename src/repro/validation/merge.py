@@ -81,6 +81,10 @@ class KeyOrder(NamedTuple):
         merged = np.concatenate([parts[k] for k in self.chunks])
         return merged if self.rows is None else merged[self.rows]
 
+    def pieces(self, parts: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """:meth:`apply`'s array in pieces: the chunks' own when in order."""
+        return [parts[k] for k in self.chunks] if self.rows is None else [self.apply(parts)]
+
 
 def key_order(chunks: Sequence) -> KeyOrder:
     """The merged-file order, ``(isep, irot, igamma)`` ascending, of one

@@ -206,3 +206,28 @@ def test_resumed_finalize_bytes_pinned(tmp_path, couple, result_format):
     assert run.run().complete
     digest = hashlib.sha256(run.finalize().read_bytes()).hexdigest()
     assert digest == FINALIZE_SHA256[couple, result_format]
+
+
+@pytest.mark.parametrize("cut", [0, 100, -1], ids=["zeros", "part", "all-but-one"])
+def test_a_kill_inside_a_segment_resumes_to_the_pinned_bytes(tmp_path, cut):
+    """A kill (or a power loss) inside a position's frame leaves it partly
+    written, then zeros: the resume drops it and redoes the position."""
+    library = ProteinLibrary.synthetic(4, sum_nsep=40, seed=3)
+    receptor, ligand = library.protein(2), library.protein(3)
+    kw = dict(
+        isep_start=1, nsep=3, total_nsep=int(library.nsep[2]), n_couples=4,
+        n_gamma=3, result_format="columnar",
+    )
+    ahead = MaxDoRun(receptor, ligand, workdir=tmp_path / "ahead", **kw)
+    ahead.run(max_positions=2)
+    run = MaxDoRun(receptor, ligand, workdir=tmp_path / "run", **kw)
+    run.run(max_positions=1)
+    committed, ahead_bytes = run.partial_path.read_bytes(), ahead.partial_path.read_bytes()
+    assert ahead_bytes.startswith(committed)
+    frame = ahead_bytes[len(committed):]
+    cut %= len(frame)
+    run.partial_path.write_bytes(committed + frame[:cut] + bytes(len(frame) - cut))
+    run = MaxDoRun(receptor, ligand, workdir=tmp_path / "run", **kw)
+    assert run.run().complete
+    digest = hashlib.sha256(run.finalize().read_bytes()).hexdigest()
+    assert digest == FINALIZE_SHA256[(2, 3), "columnar"]

@@ -17,7 +17,9 @@ other layout goes through the float parser it always did.  Pinned here:
   parser, and every non-canonical case does;
 * both code readers agree: the canonical and non-canonical cases above
   run under each, a one-byte fuzz of canonical files gives both the same
-  segment or both ``None``, and the native one never calls ``np.loadtxt``.
+  segment or both ``None`` (a newline in a line's leading padding is
+  ``None`` under each), both give one contiguous row of codes per field,
+  and the native one never calls ``np.loadtxt``.
 """
 
 from __future__ import annotations
@@ -349,6 +351,29 @@ def test_a_one_byte_edit_reads_alike_under_both_readers(rec, data, readers):
     for _ in readers():
         segment = convert._decode_fixed(bytes(text))
         read.append(None if segment is None else (segment.header, segment.packed.tobytes()))
+    assert all(r == read[0] for r in read)
+
+
+@pytest.mark.parametrize("column", range(int(convert._END[0]) - 1))
+def test_a_newline_in_the_leading_padding_is_refused_by_both_readers(column, readers):
+    """``np.loadtxt`` skips the blank line such a newline leaves, so the
+    fallback once read these lines as if the edit were a space."""
+    for row in range(len(canonical_records())):
+        text = bytearray(canonical_text().encode("ascii"))
+        text[DATA_START + row * resultfile.BYTES_PER_LINE + column] = ord("\n")
+        for reader in readers():
+            assert convert._decode_fixed(bytes(text)) is None, (reader, row)
+
+
+def test_both_readers_give_one_contiguous_row_of_codes_per_field(readers):
+    text = canonical_text().encode("ascii")
+    lines = np.frombuffer(text, np.uint8, offset=DATA_START).reshape(-1, resultfile.BYTES_PER_LINE)
+    read = []
+    for _ in readers():
+        codes = convert._read_codes(lines)
+        assert codes.shape == (len(convert._FORMATS), len(lines))
+        assert codes.flags.c_contiguous
+        read.append(codes.tobytes())
     assert all(r == read[0] for r in read)
 
 

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.store.format as store_format
 import repro.store.pipeline as pipeline
+from repro.maxdo import _fused
 from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, write_results
 from repro.store import (
     PACKED_DTYPE,
@@ -37,8 +40,10 @@ from repro.store import (
     check_store,
     energy_matrix,
     merge_couple_store,
+    merge_segments,
     read_store,
     render_lines,
+    rollback_partial_store,
     text_to_store,
     write_store,
 )
@@ -237,6 +242,42 @@ class TestWriter:
         ]
 
 
+class TestFrames:
+    """The frame CRC is zlib's under either implementation, and a kill
+    inside a frame (torn, then zeros) is rolled back."""
+
+    @pytest.mark.parametrize("crc", [0, 0xDEADBEEF])
+    def test_the_crc_is_zlibs(self, crc):
+        data = np.random.default_rng(crc).integers(0, 256, 4099, dtype=np.uint8)
+        for n in [*range(200), 1000, 4099]:
+            assert store_format._crc32(data[:n], crc) == zlib.crc32(data[:n], crc)
+            assert store_format._crc32(data[:n].tobytes(), crc) == zlib.crc32(data[:n], crc)
+        column = data[3:4095].view(np.int32)  # not 16-byte aligned
+        assert store_format._crc32(column, crc) == zlib.crc32(column, crc)
+
+    def test_bytes_do_not_depend_on_the_native_crc(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_fused, "load", lambda: None)
+        write_store(tmp_path / "s.rcs", pinned_segments())
+        assert hashlib.sha256((tmp_path / "s.rcs").read_bytes()).hexdigest() == PINNED_DIGEST
+        assert len(read_store(tmp_path / "s.rcs")) == 3
+        store = ResultStore(path=tmp_path / "chunks.rcs", segments=merge_input())
+        merge_couple_store(store, tmp_path / "merged.rcs")
+        assert hashlib.sha256((tmp_path / "merged.rcs").read_bytes()).hexdigest() == MERGED_DIGEST
+
+    @pytest.mark.parametrize("cut", [0, 9, 60, -4, -1])
+    def test_a_kill_inside_a_frame_rolls_back(self, tmp_path, cut):
+        first, _, second = pinned_segments()
+        path = tmp_path / "s.rcs"
+        write_store(path, [first])
+        committed = path.read_bytes()
+        write_store(path, [first, second])
+        frame = path.read_bytes()[len(committed):]
+        cut %= len(frame)  # the frame's first `cut` bytes, then zeros
+        path.write_bytes(committed + frame[:cut] + bytes(len(frame) - cut))
+        assert rollback_partial_store(path, len(first)) == 0
+        assert path.read_bytes() == committed
+
+
 class TestStreamingReduce:
     def _store(self, tmp_path):
         segments = chunked_store(4)
@@ -270,6 +311,26 @@ class TestStreamingReduce:
             assert n_path == n_store
             assert m_path.tobytes() == m_store.tobytes()
             assert np.isnan(m_path).sum() == 1
+
+    @pytest.mark.parametrize("case", ["in order", "out of order", "key ties", "nan and reversed"])
+    def test_merged_bytes_are_those_of_merge_segments(self, tmp_path, case):
+        segments = {
+            "in order": [c for k in range(3) for c in couple_chunks(f"R{k}", "L", 3, 4, 5, k)],
+            "out of order": chunked_store(3),
+            "key ties": chunked_store(2),
+            "nan and reversed": merge_input(),
+        }[case]
+        if case == "key ties":  # one chunk's irot repeats: the lexsort path
+            s = segments[1]
+            rec = s.records
+            rec["irot"] = 1
+            segments[1] = ColumnarSegment.from_records(s.header, rec, source=s.source)
+        store = ResultStore(path=tmp_path / "chunks.rcs", segments=segments)
+        merge_couple_store(store, tmp_path / "streamed.rcs")
+        write_store(
+            tmp_path / "merged.rcs", [merge_segments(c) for c in store.by_couple().values()]
+        )
+        assert (tmp_path / "streamed.rcs").read_bytes() == (tmp_path / "merged.rcs").read_bytes()
 
     def test_merged_bytes_match_the_pinned_merge(self, tmp_path):
         store = ResultStore(path=tmp_path / "chunks.rcs", segments=merge_input())
@@ -339,10 +400,12 @@ class TestSortedRows:
     @settings(max_examples=300, deadline=None)
     @given(chunks=merge_inputs())
     def test_matches_the_lexsort_oracle_bit_for_bit(self, chunks):
-        merged = key_order(chunks).apply(chunks)
+        order = key_order(chunks)
+        merged = order.apply(chunks)
         reference = sorted_rows_reference(chunks)
         assert merged.dtype == reference.dtype
         assert merged.tobytes() == reference.tobytes()
+        assert b"".join(p.tobytes() for p in order.pieces(chunks)) == reference.tobytes()
 
     def test_ordered_chunks_in_any_order_are_not_sorted(self, monkeypatch):
         chunks = [s.packed for s in couple_chunks("R", "L", 4, 3, 5, 0)]
