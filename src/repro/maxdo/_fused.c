@@ -34,8 +34,17 @@
  * CONTRACT (store): maxdo_crc32 returns zlib.crc32(buf, crc) bit for bit;
  * it exists only where the target has PCLMULQDQ and SSE4.1, and
  * repro.store.format falls back to zlib.crc32 where it does not.
+ *
+ * CONTRACT (check): maxdo_check_codes reaches the verdicts
+ * ValueRanges.violations reaches over the segment's decoded columns.  A
+ * value is (double)code / scale, the IEEE operation numpy's raw / scale
+ * performs, and the sentinel codes at the bottom of a column's range
+ * decode as repro.store.format._decode_column maps them; a NaN anywhere
+ * in a rule's values leaves that rule unviolated, as numpy's NaN-
+ * propagating max compared against a bound does.
  */
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -217,6 +226,103 @@ int maxdo_fixed_codes(const unsigned char *lines, long n, long width,
         }
     }
     return 0;
+}
+
+/* Range check: the ValueRanges rules over one segment's packed codes.
+ *
+ * The store's fixed-point scales (repro.store.format): coordinates in
+ * 1e-3 Angstrom, energies in 1e-4 kcal/mol.  The four lowest codes of a
+ * column are NaN, +inf, -inf and -0.0; codes are only ever compared with
+ * lo + k, never offset by lo (a positive int64 code minus INT64_MIN
+ * overflows).  Returns the violated rules as bits, in violations' order:
+ * 1 non-finite values, 2 coordinate out of range, 4 energy out of range,
+ * 8 non-positive indices, 16 energy sum mismatch.
+ */
+#define COORD_SCALE 1000.0
+#define ENERGY_SCALE 10000.0
+#define CHECK_NON_FINITE 1
+#define CHECK_COORD 2
+#define CHECK_ENERGY 4
+#define CHECK_INDEX 8
+#define CHECK_SUM 16
+
+/* A code's value as repro.store.format._decode_column decodes it. */
+static double decode(int64_t code, int64_t lo, double scale)
+{
+    if (code >= lo + 4)
+        return (double)code / scale;
+    if (code == lo)
+        return NAN;
+    if (code == lo + 1)
+        return INFINITY;
+    return code == lo + 2 ? -INFINITY : -0.0;
+}
+
+/* The rules again, value by value, for a segment holding a sentinel: a
+ * rule a NaN reaches is not violated, whatever else its values hold. */
+static int check_exact(const int32_t *const coords[3],
+                       const int64_t *const energies[3], long n,
+                       double max_coord, double max_energy, double tol)
+{
+    int non_finite = 0, nan[3] = {0, 0, 0}, over[3] = {0, 0, 0};
+    for (long i = 0; i < n; ++i) {
+        double e[3];
+        for (int k = 0; k < 3; ++k) {
+            const double v = decode(coords[k][i], INT32_MIN, COORD_SCALE);
+            non_finite |= !isfinite(v);
+            nan[0] |= isnan(v);
+            over[0] |= fabs(v) > max_coord;
+            e[k] = decode(energies[k][i], INT64_MIN, ENERGY_SCALE);
+            non_finite |= !isfinite(e[k]);
+            nan[1] |= isnan(e[k]);
+            over[1] |= fabs(e[k]) > max_energy;
+        }
+        const double mismatch = fabs(e[2] - (e[0] + e[1]));
+        nan[2] |= isnan(mismatch);
+        over[2] |= mismatch > tol;
+    }
+    return (non_finite ? CHECK_NON_FINITE : 0)
+           | (over[0] && !nan[0] ? CHECK_COORD : 0)
+           | (over[1] && !nan[1] ? CHECK_ENERGY : 0)
+           | (over[2] && !nan[2] ? CHECK_SUM : 0);
+}
+
+int maxdo_check_codes(const int32_t *isep, const int16_t *irot,
+                      const int16_t *igamma, const int32_t *x,
+                      const int32_t *y, const int32_t *z,
+                      const int64_t *e_lj, const int64_t *e_elec,
+                      const int64_t *e_tot, long n, double max_coord,
+                      double max_energy, double tol)
+{
+    /* One pass, every lane independent and every verdict an OR
+     * reduction: the loop vectorizes, and branches on nothing. */
+    int index = 0, sentinel = 0, coord = 0, energy = 0, sum = 0;
+    for (long i = 0; i < n; ++i) {
+        index |= (isep[i] < 1) | (irot[i] < 1) | (igamma[i] < 1);
+        sentinel |= (x[i] < INT32_MIN + 4) | (y[i] < INT32_MIN + 4)
+                    | (z[i] < INT32_MIN + 4) | (e_lj[i] < INT64_MIN + 4)
+                    | (e_elec[i] < INT64_MIN + 4) | (e_tot[i] < INT64_MIN + 4);
+        const double vx = (double)x[i] / COORD_SCALE;
+        const double vy = (double)y[i] / COORD_SCALE;
+        const double vz = (double)z[i] / COORD_SCALE;
+        coord |= (fabs(vx) > max_coord) | (fabs(vy) > max_coord)
+                 | (fabs(vz) > max_coord);
+        const double lj = (double)e_lj[i] / ENERGY_SCALE;
+        const double el = (double)e_elec[i] / ENERGY_SCALE;
+        const double tot = (double)e_tot[i] / ENERGY_SCALE;
+        energy |= (fabs(lj) > max_energy) | (fabs(el) > max_energy)
+                  | (fabs(tot) > max_energy);
+        sum |= fabs(tot - (lj + el)) > tol;
+    }
+    const int bits = index ? CHECK_INDEX : 0;
+    if (sentinel) {  /* the values above are wrong for a sentinel code */
+        const int32_t *const coords[3] = {x, y, z};
+        const int64_t *const energies[3] = {e_lj, e_elec, e_tot};
+        return bits | check_exact(coords, energies, n, max_coord,
+                                  max_energy, tol);
+    }
+    return bits | (coord ? CHECK_COORD : 0) | (energy ? CHECK_ENERGY : 0)
+           | (sum ? CHECK_SUM : 0);
 }
 
 #if defined(__PCLMUL__) && defined(__SSE4_1__)

@@ -1,14 +1,17 @@
 """On-demand build + ctypes bindings for the native library: the fused
-docking kernels, the text ingest's fixed-column reader, the store's CRC-32.
+docking kernels, the text ingest's fixed-column reader, the store's CRC-32
+and range check.
 
 Compiles ``_fused.c`` with whatever C compiler the host happens to have
 (``$CC``, ``cc``, ``gcc`` or ``clang``) into a per-user temp cache keyed by
-a hash of the source and flags, and exposes thin numpy wrappers.  Nothing
-here is required: :func:`load` returns ``None`` when there is no compiler
-(or when ``REPRO_NO_FUSED`` is set); the batched kernels in
-:mod:`repro.maxdo.energy` then fall back to pure numpy,
-:mod:`repro.store.convert` reads codes with an integer ``np.loadtxt`` and
-:mod:`repro.store.format` takes ``zlib.crc32``.  Each loads it at first use.
+a hash of the source and flags (a build removes other sources' libraries),
+and exposes thin numpy wrappers.  Nothing here is required: :func:`load`
+returns ``None`` when there is no compiler (or when ``REPRO_NO_FUSED`` is
+set); the batched kernels in :mod:`repro.maxdo.energy` then fall back to
+pure numpy, :mod:`repro.store.convert` reads codes with an integer
+``np.loadtxt``, :mod:`repro.store.format` takes ``zlib.crc32`` and
+:func:`repro.store.check_segment` decodes the columns the range rules
+read.  Each loads it at first use.
 
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the C kernels are contractually bit-identical to
@@ -19,6 +22,7 @@ reassociated reduction would silently break (see the header of
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -74,6 +78,15 @@ def _build(cc: str, flags: list[str], out: Path) -> bool:
     return True
 
 
+def _builds(cache: Path) -> dict[Path, list[str]]:
+    """This source's library per flag set, in the order :func:`load` tries them."""
+    builds = {}
+    for flags in ([*_BASE_FLAGS, "-march=native"], _BASE_FLAGS):
+        tag = hashlib.sha256(_SOURCE.read_bytes() + " ".join(flags).encode()).hexdigest()[:16]
+        builds[cache / f"_fused-{tag}.so"] = flags
+    return builds
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.maxdo_phase_a.restype = None
     lib.maxdo_phase_a.argtypes = [
@@ -96,6 +109,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.maxdo_fixed_codes.argtypes = [
         _u8, _c_long, _c_long, _i64, _i64, _i64, _c_long, _i64,
     ]
+    lib.maxdo_check_codes.restype = ctypes.c_int
+    lib.maxdo_check_codes.argtypes = [*[ctypes.c_void_p] * 9, _c_long, *[_c_double] * 3]
     if hasattr(lib, "maxdo_crc32"):  # built only for a target with PCLMULQDQ
         lib.maxdo_crc32.restype = ctypes.c_uint32
         lib.maxdo_crc32.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32]
@@ -121,21 +136,23 @@ def load() -> ctypes.CDLL | None:
         cc = _find_compiler()
         if cc is None:
             return None
-        for flags in ([*_BASE_FLAGS, "-march=native"], _BASE_FLAGS):
-            tag = hashlib.sha256(
-                _SOURCE.read_bytes() + " ".join(flags).encode()
-            ).hexdigest()[:16]
-            cache = Path(tempfile.gettempdir()) / f"repro-fused-{os.getuid()}"
-            cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-            out = cache / f"_fused-{tag}.so"
-            if out.exists() or _build(cc, flags, out):
-                try:
-                    _lib = _bind(ctypes.CDLL(str(out)))
-                    return _lib
-                except (OSError, AttributeError):
-                    # unloadable cache artifact, or a stale library missing
-                    # a symbol _bind expects; try the next flag set
+        cache = Path(tempfile.gettempdir()) / f"repro-fused-{os.getuid()}"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        builds = _builds(cache)
+        for out, flags in builds.items():
+            if not out.exists():
+                if not _build(cc, flags, out):
                     continue
+                for old in set(cache.glob("_fused-*.so")) - builds.keys():
+                    with contextlib.suppress(OSError):  # gone, or not ours
+                        old.unlink()  # a superseded source's: never loaded again
+            try:
+                _lib = _bind(ctypes.CDLL(str(out)))
+                return _lib
+            except (OSError, AttributeError):
+                # unloadable cache artifact, or a stale library missing
+                # a symbol _bind expects; try the next flag set
+                continue
         return None
     except OSError as exc:
         # Cache-directory setup failed (read-only tmp, permissions, ...).

@@ -239,15 +239,21 @@ def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
     return col
 
 
+_fold = None  #: the native CRC-32 fold, or zlib.crc32 without one; bound at first use
+
+
 def _crc32(data: bytes | np.ndarray, crc: int = 0) -> int:
     """``zlib.crc32(data, crc)`` of contiguous bytes: by the native library's
     carry-less fold where it loads with one (``maxdo/_fused.c``), else zlib's."""
-    from ..maxdo import _fused
-
-    if (fold := getattr(_fused.load(), "maxdo_crc32", None)) is None:
-        return zlib.crc32(data, crc)
-    buf = np.frombuffer(data, np.uint8)
-    return fold(buf.ctypes.data, buf.size, crc)
+    global _fold
+    if _fold is None:
+        from ..maxdo import _fused
+        _fold = getattr(_fused.load(), "maxdo_crc32", None) or zlib.crc32
+    if _fold is zlib.crc32 or not (type(data) is bytes or data.flags.c_contiguous):
+        return zlib.crc32(data, crc)  # which refuses a strided array
+    if type(data) is bytes:
+        return _fold(data, len(data), crc)
+    return _fold(data.ctypes.data, data.nbytes, crc)
 
 
 def unpack_records(packed) -> np.ndarray:

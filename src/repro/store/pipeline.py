@@ -5,7 +5,7 @@ passes — the one result path: a text upload enters it through
 :func:`repro.store.segment_from_text`.
 
 * **checks 2/3** (:func:`check_segment` / :func:`check_store`): line-count
-  and value-range validation straight off the columns the rules read
+  and value-range validation straight off the codes the rules read
   (:func:`repro.validation.checks.check_table`), without a text parse;
 * **merge** (:func:`merge_segments` / :func:`merge_couple_store`):
   slice-tiling validation plus a column-by-column concatenation in key
@@ -58,8 +58,8 @@ def _segment_label(segment: ColumnarSegment, index: int) -> str:
     return f"segment[{index}] {h.receptor}-{h.ligand}@{h.isep_start}"
 
 
-#: the columns the range rules read that need decoding; the indices stay int
-_CHECKED = ("x", "y", "z", "e_lj", "e_elec", "e_tot")
+#: the columns the range rules read, in maxdo_check_codes' order; six decode
+_CHECKED = ("isep", "irot", "igamma", "x", "y", "z", "e_lj", "e_elec", "e_tot")
 
 
 def check_segment(
@@ -69,16 +69,26 @@ def check_segment(
 ) -> CheckReport:
     """Checks 2 and 3 (line count, value ranges) on one segment.
 
-    The rule (:func:`repro.validation.checks.check_table`) runs over the
-    columns it reads — the six value columns decoded, bit-identical to
-    what a per-token parse of the text file gives, and the three integer
-    indices as stored.
+    The range rules run as one native pass over the nine packed columns
+    they read, with the verdicts ``ValueRanges.violations`` reaches over
+    the decoded values; where the library does not load, that rule runs
+    over the six value columns decoded (bit-identical to a per-token parse
+    of the text file) and the three integer indices as stored.
     """
-    rows = {n: segment.column(n) for n in _CHECKED}
-    rows.update((n, segment.columns[n]) for n in ("isep", "irot", "igamma"))
-    return check_table(
-        name or _segment_label(segment, 0), segment.header, rows, ranges
+    from ..maxdo import _fused
+
+    ranges = ranges if ranges is not None else ValueRanges()
+    name = name or _segment_label(segment, 0)
+    if (lib := _fused.load()) is None:
+        rows = {n: segment.column(n) for n in _CHECKED[3:]}
+        rows.update((n, segment.columns[n]) for n in _CHECKED[:3])
+        return check_table(name, segment.header, rows, ranges)
+    bits = lib.maxdo_check_codes(
+        *(segment.columns[n].ctypes.data for n in _CHECKED), len(segment),
+        ranges.max_abs_coordinate, ranges.max_abs_energy, ranges.energy_sum_tolerance,
     )
+    problems = [rule for k, rule in enumerate(ValueRanges.RULES) if bits >> k & 1]
+    return check_table(name, segment.header, segment.columns, ranges, problems=problems)
 
 
 def check_store(

@@ -9,6 +9,7 @@ the file are within a valid range."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,10 @@ class ValueRanges:
     max_abs_energy: float = 1.0e6  #: kcal/mol
     energy_sum_tolerance: float = 1.0e-3  #: |e_tot - (e_lj + e_elec)|
 
+    #: the rules' names, in the order :meth:`violations` reports them
+    RULES: ClassVar = ("non-finite values", "coordinate out of range", "energy out of range",
+                       "non-positive indices", "energy sum mismatch")
+
     def violations(
         self, table: ResultTable | np.ndarray | dict[str, np.ndarray]
     ) -> list[str]:
@@ -37,24 +42,20 @@ class ValueRanges:
         be its columns by name: a record array, or the dict of decoded
         columns a store segment hands over (only the rules' nine)."""
         rec = table.records if isinstance(table, ResultTable) else table
-        problems: list[str] = []
         if len(rec["isep"]) == 0:
-            return problems
+            return []
         coords = [rec[name] for name in ("x", "y", "z")]
         energies = [rec[name] for name in ("e_lj", "e_elec", "e_tot")]
-        if not all(np.isfinite(c).all() for c in coords + energies):
-            problems.append("non-finite values")
-        # np.max, not max(): a NaN maximum must stay NaN, as over a stack
-        if np.max([np.abs(c).max() for c in coords]) > self.max_abs_coordinate:
-            problems.append("coordinate out of range")
-        if np.max([np.abs(e).max() for e in energies]) > self.max_abs_energy:
-            problems.append("energy out of range")
-        if any((rec[name] < 1).any() for name in ("isep", "irot", "igamma")):
-            problems.append("non-positive indices")
         mismatch = np.abs(rec["e_tot"] - (rec["e_lj"] + rec["e_elec"]))
-        if mismatch.max() > self.energy_sum_tolerance:
-            problems.append("energy sum mismatch")
-        return problems
+        broken = (
+            not all(np.isfinite(c).all() for c in coords + energies),
+            # np.max, not max(): a NaN maximum must stay NaN, as over a stack
+            np.max([np.abs(c).max() for c in coords]) > self.max_abs_coordinate,
+            np.max([np.abs(e).max() for e in energies]) > self.max_abs_energy,
+            any((rec[name] < 1).any() for name in ("isep", "irot", "igamma")),
+            mismatch.max() > self.energy_sum_tolerance,
+        )
+        return [rule for rule, bad in zip(self.RULES, broken) if bad]
 
 
 @dataclass
@@ -81,18 +82,19 @@ class CheckReport:
 
 def check_table(
     name: str, header: ResultHeader, rows: np.ndarray | dict[str, np.ndarray],
-    ranges: ValueRanges | None = None,
+    ranges: ValueRanges | None = None, *, problems: list[str] | None = None,
 ) -> CheckReport:
     """Checks 2 and 3 (line count, value ranges) on one result slice given
     as its header and its columns by name (a record array, or a store
     segment's decoded columns), reported under ``name`` — the rule
-    :func:`repro.store.check_segment` applies to every segment."""
+    :func:`repro.store.check_segment` applies to every segment; it gives
+    ``problems`` when its native pass has run the range rules already."""
     ranges = ranges if ranges is not None else ValueRanges()
     report = CheckReport(files_expected=1, files_found=1)
     if len(rows["isep"]) != expected_line_count(header.nsep, header.n_couples):
         report.files_with_bad_line_count.append(name)
-    problems = ranges.violations(rows)
+    if problems is None:
+        problems = ranges.violations(rows)
     if problems:
         report.files_with_bad_values[name] = problems
     return report
-

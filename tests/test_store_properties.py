@@ -13,8 +13,9 @@ and the text parser must return exactly the records the per-token
 oracle does.  Packing values that never went through text rounds them
 exactly as the text format prints them, near-ties included.  Checks 2/3
 on a segment's columns must reach the verdicts the same rule reaches
-over the decoded record array, sentinel codes and rule boundaries
-included.
+over the decoded record array, sentinel codes, rule boundaries and
+drawn bounds included — by the native pass over the codes and, with the
+library unloaded, by the decoded columns.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.store.format as store_format
+from repro.maxdo import _fused
 from repro.maxdo.resultfile import (
     RESULT_DTYPE,
     ResultHeader,
@@ -40,7 +43,7 @@ from repro.store import (
     segment_to_text,
     unpack_records,
 )
-from repro.validation.checks import check_table
+from repro.validation.checks import ValueRanges, check_table
 from tests.oracles.resultfile import read_results_reference
 
 pytestmark = pytest.mark.store
@@ -237,9 +240,10 @@ def _codes(bits: int, edges: list[int], span: int):
 
 #: |coordinate| 500.000 passes and 500.001 fails (milli-Angstrom codes)
 COORD = _codes(32, [500_000, 500_001, -500_000, -500_001], 600_000)
-#: |energy| 1e6 passes and 1e6 + 1e-4 fails (1e-4 codes)
+#: |energy| 1e6 passes and 1e6 + 1e-4 fails (1e-4 codes); the largest
+#: code is where ``code - INT64_MIN`` would overflow
 E6 = 10**10
-ENERGY = _codes(64, [E6, E6 + 1, -E6, -E6 - 1], E6 + 5)
+ENERGY = _codes(64, [E6, E6 + 1, -E6, -E6 - 1, (1 << 63) - 1], E6 + 5)
 #: per column: values every rule passes, or the codes above
 COLUMN_CODES = {
     "index": (st.integers(1, 3), st.integers(-1, 6)),
@@ -280,14 +284,31 @@ def coded_segments(draw):
     return ColumnarSegment(header, columns=columns)
 
 
+#: bounds the rules flip at (the defaults, a code either side), none, and any
+BOUNDS = {
+    name: st.one_of(st.sampled_from([*edges, 0.0, np.inf, np.nan]), st.floats(0.0, hi))
+    for name, edges, hi in (
+        ("max_abs_coordinate", [500.0, 499.999, 500.001], 3e6),
+        ("max_abs_energy", [1e6, 999_999.9999, 1_000_000.0001], 1e15),
+        ("energy_sum_tolerance", [1e-3, 9e-4, 1.1e-3], 1e15),
+    )
+}
+
+
 class TestCheckProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(segment=coded_segments())
-    def test_column_checks_match_the_record_checks(self, segment):
+    """The range check over packed codes: by the native library where it
+    loads; the subclass below runs the same tests without it."""
+
+    # one property run from both classes: a failure either way replays in both
+    @settings(max_examples=300, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.differing_executors,
+    ])
+    @given(segment=coded_segments(), ranges=st.builds(ValueRanges, **BOUNDS))
+    def test_column_checks_match_the_record_checks(self, segment, ranges):
         with np.errstate(invalid="ignore"):  # inf - inf in the sum rule
-            from_columns = check_segment(segment, name="s")
+            from_columns = check_segment(segment, ranges, name="s")
             from_records = check_table(
-                "s", segment.header, unpack_records(segment.packed)
+                "s", segment.header, unpack_records(segment.packed), ranges
             )
         assert from_columns == from_records
 
@@ -314,3 +335,25 @@ class TestCheckProperties:
         assert verdicts[1].files_with_bad_values == {
             "segment[0] R-L@1": [problem]
         }
+
+    def test_the_native_check_decodes_nothing(self, monkeypatch):
+        if _fused.load() is None:
+            pytest.skip("the native library does not load here")
+        monkeypatch.setattr(store_format, "_decode_column", None)  # a call fails
+        rows = np.ones(3, dtype=PACKED_DTYPE)
+        rows["y"][1] = -(1 << 31)  # NaN
+        segment = ColumnarSegment(ResultHeader("R", "L", 1, 1, 3, 1), rows)
+        assert check_segment(segment).files_with_bad_values == {
+            "segment[0] R-L@1": ["non-finite values"]
+        }
+
+
+class TestCheckPropertiesDecoded(TestCheckProperties):
+    """The same properties where the native library does not load: the
+    columns are decoded and ``ValueRanges.violations`` runs over them."""
+
+    @pytest.fixture(autouse=True)
+    def _without_the_library(self, monkeypatch):
+        monkeypatch.setattr(_fused, "load", lambda: None)
+
+    test_the_native_check_decodes_nothing = None
