@@ -230,16 +230,14 @@ int maxdo_fixed_codes(const unsigned char *lines, long n, long width,
 
 /* Range check: the ValueRanges rules over one segment's packed codes.
  *
- * The store's fixed-point scales (repro.store.format): coordinates in
- * 1e-3 Angstrom, energies in 1e-4 kcal/mol.  The four lowest codes of a
- * column are NaN, +inf, -inf and -0.0; codes are only ever compared with
- * lo + k, never offset by lo (a positive int64 code minus INT64_MIN
+ * The store's fixed-point scales come as arguments, from
+ * repro.store.format._SCALES.  The four lowest codes of a column are NaN,
+ * +inf, -inf and -0.0 (format._SENTINEL_*); codes are only ever compared
+ * with lo + k, never offset by lo (a positive int64 code minus INT64_MIN
  * overflows).  Returns the violated rules as bits, in violations' order:
  * 1 non-finite values, 2 coordinate out of range, 4 energy out of range,
  * 8 non-positive indices, 16 energy sum mismatch.
  */
-#define COORD_SCALE 1000.0
-#define ENERGY_SCALE 10000.0
 #define CHECK_NON_FINITE 1
 #define CHECK_COORD 2
 #define CHECK_ENERGY 4
@@ -262,17 +260,18 @@ static double decode(int64_t code, int64_t lo, double scale)
  * rule a NaN reaches is not violated, whatever else its values hold. */
 static int check_exact(const int32_t *const coords[3],
                        const int64_t *const energies[3], long n,
+                       double coord_scale, double energy_scale,
                        double max_coord, double max_energy, double tol)
 {
     int non_finite = 0, nan[3] = {0, 0, 0}, over[3] = {0, 0, 0};
     for (long i = 0; i < n; ++i) {
         double e[3];
         for (int k = 0; k < 3; ++k) {
-            const double v = decode(coords[k][i], INT32_MIN, COORD_SCALE);
+            const double v = decode(coords[k][i], INT32_MIN, coord_scale);
             non_finite |= !isfinite(v);
             nan[0] |= isnan(v);
             over[0] |= fabs(v) > max_coord;
-            e[k] = decode(energies[k][i], INT64_MIN, ENERGY_SCALE);
+            e[k] = decode(energies[k][i], INT64_MIN, energy_scale);
             non_finite |= !isfinite(e[k]);
             nan[1] |= isnan(e[k]);
             over[1] |= fabs(e[k]) > max_energy;
@@ -291,7 +290,8 @@ int maxdo_check_codes(const int32_t *isep, const int16_t *irot,
                       const int16_t *igamma, const int32_t *x,
                       const int32_t *y, const int32_t *z,
                       const int64_t *e_lj, const int64_t *e_elec,
-                      const int64_t *e_tot, long n, double max_coord,
+                      const int64_t *e_tot, long n, double coord_scale,
+                      double energy_scale, double max_coord,
                       double max_energy, double tol)
 {
     /* One pass, every lane independent and every verdict an OR
@@ -302,14 +302,14 @@ int maxdo_check_codes(const int32_t *isep, const int16_t *irot,
         sentinel |= (x[i] < INT32_MIN + 4) | (y[i] < INT32_MIN + 4)
                     | (z[i] < INT32_MIN + 4) | (e_lj[i] < INT64_MIN + 4)
                     | (e_elec[i] < INT64_MIN + 4) | (e_tot[i] < INT64_MIN + 4);
-        const double vx = (double)x[i] / COORD_SCALE;
-        const double vy = (double)y[i] / COORD_SCALE;
-        const double vz = (double)z[i] / COORD_SCALE;
+        const double vx = (double)x[i] / coord_scale;
+        const double vy = (double)y[i] / coord_scale;
+        const double vz = (double)z[i] / coord_scale;
         coord |= (fabs(vx) > max_coord) | (fabs(vy) > max_coord)
                  | (fabs(vz) > max_coord);
-        const double lj = (double)e_lj[i] / ENERGY_SCALE;
-        const double el = (double)e_elec[i] / ENERGY_SCALE;
-        const double tot = (double)e_tot[i] / ENERGY_SCALE;
+        const double lj = (double)e_lj[i] / energy_scale;
+        const double el = (double)e_elec[i] / energy_scale;
+        const double tot = (double)e_tot[i] / energy_scale;
         energy |= (fabs(lj) > max_energy) | (fabs(el) > max_energy)
                   | (fabs(tot) > max_energy);
         sum |= fabs(tot - (lj + el)) > tol;
@@ -318,8 +318,8 @@ int maxdo_check_codes(const int32_t *isep, const int16_t *irot,
     if (sentinel) {  /* the values above are wrong for a sentinel code */
         const int32_t *const coords[3] = {x, y, z};
         const int64_t *const energies[3] = {e_lj, e_elec, e_tot};
-        return bits | check_exact(coords, energies, n, max_coord,
-                                  max_energy, tol);
+        return bits | check_exact(coords, energies, n, coord_scale,
+                                  energy_scale, max_coord, max_energy, tol);
     }
     return bits | (coord ? CHECK_COORD : 0) | (energy ? CHECK_ENERGY : 0)
            | (sum ? CHECK_SUM : 0);

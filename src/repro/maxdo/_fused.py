@@ -1,17 +1,14 @@
-"""On-demand build + ctypes bindings for the native library: the fused
-docking kernels, the text ingest's fixed-column reader, the store's CRC-32
-and range check.
+"""On-demand build + ctypes bindings for the native library: the docking
+kernels, the text ingest's column reader, the store's CRC-32 and check.
 
 Compiles ``_fused.c`` with whatever C compiler the host happens to have
 (``$CC``, ``cc``, ``gcc`` or ``clang``) into a per-user temp cache keyed by
-a hash of the source and flags (a build removes other sources' libraries),
-and exposes thin numpy wrappers.  Nothing here is required: :func:`load`
-returns ``None`` when there is no compiler (or when ``REPRO_NO_FUSED`` is
-set); the batched kernels in :mod:`repro.maxdo.energy` then fall back to
-pure numpy, :mod:`repro.store.convert` reads codes with an integer
-``np.loadtxt``, :mod:`repro.store.format` takes ``zlib.crc32`` and
-:func:`repro.store.check_segment` decodes the columns the range rules
-read.  Each loads it at first use.
+a hash of the source and flags, and exposes thin numpy wrappers.  Nothing
+here is required: :func:`load` returns ``None`` without a compiler (or
+with ``REPRO_NO_FUSED`` set), and each caller, loading it at first use,
+falls back: :mod:`repro.maxdo.energy` to pure numpy, the text ingest to an
+integer ``np.loadtxt``, the store's CRC to ``zlib.crc32`` and its range
+check to the decoded rules.
 
 The build deliberately avoids ``-ffast-math`` and forces
 ``-ffp-contract=off``: the C kernels are contractually bit-identical to
@@ -29,6 +26,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -41,6 +39,7 @@ _SOURCE = Path(__file__).with_name("_fused.c")
 #: stops setting errno) and is what lets the compiler vectorize the
 #: sqrt-bearing loops; -ffast-math would NOT be safe (reassociation).
 _BASE_FLAGS = ["-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared"]
+_PRUNE_AGE_S = 600  #: a build of another source younger than this is not deleted
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -110,7 +109,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         _u8, _c_long, _c_long, _i64, _i64, _i64, _c_long, _i64,
     ]
     lib.maxdo_check_codes.restype = ctypes.c_int
-    lib.maxdo_check_codes.argtypes = [*[ctypes.c_void_p] * 9, _c_long, *[_c_double] * 3]
+    lib.maxdo_check_codes.argtypes = [*[ctypes.c_void_p] * 9, _c_long, *[_c_double] * 5]
     if hasattr(lib, "maxdo_crc32"):  # built only for a target with PCLMULQDQ
         lib.maxdo_crc32.restype = ctypes.c_uint32
         lib.maxdo_crc32.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_uint32]
@@ -138,21 +137,24 @@ def load() -> ctypes.CDLL | None:
             return None
         cache = Path(tempfile.gettempdir()) / f"repro-fused-{os.getuid()}"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        builds = _builds(cache)
+        builds, built = _builds(cache), False
         for out, flags in builds.items():
             if not out.exists():
                 if not _build(cc, flags, out):
                     continue
-                for old in set(cache.glob("_fused-*.so")) - builds.keys():
-                    with contextlib.suppress(OSError):  # gone, or not ours
-                        old.unlink()  # a superseded source's: never loaded again
+                built = True
             try:
                 _lib = _bind(ctypes.CDLL(str(out)))
-                return _lib
             except (OSError, AttributeError):
                 # unloadable cache artifact, or a stale library missing
                 # a symbol _bind expects; try the next flag set
                 continue
+            # ours loaded: other sources' builds go, unless fresh (another checkout's)
+            for old in set(cache.glob("_fused-*.so")) - builds.keys() if built else ():
+                with contextlib.suppress(OSError):  # gone, or not ours
+                    if time.time() - old.stat().st_mtime > _PRUNE_AGE_S:
+                        old.unlink()
+            return _lib
         return None
     except OSError as exc:
         # Cache-directory setup failed (read-only tmp, permissions, ...).

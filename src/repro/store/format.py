@@ -147,6 +147,7 @@ _N_SENTINELS = 4
 #: each packed column's dtype (on disk and in memory) and integer range
 _COLUMN_DTYPES = {n: PACKED_DTYPE[n].newbyteorder("<") for n in PACKED_DTYPE.names}
 _BOUNDS = {n: (np.iinfo(d).min, np.iinfo(d).max) for n, d in _COLUMN_DTYPES.items()}
+_fused = None  #: :mod:`repro.maxdo._fused`, imported by the first :func:`_crc32`
 
 
 def _round_scaled(values: np.ndarray, scale: int) -> np.ndarray:
@@ -239,21 +240,19 @@ def _decode_column(raw: np.ndarray, name: str) -> np.ndarray:
     return col
 
 
-_fold = None  #: the native CRC-32 fold, or zlib.crc32 without one; bound at first use
-
-
 def _crc32(data: bytes | np.ndarray, crc: int = 0) -> int:
     """``zlib.crc32(data, crc)`` of contiguous bytes: by the native library's
     carry-less fold where it loads with one (``maxdo/_fused.c``), else zlib's."""
-    global _fold
-    if _fold is None:
-        from ..maxdo import _fused
-        _fold = getattr(_fused.load(), "maxdo_crc32", None) or zlib.crc32
-    if _fold is zlib.crc32 or not (type(data) is bytes or data.flags.c_contiguous):
-        return zlib.crc32(data, crc)  # which refuses a strided array
+    global _fused
+    if _fused is None:
+        from ..maxdo import _fused as module
+        _fused = module
+    fold = getattr(_fused.load(), "maxdo_crc32", None)
     if type(data) is bytes:
-        return _fold(data, len(data), crc)
-    return _fold(data.ctypes.data, data.nbytes, crc)
+        return zlib.crc32(data, crc) if fold is None else fold(data, len(data), crc)
+    if fold is None or not data.flags.c_contiguous:
+        return zlib.crc32(data, crc)  # which refuses a strided array
+    return fold(data.ctypes.data, data.nbytes, crc)
 
 
 def unpack_records(packed) -> np.ndarray:

@@ -6,7 +6,7 @@ passes — the one result path: a text upload enters it through
 
 * **checks 2/3** (:func:`check_segment` / :func:`check_store`): line-count
   and value-range validation straight off the codes the rules read
-  (:func:`repro.validation.checks.check_table`), without a text parse;
+  (:class:`repro.validation.checks.ValueRanges`), without a text parse;
 * **merge** (:func:`merge_segments` / :func:`merge_couple_store`):
   slice-tiling validation plus a column-by-column concatenation in key
   order, one couple at a time — no text line is ever materialized;
@@ -25,9 +25,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..maxdo.resultfile import ResultHeader
-from ..validation.checks import CheckReport, ValueRanges, check_table
+from ..validation.checks import CheckReport, ValueRanges, slice_report
 from ..validation.merge import KeyOrder, key_order, merged_header
 from .format import (
+    _SCALES,
     PACKED_DTYPE,
     ColumnarSegment,
     ResultStore,
@@ -70,25 +71,26 @@ def check_segment(
     """Checks 2 and 3 (line count, value ranges) on one segment.
 
     The range rules run as one native pass over the nine packed columns
-    they read, with the verdicts ``ValueRanges.violations`` reaches over
-    the decoded values; where the library does not load, that rule runs
-    over the six value columns decoded (bit-identical to a per-token parse
-    of the text file) and the three integer indices as stored.
+    they read, reaching ``ValueRanges.violations``' verdicts; without the
+    library, that rule runs over the six value columns decoded (as a text
+    parse gives them) and the three integer indices as stored.
     """
     from ..maxdo import _fused
 
     ranges = ranges if ranges is not None else ValueRanges()
-    name = name or _segment_label(segment, 0)
     if (lib := _fused.load()) is None:
         rows = {n: segment.column(n) for n in _CHECKED[3:]}
         rows.update((n, segment.columns[n]) for n in _CHECKED[:3])
-        return check_table(name, segment.header, rows, ranges)
-    bits = lib.maxdo_check_codes(
-        *(segment.columns[n].ctypes.data for n in _CHECKED), len(segment),
-        ranges.max_abs_coordinate, ranges.max_abs_energy, ranges.energy_sum_tolerance,
-    )
-    problems = [rule for k, rule in enumerate(ValueRanges.RULES) if bits >> k & 1]
-    return check_table(name, segment.header, segment.columns, ranges, problems=problems)
+        problems = ranges.violations(rows)
+    else:
+        bits = lib.maxdo_check_codes(
+            *(segment.columns[n].ctypes.data for n in _CHECKED),
+            len(segment), _SCALES["x"], _SCALES["e_lj"],
+            ranges.max_abs_coordinate, ranges.max_abs_energy, ranges.energy_sum_tolerance,
+        )
+        problems = [rule for k, rule in enumerate(ValueRanges.RULES) if bits >> k & 1]
+    name = name or _segment_label(segment, 0)
+    return slice_report(name, segment.header, len(segment), problems)
 
 
 def check_store(
@@ -98,7 +100,6 @@ def check_store(
 ) -> CheckReport:
     """All three checks over a whole store (check 1 counts segments); a
     path is read one segment at a time."""
-    ranges = ranges if ranges is not None else ValueRanges()
     report = CheckReport(files_expected=0, files_found=0)
     for i, segment in enumerate(_segments(store)):
         sub = check_segment(segment, ranges, name=_segment_label(segment, i))

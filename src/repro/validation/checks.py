@@ -9,7 +9,6 @@ the file are within a valid range."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -32,8 +31,8 @@ class ValueRanges:
     energy_sum_tolerance: float = 1.0e-3  #: |e_tot - (e_lj + e_elec)|
 
     #: the rules' names, in the order :meth:`violations` reports them
-    RULES: ClassVar = ("non-finite values", "coordinate out of range", "energy out of range",
-                       "non-positive indices", "energy sum mismatch")
+    RULES = ("non-finite values", "coordinate out of range", "energy out of range",
+             "non-positive indices", "energy sum mismatch")
 
     def violations(
         self, table: ResultTable | np.ndarray | dict[str, np.ndarray]
@@ -82,19 +81,23 @@ class CheckReport:
 
 def check_table(
     name: str, header: ResultHeader, rows: np.ndarray | dict[str, np.ndarray],
-    ranges: ValueRanges | None = None, *, problems: list[str] | None = None,
+    ranges: ValueRanges | None = None,
 ) -> CheckReport:
     """Checks 2 and 3 (line count, value ranges) on one result slice given
     as its header and its columns by name (a record array, or a store
     segment's decoded columns), reported under ``name`` — the rule
-    :func:`repro.store.check_segment` applies to every segment; it gives
-    ``problems`` when its native pass has run the range rules already."""
+    :func:`repro.store.check_segment` applies to every segment."""
     ranges = ranges if ranges is not None else ValueRanges()
+    return slice_report(name, header, len(rows["isep"]), ranges.violations(rows))
+
+
+def slice_report(
+    name: str, header: ResultHeader, n_rows: int, problems: list[str]
+) -> CheckReport:
+    """Checks 2 and 3 on ``n_rows`` rows breaking the range rules ``problems``."""
     report = CheckReport(files_expected=1, files_found=1)
-    if len(rows["isep"]) != expected_line_count(header.nsep, header.n_couples):
+    if n_rows != expected_line_count(header.nsep, header.n_couples):
         report.files_with_bad_line_count.append(name)
-    if problems is None:
-        problems = ranges.violations(rows)
     if problems:
         report.files_with_bad_values[name] = problems
     return report

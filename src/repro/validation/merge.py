@@ -86,16 +86,6 @@ class KeyOrder(NamedTuple):
         return [parts[k] for k in self.chunks] if self.rows is None else [self.apply(parts)]
 
 
-_KEYS = ("isep", "irot", "igamma")
-
-
-def _before(a, b):
-    """Whether key triples ``a`` sort strictly before ``b``, elementwise;
-    False wherever a NaN key decides."""
-    (i0, r0, g0), (i1, r1, g1) = a, b
-    return (i0 < i1) | ((i0 == i1) & ((r0 < r1) | ((r0 == r1) & (g0 < g1))))
-
-
 def key_order(chunks: Sequence) -> KeyOrder:
     """The merged-file order, ``(isep, irot, igamma)`` ascending, of one
     couple's chunks — each a record array or a segment's columns, read by
@@ -107,17 +97,22 @@ def key_order(chunks: Sequence) -> KeyOrder:
     not — ties, disorder, NaN keys — it is the stable ``lexsort`` of the
     chunks as given, so ties and NaN keys come out as they always did.
     """
+    def keys(order):
+        return [np.concatenate([chunks[k][n] for k in order])
+                for n in ("isep", "irot", "igamma")]
+
     given = list(range(len(chunks)))
     by_start = sorted(
         given, key=lambda k: chunks[k]["isep"][0] if len(chunks[k]["isep"]) else 0
     )
-    keyed = [[chunks[k][n] for n in _KEYS] for k in by_start if len(chunks[k]["isep"])]
-    # tested in place, no key copied: within each chunk, then across each boundary
-    if all(_before([k[:-1] for k in c], [k[1:] for k in c]).all() for c in keyed) and all(
-        _before([k[-1] for k in a], [k[0] for k in b]) for a, b in zip(keyed, keyed[1:])
-    ):
+    i, r, g = keys(by_start)
+    ascending = (i[:-1] < i[1:]) | (
+        (i[:-1] == i[1:])
+        & ((r[:-1] < r[1:]) | ((r[:-1] == r[1:]) & (g[:-1] < g[1:])))
+    )
+    if ascending.all():
         return KeyOrder(by_start, None)
-    i, r, g = (np.concatenate([c[n] for c in chunks]) for n in _KEYS)
+    i, r, g = keys(given)
     return KeyOrder(given, np.lexsort((g, r, i)))
 
 

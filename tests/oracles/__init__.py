@@ -24,9 +24,7 @@ became the only one:
   the oracle for ``VolunteerAgent._compute_step``'s walk of the trace;
 * :mod:`tests.oracles.merge` — the concatenate-then-``lexsort`` merge
   order, the oracle for ``repro.validation.merge.key_order``, which
-  concatenates chunks already in key order without sorting; and that
-  rule as it tested the order on the chunks' concatenated keys, the
-  oracle for ``key_order``'s in-place test.
+  concatenates chunks already in key order without sorting.
 
 Only tests import this package (``tests/test_fleet.py`` pins that).  The
 docstrings are frozen with the code and may name files as they were when

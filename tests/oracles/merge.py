@@ -1,5 +1,4 @@
-"""Merge oracles: one stable ``lexsort`` of the chunks as given, and the
-key-order rule that tested the chunks' order on their concatenated keys."""
+"""Merge oracle: one stable ``lexsort`` of the chunks as given."""
 
 from __future__ import annotations
 
@@ -7,9 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.validation.merge import KeyOrder
-
-__all__ = ["key_order_reference", "sorted_rows_reference"]
+__all__ = ["sorted_rows_reference"]
 
 
 def sorted_rows_reference(chunks: Sequence[np.ndarray]) -> np.ndarray:
@@ -20,33 +17,3 @@ def sorted_rows_reference(chunks: Sequence[np.ndarray]) -> np.ndarray:
     """
     rows = np.concatenate(chunks)
     return rows[np.lexsort((rows["igamma"], rows["irot"], rows["isep"]))]
-
-
-def key_order_reference(chunks: Sequence) -> KeyOrder:
-    """The merged-file order, ``(isep, irot, igamma)`` ascending, of one
-    couple's chunks — each a record array or a segment's columns, read by
-    key name: the one rule :func:`repro.store.merge_segments` applies.
-
-    A workunit writes its rows in key order and slices ``isep``, so the
-    chunks taken by their first ``isep`` usually concatenate into merged
-    order; if the keys then strictly increase, that is the order.  If
-    not — ties, disorder, NaN keys — it is the stable ``lexsort`` of the
-    chunks as given, so ties and NaN keys come out as they always did.
-    """
-    def keys(order):
-        return [np.concatenate([chunks[k][n] for k in order])
-                for n in ("isep", "irot", "igamma")]
-
-    given = list(range(len(chunks)))
-    by_start = sorted(
-        given, key=lambda k: chunks[k]["isep"][0] if len(chunks[k]["isep"]) else 0
-    )
-    i, r, g = keys(by_start)
-    ascending = (i[:-1] < i[1:]) | (
-        (i[:-1] == i[1:])
-        & ((r[:-1] < r[1:]) | ((r[:-1] == r[1:]) & (g[:-1] < g[1:])))
-    )
-    if ascending.all():
-        return KeyOrder(by_start, None)
-    i, r, g = keys(given)
-    return KeyOrder(given, np.lexsort((g, r, i)))

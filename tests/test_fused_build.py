@@ -4,8 +4,10 @@
   returns a library with every symbol ``_bind`` binds: a ``_fused.c``
   that stops compiling fails here instead of silently running every
   kernel on its numpy or zlib fallback.
-* A build removes the cache's libraries of other sources and keeps this
-  source's, for both flag sets; the next process loads without building.
+* A build, once loaded, removes the cache's libraries of other sources
+  except those built in the last ``_PRUNE_AGE_S`` (another checkout may be
+  loading one) and keeps this source's, for both flag sets; the next
+  process loads without building.
 * The reduce (read -> check -> merge -> matrix) gives the same report,
   merged bytes and matrix with the library as without it.
 """
@@ -19,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +72,15 @@ def test_a_build_removes_superseded_builds_only(tmp_path):
     cache.mkdir()
     native, base = _fused._builds(cache)
     stale = [cache / "_fused-0123456789abcdef.so", cache / "_fused-feedfacefeedface.so"]
-    for path in (*stale, base, cache / "notes.txt"):
+    young = cache / "_fused-00000000000000aa.so"  # another checkout's, just built
+    for path in (*stale, young, base, cache / "notes.txt"):
         path.write_bytes(b"not a library")
+    for path in (*stale, base):
+        os.utime(path, (0, time.time() - _fused._PRUNE_AGE_S - 60))
     load = "from repro.maxdo import _fused; print(_fused.load()._name)"
     assert run_child(load, TMPDIR=str(tmp_path)) == str(native)
     assert not any(path.exists() for path in stale)
+    assert young.exists()
     assert base.read_bytes() == b"not a library"  # this source's, kept
     assert (cache / "notes.txt").exists()
     built = native.stat()

@@ -13,9 +13,7 @@
 * ``merge_couple_store`` holds a bounded number of merged couples, not
   the whole campaign.
 * ``key_order`` concatenates chunks already in key order and falls
-  back to the ``lexsort`` oracle otherwise — bit for bit either way; it
-  tests the order in place, and decides exactly as the rule that tested
-  it on the concatenated keys did.
+  back to the ``lexsort`` oracle otherwise — bit for bit either way.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.store.format as store_format
@@ -50,7 +48,7 @@ from repro.store import (
     write_store,
 )
 from repro.validation.merge import key_order
-from tests.oracles.merge import key_order_reference, sorted_rows_reference
+from tests.oracles.merge import sorted_rows_reference
 
 pytestmark = pytest.mark.store
 
@@ -372,14 +370,6 @@ class TestStreamingReduce:
 FLOAT_KEYS = np.dtype([(k, np.float64) for k in ("isep", "irot", "igamma", "e_tot")])
 
 
-def _key_rows(keys: list[tuple]) -> np.ndarray:
-    """Rows of :data:`FLOAT_KEYS` with the given keys, in the given order."""
-    rows = np.zeros(len(keys), FLOAT_KEYS)
-    for k, key in enumerate(keys):
-        rows[k] = (*key, k)
-    return rows
-
-
 @st.composite
 def merge_inputs(draw):
     """Chunks in any order: key-ordered runs, duplicate keys, NaN keys,
@@ -416,22 +406,6 @@ class TestSortedRows:
         assert merged.dtype == reference.dtype
         assert merged.tobytes() == reference.tobytes()
         assert b"".join(p.tobytes() for p in order.pieces(chunks)) == reference.tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @example(chunks=[_key_rows([(1, 1, 1), (1, 1, 2)]), _key_rows([(1, 1, 2)])])
-    @example(chunks=[_key_rows([(1, 1, 1)]), _key_rows([]), _key_rows([(1, 1, 1)])])
-    @example(chunks=[_key_rows([(1, 1, 1)]), _key_rows([]), _key_rows([(2, 1, 1)])])
-    @example(chunks=[_key_rows([(1, 1, 1), (1, 2, np.nan)]), _key_rows([(2, 1, 1)])])
-    @example(chunks=[_key_rows([(1, 1, np.nan)]), _key_rows([(2, 1, 1)])])
-    @example(chunks=[_key_rows([]), _key_rows([])])
-    @given(chunks=merge_inputs())
-    def test_order_test_matches_the_concatenating_rule(self, chunks):
-        order, reference = key_order(chunks), key_order_reference(chunks)
-        assert order.chunks == reference.chunks
-        if reference.rows is None:
-            assert order.rows is None
-        else:
-            assert order.rows.tobytes() == reference.rows.tobytes()
 
     def test_ordered_chunks_in_any_order_are_not_sorted(self, monkeypatch):
         chunks = [s.packed for s in couple_chunks("R", "L", 4, 3, 5, 0)]
