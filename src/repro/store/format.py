@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,7 @@ STORE_MAGIC = b"RPRCOLS\x01"
 STORE_VERSION = 1
 
 _SEGMENT_MAGIC = b"SEG1"
+_IOV_MAX = 1024  #: Linux's limit on the pieces of one ``writev``
 
 #: fixed-point scales matching the text format's precision exactly
 _COORD_SCALE = 1_000  # %10.3f
@@ -382,31 +384,56 @@ def _header_from_meta(meta: dict) -> ResultHeader:
     )
 
 
-def _decode_segment(fh, path: Path) -> ColumnarSegment | None:
+class _Frame(NamedTuple):
+    """A segment's entry in a store file's index: what its frame says, the
+    payload left on disk."""
+
+    header: ResultHeader
+    source: str | None
+    campaign: str | None
+    offset: int  #: of the payload, from the start of the file
+    n_rows: int
+    crc: int
+
+
+def _frames(fh, path: Path) -> Iterator[tuple[_Frame, bytes]]:
+    """Walk the frames of an open store file from its first segment on:
+    each one's index entry and payload, the payload's CRC checked.  The
+    file is left at the frame's end."""
     import json
 
-    magic = fh.read(4)
-    if not magic:
-        return None
-    if magic != _SEGMENT_MAGIC:
-        raise ValueError(f"{path.name}: corrupt segment magic {magic!r}")
-    meta_len = int.from_bytes(_read_exact(fh, path, 4), "little")
-    meta = json.loads(_read_exact(fh, path, meta_len).decode("ascii"))
-    n_rows = int.from_bytes(_read_exact(fh, path, 8), "little")
-    payload = _read_exact(fh, path, n_rows * ROW_BYTES)
-    crc = int.from_bytes(_read_exact(fh, path, 4), "little")
-    if crc != _crc32(payload):
+    while magic := fh.read(4):
+        if magic != _SEGMENT_MAGIC:
+            raise ValueError(f"{path.name}: corrupt segment magic {magic!r}")
+        meta_len = int.from_bytes(_read_exact(fh, path, 4), "little")
+        meta = json.loads(_read_exact(fh, path, meta_len).decode("ascii"))
+        n_rows = int.from_bytes(_read_exact(fh, path, 8), "little")
+        offset = fh.tell()
+        payload = _read_exact(fh, path, n_rows * ROW_BYTES)
+        crc = int.from_bytes(_read_exact(fh, path, 4), "little")
+        _check_crc(payload, crc, path)
+        yield _Frame(_header_from_meta(meta), meta.get("source"), meta.get("campaign"),
+                     offset, n_rows, crc), payload
+
+
+def _check_crc(payload: bytes | np.ndarray, crc: int, path: Path) -> None:
+    if _crc32(payload) != crc:
         raise ValueError(f"{path.name}: segment payload CRC mismatch")
-    columns, offset = {}, 0
+
+
+def _segment(frame: _Frame, buffer: bytes | np.ndarray, at: int = 0) -> ColumnarSegment:
+    """The segment ``frame`` indexes, its columns read-only views of its
+    payload at ``at`` in ``buffer``."""
+    columns = {}
     for name, dtype in _COLUMN_DTYPES.items():  # views: the bytes stay put
-        columns[name] = np.frombuffer(payload, dtype, n_rows, offset)
-        offset += dtype.itemsize * n_rows
-    return ColumnarSegment(
-        _header_from_meta(meta),
-        source=meta.get("source"),
-        campaign=meta.get("campaign"),
-        columns=columns,
-    )
+        columns[name] = np.frombuffer(buffer, dtype, frame.n_rows, at)
+        at += dtype.itemsize * frame.n_rows
+    # the views are the constructor's checked columns by construction, and
+    # every stage builds one segment per segment it reads: skip the checks
+    segment = object.__new__(ColumnarSegment)
+    segment.columns = MappingProxyType(columns)
+    segment.header, segment.source, segment.campaign = frame.header, frame.source, frame.campaign
+    return segment
 
 
 def _read_exact(fh, path: Path, n: int) -> bytes:
@@ -414,6 +441,21 @@ def _read_exact(fh, path: Path, n: int) -> bytes:
     if len(data) != n:
         raise ValueError(f"{path.name}: truncated store file")
     return data
+
+
+def _write_all(fd: int, parts: list) -> None:
+    """Write ``parts`` in order with as few ``writev`` calls as IOV_MAX
+    allows: one per frame, not one per column (each write costs a file
+    system call of its own)."""
+    views = [memoryview(part).cast("B") for part in parts]
+    k = 0
+    while k < len(views):
+        n = os.writev(fd, views[k:k + _IOV_MAX])
+        while k < len(views) and n >= len(views[k]):
+            n -= len(views[k])
+            k += 1
+        if n:  # a short write: resume inside this part
+            views[k] = views[k][n:]
 
 
 class StoreWriter:
@@ -428,10 +470,9 @@ class StoreWriter:
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         exists = self.path.exists() and self.path.stat().st_size > 0
-        self._fh = self.path.open("ab")
+        self._fh = self.path.open("ab", buffering=0)
         if not exists:
-            self._fh.write(STORE_MAGIC)
-            self._fh.write(STORE_VERSION.to_bytes(4, "little"))
+            _write_all(self._fh.fileno(), [STORE_MAGIC + STORE_VERSION.to_bytes(4, "little")])
         self.n_segments_written = 0
 
     def append(self, segment: ColumnarSegment) -> int:
@@ -447,15 +488,12 @@ class StoreWriter:
         import json
 
         meta = json.dumps(_segment_meta(header, source, campaign), sort_keys=True).encode("ascii")
-        self._fh.write(
-            _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta
-            + n_rows.to_bytes(8, "little")
-        )
+        head = _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta + n_rows.to_bytes(8, "little")
+        parts = list(parts)
         crc = 0
         for part in parts:
-            self._fh.write(part)
             crc = _crc32(part, crc)
-        self._fh.write(crc.to_bytes(4, "little"))
+        _write_all(self._fh.fileno(), [head, *parts, crc.to_bytes(4, "little")])
         self.n_segments_written += 1
         return 20 + len(meta) + n_rows * ROW_BYTES  # 20: magic, 2 lengths, CRC
 
@@ -494,12 +532,11 @@ def write_store(path: Path | str, segments: Iterable[ColumnarSegment | tuple]) -
     return writer.n_segments_written
 
 
-def iter_segments(path: Path | str) -> Iterator[ColumnarSegment]:
-    """Stream the segments of a store file in on-disk order."""
-    path = Path(path)
+@contextmanager
+def _opened(path: Path) -> Iterator:
+    """A store file open for reading, past its magic and version."""
     with path.open("rb") as fh:
-        magic = fh.read(len(STORE_MAGIC))
-        if magic != STORE_MAGIC:
+        if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
             raise ValueError(f"{path.name}: not a repro result store")
         version = int.from_bytes(_read_exact(fh, path, 4), "little")
         if version != STORE_VERSION:
@@ -507,26 +544,82 @@ def iter_segments(path: Path | str) -> Iterator[ColumnarSegment]:
                 f"{path.name}: store version {version} unsupported "
                 f"(expected {STORE_VERSION})"
             )
-        while True:
-            segment = _decode_segment(fh, path)
-            if segment is None:
-                return
-            yield segment
+        yield fh
+
+
+def iter_segments(path: Path | str) -> Iterator[ColumnarSegment]:
+    """Stream the segments of a store file in on-disk order."""
+    path = Path(path)
+    with _opened(path) as fh:
+        for frame, payload in _frames(fh, path):
+            yield _segment(frame, payload)
+
+
+class _StoreFile(Sequence[ColumnarSegment]):
+    """The segments of a store file, read by offset from its index when
+    indexed or iterated.  Every read checks the payload's CRC again: the
+    file may have changed since it was indexed."""
+
+    def __init__(self, path: Path, frames: list[_Frame]) -> None:
+        self.path, self.frames = path, frames
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, i: int) -> ColumnarSegment:
+        return self.read([range(len(self))[i]])[0]
+
+    def __iter__(self) -> Iterator[ColumnarSegment]:
+        with self.path.open("rb") as fh:
+            for frame in self.frames:
+                yield from self._read(fh, [frame])
+
+    def read(self, positions: Iterable[int]) -> list[ColumnarSegment]:
+        """The segments at ``positions``, read into one buffer."""
+        with self.path.open("rb") as fh:
+            return self._read(fh, [self.frames[k] for k in positions])
+
+    def _read(self, fh, frames: list[_Frame]) -> list[ColumnarSegment]:
+        buffer = np.empty(sum(f.n_rows for f in frames) * ROW_BYTES, np.uint8)
+        starts, at = [], 0
+        for frame in frames:
+            payload = buffer[at:at + frame.n_rows * ROW_BYTES]
+            fh.seek(frame.offset)
+            if fh.readinto(payload) != len(payload):
+                raise ValueError(f"{self.path.name}: truncated store file")
+            _check_crc(payload, frame.crc, self.path)
+            starts.append(at)
+            at += len(payload)
+        buffer.flags.writeable = False
+        return [_segment(f, buffer, a) for f, a in zip(frames, starts)]
 
 
 @dataclass
 class ResultStore:
-    """A parsed store file: its segments, with couple-level grouping."""
+    """A store's segments, with couple-level grouping.
+
+    From :func:`read_store`, ``segments`` is the file's index: a segment is
+    read from the file when it is indexed or iterated, so only the
+    segments a caller holds are resident.  ``ResultStore(path,
+    segments=[...])`` holds segments already in memory.
+    """
 
     path: Path
-    segments: list[ColumnarSegment] = field(default_factory=list)
+    segments: Sequence[ColumnarSegment] = field(default_factory=list)
+
+    def _index(self) -> list[_Frame] | Sequence[ColumnarSegment]:
+        """What each segment's frame says (``header``, ``source``, ``campaign``
+        and ``n_rows``), no payload read."""
+        if isinstance(self.segments, _StoreFile):
+            return self.segments.frames
+        return [_Frame(s.header, s.source, s.campaign, 0, len(s), 0) for s in self.segments]
 
     def __len__(self) -> int:
         return len(self.segments)
 
     @property
     def n_rows(self) -> int:
-        return sum(len(s) for s in self.segments)
+        return sum(f.n_rows for f in self._index())
 
     def size_rows(self) -> list[list[Any]]:
         """Rows, couples and bytes in both result formats (``repro-hcmd
@@ -534,11 +627,11 @@ class ResultStore:
         :func:`~repro.store.store_to_text` writes, headers included."""
         store_bytes = self.path.stat().st_size
         text_bytes = result_bytes(self.n_rows, len(self)) + sum(
-            len("\n".join(s.header.lines())) + 1 for s in self.segments
+            len("\n".join(f.header.lines())) + 1 for f in self._index()
         )
         return [
             ["segments", len(self)],
-            ["couples", len(self.by_couple())],
+            ["couples", len(self.couples())],
             ["rows", f"{self.n_rows:,}"],
             ["store bytes", format_bytes(store_bytes)],
             ["text-equivalent bytes", format_bytes(text_bytes)],
@@ -547,34 +640,32 @@ class ResultStore:
 
     def couples(self) -> list[tuple[str, str]]:
         """Distinct (receptor, ligand) couples, in first-seen order."""
-        seen: dict[tuple[str, str], None] = {}
-        for s in self.segments:
-            seen.setdefault((s.header.receptor, s.header.ligand), None)
-        return list(seen)
+        return list(self._positions())
 
-    def by_couple(self) -> dict[tuple[str, str], list[ColumnarSegment]]:
-        """Segments grouped per (receptor, ligand), in on-disk order."""
-        groups: dict[tuple[str, str], list[ColumnarSegment]] = {}
-        for s in self.segments:
-            groups.setdefault((s.header.receptor, s.header.ligand), []).append(s)
+    def _positions(self) -> dict[tuple[str, str], list[int]]:
+        groups: dict[tuple[str, str], list[int]] = {}
+        for k, f in enumerate(self._index()):
+            groups.setdefault((f.header.receptor, f.header.ligand), []).append(k)
         return groups
 
-    def by_campaign(self) -> dict[str | None, list[ColumnarSegment]]:
-        """Segments grouped per producing campaign, in on-disk order.
-
-        Untagged segments (single-campaign stores, pre-tag files) group
-        under ``None``, so mixed stores split cleanly.
-        """
-        groups: dict[str | None, list[ColumnarSegment]] = {}
-        for s in self.segments:
-            groups.setdefault(s.campaign, []).append(s)
-        return groups
+    def by_couple(self) -> Iterator[tuple[tuple[str, str], list[ColumnarSegment]]]:
+        """Each (receptor, ligand) couple and its segments, in on-disk
+        order, one couple at a time: a file's are read into one buffer
+        when the couple's turn comes."""
+        for couple, positions in self._positions().items():
+            if isinstance(self.segments, _StoreFile):
+                yield couple, self.segments.read(positions)
+            else:
+                yield couple, [self.segments[k] for k in positions]
 
 
 def read_store(path: Path | str) -> ResultStore:
-    """Read a whole store file into memory."""
+    """Index a store file: one pass over its frames checks every payload's
+    CRC and keeps none, so the store holds no segment until one is read."""
     path = Path(path)
-    return ResultStore(path=path, segments=list(iter_segments(path)))
+    with _opened(path) as fh:
+        frames = [frame for frame, _ in _frames(fh, path)]
+    return ResultStore(path=path, segments=_StoreFile(path, frames))
 
 
 def rollback_partial_store(path: Path | str, rows_committed: int) -> int:
@@ -590,22 +681,16 @@ def rollback_partial_store(path: Path | str, rows_committed: int) -> int:
     path = Path(path)
     kept_rows = dropped = 0
     offset = len(STORE_MAGIC) + 4
-    with path.open("rb") as fh:
-        if fh.read(len(STORE_MAGIC)) != STORE_MAGIC:
-            raise ValueError(f"{path.name}: not a repro result store")
-        _read_exact(fh, path, 4)
-        while True:
-            try:
-                segment = _decode_segment(fh, path)
-            except ValueError:  # a torn trailing segment: no rows to drop
-                segment = None
-            if segment is None:
-                break
-            if kept_rows < rows_committed:
-                kept_rows += len(segment)
-                offset = fh.tell()
-            else:
-                dropped += len(segment)
+    with _opened(path) as fh:
+        try:
+            for frame, _ in _frames(fh, path):
+                if kept_rows < rows_committed:
+                    kept_rows += frame.n_rows
+                    offset = fh.tell()
+                else:
+                    dropped += frame.n_rows
+        except ValueError:  # a torn trailing segment: no rows to drop
+            pass
     if kept_rows < rows_committed:
         raise ValueError(
             f"partial store has {kept_rows} committed rows, "

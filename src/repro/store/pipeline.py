@@ -32,7 +32,6 @@ from .format import (
     PACKED_DTYPE,
     ColumnarSegment,
     ResultStore,
-    iter_segments,
     read_store,
     write_store,
 )
@@ -47,9 +46,9 @@ __all__ = [
 ]
 
 
-def _segments(store: ResultStore | Path | str) -> Iterable[ColumnarSegment]:
-    """A store's segments in on-disk order; a path is streamed."""
-    return store.segments if isinstance(store, ResultStore) else iter_segments(store)
+def _store(store: ResultStore | Path | str) -> ResultStore:
+    """A store, or the index of the store file at a path (:func:`read_store`)."""
+    return store if isinstance(store, ResultStore) else read_store(store)
 
 
 def _segment_label(segment: ColumnarSegment, index: int) -> str:
@@ -98,10 +97,10 @@ def check_store(
     files_expected: int | None = None,
     ranges: ValueRanges | None = None,
 ) -> CheckReport:
-    """All three checks over a whole store (check 1 counts segments); a
-    path is read one segment at a time."""
+    """All three checks over a whole store (check 1 counts segments), read
+    one segment at a time."""
     report = CheckReport(files_expected=0, files_found=0)
-    for i, segment in enumerate(_segments(store)):
+    for i, segment in enumerate(_store(store).segments):
         sub = check_segment(segment, ranges, name=_segment_label(segment, i))
         report.files_with_bad_line_count.extend(sub.files_with_bad_line_count)
         report.files_with_bad_values.update(sub.files_with_bad_values)
@@ -149,11 +148,11 @@ def merge_couple_store(
 ) -> int:
     """Merge every couple of a chunked store into a one-segment-per-couple
     store at ``out_path``; returns the total merged row count.  Couples are
-    merged and written one at a time, atomically (:func:`write_store`), as
-    :func:`merge_segments` would; chunks already in key order are not copied."""
-    if not isinstance(store, ResultStore):
-        store = read_store(store)
-    write_store(out_path, (_merged_frame(c) for c in store.by_couple().values()))
+    read, merged and written one at a time (:meth:`ResultStore.by_couple`),
+    atomically (:func:`write_store`), as :func:`merge_segments` would;
+    chunks already in key order are not copied."""
+    store = _store(store)
+    write_store(out_path, (_merged_frame(c) for _, c in store.by_couple()))
     return store.n_rows
 
 
@@ -184,10 +183,10 @@ def energy_matrix(
     ``+inf``.  NaN energies propagate into the entry, exactly as a
     ``records["e_tot"].min()`` over the parsed text file would (checks
     reject such files, but the reduction must not silently launder them).
-    Returns ``(matrix, names)``.  A path is read one segment at a time.
+    Returns ``(matrix, names)``.  The store is read one segment at a time.
     """
     minima: dict[tuple[str, str], list] = {}
-    for s in _segments(store):
+    for s in _store(store).segments:
         found = minima.setdefault((s.header.receptor, s.header.ligand), [])
         if len(s):
             found.append(s.column("e_tot").min())
@@ -213,14 +212,14 @@ def position_energy_maps(
     :class:`repro.science.SiteMaps` consumes.  All receptors must share
     one position-grid size (``n_positions``; defaults to the largest
     header ``nsep`` seen, with headerless couples inferred from their
-    rows).  Unsampled positions stay ``+inf``.
+    rows).  Unsampled positions stay ``+inf``.  The store is read one
+    segment at a time.
     """
-    if not isinstance(store, ResultStore):
-        store = read_store(store)
+    store = _store(store)
     names, index = _couple_index(store.couples(), names)
     if n_positions is None:
         n_positions = max(
-            (s.header.isep_start + s.header.nsep - 1 for s in store.segments),
+            (f.header.isep_start + f.header.nsep - 1 for f in store._index()),
             default=0,
         )
     n = len(names)

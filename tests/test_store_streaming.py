@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.store.format as store_format
-import repro.store.pipeline as pipeline
 from repro.maxdo import _fused
 from repro.maxdo.resultfile import RESULT_DTYPE, ResultHeader, write_results
 from repro.store import (
@@ -41,6 +40,7 @@ from repro.store import (
     energy_matrix,
     merge_couple_store,
     merge_segments,
+    position_energy_maps,
     read_store,
     render_lines,
     rollback_partial_store,
@@ -142,8 +142,8 @@ class TestColumns:
         write_store(path, pinned_segments())
         store = read_store(path)
         for segment in store.segments:
-            payload = segment.columns["isep"].base
-            assert isinstance(payload, bytes)
+            payload = segment.columns["isep"].base  # what the CRC was checked on
+            assert isinstance(payload, np.ndarray) and not payload.flags.writeable
             assert len(payload) == len(segment) * ROW_BYTES
             whole = np.frombuffer(payload, np.uint8)
             for name, column in segment.columns.items():
@@ -158,7 +158,7 @@ class TestColumns:
     def test_check_decodes_no_record_array(self, tmp_path):
         path = tmp_path / "s.rcs"
         write_store(path, chunked_store(2, n_chunks=2, nsep=40, n_rot=210))
-        store = read_store(path)
+        store = ResultStore(path, segments=list(read_store(path).segments))  # resident
         record_bytes = len(store.segments[0]) * RESULT_DTYPE.itemsize
         tracemalloc.start()
         try:
@@ -292,14 +292,9 @@ class TestStreamingReduce:
         write_store(path, segments)
         return path
 
-    def test_path_and_store_agree(self, tmp_path, monkeypatch):
+    def test_path_and_store_agree(self, tmp_path):
         path = self._store(tmp_path)
         store = read_store(path)
-
-        def refused(_):
-            raise AssertionError("a path must be folded, not read whole")
-
-        monkeypatch.setattr(pipeline, "read_store", refused)
         for expected in (None, 17):
             from_path = check_store(path, files_expected=expected)
             assert from_path == check_store(store, files_expected=expected)
@@ -328,7 +323,7 @@ class TestStreamingReduce:
         store = ResultStore(path=tmp_path / "chunks.rcs", segments=segments)
         merge_couple_store(store, tmp_path / "streamed.rcs")
         write_store(
-            tmp_path / "merged.rcs", [merge_segments(c) for c in store.by_couple().values()]
+            tmp_path / "merged.rcs", [merge_segments(c) for _, c in store.by_couple()]
         )
         assert (tmp_path / "streamed.rcs").read_bytes() == (tmp_path / "merged.rcs").read_bytes()
 
@@ -364,6 +359,68 @@ class TestStreamingReduce:
             tracemalloc.stop()
         assert rows == store.n_rows
         assert peak < 4 * couple_bytes, peak / couple_bytes
+
+    def test_a_store_file_is_reduced_one_couple_at_a_time(self, tmp_path):
+        n_couples = 12
+        path = tmp_path / "chunks.rcs"
+        write_store(path, chunked_store(n_couples, n_chunks=3, nsep=8, n_rot=210))
+        tracemalloc.start()
+        try:
+            for store in (read_store(path), path):  # a path is its store
+                assert check_store(store).ok
+                rows = merge_couple_store(store, tmp_path / "merged.rcs")
+                energy_matrix(store)
+                position_energy_maps(store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == n_couples * 3 * 8 * 210
+        couple_bytes = rows // n_couples * PACKED_DTYPE.itemsize
+        assert peak < 4 * couple_bytes, peak / couple_bytes
+
+
+#: every stage that reads a segment of an indexed store
+STAGES = {
+    "index": lambda store, out: store.segments[-1],
+    "iterate": lambda store, out: list(store.segments),
+    "check": lambda store, out: check_store(store),
+    "merge": lambda store, out: merge_couple_store(store, out),
+    "matrix": lambda store, out: energy_matrix(store),
+    "maps": lambda store, out: position_energy_maps(store),
+}
+
+
+class TestIndexedStore:
+    """``read_store`` keeps an index, so the file can change under it: a
+    stage reading a changed segment refuses it as the scan would have."""
+
+    def _indexed(self, tmp_path, edit):
+        path = tmp_path / "chunks.rcs"
+        write_store(path, chunked_store(2))
+        store = read_store(path)
+        path.write_bytes(edit(bytearray(path.read_bytes())))
+        # what the index holds needs no payload
+        assert (len(store), store.n_rows) == (6, 6 * 20)
+        assert store.couples() == [("R00", "L00"), ("R01", "L01")]
+        return store
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_payload_flipped_after_indexing_is_refused(self, tmp_path, stage):
+        def flip(blob):
+            blob[-20] ^= 0xFF  # in the last segment's payload
+            return bytes(blob)
+
+        store = self._indexed(tmp_path, flip)
+        with pytest.raises(ValueError, match="CRC mismatch"):
+            STAGES[stage](store, tmp_path / "merged.rcs")
+        assert list(tmp_path.iterdir()) == [store.path]
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_file_truncated_after_indexing_is_refused(self, tmp_path, stage):
+        store = self._indexed(tmp_path, lambda blob: bytes(blob[:-10]))
+        with pytest.raises(ValueError, match="truncated"):
+            STAGES[stage](store, tmp_path / "merged.rcs")
+        assert list(tmp_path.iterdir()) == [store.path]
 
 
 #: keys as floats, so they can be NaN (the result dtypes keep them integer)
