@@ -75,7 +75,7 @@ STORE_MAGIC = b"RPRCOLS\x01"
 STORE_VERSION = 1
 
 _SEGMENT_MAGIC = b"SEG1"
-_IOV_MAX = 1024  #: Linux's limit on the pieces of one ``writev``
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  #: the most pieces one ``writev`` takes
 
 #: fixed-point scales matching the text format's precision exactly
 _COORD_SCALE = 1_000  # %10.3f
@@ -385,8 +385,7 @@ def _header_from_meta(meta: dict) -> ResultHeader:
 
 
 class _Frame(NamedTuple):
-    """A segment's entry in a store file's index: what its frame says, the
-    payload left on disk."""
+    """A segment's entry in a store file's index: its frame, no payload."""
 
     header: ResultHeader
     source: str | None
@@ -397,9 +396,7 @@ class _Frame(NamedTuple):
 
 
 def _frames(fh, path: Path) -> Iterator[tuple[_Frame, bytes]]:
-    """Walk the frames of an open store file from its first segment on:
-    each one's index entry and payload, the payload's CRC checked.  The
-    file is left at the frame's end."""
+    """Each frame's index entry and CRC-checked payload, from an open store."""
     import json
 
     while magic := fh.read(4):
@@ -411,29 +408,20 @@ def _frames(fh, path: Path) -> Iterator[tuple[_Frame, bytes]]:
         offset = fh.tell()
         payload = _read_exact(fh, path, n_rows * ROW_BYTES)
         crc = int.from_bytes(_read_exact(fh, path, 4), "little")
-        _check_crc(payload, crc, path)
+        if _crc32(payload) != crc:
+            raise ValueError(f"{path.name}: segment payload CRC mismatch")
         yield _Frame(_header_from_meta(meta), meta.get("source"), meta.get("campaign"),
                      offset, n_rows, crc), payload
 
 
-def _check_crc(payload: bytes | np.ndarray, crc: int, path: Path) -> None:
-    if _crc32(payload) != crc:
-        raise ValueError(f"{path.name}: segment payload CRC mismatch")
-
-
 def _segment(frame: _Frame, buffer: bytes | np.ndarray, at: int = 0) -> ColumnarSegment:
-    """The segment ``frame`` indexes, its columns read-only views of its
-    payload at ``at`` in ``buffer``."""
+    """The segment ``frame`` indexes, viewing its payload at ``at`` in ``buffer``."""
     columns = {}
     for name, dtype in _COLUMN_DTYPES.items():  # views: the bytes stay put
         columns[name] = np.frombuffer(buffer, dtype, frame.n_rows, at)
         at += dtype.itemsize * frame.n_rows
-    # the views are the constructor's checked columns by construction, and
-    # every stage builds one segment per segment it reads: skip the checks
-    segment = object.__new__(ColumnarSegment)
-    segment.columns = MappingProxyType(columns)
-    segment.header, segment.source, segment.campaign = frame.header, frame.source, frame.campaign
-    return segment
+    return ColumnarSegment(frame.header, source=frame.source, campaign=frame.campaign,
+                           columns=columns)
 
 
 def _read_exact(fh, path: Path, n: int) -> bytes:
@@ -444,18 +432,15 @@ def _read_exact(fh, path: Path, n: int) -> bytes:
 
 
 def _write_all(fd: int, parts: list) -> None:
-    """Write ``parts`` in order with as few ``writev`` calls as IOV_MAX
-    allows: one per frame, not one per column (each write costs a file
-    system call of its own)."""
+    """Write ``parts`` in order, up to IOV_MAX of them per ``writev``: one
+    system call a frame, not one a column piece."""
     views = [memoryview(part).cast("B") for part in parts]
-    k = 0
-    while k < len(views):
-        n = os.writev(fd, views[k:k + _IOV_MAX])
-        while k < len(views) and n >= len(views[k]):
-            n -= len(views[k])
-            k += 1
+    while views:
+        n = os.writev(fd, views[:_IOV_MAX])
+        while views and n >= len(views[0]):
+            n -= len(views.pop(0))
         if n:  # a short write: resume inside this part
-            views[k] = views[k][n:]
+            views[0] = views[0][n:]
 
 
 class StoreWriter:
@@ -488,12 +473,13 @@ class StoreWriter:
         import json
 
         meta = json.dumps(_segment_meta(header, source, campaign), sort_keys=True).encode("ascii")
-        head = _SEGMENT_MAGIC + len(meta).to_bytes(4, "little") + meta + n_rows.to_bytes(8, "little")
         parts = list(parts)
         crc = 0
         for part in parts:
             crc = _crc32(part, crc)
-        _write_all(self._fh.fileno(), [head, *parts, crc.to_bytes(4, "little")])
+        head = [_SEGMENT_MAGIC, len(meta).to_bytes(4, "little"), meta,
+                n_rows.to_bytes(8, "little")]
+        _write_all(self._fh.fileno(), [*head, *parts, crc.to_bytes(4, "little")])
         self.n_segments_written += 1
         return 20 + len(meta) + n_rows * ROW_BYTES  # 20: magic, 2 lengths, CRC
 
@@ -556,9 +542,8 @@ def iter_segments(path: Path | str) -> Iterator[ColumnarSegment]:
 
 
 class _StoreFile(Sequence[ColumnarSegment]):
-    """The segments of a store file, read by offset from its index when
-    indexed or iterated.  Every read checks the payload's CRC again: the
-    file may have changed since it was indexed."""
+    """A store file's segments, read by offset when indexed or iterated, each
+    CRC checked again: the file may have changed since it was indexed."""
 
     def __init__(self, path: Path, frames: list[_Frame]) -> None:
         self.path, self.frames = path, frames
@@ -587,7 +572,8 @@ class _StoreFile(Sequence[ColumnarSegment]):
             fh.seek(frame.offset)
             if fh.readinto(payload) != len(payload):
                 raise ValueError(f"{self.path.name}: truncated store file")
-            _check_crc(payload, frame.crc, self.path)
+            if _crc32(payload) != frame.crc:
+                raise ValueError(f"{self.path.name}: segment payload CRC mismatch")
             starts.append(at)
             at += len(payload)
         buffer.flags.writeable = False
@@ -596,30 +582,24 @@ class _StoreFile(Sequence[ColumnarSegment]):
 
 @dataclass
 class ResultStore:
-    """A store's segments, with couple-level grouping.
-
-    From :func:`read_store`, ``segments`` is the file's index: a segment is
-    read from the file when it is indexed or iterated, so only the
-    segments a caller holds are resident.  ``ResultStore(path,
-    segments=[...])`` holds segments already in memory.
-    """
+    """A store's segments, with couple-level grouping: read from the file
+    when indexed or iterated (:func:`read_store`), or held in memory."""
 
     path: Path
     segments: Sequence[ColumnarSegment] = field(default_factory=list)
 
-    def _index(self) -> list[_Frame] | Sequence[ColumnarSegment]:
-        """What each segment's frame says (``header``, ``source``, ``campaign``
-        and ``n_rows``), no payload read."""
+    def headers(self) -> Iterator[tuple[ResultHeader, int]]:
+        """Each segment's header and row count, in order, no payload read."""
         if isinstance(self.segments, _StoreFile):
-            return self.segments.frames
-        return [_Frame(s.header, s.source, s.campaign, 0, len(s), 0) for s in self.segments]
+            return ((f.header, f.n_rows) for f in self.segments.frames)
+        return ((s.header, len(s)) for s in self.segments)
 
     def __len__(self) -> int:
         return len(self.segments)
 
     @property
     def n_rows(self) -> int:
-        return sum(f.n_rows for f in self._index())
+        return sum(n for _, n in self.headers())
 
     def size_rows(self) -> list[list[Any]]:
         """Rows, couples and bytes in both result formats (``repro-hcmd
@@ -627,7 +607,7 @@ class ResultStore:
         :func:`~repro.store.store_to_text` writes, headers included."""
         store_bytes = self.path.stat().st_size
         text_bytes = result_bytes(self.n_rows, len(self)) + sum(
-            len("\n".join(f.header.lines())) + 1 for f in self._index()
+            len("\n".join(h.lines())) + 1 for h, _ in self.headers()
         )
         return [
             ["segments", len(self)],
@@ -644,14 +624,13 @@ class ResultStore:
 
     def _positions(self) -> dict[tuple[str, str], list[int]]:
         groups: dict[tuple[str, str], list[int]] = {}
-        for k, f in enumerate(self._index()):
-            groups.setdefault((f.header.receptor, f.header.ligand), []).append(k)
+        for k, (h, _) in enumerate(self.headers()):
+            groups.setdefault((h.receptor, h.ligand), []).append(k)
         return groups
 
     def by_couple(self) -> Iterator[tuple[tuple[str, str], list[ColumnarSegment]]]:
-        """Each (receptor, ligand) couple and its segments, in on-disk
-        order, one couple at a time: a file's are read into one buffer
-        when the couple's turn comes."""
+        """Each (receptor, ligand) couple and its segments, in on-disk order,
+        one couple at a time: a file's are read into one buffer in turn."""
         for couple, positions in self._positions().items():
             if isinstance(self.segments, _StoreFile):
                 yield couple, self.segments.read(positions)
@@ -660,8 +639,7 @@ class ResultStore:
 
 
 def read_store(path: Path | str) -> ResultStore:
-    """Index a store file: one pass over its frames checks every payload's
-    CRC and keeps none, so the store holds no segment until one is read."""
+    """Index a store file: one pass checks every payload's CRC, keeps none."""
     path = Path(path)
     with _opened(path) as fh:
         frames = [frame for frame, _ in _frames(fh, path)]

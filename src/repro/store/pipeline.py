@@ -148,9 +148,8 @@ def merge_couple_store(
 ) -> int:
     """Merge every couple of a chunked store into a one-segment-per-couple
     store at ``out_path``; returns the total merged row count.  Couples are
-    read, merged and written one at a time (:meth:`ResultStore.by_couple`),
-    atomically (:func:`write_store`), as :func:`merge_segments` would;
-    chunks already in key order are not copied."""
+    read, merged and written one at a time, atomically (:func:`write_store`),
+    as :func:`merge_segments` would; chunks already in key order are not copied."""
     store = _store(store)
     write_store(out_path, (_merged_frame(c) for _, c in store.by_couple()))
     return store.n_rows
@@ -218,10 +217,7 @@ def position_energy_maps(
     store = _store(store)
     names, index = _couple_index(store.couples(), names)
     if n_positions is None:
-        n_positions = max(
-            (f.header.isep_start + f.header.nsep - 1 for f in store._index()),
-            default=0,
-        )
+        n_positions = max((h.isep_start + h.nsep - 1 for h, _ in store.headers()), default=0)
     n = len(names)
     maps = np.full((n, n, n_positions), np.inf)
     for k, s in enumerate(store.segments):

@@ -10,11 +10,13 @@ producer path.
 
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
 import pytest
 
+import repro.store.format as store_format
 from repro.maxdo.resultfile import (
     RESULT_DTYPE,
     ResultHeader,
@@ -236,6 +238,30 @@ class TestStoreFile:
         after = path.read_bytes()
         assert after[: len(before)] == before
         assert len(read_store(path)) == 2
+
+    def test_writer_resumes_split_and_short_writes(self, tmp_path, monkeypatch):
+        """A frame can hold more pieces than one ``writev`` takes, and a
+        ``writev`` can write less than it was given: the file comes out
+        the same byte for byte."""
+        rec = synth_records(None)
+        segments = [
+            ColumnarSegment.from_records(header_for(rec, ligand=f"P{k:03d}"), rec)
+            for k in range(2)
+        ]
+        write_store(tmp_path / "whole.rcs", segments)
+        real, given = os.writev, []
+
+        def short(fd, buffers):  # half of the first piece, at least a byte
+            given.append(len(buffers))
+            first = bytes(buffers[0])
+            return real(fd, [first[: max(1, len(first) // 2)]])
+
+        monkeypatch.setattr(store_format, "_IOV_MAX", 3)
+        monkeypatch.setattr(os, "writev", short)
+        write_store(tmp_path / "short.rcs", segments)
+        monkeypatch.undo()
+        assert max(given) == 3
+        assert (tmp_path / "short.rcs").read_bytes() == (tmp_path / "whole.rcs").read_bytes()
 
     def test_couple_grouping(self, tmp_path):
         rec = synth_records(None)
