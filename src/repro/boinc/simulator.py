@@ -344,15 +344,6 @@ class CampaignResult:
         """Result volume shipped to the storage server so far (§5.2)."""
         return sum(b for _, b in self.telemetry.shipments)
 
-    def shipment_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times_s, cumulative_bytes) of the storage-server deliveries."""
-        if not self.telemetry.shipments:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        ordered = sorted(self.telemetry.shipments)
-        times = np.array([t for t, _ in ordered])
-        sizes = np.cumsum([b for _, b in ordered])
-        return times, sizes
-
     def export(self, directory, profiler: Profiler | None = None) -> list:
         """Dump the campaign telemetry as CSV/JSON artifacts.
 

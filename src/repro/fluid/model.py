@@ -215,21 +215,3 @@ class FluidCampaign:
         if full < len(result.useful_reference_s):
             done += (week - full) * float(result.useful_reference_s[full])
         return self.campaign.snapshot(done)
-
-    def calibrate_switch_week(
-        self, target_redundancy: float = constants.REDUNDANCY_FACTOR, max_weeks: int = 60
-    ) -> float:
-        """Find the validation switch week that yields the paper's overall
-        redundancy factor (bisection; redundancy grows with the switch
-        week because the quorum regime covers more of the campaign)."""
-        lo, hi = 0.0, 26.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            self.validation_switch_week = mid
-            overall = self.run(max_weeks=max_weeks).overall_redundancy
-            if overall < target_redundancy:
-                lo = mid
-            else:
-                hi = mid
-        self.validation_switch_week = 0.5 * (lo + hi)
-        return self.validation_switch_week

@@ -115,17 +115,6 @@ class HostSpec:
         """Reference work per active wall-clock second (speed x duty)."""
         return self.speed * self.duty_cycle
 
-    def active_seconds_for(self, reference_cost_s: float) -> float:
-        """Active wall-clock seconds to finish ``reference_cost_s`` of work.
-
-        This is also the *accounted* run time (the UD agent bills wall
-        clock), so the grid's consumed-CPU statistics inherit the paper's
-        overstatement.
-        """
-        if reference_cost_s < 0:
-            raise ValueError("cost must be non-negative")
-        return reference_cost_s / self.progress_rate
-
 
 class HostPopulationModel:
     """Deterministic per-index host synthesis.

@@ -25,12 +25,13 @@ import hashlib
 import os
 import shutil
 import subprocess
-import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+from .._cache import cache_dir
 
 __all__ = ["load", "phase_a", "phase_grad", "phase_energy"]
 
@@ -135,8 +136,7 @@ def load() -> ctypes.CDLL | None:
         cc = _find_compiler()
         if cc is None:
             return None
-        cache = Path(tempfile.gettempdir()) / f"repro-fused-{os.getuid()}"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        cache = cache_dir()
         builds, built = _builds(cache), False
         for out, flags in builds.items():
             if not out.exists():

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import constants
+from .._cache import stratified
 from ..proteins.library import ProteinLibrary
 from ..rng import stable_hash64, stream
 from ._roots import brentq
@@ -127,10 +128,6 @@ class CostModel:
         smaller libraries reuse the same per-couple scale (their total is
         proportionally smaller) unless ``total_cpu_seconds`` is forced.
         """
-        # the function ``scipy.stats.t.ppf`` itself calls, without the
-        # ~0.5 s import of scipy.stats (docs/architecture.md, Start-up cost)
-        from scipy.special import stdtrit
-
         if seed is None:
             seed = library.seed
         n = len(library)
@@ -176,15 +173,12 @@ class CostModel:
         sigma_eps = float(np.sqrt(sigma_eps_sq))
 
         # Heavy-tail noise: exact stratified quantiles of a unit-variance
-        # Student-t (mild excess kurtosis pushes the extreme entries toward
-        # the paper's 46,347 s maximum), deterministically shuffled.  The
-        # shape of the matrix distribution is thus exact, not a lucky draw.
+        # Student-t (``stdtrit``, what ``scipy.stats.t.ppf`` calls; mild excess
+        # kurtosis pushes the extreme entries toward the paper's 46,347 s
+        # maximum), deterministically shuffled: an exact shape, not a lucky draw.
         rng = stream(seed, "cost-matrix")
-        q = (np.arange(n * n) + 0.5) / (n * n)
-        eps = stdtrit(NOISE_TAIL_DF, q) / np.sqrt(
-            NOISE_TAIL_DF / (NOISE_TAIL_DF - 2.0)
-        )
-        eps = eps[rng.permutation(n * n)].reshape(n, n)
+        eps = stratified("stdtrit", n * n, NOISE_TAIL_DF)[rng.permutation(n * n)].reshape(n, n)
+        eps /= np.sqrt(NOISE_TAIL_DF / (NOISE_TAIL_DF - 2.0))
 
         log_mct = a * x[:, None] + b * x[None, :] + sigma_eps * eps
         mct = np.exp(log_mct)

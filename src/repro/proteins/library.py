@@ -29,6 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .. import constants
+from .._cache import stratified
 from ..rng import stream, substream
 from .model import ReducedProtein, synthesize_protein
 from .surface import CLEARANCE_A, SHELL_STEP_A, SHELLS_PER_RADIUS_A
@@ -80,14 +81,6 @@ def _invert_residues(target_area: float) -> int:
         else:
             hi = mid
     return hi
-
-
-def _stratified_lognormal(n: int, sigma: float) -> np.ndarray:
-    """Unit-median lognormal quantiles at the ``n`` stratified probabilities."""
-    from scipy.special import ndtri
-
-    q = (np.arange(n) + 0.5) / n
-    return np.exp(sigma * ndtri(q))
 
 
 @dataclass
@@ -149,7 +142,7 @@ class ProteinLibrary:
         if sum_nsep < n_proteins:
             raise ValueError("sum_nsep must allow at least one position per protein")
 
-        shape = _stratified_lognormal(n_proteins, sigma)
+        shape = np.exp(sigma * stratified("ndtri", n_proteins))  # unit-median lognormal
         rng = stream(seed, "protein-library")
         shape = shape[rng.permutation(n_proteins)]
 

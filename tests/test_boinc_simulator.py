@@ -146,14 +146,10 @@ class TestShipments:
         expected = dataset_volume(campaign.library).raw_bytes
         assert campaign_result.shipped_bytes_total() == expected
 
-    def test_shipment_curve_monotone(self, campaign_result):
-        times, sizes = campaign_result.shipment_curve()
-        assert (np.diff(times) >= 0).all()
-        assert (np.diff(sizes) > 0).all()
-
     def test_shipments_within_span(self, campaign_result):
-        times, _ = campaign_result.shipment_curve()
-        assert times.max() <= campaign_result.span_s + 1e-6
+        shipments = campaign_result.telemetry.shipments
+        assert max(t for t, _ in shipments) <= campaign_result.span_s + 1e-6
+        assert all(b > 0 for _, b in shipments)
 
 
 class TestExport:

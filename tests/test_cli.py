@@ -286,6 +286,8 @@ class TestCommands:
     ):
         import tempfile
 
+        from repro._cache import cache_dir
+
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert main([
@@ -294,7 +296,8 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "CAMPAIGN POST-MORTEM" in out and "source: live run" in out
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [cache_dir()]  # the per-user cache
+        assert all(p.name.startswith("q-") for p in cache_dir().iterdir())  # quantile memos
 
     def test_compare(self, capsys):
         assert main(["compare"]) == 0

@@ -104,14 +104,6 @@ class TestMechanics:
     def test_redundancy_regimes(self, fluid):
         assert fluid.redundancy(0.0) > fluid.redundancy(25.0)
 
-    def test_calibrate_switch_week(self, phase1_library, phase1_cost_model):
-        campaign = CampaignPlan(phase1_library, phase1_cost_model)
-        plan = WorkUnitPlan(phase1_cost_model, PackagingPolicy(3.65))
-        fc = FluidCampaign(campaign, plan.duration_stats()["mean"])
-        week = fc.calibrate_switch_week(target_redundancy=1.37)
-        assert 5.0 < week < 26.0
-        assert fc.run().overall_redundancy == pytest.approx(1.37, abs=0.01)
-
     def test_metrics_rejects_empty_range(self, result):
         with pytest.raises(ValueError):
             result.metrics(first_week=100, last_week=100)

@@ -24,16 +24,6 @@ class TestHostSpec:
     def test_progress_rate(self):
         assert _spec(speed=0.8, duty_cycle=0.5).progress_rate == pytest.approx(0.4)
 
-    def test_active_seconds(self):
-        # 1 hour of reference work at rate 0.25 -> 4 hours active wall.
-        assert _spec(speed=0.5, duty_cycle=0.5).active_seconds_for(3600) == pytest.approx(
-            14_400
-        )
-
-    def test_active_seconds_rejects_negative(self):
-        with pytest.raises(ValueError):
-            _spec().active_seconds_for(-1.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             _spec(speed=0.0)

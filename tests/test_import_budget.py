@@ -111,18 +111,45 @@ def test_help_parses_before_it_imports(argv):
 SCIPY_KEYS = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
-def test_simulation_run_loads_nothing_deferred():
+BUILD_SIM = (
+    "from repro import scaled_phase1\n"
+    "sim = scaled_phase1(scale=300, n_proteins=10, seed=7)"
+)
+BUILD_ROSTER = (
+    "from repro import Campaign, GridConfig, MultiGridSimulation\n"
+    "MultiGridSimulation(GridConfig(campaigns=("
+    "Campaign.cross_docking('hcmd', scale=900, n_proteins=5),)))"
+)
+SIMULATE = [sys.executable, "-X", "importtime", "-m", "repro.cli",
+            "simulate", "--scale", "900", "--proteins", "5"]
+
+
+def imported_by(argv: list[str], **env: str) -> set[str]:
+    """The modules a fresh ``-X importtime`` run of ``argv`` imports."""
+    done = subprocess.run(
+        argv, env={**ENV, **env}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines() if line.startswith("import time:")
+    }
+
+
+def test_simulation_run_loads_nothing_deferred(tmp_path):
     """Library, cost model and fleet are built by the constructor, where
     the user already waits; ``run()`` — the timed region, a served
     request — imports no scipy module.  The fleet's population trend is
-    frozen, so no campaign loads ``scipy.optimize`` at all."""
+    frozen, so no campaign loads ``scipy.optimize`` at all.  An empty
+    ``TMPDIR`` is a cold quantile memo, so the build imports
+    ``scipy.special``."""
     out = probe(
         "import sys\n"
-        "from repro import scaled_phase1\n"
-        "sim = scaled_phase1(scale=300, n_proteins=10, seed=7)\n"
+        f"{BUILD_SIM}\n"
         f"before = {SCIPY_KEYS}\n"
         "sim.run()\n"
-        f"out = {{'before': before, 'after': {SCIPY_KEYS}}}"
+        f"out = {{'before': before, 'after': {SCIPY_KEYS}}}",
+        TMPDIR=str(tmp_path),
     )
     assert "scipy.special" in out["before"]
     assert "scipy.optimize" not in out["before"]
@@ -133,29 +160,28 @@ def test_simulation_run_loads_nothing_deferred():
     "from repro import CampaignPlan, CostModel, FluidCampaign, ProteinLibrary\n"
     "library = ProteinLibrary.synthetic(n_proteins=12, seed=42)\n"
     "FluidCampaign(CampaignPlan(library, CostModel.calibrated(library)), 12_000.0)",
-    "from repro import Campaign, GridConfig, MultiGridSimulation\n"
-    "MultiGridSimulation(GridConfig(campaigns=("
-    "Campaign.cross_docking('hcmd', scale=900, n_proteins=5),)))",
+    BUILD_ROSTER,
 ], ids=["fluid", "multi"])
-def test_campaign_constructors_never_load_the_optimizer(construct):
-    out = probe(f"import sys\n{construct}\nout = {SCIPY_KEYS}")
+def test_campaign_constructors_never_load_the_optimizer(construct, tmp_path):
+    out = probe(f"import sys\n{construct}\nout = {SCIPY_KEYS}", TMPDIR=str(tmp_path))
     assert "scipy.special" in out  # the probe sees scipy at all
     assert "scipy.optimize" not in out
 
 
-def test_simulate_command_never_loads_the_optimizer():
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "repro.cli",
-         "simulate", "--scale", "900", "--proteins", "5"],
-        env=ENV, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in done.stderr.splitlines() if line.startswith("import time:")
-    }
+def test_simulate_command_never_loads_the_optimizer(tmp_path):
+    imported = imported_by(SIMULATE, TMPDIR=str(tmp_path))
     assert "scipy.special" in imported  # the probe sees scipy at all
     assert "scipy.optimize" not in imported
+
+
+def test_warm_campaign_builds_load_no_scipy(tmp_path):
+    """Once one build has filled the quantile memo, a campaign, a roster
+    and ``repro-hcmd simulate`` of the same sizes import no scipy module."""
+    warm = {"TMPDIR": str(tmp_path)}
+    assert "scipy.special" in probe(f"import sys\n{BUILD_SIM}\n{BUILD_ROSTER}\nout = {SCIPY_KEYS}", **warm)
+    assert probe(f"import sys\n{BUILD_SIM}\nout = {SCIPY_KEYS}", **warm) == []
+    assert probe(f"import sys\n{BUILD_ROSTER}\nout = {SCIPY_KEYS}", **warm) == []
+    assert not {m for m in imported_by(SIMULATE, **warm) if m.split(".")[0] == "scipy"}
 
 
 DOCK = (

@@ -376,6 +376,7 @@ class TestShardedObservers:
         nothing is left behind, and the report is the traced run's."""
         import tempfile
 
+        from repro._cache import cache_dir
         from repro.boinc import sharding
 
         traced, _ = self._traced(tmp_path, 2, health=True)
@@ -395,7 +396,8 @@ class TestShardedObservers:
             scale=700, n_proteins=6, seed=42, config=config, health=True
         ).run()
         assert result.health.as_dict() == traced.health.as_dict()
-        assert list(scratch.iterdir()) == []
+        assert list(scratch.iterdir()) == [cache_dir()]  # the per-user cache
+        assert all(p.name.startswith("q-") for p in cache_dir().iterdir())  # quantile memos
         assert written == []
 
     @pytest.mark.parametrize("n_shards", [2, 4])
